@@ -64,9 +64,9 @@ fn load_rel(db: &mut Database, name: &str) -> Rel {
 /// Run `op` against cold buffers and return the pages it read.
 fn cost_of(pager: &Pager, mut op: impl FnMut(&Pager)) -> u64 {
     pager.invalidate_buffers().expect("invalidate");
-    pager.reset_stats();
+    let cost = pager.stats().scope();
     op(pager);
-    pager.stats().total_reads()
+    cost.total().reads
 }
 
 /// Scan a keyed file counting rows whose `attr` equals `value` and which

@@ -1213,6 +1213,7 @@ mod tests {
         {
             let (_shared, pager, cat, _) = fixture(method, 40);
             adopt_sums(&pager);
+            let cost = pager.stats().scope();
             let report = check_database(&pager, &cat).unwrap();
             assert!(report.is_clean(), "{method:?}:\n{}", report.render());
             assert!(report.findings.is_empty(), "{method:?}");
@@ -1220,7 +1221,7 @@ mod tests {
             assert!(report.pages_checked > 0);
             assert!(report.render().ends_with("clean\n"));
             // The scrub traffic is attributed to its named phase.
-            let phases = pager.stats().phases();
+            let phases = cost.phases();
             assert!(
                 phases.iter().any(|p| p.name == "scrub" && p.reads > 0),
                 "scrub phase missing from {:?}",

@@ -16,7 +16,7 @@ use tdbms_plan::{PlannerMode, RelStats, StatsCatalog};
 use tdbms_storage::{
     AccessMethod, BufferConfig, Catalog, ChecksumSet, ClusteredHistory,
     DiskManager, EvictionPolicy, FileDisk, FileId, HashFn, IoStats,
-    KeySpec, Pager, RelId, PAGE_SIZE,
+    KeySpec, Pager, RelId, StatScope, PAGE_SIZE,
 };
 use tdbms_tquel::ast::Statement;
 use tdbms_wal::{
@@ -1016,7 +1016,8 @@ impl Database {
         self.pager.set_eviction_policy(policy);
     }
 
-    /// Cumulative page-access counters since the last statement started.
+    /// Lifetime page-access counters of this database's pager (a
+    /// statement's own cost is its [`ExecOutput::stats`]).
     pub fn io_stats(&self) -> &IoStats {
         self.pager.stats()
     }
@@ -1316,7 +1317,7 @@ impl Database {
         if self.cold_statements {
             self.pager.invalidate_buffers()?;
         }
-        self.pager.reset_stats();
+        let scope = self.pager.stats().scope();
 
         // Durable mode: arm statement undo, so a write that dies
         // mid-flight (disk full) rolls back to this boundary instead
@@ -1327,7 +1328,9 @@ impl Database {
         });
 
         let mut out = ExecOutput::default();
-        if let Err(e) = self.apply_statement(stmt, guard, now, &mut out) {
+        if let Err(e) =
+            self.apply_statement(stmt, guard, now, &scope, &mut out)
+        {
             return Err(match snapshot {
                 Some(snap) => self.fail_write_statement(e, snap),
                 None => e,
@@ -1335,24 +1338,17 @@ impl Database {
         }
 
         // In durable mode every mutating statement commits through the
-        // WAL before its stats are snapshotted, so the "wal" phase shows
-        // up in the statement's own ledger.
+        // WAL before its stats are read, so the "wal" phase shows up in
+        // the statement's own scope.
         if let Some(snap) = snapshot {
             self.commit_write_statement(snap)?;
         }
-        // Close any phase the executor left open, then snapshot the v2
-        // ledger into the statement's stats. `hits + misses ==
-        // accesses` cannot be asserted here: snapshot readers run off
-        // the commit lock and may be mid-access on another thread. The
-        // concurrency suites assert it at quiescence instead.
+        // Close any phase the executor left open, then read the
+        // statement's cost off its scope. The scope holds this thread's
+        // accesses only, so `hits + misses == accesses` is asserted
+        // there even while snapshot readers are mid-access elsewhere.
         self.pager.end_phase();
-        out.stats = QueryStats {
-            input_pages: self.pager.stats().total_reads(),
-            output_pages: self.pager.stats().total_writes(),
-            buffer_hits: self.pager.stats().total_hits(),
-            evictions: self.pager.stats().total_evictions(),
-            phases: self.pager.stats().phases().to_vec(),
-        };
+        out.stats = QueryStats::of(&scope);
         if self.wal.is_none() && self.persist_dir.is_some() && mutating {
             self.checkpoint()?;
         }
@@ -1373,14 +1369,16 @@ impl Database {
         Ok(out)
     }
 
-    /// Apply one bound statement's effects (no durability, no stats
-    /// snapshot — [`Database::execute_statement_guarded`] wraps this
-    /// with admission, undo, and commit handling).
+    /// Apply one bound statement's effects (no durability, no stats —
+    /// [`Database::execute_statement_guarded`] wraps this with
+    /// admission, undo, commit handling and the `scope` it reads the
+    /// statement's cost from).
     fn apply_statement(
         &mut self,
         stmt: &Statement,
         guard: &QueryGuard,
         now: TimeVal,
+        scope: &StatScope,
         out: &mut ExecOutput,
     ) -> Result<()> {
         match stmt {
@@ -1515,16 +1513,19 @@ impl Database {
                     guard,
                     Some(&plan),
                 )?;
-                let actual_in = self.pager.stats().total_reads();
-                let actual_out = self.pager.stats().total_writes();
+                let actual = scope.total();
                 out.affected = result.rows.len();
                 out.columns =
                     vec![("query plan".to_string(), Domain::Char(72))];
-                out.rows =
-                    explain_lines(&bound, &plan, actual_in, actual_out)
-                        .into_iter()
-                        .map(|l| vec![Value::Str(l)])
-                        .collect();
+                out.rows = explain_lines(
+                    &bound,
+                    &plan,
+                    actual.reads,
+                    actual.writes,
+                )
+                .into_iter()
+                .map(|l| vec![Value::Str(l)])
+                .collect();
             }
         }
         Ok(())

@@ -61,14 +61,12 @@
 //!
 //! ## Statement statistics under concurrency
 //!
-//! The single-threaded [`Database`] resets the global I/O counters
-//! before each statement. Readers running in parallel cannot do that
-//! without clobbering each other, so the snapshot and read paths report
-//! *deltas* of the (atomic, monotone) global counters instead. Within
-//! one session the numbers are exact when it runs alone; while
-//! neighbors run, a reader's per-statement delta may include their I/O.
-//! Aggregate totals across all sessions are always exact — that
-//! invariant is what the concurrency stress suite asserts.
+//! Every path prices its statement the same way: it opens a
+//! [`tdbms_storage::StatScope`] on the executing thread and reads
+//! [`QueryStats`] off it. A scope tallies only what its own thread
+//! records, so a statement's numbers are exact whoever else is running
+//! — the concurrency stress suite asserts both that, and that the
+//! scopes of all sessions add up to the ledger's lifetime totals.
 
 use crate::binder::Binder;
 use crate::bound::BoundRetrieve;
@@ -800,9 +798,7 @@ impl Session {
         if view.cold {
             pager.invalidate_buffers()?;
         }
-        // No reset_stats here: counters are global and other sessions
-        // may be mid-statement. Report monotone-counter deltas instead.
-        let before = snapshot(pager.stats());
+        let scope = pager.stats().scope();
         let executed = if multi {
             let mut local = view.catalog.clone();
             exec_retrieve_snapshot(pager, &mut local, &bound, guard)
@@ -833,18 +829,11 @@ impl Session {
             }
         }
         self.engine.note_snapshot_read();
-        let after = snapshot(pager.stats());
         Ok(SnapshotAttempt::Served(Box::new(ExecOutput {
             affected: result.rows.len(),
             columns: result.columns,
             rows: result.rows,
-            stats: QueryStats {
-                input_pages: after.0.saturating_sub(before.0),
-                output_pages: after.1.saturating_sub(before.1),
-                buffer_hits: after.2.saturating_sub(before.2),
-                evictions: after.3.saturating_sub(before.3),
-                phases: Vec::new(),
-            },
+            stats: QueryStats::of(&scope),
         })))
     }
 
@@ -872,27 +861,18 @@ impl Session {
         if db.cold_statements() {
             db.pager().invalidate_buffers()?;
         }
-        // No reset_stats here: counters are global and other readers may
-        // be mid-statement. Report monotone-counter deltas instead.
-        let before = snapshot(db.io_stats());
+        let scope = db.io_stats().scope();
         let result = exec_retrieve_readonly(
             db.pager(),
             db.catalog(),
             &bound,
             guard,
         )?;
-        let after = snapshot(db.io_stats());
         Ok(Some(ExecOutput {
             affected: result.rows.len(),
             columns: result.columns,
             rows: result.rows,
-            stats: QueryStats {
-                input_pages: after.0.saturating_sub(before.0),
-                output_pages: after.1.saturating_sub(before.1),
-                buffer_hits: after.2.saturating_sub(before.2),
-                evictions: after.3.saturating_sub(before.3),
-                phases: Vec::new(),
-            },
+            stats: QueryStats::of(&scope),
         }))
     }
 
@@ -928,15 +908,6 @@ fn ranges_sorted(
         ranges.iter().map(|(k, r)| (k.clone(), r.clone())).collect();
     v.sort();
     v
-}
-
-fn snapshot(stats: &tdbms_storage::IoStats) -> (u64, u64, u64, u64) {
-    (
-        stats.total_reads(),
-        stats.total_writes(),
-        stats.total_hits(),
-        stats.total_evictions(),
-    )
 }
 
 #[cfg(test)]

@@ -25,15 +25,15 @@ use crate::bound::{BExpr, BTPred, BoundRetrieve, Visibility};
 use crate::eval::{eval_bool, eval_expr, eval_texpr, eval_tpred, Slot};
 use crate::guard::QueryGuard;
 use tdbms_kernel::{AttrDef, Domain, Error, Result, Schema, Value};
-use tdbms_storage::{Catalog, Pager, PhaseIo, RelFile, RelId};
+use tdbms_storage::{Catalog, Pager, PhaseIo, RelFile, RelId, StatScope};
 use tdbms_tquel::ast::BinOp;
 
 /// Page-access accounting for one executed statement.
 ///
-/// `input_pages`/`output_pages` are the paper's two columns; the v2
-/// buffer manager adds the hit/eviction counters and, for decomposed
-/// retrieves, the per-phase attribution recorded by the pager's
-/// [`tdbms_storage::IoStats`].
+/// `input_pages`/`output_pages` are the paper's two columns; the buffer
+/// manager adds the hit/eviction counters and, for decomposed retrieves,
+/// the per-phase attribution. All of it is read off the statement's own
+/// [`StatScope`], so it holds exactly what the executing thread did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Pages read from user relations (including temporaries) — the
@@ -52,6 +52,19 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// What the statement that ran inside `scope` cost.
+    pub(crate) fn of(scope: &StatScope) -> QueryStats {
+        let io = scope.total();
+        debug_assert!(io.is_consistent(), "unbalanced ledger: {io:?}");
+        QueryStats {
+            input_pages: io.reads,
+            output_pages: io.writes,
+            buffer_hits: io.hits,
+            evictions: io.evictions,
+            phases: scope.phases(),
+        }
+    }
+
     /// The aggregate I/O of every recorded phase named `name` (all-zero
     /// if the phase never ran).
     pub fn scoped(&self, name: &str) -> PhaseIo {
@@ -161,8 +174,7 @@ pub fn exec_retrieve_readonly(
 /// `catalog` is the session's private clone of the published read view;
 /// decomposition temporaries are created and destroyed in that clone, so
 /// the shared catalog never observes them. Execution is *quiet*: it
-/// stays off the global phase ledger (another session may be mid-phase)
-/// and never invalidates buffers other sessions are using. The version
+/// never invalidates buffers other sessions are using. The version
 /// filter (`rts[v].visible`, set from the bound watermark visibility)
 /// is what makes the result race-free against concurrent writers.
 pub fn exec_retrieve_snapshot(
@@ -202,9 +214,9 @@ pub(crate) struct Prepared {
     pub(crate) rts: Vec<VarRt>,
     pub(crate) where_cj: Vec<(BExpr, Vec<usize>)>,
     pub(crate) when_cj: Vec<(BTPred, Vec<usize>)>,
-    /// Snapshot execution: stay off the global phase ledger and do not
-    /// invalidate other sessions' buffers. Serial execution keeps this
-    /// `false` so the figures' per-phase I/O accounting is unchanged.
+    /// Snapshot execution: do not invalidate other sessions' buffers.
+    /// Serial execution keeps this `false`, so the join phase of a
+    /// decomposed retrieve starts cold as the figures assume.
     quiet: bool,
     /// The caller's per-query limits, polled at row granularity.
     guard: QueryGuard,
@@ -369,9 +381,7 @@ fn decompose(
     let quiet = *quiet;
     let guard = guard.clone();
     {
-        if !quiet {
-            pager.begin_phase("decomposition");
-        }
+        pager.begin_phase("decomposition");
         for &v in order {
             // Attributes of `v` needed after detachment: from targets and
             // from conjuncts that are NOT consumed by the detachment.
@@ -513,8 +523,8 @@ fn decompose(
         // end discards frames and file together.
         if !quiet {
             pager.invalidate_buffers()?;
-            pager.end_phase();
         }
+        pager.end_phase();
     }
     Ok(())
 }
@@ -529,8 +539,8 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
         rts,
         where_cj,
         when_cj,
-        quiet,
         guard,
+        ..
     } = p;
     let nvars = b.vars.len();
 
@@ -588,7 +598,7 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     }
 
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    if nvars >= 2 && !quiet {
+    if nvars >= 2 {
         pager.begin_phase("substitution");
     }
     join_level(
@@ -618,7 +628,7 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
             Ok(())
         },
     )?;
-    if nvars >= 2 && !quiet {
+    if nvars >= 2 {
         pager.end_phase();
     }
 

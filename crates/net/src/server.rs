@@ -482,24 +482,19 @@ fn serve_connection(
                 // Reorg and page-filter counters ride the same probe;
                 // a poisoned engine reports degraded=true and zeroed
                 // counters rather than failing the whole reply.
-                let (
-                    degraded,
-                    reorg,
-                    bloom_hits,
-                    bloom_skips,
-                    readahead_pages,
-                ) = engine
+                let (degraded, reorg, io) = engine
                     .try_with_read(|db| {
-                        let io = db.io_stats();
                         (
                             db.is_degraded(),
                             db.reorg_stats(),
-                            io.bloom_hits(),
-                            io.bloom_skips(),
-                            io.readahead_pages(),
+                            db.io_stats().total(),
                         )
                     })
-                    .unwrap_or((true, Default::default(), 0, 0, 0));
+                    .unwrap_or((
+                        true,
+                        Default::default(),
+                        Default::default(),
+                    ));
                 let locks = engine.lock_stats();
                 let (plan_hits, plan_misses) = engine.plan_cache_stats();
                 let resp = Response::Stats(StatsReply {
@@ -517,9 +512,8 @@ fn serve_connection(
                         .load(Ordering::Relaxed),
                     reorg_runs: reorg.runs,
                     rows_migrated: reorg.rows_migrated,
-                    bloom_hits,
-                    bloom_skips,
-                    readahead_pages,
+                    bloom_hits: io.bloom_hits,
+                    bloom_skips: io.bloom_skips,
                 });
                 if !send(&mut stream, &resp, cfg) {
                     break;

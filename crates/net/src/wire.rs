@@ -23,7 +23,7 @@ pub const MAX_REQUEST_FRAME: usize = 1 << 20;
 pub const MAX_RESPONSE_FRAME: usize = 64 << 20;
 
 /// Protocol version byte carried in every request.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 // Request opcodes.
 const OP_QUERY: u8 = 1;
@@ -86,8 +86,6 @@ pub struct StatsReply {
     pub bloom_hits: u64,
     /// Overflow-chain walks a bloom filter skipped outright.
     pub bloom_skips: u64,
-    /// Pages prefetched by batched readahead.
-    pub readahead_pages: u64,
 }
 
 /// Result-set payload of a successful query.
@@ -517,7 +515,6 @@ pub fn encode_response(resp: &Response, max_bytes: usize) -> Vec<u8> {
             put_u64(&mut buf, s.rows_migrated);
             put_u64(&mut buf, s.bloom_hits);
             put_u64(&mut buf, s.bloom_skips);
-            put_u64(&mut buf, s.readahead_pages);
         }
     }
     buf
@@ -579,7 +576,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
             rows_migrated: c.u64()?,
             bloom_hits: c.u64()?,
             bloom_skips: c.u64()?,
-            readahead_pages: c.u64()?,
         })),
         t => Err(Error::Protocol(format!("unknown response tag {t}"))),
     }
@@ -707,7 +703,6 @@ mod tests {
             rows_migrated: 4096,
             bloom_hits: 77,
             bloom_skips: 1300,
-            readahead_pages: 640,
         };
         let enc = encode_response(&Response::Stats(stats), usize::MAX);
         assert_eq!(decode_response(&enc).unwrap(), Response::Stats(stats));

@@ -483,19 +483,19 @@ mod tests {
             h.insert(&pager, &v).unwrap();
         }
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let keyb = 3i32.to_le_bytes();
         let mut cur = h.lookup(&keyb);
         while cur.next(&pager, &h).unwrap().is_some() {}
-        assert_eq!(pager.stats().of(h.file).reads, 2); // primary + 1 overflow
+        assert_eq!(cost.of(h.file).reads, 2); // primary + 1 overflow
 
         // An untouched bucket still costs 1.
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let keyb = 4i32.to_le_bytes();
         let mut cur = h.lookup(&keyb);
         while cur.next(&pager, &h).unwrap().is_some() {}
-        assert_eq!(pager.stats().of(h.file).reads, 1);
+        assert_eq!(cost.of(h.file).reads, 1);
     }
 
     #[test]
@@ -522,31 +522,29 @@ mod tests {
         // id 75 hashes to bucket 3 too but is absent: the guard stops
         // the lookup at the primary page.
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
-        let skips_before = pager.stats().bloom_skips();
+        let cost = pager.stats().scope();
         let mut cur = h.lookup(&75i32.to_le_bytes());
         assert!(cur.next(&pager, &h).unwrap().is_none());
-        assert_eq!(pager.stats().of(h.file).reads, 1);
-        assert_eq!(pager.stats().bloom_skips(), skips_before + 1);
+        assert_eq!(cost.of(h.file).reads, 1);
+        assert_eq!(cost.total().bloom_skips, 1);
         // The spilled key is a filter hit and walks the chain as before.
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
-        let hits_before = pager.stats().bloom_hits();
+        let cost = pager.stats().scope();
         let mut cur = h.lookup(&3i32.to_le_bytes());
         let mut n = 0;
         while cur.next(&pager, &h).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 10);
-        assert_eq!(pager.stats().of(h.file).reads, 2);
-        assert_eq!(pager.stats().bloom_hits(), hits_before + 1);
+        assert_eq!(cost.of(h.file).reads, 2);
+        assert_eq!(cost.total().bloom_hits, 1);
         // Dropping the guard restores the unguarded walk.
         pager.bloom_drop(h.file);
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut cur = h.lookup(&75i32.to_le_bytes());
         assert!(cur.next(&pager, &h).unwrap().is_none());
-        assert_eq!(pager.stats().of(h.file).reads, 2);
+        assert_eq!(cost.of(h.file).reads, 2);
     }
 
     #[test]
@@ -569,7 +567,7 @@ mod tests {
             h.insert(&pager, &v).unwrap();
         }
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut seen = 0;
         let mut scan = h.scan();
         while scan.next(&pager, &h).unwrap().is_some() {
@@ -577,7 +575,7 @@ mod tests {
         }
         assert_eq!(seen, 130);
         assert_eq!(
-            pager.stats().of(h.file).reads as u32,
+            cost.of(h.file).reads as u32,
             h.total_pages(&pager).unwrap()
         );
     }

@@ -173,11 +173,11 @@ mod tests {
             heap.insert(&pager, &row(i, 100)).unwrap();
         }
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut scan = heap.scan();
         while scan.next(&pager, &heap).unwrap().is_some() {}
         assert_eq!(
-            pager.stats().of(heap.file).reads as u32,
+            cost.of(heap.file).reads as u32,
             heap.total_pages(&pager).unwrap()
         );
     }

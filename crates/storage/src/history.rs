@@ -247,8 +247,6 @@ impl ClusteredHistory {
     }
 
     /// Visit every history version of `key_bytes`, in migration order.
-    /// When batched readahead is enabled the cluster's pages are
-    /// prefetched into free buffer frames first.
     pub fn for_key(
         &self,
         pager: &Pager,
@@ -258,7 +256,6 @@ impl ClusteredHistory {
         let Some(pages) = self.clusters.get(key_bytes) else {
             return Ok(());
         };
-        pager.readahead(self.file, pages)?;
         for &page_no in pages {
             let rows: Vec<Vec<u8>> =
                 pager.read(self.file, page_no, |p| {
@@ -334,7 +331,7 @@ mod tests {
         assert_eq!(h.max_stop(), TimeVal(27));
         assert_eq!(h.cluster_pages(&1i32.to_le_bytes()), 4);
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut n = 0;
         h.for_key(&pager, &2i32.to_le_bytes(), |_| {
             n += 1;
@@ -342,7 +339,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(n, 28);
-        assert_eq!(pager.stats().of(h.file_id()).reads, 4);
+        assert_eq!(cost.of(h.file_id()).reads, 4);
     }
 
     #[test]
@@ -434,40 +431,5 @@ mod tests {
             .unwrap();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn readahead_prefetches_cluster_pages_into_free_frames() {
-        let pager = Pager::in_memory();
-        let mut h = ClusteredHistory::create(&pager, W, key()).unwrap();
-        for round in 0..28u8 {
-            h.push(&pager, &row(1, round), TimeVal(3)).unwrap();
-        }
-        pager.set_buffer_frames(h.file_id(), 8).unwrap();
-        pager.set_readahead(true);
-        pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
-        let before = pager.stats().readahead_pages();
-        let mut n = 0;
-        h.for_key(&pager, &1i32.to_le_bytes(), |_| {
-            n += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(n, 28);
-        let io = pager.stats().of(h.file_id());
-        // 4 pages fetched once each (by the prefetch), then every
-        // per-page access is a hit.
-        assert_eq!(io.reads, 4);
-        assert_eq!(pager.stats().readahead_pages(), before + 4);
-        assert!(io.is_consistent());
-        // With readahead off and one frame, same read count (the
-        // sequential walk misses each page once either way).
-        pager.set_readahead(false);
-        pager.set_buffer_frames(h.file_id(), 1).unwrap();
-        pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
-        h.for_key(&pager, &1i32.to_le_bytes(), |_| Ok(())).unwrap();
-        assert_eq!(pager.stats().of(h.file_id()).reads, 4);
     }
 }

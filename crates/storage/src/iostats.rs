@@ -1,77 +1,125 @@
-//! Page-access accounting.
+//! Page-access accounting: one ledger that only counts up.
 //!
 //! The paper's benchmark "focused solely on the number of disk accesses per
 //! query at a granularity of a page", counting only accesses to *user*
-//! relations. [`IoStats`] tallies, per file, the pages fetched from disk
-//! (buffer misses) and pages written back, so a harness can reset the
-//! counters before a query and read off exactly the paper's metric
-//! afterwards.
+//! relations. [`IoStats`] is that ledger for one [`crate::Pager`]: per
+//! file, the pages fetched from disk (buffer misses), pages written back,
+//! buffer hits, capacity evictions, buffered accesses, read retries and
+//! bloom-guard verdicts.
 //!
-//! Version 2 widens the ledger beyond the paper's two columns: every
-//! buffered page access is classified as a **hit** or a **miss** (a miss
-//! is a disk fetch, i.e. a `read`), capacity-pressure **evictions** are
-//! counted separately from explicit flushes, and the whole ledger can be
-//! sliced into **named phases** (`begin_phase` / `end_phase`) so a query
+//! **Monotone.** Counters are relaxed atomics that only ever go up;
+//! nothing resets them. Recorders on any number of threads never lose an
+//! increment, and a handle on a file's counters stays valid for the life
+//! of the ledger, so a buffer pool keeps its file's handle and a bump is
+//! one `fetch_add`.
+//!
+//! **A scope prices a unit of work.** "What did this statement cost" is
+//! answered by a [`StatScope`], opened on the executing thread with
+//! [`IoStats::scope`]. While it is open, every bump *this thread* makes
+//! on this ledger is also tallied into the scope — per file, in total,
+//! and sliced into named phases ([`IoStats::begin_phase`]) so a query
 //! processor can attribute I/O to, say, decomposition vs. tuple
-//! substitution. The structural invariant `hits + misses == accesses`
-//! holds per file and in total; `accesses` is counted at the access site
-//! and `hits`/`reads` at the classification sites, so the identity is a
-//! real cross-check, not a tautology.
+//! substitution. A statement runs on one thread, so its scope is exact
+//! under concurrency by construction: a neighbour's I/O, the
+//! reorganization daemon's or a group-commit leader's never lands in it.
+//! Scopes nest — each counts everything recorded while it is open.
 //!
-//! Version 3 makes the ledger shareable: per-file counters are atomics
-//! behind an `RwLock`'d directory and the phase ledger sits behind a
-//! `Mutex`, so recording is `&self` and `IoStats` is `Send + Sync`. A
-//! counter bump is a single relaxed `fetch_add`; concurrent recorders
-//! never lose increments, and the hit/miss/access identity still holds at
-//! every quiescent point (each access site performs its access and
-//! classification bumps before returning).
+//! **The identity is a cross-check.** Every buffered access is either a
+//! hit or a miss (a miss is a disk fetch, i.e. a `read`). `accesses` is
+//! bumped at the access site and `hits`/`reads` at the classification
+//! sites — none is derived from the others — so `hits + reads ==
+//! accesses` fails if an access path forgets a bump. It holds whenever
+//! no recorder is mid-access: always for a scope read on its own thread,
+//! and at quiescent points for the ledger as a whole.
 
 use crate::disk::FileId;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
-/// Per-file read/write page counters, safely shareable across threads.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    counters: RwLock<HashMap<FileId, Arc<FileCounters>>>,
-    phases: Mutex<PhaseLedger>,
-    /// Lifetime counters for the chain-guard machinery. Unlike the
-    /// per-file ledger these are **monotone**: `reset` (which the
-    /// benchmark harness calls before every query) does not clear them,
-    /// so the server's `Stats` reply and the planner's statistics see
-    /// cumulative figures. They sit outside the per-file ledger so the
-    /// paper's `hits + misses == accesses` identity is untouched.
-    bloom_hits: AtomicU64,
-    bloom_skips: AtomicU64,
-    readahead: AtomicU64,
+/// What a recorder can bump; indexes a file's counter row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Counter {
+    Reads,
+    Writes,
+    Hits,
+    Evictions,
+    Accesses,
+    Retries,
+    BloomHits,
+    BloomSkips,
 }
 
-/// The atomic cell behind one file's [`FileIo`] snapshot.
-#[derive(Debug, Default)]
-struct FileCounters {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    hits: AtomicU64,
-    evictions: AtomicU64,
-    accesses: AtomicU64,
-    retries: AtomicU64,
+const COUNTERS: usize = 8;
+
+/// One file's live counters, indexed by [`Counter`].
+type Cells = [AtomicU64; COUNTERS];
+
+/// One file's counters at an instant, indexed by [`Counter`].
+type Row = [u64; COUNTERS];
+
+fn load(cells: &Cells) -> Row {
+    std::array::from_fn(|i| cells[i].load(Ordering::Relaxed))
 }
 
-impl FileCounters {
-    fn snapshot(&self) -> FileIo {
-        FileIo {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            accesses: self.accesses.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-        }
+fn add_row(into: &mut Row, row: &Row) {
+    for (a, b) in into.iter_mut().zip(row) {
+        *a += b;
     }
 }
 
-/// Counters for one file.
+/// Source of ledger ids and scope tokens.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Per-file page counters, safely shareable across threads.
+#[derive(Debug)]
+pub struct IoStats {
+    /// Tells this ledger's scopes from another pager's on one thread.
+    id: u64,
+    files: RwLock<Directory>,
+}
+
+#[derive(Debug, Default)]
+struct Directory {
+    live: HashMap<FileId, Arc<Cells>>,
+    /// What dropped files had counted when [`IoStats::retire`] folded
+    /// them in: totals stay monotone, and the directory stays as small
+    /// as the set of live files however many temporaries come and go.
+    dropped: Row,
+}
+
+/// One file's row of an [`IoStats`], for recorders that bump it often.
+#[derive(Debug)]
+pub(crate) struct FileLedger {
+    ledger: u64,
+    file: FileId,
+    cells: Arc<Cells>,
+}
+
+impl FileLedger {
+    pub(crate) fn record(&self, what: Counter) {
+        self.add(what, 1);
+    }
+
+    fn add(&self, what: Counter, n: u64) {
+        self.cells[what as usize].fetch_add(n, Ordering::Relaxed);
+        each_open_scope(self.ledger, |scope| {
+            let at = scope
+                .files
+                .iter()
+                .position(|(f, _)| *f == self.file)
+                .unwrap_or_else(|| {
+                    scope.files.push((self.file, Row::default()));
+                    scope.files.len() - 1
+                });
+            scope.files[at].1[what as usize] += n;
+        });
+    }
+}
+
+/// Counters for one file, or summed over several.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FileIo {
     /// Pages fetched from disk (buffer misses).
@@ -90,6 +138,28 @@ pub struct FileIo {
     /// extra `reads`: a fetch that succeeds on its second attempt is
     /// still one page read, with one retry on the side.
     pub retries: u64,
+    /// Bloom-guard consultations that answered "maybe present" (the
+    /// overflow chain was walked as usual).
+    pub bloom_hits: u64,
+    /// Overflow-chain walks skipped because the guard answered
+    /// "definitely absent".
+    pub bloom_skips: u64,
+}
+
+impl From<Row> for FileIo {
+    fn from(row: Row) -> Self {
+        let at = |c: Counter| row[c as usize];
+        FileIo {
+            reads: at(Counter::Reads),
+            writes: at(Counter::Writes),
+            hits: at(Counter::Hits),
+            evictions: at(Counter::Evictions),
+            accesses: at(Counter::Accesses),
+            retries: at(Counter::Retries),
+            bloom_hits: at(Counter::BloomHits),
+            bloom_skips: at(Counter::BloomSkips),
+        }
+    }
 }
 
 impl FileIo {
@@ -98,26 +168,10 @@ impl FileIo {
         self.reads
     }
 
-    /// The v2 ledger invariant: every access was classified exactly once.
+    /// The ledger invariant: every access was classified exactly once.
     pub fn is_consistent(&self) -> bool {
         self.hits + self.reads == self.accesses
     }
-}
-
-/// Aggregate totals at one instant (phase baselines).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct Totals {
-    reads: u64,
-    writes: u64,
-    hits: u64,
-    evictions: u64,
-}
-
-/// The phase slices of the ledger, guarded as one unit.
-#[derive(Debug, Default)]
-struct PhaseLedger {
-    closed: Vec<PhaseIo>,
-    open: Option<(String, Totals)>,
 }
 
 /// The I/O attributed to one named phase of a statement.
@@ -135,91 +189,150 @@ pub struct PhaseIo {
     pub evictions: u64,
 }
 
+/// What one open [`StatScope`] has seen so far.
+struct Tally {
+    token: u64,
+    ledger: u64,
+    /// Linear: a statement touches a handful of files.
+    files: Vec<(FileId, Row)>,
+    closed: Vec<PhaseIo>,
+    /// The open phase's name and the scope's total when it began.
+    open: Option<(String, Row)>,
+}
+
+impl Tally {
+    fn total(&self) -> Row {
+        let mut sum = Row::default();
+        for (_, row) in &self.files {
+            add_row(&mut sum, row);
+        }
+        sum
+    }
+
+    fn close_phase(&mut self) {
+        if let Some((name, base)) = self.open.take() {
+            let now = self.total();
+            let during = |c: Counter| now[c as usize] - base[c as usize];
+            self.closed.push(PhaseIo {
+                name,
+                reads: during(Counter::Reads),
+                writes: during(Counter::Writes),
+                hits: during(Counter::Hits),
+                evictions: during(Counter::Evictions),
+            });
+        }
+    }
+}
+
+thread_local! {
+    /// The scopes open on this thread, oldest first.
+    static OPEN: RefCell<Vec<Tally>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Visit this thread's open scopes of one ledger. A thread whose locals
+/// are already being torn down has no scopes left to visit.
+fn each_open_scope(ledger: u64, f: impl FnMut(&mut Tally)) {
+    let _ = OPEN.try_with(|open| {
+        open.borrow_mut()
+            .iter_mut()
+            .filter(|t| t.ledger == ledger)
+            .for_each(f)
+    });
+}
+
+/// The I/O one thread recorded on one [`IoStats`] while this guard was
+/// open (see the module docs). Bound to the thread that opened it.
+#[derive(Debug)]
+pub struct StatScope {
+    token: u64,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl StatScope {
+    fn read<R>(&self, f: impl FnOnce(&Tally) -> R) -> R {
+        OPEN.with(|open| {
+            let open = open.borrow();
+            let tally = open
+                .iter()
+                .find(|t| t.token == self.token)
+                .expect("a scope's tally lives until the scope drops");
+            f(tally)
+        })
+    }
+
+    /// This scope's counters for one file (zero if never touched).
+    pub fn of(&self, file: FileId) -> FileIo {
+        self.read(|t| {
+            t.files
+                .iter()
+                .find(|(f, _)| *f == file)
+                .map(|(_, row)| FileIo::from(*row))
+                .unwrap_or_default()
+        })
+    }
+
+    /// This scope's counters summed over every file.
+    pub fn total(&self) -> FileIo {
+        self.read(|t| t.total().into())
+    }
+
+    /// Every phase closed inside this scope, in the order recorded.
+    pub fn phases(&self) -> Vec<PhaseIo> {
+        self.read(|t| t.closed.clone())
+    }
+}
+
+impl Drop for StatScope {
+    fn drop(&mut self) {
+        let _ = OPEN.try_with(|open| {
+            open.borrow_mut().retain(|t| t.token != self.token)
+        });
+    }
+}
+
+impl Default for IoStats {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl IoStats {
     /// Fresh, all-zero stats.
     pub fn new() -> Self {
-        Self::default()
+        IoStats {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            files: RwLock::default(),
+        }
     }
 
-    /// The shared atomic cell for `file`, creating it on first touch.
-    /// The common path is a read-lock lookup; only a file's very first
-    /// counter bump takes the directory write lock.
-    fn cell(&self, file: FileId) -> Arc<FileCounters> {
-        if let Some(c) = self
-            .counters
+    /// The handle on `file`'s row, creating the row on first touch.
+    pub(crate) fn file(&self, file: FileId) -> FileLedger {
+        let found = self
+            .files
             .read()
             .unwrap_or_else(PoisonError::into_inner)
+            .live
             .get(&file)
-        {
-            return Arc::clone(c);
+            .cloned();
+        let cells = found.unwrap_or_else(|| {
+            Arc::clone(
+                self.files
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .live
+                    .entry(file)
+                    .or_default(),
+            )
+        });
+        FileLedger {
+            ledger: self.id,
+            file,
+            cells,
         }
-        Arc::clone(
-            self.counters
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(file)
-                .or_default(),
-        )
     }
 
-    pub(crate) fn record_read(&self, file: FileId) {
-        self.cell(file).reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_write(&self, file: FileId) {
-        self.cell(file).writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_hit(&self, file: FileId) {
-        self.cell(file).hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_eviction(&self, file: FileId) {
-        self.cell(file).evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_access(&self, file: FileId) {
-        self.cell(file).accesses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_retry(&self, file: FileId) {
-        self.cell(file).retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total transient-read retries across all files.
-    pub fn total_retries(&self) -> u64 {
-        self.sum(|c| c.retries)
-    }
-
-    pub(crate) fn record_bloom_hit(&self) {
-        self.bloom_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_bloom_skip(&self) {
-        self.bloom_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_readahead(&self, n: u64) {
-        self.readahead.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lifetime count of bloom-filter consultations that answered
-    /// "maybe present" (the chain was walked as usual). Monotone —
-    /// `reset` does not clear it.
-    pub fn bloom_hits(&self) -> u64 {
-        self.bloom_hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of chain walks skipped because the filter answered
-    /// "definitely absent". Monotone — `reset` does not clear it.
-    pub fn bloom_skips(&self) -> u64 {
-        self.bloom_skips.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of pages prefetched by [`crate::Pager::readahead`].
-    /// Monotone — `reset` does not clear it.
-    pub fn readahead_pages(&self) -> u64 {
-        self.readahead.load(Ordering::Relaxed)
+    pub(crate) fn record(&self, file: FileId, what: Counter) {
+        self.file(file).record(what);
     }
 
     /// Charge `n` page writes against `file` from outside the pager. The
@@ -227,207 +340,91 @@ impl IoStats {
     /// the same ledger as data-page I/O, so `QueryStats` phases can show
     /// the durability cost next to the paper's metric.
     pub fn add_writes(&self, file: FileId, n: u64) {
-        self.cell(file).writes.fetch_add(n, Ordering::Relaxed);
+        self.file(file).add(Counter::Writes, n);
     }
 
-    /// Counters for one file (zero if never touched).
+    /// Forget a dropped file's row, keeping what it counted in the
+    /// totals. The caller must exclude concurrent recorders on `file`
+    /// (the pager drops files under its state lock): a bump through a
+    /// handle that outlives the row would be lost to the totals.
+    pub(crate) fn retire(&self, file: FileId) {
+        let mut files =
+            self.files.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(cells) = files.live.remove(&file) {
+            add_row(&mut files.dropped, &load(&cells));
+        }
+    }
+
+    /// Start tallying what this thread records on this ledger, until the
+    /// returned guard drops.
+    pub fn scope(&self) -> StatScope {
+        let token = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        OPEN.with(|open| {
+            open.borrow_mut().push(Tally {
+                token,
+                ledger: self.id,
+                files: Vec::new(),
+                closed: Vec::new(),
+                open: None,
+            })
+        });
+        StatScope {
+            token,
+            _thread_bound: PhantomData,
+        }
+    }
+
+    /// Open a named phase in this thread's open scopes. All I/O until
+    /// `end_phase` (or the next `begin_phase`, which closes the current
+    /// one first) is attributed to it. Phases do not nest — the paper's
+    /// decomposition pipeline is a sequence, not a tree.
+    pub fn begin_phase(&self, name: &str) {
+        each_open_scope(self.id, |scope| {
+            scope.close_phase();
+            scope.open = Some((name.to_string(), scope.total()));
+        });
+    }
+
+    /// Close the open phase, if any, recording its I/O.
+    pub fn end_phase(&self) {
+        each_open_scope(self.id, Tally::close_phase);
+    }
+
+    /// Every live file's row, then the dropped files' sum.
+    fn rows(&self) -> Vec<Row> {
+        let files =
+            self.files.read().unwrap_or_else(PoisonError::into_inner);
+        let live = files.live.values().map(|cells| load(cells));
+        live.chain([files.dropped]).collect()
+    }
+
+    /// Lifetime counters for one live file (zero if never touched, or
+    /// dropped).
     pub fn of(&self, file: FileId) -> FileIo {
-        self.counters
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+        let files =
+            self.files.read().unwrap_or_else(PoisonError::into_inner);
+        files
+            .live
             .get(&file)
-            .map(|c| c.snapshot())
+            .map(|cells| load(cells).into())
             .unwrap_or_default()
     }
 
-    fn sum(&self, pick: impl Fn(&FileIo) -> u64) -> u64 {
-        self.counters
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .map(|c| pick(&c.snapshot()))
-            .sum()
-    }
-
-    /// Total page reads across all files.
-    pub fn total_reads(&self) -> u64 {
-        self.sum(|c| c.reads)
-    }
-
-    /// Total page writes across all files.
-    pub fn total_writes(&self) -> u64 {
-        self.sum(|c| c.writes)
-    }
-
-    /// Total buffer hits across all files.
-    pub fn total_hits(&self) -> u64 {
-        self.sum(|c| c.hits)
-    }
-
-    /// Total capacity evictions across all files.
-    pub fn total_evictions(&self) -> u64 {
-        self.sum(|c| c.evictions)
-    }
-
-    /// Total buffered page accesses across all files.
-    pub fn total_accesses(&self) -> u64 {
-        self.sum(|c| c.accesses)
+    /// Lifetime counters summed over every file.
+    pub fn total(&self) -> FileIo {
+        let mut sum = Row::default();
+        for row in self.rows() {
+            add_row(&mut sum, &row);
+        }
+        sum.into()
     }
 
     /// The ledger invariant over every file: `hits + misses == accesses`.
     /// Meaningful at quiescent points (no recorder mid-access).
     pub fn is_consistent(&self) -> bool {
-        self.counters
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .all(|c| c.snapshot().is_consistent())
-    }
-
-    /// Total page reads across a set of files.
-    pub fn reads_of(&self, files: &[FileId]) -> u64 {
-        files.iter().map(|f| self.of(*f).reads).sum()
-    }
-
-    /// Total page writes across a set of files.
-    pub fn writes_of(&self, files: &[FileId]) -> u64 {
-        files.iter().map(|f| self.of(*f).writes).sum()
-    }
-
-    /// Zero every counter and drop all recorded phases.
-    pub fn reset(&self) {
-        // Take the phase lock first (same order as begin/end_phase) and
-        // hold both so no recorder can slip between the two wipes.
-        let mut ledger =
-            self.phases.lock().unwrap_or_else(PoisonError::into_inner);
-        self.counters
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        ledger.closed.clear();
-        ledger.open = None;
-    }
-
-    /// Snapshot `(file, counters)` for every file that was touched.
-    pub fn iter(&self) -> impl Iterator<Item = (FileId, FileIo)> {
-        let mut snap: Vec<(FileId, FileIo)> = self
-            .counters
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(f, c)| (*f, c.snapshot()))
-            .collect();
-        snap.sort_by_key(|(f, _)| *f);
-        snap.into_iter()
-    }
-
-    fn totals(&self) -> Totals {
-        Totals {
-            reads: self.total_reads(),
-            writes: self.total_writes(),
-            hits: self.total_hits(),
-            evictions: self.total_evictions(),
-        }
-    }
-
-    /// Open a named phase. All I/O until `end_phase` (or the next
-    /// `begin_phase`, which closes the current one first) is attributed to
-    /// it. Phases do not nest — the paper's decomposition pipeline is a
-    /// sequence, not a tree.
-    pub fn begin_phase(&self, name: &str) {
-        let mut ledger =
-            self.phases.lock().unwrap_or_else(PoisonError::into_inner);
-        Self::close_open(&mut ledger, self.totals());
-        ledger.open = Some((name.to_string(), self.totals()));
-    }
-
-    /// Close the open phase, if any, recording its I/O delta.
-    pub fn end_phase(&self) {
-        let mut ledger =
-            self.phases.lock().unwrap_or_else(PoisonError::into_inner);
-        Self::close_open(&mut ledger, self.totals());
-    }
-
-    fn close_open(ledger: &mut PhaseLedger, now: Totals) {
-        if let Some((name, base)) = ledger.open.take() {
-            ledger.closed.push(PhaseIo {
-                name,
-                reads: now.reads - base.reads,
-                writes: now.writes - base.writes,
-                hits: now.hits - base.hits,
-                evictions: now.evictions - base.evictions,
-            });
-        }
-    }
-
-    /// Every closed phase, in the order recorded (a snapshot).
-    pub fn phases(&self) -> Vec<PhaseIo> {
-        self.phases
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed
-            .clone()
-    }
-
-    /// The aggregate I/O of every recorded phase named `name` (all-zero if
-    /// the phase never ran).
-    pub fn scoped(&self, name: &str) -> PhaseIo {
-        let mut out = PhaseIo {
-            name: name.to_string(),
-            ..Default::default()
-        };
-        for p in self.phases().iter().filter(|p| p.name == name) {
-            out.reads += p.reads;
-            out.writes += p.writes;
-            out.hits += p.hits;
-            out.evictions += p.evictions;
-        }
-        out
-    }
-}
-
-impl Clone for IoStats {
-    /// A deep snapshot: the clone gets its own counters frozen at the
-    /// values observed now, sharing nothing with the original.
-    fn clone(&self) -> Self {
-        let out = IoStats::new();
-        out.bloom_hits.store(self.bloom_hits(), Ordering::Relaxed);
-        out.bloom_skips.store(self.bloom_skips(), Ordering::Relaxed);
-        out.readahead
-            .store(self.readahead_pages(), Ordering::Relaxed);
-        {
-            let mut dst = out
-                .counters
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            let src = self
-                .counters
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            for (f, c) in src.iter() {
-                let s = c.snapshot();
-                dst.insert(
-                    *f,
-                    Arc::new(FileCounters {
-                        reads: AtomicU64::new(s.reads),
-                        writes: AtomicU64::new(s.writes),
-                        hits: AtomicU64::new(s.hits),
-                        evictions: AtomicU64::new(s.evictions),
-                        accesses: AtomicU64::new(s.accesses),
-                        retries: AtomicU64::new(s.retries),
-                    }),
-                );
-            }
-        }
-        let src =
-            self.phases.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut dst =
-            out.phases.lock().unwrap_or_else(PoisonError::into_inner);
-        dst.closed = src.closed.clone();
-        dst.open = src.open.clone();
-        drop(dst);
-        drop(src);
-        out
+        self.rows()
+            .into_iter()
+            .all(|row| FileIo::from(row).is_consistent())
     }
 }
 
@@ -435,51 +432,33 @@ impl Clone for IoStats {
 mod tests {
     use super::*;
 
+    fn access(s: &IoStats, file: FileId, hit: bool) {
+        s.record(file, Counter::Accesses);
+        s.record(file, if hit { Counter::Hits } else { Counter::Reads });
+    }
+
     #[test]
-    fn counts_and_resets() {
+    fn counts_per_file_and_in_total() {
         let s = IoStats::new();
         let a = FileId(1);
         let b = FileId(2);
-        s.record_access(a);
-        s.record_read(a);
-        s.record_access(a);
-        s.record_read(a);
-        s.record_write(a);
-        s.record_access(b);
-        s.record_read(b);
+        access(&s, a, false);
+        access(&s, a, false);
+        s.record(a, Counter::Writes);
+        access(&s, b, false);
         assert_eq!(s.of(a).reads, 2);
         assert_eq!(s.of(a).writes, 1);
         assert_eq!(s.of(b).reads, 1);
         assert_eq!(s.of(FileId(99)), FileIo::default());
-        assert_eq!(s.total_reads(), 3);
-        assert_eq!(s.total_writes(), 1);
-        assert_eq!(s.reads_of(&[a, b]), 3);
-        assert_eq!(s.writes_of(&[a, b]), 1);
+        assert_eq!(s.total().reads, 3);
+        assert_eq!(s.total().writes, 1);
         assert!(s.is_consistent());
-        s.reset();
-        assert_eq!(s.total_reads(), 0);
-    }
-
-    #[test]
-    fn chain_guard_counters_are_monotone_across_reset() {
-        let s = IoStats::new();
-        s.record_bloom_hit();
-        s.record_bloom_skip();
-        s.record_bloom_skip();
-        s.record_readahead(5);
-        s.reset();
-        assert_eq!(s.bloom_hits(), 1);
-        assert_eq!(s.bloom_skips(), 2);
-        assert_eq!(s.readahead_pages(), 5);
-        let snap = s.clone();
-        assert_eq!(
-            (
-                snap.bloom_hits(),
-                snap.bloom_skips(),
-                snap.readahead_pages()
-            ),
-            (1, 2, 5)
-        );
+        // A dropped file's row goes; what it counted stays in the totals.
+        let before = s.total();
+        s.retire(a);
+        assert_eq!(s.of(a), FileIo::default());
+        assert_eq!(s.total(), before);
+        assert!(s.is_consistent());
     }
 
     #[test]
@@ -487,114 +466,127 @@ mod tests {
         let s = IoStats::new();
         let f = FileId(7);
         for _ in 0..5 {
-            s.record_access(f);
-            s.record_hit(f);
+            access(&s, f, true);
         }
         for _ in 0..3 {
-            s.record_access(f);
-            s.record_read(f);
+            access(&s, f, false);
         }
-        s.record_eviction(f);
+        s.record(f, Counter::Evictions);
         let io = s.of(f);
         assert_eq!(io.hits, 5);
         assert_eq!(io.misses(), 3);
         assert_eq!(io.accesses, 8);
         assert_eq!(io.evictions, 1);
         assert!(io.is_consistent());
-        assert_eq!(s.total_hits(), 5);
-        assert_eq!(s.total_accesses(), 8);
-        assert_eq!(s.total_evictions(), 1);
+        assert_eq!(s.total(), io);
+        // An access that was never classified breaks the identity.
+        s.record(f, Counter::Accesses);
+        assert!(!s.is_consistent());
     }
 
     #[test]
-    fn phases_slice_the_ledger() {
+    fn a_scope_counts_its_own_thread_and_ledger_only() {
+        let s = IoStats::new();
+        let other = IoStats::new();
+        let f = FileId(1);
+        access(&s, f, false);
+        let scope = s.scope();
+        access(&s, f, true);
+        s.add_writes(f, 3);
+        s.record(f, Counter::BloomSkips);
+        // Another pager's ledger on this thread, and this ledger on
+        // another thread, are somebody else's work.
+        access(&other, f, false);
+        std::thread::scope(|t| {
+            t.spawn(|| access(&s, f, false));
+        });
+        let io = scope.of(f);
+        assert_eq!((io.accesses, io.hits, io.reads), (1, 1, 0));
+        assert_eq!((io.writes, io.bloom_skips), (3, 1));
+        assert_eq!(scope.total(), io);
+        assert!(scope.total().is_consistent());
+        assert_eq!(scope.of(FileId(9)), FileIo::default());
+        // The ledger itself saw everything, and dropping a scope takes
+        // nothing back.
+        drop(scope);
+        assert_eq!(s.of(f).accesses, 3);
+        assert_eq!(s.of(f).reads, 2);
+        assert!(s.is_consistent());
+    }
+
+    #[test]
+    fn scopes_nest() {
+        let s = IoStats::new();
+        let f = FileId(2);
+        let outer = s.scope();
+        access(&s, f, false);
+        let inner = s.scope();
+        access(&s, f, true);
+        assert_eq!(inner.total().accesses, 1);
+        assert_eq!(outer.total().accesses, 2);
+        // Dropped out of order: the survivor keeps counting.
+        drop(outer);
+        access(&s, f, true);
+        assert_eq!(inner.total().hits, 2);
+    }
+
+    #[test]
+    fn phases_slice_a_scope() {
         let s = IoStats::new();
         let f = FileId(3);
+        // No scope open: a phase has nowhere to land.
+        s.begin_phase("unscoped");
+        s.end_phase();
+        let scope = s.scope();
         s.begin_phase("decomposition");
-        s.record_access(f);
-        s.record_read(f);
-        s.record_write(f);
+        access(&s, f, false);
+        s.record(f, Counter::Writes);
         // begin_phase closes the open phase implicitly.
         s.begin_phase("substitution");
-        s.record_access(f);
-        s.record_hit(f);
-        s.record_access(f);
-        s.record_read(f);
-        s.record_eviction(f);
+        access(&s, f, true);
+        access(&s, f, false);
+        s.record(f, Counter::Evictions);
         s.end_phase();
-        // A second round of the same phase aggregates under `scoped`.
-        s.begin_phase("substitution");
-        s.record_access(f);
-        s.record_read(f);
-        s.end_phase();
-
-        assert_eq!(s.phases().len(), 3);
-        let d = s.scoped("decomposition");
-        assert_eq!((d.reads, d.writes, d.hits, d.evictions), (1, 1, 0, 0));
-        let sub = s.scoped("substitution");
-        assert_eq!(
-            (sub.reads, sub.writes, sub.hits, sub.evictions),
-            (2, 0, 1, 1)
-        );
-        assert_eq!(
-            s.scoped("never-ran"),
-            PhaseIo {
-                name: "never-ran".into(),
-                ..Default::default()
-            }
-        );
         // end_phase with nothing open is a no-op.
         s.end_phase();
-        assert_eq!(s.phases().len(), 3);
-        s.reset();
-        assert!(s.phases().is_empty());
-    }
-
-    #[test]
-    fn clone_is_a_frozen_snapshot() {
-        let s = IoStats::new();
-        let f = FileId(4);
-        s.record_access(f);
-        s.record_read(f);
-        let snap = s.clone();
-        s.record_access(f);
-        s.record_hit(f);
-        assert_eq!(snap.of(f).accesses, 1);
-        assert_eq!(s.of(f).accesses, 2);
-        assert!(snap.is_consistent() && s.is_consistent());
+        let io = |p: &PhaseIo| (p.reads, p.writes, p.hits, p.evictions);
+        let phases = scope.phases();
+        assert_eq!(phases.len(), 2);
+        assert_eq!(phases[0].name, "decomposition");
+        assert_eq!(io(&phases[0]), (1, 1, 0, 0));
+        assert_eq!(phases[1].name, "substitution");
+        assert_eq!(io(&phases[1]), (1, 0, 1, 1));
+        // A later scope starts with no phases.
+        assert!(s.scope().phases().is_empty());
     }
 
     /// Hammer one ledger from many threads; every increment must land
     /// and the classification identity must hold at the join point.
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let s = Arc::new(IoStats::new());
+        let s = IoStats::new();
         let threads = 8;
         let per = 500u64;
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let s = Arc::clone(&s);
+                let s = &s;
                 scope.spawn(move || {
                     let f = FileId(t % 3);
+                    let mine = s.scope();
                     for i in 0..per {
-                        s.record_access(f);
-                        if i % 2 == 0 {
-                            s.record_hit(f);
-                        } else {
-                            s.record_read(f);
-                        }
+                        access(s, f, i % 2 == 0);
                         if i % 7 == 0 {
-                            s.record_write(f);
+                            s.record(f, Counter::Writes);
                         }
                     }
+                    assert_eq!(mine.total().accesses, per);
+                    assert!(mine.total().is_consistent());
                 });
             }
         });
-        assert_eq!(s.total_accesses(), u64::from(threads) * per);
-        assert_eq!(
-            s.total_hits() + s.total_reads(),
-            u64::from(threads) * per
-        );
+        let total = s.total();
+        assert_eq!(total.accesses, u64::from(threads) * per);
+        assert_eq!(total.hits + total.reads, u64::from(threads) * per);
         assert!(s.is_consistent());
     }
 }

@@ -518,7 +518,7 @@ mod tests {
         let f =
             IsamFile::build(&pager, &rows, 108, key(&codec), 100).unwrap();
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let kb = 500i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         let mut n = 0;
@@ -528,17 +528,17 @@ mod tests {
         }
         assert_eq!(n, 1);
         // 1 directory + 1 data page = the paper's Q02 cost of 2 at UC 0.
-        assert_eq!(pager.stats().of(f.file).reads, 2);
+        assert_eq!(cost.of(f.file).reads, 2);
 
         // At 50 % loading the directory has two levels: cost 3 (paper's
         // Q02 at 50 %).
         let f50 =
             IsamFile::build(&pager, &rows, 108, key(&codec), 50).unwrap();
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut cur = f50.lookup(&pager, &kb).unwrap();
         while cur.next(&pager, &f50).unwrap().is_some() {}
-        assert_eq!(pager.stats().of(f50.file).reads, 3);
+        assert_eq!(cost.of(f50.file).reads, 3);
     }
 
     #[test]
@@ -548,14 +548,14 @@ mod tests {
         let f =
             IsamFile::build(&pager, &rows, 108, key(&codec), 100).unwrap();
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut scan = f.scan();
         let mut n = 0;
         while scan.next(&pager, &f).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 1024);
-        assert_eq!(pager.stats().of(f.file).reads, 114);
+        assert_eq!(cost.of(f.file).reads, 114);
     }
 
     #[test]
@@ -587,7 +587,7 @@ mod tests {
             f.insert(&pager, &v).unwrap();
         }
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let kb = 12i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         let mut n = 0;
@@ -597,14 +597,14 @@ mod tests {
         assert_eq!(n, 13);
         // dir (1) + data page + 2 overflow pages (8 full + 12 versions:
         // page had 9, 8 original + 1 new fills it, 11 more → 2 overflow).
-        assert_eq!(pager.stats().of(f.file).reads, 4);
+        assert_eq!(cost.of(f.file).reads, 4);
         // Unrelated key in another page: still 2 reads.
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let kb = 60i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         while cur.next(&pager, &f).unwrap().is_some() {}
-        assert_eq!(pager.stats().of(f.file).reads, 2);
+        assert_eq!(cost.of(f.file).reads, 2);
     }
 
     #[test]
@@ -624,26 +624,25 @@ mod tests {
         // Key 11 lives on the same data page but never spilled: the
         // guard stops the lookup before the 2-page overflow walk.
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
-        let skips_before = pager.stats().bloom_skips();
+        let cost = pager.stats().scope();
         let mut cur = f.lookup(&pager, &11i32.to_le_bytes()).unwrap();
         let mut n = 0;
         while cur.next(&pager, &f).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 1);
-        assert_eq!(pager.stats().of(f.file).reads, 2); // dir + data only
-        assert_eq!(pager.stats().bloom_skips(), skips_before + 1);
+        assert_eq!(cost.of(f.file).reads, 2); // dir + data only
+        assert_eq!(cost.total().bloom_skips, 1);
         // The spilled key still walks its whole chain.
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut cur = f.lookup(&pager, &12i32.to_le_bytes()).unwrap();
         let mut n = 0;
         while cur.next(&pager, &f).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 13);
-        assert_eq!(pager.stats().of(f.file).reads, 4);
+        assert_eq!(cost.of(f.file).reads, 4);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use fault::{FaultDisk, FaultPlan, SharedMemDisk};
 pub use hash::{rows_per_page_at_fill, HashFile};
 pub use heap::HeapFile;
 pub use history::ClusteredHistory;
-pub use iostats::{FileIo, IoStats, PhaseIo};
+pub use iostats::{FileIo, IoStats, PhaseIo, StatScope};
 pub use isam::IsamFile;
 pub use key::{HashFn, KeyKind, KeySpec};
 pub use page::{

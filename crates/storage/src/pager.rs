@@ -39,7 +39,7 @@
 use crate::bloom::Bloom;
 use crate::checksum::ChecksumSet;
 use crate::disk::{DiskManager, FileId, MemDisk};
-use crate::iostats::IoStats;
+use crate::iostats::{Counter, FileLedger, IoStats};
 use crate::page::{Page, PageKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -156,14 +156,17 @@ struct FilePool {
     frames: Vec<Frame>,
     /// Clock hand: index of the next frame the sweep inspects.
     hand: usize,
+    /// The file's row of the pager's [`IoStats`].
+    io: FileLedger,
 }
 
 impl FilePool {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, io: FileLedger) -> Self {
         FilePool {
             cap: cap.max(1),
             frames: Vec::new(),
             hand: 0,
+            io,
         }
     }
 
@@ -247,10 +250,11 @@ enum Deferred {
 
 /// Everything the pager-wide lock guards: the disk handle, the frame
 /// tables, the buffering config, and the WAL staging overlay. The stats
-/// ledger lives *outside* (it is internally atomic), so counter reads
-/// never contend with page traffic.
+/// ledger is shared with the [`Pager`] itself (it is internally atomic),
+/// so counter reads never contend with page traffic.
 struct PagerState {
     disk: Box<dyn DiskManager>,
+    stats: Arc<IoStats>,
     pools: std::collections::HashMap<FileId, FilePool>,
     default_cap: usize,
     policy: EvictionPolicy,
@@ -284,7 +288,7 @@ struct PagerState {
 /// threads.
 pub struct Pager {
     state: RwLock<PagerState>,
-    stats: IoStats,
+    stats: Arc<IoStats>,
     /// Per-file Bloom filters over "keys with versions on overflow
     /// pages" (see [`Bloom`]). Kept beside the state lock, not inside
     /// it: a filter probe must not contend with page traffic, and the
@@ -299,11 +303,6 @@ pub struct Pager {
     /// workload and anything else living past the paper turns it on
     /// *before* building (filters are installed at rebuild time).
     bloom_on: AtomicBool,
-    /// Batched-readahead master switch. Off by default so the paper
-    /// benchmarks (and their pinned per-file I/O counts) see the
-    /// one-page-at-a-time pager; the scale driver and the
-    /// reorganization daemon turn it on.
-    readahead_on: AtomicBool,
 }
 
 impl PagerState {
@@ -321,7 +320,6 @@ impl PagerState {
     /// against the sidecar, adopting the sum when none is recorded.
     fn fetch_from_disk(
         &mut self,
-        stats: &IoStats,
         file: FileId,
         page_no: u32,
     ) -> Result<Page> {
@@ -349,7 +347,7 @@ impl PagerState {
                         return Err(e);
                     }
                     attempt += 1;
-                    stats.record_retry(file);
+                    self.stats.record(file, Counter::Retries);
                     // Deterministic backoff: a counted spin, doubling per
                     // attempt. No wall-clock, so fault-injection tests
                     // replay identically.
@@ -374,7 +372,9 @@ impl PagerState {
             .get(&file)
             .copied()
             .unwrap_or(self.default_cap);
-        self.pools.entry(file).or_insert_with(|| FilePool::new(cap))
+        self.pools
+            .entry(file)
+            .or_insert_with(|| FilePool::new(cap, self.stats.file(file)))
     }
 
     /// The buffer pool for `file`, or [`Error::Corruption`] when it is
@@ -480,12 +480,7 @@ impl PagerState {
         Ok(())
     }
 
-    fn write_back(
-        &mut self,
-        stats: &IoStats,
-        file: FileId,
-        frame: Frame,
-    ) -> Result<()> {
+    fn write_back(&mut self, file: FileId, frame: Frame) -> Result<()> {
         if frame.dirty {
             if self.staging {
                 self.undo_touch((file, frame.page_no));
@@ -495,7 +490,7 @@ impl PagerState {
                 self.disk.write_page(file, frame.page_no, &frame.page)?;
                 self.note_written(file, frame.page_no, &frame.page);
             }
-            stats.record_write(file);
+            self.stats.record(file, Counter::Writes);
         }
         Ok(())
     }
@@ -504,7 +499,6 @@ impl PagerState {
     /// and install `frame`, returning its index.
     fn install_frame(
         &mut self,
-        stats: &IoStats,
         file: FileId,
         frame: Frame,
     ) -> Result<usize> {
@@ -525,8 +519,8 @@ impl PagerState {
         };
         let vacated_idx = match victim {
             Some((idx, old)) => {
-                stats.record_eviction(file);
-                self.write_back(stats, file, old)?;
+                self.stats.record(file, Counter::Evictions);
+                self.write_back(file, old)?;
                 Some(idx)
             }
             None => None,
@@ -553,12 +547,7 @@ impl PagerState {
     /// `hits + reads == accesses` survives a fetch that errors out
     /// (stale snapshot reads against a concurrently reorganized file do
     /// that in normal operation).
-    fn fault_in(
-        &mut self,
-        stats: &IoStats,
-        file: FileId,
-        page_no: u32,
-    ) -> Result<usize> {
+    fn fault_in(&mut self, file: FileId, page_no: u32) -> Result<usize> {
         let policy = self.policy;
         let pool = self.pool_mut(file);
         if let Some(pos) =
@@ -576,8 +565,8 @@ impl PagerState {
                     pos
                 }
             };
-            stats.record_access(file);
-            stats.record_hit(file);
+            pool.io.record(Counter::Accesses);
+            pool.io.record(Counter::Hits);
             return Ok(at);
         }
         // Miss: fetch (the staging overlay shadows the disk; disk reads
@@ -585,10 +574,9 @@ impl PagerState {
         // (evicting as needed).
         let page = match self.overlay.get(&(file, page_no)) {
             Some(p) => p.clone(),
-            None => self.fetch_from_disk(stats, file, page_no)?,
+            None => self.fetch_from_disk(file, page_no)?,
         };
         let at = self.install_frame(
-            stats,
             file,
             Frame {
                 page_no,
@@ -598,8 +586,9 @@ impl PagerState {
                 referenced: false,
             },
         )?;
-        stats.record_access(file);
-        stats.record_read(file);
+        let io = &self.pool_of(file)?.io;
+        io.record(Counter::Accesses);
+        io.record(Counter::Reads);
         Ok(at)
     }
 }
@@ -616,9 +605,11 @@ impl Pager {
         disk: Box<dyn DiskManager>,
         config: BufferConfig,
     ) -> Self {
+        let stats = Arc::new(IoStats::new());
         Pager {
             state: RwLock::new(PagerState {
                 disk,
+                stats: Arc::clone(&stats),
                 pools: std::collections::HashMap::new(),
                 default_cap: config.default_frames.max(1),
                 policy: config.policy,
@@ -637,10 +628,9 @@ impl Pager {
                 undo: None,
                 deferred: Vec::new(),
             }),
-            stats: IoStats::new(),
+            stats,
             blooms: RwLock::new(std::collections::HashMap::new()),
             bloom_on: AtomicBool::new(false),
-            readahead_on: AtomicBool::new(false),
         }
     }
 
@@ -716,14 +706,15 @@ impl Pager {
                 )
             })?;
             let frame = pool.frames.remove(idx);
-            self.stats.record_eviction(file);
-            st.write_back(&self.stats, file, frame)?;
+            self.stats.record(file, Counter::Evictions);
+            st.write_back(file, frame)?;
         }
         Ok(())
     }
 
-    /// The access counters. Recording and reading are both `&self`; the
-    /// ledger is internally atomic.
+    /// The access counters: lifetime totals, and [`IoStats::scope`] to
+    /// price one unit of work. Recording and reading are both `&self`;
+    /// the ledger is internally atomic.
     pub fn stats(&self) -> &IoStats {
         &self.stats
     }
@@ -736,11 +727,6 @@ impl Pager {
     /// Close the open accounting phase, if any.
     pub fn end_phase(&self) {
         self.stats.end_phase();
-    }
-
-    /// Zero the access counters (done by the harness before each query).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     // --- Overflow-chain Bloom guards ------------------------------------
@@ -828,78 +814,13 @@ impl Pager {
             .get(&file)
             .cloned()?;
         let maybe = guard.maybe_contains(key_bytes);
-        if maybe {
-            self.stats.record_bloom_hit();
+        let verdict = if maybe {
+            Counter::BloomHits
         } else {
-            self.stats.record_bloom_skip();
-        }
+            Counter::BloomSkips
+        };
+        self.stats.record(file, verdict);
         Some(maybe)
-    }
-
-    // --- Batched readahead ----------------------------------------------
-
-    /// Enable/disable batched readahead (off by default; see
-    /// [`Pager::readahead`]).
-    pub fn set_readahead(&self, on: bool) {
-        self.readahead_on.store(on, Ordering::Relaxed);
-    }
-
-    /// Is batched readahead enabled?
-    pub fn readahead_enabled(&self) -> bool {
-        self.readahead_on.load(Ordering::Relaxed)
-    }
-
-    /// Prefetch `pages` of `file` into free buffer frames, returning how
-    /// many were actually fetched. A no-op (returning 0) when readahead
-    /// is disabled. Prefetching is strictly opportunistic: it fills only
-    /// *free* capacity — it never evicts a resident frame — so with the
-    /// paper's one-frame pools it does nothing and the pinned per-file
-    /// I/O counts are untouched. Each fetched page is accounted as one
-    /// access + one read (a later real access of it is then a buffer
-    /// hit, preserving both the ledger identity and the total read
-    /// count), plus the monotone readahead counter.
-    pub fn readahead(&self, file: FileId, pages: &[u32]) -> Result<u32> {
-        if !self.readahead_enabled() {
-            return Ok(0);
-        }
-        let st = &mut *self.st();
-        let mut fetched = 0u32;
-        for &page_no in pages {
-            let pool = st.pool_mut(file);
-            if pool.frames.len() >= pool.cap {
-                break;
-            }
-            if pool.frames.iter().any(|f| f.page_no == page_no) {
-                continue;
-            }
-            let page = match st.overlay.get(&(file, page_no)) {
-                Some(p) => p.clone(),
-                None => {
-                    match st.fetch_from_disk(&self.stats, file, page_no) {
-                        Ok(p) => p,
-                        // A page that vanished mid-batch (concurrent
-                        // truncate) ends the prefetch; the demand path
-                        // will surface any real error.
-                        Err(_) => break,
-                    }
-                }
-            };
-            self.stats.record_access(file);
-            self.stats.record_read(file);
-            let pool = st.pool_mut(file);
-            pool.frames.push(Frame {
-                page_no,
-                page,
-                dirty: false,
-                pinned: false,
-                referenced: false,
-            });
-            fetched += 1;
-        }
-        if fetched > 0 {
-            self.stats.record_readahead(u64::from(fetched));
-        }
-        Ok(fetched)
     }
 
     // --- Corruption defense ---------------------------------------------
@@ -951,9 +872,12 @@ impl Pager {
         file: FileId,
         page_no: u32,
     ) -> Result<Page> {
-        let page = self.st().disk.read_page(file, page_no)?;
-        self.stats.record_access(file);
-        self.stats.record_read(file);
+        // Recorded under the state lock, like every access: a
+        // concurrent `drop_file` must not retire the row in between.
+        let mut st = self.st();
+        let page = st.disk.read_page(file, page_no)?;
+        self.stats.record(file, Counter::Accesses);
+        self.stats.record(file, Counter::Reads);
         Ok(page)
     }
 
@@ -969,7 +893,7 @@ impl Pager {
     ) -> Result<()> {
         let st = &mut *self.st();
         st.disk.write_page(file, page_no, page)?;
-        self.stats.record_write(file);
+        self.stats.record(file, Counter::Writes);
         st.note_written(file, page_no, page);
         st.overlay.remove(&(file, page_no));
         st.staged.remove(&(file, page_no));
@@ -993,7 +917,7 @@ impl Pager {
             pool.hand = 0;
             let frames = std::mem::take(&mut pool.frames);
             for frame in frames {
-                st.write_back(&self.stats, f, frame)?;
+                st.write_back(f, frame)?;
             }
         }
         Ok(())
@@ -1034,6 +958,7 @@ impl Pager {
             u.overrides.entry(file).or_insert(prior);
         }
         st.pools.remove(&file);
+        self.stats.retire(file);
         st.overrides.remove(&file);
         if let Some(sums) = &mut st.checksums {
             sums.drop_file(file);
@@ -1122,7 +1047,7 @@ impl Pager {
         f: impl FnOnce(&Page) -> R,
     ) -> Result<R> {
         let st = &mut *self.st();
-        let idx = st.fault_in(&self.stats, file, page_no)?;
+        let idx = st.fault_in(file, page_no)?;
         let frame = st
             .pool_of(file)?
             .frames
@@ -1144,7 +1069,7 @@ impl Pager {
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R> {
         let st = &mut *self.st();
-        let idx = st.fault_in(&self.stats, file, page_no)?;
+        let idx = st.fault_in(file, page_no)?;
         let frame = st
             .pool_of(file)?
             .frames
@@ -1179,7 +1104,6 @@ impl Pager {
             st.resized.insert(file);
         }
         st.install_frame(
-            &self.stats,
             file,
             Frame {
                 page_no,
@@ -1212,7 +1136,7 @@ impl Pager {
                     st.disk.write_page(file, page_no, &page)?;
                     st.note_written(file, page_no, &page);
                 }
-                self.stats.record_write(file);
+                self.stats.record(file, Counter::Writes);
             }
         }
         Ok(())
@@ -1352,7 +1276,7 @@ impl Pager {
             if let Some(sums) = checksums {
                 sums.record(*file, *page_no, page);
             }
-            self.stats.record_write(*file);
+            self.stats.record(*file, Counter::Writes);
             if files.last() != Some(file) {
                 files.push(*file);
             }
@@ -1571,7 +1495,6 @@ mod tests {
         pager.append_page(f, PageKind::Data).unwrap();
         pager.flush_file(f).unwrap();
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
         f
     }
 
@@ -1603,12 +1526,14 @@ mod tests {
     fn repeated_access_to_resident_page_is_free() {
         let pager = Pager::in_memory();
         let f = two_page_file(&pager);
+        let io = pager.stats().scope();
         for _ in 0..10 {
             pager.read(f, 0, |_| ()).unwrap();
         }
-        assert_eq!(pager.stats().of(f).reads, 1);
-        assert_eq!(pager.stats().of(f).hits, 9);
-        assert_eq!(pager.stats().of(f).accesses, 10);
+        assert_eq!(io.of(f).reads, 1);
+        assert_eq!(io.of(f).hits, 9);
+        assert_eq!(io.of(f).accesses, 10);
+        assert!(io.total().is_consistent());
         assert!(pager.stats().is_consistent());
     }
 
@@ -1618,14 +1543,15 @@ mod tests {
         // read per access — the degradation the paper's setup makes visible.
         let pager = Pager::in_memory();
         let f = two_page_file(&pager);
+        let io = pager.stats().scope();
         for _ in 0..5 {
             pager.read(f, 0, |_| ()).unwrap();
             pager.read(f, 1, |_| ()).unwrap();
         }
-        assert_eq!(pager.stats().of(f).reads, 10);
-        assert_eq!(pager.stats().of(f).hits, 0);
+        assert_eq!(io.of(f).reads, 10);
+        assert_eq!(io.of(f).hits, 0);
         // Every miss after the first evicts the resident page.
-        assert_eq!(pager.stats().of(f).evictions, 9);
+        assert_eq!(io.of(f).evictions, 9);
     }
 
     #[test]
@@ -1633,13 +1559,14 @@ mod tests {
         let pager = Pager::in_memory();
         let f = two_page_file(&pager);
         pager.set_buffer_frames(f, 2).unwrap();
+        let io = pager.stats().scope();
         for _ in 0..5 {
             pager.read(f, 0, |_| ()).unwrap();
             pager.read(f, 1, |_| ()).unwrap();
         }
-        assert_eq!(pager.stats().of(f).reads, 2);
-        assert_eq!(pager.stats().of(f).hits, 8);
-        assert_eq!(pager.stats().of(f).evictions, 0);
+        assert_eq!(io.of(f).reads, 2);
+        assert_eq!(io.of(f).hits, 8);
+        assert_eq!(io.of(f).evictions, 0);
     }
 
     #[test]
@@ -1647,26 +1574,27 @@ mod tests {
         let pager = Pager::in_memory();
         let f = two_page_file(&pager);
         let g = two_page_file(&pager);
-        pager.reset_stats();
+        let io = pager.stats().scope();
         for _ in 0..5 {
             pager.read(f, 0, |_| ()).unwrap();
             pager.read(g, 0, |_| ()).unwrap();
         }
-        assert_eq!(pager.stats().of(f).reads, 1);
-        assert_eq!(pager.stats().of(g).reads, 1);
+        assert_eq!(io.of(f).reads, 1);
+        assert_eq!(io.of(g).reads, 1);
     }
 
     #[test]
     fn dirty_eviction_writes_back_once() {
         let pager = Pager::in_memory();
         let f = two_page_file(&pager);
+        let io = pager.stats().scope();
         pager
             .write(f, 0, |p| p.push_row(4, &[1, 2, 3, 4]).unwrap())
             .unwrap();
         // Evict page 0 by touching page 1.
         pager.read(f, 1, |_| ()).unwrap();
-        assert_eq!(pager.stats().of(f).writes, 1);
-        assert_eq!(pager.stats().of(f).evictions, 1);
+        assert_eq!(io.of(f).writes, 1);
+        assert_eq!(io.of(f).evictions, 1);
         // The mutation survived the round trip.
         pager
             .read(f, 0, |p| assert_eq!(p.row(4, 0).unwrap(), &[1, 2, 3, 4]))
@@ -1677,7 +1605,7 @@ mod tests {
     fn appended_page_counts_one_write_when_flushed() {
         let pager = Pager::in_memory();
         let f = pager.create_file().unwrap();
-        pager.reset_stats();
+        let io = pager.stats().scope();
         let p = pager.append_page(f, PageKind::Data).unwrap();
         pager
             .write(f, p, |pg| pg.push_row(4, &[0; 4]).unwrap())
@@ -1686,11 +1614,11 @@ mod tests {
             .write(f, p, |pg| pg.push_row(4, &[1; 4]).unwrap())
             .unwrap();
         pager.flush_file(f).unwrap();
-        assert_eq!(pager.stats().of(f).writes, 1);
-        assert_eq!(pager.stats().of(f).reads, 0);
+        assert_eq!(io.of(f).writes, 1);
+        assert_eq!(io.of(f).reads, 0);
         // Appending is not a buffered access; the two writes both hit.
-        assert_eq!(pager.stats().of(f).accesses, 2);
-        assert_eq!(pager.stats().of(f).hits, 2);
+        assert_eq!(io.of(f).accesses, 2);
+        assert_eq!(io.of(f).hits, 2);
         assert!(pager.stats().is_consistent());
     }
 
@@ -1712,7 +1640,7 @@ mod tests {
         let pager = Pager::in_memory();
         let f = two_page_file(&pager);
         let g = two_page_file(&pager);
-        pager.reset_stats();
+        let io = pager.stats().scope();
         pager
             .write(f, 0, |p| p.push_row(4, &[9; 4]).unwrap())
             .unwrap();
@@ -1721,18 +1649,10 @@ mod tests {
             .unwrap();
         pager.truncate(f).unwrap();
         pager.drop_file(g).unwrap();
-        assert_eq!(
-            pager.stats().of(f).writes,
-            0,
-            "truncate drops the write"
-        );
-        assert_eq!(
-            pager.stats().of(g).writes,
-            0,
-            "drop_file drops the write"
-        );
-        assert_eq!(pager.stats().of(f).evictions, 0);
-        assert_eq!(pager.stats().of(g).evictions, 0);
+        assert_eq!(io.of(f).writes, 0, "truncate drops the write");
+        assert_eq!(io.of(g).writes, 0, "drop_file drops the write");
+        assert_eq!(io.of(f).evictions, 0);
+        assert_eq!(io.of(g).evictions, 0);
         assert!(pager.stats().is_consistent());
         assert_eq!(pager.page_count(f).unwrap(), 0);
         // The truncated file's pool (and any cap) survives for reuse.
@@ -1746,9 +1666,9 @@ mod tests {
         let f = two_page_file(&pager);
         pager.read(f, 0, |_| ()).unwrap();
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let io = pager.stats().scope();
         pager.read(f, 0, |_| ()).unwrap();
-        assert_eq!(pager.stats().of(f).reads, 1);
+        assert_eq!(io.of(f).reads, 1);
     }
 
     #[test]
@@ -1802,15 +1722,15 @@ mod tests {
         let f = two_page_file(&pager);
         assert_eq!(f, FileId(0));
         let g = two_page_file(&pager);
-        pager.reset_stats();
+        let io = pager.stats().scope();
         for _ in 0..5 {
             pager.read(f, 0, |_| ()).unwrap();
             pager.read(f, 1, |_| ()).unwrap();
             pager.read(g, 0, |_| ()).unwrap();
             pager.read(g, 1, |_| ()).unwrap();
         }
-        assert_eq!(pager.stats().of(f).reads, 2, "override: 2 frames");
-        assert_eq!(pager.stats().of(g).reads, 10, "default: 1 frame");
+        assert_eq!(io.of(f).reads, 2, "override: 2 frames");
+        assert_eq!(io.of(g).reads, 10, "default: 1 frame");
     }
 
     #[test]
@@ -1825,7 +1745,7 @@ mod tests {
         }
         pager.flush_file(f).unwrap();
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let scope = pager.stats().scope();
 
         pager.read(f, 0, |_| ()).unwrap(); // miss: [0]
         pager.read(f, 0, |_| ()).unwrap(); // hit, reference bit set
@@ -1834,7 +1754,7 @@ mod tests {
                                            // 1 (unreferenced) — the recently re-read page 0 survives.
         pager.read(f, 2, |_| ()).unwrap();
         pager.read(f, 0, |_| ()).unwrap(); // still resident: hit
-        let io = pager.stats().of(f);
+        let io = scope.of(f);
         assert_eq!(io.reads, 3);
         assert_eq!(io.hits, 2);
         assert_eq!(io.evictions, 1);
@@ -1963,7 +1883,7 @@ mod tests {
             .unwrap();
         assert_eq!(pager.stats().of(f).retries, 2);
         assert_eq!(pager.stats().of(f).reads, 1, "one page read, retried");
-        assert_eq!(pager.stats().total_retries(), 2);
+        assert_eq!(pager.stats().total().retries, 2);
         assert!(pager.stats().is_consistent());
     }
 
@@ -2104,10 +2024,10 @@ mod tests {
         let g = committed_staging_file(&pager);
         pager.materialize_overlay().unwrap();
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let scope = pager.stats().scope();
         // Warm f's pool, then roll back a statement that only dirties g.
         pager.read(f, 0, |_| ()).unwrap();
-        assert_eq!(pager.stats().of(f).reads, 1);
+        assert_eq!(scope.of(f).reads, 1);
 
         pager.begin_statement_undo();
         pager
@@ -2119,7 +2039,7 @@ mod tests {
         // rollback: the re-read is a buffer hit, not a disk read. Only
         // the touched file's potentially-polluted frames are discarded.
         pager.read(f, 0, |_| ()).unwrap();
-        let io = pager.stats().of(f);
+        let io = scope.of(f);
         assert_eq!(io.reads, 1, "untouched file's warm cache survives");
         assert_eq!(io.hits, 1);
     }
@@ -2237,7 +2157,6 @@ mod tests {
         let pager = Arc::new(Pager::in_memory());
         let files: Vec<FileId> =
             (0..4).map(|_| two_page_file(&pager)).collect();
-        pager.reset_stats();
         std::thread::scope(|s| {
             for &f in &files {
                 let pager = Arc::clone(&pager);

@@ -407,14 +407,14 @@ mod tests {
         let key = 700i32.to_le_bytes();
 
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         heap_idx.lookup_tids(&pager, &key).unwrap();
-        let heap_cost = pager.stats().of(heap_idx.file_id()).reads;
+        let heap_cost = cost.of(heap_idx.file_id()).reads;
 
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         hash_idx.lookup_tids(&pager, &key).unwrap();
-        let hash_cost = pager.stats().of(hash_idx.file_id()).reads;
+        let hash_cost = cost.of(hash_idx.file_id()).reads;
 
         // 1000 entries = 10 heap pages scanned vs. one bucket chain.
         assert_eq!(heap_cost, 10);

@@ -190,7 +190,7 @@ mod tests {
         // 28 versions at 8/page = 4 pages per tuple — the paper's number.
         assert_eq!(store.cluster_pages(&1i32.to_le_bytes()), Some(4));
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut n = 0;
         store
             .for_key(&pager, &2i32.to_le_bytes(), |_| {
@@ -199,7 +199,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(n, 28);
-        let io = pager.stats().of(store.file_id());
+        let io = cost.of(store.file_id());
         assert_eq!(io.reads, 4);
         // A cluster walk is strictly sequential: with the paper's single
         // frame every one of the 4 page accesses is a cold miss, and the
@@ -215,7 +215,7 @@ mod tests {
         let mut store = HistoryStore::simple(&pager, W, key()).unwrap();
         fill(&mut store, &pager);
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let mut n = 0;
         store
             .for_key(&pager, &2i32.to_le_bytes(), |_| {
@@ -225,7 +225,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 28);
         // 4 tuples × 28 versions / 8 per page = 14 pages, all read.
-        let io = pager.stats().of(store.file_id());
+        let io = cost.of(store.file_id());
         assert_eq!(io.reads, 14);
         // The scan faults each page once and then re-accesses it per row
         // while it stays resident: 112 rows + 14 chain hops = 126 buffered

@@ -420,7 +420,7 @@ mod tests {
                 rounds,
             );
             pager.invalidate_buffers().unwrap();
-            pager.reset_stats();
+            let cost = pager.stats().scope();
             let (_, row) = store
                 .current_for_key(&pager, &7i32.to_le_bytes())
                 .unwrap()
@@ -428,14 +428,8 @@ mod tests {
             assert_eq!(codec.get_i4(&row, 2) as u32, rounds);
             // Exactly one page, at any update count — the paper's Q05
             // improvement.
-            assert_eq!(
-                pager.stats().of(store.primary().file_id()).reads,
-                1
-            );
-            assert_eq!(
-                pager.stats().of(store.history().file_id()).reads,
-                0
-            );
+            assert_eq!(cost.of(store.primary().file_id()).reads, 1);
+            assert_eq!(cost.of(store.history().file_id()).reads, 0);
         }
     }
 
@@ -445,14 +439,14 @@ mod tests {
         let (store, _) =
             store_with_updates(&pager, HistoryLayout::Clustered, 64, 14);
         pager.invalidate_buffers().unwrap();
-        pager.reset_stats();
+        let cost = pager.stats().scope();
         let versions =
             store.versions_for_key(&pager, &7i32.to_le_bytes()).unwrap();
         // 1 current + 28 history.
         assert_eq!(versions.len(), 29);
         // 1 primary page + ceil(28/8) = 4 cluster pages — Figure 10's "5".
-        let reads = pager.stats().of(store.primary().file_id()).reads
-            + pager.stats().of(store.history().file_id()).reads;
+        let reads = cost.of(store.primary().file_id()).reads
+            + cost.of(store.history().file_id()).reads;
         assert_eq!(reads, 5);
         // The v2 ledger behind that "5": each page is faulted once (5
         // misses) and re-accessed while resident for the remaining rows.
@@ -460,12 +454,12 @@ mod tests {
         // frame 3 times, but every eviction is clean — sequential access
         // never pays the cap again, so the paper's 1-frame setup costs a
         // clustered scan nothing.
-        let io = pager.stats();
-        assert_eq!(io.total_reads(), 5);
-        assert_eq!(io.total_accesses(), io.total_hits() + 5);
-        assert_eq!(io.of(store.primary().file_id()).evictions, 0);
-        assert_eq!(io.of(store.history().file_id()).evictions, 3);
-        assert!(io.is_consistent());
+        let io = cost.total();
+        assert_eq!(io.reads, 5);
+        assert_eq!(io.accesses, io.hits + 5);
+        assert_eq!(cost.of(store.primary().file_id()).evictions, 0);
+        assert_eq!(cost.of(store.history().file_id()).evictions, 3);
+        assert!(pager.stats().is_consistent());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! * `\l` — list relations
 //! * `\d <rel>` — describe a relation
-//! * `\stats` — page-access counters (reset by each mutating statement;
-//!   read-only retrieves accumulate, since they run on the engine's
-//!   shared-lock path) plus the engine's plan-cache hit/miss counters
+//! * `\stats` — the page accesses of this session's last statement,
+//!   the pager's lifetime totals, and the engine's plan-cache hit/miss
+//!   counters
 //! * `\stats <rel>` — the planner's maintained statistics for one
 //!   relation (versions, pages, directory levels, distinct keys,
 //!   average version-chain length)
@@ -29,7 +29,7 @@
 //! policy (CI uses `manual` to leave a log tail for `check` to replay).
 
 use std::io::{BufRead, Write};
-use tdbms::{CheckpointPolicy, Database, Granularity, Session};
+use tdbms::{CheckpointPolicy, Database, Granularity, QueryStats, Session};
 
 /// Nested `\i` includes deeper than this abort with an error instead
 /// of recursing forever (a file that includes itself would otherwise
@@ -39,6 +39,8 @@ const MAX_INCLUDE_DEPTH: u32 = 16;
 struct Shell {
     session: Session,
     buffer: String,
+    /// What this session's last successful statement cost.
+    last: QueryStats,
     /// Statements (and failed includes) that errored; scripted runs
     /// exit nonzero when this is nonzero.
     errors: u64,
@@ -100,6 +102,7 @@ impl Shell {
                     out.stats.input_pages,
                     out.stats.output_pages
                 );
+                self.last = out.stats;
             }
             Err(e) => {
                 self.errors += 1;
@@ -132,17 +135,17 @@ impl Shell {
             }
             "\\d" => println!("{}", self.describe(arg)),
             "\\stats" if arg.is_empty() => {
-                let (reads, writes, degraded) =
+                let (io, degraded) =
                     self.session.engine().with_read(|db| {
-                        let st = db.io_stats();
-                        (
-                            st.total_reads(),
-                            st.total_writes(),
-                            db.degraded_reason(),
-                        )
+                        (db.io_stats().total(), db.degraded_reason())
                     });
                 println!(
-                    "last statement: {reads} page reads, {writes} page writes"
+                    "last statement: {} page reads, {} page writes",
+                    self.last.input_pages, self.last.output_pages
+                );
+                println!(
+                    "lifetime: {} page reads, {} page writes",
+                    io.reads, io.writes
                 );
                 let (hits, misses) = self.session.plan_cache_stats();
                 println!("plan cache: {hits} hits, {misses} misses");
@@ -318,6 +321,7 @@ fn main() {
     let mut shell = Shell {
         session: tdbms::Engine::new(db).session(),
         buffer: String::new(),
+        last: QueryStats::default(),
         errors: 0,
         include_depth: 0,
     };

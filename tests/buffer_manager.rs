@@ -197,10 +197,7 @@ fn iostats_identity_under_random_schedules() {
                 "hit/miss identity violated"
             );
         }
-        assert_eq!(
-            pager.stats().total_hits() + pager.stats().total_reads(),
-            pager.stats().total_accesses()
-        );
+        assert!(pager.stats().total().is_consistent());
     });
 }
 

@@ -361,54 +361,59 @@ fn read_schedule(seed: u64, t: u64) -> Vec<String> {
 }
 
 /// Satellite property: concurrent readers observe consistent `IoStats`
-/// counters. The global atomic deltas accumulated while four sessions
-/// read in parallel must equal, exactly, the per-statement sums of a
-/// serial replay of the same seeded schedule — per-relation buffer pools
-/// make even the hit/miss split deterministic, so any difference means
-/// the lock-free accounting under- or over-counted.
+/// counters. The ledger's growth while four sessions read in parallel
+/// must equal, exactly, both the sum of those sessions' own
+/// per-statement scopes (nothing else is running, so every page access
+/// belongs to some statement) and the per-statement sums of a serial
+/// replay of the same seeded schedule — per-relation buffer pools make
+/// even the hit/miss split deterministic, so any difference means the
+/// lock-free accounting under- or over-counted.
 #[test]
 fn concurrent_read_accounting_matches_serial_replay() {
     for seed in [3u64, 17, 40, 71, 96, 0xbeef] {
-        // Concurrent run: global monotone counters, delta over the
-        // whole read phase (the read path never resets them).
         let engine = Engine::new(build_partitioned());
-        let before = engine.with_read(|db| {
-            let st = db.io_stats();
-            (
-                st.total_reads(),
-                st.total_writes(),
-                st.total_hits(),
-                st.total_accesses(),
-            )
-        });
+        let before = engine.with_read(|db| db.io_stats().total());
+        // (reads, writes, hits) summed over every statement's stats.
+        let scoped = Mutex::new((0u64, 0u64, 0u64));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let engine = engine.clone();
+                let scoped = &scoped;
                 scope.spawn(move || {
                     let mut s = engine.session();
                     s.execute(&format!("range of z{t} is t{t}"))
                         .expect("range");
+                    let mut mine = (0u64, 0u64, 0u64);
                     for stmt in read_schedule(seed, t) {
-                        s.execute(&stmt).expect("read");
+                        let out = s.execute(&stmt).expect("read");
+                        mine.0 += out.stats.input_pages;
+                        mine.1 += out.stats.output_pages;
+                        mine.2 += out.stats.buffer_hits;
                     }
+                    let mut sum = scoped.lock().expect("unpoisoned");
+                    *sum = (sum.0 + mine.0, sum.1 + mine.1, sum.2 + mine.2);
                 });
             }
         });
         let after = engine.with_read(|db| {
-            let st = db.io_stats();
-            assert!(st.is_consistent(), "seed {seed}: ledger imbalance");
-            (
-                st.total_reads(),
-                st.total_writes(),
-                st.total_hits(),
-                st.total_accesses(),
-            )
+            assert!(
+                db.io_stats().is_consistent(),
+                "seed {seed}: ledger imbalance"
+            );
+            db.io_stats().total()
         });
         let concurrent = (
-            after.0 - before.0,
-            after.1 - before.1,
-            after.2 - before.2,
-            after.3 - before.3,
+            after.reads - before.reads,
+            after.writes - before.writes,
+            after.hits - before.hits,
+            after.accesses - before.accesses,
+        );
+        let scoped = scoped.into_inner().expect("unpoisoned");
+        assert_eq!(
+            (concurrent.0, concurrent.1, concurrent.2),
+            scoped,
+            "seed {seed}: the statements' own scopes do not add up to \
+             the ledger's growth (reads, writes, hits)"
         );
 
         // Serial replay of the identical schedule on a fresh database,
@@ -435,5 +440,138 @@ fn concurrent_read_accounting_matches_serial_replay() {
             "seed {seed}: concurrent counter deltas diverge from the \
              serial replay (reads, writes, hits, accesses)"
         );
+    }
+}
+
+/// Who runs beside the reader of [`reader_costs`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Neighbours {
+    None,
+    Writer,
+    WriterAndReorg,
+}
+
+/// Ids `1..=ISOLATION_IDS` in each relation of [`reader_costs`]: several
+/// pages, so two frames both hit and evict.
+const ISOLATION_IDS: i64 = 320;
+
+/// Run one fixed seeded schedule of keyed and scan retrieves against
+/// relation `mine` (hashed, two frames, warm) and return every
+/// statement's `(input, output, hits, evictions)`. The neighbours only
+/// ever touch relation `theirs`, so `mine`'s page layout and buffer
+/// pool are the reader's alone. They start before the reader's first
+/// statement (the channel) and stop after its last (the flag).
+fn reader_costs(neighbours: Neighbours) -> Vec<(u64, u64, u64, u64)> {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let mut db = Database::in_memory();
+    db.set_cold_statements(false);
+    for rel in ["mine", "theirs"] {
+        db.execute(&format!("create rollback {rel} (id = i4, seq = i4)"))
+            .expect("create");
+        for id in 1..=ISOLATION_IDS {
+            db.execute(&format!("append to {rel} (id = {id}, seq = 0)"))
+                .expect("seed");
+        }
+        db.execute(&format!(
+            "modify {rel} to hash on id where fillfactor = 100"
+        ))
+        .expect("modify");
+        db.set_buffer_frames(rel, 2).expect("frames");
+    }
+    let engine = Engine::new(db);
+    let stop = AtomicBool::new(false);
+    let (started, ready) = std::sync::mpsc::channel::<()>();
+    let mut costs = Vec::new();
+    std::thread::scope(|scope| {
+        if neighbours != Neighbours::None {
+            let started = started.clone();
+            let (engine, stop) = (engine.clone(), &stop);
+            scope.spawn(move || {
+                let mut s = engine.session();
+                s.execute("range of w is theirs").expect("range");
+                let mut g = Prng::seed_from_u64(0x3417e4);
+                let mut first = Some(started);
+                while !stop.load(Ordering::Relaxed) {
+                    let key = g.random_range(1i64..=ISOLATION_IDS);
+                    s.execute(&format!(
+                        "replace w (seq = w.seq + 1) where w.id = {key}"
+                    ))
+                    .expect("replace");
+                    if let Some(tx) = first.take() {
+                        tx.send(()).expect("reader is waiting");
+                    }
+                }
+            });
+        }
+        if neighbours == Neighbours::WriterAndReorg {
+            let started = started.clone();
+            let (engine, stop) = (engine.clone(), &stop);
+            scope.spawn(move || {
+                let mut first = Some(started);
+                while !stop.load(Ordering::Relaxed) {
+                    engine
+                        .try_with_write(|db| db.reorganize("theirs"))
+                        .expect("engine usable")
+                        .expect("reorganize");
+                    if let Some(tx) = first.take() {
+                        tx.send(()).expect("reader is waiting");
+                    }
+                }
+            });
+        }
+        drop(started);
+        // Every neighbour has committed at least once; from here on
+        // they run flat out until the reader is done.
+        while ready.recv().is_ok() {}
+        let mut s = engine.session();
+        s.execute("range of r is mine").expect("range");
+        let mut g = Prng::seed_from_u64(0x150_1a7e);
+        for _ in 0..300 {
+            let stmt = if g.random_range(0u32..4) == 0 {
+                "retrieve (r.id, r.seq)".to_string()
+            } else {
+                format!(
+                    "retrieve (r.seq) where r.id = {}",
+                    g.random_range(1i64..=ISOLATION_IDS)
+                )
+            };
+            let st = s.execute(&stmt).expect("read").stats;
+            costs.push((
+                st.input_pages,
+                st.output_pages,
+                st.buffer_hits,
+                st.evictions,
+            ));
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    engine.with_read(|db| assert!(db.io_stats().is_consistent()));
+    costs
+}
+
+/// The per-statement contract: what a statement reports is what its own
+/// thread did, whoever else is running. (With one shared ledger read as
+/// before/after deltas, the writer's and the compactor's page traffic
+/// landed in the reader's numbers.)
+#[test]
+fn a_readers_statement_costs_ignore_its_neighbours() {
+    let alone = reader_costs(Neighbours::None);
+    for (what, seen) in [
+        ("miss", alone.iter().any(|c| c.0 > 0)),
+        ("hit", alone.iter().any(|c| c.2 > 0)),
+        ("evict", alone.iter().any(|c| c.3 > 0)),
+    ] {
+        assert!(seen, "the schedule must {what}");
+    }
+    assert!(alone.iter().all(|c| c.1 == 0), "retrieves write nothing");
+    for neighbours in [Neighbours::Writer, Neighbours::WriterAndReorg] {
+        let beside = reader_costs(neighbours);
+        for (i, (a, b)) in alone.iter().zip(&beside).enumerate() {
+            assert_eq!(
+                a, b,
+                "statement {i} cost (input, output, hits, evictions) \
+                 {a:?} alone but {b:?} beside {neighbours:?}"
+            );
+        }
     }
 }

@@ -244,7 +244,7 @@ fn transient_failures_within_budget_answer_all_queries_correctly() {
         );
     }
     assert!(
-        db.io_stats().total_retries() > 0,
+        db.io_stats().total().retries > 0,
         "the schedule must actually have fired, and retries must be \
          visible in IoStats"
     );
@@ -302,7 +302,7 @@ fn transient_failures_beyond_budget_surface_an_error_never_a_wrong_answer()
         saw_error,
         "a three-failure run must exhaust the budget of two and surface"
     );
-    assert!(db.io_stats().total_retries() >= 2, "budget visibly spent");
+    assert!(db.io_stats().total().retries >= 2, "budget visibly spent");
 
     // The media has recovered (each scheduled op fails exactly once);
     // the query must come back with the full correct answer.

@@ -156,6 +156,37 @@ fn stats_request_reports_lock_and_plan_cache_counters() {
     assert_eq!(srv.stop().panics_caught, 0);
 }
 
+/// The `Stats` reply changed shape with protocol version 2. A peer still
+/// speaking version 1 must be told so with a typed error — never handed
+/// a reply it would misparse.
+#[test]
+fn a_version_one_peer_is_refused_with_a_typed_error() {
+    use tdbms_net::wire::{
+        decode_response, encode_request, read_frame, write_frame,
+        MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
+    };
+    use tdbms_net::{Request, Response};
+    assert_eq!(PROTOCOL_VERSION, 2);
+    let srv = TestServer::start(ServerConfig::default());
+    let mut old = encode_request(&Request::Stats);
+    assert_eq!(old[1], PROTOCOL_VERSION, "[opcode][version] layout");
+    old[1] = 1;
+    let mut s = TcpStream::connect(srv.addr).expect("connect");
+    write_frame(&mut s, &old).expect("send");
+    let frame = read_frame(&mut s, MAX_RESPONSE_FRAME)
+        .expect("read")
+        .expect("the server answers before hanging up");
+    match decode_response(&frame).expect("decode") {
+        Response::Error(Error::Protocol(msg)) => {
+            assert!(msg.contains("version 1"), "message: {msg}")
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    let stats = srv.stop();
+    assert_eq!(stats.panics_caught, 0);
+    assert!(stats.protocol_errors > 0);
+}
+
 // ---- hostile statements (the panic-path regression sweep) --------------
 
 /// Every statement here either panicked some layer of the engine

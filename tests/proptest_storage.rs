@@ -184,7 +184,7 @@ fn scan_cost_is_page_count() {
             ),
         ] {
             pager.invalidate_buffers().unwrap();
-            pager.reset_stats();
+            let cost = pager.stats().scope();
             let mut n = 0usize;
             let mut cur = file.scan();
             while cur.next(&pager, &file).unwrap().is_some() {
@@ -192,7 +192,7 @@ fn scan_cost_is_page_count() {
             }
             assert_eq!(n, rows.len());
             assert_eq!(
-                pager.stats().of(file.file_id()).reads as u32,
+                cost.of(file.file_id()).reads as u32,
                 file.scannable_pages(&pager).unwrap()
             );
         }

@@ -160,6 +160,39 @@ fn shell_stats_prints_relation_statistics() {
     assert!(stdout.contains("plan cache:"), "stdout: {stdout}");
 }
 
+/// `\stats` used to print the pager's running totals as "last
+/// statement": after snapshot-served retrieves (which never reset them)
+/// that was everything since the last exclusive statement.
+#[test]
+fn shell_stats_reports_the_last_statement_not_an_accumulation() {
+    let (stdout, _, status) = run_shell_status(
+        &[],
+        "create temporal interval emp (name = c12, salary = i4);\n\
+         append to emp (name = \"a\", salary = 1);\n\
+         range of e is emp;\n\
+         retrieve (e.name);\nretrieve (e.name);\nretrieve (e.name);\n\
+         \\stats\n",
+    );
+    assert!(status.success(), "status: {status}\nstdout: {stdout}");
+    let one_page = "1 input / 0 output pages";
+    assert_eq!(
+        stdout.lines().filter(|l| l.contains(one_page)).count(),
+        3,
+        "stdout: {stdout}"
+    );
+    assert!(
+        stdout.contains("last statement: 1 page reads, 0 page writes"),
+        "stdout: {stdout}"
+    );
+    let lifetime: u64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("lifetime: "))
+        .and_then(|l| l.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no lifetime line in: {stdout}"));
+    assert!(lifetime >= 3, "stdout: {stdout}");
+}
+
 #[test]
 fn shell_stats_on_unknown_relation_exits_nonzero() {
     let (stdout, _, status) = run_shell_status(&[], "\\stats ghost\n");
