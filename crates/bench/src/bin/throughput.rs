@@ -358,8 +358,6 @@ fn run_embedded_mode(
     let done = completed.load(Ordering::Relaxed);
     let totals = totals.into_inner().expect("unpoisoned");
 
-    // Capture the proof counters before the final consistency check —
-    // that check itself takes one shared lock.
     let locks = engine.lock_stats();
     let group = engine.group_commit_stats();
     let plan_cache = engine.plan_cache_stats();
@@ -514,7 +512,6 @@ fn run_server_mode(
         match Client::connect(addr).and_then(|mut c| c.stats()) {
             Ok(s) => (
                 Some(LockStats {
-                    shared: s.shared,
                     exclusive: s.exclusive,
                     snapshot_reads: s.snapshot_reads,
                 }),
@@ -955,8 +952,8 @@ fn print_and_write(
     // counters live in the server process.)
     if let Some(locks) = locks {
         println!(
-            "locks: shared={} exclusive={} snapshot_reads={}",
-            locks.shared, locks.exclusive, locks.snapshot_reads
+            "locks: exclusive={} snapshot_reads={}",
+            locks.exclusive, locks.snapshot_reads
         );
     }
     if let Some((hits, misses)) = plan_cache {
@@ -993,9 +990,8 @@ fn print_and_write(
     let Some(path) = json_path else { return };
     let locks_json = match locks {
         Some(l) => format!(
-            "{{\"shared\": {}, \"exclusive\": {}, \
-             \"snapshot_reads\": {}}}",
-            l.shared, l.exclusive, l.snapshot_reads
+            "{{\"exclusive\": {}, \"snapshot_reads\": {}}}",
+            l.exclusive, l.snapshot_reads
         ),
         None => "null".to_string(),
     };

@@ -49,8 +49,7 @@ struct Rel {
 
 fn load_rel(db: &mut Database, name: &str) -> Rel {
     let rows = all_rows(db, name);
-    let (pager, catalog, _) = db.internals();
-    let _ = pager;
+    let (_, catalog, _) = db.internals();
     let id = catalog.require(name).expect("relation");
     let r = catalog.get(id);
     Rel {

@@ -12,7 +12,6 @@ pub mod improvements;
 pub mod predict;
 pub mod queries;
 pub mod sweep;
-pub mod timing;
 pub mod workload;
 
 pub use analysis::{cost_model, fixed_cost, CostModel};
@@ -26,7 +25,6 @@ pub use sweep::{
     run_sweep, run_sweeps_threaded, BufferCost, BufferSweepData, Cost,
     ScaleRound, ScaleSweepData, SweepData,
 };
-pub use timing::{time_n, TimingStats};
 pub use workload::{
     build_database, build_database_with_hash, build_scale_database,
     evolve_scale_round, evolve_single_tuple, evolve_uniform,

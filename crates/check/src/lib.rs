@@ -170,10 +170,10 @@ impl Layout {
         match file {
             RelFile::Heap(_) => Layout::Heap,
             RelFile::Hash(f) => Layout::Hash {
-                nbuckets: f.nbuckets,
+                nbuckets: f.chain.n_heads,
             },
             RelFile::Isam(f) => Layout::Isam {
-                n_data: f.n_data_pages,
+                n_data: f.chain.n_heads,
                 levels: f.levels.clone(),
             },
         }
@@ -273,7 +273,7 @@ impl Unit {
 
 fn key_len_of(file: &RelFile) -> usize {
     match file {
-        RelFile::Isam(f) => f.key.len,
+        RelFile::Isam(f) => f.chain.key.len,
         _ => 0,
     }
 }
@@ -1343,7 +1343,7 @@ mod tests {
         pager.flush_all().unwrap();
         let file = cat.get(id).file.file_id();
         let nbuckets = match &cat.get(id).file {
-            RelFile::Hash(h) => h.nbuckets,
+            RelFile::Hash(h) => h.chain.n_heads,
             other => panic!("expected a hash file, got {other:?}"),
         };
         let n = pager.page_count(file).unwrap();

@@ -1066,11 +1066,6 @@ impl Database {
         (&self.pager, &mut self.catalog, &self.clock)
     }
 
-    /// Shared view of the pager (the concurrent engine's read path).
-    pub(crate) fn pager(&self) -> &Pager {
-        &self.pager
-    }
-
     /// A shared handle to the pager: the engine's lock-free snapshot
     /// reads go through this while writers hold the commit lock (every
     /// pager entry point synchronizes on its interior lock).

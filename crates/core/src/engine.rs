@@ -7,8 +7,8 @@
 //! *commit lock* — and additionally publishes a **read view**: an
 //! immutable snapshot of the catalog plus the *committed watermark*
 //! (the transaction clock's position after the last commit),
-//! republished after every write statement. Statement classification
-//! decides how a statement runs:
+//! republished after every statement that takes the lock. There are two
+//! statement paths:
 //!
 //! * **Snapshot path** (no commit lock at all): `range` declarations
 //!   over relations the view knows, and `retrieve` without `into` whose
@@ -25,18 +25,22 @@
 //!   durable mode this shape falls back to the exclusive path: the
 //!   temporaries would be staged into concurrent writers' WAL
 //!   commits).
-//! * **Read path** (shared lock): retrieves the snapshot cannot serve —
-//!   variables without transaction time (static/historical relations
-//!   have no version stamps to filter on), `as of` times past the
-//!   watermark, or a snapshot attempt that raced a concurrent DDL.
-//! * **Write path** (exclusive lock, one thread at a time): everything
-//!   else — DML, DDL, `copy`, and `retrieve into`. In durable mode the
+//! * **Exclusive path** (the commit lock, one thread at a time):
+//!   everything else — DML, DDL, `copy`, `retrieve into`, and the rare
+//!   retrieves the snapshot cannot serve: variables without transaction
+//!   time (static/historical relations have no version stamps to filter
+//!   on), `as of` times past the watermark, or a snapshot attempt that
+//!   raced a concurrent DDL. The single-threaded [`Database`] executes
+//!   the statement as it would on its own. In durable mode the
 //!   WAL commit happens inside the exclusive section, so commits are
 //!   serialized per statement exactly as in single-threaded operation;
 //!   under **group commit** (see [`Database::enable_group_commit`])
 //!   only the *appends* happen under the lock — the fsync is deferred
 //!   to a batching leader and acknowledged after the lock is released,
 //!   which is what lets N sessions share one fsync.
+//!
+//! [`Engine::with_read`] takes the lock shared, for introspection (the
+//! shell, the server's stats); no statement runs that way.
 //!
 //! Lock order is fixed: the engine's RwLock is always taken before any
 //! pager-internal lock, and never the other way around, so the pair
@@ -54,15 +58,15 @@
 //!
 //! Each [`Session`] owns its *range table* (TQuel `range of e is emp`
 //! is session state, like a cursor), so two sessions can bind the same
-//! variable name to different relations. On the write path the
+//! variable name to different relations. On the exclusive path the
 //! session's ranges are swapped into the database for the duration of
 //! the statement, which also lets `destroy` prune only the executing
 //! session's bindings.
 //!
 //! ## Statement statistics under concurrency
 //!
-//! Every path prices its statement the same way: it opens a
-//! [`tdbms_storage::StatScope`] on the executing thread and reads
+//! Both paths price a statement the same way: they open a
+//! [`tdbms_storage::StatScope`] on the executing thread and read
 //! [`QueryStats`] off it. A scope tallies only what its own thread
 //! records, so a statement's numbers are exact whoever else is running
 //! — the concurrency stress suite asserts both that, and that the
@@ -77,9 +81,7 @@ use crate::exec::{
 use crate::guard::QueryGuard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{
-    Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Duration;
 use tdbms_kernel::{Error, Result, TimeVal};
 use tdbms_plan::PlanCache;
@@ -130,13 +132,11 @@ struct CachedBound {
 /// How many distinct statement texts the engine keeps cached.
 const PLAN_CACHE_CAPACITY: usize = 128;
 
-/// Counts of commit-lock acquisitions and snapshot (lock-free) reads —
-/// the proof behind "reads don't take the commit lock".
+/// Counts of statements per path — the proof behind "reads don't take
+/// the commit lock".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStats {
-    /// Shared (read-side) acquisitions of the commit lock.
-    pub shared: u64,
-    /// Exclusive (write-side) acquisitions of the commit lock.
+    /// Exclusive acquisitions of the commit lock.
     pub exclusive: u64,
     /// Retrieves served entirely from the published read view, without
     /// touching the commit lock.
@@ -145,7 +145,6 @@ pub struct LockStats {
 
 #[derive(Default)]
 struct LockCounters {
-    shared: AtomicU64,
     exclusive: AtomicU64,
     snapshot: AtomicU64,
 }
@@ -211,7 +210,8 @@ impl Engine {
         }
     }
 
-    /// Run `f` under the shared lock (concurrent with other readers).
+    /// Run `f` under the shared lock (concurrent with other readers;
+    /// introspection only, so [`LockStats`] does not count it).
     ///
     /// Panics if the engine is unusable (a writer panicked, or a
     /// group-commit fsync failed); use [`Engine::try_with_read`] to
@@ -226,7 +226,8 @@ impl Engine {
         &self,
         f: impl FnOnce(&Database) -> R,
     ) -> Result<R> {
-        let db = self.read()?;
+        self.check_usable()?;
+        let db = self.shared.read().map_err(|_| self.poison())?;
         Ok(f(&db))
     }
 
@@ -262,7 +263,6 @@ impl Engine {
     /// built.
     pub fn lock_stats(&self) -> LockStats {
         LockStats {
-            shared: self.inner.locks.shared.load(Ordering::Relaxed),
             exclusive: self.inner.locks.exclusive.load(Ordering::Relaxed),
             snapshot_reads: self
                 .inner
@@ -295,12 +295,6 @@ impl Engine {
                 db
             })
             .map_err(|shared| Engine { shared, inner })
-    }
-
-    fn read(&self) -> Result<RwLockReadGuard<'_, Database>> {
-        self.check_usable()?;
-        self.inner.locks.shared.fetch_add(1, Ordering::Relaxed);
-        self.shared.read().map_err(|_| self.poison())
     }
 
     fn write(&self) -> Result<RwLockWriteGuard<'_, Database>> {
@@ -553,18 +547,6 @@ impl Drop for ReorgDaemon {
     }
 }
 
-/// Verdict of a snapshot-read attempt: served lock-free, or which
-/// locked path must handle the statement instead.
-enum SnapshotAttempt {
-    /// Served from the published read view, no commit lock taken.
-    Served(Box<ExecOutput>),
-    /// Fall back to the shared-lock read path (which may itself punt
-    /// to the write path after binding).
-    Locked,
-    /// Known multi-variable: go straight to the exclusive path.
-    Exclusive,
-}
-
 /// Per-session statement limits, applied to every statement the session
 /// executes. Defaults to unlimited — the embedded single-user shape.
 #[derive(Debug, Clone, Default)]
@@ -669,8 +651,8 @@ impl Session {
             .collect()
     }
 
-    /// Execute one parsed statement, classified onto the snapshot, read,
-    /// or write path.
+    /// Execute one parsed statement, classified onto the snapshot or
+    /// the exclusive path.
     pub fn execute_statement(
         &mut self,
         stmt: &Statement,
@@ -709,21 +691,8 @@ impl Session {
             }
             Statement::Retrieve(r) if r.into.is_none() => {
                 match self.try_execute_snapshot(r, &guard, cache)? {
-                    SnapshotAttempt::Served(out) => Ok(*out),
-                    SnapshotAttempt::Exclusive => {
-                        // Known multi-variable: decomposition
-                        // materializes temporaries, so it needs the
-                        // exclusive side — skip the shared-lock bind.
-                        self.execute_write(stmt, &guard)
-                    }
-                    SnapshotAttempt::Locked => {
-                        if let Some(out) =
-                            self.try_execute_read(r, &guard)?
-                        {
-                            return Ok(out);
-                        }
-                        self.execute_write(stmt, &guard)
-                    }
+                    Some(out) => Ok(out),
+                    None => self.execute_write(stmt, &guard),
                 }
             }
             _ => self.execute_write(stmt, &guard),
@@ -731,21 +700,21 @@ impl Session {
     }
 
     /// Attempt a retrieve against the published read view, entirely off
-    /// the commit lock. Returns a fallback verdict when the statement
-    /// is not snapshot-eligible: a variable without transaction time
-    /// has no version stamps to filter on, an `as of` past the
-    /// watermark needs state the view predates, a multi-variable
-    /// retrieve in durable mode would stage its temporaries into
-    /// neighbors' WAL commits, and any binding or execution error is
-    /// re-derived under the lock against the authoritative catalog (a
-    /// concurrent `destroy`/`modify` can invalidate the snapshot's
-    /// file pointers mid-read).
+    /// the commit lock. Returns `None` — run it on the exclusive path —
+    /// when the statement is not snapshot-eligible: a variable without
+    /// transaction time has no version stamps to filter on, an `as of`
+    /// past the watermark needs state the view predates, a
+    /// multi-variable retrieve in durable mode would stage its
+    /// temporaries into neighbors' WAL commits, and any binding or
+    /// execution error is re-derived under the lock against the
+    /// authoritative catalog (a concurrent `destroy`/`modify` can
+    /// invalidate the snapshot's file pointers mid-read).
     fn try_execute_snapshot(
         &self,
         r: &tdbms_tquel::ast::Retrieve,
         guard: &QueryGuard,
         cache: Option<&CachedProgram>,
-    ) -> Result<SnapshotAttempt> {
+    ) -> Result<Option<ExecOutput>> {
         self.engine.check_usable()?;
         let view = self.engine.view();
         // Binder output is a pure function of (catalog, watermark,
@@ -773,26 +742,21 @@ impl Session {
                 };
                 match binder.bind_retrieve(r) {
                     Ok(b) => b,
-                    Err(_) => return Ok(SnapshotAttempt::Locked),
+                    Err(_) => return Ok(None),
                 }
             }
         };
         let multi = bound.vars.len() >= 2;
-        let locked = if multi {
-            SnapshotAttempt::Exclusive
-        } else {
-            SnapshotAttempt::Locked
-        };
         if !bound.vars.iter().all(|v| v.class.has_transaction_time()) {
-            return Ok(locked);
+            return Ok(None);
         }
         match &bound.visibility {
             Some(vis) if vis.through <= view.watermark => {}
             _ if bound.vars.is_empty() => {}
-            _ => return Ok(locked),
+            _ => return Ok(None),
         }
         if multi && self.engine.durable() {
-            return Ok(SnapshotAttempt::Exclusive);
+            return Ok(None);
         }
         let pager = self.engine.pager();
         if view.cold {
@@ -811,7 +775,7 @@ impl Session {
             // retrying under the lock would only burn more of the
             // writer's time before timing out again.
             Err(e) if QueryGuard::is_guard_error(&e) => return Err(e),
-            Err(_) => return Ok(locked),
+            Err(_) => return Ok(None),
         };
         // Served successfully: remember the binding for the next run of
         // the same statement text (only worth writing when fresh).
@@ -829,45 +793,6 @@ impl Session {
             }
         }
         self.engine.note_snapshot_read();
-        Ok(SnapshotAttempt::Served(Box::new(ExecOutput {
-            affected: result.rows.len(),
-            columns: result.columns,
-            rows: result.rows,
-            stats: QueryStats::of(&scope),
-        })))
-    }
-
-    /// Attempt the statement under the shared lock. Returns `Ok(None)`
-    /// when the retrieve turns out to be multi-variable and must be
-    /// re-run exclusively.
-    fn try_execute_read(
-        &mut self,
-        r: &tdbms_tquel::ast::Retrieve,
-        guard: &QueryGuard,
-    ) -> Result<Option<ExecOutput>> {
-        let db = self.engine.read()?;
-        let now = db.clock().tick();
-        let bound = {
-            let binder = Binder {
-                catalog: db.catalog(),
-                ranges: &self.ranges,
-                now,
-            };
-            binder.bind_retrieve(r)?
-        };
-        if bound.vars.len() >= 2 {
-            return Ok(None);
-        }
-        if db.cold_statements() {
-            db.pager().invalidate_buffers()?;
-        }
-        let scope = db.io_stats().scope();
-        let result = exec_retrieve_readonly(
-            db.pager(),
-            db.catalog(),
-            &bound,
-            guard,
-        )?;
         Ok(Some(ExecOutput {
             affected: result.rows.len(),
             columns: result.columns,
@@ -1031,14 +956,47 @@ mod tests {
         assert_eq!(joined.affected, 1);
         let now = engine.lock_stats();
         assert_eq!(
-            now.shared, base.shared,
-            "snapshot reads must not take the shared commit lock"
-        );
-        assert_eq!(
             now.exclusive, base.exclusive,
-            "snapshot reads must not take the exclusive commit lock"
+            "snapshot reads must not take the commit lock"
         );
         assert_eq!(now.snapshot_reads - base.snapshot_reads, 9);
+    }
+
+    /// What the snapshot cannot serve runs on the exclusive path, with
+    /// the answers the single-threaded database gives: a relation
+    /// without transaction time, and an `as of` past the watermark.
+    #[test]
+    fn unversioned_and_future_reads_run_exclusively() {
+        let setup = |db: &mut Database| {
+            db.execute("create static dept (dname = c20, floor = i4)")
+                .unwrap();
+            for (d, f) in [("eng", 3), ("ops", 1), ("law", 3)] {
+                db.execute(&format!(
+                    r#"append to dept (dname = "{d}", floor = {f})"#
+                ))
+                .unwrap();
+            }
+        };
+        let mut db = seeded_db();
+        setup(&mut db);
+        let engine = Engine::new(seeded_db());
+        engine.with_write(setup);
+        let mut s = engine.session();
+        for q in [
+            "range of d is dept\nretrieve (d.dname) where d.floor = 3",
+            "range of e is emp\nretrieve (e.name) \
+             where e.salary < 1004 as of \"2100-01-01\"",
+        ] {
+            let want = db.execute(q).unwrap();
+            assert!(want.affected >= 2, "{q}");
+            let base = engine.lock_stats();
+            let got = s.execute(q).unwrap();
+            assert_eq!(want.rows(), got.rows(), "{q}");
+            assert_eq!(want.columns, got.columns, "{q}");
+            let now = engine.lock_stats();
+            assert_eq!(now.exclusive - base.exclusive, 1, "{q}");
+            assert_eq!(now.snapshot_reads, base.snapshot_reads, "{q}");
+        }
     }
 
     #[test]
@@ -1133,7 +1091,7 @@ mod tests {
                 engine.with_write(|_| panic!("writer dies mid-commit"))
             }));
         assert!(caught.is_err());
-        // Every path fails loudly now: snapshot, shared, exclusive.
+        // Every path fails loudly now: snapshot, exclusive, introspection.
         let read = s.execute("retrieve (e.salary) where e.salary = 1000");
         assert_eq!(read.unwrap_err(), Error::Poisoned);
         let write = s.execute(r#"append to emp (name = "x", salary = 1)"#);

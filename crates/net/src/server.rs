@@ -475,11 +475,8 @@ fn serve_connection(
             }
             Request::Stats => {
                 // An unusable engine (poisoned) also reports degraded:
-                // the flag means "writes are not being served". Probe
-                // it before snapshotting the lock counters — the probe
-                // itself takes one shared lock, and the counters must
-                // match the engine's own view at reply time.
-                // Reorg and page-filter counters ride the same probe;
+                // the flag means "writes are not being served".
+                // Reorg and page-filter counters ride the same read;
                 // a poisoned engine reports degraded=true and zeroed
                 // counters rather than failing the whole reply.
                 let (degraded, reorg, io) = engine
@@ -498,7 +495,6 @@ fn serve_connection(
                 let locks = engine.lock_stats();
                 let (plan_hits, plan_misses) = engine.plan_cache_stats();
                 let resp = Response::Stats(StatsReply {
-                    shared: locks.shared,
                     exclusive: locks.exclusive,
                     snapshot_reads: locks.snapshot_reads,
                     plan_hits,

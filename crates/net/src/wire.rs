@@ -23,7 +23,7 @@ pub const MAX_REQUEST_FRAME: usize = 1 << 20;
 pub const MAX_RESPONSE_FRAME: usize = 64 << 20;
 
 /// Protocol version byte carried in every request.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 // Request opcodes.
 const OP_QUERY: u8 = 1;
@@ -61,9 +61,7 @@ pub enum Request {
 /// commit-lock/snapshot split plus the statement-cache hit ratio.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsReply {
-    /// Shared (read-side) commit-lock acquisitions.
-    pub shared: u64,
-    /// Exclusive (write-side) commit-lock acquisitions.
+    /// Exclusive commit-lock acquisitions.
     pub exclusive: u64,
     /// Retrieves served lock-free from the published read view.
     pub snapshot_reads: u64,
@@ -503,7 +501,6 @@ pub fn encode_response(resp: &Response, max_bytes: usize) -> Vec<u8> {
         Response::Bye => put_u8(&mut buf, RESP_BYE),
         Response::Stats(s) => {
             put_u8(&mut buf, RESP_STATS);
-            put_u64(&mut buf, s.shared);
             put_u64(&mut buf, s.exclusive);
             put_u64(&mut buf, s.snapshot_reads);
             put_u64(&mut buf, s.plan_hits);
@@ -564,7 +561,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
         RESP_PONG => Ok(Response::Pong),
         RESP_BYE => Ok(Response::Bye),
         RESP_STATS => Ok(Response::Stats(StatsReply {
-            shared: c.u64()?,
             exclusive: c.u64()?,
             snapshot_reads: c.u64()?,
             plan_hits: c.u64()?,
@@ -691,7 +687,6 @@ mod tests {
     #[test]
     fn stats_response_roundtrips() {
         let stats = StatsReply {
-            shared: 3,
             exclusive: 17,
             snapshot_reads: 12_000,
             plan_hits: 990,

@@ -5,9 +5,7 @@
 //! of this paper"), so the catalog here is a plain in-memory registry —
 //! functionally the system relation, without charging page I/O for it.
 
-use crate::hash::HashFile;
 use crate::heap::HeapFile;
-use crate::isam::IsamFile;
 use crate::key::{HashFn, KeySpec};
 use crate::pager::Pager;
 use crate::relfile::{AccessMethod, RelFile};
@@ -148,6 +146,32 @@ impl StoredRelation {
         self.indexes.iter().find(|ix| ix.attr == attr)
     }
 
+    /// Build `rows` into a fresh file of the given organization, swap
+    /// the relation onto it and drop the old file (build aside, then
+    /// swap: see [`StoredRelation::modify`]).
+    fn rebuild_file(
+        &mut self,
+        pager: &Pager,
+        method: AccessMethod,
+        key_attr: Option<usize>,
+        fillfactor: u8,
+        hashfn: HashFn,
+        rows: &[Vec<u8>],
+    ) -> Result<()> {
+        let old_id = self.file.file_id();
+        self.file = RelFile::build_into(
+            pager,
+            pager.create_file()?,
+            method,
+            rows,
+            self.schema.row_width(),
+            key_attr.map(|attr| KeySpec::for_attr(&self.codec, attr)),
+            hashfn,
+            fillfactor,
+        )?;
+        pager.drop_file(old_id)
+    }
+
     /// Reorganize the relation: collect every stored row, build the
     /// requested organization in a *fresh* file, swap the relation onto
     /// it, and drop the old file. This is the `modify` statement.
@@ -173,38 +197,9 @@ impl StoredRelation {
         while let Some((_, row)) = cur.next(pager, &self.file)? {
             rows.push(row);
         }
-        let old_id = self.file.file_id();
-        let new_id = pager.create_file()?;
-        let width = self.schema.row_width();
-        self.file = match method {
-            AccessMethod::Heap => {
-                let heap = HeapFile::attach(new_id, width);
-                for row in &rows {
-                    heap.insert(pager, row)?;
-                }
-                pager.flush_file(new_id)?;
-                RelFile::Heap(heap)
-            }
-            AccessMethod::Hash => {
-                let attr = key_attr.ok_or_else(|| {
-                    Error::Semantic("modify to hash needs a key".into())
-                })?;
-                let key = KeySpec::for_attr(&self.codec, attr);
-                RelFile::Hash(HashFile::build_into(
-                    pager, new_id, &rows, width, key, hashfn, fillfactor,
-                )?)
-            }
-            AccessMethod::Isam => {
-                let attr = key_attr.ok_or_else(|| {
-                    Error::Semantic("modify to isam needs a key".into())
-                })?;
-                let key = KeySpec::for_attr(&self.codec, attr);
-                RelFile::Isam(IsamFile::build_into(
-                    pager, new_id, &rows, width, key, fillfactor,
-                )?)
-            }
-        };
-        pager.drop_file(old_id)?;
+        self.rebuild_file(
+            pager, method, key_attr, fillfactor, hashfn, &rows,
+        )?;
         self.key_attr = match method {
             AccessMethod::Heap => None,
             _ => key_attr,
@@ -225,47 +220,18 @@ impl StoredRelation {
         pager: &Pager,
         rows: &[Vec<u8>],
     ) -> Result<()> {
-        let old_id = self.file.file_id();
         let hashfn = match &self.file {
             RelFile::Hash(h) => h.hashfn,
             _ => HashFn::Mod,
         };
-        let new_id = pager.create_file()?;
-        let width = self.schema.row_width();
-        self.file = match (self.file.method(), self.key_attr) {
-            (AccessMethod::Heap, _) | (_, None) => {
-                let heap = HeapFile::attach(new_id, width);
-                for row in rows {
-                    heap.insert(pager, row)?;
-                }
-                pager.flush_file(new_id)?;
-                RelFile::Heap(heap)
-            }
-            (AccessMethod::Hash, Some(attr)) => {
-                let key = KeySpec::for_attr(&self.codec, attr);
-                RelFile::Hash(HashFile::build_into(
-                    pager,
-                    new_id,
-                    rows,
-                    width,
-                    key,
-                    hashfn,
-                    self.fillfactor,
-                )?)
-            }
-            (AccessMethod::Isam, Some(attr)) => {
-                let key = KeySpec::for_attr(&self.codec, attr);
-                RelFile::Isam(IsamFile::build_into(
-                    pager,
-                    new_id,
-                    rows,
-                    width,
-                    key,
-                    self.fillfactor,
-                )?)
-            }
-        };
-        pager.drop_file(old_id)?;
+        self.rebuild_file(
+            pager,
+            self.file.method(),
+            self.key_attr,
+            self.fillfactor,
+            hashfn,
+            rows,
+        )?;
         self.tuple_count = rows.len() as u64;
         self.rebuild_indexes(pager)
     }

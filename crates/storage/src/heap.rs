@@ -39,11 +39,7 @@ impl HeapFile {
             let last = n - 1;
             let w = self.row_width;
             let slot = pager.write(self.file, last, |p| {
-                if p.has_room(w) {
-                    Some(p.push_row(w, row))
-                } else {
-                    None
-                }
+                p.has_room(w).then(|| p.push_row(w, row))
             })?;
             if let Some(slot) = slot {
                 return Ok(TupleId::new(last, slot?));
@@ -54,39 +50,6 @@ impl HeapFile {
             p.push_row(self.row_width, row)
         })??;
         Ok(TupleId::new(page_no, slot))
-    }
-
-    /// Read the row at `tid`.
-    pub fn get(&self, pager: &Pager, tid: TupleId) -> Result<Vec<u8>> {
-        pager.read(self.file, tid.page, |p| {
-            p.row(self.row_width, tid.slot).map(|r| r.to_vec())
-        })?
-    }
-
-    /// Overwrite the row at `tid` in place.
-    pub fn update(
-        &self,
-        pager: &Pager,
-        tid: TupleId,
-        row: &[u8],
-    ) -> Result<()> {
-        pager.write(self.file, tid.page, |p| {
-            p.write_row(self.row_width, tid.slot, row)
-        })?
-    }
-
-    /// Physically remove the row at `tid` (compacting within the page).
-    /// Only static relations do this; versioned relations delete logically
-    /// by stamping a stop time.
-    pub fn delete(&self, pager: &Pager, tid: TupleId) -> Result<()> {
-        pager.write(self.file, tid.page, |p| {
-            p.remove_row(self.row_width, tid.slot).map(|_| ())
-        })?
-    }
-
-    /// Total pages (all are data pages for a heap).
-    pub fn total_pages(&self, pager: &Pager) -> Result<u32> {
-        pager.page_count(self.file)
     }
 
     /// Begin a full scan.
@@ -115,14 +78,9 @@ impl HeapScan {
         let n = pager.page_count(heap.file)?;
         while self.page < n {
             let got = pager.read(heap.file, self.page, |p| {
-                if (self.slot as usize) < p.count() {
-                    Some(
-                        p.row(heap.row_width, self.slot)
-                            .map(|r| r.to_vec()),
-                    )
-                } else {
-                    None
-                }
+                ((self.slot as usize) < p.count()).then(|| {
+                    p.row(heap.row_width, self.slot).map(|r| r.to_vec())
+                })
             })?;
             match got {
                 Some(row) => {
@@ -156,7 +114,7 @@ mod tests {
         for i in 0..25u8 {
             heap.insert(&pager, &row(i, 100)).unwrap();
         }
-        assert_eq!(heap.total_pages(&pager).unwrap(), 3);
+        assert_eq!(pager.page_count(heap.file).unwrap(), 3);
         let mut scan = heap.scan();
         let mut seen = Vec::new();
         while let Some((_, r)) = scan.next(&pager, &heap).unwrap() {
@@ -178,23 +136,8 @@ mod tests {
         while scan.next(&pager, &heap).unwrap().is_some() {}
         assert_eq!(
             cost.of(heap.file).reads as u32,
-            heap.total_pages(&pager).unwrap()
+            pager.page_count(heap.file).unwrap()
         );
-    }
-
-    #[test]
-    fn get_update_delete_roundtrip() {
-        let pager = Pager::in_memory();
-        let heap = HeapFile::create(&pager, 10).unwrap();
-        let a = heap.insert(&pager, &row(1, 10)).unwrap();
-        let b = heap.insert(&pager, &row(2, 10)).unwrap();
-        assert_eq!(heap.get(&pager, a).unwrap(), row(1, 10));
-        heap.update(&pager, a, &row(9, 10)).unwrap();
-        assert_eq!(heap.get(&pager, a).unwrap(), row(9, 10));
-        heap.delete(&pager, a).unwrap();
-        // b moved into a's slot (compaction).
-        assert_eq!(heap.get(&pager, a).unwrap(), row(2, 10));
-        assert!(heap.get(&pager, b).is_err());
     }
 
     #[test]
@@ -203,6 +146,6 @@ mod tests {
         let heap = HeapFile::create(&pager, 10).unwrap();
         let mut scan = heap.scan();
         assert!(scan.next(&pager, &heap).unwrap().is_none());
-        assert_eq!(heap.total_pages(&pager).unwrap(), 0);
+        assert_eq!(pager.page_count(heap.file).unwrap(), 0);
     }
 }

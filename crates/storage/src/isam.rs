@@ -15,10 +15,10 @@
 //! not help to shorten overflow chains, because all versions of a tuple
 //! share the same key".
 
-use crate::bloom::Bloom;
 use crate::disk::FileId;
 use crate::key::KeySpec;
-use crate::page::{page_capacity, PageKind, NO_PAGE};
+use crate::overflow::{fresh_guard, ChainFile, ChainLookup};
+use crate::page::{page_capacity, rows_per_page_at_fill, PageKind};
 use crate::pager::Pager;
 use crate::tuple::TupleId;
 use std::cmp::Ordering;
@@ -28,14 +28,8 @@ use tdbms_kernel::{Error, Result};
 /// An ISAM file of fixed-width rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IsamFile {
-    /// The underlying storage file.
-    pub file: FileId,
-    /// Fixed row width in bytes.
-    pub row_width: usize,
-    /// Where the key lives in a row.
-    pub key: KeySpec,
-    /// Number of data pages (pages `0..n_data_pages`).
-    pub n_data_pages: u32,
+    /// The data-page chains: head pages are the sorted data pages.
+    pub chain: ChainFile,
     /// Directory page ranges, leaf level first, root level last. The root
     /// range always has length 1.
     pub levels: Vec<Range<u32>>,
@@ -80,8 +74,7 @@ impl IsamFile {
         }
         sorted.sort_by(|a, b| key.compare(key.extract(a), key.extract(b)));
 
-        let per_page =
-            crate::hash::rows_per_page_at_fill(row_width, fillfactor);
+        let per_page = rows_per_page_at_fill(row_width, fillfactor);
 
         // Data pages, filled to the fill factor.
         let mut first_keys: Vec<Vec<u8>> = Vec::new();
@@ -130,17 +123,14 @@ impl IsamFile {
         // An ISAM build never spills (chains only grow through inserts),
         // so the chain guard starts empty: every data page's overflow
         // walk is skippable until an insert lands behind it.
-        pager.bloom_install(
-            file,
-            Bloom::sized_for(rows.len().max(16), u64::from(file.0)),
-        );
-        Ok(IsamFile {
+        pager.bloom_install(file, fresh_guard(file, rows.len()));
+        let chain = ChainFile {
             file,
             row_width,
             key,
-            n_data_pages,
-            levels,
-        })
+            n_heads: n_data_pages,
+        };
+        Ok(IsamFile { chain, levels })
     }
 
     /// Number of directory pages (of all levels).
@@ -154,41 +144,9 @@ impl IsamFile {
         self.levels.len() as u32
     }
 
-    /// Total pages: data + overflow + directory.
-    pub fn total_pages(&self, pager: &Pager) -> Result<u32> {
-        pager.page_count(self.file)
-    }
-
     /// Pages a sequential scan touches: everything except the directory.
     pub fn scannable_pages(&self, pager: &Pager) -> Result<u32> {
-        Ok(self.total_pages(pager)? - self.n_directory_pages())
-    }
-
-    /// Stored entries at directory level `i` (level 0 is the leaf level,
-    /// whose entries are data-page first keys).
-    fn entries_of_level(&self, i: usize) -> u32 {
-        if i == 0 {
-            self.n_data_pages
-        } else {
-            self.levels[i - 1].end - self.levels[i - 1].start
-        }
-    }
-
-    /// Read directory entry `idx` (a level-wide index) of level `i`.
-    /// Consecutive indices hit the same buffered page, so walking a run of
-    /// entries costs one page read.
-    fn dir_entry(
-        &self,
-        pager: &Pager,
-        i: usize,
-        idx: u32,
-    ) -> Result<Vec<u8>> {
-        let fanout = page_capacity(self.key.len) as u32;
-        let page = self.levels[i].start + idx / fanout;
-        let slot = (idx % fanout) as u16;
-        pager.read(self.file, page, |p| {
-            p.row(self.key.len, slot).map(|r| r.to_vec())
-        })?
+        Ok(pager.page_count(self.chain.file)? - self.n_directory_pages())
     }
 
     /// Descend the directory for `key_bytes`. Returns the inclusive range
@@ -197,112 +155,58 @@ impl IsamFile {
     /// tail), plus every following page whose first key *equals* the key
     /// (duplicate runs).
     ///
-    /// A candidate entry range is narrowed level by level, so boundary keys
-    /// (a key equal to some page's first key) are handled exactly. For a
-    /// key that is not a boundary — every benchmark key — the descent reads
-    /// exactly one directory page per level, the paper's keyed-ISAM cost;
-    /// a boundary key may touch a second page at a level.
+    /// An entry's position is its child's page index one level down, so
+    /// the candidate range narrowed at one level is the page range to
+    /// search at the next, and boundary keys (a key equal to some page's
+    /// first key) are handled exactly. For a key that is not a boundary —
+    /// every benchmark key — the descent reads exactly one directory page
+    /// per level, the paper's keyed-ISAM cost; a boundary key may touch a
+    /// second page at a level. Each visited page is accessed once and
+    /// searched in place.
     fn descend(
         &self,
         pager: &Pager,
         key_bytes: &[u8],
     ) -> Result<(u32, u32)> {
-        let fanout = page_capacity(self.key.len) as u32;
-        let nlevels = self.levels.len();
-        // Candidate entry range at the current level, inclusive.
-        let mut cs: u32 = 0;
-        let mut ce: u32 = self.entries_of_level(nlevels - 1) - 1;
-        for i in (0..nlevels).rev() {
-            // Narrow [cs, ce] to the children that can contain the key:
-            // the rightmost entry below it plus any run of equal entries.
-            let mut new_cs = cs;
-            let mut new_ce = cs;
-            for idx in cs..=ce {
-                let entry = self.dir_entry(pager, i, idx)?;
-                match self.key.compare(&entry, key_bytes) {
-                    Ordering::Less => {
-                        new_cs = idx;
-                        new_ce = idx;
-                    }
-                    Ordering::Equal => new_ce = idx,
-                    Ordering::Greater => break,
+        let key = self.chain.key;
+        let fanout = page_capacity(key.len) as u32;
+        // Candidate pages within the current level; the root is one page.
+        let (mut start, mut end) = (0, 0);
+        for level in self.levels.iter().rev() {
+            // Narrow to the children that can contain the key: the
+            // rightmost entry below it plus any run of equal entries.
+            let (mut lo, mut hi) = (start * fanout, start * fanout);
+            for page in start..=end {
+                let dir_page = level.start + page;
+                let passed =
+                    pager.read(self.chain.file, dir_page, |p| {
+                        for slot in 0..p.count() as u32 {
+                            let idx = page * fanout + slot;
+                            let entry = p.row(key.len, slot as u16)?;
+                            match key.compare(entry, key_bytes) {
+                                Ordering::Less => (lo, hi) = (idx, idx),
+                                Ordering::Equal => hi = idx,
+                                Ordering::Greater => return Ok(true),
+                            }
+                        }
+                        Ok::<_, Error>(false)
+                    })??;
+                if passed {
+                    break;
                 }
             }
-            if i == 0 {
-                return Ok((new_cs, new_ce));
-            }
-            // Expand to the entries those child pages hold, one level down.
-            cs = new_cs * fanout;
-            ce = ((new_ce + 1) * fanout - 1)
-                .min(self.entries_of_level(i - 1) - 1);
+            (start, end) = (lo, hi);
         }
-        unreachable!("loop returns at the leaf level")
+        Ok((start, end))
     }
 
-    /// Insert a row: descend to its data page, then place it in the first
-    /// chain page with room (appending an overflow page if needed).
+    /// Insert a row on the chain of the *last* candidate data page: for a
+    /// key equal to some page's first key that is the page which naturally
+    /// owns it, so uniform update rounds grow every data page's chain
+    /// evenly.
     pub fn insert(&self, pager: &Pager, row: &[u8]) -> Result<TupleId> {
-        if row.len() != self.row_width {
-            return Err(Error::RowSize {
-                expected: self.row_width,
-                got: row.len(),
-            });
-        }
-        // Insert at the *last* candidate page: for a key equal to some
-        // page's first key that is the page which naturally owns it, so
-        // uniform update rounds grow every data page's chain evenly.
-        let (_start, primary) =
-            self.descend(pager, self.key.extract(row))?;
-        let mut page_no = primary;
-        loop {
-            let w = self.row_width;
-            let (slot, next) = pager.write(self.file, page_no, |p| {
-                if p.has_room(w) {
-                    (Some(p.push_row(w, row)), NO_PAGE)
-                } else {
-                    (None, p.overflow())
-                }
-            })?;
-            if let Some(slot) = slot {
-                if page_no != primary {
-                    pager.bloom_note_overflow(
-                        self.file,
-                        self.key.extract(row),
-                    );
-                }
-                return Ok(TupleId::new(page_no, slot?));
-            }
-            if next == NO_PAGE {
-                let of =
-                    pager.append_page(self.file, PageKind::Overflow)?;
-                pager.write(self.file, page_no, |p| p.set_overflow(of))?;
-                let slot = pager.write(self.file, of, |p| {
-                    p.push_row(self.row_width, row)
-                })??;
-                pager.bloom_note_overflow(self.file, self.key.extract(row));
-                return Ok(TupleId::new(of, slot));
-            }
-            page_no = next;
-        }
-    }
-
-    /// Read the row at `tid`.
-    pub fn get(&self, pager: &Pager, tid: TupleId) -> Result<Vec<u8>> {
-        pager.read(self.file, tid.page, |p| {
-            p.row(self.row_width, tid.slot).map(|r| r.to_vec())
-        })?
-    }
-
-    /// Overwrite the row at `tid` in place.
-    pub fn update(
-        &self,
-        pager: &Pager,
-        tid: TupleId,
-        row: &[u8],
-    ) -> Result<()> {
-        pager.write(self.file, tid.page, |p| {
-            p.write_row(self.row_width, tid.slot, row)
-        })?
+        self.chain
+            .insert(pager, row, |k| Ok(self.descend(pager, k)?.1))
     }
 
     /// Begin a keyed lookup: descends the directory (one read per level),
@@ -312,146 +216,8 @@ impl IsamFile {
         &self,
         pager: &Pager,
         key_bytes: &[u8],
-    ) -> Result<IsamLookup> {
-        let (start, end) = self.descend(pager, key_bytes)?;
-        Ok(IsamLookup {
-            key: key_bytes.to_vec(),
-            page: start,
-            data_page: start,
-            end_data_page: end,
-            slot: 0,
-            done: false,
-        })
-    }
-
-    /// Begin a full scan of data + overflow pages (directory untouched).
-    pub fn scan(&self) -> IsamScan {
-        IsamScan {
-            data_page: 0,
-            page: 0,
-            slot: 0,
-        }
-    }
-}
-
-/// Cursor over the versions matching one key.
-#[derive(Debug, Clone)]
-pub struct IsamLookup {
-    key: Vec<u8>,
-    /// Current page in the current data page's chain.
-    page: u32,
-    /// Current data (primary) page.
-    data_page: u32,
-    /// Last candidate data page (inclusive).
-    end_data_page: u32,
-    slot: u16,
-    done: bool,
-}
-
-impl IsamLookup {
-    /// Advance to the next version with the sought key.
-    pub fn next(
-        &mut self,
-        pager: &Pager,
-        isam: &IsamFile,
-    ) -> Result<Option<(TupleId, Vec<u8>)>> {
-        while !self.done {
-            let page_no = self.page;
-            let start = self.slot;
-            let key = &self.key;
-            let step = pager.read(isam.file, page_no, |p| {
-                let mut s = start;
-                while (s as usize) < p.count() {
-                    let row = p.row(isam.row_width, s)?;
-                    if isam.key.compare(isam.key.extract(row), key)
-                        == Ordering::Equal
-                    {
-                        return Ok::<_, Error>(Err((s, row.to_vec())));
-                    }
-                    s += 1;
-                }
-                Ok(Ok(p.overflow()))
-            })??;
-            match step {
-                Err((slot, row)) => {
-                    self.slot = slot + 1;
-                    return Ok(Some((TupleId::new(page_no, slot), row)));
-                }
-                Ok(next) => {
-                    self.slot = 0;
-                    if next != NO_PAGE
-                        && page_no == self.data_page
-                        && pager.bloom_check(isam.file, &self.key)
-                            == Some(false)
-                    {
-                        // Leaving a data page for its overflow chain, but
-                        // the guard says no version of this key was ever
-                        // placed on overflow: skip the walk. (Build-time
-                        // chains are empty, so overflow rows exist only
-                        // via inserts, which always note the key.)
-                        if self.data_page < self.end_data_page {
-                            self.data_page += 1;
-                            self.page = self.data_page;
-                        } else {
-                            self.done = true;
-                        }
-                    } else if next != NO_PAGE {
-                        self.page = next;
-                    } else if self.data_page < self.end_data_page {
-                        // Equal-key run continues on the next data page.
-                        self.data_page += 1;
-                        self.page = self.data_page;
-                    } else {
-                        self.done = true;
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// Cursor over every data/overflow row, data page by data page.
-#[derive(Debug, Clone)]
-pub struct IsamScan {
-    data_page: u32,
-    page: u32,
-    slot: u16,
-}
-
-impl IsamScan {
-    /// Advance; `None` once every data page's chain is exhausted.
-    pub fn next(
-        &mut self,
-        pager: &Pager,
-        isam: &IsamFile,
-    ) -> Result<Option<(TupleId, Vec<u8>)>> {
-        while self.data_page < isam.n_data_pages {
-            let got = pager.read(isam.file, self.page, |p| {
-                if (self.slot as usize) < p.count() {
-                    Some(
-                        p.row(isam.row_width, self.slot)
-                            .map(|r| r.to_vec()),
-                    )
-                } else {
-                    self.slot = 0;
-                    let next = p.overflow();
-                    if next == NO_PAGE {
-                        self.data_page += 1;
-                        self.page = self.data_page;
-                    } else {
-                        self.page = next;
-                    }
-                    None
-                }
-            })?;
-            if let Some(row) = got {
-                let tid = TupleId::new(self.page, self.slot);
-                self.slot += 1;
-                return Ok(Some((tid, row?)));
-            }
-        }
-        Ok(None)
+    ) -> Result<ChainLookup> {
+        Ok(ChainLookup::new(key_bytes, self.descend(pager, key_bytes)?))
     }
 }
 
@@ -459,6 +225,7 @@ impl IsamScan {
 mod tests {
     use super::*;
     use crate::key::KeyKind;
+    use crate::overflow::ChainScan;
     use tdbms_kernel::{AttrDef, Domain, RowCodec, Schema, Value};
 
     fn make_rows(n: i32, width_pad: u16) -> (RowCodec, Vec<Vec<u8>>) {
@@ -496,19 +263,19 @@ mod tests {
         let pager = Pager::in_memory();
         let f =
             IsamFile::build(&pager, &rows, 108, key(&codec), 100).unwrap();
-        assert_eq!(f.n_data_pages, 114);
+        assert_eq!(f.chain.n_heads, 114);
         assert_eq!(f.n_directory_pages(), 1);
         assert_eq!(f.n_levels(), 1);
-        assert_eq!(f.total_pages(&pager).unwrap(), 115);
+        assert_eq!(pager.page_count(f.chain.file).unwrap(), 115);
 
         // 50 % fill: 256 data pages; 256 entries exceed one directory page
         // (fanout 253), so two leaf pages plus a root = 3 directory pages.
         let f50 =
             IsamFile::build(&pager, &rows, 108, key(&codec), 50).unwrap();
-        assert_eq!(f50.n_data_pages, 256);
+        assert_eq!(f50.chain.n_heads, 256);
         assert_eq!(f50.n_directory_pages(), 3);
         assert_eq!(f50.n_levels(), 2);
-        assert_eq!(f50.total_pages(&pager).unwrap(), 259);
+        assert_eq!(pager.page_count(f50.chain.file).unwrap(), 259);
     }
 
     #[test]
@@ -522,13 +289,13 @@ mod tests {
         let kb = 500i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         let mut n = 0;
-        while let Some((_, row)) = cur.next(&pager, &f).unwrap() {
+        while let Some((_, row)) = cur.next(&pager, &f.chain).unwrap() {
             assert_eq!(codec.get_i4(&row, 0), 500);
             n += 1;
         }
         assert_eq!(n, 1);
         // 1 directory + 1 data page = the paper's Q02 cost of 2 at UC 0.
-        assert_eq!(cost.of(f.file).reads, 2);
+        assert_eq!(cost.of(f.chain.file).reads, 2);
 
         // At 50 % loading the directory has two levels: cost 3 (paper's
         // Q02 at 50 %).
@@ -537,8 +304,8 @@ mod tests {
         pager.invalidate_buffers().unwrap();
         let cost = pager.stats().scope();
         let mut cur = f50.lookup(&pager, &kb).unwrap();
-        while cur.next(&pager, &f50).unwrap().is_some() {}
-        assert_eq!(cost.of(f50.file).reads, 3);
+        while cur.next(&pager, &f50.chain).unwrap().is_some() {}
+        assert_eq!(cost.of(f50.chain.file).reads, 3);
     }
 
     #[test]
@@ -549,13 +316,13 @@ mod tests {
             IsamFile::build(&pager, &rows, 108, key(&codec), 100).unwrap();
         pager.invalidate_buffers().unwrap();
         let cost = pager.stats().scope();
-        let mut scan = f.scan();
+        let mut scan = ChainScan::default();
         let mut n = 0;
-        while scan.next(&pager, &f).unwrap().is_some() {
+        while scan.next(&pager, &f.chain).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 1024);
-        assert_eq!(cost.of(f.file).reads, 114);
+        assert_eq!(cost.of(f.chain.file).reads, 114);
     }
 
     #[test]
@@ -564,9 +331,9 @@ mod tests {
         let pager = Pager::in_memory();
         let f =
             IsamFile::build(&pager, &rows, 108, key(&codec), 100).unwrap();
-        let mut scan = f.scan();
+        let mut scan = ChainScan::default();
         let mut prev = i32::MIN;
-        while let Some((_, row)) = scan.next(&pager, &f).unwrap() {
+        while let Some((_, row)) = scan.next(&pager, &f.chain).unwrap() {
             let id = codec.get_i4(&row, 0);
             assert!(id > prev);
             prev = id;
@@ -591,58 +358,20 @@ mod tests {
         let kb = 12i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         let mut n = 0;
-        while cur.next(&pager, &f).unwrap().is_some() {
+        while cur.next(&pager, &f.chain).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 13);
         // dir (1) + data page + 2 overflow pages (8 full + 12 versions:
         // page had 9, 8 original + 1 new fills it, 11 more → 2 overflow).
-        assert_eq!(cost.of(f.file).reads, 4);
+        assert_eq!(cost.of(f.chain.file).reads, 4);
         // Unrelated key in another page: still 2 reads.
         pager.invalidate_buffers().unwrap();
         let cost = pager.stats().scope();
         let kb = 60i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
-        while cur.next(&pager, &f).unwrap().is_some() {}
-        assert_eq!(cost.of(f.file).reads, 2);
-    }
-
-    #[test]
-    fn bloom_guard_skips_absent_key_chain_walk() {
-        let (codec, rows) = make_rows(64, 104);
-        let pager = Pager::in_memory();
-        pager.set_bloom_guards(true);
-        let f =
-            IsamFile::build(&pager, &rows, 108, key(&codec), 100).unwrap();
-        // Chain 12 versions of key 12 behind its data page.
-        let v = codec
-            .encode(&[Value::Int(12), Value::Str("v".into())])
-            .unwrap();
-        for _ in 0..12 {
-            f.insert(&pager, &v).unwrap();
-        }
-        // Key 11 lives on the same data page but never spilled: the
-        // guard stops the lookup before the 2-page overflow walk.
-        pager.invalidate_buffers().unwrap();
-        let cost = pager.stats().scope();
-        let mut cur = f.lookup(&pager, &11i32.to_le_bytes()).unwrap();
-        let mut n = 0;
-        while cur.next(&pager, &f).unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 1);
-        assert_eq!(cost.of(f.file).reads, 2); // dir + data only
-        assert_eq!(cost.total().bloom_skips, 1);
-        // The spilled key still walks its whole chain.
-        pager.invalidate_buffers().unwrap();
-        let cost = pager.stats().scope();
-        let mut cur = f.lookup(&pager, &12i32.to_le_bytes()).unwrap();
-        let mut n = 0;
-        while cur.next(&pager, &f).unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 13);
-        assert_eq!(cost.of(f.file).reads, 4);
+        while cur.next(&pager, &f.chain).unwrap().is_some() {}
+        assert_eq!(cost.of(f.chain.file).reads, 2);
     }
 
     #[test]
@@ -692,7 +421,7 @@ mod tests {
         let kb = 5i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         let mut n = 0;
-        while cur.next(&pager, &f).unwrap().is_some() {
+        while cur.next(&pager, &f.chain).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 31);
@@ -708,7 +437,7 @@ mod tests {
             let kb = probe.to_le_bytes();
             let mut cur = f.lookup(&pager, &kb).unwrap();
             assert!(
-                cur.next(&pager, &f).unwrap().is_none(),
+                cur.next(&pager, &f.chain).unwrap().is_none(),
                 "key {probe} should be absent"
             );
         }
@@ -720,10 +449,10 @@ mod tests {
         let pager = Pager::in_memory();
         let f =
             IsamFile::build(&pager, &[], 108, key(&codec), 100).unwrap();
-        assert_eq!(f.n_data_pages, 1);
+        assert_eq!(f.chain.n_heads, 1);
         assert_eq!(f.n_directory_pages(), 1);
-        let mut scan = f.scan();
-        assert!(scan.next(&pager, &f).unwrap().is_none());
+        let mut scan = ChainScan::default();
+        assert!(scan.next(&pager, &f.chain).unwrap().is_none());
     }
 
     #[test]
@@ -755,17 +484,17 @@ mod tests {
             100,
         )
         .unwrap();
-        assert_eq!(f.n_data_pages, 9); // 2 rows per page
+        assert_eq!(f.chain.n_heads, 9); // 2 rows per page
         assert_eq!(f.n_levels(), 4);
         // Every key is findable through the deep directory.
         for i in 0..18 {
             let probe = codec
                 .encode(&[Value::Str(format!("key{:02}", i))])
                 .unwrap();
-            let kb = f.key.extract(&probe).to_vec();
+            let kb = f.chain.key.extract(&probe).to_vec();
             let mut cur = f.lookup(&pager, &kb).unwrap();
             assert!(
-                cur.next(&pager, &f).unwrap().is_some(),
+                cur.next(&pager, &f.chain).unwrap().is_some(),
                 "key{:02} not found",
                 i
             );

@@ -9,8 +9,9 @@
 //!   frame per file, the paper's configuration) and page-access accounting.
 //! * [`iostats`] — the benchmark's metric: page reads/writes per file.
 //! * [`heap`], [`hash`], [`isam`] — the three access methods the paper
-//!   exercises, each with the overflow-chain behaviour its analysis is
-//!   built on.
+//!   exercises.
+//! * [`overflow`] — the head-page-plus-chain mechanics hash and ISAM
+//!   share: the behaviour the paper's analysis is built on.
 //! * [`relfile`] — the access methods behind one interface.
 //! * [`catalog`] — the registry of stored relations plus the `modify`
 //!   reorganization.
@@ -30,6 +31,7 @@ pub mod history;
 pub mod iostats;
 pub mod isam;
 pub mod key;
+pub mod overflow;
 pub mod page;
 pub mod pager;
 pub mod persist;
@@ -42,14 +44,16 @@ pub use catalog::{Catalog, NamedIndex, RelId, StoredRelation};
 pub use checksum::{fnv64, ChecksumSet, SUMS_FILE};
 pub use disk::{DiskManager, FileDisk, FileId, MemDisk};
 pub use fault::{FaultDisk, FaultPlan, SharedMemDisk};
-pub use hash::{rows_per_page_at_fill, HashFile};
+pub use hash::HashFile;
 pub use heap::HeapFile;
 pub use history::ClusteredHistory;
 pub use iostats::{FileIo, IoStats, PhaseIo, StatScope};
 pub use isam::IsamFile;
 pub use key::{HashFn, KeyKind, KeySpec};
+pub use overflow::{ChainFile, ChainLookup, ChainScan};
 pub use page::{
-    page_capacity, Page, PageKind, NO_PAGE, PAGE_HEADER, PAGE_SIZE,
+    page_capacity, rows_per_page_at_fill, Page, PageKind, NO_PAGE,
+    PAGE_HEADER, PAGE_SIZE,
 };
 pub use pager::{
     BufferConfig, EvictionPolicy, Pager, DEFAULT_READ_RETRIES,

@@ -64,6 +64,13 @@ pub fn page_capacity(row_width: usize) -> usize {
     (PAGE_SIZE - PAGE_HEADER) / row_width
 }
 
+/// Rows a primary page receives at build time for fill factor `ff` (in
+/// percent): `floor(capacity * ff / 100)`, at least 1.
+pub fn rows_per_page_at_fill(row_width: usize, fillfactor: u8) -> usize {
+    (page_capacity(row_width) * fillfactor.clamp(1, 100) as usize / 100)
+        .max(1)
+}
+
 /// An in-memory page image.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {

@@ -25,6 +25,7 @@ use crate::hash::HashFile;
 use crate::heap::HeapFile;
 use crate::isam::IsamFile;
 use crate::key::{HashFn, KeySpec};
+use crate::overflow::ChainFile;
 use crate::pager::Pager;
 use crate::relfile::RelFile;
 use crate::secondary::{IndexStructure, SecondaryIndex};
@@ -62,8 +63,8 @@ fn write_relfile(out: &mut String, f: &RelFile, key_attr: Option<usize>) {
             writeln!(
                 out,
                 "file hash {} {} {} {}",
-                h.file.0,
-                h.nbuckets,
+                h.chain.file.0,
+                h.chain.n_heads,
                 hashfn_str(h.hashfn),
                 key_attr.expect("hash files are keyed"),
             )
@@ -78,8 +79,8 @@ fn write_relfile(out: &mut String, f: &RelFile, key_attr: Option<usize>) {
             writeln!(
                 out,
                 "file isam {} {} {} {}",
-                i.file.0,
-                i.n_data_pages,
+                i.chain.file.0,
+                i.chain.n_heads,
                 key_attr.expect("isam files are keyed"),
                 levels.join(","),
             )
@@ -113,10 +114,12 @@ fn parse_relfile(
             let key = KeySpec::for_attr(codec, key_attr);
             Ok((
                 RelFile::Hash(HashFile {
-                    file: crate::disk::FileId(id),
-                    row_width,
-                    nbuckets,
-                    key,
+                    chain: ChainFile {
+                        file: crate::disk::FileId(id),
+                        row_width,
+                        key,
+                        n_heads: nbuckets,
+                    },
                     hashfn: parse_hashfn(hashfn)?,
                 }),
                 Some(key_attr),
@@ -137,10 +140,12 @@ fn parse_relfile(
             }
             Ok((
                 RelFile::Isam(IsamFile {
-                    file: crate::disk::FileId(id),
-                    row_width,
-                    key,
-                    n_data_pages,
+                    chain: ChainFile {
+                        file: crate::disk::FileId(id),
+                        row_width,
+                        key,
+                        n_heads: n_data_pages,
+                    },
                     levels: ranges,
                 }),
                 Some(key_attr),
@@ -423,10 +428,12 @@ fn parse_relfile_for_entries(
             let nbuckets: u32 = nbuckets.parse().map_err(|_| bad())?;
             Ok((
                 RelFile::Hash(HashFile {
-                    file: crate::disk::FileId(id),
-                    row_width: entry_width,
-                    nbuckets,
-                    key,
+                    chain: ChainFile {
+                        file: crate::disk::FileId(id),
+                        row_width: entry_width,
+                        key,
+                        n_heads: nbuckets,
+                    },
                     hashfn: parse_hashfn(hashfn)?,
                 }),
                 Some(0),

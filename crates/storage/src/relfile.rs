@@ -3,12 +3,17 @@
 //! [`RelFile`] unifies the three access methods behind one interface so the
 //! query processor can pick an access path ([`RelFile::lookup_eq`] when a
 //! key-equality predicate exists, [`RelFile::scan`] otherwise) without
-//! caring how the relation is organized.
+//! caring how the relation is organized. Below it there are two kinds of
+//! file: heaps, and the chained files of [`crate::overflow`] (hash and
+//! ISAM, which differ only in how they are built and how a key finds its
+//! head pages).
 
 use crate::disk::FileId;
-use crate::hash::{HashFile, HashLookup, HashScan};
+use crate::hash::HashFile;
 use crate::heap::{HeapFile, HeapScan};
-use crate::isam::{IsamFile, IsamLookup, IsamScan};
+use crate::isam::IsamFile;
+use crate::key::{HashFn, KeySpec};
+use crate::overflow::{ChainFile, ChainLookup, ChainScan};
 use crate::pager::Pager;
 use crate::tuple::TupleId;
 use tdbms_kernel::{Error, Result};
@@ -47,6 +52,54 @@ pub enum RelFile {
 }
 
 impl RelFile {
+    /// Build `method`'s organization over `rows` in the empty file
+    /// `file`. The keyed organizations need `key`; `hashfn` matters to
+    /// hash only.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build_into(
+        pager: &Pager,
+        file: FileId,
+        method: AccessMethod,
+        rows: &[Vec<u8>],
+        row_width: usize,
+        key: Option<KeySpec>,
+        hashfn: HashFn,
+        fillfactor: u8,
+    ) -> Result<RelFile> {
+        let keyed = || {
+            key.ok_or_else(|| {
+                Error::Semantic(format!("modify to {method} needs a key"))
+            })
+        };
+        Ok(match method {
+            AccessMethod::Heap => {
+                let heap = HeapFile::attach(file, row_width);
+                for row in rows {
+                    heap.insert(pager, row)?;
+                }
+                pager.flush_file(file)?;
+                RelFile::Heap(heap)
+            }
+            AccessMethod::Hash => RelFile::Hash(HashFile::build_into(
+                pager,
+                file,
+                rows,
+                row_width,
+                keyed()?,
+                hashfn,
+                fillfactor,
+            )?),
+            AccessMethod::Isam => RelFile::Isam(IsamFile::build_into(
+                pager,
+                file,
+                rows,
+                row_width,
+                keyed()?,
+                fillfactor,
+            )?),
+        })
+    }
+
     /// The organization tag.
     pub fn method(&self) -> AccessMethod {
         match self {
@@ -60,8 +113,8 @@ impl RelFile {
     pub fn file_id(&self) -> FileId {
         match self {
             RelFile::Heap(f) => f.file,
-            RelFile::Hash(f) => f.file,
-            RelFile::Isam(f) => f.file,
+            RelFile::Hash(f) => f.chain.file,
+            RelFile::Isam(f) => f.chain.file,
         }
     }
 
@@ -69,8 +122,17 @@ impl RelFile {
     pub fn row_width(&self) -> usize {
         match self {
             RelFile::Heap(f) => f.row_width,
-            RelFile::Hash(f) => f.row_width,
-            RelFile::Isam(f) => f.row_width,
+            RelFile::Hash(f) => f.chain.row_width,
+            RelFile::Isam(f) => f.chain.row_width,
+        }
+    }
+
+    /// The chained view of a keyed file (`None` for heaps).
+    fn chain(&self) -> Option<&ChainFile> {
+        match self {
+            RelFile::Heap(_) => None,
+            RelFile::Hash(f) => Some(&f.chain),
+            RelFile::Isam(f) => Some(&f.chain),
         }
     }
 
@@ -85,25 +147,24 @@ impl RelFile {
 
     /// Read the row at `tid`.
     pub fn get(&self, pager: &Pager, tid: TupleId) -> Result<Vec<u8>> {
-        match self {
-            RelFile::Heap(f) => f.get(pager, tid),
-            RelFile::Hash(f) => f.get(pager, tid),
-            RelFile::Isam(f) => f.get(pager, tid),
-        }
+        let w = self.row_width();
+        pager.read(self.file_id(), tid.page, |p| {
+            p.row(w, tid.slot).map(|r| r.to_vec())
+        })?
     }
 
-    /// Overwrite the row at `tid` in place.
+    /// Overwrite the row at `tid` in place (logical deletion stamps a stop
+    /// time this way).
     pub fn update(
         &self,
         pager: &Pager,
         tid: TupleId,
         row: &[u8],
     ) -> Result<()> {
-        match self {
-            RelFile::Heap(f) => f.update(pager, tid, row),
-            RelFile::Hash(f) => f.update(pager, tid, row),
-            RelFile::Isam(f) => f.update(pager, tid, row),
-        }
+        let w = self.row_width();
+        pager.write(self.file_id(), tid.page, |p| {
+            p.write_row(w, tid.slot, row)
+        })?
     }
 
     /// Physically remove the row at `tid`, compacting within its page.
@@ -121,8 +182,7 @@ impl RelFile {
     pub fn scan(&self) -> RelScan {
         match self {
             RelFile::Heap(f) => RelScan::Heap(f.scan()),
-            RelFile::Hash(f) => RelScan::Hash(f.scan()),
-            RelFile::Isam(f) => RelScan::Isam(f.scan()),
+            _ => RelScan::Chain(ChainScan::default()),
         }
     }
 
@@ -133,15 +193,13 @@ impl RelFile {
         pager: &Pager,
         key_bytes: &[u8],
     ) -> Result<Option<RelLookup>> {
-        match self {
-            RelFile::Heap(_) => Ok(None),
-            RelFile::Hash(f) => {
-                Ok(Some(RelLookup::Hash(f.lookup(key_bytes))))
-            }
+        Ok(match self {
+            RelFile::Heap(_) => None,
+            RelFile::Hash(f) => Some(RelLookup(f.lookup(key_bytes))),
             RelFile::Isam(f) => {
-                Ok(Some(RelLookup::Isam(f.lookup(pager, key_bytes)?)))
+                Some(RelLookup(f.lookup(pager, key_bytes)?))
             }
-        }
+        })
     }
 
     /// Total pages, including any directory.
@@ -166,15 +224,19 @@ impl RelFile {
     }
 }
 
+fn mismatch(what: &str) -> Error {
+    Error::Internal(format!(
+        "{what} cursor does not match file organization"
+    ))
+}
+
 /// A full-scan cursor over any organization.
 #[derive(Debug, Clone)]
 pub enum RelScan {
     /// Heap scan state.
     Heap(HeapScan),
-    /// Hash scan state.
-    Hash(HashScan),
-    /// ISAM scan state.
-    Isam(IsamScan),
+    /// Hash or ISAM scan state.
+    Chain(ChainScan),
 }
 
 impl RelScan {
@@ -186,23 +248,17 @@ impl RelScan {
     ) -> Result<Option<(TupleId, Vec<u8>)>> {
         match (self, file) {
             (RelScan::Heap(c), RelFile::Heap(f)) => c.next(pager, f),
-            (RelScan::Hash(c), RelFile::Hash(f)) => c.next(pager, f),
-            (RelScan::Isam(c), RelFile::Isam(f)) => c.next(pager, f),
-            _ => Err(Error::Internal(
-                "scan cursor does not match file organization".into(),
-            )),
+            (RelScan::Chain(c), f) => {
+                c.next(pager, f.chain().ok_or_else(|| mismatch("scan"))?)
+            }
+            _ => Err(mismatch("scan")),
         }
     }
 }
 
 /// A keyed-lookup cursor over a hash or ISAM file.
 #[derive(Debug, Clone)]
-pub enum RelLookup {
-    /// Hash bucket-chain lookup state.
-    Hash(HashLookup),
-    /// ISAM directory-descended lookup state.
-    Isam(IsamLookup),
-}
+pub struct RelLookup(ChainLookup);
 
 impl RelLookup {
     /// Advance; `None` when no more versions match the key.
@@ -211,20 +267,14 @@ impl RelLookup {
         pager: &Pager,
         file: &RelFile,
     ) -> Result<Option<(TupleId, Vec<u8>)>> {
-        match (self, file) {
-            (RelLookup::Hash(c), RelFile::Hash(f)) => c.next(pager, f),
-            (RelLookup::Isam(c), RelFile::Isam(f)) => c.next(pager, f),
-            _ => Err(Error::Internal(
-                "lookup cursor does not match file organization".into(),
-            )),
-        }
+        let chain = file.chain().ok_or_else(|| mismatch("lookup"))?;
+        self.0.next(pager, chain)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{HashFn, KeySpec};
     use tdbms_kernel::{AttrDef, Domain, RowCodec, Schema, Value};
 
     fn setup() -> (RowCodec, Vec<Vec<u8>>) {
@@ -334,6 +384,39 @@ mod tests {
                 n += 1;
             }
             assert_eq!(n, 39, "organization {:?}", rel.method());
+        }
+    }
+
+    #[test]
+    fn get_and_update_in_place_in_any_organization() {
+        let (codec, rows) = setup();
+        let pager = Pager::in_memory();
+        let key = KeySpec::for_attr(&codec, 0);
+        for rel in all_organizations(&pager, &rows, key) {
+            let mut cur = rel.scan();
+            let (tid, mut row) = loop {
+                let (tid, row) = cur.next(&pager, &rel).unwrap().unwrap();
+                if codec.get_i4(&row, 0) == 5 {
+                    break (tid, row);
+                }
+            };
+            assert_eq!(rel.get(&pager, tid).unwrap(), row);
+            codec
+                .put(&mut row, 1, &Value::Str("updated".into()))
+                .unwrap();
+            rel.update(&pager, tid, &row).unwrap();
+            assert_eq!(rel.get(&pager, tid).unwrap(), row);
+            // Deleting compacts the page: its last row moves into the
+            // vacated slot and the page's last slot becomes unreadable.
+            let last = (tid.slot..)
+                .map(|s| TupleId::new(tid.page, s))
+                .take_while(|t| rel.get(&pager, *t).is_ok())
+                .last()
+                .unwrap();
+            let moved = rel.get(&pager, last).unwrap();
+            rel.delete(&pager, tid).unwrap();
+            assert_eq!(rel.get(&pager, tid).unwrap(), moved);
+            assert!(rel.get(&pager, last).is_err());
         }
     }
 }

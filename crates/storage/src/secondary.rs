@@ -13,12 +13,10 @@
 //!   turns the paper's Q07 from 3717 page reads into 2.
 
 use crate::disk::FileId;
-use crate::hash::HashFile;
-use crate::heap::HeapFile;
 use crate::key::{HashFn, KeyKind, KeySpec};
 use crate::page::page_capacity;
 use crate::pager::Pager;
-use crate::relfile::RelFile;
+use crate::relfile::{AccessMethod, RelFile};
 use crate::tuple::TupleId;
 use tdbms_kernel::{Error, Result};
 
@@ -112,24 +110,20 @@ impl SecondaryIndex {
             len: target_attr.len,
             kind: target_attr.kind,
         };
-        let file = match structure {
-            IndexStructure::Heap => {
-                let heap = HeapFile::attach(file_id, entry_width);
-                for e in &entries {
-                    heap.insert(pager, e)?;
-                }
-                RelFile::Heap(heap)
-            }
-            IndexStructure::Hash => RelFile::Hash(HashFile::build_into(
-                pager,
-                file_id,
-                &entries,
-                entry_width,
-                index_key,
-                HashFn::Mod,
-                fillfactor,
-            )?),
+        let method = match structure {
+            IndexStructure::Heap => AccessMethod::Heap,
+            IndexStructure::Hash => AccessMethod::Hash,
         };
+        let file = RelFile::build_into(
+            pager,
+            file_id,
+            method,
+            &entries,
+            entry_width,
+            Some(index_key),
+            HashFn::Mod,
+            fillfactor,
+        )?;
         pager.flush_all()?;
         Ok(SecondaryIndex {
             file,
@@ -267,6 +261,7 @@ pub fn i4_attr(offset: usize) -> KeySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::HashFile;
     use tdbms_kernel::{AttrDef, Domain, RowCodec, Schema, Value};
 
     /// 108-byte benchmark-like rows: id, amount, padding.

@@ -17,9 +17,7 @@ use crate::history::HistoryStore;
 use tdbms_kernel::{
     Error, Result, RowCodec, Schema, TemporalAttr, TimeVal,
 };
-use tdbms_storage::{
-    AccessMethod, HashFile, HashFn, IsamFile, KeySpec, Pager, RelFile,
-};
+use tdbms_storage::{AccessMethod, HashFn, KeySpec, Pager, RelFile};
 
 /// Which history layout a store uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,19 +76,21 @@ impl TwoLevelStore {
             }
         }
 
-        let primary = match primary_method {
-            AccessMethod::Hash => RelFile::Hash(HashFile::build(
-                pager, &current, width, key, hashfn, fillfactor,
-            )?),
-            AccessMethod::Isam => RelFile::Isam(IsamFile::build(
-                pager, &current, width, key, fillfactor,
-            )?),
-            AccessMethod::Heap => {
-                return Err(Error::NotApplicable(
-                    "the primary store must be keyed (hash or isam)".into(),
-                ))
-            }
-        };
+        if primary_method == AccessMethod::Heap {
+            return Err(Error::NotApplicable(
+                "the primary store must be keyed (hash or isam)".into(),
+            ));
+        }
+        let primary = RelFile::build_into(
+            pager,
+            pager.create_file()?,
+            primary_method,
+            &current,
+            width,
+            Some(key),
+            hashfn,
+            fillfactor,
+        )?;
         let mut history = match layout {
             HistoryLayout::Simple => {
                 HistoryStore::simple(pager, width, key)?

@@ -151,26 +151,27 @@ fn stats_request_reports_lock_and_plan_cache_counters() {
     );
     // Wire counters must agree with the engine's own view.
     let locks = srv.engine.lock_stats();
-    assert_eq!(stats.shared, locks.shared);
     assert_eq!(stats.exclusive, locks.exclusive);
+    assert_eq!(stats.snapshot_reads, locks.snapshot_reads);
     assert_eq!(srv.stop().panics_caught, 0);
 }
 
-/// The `Stats` reply changed shape with protocol version 2. A peer still
-/// speaking version 1 must be told so with a typed error — never handed
-/// a reply it would misparse.
+/// The `Stats` reply changes shape with the protocol version (3 dropped
+/// the shared-lock counter). A peer still speaking an older version
+/// must be told so with a typed error — never handed a reply it would
+/// misparse.
 #[test]
-fn a_version_one_peer_is_refused_with_a_typed_error() {
+fn an_older_version_peer_is_refused_with_a_typed_error() {
     use tdbms_net::wire::{
         decode_response, encode_request, read_frame, write_frame,
         MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
     };
     use tdbms_net::{Request, Response};
-    assert_eq!(PROTOCOL_VERSION, 2);
+    assert_eq!(PROTOCOL_VERSION, 3);
     let srv = TestServer::start(ServerConfig::default());
     let mut old = encode_request(&Request::Stats);
     assert_eq!(old[1], PROTOCOL_VERSION, "[opcode][version] layout");
-    old[1] = 1;
+    old[1] = 2;
     let mut s = TcpStream::connect(srv.addr).expect("connect");
     write_frame(&mut s, &old).expect("send");
     let frame = read_frame(&mut s, MAX_RESPONSE_FRAME)
@@ -178,7 +179,7 @@ fn a_version_one_peer_is_refused_with_a_typed_error() {
         .expect("the server answers before hanging up");
     match decode_response(&frame).expect("decode") {
         Response::Error(Error::Protocol(msg)) => {
-            assert!(msg.contains("version 1"), "message: {msg}")
+            assert!(msg.contains("version 2"), "message: {msg}")
         }
         other => panic!("expected a protocol error, got {other:?}"),
     }

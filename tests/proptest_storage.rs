@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use tdbms::{AttrDef, Domain, Schema, Value};
 use tdbms_prop::{check, Gen};
 use tdbms_storage::{
-    HashFile, HashFn, HeapFile, IsamFile, KeySpec, Pager, RelFile,
+    HashFile, HashFn, HeapFile, IsamFile, KeySpec, Pager, RelFile, NO_PAGE,
 };
 
 fn codec() -> tdbms::Schema {
@@ -79,8 +79,65 @@ fn collect_lookup(
     out
 }
 
+/// Pages in the chain behind `head`, found by following the overflow
+/// pointers directly.
+fn chain_pages(pager: &Pager, file: &RelFile, head: u32) -> u64 {
+    let (mut n, mut page) = (0, head);
+    while page != NO_PAGE {
+        n += 1;
+        page = pager.read(file.file_id(), page, |p| p.overflow()).unwrap();
+    }
+    n
+}
+
+/// What the paper's cost law says a cold keyed lookup of `key` reads:
+/// hashed, the pages of the key's bucket chain; ISAM, one directory
+/// page per level plus the chains of the data pages that can hold the
+/// key. Those data pages are worked out from the file's contents, not
+/// from its cursor: the rightmost page whose first key is below the
+/// key, plus every following page whose first key equals it (slot 0
+/// keeps a data page's first key — inserts only append behind it).
+fn lookup_cost_law(pager: &Pager, file: &RelFile, key: i32) -> u64 {
+    let (levels, heads) = match file {
+        RelFile::Hash(h) => {
+            let b = h.bucket_of(&key.to_le_bytes());
+            (0, b..=b)
+        }
+        RelFile::Isam(f) => {
+            // At most 15 data pages here, so each level is one page.
+            assert_eq!(f.n_directory_pages(), f.n_levels());
+            let firsts: Vec<i32> = (0..f.chain.n_heads)
+                .map(|page| {
+                    pager
+                        .read(f.chain.file, page, |p| match p.count() {
+                            0 => 0, // the empty build's one data page
+                            _ => i32::from_le_bytes(
+                                p.row(WIDTH, 0).unwrap()[..4]
+                                    .try_into()
+                                    .unwrap(),
+                            ),
+                        })
+                        .unwrap()
+                })
+                .collect();
+            let start = firsts.iter().rposition(|f| *f < key).unwrap_or(0);
+            let run = firsts[start + 1..]
+                .iter()
+                .take_while(|f| **f == key)
+                .count();
+            (f.n_levels(), start as u32..=(start + run) as u32)
+        }
+        RelFile::Heap(_) => unreachable!("keyed files only"),
+    };
+    u64::from(levels)
+        + heads.map(|h| chain_pages(pager, file, h)).sum::<u64>()
+}
+
 /// Hash and ISAM agree with the model under arbitrary build + insert
-/// sequences (duplicates, negatives, clustered keys).
+/// sequences (duplicates, negatives, clustered keys), and with one cold
+/// frame their page reads obey the paper's cost law: a hashed lookup
+/// reads its key's chain, an ISAM lookup its directory levels plus the
+/// candidate chains, a scan every page but the directory.
 #[test]
 fn keyed_files_agree_with_model() {
     check("keyed_files_agree_with_model", 48, |g: &mut Gen| {
@@ -116,14 +173,32 @@ fn keyed_files_agree_with_model() {
                 local.push((*k, *v));
             }
             let want = model_of(&local);
-            // Full scan sees exactly the model.
+            // Full scan sees exactly the model, at one read per
+            // scannable page.
+            pager.invalidate_buffers().unwrap();
+            let cost = pager.stats().scope();
             assert_eq!(collect_scan(&pager, &file, &schema), want);
+            assert_eq!(
+                cost.of(file.file_id()).reads,
+                u64::from(file.scannable_pages(&pager).unwrap()),
+                "{} scan cost",
+                file.method()
+            );
             // Every present key is found with all its versions; absent
-            // probes find nothing.
+            // probes find nothing; either way the chain is paid for.
             for probe in -42i32..42 {
+                let law = lookup_cost_law(&pager, &file, probe);
+                pager.invalidate_buffers().unwrap();
+                let cost = pager.stats().scope();
                 let got = collect_lookup(&pager, &file, &schema, probe);
                 let expect = want.get(&probe).cloned().unwrap_or_default();
                 assert_eq!(got, expect, "probe {probe}");
+                assert_eq!(
+                    cost.of(file.file_id()).reads,
+                    law,
+                    "{} lookup cost, probe {probe}",
+                    file.method()
+                );
             }
         }
     });

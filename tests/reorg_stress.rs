@@ -137,21 +137,15 @@ fn run_reorg_schedule(seed: u64, durable: bool) {
 
     // Lock accounting: reads are served from the published snapshot.
     // A compaction pass republishing the view mid-read is allowed to
-    // push that one read onto the shared-lock retry path (correctness
-    // over latency), so the invariant is "rare", not "never": across
-    // 48 reads per schedule, fallbacks must stay in single digits,
-    // and most reads must be provably lock-free.
+    // push that one read onto the exclusive path (correctness over
+    // latency), so the invariant is "rare", not "never": across 48
+    // reads per schedule, fallbacks must stay in single digits — at
+    // least 40 must be provably lock-free.
     let locks = engine.lock_stats();
-    assert!(
-        locks.shared <= 8,
-        "seed {seed} (durable={durable}): {} of 48 reads fell back to \
-         the commit lock — the compactor is starving the snapshot path",
-        locks.shared
-    );
     assert!(
         locks.snapshot_reads >= 40,
         "seed {seed} (durable={durable}): only {} snapshot-served \
-         reads of 48",
+         reads of 48 — the compactor is starving the snapshot path",
         locks.snapshot_reads
     );
     engine.with_read(|db| {

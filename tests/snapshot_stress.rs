@@ -6,8 +6,8 @@
 //! writers and proves the three properties that make it correct:
 //!
 //! * **Zero lock acquisitions for reads**: the engine's own lock
-//!   counters show no shared acquisitions at all; the only exclusive
-//!   ones are the writers' commits.
+//!   counters show exactly one acquisition per writer commit and a
+//!   snapshot read per retrieve.
 //! * **Prefix-consistent snapshots**: each writer appends `k = 1, 2,
 //!   3, …` as separate commits, so any snapshot must see a *prefix* of
 //!   each writer's sequence — a gap would mean a read observed commit
@@ -118,16 +118,12 @@ fn run_stress(engine: &Engine) {
 }
 
 /// The proof counters: every retrieve above went through the snapshot
-/// path (no shared locks), and only writer commits went exclusive.
+/// path, and only writer commits took the commit lock.
 fn assert_lock_proof(engine: &Engine, writes: u64) {
     let locks = engine.lock_stats();
     assert_eq!(
-        locks.shared, 0,
-        "a read fell back to the shared commit lock"
-    );
-    assert_eq!(
         locks.exclusive, writes,
-        "exclusive acquisitions beyond the writers' commits"
+        "a read fell back to the commit lock"
     );
     let reads = (READERS * READS + 1) as u64;
     assert!(
