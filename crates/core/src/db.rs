@@ -1,5 +1,16 @@
 //! The database handle: parse → bind → execute, with the paper's
 //! page-access accounting per statement.
+//!
+//! Everything that mutates — a statement, `bulk_load_rows`, a
+//! `reorganize` pass — runs as one *write unit* (`write_unit`): a
+//! durable database admits it, arms statement undo, runs the body and
+//! either rolls back or commits through the WAL; a file-backed one
+//! without a WAL checkpoints its catalog. A durable commit always goes
+//! through the database's commit queue ([`tdbms_wal::GroupCommit`]; a
+//! queue of one unless [`Database::enable_group_commit`] configured it)
+//! and waits for its log sync in `commit_durable`, under the caller's
+//! lock — the one exception being an [`crate::Engine`] with group
+//! commit on, which acknowledges after releasing its commit lock.
 
 use crate::binder::Binder;
 use crate::dml;
@@ -8,6 +19,7 @@ use crate::guard::QueryGuard;
 use crate::interval::TInterval;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 use tdbms_kernel::{
     Clock, DatabaseClass, Domain, Error, Result, Schema, TemporalKind,
     TimeVal, Value,
@@ -15,8 +27,8 @@ use tdbms_kernel::{
 use tdbms_plan::{PlannerMode, RelStats, StatsCatalog};
 use tdbms_storage::{
     AccessMethod, BufferConfig, Catalog, ChecksumSet, ClusteredHistory,
-    DiskManager, EvictionPolicy, FileDisk, FileId, HashFn, IoStats,
-    KeySpec, Pager, RelId, StatScope, PAGE_SIZE,
+    DiskManager, FileDisk, FileId, HashFn, IoStats, KeySpec, Pager, RelId,
+    StatScope, PAGE_SIZE,
 };
 use tdbms_tquel::ast::Statement;
 use tdbms_wal::{
@@ -48,9 +60,20 @@ struct WalState {
     /// `wal.bytes_appended()` as of the last completed checkpoint
     /// (the counter is monotone across truncations).
     bytes_at_checkpoint: u64,
-    /// Group-commit mode, when enabled: commits register tickets and
-    /// defer the log fsync to a batching leader.
-    group: Option<GroupState>,
+    /// The commit queue: every commit registers a ticket here and is
+    /// acknowledged once a log sync covers it. A durable database opens
+    /// with a queue of one (`max_batch` 1, no linger: one log sync per
+    /// commit); [`Database::enable_group_commit`] replaces its config.
+    gc: Arc<GroupCommit>,
+    log: LogHandle,
+    /// `enable_group_commit` was called: an [`crate::Engine`] over this
+    /// database acknowledges commits after releasing the commit lock.
+    batching: bool,
+    /// Engine mode: leave a commit's ticket in `pending` for the caller
+    /// to acknowledge after the lock, unless a checkpoint is due.
+    defer_ack: bool,
+    /// The last commit's ticket, awaiting that acknowledgement.
+    pending: Option<u64>,
 }
 
 /// How far a failed commit got. Everything up to and including the
@@ -62,19 +85,6 @@ struct WalState {
 struct CommitError {
     err: Error,
     durable: bool,
-}
-
-/// Group-commit bookkeeping of a durable database.
-struct GroupState {
-    gc: Arc<GroupCommit>,
-    log: LogHandle,
-    /// The last commit's ticket and its deferred file drops, awaiting
-    /// acknowledgement (the drops execute only once the commit is
-    /// durable — or at a checkpoint, which durably retires everything).
-    pending: Option<(u64, Vec<FileId>)>,
-    /// Engine mode: the caller acknowledges after releasing the commit
-    /// lock, so the leader can batch other sessions' commits meanwhile.
-    defer_ack: bool,
 }
 
 /// What one executed statement produced.
@@ -312,12 +322,19 @@ impl Database {
         }
         db.persist_dir = persist_dir;
         db.wal = Some(WalState {
+            log: wal.handle(),
             wal,
             policy: CheckpointPolicy::EveryCommit,
             commits_since_checkpoint: 0,
             bytes_trigger: None,
             bytes_at_checkpoint: 0,
-            group: None,
+            gc: Arc::new(GroupCommit::new(GroupCommitConfig {
+                max_batch: 1,
+                max_delay: Duration::ZERO,
+            })),
+            batching: false,
+            defer_ack: false,
+            pending: None,
         });
         // Post-recovery checkpoint: the replayed state is on disk and
         // synced, so persist the catalog and truncate the log — the next
@@ -412,33 +429,20 @@ impl Database {
         if self.pager.has_deferred() {
             self.pager.retry_deferred()?;
         }
-        if self.wal.as_ref().is_some_and(|ws| ws.group.is_some()) {
-            // Group mode: the log may hold commits appended but not
-            // yet fsynced by a batching leader. Sync first — the
-            // deferred drops and the overlay materialization below
-            // must never get ahead of the log's durable prefix, or a
-            // crash before the truncation could recover a log that no
-            // longer describes the files it replays onto.
-            self.wal.as_mut().expect("durable mode").wal.sync()?;
+        let ws = self.wal.as_mut().expect("durable mode");
+        if !ws.gc.all_durable() {
+            // The log holds commits appended but not yet fsynced (a
+            // batching leader has them, or their sync failed). Sync
+            // first — the logged drops and the overlay materialization
+            // below must never get ahead of the log's durable prefix,
+            // or a crash before the truncation could recover a log
+            // that no longer describes the files it replays onto.
+            ws.wal.sync()?;
         }
         // A checkpoint durably materializes everything the log
-        // describes, so deferred drops parked on an unacknowledged
-        // group-commit ticket can execute now — the catalog being
-        // checkpointed no longer references those files.
-        let parked: Vec<FileId> = self
-            .wal
-            .as_mut()
-            .and_then(|ws| ws.group.as_mut())
-            .and_then(|g| g.pending.as_mut())
-            .map(|p| std::mem::take(&mut p.1))
-            .unwrap_or_default();
-        for file in parked {
-            // A refused drop (disk error) only strands space; park it
-            // for `retry_deferred` rather than failing the checkpoint.
-            if self.pager.execute_drop(file).is_err() {
-                self.pager.defer_drop(file);
-            }
-        }
+        // describes, so every logged drop can execute now — the
+        // catalog being checkpointed no longer references those files.
+        self.pager.execute_drops(u64::MAX);
         self.pager.flush_all()?;
         let touched = self.pager.materialize_overlay()?;
         for f in touched {
@@ -468,27 +472,56 @@ impl Database {
         )?;
         ws.commits_since_checkpoint = 0;
         ws.bytes_at_checkpoint = ws.wal.bytes_appended();
-        if let Some(g) = &ws.group {
-            // The truncation above was atomic and fsynced: every
-            // outstanding ticket is durable without a log fsync.
-            g.gc.mark_all_durable();
-        }
+        // The truncation above was atomic and fsynced: every
+        // outstanding ticket is durable without a log fsync.
+        ws.gc.mark_all_durable();
         self.persist_checksums()?;
         Ok(())
     }
 
-    /// Commit the current statement's staged changes to the write-ahead
-    /// log: new file lengths, every dirtied page's after-image (stamped
-    /// with its LSN), deferred drops, and the catalog + clock, fenced by
-    /// `Begin`/`Commit` and fsynced. Only after the log is durable do
-    /// deferred file drops execute physically.
+    /// Append the current statement's commit to the write-ahead log:
+    /// new file lengths, every dirtied page's after-image (stamped with
+    /// its LSN), the pending file drops, and the catalog + clock,
+    /// fenced by `Begin`/`Commit`. Nothing is synced here.
+    fn append_commit_records(&mut self) -> Result<()> {
+        let resized = self.pager.take_resized()?;
+        let clock = self.clock.now().as_secs().to_string();
+        let catalog = tdbms_storage::encode_catalog(&self.catalog);
+        let ws = self.wal.as_mut().expect("durable mode");
+        ws.wal.append(&Record::Begin)?;
+        for (file, len) in resized {
+            ws.wal.append(&Record::FileLen { file, len })?;
+        }
+        for (file, page_no) in self.pager.staged_pages() {
+            let lsn = ws.wal.peek_lsn();
+            let image = self.pager.stamp_overlay_lsn(file, page_no, lsn)?;
+            ws.wal.append(&Record::PageImage {
+                file,
+                page_no,
+                image,
+            })?;
+        }
+        for file in self.pager.pending_drops() {
+            ws.wal.append(&Record::DropFile { file })?;
+        }
+        ws.wal.append(&Record::Catalog { clock, catalog })?;
+        ws.wal.append(&Record::Commit)?;
+        Ok(())
+    }
+
+    /// Commit the current statement's staged changes: append its
+    /// records, take a ticket on the commit queue and — unless an
+    /// [`crate::Engine`] acknowledges after the lock — wait for the log
+    /// sync that covers it. Only after the log is durable do the logged
+    /// file drops execute physically.
     ///
-    /// Failures before the log fsync return `durable: false` — the
-    /// statement is safe to roll back (its records, if any landed,
-    /// have no `Commit` and recovery discards them; see the abandoned-
-    /// `Begin` rule in [`tdbms_wal::RecoveryPlan::parse`]). A failure
-    /// *after* the fsync — the due checkpoint — returns `durable:
-    /// true`: the statement is committed and must stand.
+    /// Failures up to and including that wait return `durable: false` —
+    /// the statement is safe to roll back (its records, if any landed,
+    /// have no durable `Commit`; see the abandoned-`Begin` rule in
+    /// [`tdbms_wal::RecoveryPlan::parse`], and the re-arm checkpoint
+    /// truncates them away). A failure *after* it — the due checkpoint
+    /// — returns `durable: true`: the statement is committed and must
+    /// stand.
     fn commit_durable(&mut self) -> std::result::Result<(), CommitError> {
         fn pre(err: Error) -> CommitError {
             CommitError {
@@ -498,41 +531,10 @@ impl Database {
         }
         self.pager.flush_all().map_err(pre)?;
         self.pager.begin_phase("wal");
-        let resized = self.pager.take_resized().map_err(pre)?;
-        let staged = self.pager.staged_pages();
-        let drops = self.pager.take_pending_drops();
-        let clock = self.clock.now().as_secs().to_string();
-        let catalog = tdbms_storage::encode_catalog(&self.catalog);
-
-        let ws = self.wal.as_mut().expect("durable mode");
+        let ws = self.wal.as_ref().expect("durable mode");
         let before = ws.wal.bytes_appended();
-        ws.wal.append(&Record::Begin).map_err(pre)?;
-        for (file, len) in resized {
-            ws.wal.append(&Record::FileLen { file, len }).map_err(pre)?;
-        }
-        for (file, page_no) in staged {
-            let lsn = ws.wal.peek_lsn();
-            let image = self
-                .pager
-                .stamp_overlay_lsn(file, page_no, lsn)
-                .map_err(pre)?;
-            ws.wal
-                .append(&Record::PageImage {
-                    file,
-                    page_no,
-                    image,
-                })
-                .map_err(pre)?;
-        }
-        for file in &drops {
-            ws.wal
-                .append(&Record::DropFile { file: *file })
-                .map_err(pre)?;
-        }
-        ws.wal
-            .append(&Record::Catalog { clock, catalog })
-            .map_err(pre)?;
-        ws.wal.append(&Record::Commit).map_err(pre)?;
+        self.append_commit_records().map_err(pre)?;
+        let ws = self.wal.as_mut().expect("durable mode");
         ws.commits_since_checkpoint += 1;
         let due = ws.policy.due(ws.commits_since_checkpoint)
             || ws.bytes_trigger.is_some_and(|n| {
@@ -541,49 +543,24 @@ impl Database {
                     .saturating_sub(ws.bytes_at_checkpoint)
                     >= n
             });
-        let mut drops = drops;
-        let mut group_wait = None;
-        if let Some(g) = ws.group.as_mut() {
-            // Group commit: issue the ticket in the same critical
-            // section as the appends (ticket order = log order) and
-            // leave the fsync to the batching leader. The deferred
-            // drops park on the ticket — they may only touch disk once
-            // the commit is durable.
-            let ticket = g.gc.register();
-            g.pending = Some((ticket, std::mem::take(&mut drops)));
-            if due {
-                // A checkpoint is due, and its leading log sync would
-                // otherwise be this commit's FIRST durability point —
-                // a checkpoint failure mapped to `durable: true` would
-                // then acknowledge a commit that was never fsynced.
-                // Wait the ticket durable now, while a sync failure
-                // can still be classified pre-durability.
-                group_wait = Some((g.gc.clone(), g.log.clone(), ticket));
-            }
+        // Issued in the same critical section as the appends: ticket
+        // order = log order.
+        let ticket = ws.gc.register();
+        if due || !ws.defer_ack {
+            // Wait under the lock, while a sync failure can still be
+            // classified pre-durability: nobody acknowledges a
+            // standalone database after the lock, and a due
+            // checkpoint's leading log sync must not be this commit's
+            // FIRST durability point — a checkpoint failure maps to
+            // `durable: true` and would acknowledge a commit that was
+            // never fsynced. The statement's drops are still pending
+            // on failure, so its rollback removes them.
+            ws.gc.wait_durable(ticket, || ws.log.sync()).map_err(pre)?;
+            self.pager.log_drops(ticket);
+            self.pager.execute_drops(ticket);
         } else {
-            ws.wal.sync().map_err(pre)?;
-        }
-        if let Some((gc, log, ticket)) = group_wait {
-            if let Err(e) = gc.wait_durable(ticket, || log.sync()) {
-                // Pre-durability: the statement rolls back, so its
-                // parked ticket (and the deferred drops on it) must
-                // not survive to a later settle or checkpoint.
-                if let Some(g) =
-                    self.wal.as_mut().and_then(|ws| ws.group.as_mut())
-                {
-                    g.pending = None;
-                }
-                return Err(pre(e));
-            }
-        }
-        // The transaction is durable: deferred drops may now touch disk
-        // (in group mode the drops moved onto the pending ticket and
-        // this loop is empty). A refused drop only strands space —
-        // park it for retry instead of failing a durable commit.
-        for file in drops {
-            if self.pager.execute_drop(file).is_err() {
-                self.pager.defer_drop(file);
-            }
+            self.pager.log_drops(ticket);
+            ws.pending = Some(ticket);
         }
         self.pager.clear_staged();
         if due {
@@ -604,13 +581,14 @@ impl Database {
         self.wal.is_some()
     }
 
-    /// Switch a durable database to **group commit**: each statement
-    /// appends its records and registers a ticket, and the log fsync is
-    /// deferred to a group-commit leader that batches many sessions'
-    /// commits into one sync (see [`tdbms_wal::GroupCommit`]). Pair
-    /// with a [`CheckpointPolicy`] other than `EveryCommit` — a
-    /// checkpoint after every statement syncs everything anyway, which
-    /// leaves nothing to batch.
+    /// Switch a durable database to **group commit**: replace the
+    /// commit queue's config, so the log fsync may linger for a batch
+    /// of many sessions' commits (see [`tdbms_wal::GroupCommit`]), and
+    /// let an [`crate::Engine`] over this database acknowledge commits
+    /// after it releases the commit lock. Pair with a
+    /// [`CheckpointPolicy`] other than `EveryCommit` — a checkpoint
+    /// after every statement syncs everything anyway, which leaves
+    /// nothing to batch.
     pub fn enable_group_commit(
         &mut self,
         cfg: GroupCommitConfig,
@@ -620,81 +598,29 @@ impl Database {
                 "group commit requires a durable (WAL) database".into(),
             ));
         };
-        let log = ws.wal.handle();
-        ws.group = Some(GroupState {
-            gc: Arc::new(GroupCommit::new(cfg)),
-            log,
-            pending: None,
-            defer_ack: false,
-        });
+        ws.gc = Arc::new(GroupCommit::new(cfg));
+        ws.batching = true;
         Ok(())
     }
 
-    /// The group-commit queue and log handle, when group commit is on.
+    /// The commit queue and log handle, when group commit is on.
     pub fn group_commit(&self) -> Option<(Arc<GroupCommit>, LogHandle)> {
-        let g = self.wal.as_ref()?.group.as_ref()?;
-        Some((g.gc.clone(), g.log.clone()))
+        let ws = self.wal.as_ref()?;
+        ws.batching.then(|| (ws.gc.clone(), ws.log.clone()))
     }
 
     /// Engine mode: leave each commit's ticket pending for the caller
     /// to acknowledge *after* releasing the commit lock — that overlap
     /// is what lets the leader batch other sessions' commits.
     pub(crate) fn set_defer_group_ack(&mut self, defer: bool) {
-        if let Some(g) = self.wal.as_mut().and_then(|ws| ws.group.as_mut())
-        {
-            g.defer_ack = defer;
+        if let Some(ws) = self.wal.as_mut() {
+            ws.defer_ack = defer;
         }
     }
 
-    /// Take the last commit's pending (ticket, deferred drops), if any.
-    pub(crate) fn take_pending_commit(
-        &mut self,
-    ) -> Option<(u64, Vec<FileId>)> {
-        self.wal.as_mut()?.group.as_mut()?.pending.take()
-    }
-
-    /// Inline acknowledgement for a plain (engine-less) database in
-    /// group-commit mode: wait until the last commit's ticket is
-    /// durable, then execute its deferred drops.
-    fn settle_group_commit(&mut self) -> Result<()> {
-        let Some(g) = self.wal.as_mut().and_then(|ws| ws.group.as_mut())
-        else {
-            return Ok(());
-        };
-        if g.defer_ack {
-            return Ok(());
-        }
-        let Some((ticket, drops)) = g.pending.take() else {
-            return Ok(());
-        };
-        let gc = g.gc.clone();
-        let log = g.log.clone();
-        if let Err(e) = gc.wait_durable(ticket, || log.sync()) {
-            // The batch fsync failed: the commit's durability is
-            // unknown. Re-park the drops — the checkpoint that re-arms
-            // writes retires them durably (never drop a logged drop).
-            self.repark_drops(ticket, drops);
-            return Err(e);
-        }
-        for file in drops {
-            if self.pager.execute_drop(file).is_err() {
-                self.pager.defer_drop(file);
-            }
-        }
-        Ok(())
-    }
-
-    /// Put a commit's deferred drops back on the pending ticket after a
-    /// failed durability wait (engine mode calls this from outside the
-    /// commit lock; see [`settle_group_commit`] for the inline path).
-    pub(crate) fn repark_drops(&mut self, ticket: u64, drops: Vec<FileId>) {
-        if let Some(g) = self.wal.as_mut().and_then(|ws| ws.group.as_mut())
-        {
-            match &mut g.pending {
-                Some((_, parked)) => parked.extend(drops),
-                None => g.pending = Some((ticket, drops)),
-            }
-        }
+    /// Take the last commit's ticket, if it still awaits acknowledgement.
+    pub(crate) fn take_pending_commit(&mut self) -> Option<u64> {
+        self.wal.as_mut()?.pending.take()
     }
 
     /// Change when WAL checkpoints happen (durable mode only; default
@@ -746,9 +672,9 @@ impl Database {
         self.group_failure().map(|e| e.to_string())
     }
 
-    /// The group-commit queue's standing fsync failure, if any.
+    /// The commit queue's standing fsync failure, if any.
     fn group_failure(&self) -> Option<Error> {
-        self.wal.as_ref()?.group.as_ref()?.gc.failure()
+        self.wal.as_ref()?.gc.failure()
     }
 
     /// Gate a mutating statement: healthy engines pass through; a
@@ -764,13 +690,13 @@ impl Database {
     /// Attempt to leave degraded mode: finish the deferred physical
     /// repairs, then take a full checkpoint — which materializes the
     /// overlay, fsyncs everything, truncates the log, and re-arms a
-    /// failed group-commit queue. The truncation resolves any commit
-    /// of unknown durability to its kept in-memory outcome: a
-    /// statement rolled back pre-durability vanishes for good, while
-    /// one whose effects stood (a failed *settle*, surfaced as
-    /// [`Error::RetryUnsafe`]) is durably persisted. On success the
-    /// engine is healthy; on failure it stays degraded and reads
-    /// keep serving.
+    /// failed commit queue. The truncation resolves any commit of
+    /// unknown durability to its kept in-memory outcome: a statement
+    /// rolled back pre-durability vanishes for good, while one whose
+    /// effects stood (an engine's failed acknowledgement after the
+    /// lock, surfaced as [`Error::RetryUnsafe`]) is durably persisted.
+    /// On success the engine is healthy; on failure it stays degraded
+    /// and reads keep serving.
     pub fn try_rearm(&mut self) -> Result<()> {
         let reason = self
             .degraded_reason()
@@ -816,29 +742,35 @@ impl Database {
         }
     }
 
-    /// Settle a durable commit after the statement applied cleanly:
-    /// classify the three outcomes (fully settled; failed before
-    /// durability → roll back; failed after → effects stand, engine
-    /// degrades until a re-arm).
-    fn commit_write_statement(&mut self, snapshot: Catalog) -> Result<()> {
-        match self.commit_durable() {
-            Ok(()) => {
-                self.pager.discard_statement_undo();
-                if let Err(e) = self.settle_group_commit() {
-                    self.pager.end_phase();
-                    // The batch fsync failed *after* the undo was
-                    // discarded: the effects stand (the re-arm
-                    // checkpoint persists them) but durability is
-                    // unknown. Degrade the engine, yet refuse the
-                    // blanket-retryable `Degraded` contract — a
-                    // verbatim retry would double-apply the statement.
-                    let _ = self.enter_degraded(&e);
-                    return Err(Error::RetryUnsafe(format!(
-                        "commit durability unknown: {e}"
-                    )));
-                }
-                Ok(())
+    /// Run `body` as one write unit — the one place a statement, a bulk
+    /// load or a reorganization pass becomes a transaction. A durable
+    /// database admits the write (re-arming a degraded engine first),
+    /// arms statement undo so a body that dies mid-flight (disk full)
+    /// rolls back to this boundary instead of poisoning the engine,
+    /// and commits through the WAL; a file-backed one without a WAL
+    /// checkpoints its catalog instead. Either way the maintained
+    /// statistics are refreshed (metadata only) before returning.
+    fn write_unit<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        if self.wal.is_none() {
+            let out = body(self)?;
+            if self.persist_dir.is_some() {
+                self.checkpoint()?;
             }
+            self.refresh_stats()?;
+            return Ok(out);
+        }
+        self.admit_write()?;
+        self.pager.begin_statement_undo();
+        let snapshot = self.catalog.clone();
+        let out = match body(self) {
+            Ok(out) => out,
+            Err(e) => return Err(self.fail_write_statement(e, snapshot)),
+        };
+        match self.commit_durable() {
+            Ok(()) => self.pager.discard_statement_undo(),
             Err(ce) if ce.durable => {
                 // The commit reached the log durably; only the due
                 // checkpoint failed. Returning an error for a durable
@@ -847,10 +779,13 @@ impl Database {
                 self.pager.discard_statement_undo();
                 self.pager.end_phase();
                 self.degraded = Some(ce.err.to_string());
-                Ok(())
             }
-            Err(ce) => Err(self.fail_write_statement(ce.err, snapshot)),
+            Err(ce) => {
+                return Err(self.fail_write_statement(ce.err, snapshot))
+            }
         }
+        self.refresh_stats()?;
+        Ok(out)
     }
 
     /// Build from a custom pager.
@@ -1011,11 +946,6 @@ impl Database {
         self.pager.set_default_buffer_frames(frames);
     }
 
-    /// Change the buffer eviction policy (paper default: LRU).
-    pub fn set_eviction_policy(&mut self, policy: EvictionPolicy) {
-        self.pager.set_eviction_policy(policy);
-    }
-
     /// Lifetime page-access counters of this database's pager (a
     /// statement's own cost is its [`ExecOutput::stats`]).
     pub fn io_stats(&self) -> &IoStats {
@@ -1098,43 +1028,17 @@ impl Database {
         rel: &str,
         rows: &[Vec<Value>],
     ) -> Result<usize> {
-        let durable = self.wal.is_some();
-        if durable {
-            self.admit_write()?;
-        }
-        let snapshot = durable.then(|| {
-            self.pager.begin_statement_undo();
-            self.catalog.clone()
-        });
-        if let Err(e) = self.load_rows_raw(rel, rows) {
-            return Err(match snapshot {
-                Some(snap) => self.fail_write_statement(e, snap),
-                None => e,
-            });
-        }
-        if let Some(snap) = snapshot {
-            self.commit_write_statement(snap)?;
-        }
-        self.refresh_stats()?;
+        self.write_unit(|db| {
+            let id = db.catalog.require(rel)?;
+            let codec = db.catalog.get(id).codec.clone();
+            for vals in rows {
+                let row = codec.encode(vals)?;
+                db.catalog.get_mut(id).insert_row(&db.pager, &row)?;
+            }
+            db.pager.flush_all()
+        })?;
         self.stats.note_inserted(rel, rows.len() as u64);
         Ok(rows.len())
-    }
-
-    /// The raw load loop of [`Database::bulk_load_rows`], separated so
-    /// a mid-load failure unwinds through the same rollback path as a
-    /// failed statement.
-    fn load_rows_raw(
-        &mut self,
-        rel: &str,
-        rows: &[Vec<Value>],
-    ) -> Result<()> {
-        let id = self.catalog.require(rel)?;
-        let codec = self.catalog.get(id).codec.clone();
-        for vals in rows {
-            let row = codec.encode(vals)?;
-            self.catalog.get_mut(id).insert_row(&self.pager, &row)?;
-        }
-        self.pager.flush_all()
     }
 
     /// Online reorganization of one relation: migrate every
@@ -1154,29 +1058,7 @@ impl Database {
     /// durable mode the whole pass is one WAL transaction that either
     /// commits or rolls back to the statement boundary.
     pub fn reorganize(&mut self, rel: &str) -> Result<u64> {
-        let durable = self.wal.is_some();
-        if durable {
-            self.admit_write()?;
-        }
-        let snapshot = durable.then(|| {
-            self.pager.begin_statement_undo();
-            self.catalog.clone()
-        });
-        let migrated = match self.reorganize_raw(rel) {
-            Ok(n) => n,
-            Err(e) => {
-                return Err(match snapshot {
-                    Some(snap) => self.fail_write_statement(e, snap),
-                    None => e,
-                })
-            }
-        };
-        if let Some(snap) = snapshot {
-            self.commit_write_statement(snap)?;
-        } else if migrated > 0 && self.persist_dir.is_some() {
-            self.checkpoint()?;
-        }
-        self.refresh_stats()?;
+        let migrated = self.write_unit(|db| db.reorganize_raw(rel))?;
         if migrated > 0 {
             self.reorg.runs += 1;
             self.reorg.rows_migrated += migrated;
@@ -1199,8 +1081,8 @@ impl Database {
         self.reorg
     }
 
-    /// The raw migration of [`Database::reorganize`], separated so a
-    /// mid-pass failure unwinds through the statement rollback path.
+    /// The migration of [`Database::reorganize`], run as its write
+    /// unit's body.
     fn reorganize_raw(&mut self, rel: &str) -> Result<u64> {
         let id = self.catalog.require(rel)?;
         let (schema, codec, key_attr, file) = {
@@ -1304,70 +1186,45 @@ impl Database {
                 })
                 | Statement::Explain(_)
         );
-        let durable = self.wal.is_some();
-        if mutating && durable {
-            self.admit_write()?;
-        }
-        let now = self.clock.tick();
-        if self.cold_statements {
-            self.pager.invalidate_buffers()?;
-        }
-        let scope = self.pager.stats().scope();
-
-        // Durable mode: arm statement undo, so a write that dies
-        // mid-flight (disk full) rolls back to this boundary instead
-        // of poisoning the engine.
-        let snapshot = (mutating && durable).then(|| {
-            self.pager.begin_statement_undo();
-            self.catalog.clone()
-        });
-
-        let mut out = ExecOutput::default();
-        if let Err(e) =
-            self.apply_statement(stmt, guard, now, &scope, &mut out)
-        {
-            return Err(match snapshot {
-                Some(snap) => self.fail_write_statement(e, snap),
-                None => e,
-            });
-        }
-
-        // In durable mode every mutating statement commits through the
-        // WAL before its stats are read, so the "wal" phase shows up in
-        // the statement's own scope.
-        if let Some(snap) = snapshot {
-            self.commit_write_statement(snap)?;
-        }
+        let run = |db: &mut Self| {
+            let now = db.clock.tick();
+            if db.cold_statements {
+                db.pager.invalidate_buffers()?;
+            }
+            let scope = db.pager.stats().scope();
+            let mut out = ExecOutput::default();
+            db.apply_statement(stmt, guard, now, &scope, &mut out)?;
+            Ok((out, scope))
+        };
+        let (mut out, scope) = if mutating {
+            self.write_unit(run)?
+        } else {
+            run(self)?
+        };
         // Close any phase the executor left open, then read the
-        // statement's cost off its scope. The scope holds this thread's
+        // statement's cost off its scope — after the commit, so the
+        // "wal" phase shows up in it. The scope holds this thread's
         // accesses only, so `hits + misses == accesses` is asserted
         // there even while snapshot readers are mid-access elsewhere.
         self.pager.end_phase();
         out.stats = QueryStats::of(&scope);
-        if self.wal.is_none() && self.persist_dir.is_some() && mutating {
-            self.checkpoint()?;
-        }
-        if mutating {
-            // Metadata-only statistics refresh; appends and loads add
-            // new keys, replaces/deletes only lengthen version chains.
-            self.refresh_stats()?;
-            match stmt {
-                Statement::Append(a) => {
-                    self.stats.note_inserted(&a.rel, out.affected as u64)
-                }
-                Statement::Copy(c) if c.from => {
-                    self.stats.note_inserted(&c.rel, out.affected as u64)
-                }
-                _ => {}
+        // Appends and loads add new keys; replaces/deletes only
+        // lengthen version chains.
+        match stmt {
+            Statement::Append(a) => {
+                self.stats.note_inserted(&a.rel, out.affected as u64)
             }
+            Statement::Copy(c) if c.from => {
+                self.stats.note_inserted(&c.rel, out.affected as u64)
+            }
+            _ => {}
         }
         Ok(out)
     }
 
     /// Apply one bound statement's effects (no durability, no stats —
-    /// [`Database::execute_statement_guarded`] wraps this with
-    /// admission, undo, commit handling and the `scope` it reads the
-    /// statement's cost from).
+    /// [`Database::execute_statement_guarded`] runs this inside a write
+    /// unit and reads the statement's cost from `scope`).
     fn apply_statement(
         &mut self,
         stmt: &Statement,

@@ -714,7 +714,6 @@ pub fn exec_replace(
 
     let ts_start = schema.temporal_index(TemporalAttr::TransactionStart);
     let ts_stop = schema.temporal_index(TemporalAttr::TransactionStop);
-    let valid_from = schema.temporal_index(TemporalAttr::ValidFrom);
     let valid_to = schema.temporal_index(TemporalAttr::ValidTo);
     let valid_at = schema.temporal_index(TemporalAttr::ValidAt);
 
@@ -828,11 +827,6 @@ pub fn exec_replace(
             }
         }
     }
-    // Rollback replaces keep the old version's "valid period" notionally
-    // infinite; fix up the stored valid attrs (rollback relations have
-    // none, so nothing to do — the BEGINNING..FOREVER interval above is
-    // ignored by schemas without valid time).
-    let _ = valid_from;
     {
         // Static replaces update explicit attributes in place; if any of
         // them is indexed the index entries are stale — rebuild.

@@ -32,12 +32,13 @@
 //!   on), `as of` times past the watermark, or a snapshot attempt that
 //!   raced a concurrent DDL. The single-threaded [`Database`] executes
 //!   the statement as it would on its own. In durable mode the
-//!   WAL commit happens inside the exclusive section, so commits are
+//!   WAL commit — appends, ticket, and the wait for the covering log
+//!   sync — happens inside the exclusive section, so commits are
 //!   serialized per statement exactly as in single-threaded operation;
 //!   under **group commit** (see [`Database::enable_group_commit`])
-//!   only the *appends* happen under the lock — the fsync is deferred
-//!   to a batching leader and acknowledged after the lock is released,
-//!   which is what lets N sessions share one fsync.
+//!   only the appends and the ticket happen under the lock — the wait
+//!   moves to `Engine::ack_commit`, after the lock is released, which
+//!   is what lets N sessions share one fsync.
 //!
 //! [`Engine::with_read`] takes the lock shared, for introspection (the
 //! shell, the server's stats); no statement runs that way.
@@ -85,7 +86,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Duration;
 use tdbms_kernel::{Error, Result, TimeVal};
 use tdbms_plan::PlanCache;
-use tdbms_storage::{Catalog, FileId, Pager};
+use tdbms_storage::{Catalog, Pager};
 use tdbms_tquel::ast::Statement;
 use tdbms_wal::{GroupCommit, LogHandle};
 
@@ -253,8 +254,8 @@ impl Engine {
         self.publish_view(&db);
         let pending = db.take_pending_commit();
         drop(db);
-        if let Some((ticket, drops)) = pending {
-            self.ack_commit(ticket, drops)?;
+        if let Some(ticket) = pending {
+            self.ack_commit(ticket)?;
         }
         Ok(r)
     }
@@ -402,44 +403,26 @@ impl Engine {
     }
 
     /// Wait for a group commit's ticket to become durable (possibly
-    /// electing this thread the fsync leader), then execute its
-    /// deferred file drops. Runs strictly outside the commit lock.
-    fn ack_commit(&self, ticket: u64, drops: Vec<FileId>) -> Result<()> {
+    /// electing this thread the fsync leader), then execute the file
+    /// drops logged up to it. Runs strictly outside the commit lock —
+    /// the only durability wait that does.
+    fn ack_commit(&self, ticket: u64) -> Result<()> {
         let Some((gc, log)) = &self.inner.group else {
             return Ok(());
         };
-        if let Err(e) = gc.wait_durable(ticket, || log.sync()) {
-            // The log's durable prefix is unknown past the watermark.
-            // Degrade, don't die: snapshot reads keep serving the last
-            // published view, writes are refused with a typed error
-            // until a checkpoint re-arms the queue. The drops go back
-            // on the pending ticket so the re-arming checkpoint
-            // retires them (a logged drop must eventually happen).
-            match self.shared.write() {
-                Ok(mut db) => db.repark_drops(ticket, drops),
-                // Poisoned commit lock: still record the logged drops
-                // on the pager's repairs list so `retry_deferred`
-                // retires them instead of stranding files on disk.
-                Err(_) => {
-                    for file in drops {
-                        self.inner.pager.defer_drop(file);
-                    }
-                }
-            }
-            // The statement's effects already stood (applied and
-            // published before the batch sync ran), so its durability
-            // is unknown — surface the non-retryable contract, not
-            // `Degraded` (whose contract promises a rollback and
-            // invites a verbatim retry).
-            return Err(Error::RetryUnsafe(format!(
-                "commit durability unknown: {e}"
-            )));
-        }
-        for file in drops {
-            if self.inner.pager.execute_drop(file).is_err() {
-                self.inner.pager.defer_drop(file);
-            }
-        }
+        // On failure the log's durable prefix is unknown past the
+        // watermark. Degrade, don't die: snapshot reads keep serving
+        // the last published view, writes are refused with a typed
+        // error until a checkpoint re-arms the queue — and retires the
+        // logged drops, which stay queued in the pager. The statement's
+        // effects already stood (applied and published before the
+        // batch sync ran), so surface the non-retryable contract, not
+        // `Degraded` (whose contract promises a rollback and invites a
+        // verbatim retry).
+        gc.wait_durable(ticket, || log.sync()).map_err(|e| {
+            Error::RetryUnsafe(format!("commit durability unknown: {e}"))
+        })?;
+        self.inner.pager.execute_drops(ticket);
         Ok(())
     }
 
@@ -802,25 +785,21 @@ impl Session {
     }
 
     /// Execute under the exclusive lock via the single-threaded engine,
-    /// with this session's ranges swapped in; then republish the read
-    /// view and (under group commit) acknowledge off the lock.
+    /// with this session's ranges swapped in; [`Engine::try_with_write`]
+    /// then republishes the read view and (under group commit)
+    /// acknowledges off the lock.
     fn execute_write(
         &mut self,
         stmt: &Statement,
         guard: &QueryGuard,
     ) -> Result<ExecOutput> {
-        let mut db = self.engine.write()?;
-        std::mem::swap(db.ranges_mut(), &mut self.ranges);
-        let out = db.execute_statement_guarded(stmt, guard);
-        std::mem::swap(db.ranges_mut(), &mut self.ranges);
-        self.engine.publish_view(&db);
-        let pending = db.take_pending_commit();
-        drop(db);
-        let out = out?;
-        if let Some((ticket, drops)) = pending {
-            self.engine.ack_commit(ticket, drops)?;
-        }
-        Ok(out)
+        let ranges = &mut self.ranges;
+        self.engine.try_with_write(|db| {
+            std::mem::swap(db.ranges_mut(), ranges);
+            let out = db.execute_statement_guarded(stmt, guard);
+            std::mem::swap(db.ranges_mut(), ranges);
+            out
+        })?
     }
 }
 

@@ -269,8 +269,12 @@ struct PagerState {
     staged: BTreeSet<(FileId, u32)>,
     /// Files whose length changed since the last commit.
     resized: BTreeSet<FileId>,
-    /// Files dropped while staging; physically dropped after commit.
+    /// Files dropped while staging by statements no commit has logged
+    /// yet.
     pending_drops: Vec<FileId>,
+    /// Drops a commit has logged, tagged with that commit's ticket:
+    /// physically dropped once the ticket is durable.
+    logged_drops: Vec<(u64, FileId)>,
     /// Sidecar page checksums, verified on fault-in and refreshed on every
     /// real disk write. `None` (the paper default) skips both sides.
     checksums: Option<ChecksumSet>,
@@ -623,6 +627,7 @@ impl Pager {
                 staged: BTreeSet::new(),
                 resized: BTreeSet::new(),
                 pending_drops: Vec::new(),
+                logged_drops: Vec::new(),
                 checksums: None,
                 read_retries: DEFAULT_READ_RETRIES,
                 undo: None,
@@ -667,13 +672,6 @@ impl Pager {
     /// The default frames-per-file cap.
     pub fn default_buffer_frames(&self) -> usize {
         self.st_read().default_cap
-    }
-
-    /// Change the eviction policy for every pool. Reference bits and the
-    /// clock hand carry over untouched; with the paper's single-frame
-    /// pools the policies are indistinguishable.
-    pub fn set_eviction_policy(&self, policy: EvictionPolicy) {
-        self.st().policy = policy;
     }
 
     /// The active eviction policy.
@@ -1227,30 +1225,42 @@ impl Pager {
             .collect()
     }
 
-    /// Drain the files whose drop was deferred by staging mode, to be
-    /// physically dropped once the commit that logs them is durable.
-    pub fn take_pending_drops(&self) -> Vec<FileId> {
-        std::mem::take(&mut self.st().pending_drops)
+    /// The files dropped while staging that no commit has logged yet
+    /// (the next commit's `DropFile` records).
+    pub fn pending_drops(&self) -> Vec<FileId> {
+        self.st_read().pending_drops.clone()
     }
 
-    /// Physically drop a file whose drop was deferred by staging mode.
-    /// Idempotent: a file already gone (a retried drop after a partial
-    /// failure) is success, not an error.
-    pub fn execute_drop(&self, file: FileId) -> Result<()> {
+    /// The commit holding `ticket` logged every pending drop: queue
+    /// them for [`Pager::execute_drops`]. A statement that rolls back
+    /// before this keeps its drops out of the queue (its undo trims
+    /// `pending_drops`).
+    pub fn log_drops(&self, ticket: u64) {
         let st = &mut *self.st();
-        if st.disk.page_count(file).is_err() {
-            return Ok(());
-        }
-        st.disk.drop_file(file)
+        let logged = std::mem::take(&mut st.pending_drops);
+        st.logged_drops
+            .extend(logged.into_iter().map(|f| (ticket, f)));
     }
 
-    /// Park a physical drop that the disk refused (out of space, device
-    /// error) so `retry_deferred` completes it once the disk recovers.
-    /// The drop is already logged as committed, so it must eventually
-    /// happen — but nothing reads the file meanwhile, so deferring is
-    /// safe.
-    pub fn defer_drop(&self, file: FileId) {
-        self.st().deferred.push(Deferred::Drop(file));
+    /// Physically drop every file whose drop was logged at or below
+    /// `ticket` — those commits are durable (`u64::MAX`: a checkpoint
+    /// retires them all). A logged drop must eventually happen, but
+    /// nothing reads the file meanwhile: one the disk refuses (out of
+    /// space, device error) only strands space and parks for
+    /// `retry_deferred`.
+    pub fn execute_drops(&self, ticket: u64) {
+        let st = &mut *self.st();
+        let (ready, waiting): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut st.logged_drops)
+                .into_iter()
+                .partition(|(t, _)| *t <= ticket);
+        st.logged_drops = waiting;
+        for (_, file) in ready {
+            let fix = Deferred::Drop(file);
+            if st.apply_fix(&fix).is_err() {
+                st.deferred.push(fix);
+            }
+        }
     }
 
     /// Write every overlay page through to the disk (counting one write
@@ -1820,10 +1830,14 @@ mod tests {
         assert_eq!(pager.take_resized().unwrap(), vec![(f, 2)]);
         assert!(pager.take_resized().unwrap().is_empty(), "drained");
         pager.drop_file(f).unwrap();
-        // Still on disk until the commit executes the deferred drop.
+        // Still on disk until the commit that logs the drop is durable.
         assert_eq!(pager.page_count(f).unwrap(), 2);
-        assert_eq!(pager.take_pending_drops(), vec![f]);
-        pager.execute_drop(f).unwrap();
+        assert_eq!(pager.pending_drops(), vec![f]);
+        pager.log_drops(7);
+        assert!(pager.pending_drops().is_empty(), "queued on ticket 7");
+        pager.execute_drops(6);
+        assert_eq!(pager.page_count(f).unwrap(), 2, "7 is not durable yet");
+        pager.execute_drops(7);
         assert!(pager.page_count(f).is_err());
     }
 

@@ -18,7 +18,11 @@
 //!
 //! Because the fsync happens *outside* the commit lock, other writers
 //! keep appending while the leader syncs — that overlap is where the
-//! commits-per-fsync ratio above 1 comes from.
+//! commits-per-fsync ratio above 1 comes from. A database nobody
+//! acknowledges after the lock (a standalone one, or any commit that
+//! makes a checkpoint due) runs the same protocol with the wait still
+//! inside the critical section; at `max_batch` 1 / `max_delay` 0 that
+//! is one fsync per commit with no linger.
 //!
 //! ## Failure semantics
 //!
@@ -155,6 +159,13 @@ impl GroupCommit {
     /// un-re-armed (see [`GroupCommit::mark_all_durable`]).
     pub fn failure(&self) -> Option<Error> {
         self.lock().failed.clone()
+    }
+
+    /// Whether every registered ticket is durable: nothing appended to
+    /// the log still waits for a sync.
+    pub fn all_durable(&self) -> bool {
+        let st = self.lock();
+        st.durable >= st.appended
     }
 
     /// Block until `ticket` is durable. `sync` forces the log to stable

@@ -116,11 +116,18 @@ gate_concurrency_stress() {
     done
 }
 
-# Group-commit acceptance gate: the crash matrix (kills between the
-# batch fsync and the per-session ack), the inline settle path, and
-# the checkpoint interplay — zero acked-tuple loss, no phantom acks.
+# Commit-pipeline acceptance gate: the crash matrix (kills between the
+# batch fsync and the per-session ack), a standalone database waiting
+# its own ticket, and the checkpoint interplay — zero acked-tuple loss,
+# no phantom acks; then, by name, the standalone failure contract (one
+# outcome over three queue configs), what the pager-side drop queue and
+# the queue-of-one must still guarantee, and WAL on/off page counts.
 gate_group_commit_crash() {
     cargo test -q --test group_commit
+    cargo test -q --test chaos \
+        commit_fsync_failure_degrades_every_standalone_mode
+    cargo test -q --test commit_pipeline
+    cargo test -q --test wal_golden
 }
 
 # Lock-free read acceptance gate: readers racing writers stay

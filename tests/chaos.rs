@@ -118,35 +118,65 @@ fn enospc_write_rolls_back_degrades_and_rearms() {
     assert_eq!(ids(&mut db), vec![1, 2, 3, 4, 5, 8]);
 }
 
+/// The failure contract of a standalone [`Database`], as one table: a
+/// durable database always commits through its commit queue and waits
+/// for the covering log sync *under the lock*, so a failed sync is
+/// pre-durability whatever the queue's config — the statement rolls
+/// back, the error is the retryable `Degraded`, the next write re-arms,
+/// and a reopen holds exactly the acknowledged rows.
 #[test]
-fn fsync_failure_degrades_and_recovers() {
-    let (mut db, plan, disk, log) = fault_db();
-    db.execute(CREATE).expect("create");
-    for id in 1..=3 {
-        append(&mut db, id).expect("append before the fault");
+fn commit_fsync_failure_degrades_every_standalone_mode() {
+    let modes = [
+        ("plain durable", CheckpointPolicy::EveryCommit, None),
+        (
+            "queue of one",
+            CheckpointPolicy::EveryN(1024),
+            Some((1, Duration::ZERO)),
+        ),
+        (
+            "batching queue",
+            CheckpointPolicy::EveryN(1024),
+            Some((8, Duration::from_millis(2))),
+        ),
+    ];
+    for (mode, policy, group) in modes {
+        let (mut db, plan, disk, log) = fault_db();
+        db.set_checkpoint_policy(policy);
+        if let Some((max_batch, max_delay)) = group {
+            db.enable_group_commit(GroupCommitConfig {
+                max_batch,
+                max_delay,
+            })
+            .expect("database is durable");
+        }
+        db.execute(CREATE).expect("create");
+        for id in 1..=3 {
+            append(&mut db, id).expect("append before the fault");
+        }
+
+        plan.set_fsync_fail(true);
+        let err = append(&mut db, 4).expect_err("log sync fails");
+        assert!(
+            matches!(err, Error::Degraded { .. }),
+            "{mode}: a failed commit fsync must be Degraded, got: {err}"
+        );
+        assert!(err.is_retryable(), "{mode}: the statement rolled back");
+        assert!(db.is_degraded(), "{mode}");
+        assert_eq!(ids(&mut db), vec![1, 2, 3], "{mode}: reads serve");
+
+        plan.set_fsync_fail(false);
+        append(&mut db, 5).expect("write path re-armed");
+        assert!(!db.is_degraded(), "{mode}");
+
+        // The re-arm checkpoint resolved the commit-uncertainty window:
+        // the rolled-back statement (id 4) is gone for good, the acked
+        // ones survive a reopen.
+        drop(db);
+        let mut db =
+            Database::open_durable_on(Box::new(disk), Box::new(log), None)
+                .expect("reopen replays the log");
+        assert_eq!(ids(&mut db), vec![1, 2, 3, 5], "{mode}");
     }
-
-    plan.set_fsync_fail(true);
-    let err = append(&mut db, 4).expect_err("log sync fails");
-    assert!(
-        matches!(err, Error::Degraded { .. }),
-        "a failed fsync must surface as Degraded, got: {err}"
-    );
-    assert!(db.is_degraded());
-    assert_eq!(ids(&mut db), vec![1, 2, 3], "reads keep serving");
-
-    plan.set_fsync_fail(false);
-    append(&mut db, 5).expect("write path re-armed");
-    assert!(!db.is_degraded());
-
-    // The re-arm checkpoint resolved the commit-uncertainty window:
-    // the rolled-back statement (id 4) is gone for good, the acked
-    // ones survive a reopen.
-    drop(db);
-    let mut db =
-        Database::open_durable_on(Box::new(disk), Box::new(log), None)
-            .expect("reopen replays the log");
-    assert_eq!(ids(&mut db), vec![1, 2, 3, 5]);
 }
 
 #[test]
@@ -259,44 +289,6 @@ fn due_checkpoint_sync_failure_is_not_a_false_ack() {
         Database::open_durable_on(Box::new(disk), Box::new(log), None)
             .expect("reopen replays the log");
     assert_eq!(ids(&mut db), vec![1, 3]);
-}
-
-/// A failed *settle* — the batch fsync that runs after the statement
-/// applied and its undo was discarded — means the commit's durability
-/// is unknown while its effects stand. The plain-database path must
-/// surface that as the non-retryable [`Error::RetryUnsafe`] (a
-/// verbatim retry would double-apply), and the re-arm checkpoint then
-/// persists the uncertain commit durably.
-#[test]
-fn inline_settle_failure_is_retry_unsafe_and_effects_stand() {
-    let (mut db, plan, disk, log) = fault_db();
-    db.set_checkpoint_policy(CheckpointPolicy::EveryN(1024));
-    db.enable_group_commit(GroupCommitConfig {
-        max_batch: 1,
-        max_delay: Duration::ZERO,
-    })
-    .expect("database is durable");
-    db.execute(CREATE).expect("create");
-    append(&mut db, 1).expect("append before the fault");
-
-    plan.set_fsync_fail(true);
-    let err = append(&mut db, 2).expect_err("batch fsync fails");
-    assert!(
-        matches!(err, Error::RetryUnsafe(_)),
-        "settle failure must be RetryUnsafe, got: {err}"
-    );
-    assert!(!err.is_retryable());
-    assert!(db.is_degraded());
-
-    // The effects stood; the re-arm checkpoint makes them durable.
-    plan.set_fsync_fail(false);
-    append(&mut db, 3).expect("write path re-armed");
-    assert_eq!(ids(&mut db), vec![1, 2, 3]);
-    drop(db);
-    let mut db =
-        Database::open_durable_on(Box::new(disk), Box::new(log), None)
-            .expect("reopen replays the log");
-    assert_eq!(ids(&mut db), vec![1, 2, 3]);
 }
 
 #[test]

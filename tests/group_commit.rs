@@ -15,11 +15,11 @@
 //!   Because acks are issued only after the covering fsync returns,
 //!   any acked-but-lost tuple here is a **phantom ack** — the assert
 //!   names it as such.
-//! * **Inline settle path**: a plain `Database` (no engine) with group
-//!   commit enabled settles its own ticket after each statement; a
-//!   reopen without checkpoint must replay every acked statement.
+//! * **Standalone wait**: a plain `Database` (no engine) with group
+//!   commit enabled waits its own ticket inside each commit; a reopen
+//!   without checkpoint must replay every acked statement.
 //! * **Checkpoint interplay**: a dense `EveryN` checkpoint policy runs
-//!   against batched commits (parked drops, early log sync) and the
+//!   against batched commits (logged drops, early log sync) and the
 //!   reopened database must still be exact.
 
 use std::collections::BTreeSet;
@@ -123,7 +123,7 @@ fn group_commit_crash_matrix_never_drops_an_acked_commit() {
             }
         }
         if let Ok(mut db) = Database::open_durable_on(fdisk, flog, None) {
-            // Frequent checkpoints so batches, parked drops, and the
+            // Frequent checkpoints so batches, logged drops, and the
             // checkpoint's early log sync all interleave with faults.
             db.set_checkpoint_policy(CheckpointPolicy::EveryN(5));
             if db
@@ -215,9 +215,9 @@ fn group_commit_crash_matrix_never_drops_an_acked_commit() {
     }
 }
 
-/// The inline (engine-less) settle path: every acked statement on a
-/// plain `Database` with group commit enabled must survive a reopen
-/// that replays the log — no checkpoint in between.
+/// The engine-less path (the commit waits its own ticket): every acked
+/// statement on a plain `Database` with group commit enabled must
+/// survive a reopen that replays the log — no checkpoint in between.
 #[test]
 fn inline_group_commit_acks_are_durable_without_checkpoint() {
     let disk = SharedMemDisk::new();
@@ -262,10 +262,10 @@ fn inline_group_commit_acks_are_durable_without_checkpoint() {
         expect,
         "inline group commit lost an acked statement across reopen"
     );
-    audit_clean(&engine, "inline settle path after recovery");
+    audit_clean(&engine, "standalone wait path after recovery");
 }
 
-/// Dense checkpoints against batched commits: parked drops and the
+/// Dense checkpoints against batched commits: logged drops and the
 /// checkpoint's early log sync must leave an exact database behind,
 /// live and across a reopen.
 #[test]
