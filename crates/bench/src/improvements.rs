@@ -2,18 +2,18 @@
 //! Database") and of the §5.4 non-uniform-distribution experiment.
 //!
 //! Where the paper *estimated* the two-level store and secondary-index
-//! costs, we build the structures with `tdbms-twostore` and measure real
+//! costs, we build the structures from the storage crate's own keyed
+//! files, [`ClusteredHistory`] and [`SecondaryIndex`], and measure real
 //! page accesses.
 
 use crate::sweep::SweepData;
 use crate::workload::{all_rows, AMOUNT_H, AMOUNT_I, PROBE_ID};
 use std::cmp::Ordering;
 use tdbms_core::Database;
-use tdbms_kernel::{RowCodec, Schema};
-use tdbms_storage::{AccessMethod, HashFn, KeySpec, Pager, RelFile};
-use tdbms_twostore::{
-    is_current_row, HistoryLayout, IndexStructure, SecondaryIndex,
-    TwoLevelStore,
+use tdbms_kernel::{Result, RowCodec, Schema, TemporalAttr, TimeVal};
+use tdbms_storage::{
+    AccessMethod, ClusteredHistory, HashFn, IndexStructure, KeySpec, Pager,
+    RelFile, SecondaryIndex,
 };
 
 /// One row of the Figure 10 table. `None` renders as the paper's `-`
@@ -47,6 +47,63 @@ struct Rel {
     rows: Vec<Vec<u8>>,
 }
 
+/// The paper's §6 two-level store over one relation: current versions in
+/// a keyed primary, every other version clustered per tuple.
+#[derive(Debug)]
+pub struct TwoLevel {
+    /// The versions open in both times, keyed on attribute 0.
+    pub primary: RelFile,
+    /// Every other version.
+    pub history: ClusteredHistory,
+}
+
+/// Is this stored row a current version (open-ended in both the times its
+/// schema records)?
+fn is_current_row(schema: &Schema, codec: &RowCodec, row: &[u8]) -> bool {
+    [TemporalAttr::TransactionStop, TemporalAttr::ValidTo]
+        .into_iter()
+        .filter_map(|t| schema.temporal_index(t))
+        .all(|i| codec.get_time(row, i).is_forever())
+}
+
+/// Split `rows` (full stored rows of `schema`) into a [`TwoLevel`] store:
+/// the current versions build a `method` primary keyed on attribute 0
+/// (mod hash, fill 100), the rest migrate into a fresh clustered history.
+pub fn build_two_level(
+    pager: &Pager,
+    schema: &Schema,
+    rows: &[Vec<u8>],
+    method: AccessMethod,
+) -> Result<TwoLevel> {
+    let codec = RowCodec::new(schema);
+    let key = KeySpec::for_attr(&codec, 0);
+    let width = schema.row_width();
+    let (current, past): (Vec<Vec<u8>>, Vec<Vec<u8>>) = rows
+        .iter()
+        .cloned()
+        .partition(|row| is_current_row(schema, &codec, row));
+    let primary = RelFile::build_into(
+        pager,
+        pager.create_file()?,
+        method,
+        &current,
+        width,
+        Some(key),
+        HashFn::Mod,
+        100,
+    )?;
+    // Figure 10 reads the history by key only and never gates on its
+    // stop-time high-water mark, so every row migrates at BEGINNING.
+    let past: Vec<(Vec<u8>, TimeVal)> = past
+        .into_iter()
+        .map(|row| (row, TimeVal::BEGINNING))
+        .collect();
+    let history = ClusteredHistory::create(pager, width, key)?
+        .with_migrated(pager, &past)?;
+    pager.flush_all()?;
+    Ok(TwoLevel { primary, history })
+}
+
 fn load_rel(db: &mut Database, name: &str) -> Rel {
     let rows = all_rows(db, name);
     let (_, catalog, _) = db.internals();
@@ -68,9 +125,9 @@ fn cost_of(pager: &Pager, mut op: impl FnMut(&Pager)) -> u64 {
     cost.total().reads
 }
 
-/// Scan a keyed file counting rows whose `attr` equals `value` and which
-/// are current versions (the conventional Q07/Q08 work, restaged for a
-/// primary store).
+/// Scan a keyed file counting rows whose `attr` equals `value` (the
+/// conventional Q07/Q08 work, restaged for a primary store, which holds
+/// only current versions).
 fn scan_filter(
     pager: &Pager,
     file: &RelFile,
@@ -90,6 +147,37 @@ fn scan_filter(
     n
 }
 
+/// The current version of `key_bytes` in a keyed primary.
+fn current_for_key(
+    pager: &Pager,
+    primary: &RelFile,
+    key_bytes: &[u8],
+) -> Option<Vec<u8>> {
+    let mut cur = primary
+        .lookup_eq(pager, key_bytes)
+        .expect("lookup")
+        .expect("keyed primary");
+    cur.next(pager, primary).expect("probe").map(|(_, row)| row)
+}
+
+/// Scan `outer` and, per row, read every row of the keyed `inner` whose
+/// key equals the row's `attr`.
+fn probe_join(
+    pager: &Pager,
+    outer: &RelFile,
+    attr: &KeySpec,
+    inner: &RelFile,
+) {
+    let mut cur = outer.scan();
+    while let Some((_, row)) = cur.next(pager, outer).expect("scan") {
+        let mut probe = inner
+            .lookup_eq(pager, attr.extract(&row))
+            .expect("lookup")
+            .expect("keyed primary");
+        while probe.next(pager, inner).expect("probe").is_some() {}
+    }
+}
+
 /// Build the Figure 10 table for a temporal database that has been evolved
 /// to `sweep.max_uc` (pass the sweep and the evolved database returned by
 /// [`crate::sweep::run_sweep`]).
@@ -101,93 +189,64 @@ pub fn measure_improvements(
     let i = load_rel(db, &sweep.cfg.rel_i());
     let (pager, _, _) = db.internals();
 
-    // Two-level stores, simple and clustered history, hash/ISAM primaries
-    // mirroring the conventional organizations.
-    let key_attr = 0usize;
-    let build = |pager: &Pager, rel: &Rel, method, layout| {
-        TwoLevelStore::build_from_rows(
-            pager,
-            &rel.schema,
-            &rel.rows,
-            key_attr,
-            method,
-            100,
-            HashFn::Mod,
-            layout,
-        )
-        .expect("two-level build")
+    // One two-level store per relation, its primary organized like the
+    // conventional relation. "Simple" cells read only the primary;
+    // "clustered" cells read the primary plus the clustered history.
+    let build = |rel: &Rel, method| {
+        build_two_level(pager, &rel.schema, &rel.rows, method)
+            .expect("two-level build")
     };
-    let h_simple =
-        build(pager, &h, AccessMethod::Hash, HistoryLayout::Simple);
-    let h_clustered =
-        build(pager, &h, AccessMethod::Hash, HistoryLayout::Clustered);
-    let i_simple =
-        build(pager, &i, AccessMethod::Isam, HistoryLayout::Simple);
-    let i_clustered =
-        build(pager, &i, AccessMethod::Isam, HistoryLayout::Clustered);
+    let h2 = build(&h, AccessMethod::Hash);
+    let i2 = build(&i, AccessMethod::Isam);
 
-    // Secondary indexes on `amount` (attribute 1).
+    // Secondary indexes on `amount` (attribute 1): 1-level over every
+    // version, 2-level over the primary, which holds only current ones.
     let h_amount = KeySpec::for_attr(&h.codec, 1);
-    let conv_idx = |pager: &Pager, structure| {
-        SecondaryIndex::build(
-            pager,
-            &h.file,
-            h_amount,
-            structure,
-            100,
-            |_| true,
-        )
-        .expect("1-level index")
+    let index = |target: &RelFile, structure| {
+        SecondaryIndex::build(pager, target, h_amount, structure)
+            .expect("secondary index")
     };
-    let l1_heap = conv_idx(pager, IndexStructure::Heap);
-    let l1_hash = conv_idx(pager, IndexStructure::Hash);
-    let cur_idx = |pager: &Pager, structure| {
-        SecondaryIndex::build(
-            pager,
-            h_simple.primary(),
-            h_amount,
-            structure,
-            100,
-            |_| true, // the primary store holds only current versions
-        )
-        .expect("2-level index")
-    };
-    let l2_heap = cur_idx(pager, IndexStructure::Heap);
-    let l2_hash = cur_idx(pager, IndexStructure::Hash);
+    let l1_heap = index(&h.file, IndexStructure::Heap);
+    let l1_hash = index(&h.file, IndexStructure::Hash);
+    let l2_heap = index(&h2.primary, IndexStructure::Heap);
+    let l2_hash = index(&h2.primary, IndexStructure::Hash);
 
     let probe = (PROBE_ID as i32).to_le_bytes();
 
     // --- measured improvement cells --------------------------------------
-    let q01_clustered = cost_of(pager, |p| {
-        let v = h_clustered.versions_for_key(p, &probe).expect("Q01");
-        assert!(!v.is_empty());
-    });
-    let q02_clustered = cost_of(pager, |p| {
-        let v = i_clustered.versions_for_key(p, &probe).expect("Q02");
-        assert!(!v.is_empty());
-    });
-    let q05_simple = cost_of(pager, |p| {
-        h_simple
-            .current_for_key(p, &probe)
-            .expect("Q05")
-            .expect("found");
-    });
-    let q06_simple = cost_of(pager, |p| {
-        i_simple
-            .current_for_key(p, &probe)
-            .expect("Q06")
-            .expect("found");
-    });
+    let version_scan = |two: &TwoLevel| {
+        cost_of(pager, |p| {
+            let mut n = usize::from(
+                current_for_key(p, &two.primary, &probe).is_some(),
+            );
+            two.history
+                .for_key(p, &probe, |_| {
+                    n += 1;
+                    Ok(())
+                })
+                .expect("history");
+            assert!(n > 0);
+        })
+    };
+    let q01_clustered = version_scan(&h2);
+    let q02_clustered = version_scan(&i2);
+    let current_probe = |two: &TwoLevel| {
+        cost_of(pager, |p| {
+            current_for_key(p, &two.primary, &probe).expect("found");
+        })
+    };
+    let q05_simple = current_probe(&h2);
+    let q06_simple = current_probe(&i2);
     let q07_simple = cost_of(pager, |p| {
         assert_eq!(
-            scan_filter(p, h_simple.primary(), &h_amount, AMOUNT_H as i32),
+            scan_filter(p, &h2.primary, &h_amount, AMOUNT_H as i32),
             1
         );
     });
     let i_amount = KeySpec::for_attr(&i.codec, 1);
     let q08_simple = cost_of(pager, |p| {
         assert_eq!(
-            scan_filter(p, i_simple.primary(), &i_amount, AMOUNT_I as i32),
+            scan_filter(p, &i2.primary, &i_amount, AMOUNT_I as i32),
             1
         );
     });
@@ -196,47 +255,15 @@ pub fn measure_improvements(
     // side, keyed-probe the other per tuple — the conventional plan with
     // history out of the way).
     let q09_simple = cost_of(pager, |p| {
-        let mut cur = i_simple.primary().scan();
-        while let Some((_, row)) =
-            cur.next(p, i_simple.primary()).expect("scan")
-        {
-            let amount = i_amount.extract(&row).to_vec();
-            if let Some(mut probe_cur) = h_simple
-                .primary()
-                .lookup_eq(p, &amount)
-                .expect("keyed primary")
-            {
-                while probe_cur
-                    .next(p, h_simple.primary())
-                    .expect("probe")
-                    .is_some()
-                {}
-            }
-        }
+        probe_join(p, &i2.primary, &i_amount, &h2.primary);
     });
     let q10_simple = cost_of(pager, |p| {
-        let mut cur = h_simple.primary().scan();
-        while let Some((_, row)) =
-            cur.next(p, h_simple.primary()).expect("scan")
-        {
-            let amount = h_amount.extract(&row).to_vec();
-            if let Some(mut probe_cur) = i_simple
-                .primary()
-                .lookup_eq(p, &amount)
-                .expect("keyed primary")
-            {
-                while probe_cur
-                    .next(p, i_simple.primary())
-                    .expect("probe")
-                    .is_some()
-                {}
-            }
-        }
+        probe_join(p, &h2.primary, &h_amount, &i2.primary);
     });
 
     // Q07 through the four index variants.
     let amount_key = (AMOUNT_H as i32).to_le_bytes();
-    let via_conv_index = |pager: &Pager, idx: &SecondaryIndex| {
+    let via_conv_index = |idx: &SecondaryIndex| {
         cost_of(pager, |p| {
             let hits = idx.fetch(p, &h.file, &amount_key).expect("fetch");
             // Keep only current versions, as Q07's `when` clause demands.
@@ -247,18 +274,17 @@ pub fn measure_improvements(
             assert_eq!(n, 1);
         })
     };
-    let q07_l1_heap = via_conv_index(pager, &l1_heap);
-    let q07_l1_hash = via_conv_index(pager, &l1_hash);
-    let via_cur_index = |pager: &Pager, idx: &SecondaryIndex| {
+    let q07_l1_heap = via_conv_index(&l1_heap);
+    let q07_l1_hash = via_conv_index(&l1_hash);
+    let via_cur_index = |idx: &SecondaryIndex| {
         cost_of(pager, |p| {
-            let hits = idx
-                .fetch(p, h_simple.primary(), &amount_key)
-                .expect("fetch");
+            let hits =
+                idx.fetch(p, &h2.primary, &amount_key).expect("fetch");
             assert_eq!(hits.len(), 1);
         })
     };
-    let q07_l2_heap = via_cur_index(pager, &l2_heap);
-    let q07_l2_hash = via_cur_index(pager, &l2_hash);
+    let q07_l2_heap = via_cur_index(&l2_heap);
+    let q07_l2_hash = via_cur_index(&l2_hash);
 
     let conv = |q: &str, uc: u32| sweep.input(q, uc);
     let n = sweep.max_uc;

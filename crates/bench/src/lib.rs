@@ -16,7 +16,8 @@ pub mod workload;
 
 pub use analysis::{cost_model, fixed_cost, CostModel};
 pub use improvements::{
-    measure_improvements, nonuniform_experiment, Fig10Row,
+    build_two_level, measure_improvements, nonuniform_experiment, Fig10Row,
+    TwoLevel,
 };
 pub use predict::{predict_json, predict_report, ranking_violations};
 pub use queries::{queries_for, query_for, BenchQuery, QUERY_IDS};

@@ -1491,22 +1491,23 @@ mod tests {
         // versions to span several pages.
         {
             let rel = cat.get_mut(id);
-            let mut h = ClusteredHistory::create(
-                &pager,
-                rel.schema.row_width(),
-                KeySpec::for_attr(&rel.codec, 0),
-            )
-            .unwrap();
-            for k in 1..=3i64 {
-                for v in 0..40u32 {
+            let batch: Vec<(Vec<u8>, TimeVal)> = (1..=3i64)
+                .flat_map(|k| {
                     let row = rel
                         .codec
                         .encode(&[Value::Int(k), Value::Str("x".into())])
                         .unwrap();
-                    let _ = v;
-                    h.push(&pager, &row, TimeVal::from_secs(100)).unwrap();
-                }
-            }
+                    std::iter::repeat_n((row, TimeVal::from_secs(100)), 40)
+                })
+                .collect();
+            let h = ClusteredHistory::create(
+                &pager,
+                rel.schema.row_width(),
+                KeySpec::for_attr(&rel.codec, 0),
+            )
+            .unwrap()
+            .with_migrated(&pager, &batch)
+            .unwrap();
             rel.history = Some(std::sync::Arc::new(h));
         }
         pager.flush_all().unwrap();

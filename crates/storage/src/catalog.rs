@@ -90,14 +90,8 @@ impl StoredRelation {
             return Err(Error::DuplicateRelation(name));
         }
         let key = crate::key::KeySpec::for_attr(&self.codec, attr);
-        let index = SecondaryIndex::build(
-            pager,
-            &self.file,
-            key,
-            structure,
-            100,
-            |_| true,
-        )?;
+        let index =
+            SecondaryIndex::build(pager, &self.file, key, structure)?;
         self.indexes.push(NamedIndex { name, attr, index });
         Ok(())
     }
@@ -134,8 +128,6 @@ impl StoredRelation {
                 &self.file,
                 key,
                 structure,
-                100,
-                |_| true,
             )?;
         }
         Ok(())

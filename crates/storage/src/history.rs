@@ -16,7 +16,7 @@
 //!
 //! * **Pages are single-key and append-only.** Every page holds versions
 //!   of exactly one key, and [`ClusteredHistory::with_migrated`] — the
-//!   reorganization entry point — never appends to a page that existed
+//!   only way rows enter the file — never appends to a page that existed
 //!   before the batch. A snapshot catalog cloned before the
 //!   reorganization therefore references only pages whose contents can
 //!   never change; the rows it could observe are exactly the rows its
@@ -157,48 +157,9 @@ impl ClusteredHistory {
         page_capacity(self.row_width)
     }
 
-    /// Append one version to the key's newest page if it has room, else
-    /// a fresh page (the two-level store's incremental push — *not* the
-    /// reorganization path, which must never touch pre-existing pages).
-    pub fn push(
-        &mut self,
-        pager: &Pager,
-        row: &[u8],
-        stop: TimeVal,
-    ) -> Result<()> {
-        if row.len() != self.row_width {
-            return Err(Error::RowSize {
-                expected: self.row_width,
-                got: row.len(),
-            });
-        }
-        let kb = self.key.extract(row).to_vec();
-        let pages = self.clusters.entry(kb).or_default();
-        let w = self.row_width;
-        let mut placed = false;
-        if let Some(&last) = pages.last() {
-            placed = pager.write(self.file, last, |p| {
-                if p.has_room(w) {
-                    p.push_row(w, row).map(|_| true)
-                } else {
-                    Ok(false)
-                }
-            })??;
-        }
-        if !placed {
-            let page_no = pager.append_page(self.file, PageKind::Data)?;
-            pages.push(page_no);
-            pager.write(self.file, page_no, |p| p.push_row(w, row))??;
-        }
-        self.rows += 1;
-        if stop > self.max_stop {
-            self.max_stop = stop;
-        }
-        Ok(())
-    }
-
-    /// The reorganization entry point: append `rows` (each with its
-    /// transaction-stop time) on **fresh pages only**, returning a new
+    /// The only way rows enter a history file: append `rows` (each with
+    /// its transaction-stop time), in order, on **fresh pages only**,
+    /// returning a new
     /// `ClusteredHistory` with the extended directory. The receiver —
     /// and any snapshot catalog holding it — is untouched: its directory
     /// references only pages whose contents never change again.
@@ -320,13 +281,18 @@ mod tests {
     #[test]
     fn keyed_access_reads_only_the_cluster() {
         let pager = Pager::in_memory();
-        let mut h = ClusteredHistory::create(&pager, W, key()).unwrap();
-        for round in 0..28u8 {
-            for id in 1..=4 {
-                h.push(&pager, &row(id, round), TimeVal(round.into()))
-                    .unwrap();
-            }
-        }
+        // 28 versions each for ids 1..=4, interleaved by round (the order
+        // updates actually produce).
+        let batch: Vec<(Vec<u8>, TimeVal)> = (0..28u8)
+            .flat_map(|round| {
+                (1..=4)
+                    .map(move |id| (row(id, round), TimeVal(round.into())))
+            })
+            .collect();
+        let h = ClusteredHistory::create(&pager, W, key())
+            .unwrap()
+            .with_migrated(&pager, &batch)
+            .unwrap();
         assert_eq!(h.rows(), 112);
         assert_eq!(h.max_stop(), TimeVal(27));
         assert_eq!(h.cluster_pages(&1i32.to_le_bytes()), 4);
@@ -340,16 +306,25 @@ mod tests {
         .unwrap();
         assert_eq!(n, 28);
         assert_eq!(cost.of(h.file_id()).reads, 4);
+        // A key with no history has no cluster and visits nothing.
+        assert_eq!(h.cluster_pages(&99i32.to_le_bytes()), 0);
+        h.for_key(&pager, &99i32.to_le_bytes(), |_| {
+            panic!("unknown key visited a row")
+        })
+        .unwrap();
+        assert_eq!(cost.of(h.file_id()).reads, 4);
     }
 
     #[test]
     fn migration_never_touches_pre_existing_pages() {
         let pager = Pager::in_memory();
-        let mut h = ClusteredHistory::create(&pager, W, key()).unwrap();
         // Seed with a partially-filled page for key 1 (3 of 8 slots).
-        for i in 0..3u8 {
-            h.push(&pager, &row(1, i), TimeVal(1)).unwrap();
-        }
+        let seed: Vec<(Vec<u8>, TimeVal)> =
+            (0..3u8).map(|i| (row(1, i), TimeVal(1))).collect();
+        let h = ClusteredHistory::create(&pager, W, key())
+            .unwrap()
+            .with_migrated(&pager, &seed)
+            .unwrap();
         let before_pages = h.total_pages(&pager).unwrap();
         assert_eq!(before_pages, 1);
         let snapshot = h.clone();
@@ -395,12 +370,15 @@ mod tests {
     #[test]
     fn reopen_rebuilds_the_directory() {
         let pager = Pager::in_memory();
-        let mut h = ClusteredHistory::create(&pager, W, key()).unwrap();
-        for round in 0..10u8 {
-            for id in 1..=3 {
-                h.push(&pager, &row(id, round), TimeVal(9)).unwrap();
-            }
-        }
+        let batch: Vec<(Vec<u8>, TimeVal)> = (0..10u8)
+            .flat_map(|round| {
+                (1..=3).map(move |id| (row(id, round), TimeVal(9)))
+            })
+            .collect();
+        let h = ClusteredHistory::create(&pager, W, key())
+            .unwrap()
+            .with_migrated(&pager, &batch)
+            .unwrap();
         pager.flush_all().unwrap();
         let re = ClusteredHistory::reopen(
             &pager,

@@ -592,17 +592,20 @@ mod tests {
             .unwrap();
             let key = KeySpec::for_attr(&rel.codec, 0);
             let width = rel.schema.row_width();
-            let mut h = crate::history::ClusteredHistory::create(
+            let batch: Vec<(Vec<u8>, tdbms_kernel::TimeVal)> = (1..=5i32)
+                .map(|i| {
+                    let mut row = vec![0u8; width];
+                    row[key.offset..key.offset + 4]
+                        .copy_from_slice(&i.to_le_bytes());
+                    (row, tdbms_kernel::TimeVal(40 + i as u32))
+                })
+                .collect();
+            let h = crate::history::ClusteredHistory::create(
                 &pager, width, key,
             )
+            .unwrap()
+            .with_migrated(&pager, &batch)
             .unwrap();
-            for i in 1..=5i32 {
-                let mut row = vec![0u8; width];
-                row[key.offset..key.offset + 4]
-                    .copy_from_slice(&i.to_le_bytes());
-                h.push(&pager, &row, tdbms_kernel::TimeVal(40 + i as u32))
-                    .unwrap();
-            }
             rel.history = Some(std::sync::Arc::new(h));
         }
         let text = encode_catalog(&cat);

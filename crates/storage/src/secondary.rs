@@ -63,27 +63,18 @@ fn decode_tid(entry: &[u8], attr_len: usize) -> TupleId {
 }
 
 impl SecondaryIndex {
-    /// Build an index over every row of `target` that passes `include`
-    /// (pass `|_| true` for a 1-level index; a currency predicate yields
-    /// the *current* index of a 2-level scheme).
+    /// Build an index over every row of `target`. Over a conventional
+    /// relation that is the 1-level index; over a two-level store's
+    /// primary, which holds only current versions, it is the current
+    /// index of the 2-level scheme.
     pub fn build(
         pager: &Pager,
         target: &RelFile,
         target_attr: KeySpec,
         structure: IndexStructure,
-        fillfactor: u8,
-        include: impl FnMut(&[u8]) -> bool,
     ) -> Result<SecondaryIndex> {
         let file = pager.create_file()?;
-        Self::build_into(
-            pager,
-            file,
-            target,
-            target_attr,
-            structure,
-            fillfactor,
-            include,
-        )
+        Self::build_into(pager, file, target, target_attr, structure)
     }
 
     /// Build into an existing (truncated) file — used when rebuilding an
@@ -94,16 +85,12 @@ impl SecondaryIndex {
         target: &RelFile,
         target_attr: KeySpec,
         structure: IndexStructure,
-        fillfactor: u8,
-        mut include: impl FnMut(&[u8]) -> bool,
     ) -> Result<SecondaryIndex> {
         let entry_width = target_attr.len + 6;
         let mut entries: Vec<Vec<u8>> = Vec::new();
         let mut cur = target.scan();
         while let Some((tid, row)) = cur.next(pager, target)? {
-            if include(&row) {
-                entries.push(encode_entry(target_attr.extract(&row), tid));
-            }
+            entries.push(encode_entry(target_attr.extract(&row), tid));
         }
         let index_key = KeySpec {
             offset: 0,
@@ -122,7 +109,7 @@ impl SecondaryIndex {
             entry_width,
             Some(index_key),
             HashFn::Mod,
-            fillfactor,
+            100,
         )?;
         pager.flush_all()?;
         Ok(SecondaryIndex {
@@ -301,8 +288,6 @@ mod tests {
             &target,
             amount,
             IndexStructure::Heap,
-            100,
-            |_| true,
         )
         .unwrap();
         assert_eq!(idx.entries_per_page(), 101);
@@ -318,8 +303,6 @@ mod tests {
             &target,
             amount,
             IndexStructure::Heap,
-            100,
-            |_| true,
         )
         .unwrap();
         let hash_idx = SecondaryIndex::build(
@@ -327,8 +310,6 @@ mod tests {
             &target,
             amount,
             IndexStructure::Hash,
-            100,
-            |_| true,
         )
         .unwrap();
         let want = 300i32.to_le_bytes();
@@ -386,8 +367,6 @@ mod tests {
             &target,
             amount,
             IndexStructure::Heap,
-            100,
-            |_| true,
         )
         .unwrap();
         let hash_idx = SecondaryIndex::build(
@@ -395,8 +374,6 @@ mod tests {
             &target,
             amount,
             IndexStructure::Hash,
-            100,
-            |_| true,
         )
         .unwrap();
         let key = 700i32.to_le_bytes();
@@ -417,29 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_build_gives_a_current_only_index() {
-        let pager = Pager::in_memory();
-        let (codec, target, amount) = target_file(&pager, 100);
-        // Pretend versions with odd ids are "history": exclude them.
-        let idx = SecondaryIndex::build(
-            &pager,
-            &target,
-            amount,
-            IndexStructure::Heap,
-            100,
-            |row| codec.get_i4(row, 0) % 2 == 0,
-        )
-        .unwrap();
-        let rows =
-            idx.fetch(&pager, &target, &500i32.to_le_bytes()).unwrap();
-        // amounts of 500: ids ≡ 5 (mod 10) — all odd, all excluded.
-        assert!(rows.is_empty());
-        let rows =
-            idx.fetch(&pager, &target, &400i32.to_le_bytes()).unwrap();
-        assert_eq!(rows.len(), 10); // ids ≡ 4 (mod 10), all even
-    }
-
-    #[test]
     fn maintenance_inserts_are_visible() {
         let pager = Pager::in_memory();
         let (codec, target, amount) = target_file(&pager, 50);
@@ -448,8 +402,6 @@ mod tests {
             &target,
             amount,
             IndexStructure::Hash,
-            100,
-            |_| true,
         )
         .unwrap();
         let new_row = codec
@@ -476,8 +428,6 @@ mod tests {
             &target,
             amount,
             IndexStructure::Heap,
-            100,
-            |_| true,
         )
         .unwrap();
         assert!(idx.lookup_tids(&pager, &[1, 2]).is_err());

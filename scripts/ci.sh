@@ -307,24 +307,31 @@ gate_server_smoke() {
 }
 
 # Planner golden gate: the cost-based planner is an optimization, never
-# a semantics change — every figure binary must print byte-identical
-# output with the planner on (default) and forced to the fixed paper
-# heuristic (`TDBMS_PLANNER=fixed`). Then the prediction report itself
-# must pass its growth-ordering check (fig5 --predict exits nonzero on
-# any mis-ranked pair) and leave the BENCH_planner.json artifact.
+# a semantics change — every figure binary must print exactly its
+# committed golden (tests/golden/<fig>.txt at TDBMS_MAX_UC=2, plus
+# fig10-uc14.txt for Figure 10 at its default depth) with the planner
+# on (default) and forced to the fixed paper heuristic
+# (`TDBMS_PLANNER=fixed`). Then the prediction report itself must pass
+# its growth-ordering check (fig5 --predict exits nonzero on any
+# mis-ranked pair) and leave the BENCH_planner.json artifact.
 gate_planner_golden() {
-    local a b f rc=0
-    a=$(mktemp) b=$(mktemp)
-    for f in fig5 fig6 fig7 fig8 fig9 fig10; do
-        TDBMS_MAX_UC=2 "$bindir/$f" >"$a"
-        TDBMS_PLANNER=fixed TDBMS_MAX_UC=2 "$bindir/$f" >"$b"
-        if ! diff "$a" "$b"; then
-            echo "$f: output changed under TDBMS_PLANNER=fixed"
-            rc=1
-            break
-        fi
+    local a f mode rc=0
+    a=$(mktemp)
+    for mode in cost fixed; do
+        for f in fig5 fig6 fig7 fig8 fig9 fig10 fig10-uc14; do
+            if [[ "$f" == fig10-uc14 ]]; then
+                TDBMS_PLANNER=$mode "$bindir/fig10" >"$a"
+            else
+                TDBMS_PLANNER=$mode TDBMS_MAX_UC=2 "$bindir/$f" >"$a"
+            fi
+            if ! diff "tests/golden/$f.txt" "$a"; then
+                echo "$f: output differs from tests/golden/$f.txt" \
+                    "under TDBMS_PLANNER=$mode"
+                rc=1
+            fi
+        done
     done
-    rm -f "$a" "$b"
+    rm -f "$a"
     [[ "$rc" == 0 ]] || return "$rc"
     TDBMS_MAX_UC=2 "$bindir/fig5" --predict --json BENCH_planner.json \
         >/dev/null || {

@@ -36,5 +36,4 @@ pub use tdbms_storage::{
     PAGE_SIZE, SUMS_FILE,
 };
 pub use tdbms_tquel as tquel;
-pub use tdbms_twostore as twostore;
 pub use tdbms_wal as wal;

@@ -264,8 +264,7 @@ fn two_level_store_is_equivalent_to_conventional() {
         "two_level_store_is_equivalent_to_conventional",
         32,
         |g: &mut Gen| {
-            use tdbms_storage::{AccessMethod, HashFn};
-            use tdbms_twostore::{HistoryLayout, TwoLevelStore};
+            use tdbms_storage::AccessMethod;
 
             let rounds = g.range(0u32..6);
             let n = g.range(4i64..24);
@@ -292,47 +291,36 @@ fn two_level_store_is_equivalent_to_conventional() {
                     conventional.push(row);
                 }
             }
-            // ...must equal the union of primary + history in a two-level
-            // rebuild.
+            // ...must equal the union of primary + history in the Figure 10
+            // two-level build.
             let schema = db.schema_of("t").unwrap();
             let pager = tdbms_storage::Pager::in_memory();
-            for layout in [HistoryLayout::Simple, HistoryLayout::Clustered]
+            let two = tdbms_bench::build_two_level(
+                &pager,
+                &schema,
+                &conventional,
+                AccessMethod::Hash,
+            )
+            .unwrap();
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            let mut cur = two.primary.scan();
+            while let Some((_, row)) =
+                cur.next(&pager, &two.primary).unwrap()
             {
-                let store = TwoLevelStore::build_from_rows(
-                    &pager,
-                    &schema,
-                    &conventional,
-                    0,
-                    AccessMethod::Hash,
-                    100,
-                    HashFn::Mod,
-                    layout,
-                )
-                .unwrap();
-                let mut got: Vec<Vec<u8>> = Vec::new();
-                let mut cur = store.primary().scan();
-                while let Some((_, row)) =
-                    cur.next(&pager, store.primary()).unwrap()
-                {
-                    got.push(row);
-                }
-                store
-                    .history()
-                    .for_all(&pager, |r| {
-                        got.push(r.to_vec());
-                        Ok(())
-                    })
-                    .unwrap();
-                let mut want = conventional.clone();
-                want.sort();
-                got.sort();
-                assert_eq!(got, want);
-                assert_eq!(store.current_count(), n as u64);
-                assert_eq!(
-                    store.history_count(),
-                    2 * rounds as u64 * n as u64
-                );
+                got.push(row);
             }
+            assert_eq!(got.len(), n as usize);
+            assert_eq!(two.history.rows(), 2 * rounds as u64 * n as u64);
+            two.history
+                .for_all(&pager, |r| {
+                    got.push(r.to_vec());
+                    Ok(())
+                })
+                .unwrap();
+            let mut want = conventional;
+            want.sort();
+            got.sort();
+            assert_eq!(got, want);
         },
     );
 }
