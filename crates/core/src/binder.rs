@@ -33,6 +33,19 @@ pub struct Binder<'a> {
 }
 
 impl<'a> Binder<'a> {
+    /// A binder for one statement at transaction time `now`.
+    pub fn new(
+        catalog: &'a Catalog,
+        ranges: &'a HashMap<String, String>,
+        now: TimeVal,
+    ) -> Self {
+        Binder {
+            catalog,
+            ranges,
+            now,
+        }
+    }
+
     /// Resolve `var`, appending it to the statement's range-table slice on
     /// first use. Returns its index.
     pub fn resolve_var(

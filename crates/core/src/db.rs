@@ -870,11 +870,7 @@ impl Database {
                     ranges.insert(var.clone(), rel.clone());
                 }
                 Statement::Retrieve(r) | Statement::Explain(r) => {
-                    let binder = Binder {
-                        catalog: &self.catalog,
-                        ranges: &ranges,
-                        now,
-                    };
+                    let binder = Binder::new(&self.catalog, &ranges, now);
                     let bound = binder.bind_retrieve(r)?;
                     let plan = crate::plan::plan_bound(
                         &self.catalog,
@@ -1304,14 +1300,8 @@ impl Database {
                 )?;
             }
             Statement::Retrieve(r) => {
-                let bound = {
-                    let binder = Binder {
-                        catalog: &self.catalog,
-                        ranges: &self.ranges,
-                        now,
-                    };
-                    binder.bind_retrieve(r)?
-                };
+                let bound = Binder::new(&self.catalog, &self.ranges, now)
+                    .bind_retrieve(r)?;
                 let plan = if self.planner == PlannerMode::Cost
                     && bound.vars.len() >= 2
                 {
@@ -1345,14 +1335,8 @@ impl Database {
                 }
             }
             Statement::Explain(r) => {
-                let bound = {
-                    let binder = Binder {
-                        catalog: &self.catalog,
-                        ranges: &self.ranges,
-                        now,
-                    };
-                    binder.bind_retrieve(r)?
-                };
+                let bound = Binder::new(&self.catalog, &self.ranges, now)
+                    .bind_retrieve(r)?;
                 let plan = crate::plan::plan_bound(
                     &self.catalog,
                     &self.stats,

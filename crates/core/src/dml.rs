@@ -2,39 +2,49 @@
 //! `destroy`, `copy`, and the temporal semantics of `append` / `delete` /
 //! `replace`.
 //!
-//! The update semantics follow Section 4 of the paper exactly:
+//! The update semantics are Section 4 of the paper, written once. An
+//! **append** inserts a new version: `transaction_start = now`,
+//! `transaction_stop = forever`, and the valid period of the `valid`
+//! clause (default `now .. forever`, or `at now` for events). A
+//! **delete** retires every current version as of valid time `at` (its
+//! `valid` clause, default `now`); a **replace** retires each one as of
+//! the new version's `valid_from`, then inserts the new version:
 //!
-//! * **append** — rollback and temporal relations stamp
-//!   `transaction_start = now`, `transaction_stop = forever`; historical
-//!   and temporal relations stamp the valid period from the `valid` clause
-//!   (defaulting to `now .. forever`).
-//! * **delete** — rollback: stamp `transaction_stop = now` in place.
-//!   Historical: stamp `valid_to` in place. Temporal: stamp
-//!   `transaction_stop = now` in place *and insert a new version* whose
-//!   `valid_to` records when the fact stopped holding.
-//! * **replace** — a delete followed by an insert of the updated version;
-//!   on a temporal relation this inserts **two** new versions, which is
-//!   why the paper's temporal databases grow at twice the rate of rollback
-//!   and historical ones.
+//! | class      | kind     | delete: stamp in place   | delete: remove / closing version | replace adds |
+//! |------------|----------|--------------------------|----------------------------------|--------------|
+//! | static     | —        |                          | remove                           | new version (in place if the key is kept) |
+//! | rollback   | —        | `transaction_stop = now` |                                  | new version  |
+//! | historical | interval | `valid_to = at`          |                                  | new version  |
+//! | historical | event    |                          | remove                           | new version (in place if the key is kept) |
+//! | temporal   | interval | `transaction_stop = now` | closing version: `valid_to = at`, `transaction_start = now`, `transaction_stop = forever` | new version, after the closing one |
+//! | temporal   | event    | `transaction_stop = now` |                                  | new version  |
+//!
+//! So a temporal interval replace inserts **two** versions — why the
+//! paper's temporal databases grow at twice the rate of rollback and
+//! historical ones. `retire` implements the delete columns;
+//! `tests::section4_table` enumerates every cell.
 //!
 //! All modifications of versioned relations are *append-only* except the
 //! in-place stop-time stamping — the property that makes write-once
 //! optical storage usable, as the paper notes.
 
-use crate::binder::Binder;
+use crate::binder::{split_conjuncts, split_tconjuncts, Binder};
 use crate::bound::{
-    BExpr, BTPred, BoundRetrieve, BoundTarget, VarBinding, Visibility,
+    BExpr, BTExpr, BTPred, BoundRetrieve, BoundTarget, VarBinding,
+    Visibility,
 };
 use crate::eval::{eval_expr, eval_texpr, Slot};
 use crate::exec::{collect_matching, exec_retrieve};
 use crate::interval::TInterval;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use tdbms_kernel::{
-    AttrDef, DatabaseClass, Domain, Error, Result, Schema, TemporalAttr,
-    TemporalKind, TimeVal, Value,
+    AttrDef, DatabaseClass, Domain, Error, Result, RowCodec, Schema,
+    TemporalAttr, TemporalKind, TimeVal, Value,
 };
 use tdbms_storage::{
-    AccessMethod, Catalog, HashFn, IndexStructure, Pager, RelId,
+    AccessMethod, Catalog, HashFn, IndexStructure, KeySpec, Pager, RelId,
+    StoredRelation, TupleId,
 };
 use tdbms_tquel::ast;
 
@@ -141,19 +151,6 @@ pub fn exec_modify(
     rel.modify(pager, method, key_attr, m.fillfactor.unwrap_or(100), hashfn)
 }
 
-/// Narrow a value to a domain, producing the stored representation.
-fn narrow(domain: Domain, v: &Value) -> Result<Value> {
-    // Integer-valued floats narrow to integer domains and vice versa.
-    match (domain, v) {
-        (d, Value::Int(_)) if d.is_integer() => Ok(v.clone()),
-        (d, Value::Float(f)) if d.is_integer() && f.fract() == 0.0 => {
-            Ok(Value::Int(*f as i64))
-        }
-        (d, _) if d.is_float() => Ok(v.clone()),
-        _ => Ok(v.clone()),
-    }
-}
-
 /// Default value for an unassigned explicit attribute (Quel zero/blank).
 fn default_value(domain: Domain) -> Value {
     match domain {
@@ -168,7 +165,7 @@ fn default_value(domain: Domain) -> Value {
 /// order, then the implicit time attributes.
 pub(crate) fn build_stored_row(
     schema: &Schema,
-    codec: &tdbms_kernel::RowCodec,
+    codec: &RowCodec,
     explicit: &[Value],
     valid: TInterval,
     tx_start: TimeVal,
@@ -176,7 +173,13 @@ pub(crate) fn build_stored_row(
     let mut all: Vec<Value> = Vec::with_capacity(schema.arity());
     for (i, v) in explicit.iter().enumerate() {
         let d = schema.domain_of(i).expect("explicit index");
-        let v = narrow(d, v)?;
+        // Integer-valued floats narrow to integer domains.
+        let v = match v {
+            Value::Float(f) if d.is_integer() && f.fract() == 0.0 => {
+                Value::Int(*f as i64)
+            }
+            _ => v.clone(),
+        };
         if !d.accepts(&v) {
             return Err(Error::BadValue(format!(
                 "value {v} does not fit attribute {} ({d})",
@@ -197,42 +200,118 @@ pub(crate) fn build_stored_row(
     codec.encode(&all)
 }
 
-/// Resolve an append/replace `valid` clause into the inserted version's
-/// valid period, evaluated with any participating variables bound.
-fn resolve_valid(
+/// Bind the `valid` clause of an append, delete or replace on a relation
+/// of `schema`, once per statement, into the `(from, to)` events of the
+/// period it names (`valid at e` names `(e, e)`). The one place the
+/// clause's applicability is checked.
+fn bind_valid(
     binder: &Binder<'_>,
-    valid: &Option<ast::ValidClause>,
-    kind: TemporalKind,
+    clause: &Option<ast::ValidClause>,
+    schema: &Schema,
     vars: &mut Vec<VarBinding>,
-    slots: &[Slot],
-) -> Result<TInterval> {
-    match (valid, kind) {
-        (None, TemporalKind::Interval) => {
-            Ok(TInterval::new(binder.now, TimeVal::FOREVER))
+) -> Result<Option<(BTExpr, BTExpr)>> {
+    let Some(clause) = clause else {
+        return Ok(None);
+    };
+    let class = schema.class();
+    if !class.has_valid_time() {
+        return Err(Error::NotApplicable(format!(
+            "`valid` clause on a {class} relation"
+        )));
+    }
+    let (from, to) = match (clause, schema.kind()) {
+        (ast::ValidClause::Interval { from, to }, TemporalKind::Interval) => {
+            (from, to)
         }
-        (None, TemporalKind::Event) => Ok(TInterval::event(binder.now)),
-        (Some(ast::ValidClause::Interval { from, to }), TemporalKind::Interval) => {
-            let f = eval_texpr(&binder.bind_texpr(from, vars)?, slots)?;
-            let t = eval_texpr(&binder.bind_texpr(to, vars)?, slots)?;
-            Ok(TInterval::new(f.lo, t.hi))
-        }
-        (Some(ast::ValidClause::At(at)), TemporalKind::Event) => {
-            let a = eval_texpr(&binder.bind_texpr(at, vars)?, slots)?;
-            Ok(TInterval::event(a.lo))
-        }
-        (Some(ast::ValidClause::At(_)), TemporalKind::Interval) => {
-            Err(Error::Semantic(
+        (ast::ValidClause::At(at), TemporalKind::Event) => (at, at),
+        (ast::ValidClause::At(_), _) => {
+            return Err(Error::Semantic(
                 "`valid at` applies to event relations; use `valid from .. to`"
                     .into(),
             ))
         }
-        (Some(ast::ValidClause::Interval { .. }), TemporalKind::Event) => {
-            Err(Error::Semantic(
+        (ast::ValidClause::Interval { .. }, _) => {
+            return Err(Error::Semantic(
                 "`valid from .. to` applies to interval relations; use `valid at`"
                     .into(),
             ))
         }
+    };
+    Ok(Some((
+        binder.bind_texpr(from, vars)?,
+        binder.bind_texpr(to, vars)?,
+    )))
+}
+
+/// The valid period a bound `valid` clause names for the rows bound in
+/// `slots` — or, without a clause, `now .. forever` (`at now` for events).
+fn valid_period(
+    valid: &Option<(BTExpr, BTExpr)>,
+    kind: TemporalKind,
+    now: TimeVal,
+    slots: &[Slot],
+) -> Result<TInterval> {
+    Ok(match (valid, kind) {
+        (None, TemporalKind::Interval) => {
+            TInterval::new(now, TimeVal::FOREVER)
+        }
+        (None, TemporalKind::Event) => TInterval::event(now),
+        (Some((from, to)), TemporalKind::Interval) => TInterval::new(
+            eval_texpr(from, slots)?.lo,
+            eval_texpr(to, slots)?.hi,
+        ),
+        (Some((at, _)), TemporalKind::Event) => {
+            TInterval::event(eval_texpr(at, slots)?.lo)
+        }
+    })
+}
+
+/// Bind the assignments of an append or replace into relation `id`: each
+/// names an explicit attribute, at most once.
+fn bind_assignments(
+    binder: &Binder<'_>,
+    id: RelId,
+    assignments: &[ast::Assignment],
+    vars: &mut Vec<VarBinding>,
+) -> Result<Vec<(usize, BExpr)>> {
+    let StoredRelation { name, schema, .. } = binder.catalog.get(id);
+    let explicit_len = schema.explicit_attrs().len();
+    let mut assigns: Vec<(usize, BExpr)> = Vec::new();
+    for ast::Assignment { attr, expr } in assignments {
+        let idx = schema.index_of(attr).ok_or_else(|| {
+            Error::NoSuchAttribute(format!("{attr} (relation {name})"))
+        })?;
+        if idx >= explicit_len {
+            return Err(Error::Semantic(format!(
+                "cannot assign implicit time attribute {attr:?}; use the \
+                 `valid` clause"
+            )));
+        }
+        if assigns.iter().any(|(i, _)| *i == idx) {
+            let msg = format!("attribute {attr:?} assigned twice");
+            return Err(Error::Semantic(msg));
+        }
+        assigns.push((idx, binder.bind_expr(expr, vars)?));
     }
+    Ok(assigns)
+}
+
+/// Bind a `where` and a `when` qualification, each split into conjuncts.
+fn bind_qual(
+    binder: &Binder<'_>,
+    where_clause: &Option<ast::Expr>,
+    when_clause: &Option<ast::TemporalPred>,
+    vars: &mut Vec<VarBinding>,
+) -> Result<(Vec<BExpr>, Vec<BTPred>)> {
+    let mut where_conjuncts = Vec::new();
+    if let Some(w) = where_clause {
+        split_conjuncts(binder.bind_expr(w, vars)?, &mut where_conjuncts);
+    }
+    let mut when_conjuncts = Vec::new();
+    if let Some(w) = when_clause {
+        split_tconjuncts(binder.bind_tpred(w, vars)?, &mut when_conjuncts);
+    }
+    Ok((where_conjuncts, when_conjuncts))
 }
 
 /// Execute `append`. Supports both constant appends and computed appends
@@ -245,54 +324,21 @@ pub fn exec_append(
     a: &ast::Append,
 ) -> Result<usize> {
     let id = catalog.require(&a.rel)?;
-    let (schema, codec, class, kind) = {
-        let rel = catalog.get(id);
-        (
-            rel.schema.clone(),
-            rel.codec.clone(),
-            rel.schema.class(),
-            rel.schema.kind(),
-        )
-    };
-    let binder = Binder {
-        catalog,
-        ranges,
-        now,
-    };
-
-    // Bind assignments to explicit attributes.
-    let explicit_len = schema.explicit_attrs().len();
+    let rel = catalog.get(id);
+    let (schema, codec) = (rel.schema.clone(), rel.codec.clone());
+    let kind = schema.kind();
+    let binder = Binder::new(catalog, ranges, now);
     let mut vars: Vec<VarBinding> = Vec::new();
-    let mut assigns: Vec<(usize, BExpr)> = Vec::new();
-    for asg in &a.assignments {
-        let idx = schema.index_of(&asg.attr).ok_or_else(|| {
-            Error::NoSuchAttribute(format!(
-                "{} (relation {})",
-                asg.attr, a.rel
-            ))
-        })?;
-        if idx >= explicit_len {
-            return Err(Error::Semantic(format!(
-                "cannot assign implicit time attribute {:?}; use the \
-                 `valid` clause",
-                asg.attr
-            )));
-        }
-        if assigns.iter().any(|(i, _)| *i == idx) {
-            return Err(Error::Semantic(format!(
-                "attribute {:?} assigned twice",
-                asg.attr
-            )));
-        }
-        assigns.push((idx, binder.bind_expr(&asg.expr, &mut vars)?));
-    }
-    if a.valid.is_some() && !class.has_valid_time() {
-        return Err(Error::NotApplicable(format!(
-            "`valid` clause on a {class} relation"
-        )));
-    }
+    let assigns = bind_assignments(&binder, id, &a.assignments, &mut vars)?;
+    let (where_conjuncts, when_conjuncts) =
+        bind_qual(&binder, &a.where_clause, &a.when_clause, &mut vars)?;
+    let valid = bind_valid(&binder, &a.valid, &schema, &mut vars)?;
+    let explicit_defaults = || -> Vec<Value> {
+        (0..schema.explicit_attrs().len())
+            .map(|i| default_value(schema.domain_of(i).expect("explicit")))
+            .collect()
+    };
 
-    let mut inserted = 0usize;
     if vars.is_empty() {
         // Constant append: one new tuple.
         if a.where_clause.is_some() || a.when_clause.is_some() {
@@ -300,167 +346,272 @@ pub fn exec_append(
                 "append qualification references no tuple variables".into(),
             ));
         }
-        let mut explicit: Vec<Value> = (0..explicit_len)
-            .map(|i| default_value(schema.domain_of(i).expect("explicit")))
-            .collect();
+        let mut explicit = explicit_defaults();
         for (idx, e) in &assigns {
             explicit[*idx] = eval_expr(e, &[])?;
         }
-        let valid = resolve_valid(&binder, &a.valid, kind, &mut vars, &[])?;
+        let valid = valid_period(&valid, kind, now, &[])?;
         let row = build_stored_row(&schema, &codec, &explicit, valid, now)?;
         catalog.get_mut(id).insert_row(pager, &row)?;
-        inserted = 1;
-    } else {
-        // Computed append: run the qualification as a retrieve whose
-        // targets are the assignment expressions (plus the valid events),
-        // then insert one tuple per result row.
-        let mut targets: Vec<BoundTarget> = Vec::new();
-        for (k, (idx, e)) in assigns.iter().enumerate() {
-            targets.push(BoundTarget {
-                name: format!("a{k}"),
-                domain: schema.domain_of(*idx).expect("explicit"),
-                expr: e.clone(),
-                agg: None,
-            });
-        }
-        let mut where_conjuncts = Vec::new();
-        if let Some(w) = &a.where_clause {
-            crate::binder::split_conjuncts(
-                binder.bind_expr(w, &mut vars)?,
-                &mut where_conjuncts,
-            );
-        }
-        let mut when_conjuncts = Vec::new();
-        if let Some(w) = &a.when_clause {
-            crate::binder::split_tconjuncts(
-                binder.bind_tpred(w, &mut vars)?,
-                &mut when_conjuncts,
-            );
-        }
-        let valid_bound = match &a.valid {
-            Some(ast::ValidClause::Interval { from, to }) => Some((
-                binder.bind_texpr(from, &mut vars)?,
-                binder.bind_texpr(to, &mut vars)?,
-            )),
-            Some(ast::ValidClause::At(at)) => {
-                let e = binder.bind_texpr(at, &mut vars)?;
-                Some((e.clone(), e))
+        pager.flush_all()?;
+        return Ok(1);
+    }
+    // Computed append: run the qualification as a retrieve whose targets
+    // are the assignment expressions (plus the valid events), then insert
+    // one tuple per result row.
+    let targets = assigns
+        .iter()
+        .enumerate()
+        .map(|(k, (idx, e))| BoundTarget {
+            name: format!("a{k}"),
+            domain: schema.domain_of(*idx).expect("explicit"),
+            expr: e.clone(),
+            agg: None,
+        })
+        .collect();
+    let has_tx = vars.iter().any(|v| v.class.has_transaction_time());
+    let bound = BoundRetrieve {
+        vars,
+        targets,
+        where_conjuncts,
+        when_conjuncts,
+        valid,
+        visibility: has_tx.then(|| Visibility::at(now)),
+        into: None,
+        sort: Vec::new(),
+    };
+    // DML is guard-checked at admission only, so its inner query runs
+    // unlimited (interrupting it would half-apply the append).
+    let guard = crate::guard::QueryGuard::none();
+    let rows = exec_retrieve(pager, catalog, &bound, &guard)?.rows;
+    let (inserted, default) =
+        (rows.len(), valid_period(&None, kind, now, &[])?);
+    for row in rows {
+        // With a `valid` clause the period's two ends follow the targets.
+        let valid = match (&bound.valid, &row[assigns.len()..]) {
+            (None, _) => default,
+            (Some(_), [Value::Time(lo), Value::Time(hi)]) => {
+                TInterval::new(*lo, *hi)
             }
-            None => None,
-        };
-        let has_tx = vars.iter().any(|v| v.class.has_transaction_time());
-        let bound = BoundRetrieve {
-            vars: vars.clone(),
-            targets,
-            where_conjuncts,
-            when_conjuncts,
-            valid: valid_bound,
-            visibility: has_tx.then(|| Visibility::at(now)),
-            into: None,
-            sort: Vec::new(),
-        };
-        // DML is guard-checked at admission only, so its inner query
-        // runs unlimited (interrupting it would half-apply the append).
-        let result = exec_retrieve(
-            pager,
-            catalog,
-            &bound,
-            &crate::guard::QueryGuard::none(),
-        )?;
-        let has_valid_cols = bound.valid.is_some();
-        for row in result.rows {
-            let mut explicit: Vec<Value> = (0..explicit_len)
-                .map(|i| {
-                    default_value(schema.domain_of(i).expect("explicit"))
-                })
-                .collect();
-            for (k, (idx, _)) in assigns.iter().enumerate() {
-                explicit[*idx] = row[k].clone();
+            _ => {
+                let msg = "valid period columns not times".into();
+                return Err(Error::Internal(msg));
             }
-            let valid = if has_valid_cols {
-                let n = row.len();
-                let lo = row[n - 2].as_time().ok_or_else(|| {
-                    Error::Internal("valid_from column not a time".into())
-                })?;
-                let hi = row[n - 1].as_time().ok_or_else(|| {
-                    Error::Internal("valid_to column not a time".into())
-                })?;
-                TInterval::new(lo, hi)
-            } else {
-                match kind {
-                    TemporalKind::Interval => {
-                        TInterval::new(now, TimeVal::FOREVER)
-                    }
-                    TemporalKind::Event => TInterval::event(now),
-                }
-            };
-            let stored =
-                build_stored_row(&schema, &codec, &explicit, valid, now)?;
-            catalog.get_mut(id).insert_row(pager, &stored)?;
-            inserted += 1;
+        };
+        let mut explicit = explicit_defaults();
+        for ((idx, _), v) in assigns.iter().zip(row) {
+            explicit[*idx] = v;
         }
+        let stored =
+            build_stored_row(&schema, &codec, &explicit, valid, now)?;
+        catalog.get_mut(id).insert_row(pager, &stored)?;
     }
     pager.flush_all()?;
     Ok(inserted)
 }
 
-/// The versions a delete/replace operates on: versions current in both
-/// transaction time and valid time.
+/// The versions row DML can still touch: those current in both
+/// transaction time and valid time. This is the one definition of
+/// "current" for delete and replace; a version failing it is history no
+/// later statement stamps again, so it may be migrated out of the
+/// primary file.
 fn current_version_conjuncts(schema: &Schema) -> Vec<BExpr> {
-    let mut out = Vec::new();
-    if let Some(idx) = schema.temporal_index(TemporalAttr::TransactionStop)
-    {
-        out.push(BExpr::Bin {
+    [TemporalAttr::TransactionStop, TemporalAttr::ValidTo]
+        .into_iter()
+        .filter_map(|t| schema.temporal_index(t))
+        .map(|attr| BExpr::Bin {
             op: ast::BinOp::Eq,
-            lhs: Box::new(BExpr::Attr { var: 0, attr: idx }),
+            lhs: Box::new(BExpr::Attr { var: 0, attr }),
             rhs: Box::new(BExpr::Const(Value::Time(TimeVal::FOREVER))),
-        });
-    }
-    if let Some(idx) = schema.temporal_index(TemporalAttr::ValidTo) {
-        out.push(BExpr::Bin {
-            op: ast::BinOp::Eq,
-            lhs: Box::new(BExpr::Attr { var: 0, attr: idx }),
-            rhs: Box::new(BExpr::Const(Value::Time(TimeVal::FOREVER))),
-        });
-    }
-    out
+        })
+        .collect()
 }
 
-/// Bind a single-variable DML qualification (delete/replace). The
-/// variable being modified must be the only one referenced.
-#[allow(clippy::type_complexity)]
-fn bind_dml_qual(
+/// The current versions a delete or replace acts on, collected before any
+/// of them is touched.
+struct Targets {
+    id: RelId,
+    /// Range-table entries; entry 0 is the variable being modified.
+    vars: Vec<VarBinding>,
+    /// Evaluation slot of the modified variable (its schema and codec).
+    slot: Slot,
+    rows: Vec<(TupleId, Vec<u8>)>,
+}
+
+/// The delete/replace prologue: bind the single-variable qualification,
+/// restrict it to the current versions, and collect those through the
+/// query processor's access-path selection.
+fn targets(
+    pager: &Pager,
     binder: &Binder<'_>,
     var: &str,
     where_clause: &Option<ast::Expr>,
     when_clause: &Option<ast::TemporalPred>,
-) -> Result<(Vec<VarBinding>, Vec<BExpr>, Vec<BTPred>)> {
+) -> Result<Targets> {
     let mut vars: Vec<VarBinding> = Vec::new();
-    let vi = binder.resolve_var(var, &mut vars)?;
-    debug_assert_eq!(vi, 0);
-    let mut where_conjuncts = Vec::new();
-    if let Some(w) = where_clause {
-        crate::binder::split_conjuncts(
-            binder.bind_expr(w, &mut vars)?,
-            &mut where_conjuncts,
-        );
-    }
-    let mut when_conjuncts = Vec::new();
-    if let Some(w) = when_clause {
-        crate::binder::split_tconjuncts(
-            binder.bind_tpred(w, &mut vars)?,
-            &mut when_conjuncts,
-        );
-    }
+    binder.resolve_var(var, &mut vars)?;
+    let (mut where_conjuncts, when_conjuncts) =
+        bind_qual(binder, where_clause, when_clause, &mut vars)?;
     if vars.len() > 1 {
         return Err(Error::Semantic(format!(
             "delete/replace qualification may only reference {var:?}"
         )));
     }
-    Ok((vars, where_conjuncts, when_conjuncts))
+    let id = vars[0].rel;
+    let rel = binder.catalog.get(id);
+    where_conjuncts.extend(current_version_conjuncts(&rel.schema));
+    let mut slot = Slot {
+        schema: rel.schema.clone(),
+        codec: rel.codec.clone(),
+        row: None,
+    };
+    let visible = vars[0].class.has_transaction_time();
+    let rows = collect_matching(
+        pager,
+        &mut slot,
+        &rel.file,
+        rel.key_attr,
+        visible.then(|| Visibility::at(binder.now)),
+        &where_conjuncts,
+        &when_conjuncts,
+    )?;
+    Ok(Targets {
+        id,
+        vars,
+        slot,
+        rows,
+    })
 }
 
-/// Execute `delete`.
+/// What retiring one current version does to the stored relation.
+enum Retire {
+    /// Overwrite the version in place with its stamped bytes.
+    Stamp,
+    /// Remove the version physically: the relation has no time attribute
+    /// that could record its end.
+    Remove,
+    /// Stamp the version in place, then insert this closing version.
+    Close(Vec<u8>),
+}
+
+/// True where the §4 table retires a version by removing it.
+fn removes(schema: &Schema) -> bool {
+    matches!(
+        (schema.class(), schema.kind()),
+        (DatabaseClass::Static, _)
+            | (DatabaseClass::Historical, TemporalKind::Event)
+    )
+}
+
+/// Retire one current version as of valid time `at` and transaction time
+/// `now`: the module doc's table, stamping `row` where it stamps.
+fn retire(
+    schema: &Schema,
+    codec: &RowCodec,
+    row: &mut [u8],
+    at: TimeVal,
+    now: TimeVal,
+) -> Retire {
+    let stamp = |row: &mut [u8], attr: TemporalAttr, t: TimeVal| {
+        let idx = schema.temporal_index(attr).expect("stamped attribute");
+        codec.put_time(row, idx, t);
+    };
+    match (schema.class(), schema.kind()) {
+        _ if removes(schema) => Retire::Remove,
+        (DatabaseClass::Historical, _) => {
+            stamp(row, TemporalAttr::ValidTo, at);
+            Retire::Stamp
+        }
+        (DatabaseClass::Temporal, TemporalKind::Interval) => {
+            stamp(row, TemporalAttr::TransactionStop, now);
+            let mut closing = row.to_vec();
+            stamp(&mut closing, TemporalAttr::ValidTo, at);
+            stamp(&mut closing, TemporalAttr::TransactionStart, now);
+            let forever = TimeVal::FOREVER;
+            stamp(&mut closing, TemporalAttr::TransactionStop, forever);
+            Retire::Close(closing)
+        }
+        // Rollback, and temporal events: an event fact is simply no
+        // longer reasserted.
+        _ => {
+            stamp(row, TemporalAttr::TransactionStop, now);
+            Retire::Stamp
+        }
+    }
+}
+
+impl Targets {
+    /// Retire every target at transaction time `now`, highest slot first
+    /// if `highest_first`. `step` sees each target bound in the slot and
+    /// names the valid time `at` it retires as of, and the new version a
+    /// replace inserts after any closing version. A removed version whose
+    /// key the new one keeps is overwritten by it in place instead.
+    /// `reindex` marks in-place rewrites of an indexed attribute. Returns
+    /// the count of targets.
+    fn retire_each(
+        mut self,
+        pager: &Pager,
+        catalog: &mut Catalog,
+        now: TimeVal,
+        highest_first: bool,
+        reindex: bool,
+        mut step: impl FnMut(&Slot) -> Result<(TimeVal, Option<Vec<u8>>)>,
+    ) -> Result<usize> {
+        let mut rows = std::mem::take(&mut self.rows);
+        if highest_first {
+            // Removals compact within pages: process highest slots first
+            // so earlier removals do not move rows we still hold
+            // addresses for.
+            rows.sort_by_key(|(tid, _)| Reverse(*tid));
+        }
+        let affected = rows.len();
+        let rel = catalog.get_mut(self.id);
+        let mut removed = 0;
+        for (tid, row) in rows {
+            self.slot.row = Some(row);
+            let (at, new) = step(&self.slot)?;
+            let mut row = self.slot.row.take().expect("bound above");
+            match retire(&rel.schema, &rel.codec, &mut row, at, now) {
+                Retire::Remove => match new {
+                    Some(new) if same_key(rel, &row, &new) => {
+                        rel.file.update(pager, tid, &new)?;
+                        continue;
+                    }
+                    _ => {
+                        rel.file.delete(pager, tid)?;
+                        removed += 1;
+                    }
+                },
+                Retire::Stamp => rel.file.update(pager, tid, &row)?,
+                Retire::Close(closing) => {
+                    rel.file.update(pager, tid, &row)?;
+                    rel.insert_row(pager, &closing)?;
+                }
+            }
+            if let Some(new) = new {
+                rel.insert_row(pager, &new)?;
+            }
+        }
+        rel.tuple_count -= removed;
+        // Removals compact pages, invalidating the tuple addresses
+        // secondary indexes hold.
+        if (removed > 0 || reindex) && !rel.indexes.is_empty() {
+            rel.rebuild_indexes(pager)?;
+        }
+        pager.flush_all()?;
+        Ok(affected)
+    }
+}
+
+/// True if two rows of `rel` belong at the same place in its file.
+fn same_key(rel: &StoredRelation, a: &[u8], b: &[u8]) -> bool {
+    rel.key_attr.is_none_or(|k| {
+        let key = KeySpec::for_attr(&rel.codec, k);
+        key.extract(a) == key.extract(b)
+    })
+}
+
+/// Execute `delete`: retire every current version that qualifies.
 pub fn exec_delete(
     pager: &Pager,
     catalog: &mut Catalog,
@@ -468,172 +619,24 @@ pub fn exec_delete(
     now: TimeVal,
     d: &ast::Delete,
 ) -> Result<usize> {
-    let binder = Binder {
-        catalog,
-        ranges,
-        now,
-    };
-    let (vars, mut where_conjuncts, when_conjuncts) =
-        bind_dml_qual(&binder, &d.var, &d.where_clause, &d.when_clause)?;
-    let id = vars[0].rel;
-    let (schema, codec, class, kind) = {
-        let rel = catalog.get(id);
-        (
-            rel.schema.clone(),
-            rel.codec.clone(),
-            rel.schema.class(),
-            rel.schema.kind(),
-        )
-    };
-
+    let binder = Binder::new(catalog, ranges, now);
+    let t =
+        targets(pager, &binder, &d.var, &d.where_clause, &d.when_clause)?;
     // The deletion takes effect in valid time at this instant.
-    let del_expr = match (&d.valid, kind) {
-        (Some(ast::ValidClause::Interval { from, .. }), TemporalKind::Interval) => {
-            Some(from)
-        }
-        (Some(ast::ValidClause::At(at)), TemporalKind::Event) => Some(at),
-        (Some(ast::ValidClause::At(_)), TemporalKind::Interval) => {
-            return Err(Error::Semantic(
-                "`valid at` applies to event relations; use `valid from .. to`"
-                    .into(),
-            ))
-        }
-        (Some(ast::ValidClause::Interval { .. }), TemporalKind::Event) => {
-            return Err(Error::Semantic(
-                "`valid from .. to` applies to interval relations; use \
-                 `valid at`"
-                    .into(),
-            ))
-        }
-        (None, _) => None,
-    };
-    let del_time = match del_expr {
-        Some(e) => {
-            if !class.has_valid_time() {
-                return Err(Error::NotApplicable(format!(
-                    "`valid` clause on a {class} relation"
-                )));
-            }
-            let binder = Binder {
-                catalog,
-                ranges,
-                now,
-            };
-            let mut tvars = Vec::new();
-            let bound = binder.bind_texpr(e, &mut tvars)?;
-            if !tvars.is_empty() {
-                return Err(Error::Semantic(
-                    "the `valid` clause of a delete may not reference tuple \
-                     variables"
-                        .into(),
-                ));
-            }
-            eval_texpr(&bound, &[])?.lo
-        }
-        None => now,
-    };
-
-    where_conjuncts.extend(current_version_conjuncts(&schema));
-    let mut slot = Slot {
-        schema: schema.clone(),
-        codec: codec.clone(),
-        row: None,
-    };
-    let visible = class.has_transaction_time().then(|| Visibility::at(now));
-    let (file, key_attr) = {
-        let rel = catalog.get(id);
-        (rel.file.clone(), rel.key_attr)
-    };
-    let targets = collect_matching(
-        pager,
-        &mut slot,
-        &file,
-        key_attr,
-        visible,
-        &where_conjuncts,
-        &when_conjuncts,
-    )?;
-
-    let ts_stop = schema.temporal_index(TemporalAttr::TransactionStop);
-    let valid_to = schema.temporal_index(TemporalAttr::ValidTo);
-    let mut removed = 0u64;
-    // Static deletes compact within pages: process highest slots first so
-    // earlier removals do not move rows we still hold addresses for.
-    let mut targets = targets;
-    targets.sort_by_key(|t| std::cmp::Reverse(t.0));
-    let affected = targets.len();
-    for (tid, mut row) in targets {
-        match class {
-            DatabaseClass::Static => {
-                file.delete(pager, tid)?;
-                removed += 1;
-            }
-            DatabaseClass::Rollback => {
-                codec.put_time(&mut row, ts_stop.expect("rollback"), now);
-                file.update(pager, tid, &row)?;
-            }
-            DatabaseClass::Historical => match kind {
-                TemporalKind::Interval => {
-                    codec.put_time(
-                        &mut row,
-                        valid_to.expect("historical interval"),
-                        del_time,
-                    );
-                    file.update(pager, tid, &row)?;
-                }
-                TemporalKind::Event => {
-                    // An event relation has no valid period to close;
-                    // without transaction time the only way to delete the
-                    // record of the event is physically.
-                    file.delete(pager, tid)?;
-                    removed += 1;
-                }
-            },
-            DatabaseClass::Temporal => {
-                // Stamp the old version dead in transaction time...
-                codec.put_time(&mut row, ts_stop.expect("temporal"), now);
-                file.update(pager, tid, &row)?;
-                // ...and insert the corrected version. For intervals it
-                // records the end of validity; event facts are simply no
-                // longer reasserted.
-                if kind == TemporalKind::Interval {
-                    let mut fresh = row.clone();
-                    codec.put_time(
-                        &mut fresh,
-                        valid_to.expect("temporal interval"),
-                        del_time,
-                    );
-                    codec.put_time(
-                        &mut fresh,
-                        schema
-                            .temporal_index(TemporalAttr::TransactionStart)
-                            .expect("temporal"),
-                        now,
-                    );
-                    codec.put_time(
-                        &mut fresh,
-                        ts_stop.expect("temporal"),
-                        TimeVal::FOREVER,
-                    );
-                    catalog.get_mut(id).insert_row(pager, &fresh)?;
-                }
-            }
-        }
+    let mut tvars = Vec::new();
+    let valid = bind_valid(&binder, &d.valid, &t.slot.schema, &mut tvars)?;
+    if !tvars.is_empty() {
+        return Err(Error::Semantic(
+            "the `valid` clause of a delete may not reference tuple variables"
+                .into(),
+        ));
     }
-    {
-        let rel = catalog.get_mut(id);
-        rel.tuple_count -= removed;
-        // Physical removals compact pages, invalidating the tuple
-        // addresses any secondary index holds.
-        if removed > 0 && !rel.indexes.is_empty() {
-            rel.rebuild_indexes(pager)?;
-        }
-    }
-    pager.flush_all()?;
-    Ok(affected)
+    let at = valid_period(&valid, t.slot.schema.kind(), now, &[])?.lo;
+    t.retire_each(pager, catalog, now, true, false, |_| Ok((at, None)))
 }
 
-/// Execute `replace`.
+/// Execute `replace`: retire every current version that qualifies as of
+/// the new version's `valid_from`, then append the updated version.
 pub fn exec_replace(
     pager: &Pager,
     catalog: &mut Catalog,
@@ -641,203 +644,158 @@ pub fn exec_replace(
     now: TimeVal,
     r: &ast::Replace,
 ) -> Result<usize> {
-    let binder = Binder {
-        catalog,
-        ranges,
-        now,
-    };
-    let (mut vars, mut where_conjuncts, when_conjuncts) =
-        bind_dml_qual(&binder, &r.var, &r.where_clause, &r.when_clause)?;
-    let id = vars[0].rel;
-    let (schema, codec, class, kind) = {
-        let rel = catalog.get(id);
-        (
-            rel.schema.clone(),
-            rel.codec.clone(),
-            rel.schema.class(),
-            rel.schema.kind(),
-        )
-    };
-    let explicit_len = schema.explicit_attrs().len();
-
-    // Bind assignments (they may reference the variable being replaced,
-    // e.g. `replace h (seq = h.seq + 1)` — the benchmark's update round).
-    let mut assigns: Vec<(usize, BExpr)> = Vec::new();
-    for asg in &r.assignments {
-        let idx = schema.index_of(&asg.attr).ok_or_else(|| {
-            Error::NoSuchAttribute(format!(
-                "{} (relation {})",
-                asg.attr, r.var
-            ))
-        })?;
-        if idx >= explicit_len {
-            return Err(Error::Semantic(format!(
-                "cannot assign implicit time attribute {:?}; use the \
-                 `valid` clause",
-                asg.attr
-            )));
-        }
-        assigns.push((idx, binder.bind_expr(&asg.expr, &mut vars)?));
+    let binder = Binder::new(catalog, ranges, now);
+    let mut t =
+        targets(pager, &binder, &r.var, &r.where_clause, &r.when_clause)?;
+    // Assignments may reference the variable being replaced, e.g.
+    // `replace h (seq = h.seq + 1)` — the benchmark's update round.
+    let assigns =
+        bind_assignments(&binder, t.id, &r.assignments, &mut t.vars)?;
+    let valid = bind_valid(&binder, &r.valid, &t.slot.schema, &mut t.vars)?;
+    if t.vars.len() > 1 {
+        let msg = format!("replace may only reference {:?}", r.var);
+        return Err(Error::Semantic(msg));
     }
-    if vars.len() > 1 {
-        return Err(Error::Semantic(format!(
-            "replace assignments may only reference {:?}",
-            r.var
-        )));
-    }
-    if r.valid.is_some() && !class.has_valid_time() {
-        return Err(Error::NotApplicable(format!(
-            "`valid` clause on a {class} relation"
-        )));
-    }
-
-    where_conjuncts.extend(current_version_conjuncts(&schema));
-    let mut slot = Slot {
-        schema: schema.clone(),
-        codec: codec.clone(),
-        row: None,
+    let rel = catalog.get(t.id);
+    let (explicit_len, kind) =
+        (rel.schema.explicit_attrs().len(), rel.schema.kind());
+    // A replace that removes versions and may give one a new key moves
+    // it: like a delete, it then works highest slot first.
+    let rekeys = |k: usize| {
+        k >= explicit_len || assigns.iter().any(|(i, _)| *i == k)
     };
-    let visible = class.has_transaction_time().then(|| Visibility::at(now));
-    let (file, key_attr) = {
-        let rel = catalog.get(id);
-        (rel.file.clone(), rel.key_attr)
-    };
-    let targets = collect_matching(
-        pager,
-        &mut slot,
-        &file,
-        key_attr,
-        visible,
-        &where_conjuncts,
-        &when_conjuncts,
-    )?;
-
-    let ts_start = schema.temporal_index(TemporalAttr::TransactionStart);
-    let ts_stop = schema.temporal_index(TemporalAttr::TransactionStop);
-    let valid_to = schema.temporal_index(TemporalAttr::ValidTo);
-    let valid_at = schema.temporal_index(TemporalAttr::ValidAt);
-
-    let affected = targets.len();
-    for (tid, mut row) in targets {
-        // Evaluate assignments against the old version.
-        slot.row = Some(row.clone());
-        let slots = std::slice::from_ref(&slot);
-        let mut new_explicit: Vec<Value> =
-            (0..explicit_len).map(|i| codec.get(&row, i)).collect();
+    let moves = removes(&rel.schema) && rel.key_attr.is_some_and(rekeys);
+    let reindex = removes(&rel.schema)
+        && !t.rows.is_empty()
+        && assigns.iter().any(|(i, _)| rel.index_on(*i).is_some());
+    t.retire_each(pager, catalog, now, moves, reindex, |slot| {
+        // The new version: the old one's explicit values, then the
+        // assignments and the valid clause evaluated against the old one.
+        let Slot { schema, codec, row } = slot;
+        let old = row.as_deref().expect("bound target");
+        let mut explicit: Vec<Value> =
+            (0..explicit_len).map(|i| codec.get(old, i)).collect();
+        let slots = std::slice::from_ref(slot);
         for (idx, e) in &assigns {
-            let d = schema.domain_of(*idx).expect("explicit");
-            new_explicit[*idx] = narrow(d, &eval_expr(e, slots)?)?;
+            explicit[*idx] = eval_expr(e, slots)?;
         }
-        // The replacement's valid period.
-        let new_valid = {
-            let binder = Binder {
-                catalog,
-                ranges,
-                now,
-            };
-            let mut vclone = vars.clone();
-            resolve_valid(&binder, &r.valid, kind, &mut vclone, slots)?
-        };
-        slot.row = None;
+        let valid = valid_period(&valid, kind, now, slots)?;
+        let new = build_stored_row(schema, codec, &explicit, valid, now)?;
+        Ok((valid.lo, Some(new)))
+    })
+}
 
-        match class {
-            DatabaseClass::Static => {
-                let mut updated = row.clone();
-                for (i, v) in new_explicit.iter().enumerate() {
-                    codec.put(&mut updated, i, v)?;
-                }
-                file.update(pager, tid, &updated)?;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tdbms_tquel::{ast::Statement, parse_statement};
+
+    /// Run one DDL/DML statement at transaction time `now`; returns the
+    /// affected count.
+    fn run(
+        pager: &Pager,
+        catalog: &mut Catalog,
+        ranges: &HashMap<String, String>,
+        now: TimeVal,
+        src: &str,
+    ) -> usize {
+        let n = match parse_statement(src).expect(src) {
+            Statement::Create(c) => {
+                exec_create(pager, catalog, &c).map(|_| 0)
             }
-            DatabaseClass::Rollback => {
-                codec.put_time(&mut row, ts_stop.expect("rollback"), now);
-                file.update(pager, tid, &row)?;
-                let new_row = build_stored_row(
-                    &schema,
-                    &codec,
-                    &new_explicit,
-                    TInterval::new(TimeVal::BEGINNING, TimeVal::FOREVER),
-                    now,
-                )?;
-                catalog.get_mut(id).insert_row(pager, &new_row)?;
+            Statement::Append(a) => {
+                exec_append(pager, catalog, ranges, now, &a)
             }
-            DatabaseClass::Historical => match kind {
-                TemporalKind::Interval => {
-                    codec.put_time(
-                        &mut row,
-                        valid_to.expect("historical"),
-                        new_valid.lo,
-                    );
-                    file.update(pager, tid, &row)?;
-                    let new_row = build_stored_row(
-                        &schema,
-                        &codec,
-                        &new_explicit,
-                        TInterval::new(new_valid.lo, new_valid.hi),
-                        now,
-                    )?;
-                    catalog.get_mut(id).insert_row(pager, &new_row)?;
-                }
-                TemporalKind::Event => {
-                    // Correct the event in place (no transaction time to
-                    // preserve the erroneous record under).
-                    let mut updated = row.clone();
-                    for (i, v) in new_explicit.iter().enumerate() {
-                        codec.put(&mut updated, i, v)?;
-                    }
-                    codec.put_time(
-                        &mut updated,
-                        valid_at.expect("historical event"),
-                        new_valid.lo,
-                    );
-                    file.update(pager, tid, &updated)?;
-                }
-            },
-            DatabaseClass::Temporal => {
-                // The paper's two-insert replace. First the `delete` part:
-                codec.put_time(&mut row, ts_stop.expect("temporal"), now);
-                file.update(pager, tid, &row)?;
-                if kind == TemporalKind::Interval {
-                    let mut closed = row.clone();
-                    codec.put_time(
-                        &mut closed,
-                        valid_to.expect("temporal interval"),
-                        new_valid.lo,
-                    );
-                    codec.put_time(
-                        &mut closed,
-                        ts_start.expect("temporal"),
-                        now,
-                    );
-                    codec.put_time(
-                        &mut closed,
-                        ts_stop.expect("temporal"),
-                        TimeVal::FOREVER,
-                    );
-                    catalog.get_mut(id).insert_row(pager, &closed)?;
-                }
-                // Then the new version.
-                let new_row = build_stored_row(
-                    &schema,
-                    &codec,
-                    &new_explicit,
-                    new_valid,
-                    now,
-                )?;
-                catalog.get_mut(id).insert_row(pager, &new_row)?;
+            Statement::Delete(d) => {
+                exec_delete(pager, catalog, ranges, now, &d)
             }
+            Statement::Replace(r) => {
+                exec_replace(pager, catalog, ranges, now, &r)
+            }
+            other => panic!("not a DDL/DML statement: {other:?}"),
+        };
+        n.unwrap_or_else(|e| panic!("{src}: {e}"))
+    }
+
+    /// Stored versions: `x`, then the implicit time attributes.
+    type Versions<'a> = &'a [(i64, &'a [TimeVal])];
+
+    /// The module doc's §4 table, cell by cell: 4 classes × {interval,
+    /// event} × {delete, replace}, where kind only matters for the two
+    /// valid-time classes. One version (`x = 10`) is appended at `a`; the
+    /// statement runs at `d` with a `valid` clause naming `v` where the
+    /// class has valid time. Each cell lists every stored version in slot
+    /// order — the slot-0 version is the one retired in place — as `x`
+    /// followed by the implicit time attributes in storage order.
+    #[test]
+    fn section4_table() {
+        let time = |s: &str| TimeVal::parse(s).expect(s);
+        let (a, d, v) = (time("1/1/80"), time("2/1/80"), time("1/15/80"));
+        let valid = |kind: &str| match kind {
+            "interval" => r#"valid from "1/15/80" to "forever""#,
+            "event" => r#"valid at "1/15/80""#,
+            _ => "",
+        };
+        let f = TimeVal::FOREVER;
+        let (old, new) = (10, 11);
+        #[rustfmt::skip]
+        let cells: &[(&str, &str, &str, Versions)] = &[
+            // class, kind, statement: versions after it
+            ("static", "", "delete", &[]),
+            ("static", "", "replace", &[(new, &[])]),
+            ("rollback", "", "delete", &[(old, &[a, d])]),
+            ("rollback", "", "replace", &[(old, &[a, d]), (new, &[d, f])]),
+            ("historical", "interval", "delete", &[(old, &[a, v])]),
+            ("historical", "interval", "replace",
+                &[(old, &[a, v]), (new, &[v, f])]),
+            ("historical", "event", "delete", &[]),
+            ("historical", "event", "replace", &[(new, &[v])]),
+            ("temporal", "interval", "delete",
+                &[(old, &[a, f, a, d]), (old, &[a, v, d, f])]),
+            ("temporal", "interval", "replace",
+                &[(old, &[a, f, a, d]), (old, &[a, v, d, f]),
+                  (new, &[v, f, d, f])]),
+            ("temporal", "event", "delete", &[(old, &[a, a, d])]),
+            ("temporal", "event", "replace",
+                &[(old, &[a, a, d]), (new, &[v, d, f])]),
+        ];
+        for &(class, kind, op, expected) in cells {
+            let cell = format!("{class} {kind} {op}");
+            let pager = Pager::in_memory();
+            let mut catalog = Catalog::new();
+            let ranges = HashMap::from([("v".to_owned(), "r".to_owned())]);
+            let mut go = |now, src: &str| {
+                run(&pager, &mut catalog, &ranges, now, src)
+            };
+            go(a, &format!("create {class} {kind} r (x = i4)"));
+            go(a, &format!("append to r (x = {old})"));
+            let stmt = match op {
+                "delete" => {
+                    format!("delete v {} where v.x = {old}", valid(kind))
+                }
+                _ => format!(
+                    "replace v (x = {new}) {} where v.x = {old}",
+                    valid(kind)
+                ),
+            };
+            assert_eq!(go(d, &stmt), 1, "{cell}: affected");
+
+            let rel = catalog.get(catalog.require("r").unwrap());
+            let mut scan = rel.file.scan();
+            let mut stored = Vec::new();
+            while let Some((_, row)) = scan.next(&pager, &rel.file).unwrap()
+            {
+                stored.push(rel.codec.decode(&row).unwrap());
+            }
+            let expected: Vec<Vec<Value>> = expected
+                .iter()
+                .map(|(x, times)| {
+                    let times = times.iter().map(|t| Value::Time(*t));
+                    std::iter::once(Value::Int(*x)).chain(times).collect()
+                })
+                .collect();
+            assert_eq!(stored, expected, "{cell}: stored versions");
+            assert_eq!(rel.tuple_count, expected.len() as u64, "{cell}");
         }
     }
-    {
-        // Static replaces update explicit attributes in place; if any of
-        // them is indexed the index entries are stale — rebuild.
-        let rel = catalog.get_mut(id);
-        if class == DatabaseClass::Static
-            && affected > 0
-            && assigns.iter().any(|(idx, _)| rel.index_on(*idx).is_some())
-        {
-            rel.rebuild_indexes(pager)?;
-        }
-    }
-    pager.flush_all()?;
-    Ok(affected)
 }

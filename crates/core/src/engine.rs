@@ -718,11 +718,11 @@ impl Session {
         let bound = match cached_bound {
             Some(b) => b,
             None => {
-                let binder = Binder {
-                    catalog: &view.catalog,
-                    ranges: &self.ranges,
-                    now: view.watermark,
-                };
+                let binder = Binder::new(
+                    &view.catalog,
+                    &self.ranges,
+                    view.watermark,
+                );
                 match binder.bind_retrieve(r) {
                     Ok(b) => b,
                     Err(_) => return Ok(None),

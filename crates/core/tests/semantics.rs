@@ -903,3 +903,66 @@ fn sort_by_orders_results() {
     // Unknown sort columns are rejected.
     assert!(db.execute("retrieve (v.id) sort by nope").is_err());
 }
+
+/// Replace the key of row 7 of a keyed relation built from `create` and
+/// `modify`. The row must move to the new key's bucket or page: a keyed
+/// retrieve finds it under the new key and not the old, and the stored
+/// count is unchanged.
+fn replace_moves_a_rekeyed_row(create: &str, modify: &str) {
+    let mut db = Database::in_memory();
+    db.execute(create).unwrap();
+    for i in 1..=3000 {
+        db.execute(&format!("append to s (id = {i}, x = {i})"))
+            .unwrap();
+    }
+    db.execute(modify).unwrap();
+    db.execute("range of v is s").unwrap();
+    let before = db.relation_meta("s").unwrap().tuple_count;
+    db.execute("replace v (id = 100000) where v.id = 7")
+        .unwrap();
+    let out = db.execute("retrieve (v.x) where v.id = 100000").unwrap();
+    assert_eq!(ints(&out, "x"), vec![7], "{create}; {modify}");
+    let out = db.execute("retrieve (v.x) where v.id = 7").unwrap();
+    assert_eq!(out.rows().len(), 0, "{create}; {modify}: old key");
+    let out = db.execute("retrieve (v.x) where v.x = 7").unwrap();
+    assert_eq!(out.rows().len(), 1, "{create}; {modify}: scan");
+    assert_eq!(db.relation_meta("s").unwrap().tuple_count, before);
+}
+
+#[test]
+fn replace_of_a_static_hash_key_moves_the_row() {
+    replace_moves_a_rekeyed_row(
+        "create static s (id = i4, x = i4)",
+        "modify s to hash on id",
+    );
+}
+
+#[test]
+fn replace_of_a_static_isam_key_moves_the_row() {
+    replace_moves_a_rekeyed_row(
+        "create static s (id = i4, x = i4)",
+        "modify s to isam on id",
+    );
+}
+
+#[test]
+fn replace_of_a_historical_event_isam_key_moves_the_row() {
+    replace_moves_a_rekeyed_row(
+        "create historical event s (id = i4, x = i4)",
+        "modify s to isam on id",
+    );
+}
+
+#[test]
+fn replace_rejects_an_attribute_assigned_twice() {
+    let mut db = Database::in_memory();
+    db.execute("create static s (id = i4, x = i4)").unwrap();
+    db.execute("append to s (id = 1, x = 1)").unwrap();
+    db.execute("range of v is s").unwrap();
+    let err = db
+        .execute("replace v (x = 5, x = 6) where v.id = 1")
+        .unwrap_err();
+    assert!(err.to_string().contains("assigned twice"), "{err}");
+    let out = db.execute("retrieve (v.x)").unwrap();
+    assert_eq!(ints(&out, "x"), vec![1]);
+}
