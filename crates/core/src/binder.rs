@@ -21,6 +21,7 @@ use tdbms_kernel::{
 };
 use tdbms_storage::Catalog;
 use tdbms_tquel::ast;
+use tdbms_tquel::token::Literal;
 
 /// Statement binder; short-lived, one per executed statement.
 pub struct Binder<'a> {
@@ -30,6 +31,9 @@ pub struct Binder<'a> {
     pub ranges: &'a HashMap<String, String>,
     /// The statement's transaction time (resolves `"now"`).
     pub now: TimeVal,
+    /// Literals of the statement a template was parsed from, which
+    /// [`ast::Expr::Param`] slots refer to (empty for concrete text).
+    pub params: &'a [Literal],
 }
 
 impl<'a> Binder<'a> {
@@ -43,7 +47,25 @@ impl<'a> Binder<'a> {
             catalog,
             ranges,
             now,
+            params: &[],
         }
+    }
+
+    /// This binder, binding a template's parameter slots against
+    /// `params`. The slots stay slots ([`BExpr::Param`]); only the
+    /// literals' types are read, and a statement shape fixes those.
+    pub fn with_params(mut self, params: &'a [Literal]) -> Self {
+        self.params = params;
+        self
+    }
+
+    /// The literal of parameter slot `k`.
+    fn param(&self, k: usize) -> Result<Literal> {
+        self.params.get(k).copied().ok_or_else(|| {
+            Error::Internal(format!(
+                "statement parameter {k} has no literal"
+            ))
+        })
     }
 
     /// Resolve `var`, appending it to the statement's range-table slice on
@@ -82,6 +104,10 @@ impl<'a> Binder<'a> {
             ast::Expr::Int(v) => BExpr::Const(Value::Int(*v)),
             ast::Expr::Float(v) => BExpr::Const(Value::Float(*v)),
             ast::Expr::Str(s) => BExpr::Const(Value::Str(s.clone())),
+            ast::Expr::Param(k) => {
+                self.param(*k)?;
+                BExpr::Param(*k)
+            }
             ast::Expr::Attr { var, attr } => {
                 let vi = self.resolve_var(var, vars)?;
                 let stored = self.catalog.get(vars[vi].rel);
@@ -226,6 +252,10 @@ impl<'a> Binder<'a> {
                 Domain::Char(s.len().clamp(1, 1000) as u16)
             }
             BExpr::Const(Value::Time(_)) => Domain::Time,
+            BExpr::Param(k) => self.infer_domain(
+                &BExpr::Const(self.param(*k)?.into()),
+                vars,
+            )?,
             BExpr::Attr { var, attr } => self
                 .catalog
                 .get(vars[*var].rel)

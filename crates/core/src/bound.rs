@@ -10,6 +10,7 @@ use crate::interval::TInterval;
 use tdbms_kernel::{DatabaseClass, TemporalKind, TimeVal, Value};
 use tdbms_storage::RelId;
 use tdbms_tquel::ast::BinOp;
+use tdbms_tquel::token::Literal;
 
 /// One entry of a statement's range table: a tuple variable actually used
 /// by the statement.
@@ -30,6 +31,11 @@ pub struct VarBinding {
 pub enum BExpr {
     /// A literal or pre-resolved constant.
     Const(Value),
+    /// Parameter slot `k`: the `k`-th numeric literal of the statement
+    /// shape a template was bound from. Only the engine's statement
+    /// cache binds these; `exec::prepare` fills them in before anything
+    /// evaluates.
+    Param(usize),
     /// Attribute `attr` (stored column index) of range-table entry `var`.
     Attr {
         /// Range-table index.
@@ -56,7 +62,7 @@ impl BExpr {
     /// Does this expression reference range-table entry `var`?
     pub fn references(&self, var: usize) -> bool {
         match self {
-            BExpr::Const(_) => false,
+            BExpr::Const(_) | BExpr::Param(_) => false,
             BExpr::Attr { var: v, .. } => *v == var,
             BExpr::Bin { lhs, rhs, .. } => {
                 lhs.references(var) || rhs.references(var)
@@ -68,7 +74,7 @@ impl BExpr {
     /// Collect the set of referenced range-table entries.
     pub fn collect_vars(&self, out: &mut Vec<usize>) {
         match self {
-            BExpr::Const(_) => {}
+            BExpr::Const(_) | BExpr::Param(_) => {}
             BExpr::Attr { var, .. } => {
                 if !out.contains(var) {
                     out.push(*var);
@@ -85,7 +91,7 @@ impl BExpr {
     /// Collect `(var, attr)` attribute references.
     pub fn collect_attrs(&self, out: &mut Vec<(usize, usize)>) {
         match self {
-            BExpr::Const(_) => {}
+            BExpr::Const(_) | BExpr::Param(_) => {}
             BExpr::Attr { var, attr } => {
                 if !out.contains(&(*var, *attr)) {
                     out.push((*var, *attr));
@@ -104,7 +110,7 @@ impl BExpr {
     /// variable into a temporary.
     pub fn remap_attrs(&mut self, var: usize, map: &[(usize, usize)]) {
         match self {
-            BExpr::Const(_) => {}
+            BExpr::Const(_) | BExpr::Param(_) => {}
             BExpr::Attr { var: v, attr } => {
                 if *v == var {
                     let new = map
@@ -120,6 +126,19 @@ impl BExpr {
                 rhs.remap_attrs(var, map);
             }
             BExpr::Neg(e) | BExpr::Not(e) => e.remap_attrs(var, map),
+        }
+    }
+
+    /// Replace every [`BExpr::Param`] with its literal from `params`.
+    pub fn fill_params(&mut self, params: &[Literal]) {
+        match self {
+            BExpr::Param(k) => *self = BExpr::Const(params[*k].into()),
+            BExpr::Bin { lhs, rhs, .. } => {
+                lhs.fill_params(params);
+                rhs.fill_params(params);
+            }
+            BExpr::Neg(e) | BExpr::Not(e) => e.fill_params(params),
+            BExpr::Const(_) | BExpr::Attr { .. } => {}
         }
     }
 }
@@ -264,6 +283,19 @@ pub struct BoundRetrieve {
     pub into: Option<String>,
     /// Sort keys: result-column index + descending flag.
     pub sort: Vec<(usize, bool)>,
+}
+
+impl BoundRetrieve {
+    /// Fill every parameter slot with its literal from `params` (a
+    /// no-op for a retrieve bound from concrete text).
+    pub fn fill_params(&mut self, params: &[Literal]) {
+        for t in &mut self.targets {
+            t.expr.fill_params(params);
+        }
+        for c in &mut self.where_conjuncts {
+            c.fill_params(params);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -88,6 +88,7 @@ use tdbms_kernel::{Error, Result, TimeVal};
 use tdbms_plan::PlanCache;
 use tdbms_storage::{Catalog, Pager};
 use tdbms_tquel::ast::Statement;
+use tdbms_tquel::token::{lex_shape, lex_slots, Literal};
 use tdbms_wal::{GroupCommit, LogHandle};
 
 /// The published snapshot lock-free reads run against: the catalog as
@@ -112,13 +113,28 @@ fn view_of(db: &Database, epoch: u64) -> ReadView {
     }
 }
 
-/// One cached program: the parsed statements (reusable forever — parsing
-/// is pure) plus, for single-statement snapshot-served retrieves, the
-/// bound form stamped with the view epoch and range table it was bound
-/// under, so hot server queries skip parse *and* bind.
+/// One cached program: the parse of a statement *shape*
+/// ([`tdbms_tquel::token::Shape`]), whose numeric literals inside
+/// expressions are parameter slots filled per execution (parsing is
+/// pure, so the template is reusable forever), plus, for
+/// single-statement snapshot-served retrieves, the bound template
+/// stamped with the view epoch and range table it was bound under, so
+/// hot server queries skip parse *and* bind whatever their literals.
 struct CachedProgram {
     stmts: Vec<Statement>,
-    bound: Mutex<Option<CachedBound>>,
+    /// `Some(literals)` when the parse read a literal's value (`modify
+    /// … where fillfactor = N`): the entry then serves only statements
+    /// with exactly these literals — an exact-text key in effect.
+    pinned: Option<Vec<Literal>>,
+    /// Locked only to clone or replace the `Arc`.
+    bound: Mutex<Option<Arc<CachedBound>>>,
+}
+
+impl CachedProgram {
+    /// Can this entry run a statement of its shape with `literals`?
+    fn serves(&self, literals: &[Literal]) -> bool {
+        self.pinned.as_deref().is_none_or(|own| own == literals)
+    }
 }
 
 struct CachedBound {
@@ -126,11 +142,13 @@ struct CachedBound {
     /// the view with a new epoch, invalidating this entry.
     epoch: u64,
     /// The exact range table the statement was bound under.
-    ranges: Vec<(String, String)>,
+    ranges: HashMap<String, String>,
+    /// Bound with parameter slots, which `exec::prepare` fills into the
+    /// copy it makes anyway.
     bound: BoundRetrieve,
 }
 
-/// How many distinct statement texts the engine keeps cached.
+/// How many distinct statement shapes the engine keeps cached.
 const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// Counts of statements per path — the proof behind "reads don't take
@@ -162,8 +180,9 @@ struct EngineInner {
     locks: LockCounters,
     /// Publication counter feeding [`ReadView::epoch`].
     epoch: AtomicU64,
-    /// Statement-text-keyed cache of parsed (and, when hot, bound)
-    /// programs, shared by every session of this engine.
+    /// Shape-keyed cache of parsed (and, when hot, bound) program
+    /// templates, shared by every session of this engine: statements
+    /// that differ only in numeric literals share one entry.
     plans: Mutex<PlanCache<Arc<CachedProgram>>>,
 }
 
@@ -364,8 +383,9 @@ impl Engine {
     }
 
     /// `(hits, misses)` of the statement cache since the engine was
-    /// built. A hit means the statement text skipped the parser (and,
-    /// for hot snapshot retrieves, the binder too).
+    /// built. A hit means the statement's shape skipped the parser
+    /// (and, for hot snapshot retrieves, the binder too), whatever its
+    /// numeric literals.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
         self.inner
             .plans
@@ -374,32 +394,38 @@ impl Engine {
             .stats()
     }
 
-    /// Look the program up by source text, parsing and caching on miss.
-    /// Parse errors are returned without polluting the cache.
-    fn cached_program(&self, src: &str) -> Result<Arc<CachedProgram>> {
-        if let Some(prog) = self
+    /// Look the program up by shape, parsing and caching its template on
+    /// a miss; returns it with this statement's literals. Lex and parse
+    /// errors are returned without polluting the cache.
+    fn cached_program(
+        &self,
+        src: &str,
+    ) -> Result<(Arc<CachedProgram>, Vec<Literal>)> {
+        let shape = lex_shape(src)?;
+        let hit = self
             .inner
             .plans
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .lookup(src)
-        {
-            return Ok(prog);
+            .lookup(&shape.key, |prog| prog.serves(&shape.literals));
+        if let Some(prog) = hit {
+            return Ok((prog, shape.literals));
         }
-        let stmts = tdbms_tquel::parse_program(src)?;
-        if stmts.is_empty() {
+        let template = tdbms_tquel::parse_tokens(&lex_slots(src)?)?;
+        if template.stmts.is_empty() {
             return Err(Error::Semantic("empty program".into()));
         }
         let prog = Arc::new(CachedProgram {
-            stmts,
+            stmts: template.stmts,
+            pinned: template.pinned.then(|| shape.literals.clone()),
             bound: Mutex::new(None),
         });
         self.inner
             .plans
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(src.to_string(), prog.clone());
-        Ok(prog)
+            .insert(shape.key, prog.clone());
+        Ok((prog, shape.literals))
     }
 
     /// Wait for a group commit's ticket to become durable (possibly
@@ -614,23 +640,22 @@ impl Session {
 
     /// Execute a TQuel program; returns every statement's output.
     ///
-    /// Programs are looked up in the engine's statement cache by source
-    /// text: a repeated program skips the parser, and a repeated
-    /// single-statement snapshot retrieve also skips the binder while
-    /// the published view and this session's range table are unchanged.
+    /// Programs are looked up in the engine's statement cache by shape —
+    /// the token stream with numeric literals lifted into parameter
+    /// slots — so a repeated program skips the parser whatever its
+    /// numbers, and a repeated single-statement snapshot retrieve also
+    /// skips the binder while the published view and this session's
+    /// range table are unchanged. Each execution fills its own literals
+    /// into the cached template.
     pub fn execute_all(&mut self, src: &str) -> Result<Vec<ExecOutput>> {
-        let prog = self.engine.cached_program(src)?;
+        let (prog, literals) = self.engine.cached_program(src)?;
         // The bound fast-path only applies to a lone statement: in a
         // multi-statement program an earlier statement may change what
         // a later one binds to.
-        let cache = if prog.stmts.len() == 1 {
-            Some(&*prog)
-        } else {
-            None
-        };
+        let cache = (prog.stmts.len() == 1).then_some(&*prog);
         prog.stmts
             .iter()
-            .map(|s| self.execute_statement_cached(s, cache))
+            .map(|s| self.execute_statement_cached(s, &literals, cache))
             .collect()
     }
 
@@ -640,12 +665,13 @@ impl Session {
         &mut self,
         stmt: &Statement,
     ) -> Result<ExecOutput> {
-        self.execute_statement_cached(stmt, None)
+        self.execute_statement_cached(stmt, &[], None)
     }
 
     fn execute_statement_cached(
         &mut self,
         stmt: &Statement,
+        literals: &[Literal],
         cache: Option<&CachedProgram>,
     ) -> Result<ExecOutput> {
         let guard = self.statement_guard();
@@ -673,12 +699,14 @@ impl Session {
                 Ok(ExecOutput::default())
             }
             Statement::Retrieve(r) if r.into.is_none() => {
-                match self.try_execute_snapshot(r, &guard, cache)? {
+                match self
+                    .try_execute_snapshot(r, literals, &guard, cache)?
+                {
                     Some(out) => Ok(out),
-                    None => self.execute_write(stmt, &guard),
+                    None => self.execute_write(stmt, literals, &guard),
                 }
             }
-            _ => self.execute_write(stmt, &guard),
+            _ => self.execute_write(stmt, literals, &guard),
         }
     }
 
@@ -695,36 +723,39 @@ impl Session {
     fn try_execute_snapshot(
         &self,
         r: &tdbms_tquel::ast::Retrieve,
+        literals: &[Literal],
         guard: &QueryGuard,
         cache: Option<&CachedProgram>,
     ) -> Result<Option<ExecOutput>> {
         self.engine.check_usable()?;
         let view = self.engine.view();
         // Binder output is a pure function of (catalog, watermark,
-        // ranges). The epoch stands in for the first two — it travels
-        // inside the view, so it can't be observed out of step with
-        // them — and the range table is compared exactly.
-        let cached_bound = cache.and_then(|prog| {
-            let slot =
-                prog.bound.lock().unwrap_or_else(PoisonError::into_inner);
-            slot.as_ref()
-                .filter(|cb| {
-                    cb.epoch == view.epoch
-                        && ranges_sorted(&self.ranges) == cb.ranges
-                })
-                .map(|cb| cb.bound.clone())
-        });
-        let fresh = cached_bound.is_none();
-        let bound = match cached_bound {
-            Some(b) => b,
+        // ranges) and the literals' types, which the shape fixes. The
+        // epoch stands in for the first two — it travels inside the
+        // view, so it can't be observed out of step with them — and the
+        // range table is compared in place.
+        let cached = cache
+            .and_then(|prog| {
+                prog.bound
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clone()
+            })
+            .filter(|cb| {
+                cb.epoch == view.epoch && cb.ranges == self.ranges
+            });
+        let mut fresh = None;
+        let bound = match &cached {
+            Some(cb) => &cb.bound,
             None => {
                 let binder = Binder::new(
                     &view.catalog,
                     &self.ranges,
                     view.watermark,
-                );
+                )
+                .with_params(literals);
                 match binder.bind_retrieve(r) {
-                    Ok(b) => b,
+                    Ok(b) => &*fresh.insert(b),
                     Err(_) => return Ok(None),
                 }
             }
@@ -748,9 +779,17 @@ impl Session {
         let scope = pager.stats().scope();
         let executed = if multi {
             let mut local = view.catalog.clone();
-            exec_retrieve_snapshot(pager, &mut local, &bound, guard)
+            exec_retrieve_snapshot(
+                pager, &mut local, bound, literals, guard,
+            )
         } else {
-            exec_retrieve_readonly(pager, &view.catalog, &bound, guard)
+            exec_retrieve_readonly(
+                pager,
+                &view.catalog,
+                bound,
+                literals,
+                guard,
+            )
         };
         let result = match executed {
             Ok(res) => res,
@@ -761,19 +800,14 @@ impl Session {
             Err(_) => return Ok(None),
         };
         // Served successfully: remember the binding for the next run of
-        // the same statement text (only worth writing when fresh).
-        if fresh {
-            if let Some(prog) = cache {
-                *prog
-                    .bound
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) =
-                    Some(CachedBound {
-                        epoch: view.epoch,
-                        ranges: ranges_sorted(&self.ranges),
-                        bound,
-                    });
-            }
+        // the same shape (only worth writing when fresh).
+        if let (Some(prog), Some(bound)) = (cache, fresh) {
+            *prog.bound.lock().unwrap_or_else(PoisonError::into_inner) =
+                Some(Arc::new(CachedBound {
+                    epoch: view.epoch,
+                    ranges: self.ranges.clone(),
+                    bound,
+                }));
         }
         self.engine.note_snapshot_read();
         Ok(Some(ExecOutput {
@@ -785,14 +819,22 @@ impl Session {
     }
 
     /// Execute under the exclusive lock via the single-threaded engine,
-    /// with this session's ranges swapped in; [`Engine::try_with_write`]
-    /// then republishes the read view and (under group commit)
-    /// acknowledges off the lock.
+    /// with the statement's literals filled back in and this session's
+    /// ranges swapped in; [`Engine::try_with_write`] then republishes
+    /// the read view and (under group commit) acknowledges off the lock.
     fn execute_write(
         &mut self,
         stmt: &Statement,
+        literals: &[Literal],
         guard: &QueryGuard,
     ) -> Result<ExecOutput> {
+        let filled;
+        let stmt = if literals.is_empty() {
+            stmt
+        } else {
+            filled = stmt.with_params(literals);
+            &filled
+        };
         let ranges = &mut self.ranges;
         self.engine.try_with_write(|db| {
             std::mem::swap(db.ranges_mut(), ranges);
@@ -803,21 +845,11 @@ impl Session {
     }
 }
 
-/// A session's range table in canonical (sorted) order, for exact
-/// comparison against a cached binding's.
-fn ranges_sorted(
-    ranges: &HashMap<String, String>,
-) -> Vec<(String, String)> {
-    let mut v: Vec<(String, String)> =
-        ranges.iter().map(|(k, r)| (k.clone(), r.clone())).collect();
-    v.sort();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use tdbms_kernel::Value;
 
     fn seeded_db() -> Database {
         let mut db = Database::in_memory();
@@ -993,6 +1025,61 @@ mod tests {
         let (h1, m1) = engine.plan_cache_stats();
         assert_eq!(h1 - h0, 7, "repeats must be cache hits");
         assert_eq!(m1, m0, "repeats must not miss");
+        // One shape serves every literal. Warm the binding on 1007, then
+        // 1008 must hit it *and* answer for 1008, not for 1007.
+        let by_salary =
+            |k: i64| format!("retrieve (e.name) where e.salary = {k}");
+        s.execute(&by_salary(1007)).unwrap(); // parses and binds
+        let warm = s.execute(&by_salary(1007)).unwrap(); // cached binding
+        assert_eq!(warm.rows()[0][0], Value::Str("e7".into()));
+        let (h2, m2) = engine.plan_cache_stats();
+        let other = s.execute(&by_salary(1008)).unwrap();
+        let (h3, m3) = engine.plan_cache_stats();
+        assert_eq!((h3 - h2, m3 - m2), (1, 0), "a new literal must hit");
+        assert_eq!(other.affected, 1);
+        assert_eq!(other.rows()[0][0], Value::Str("e8".into()));
+        let want = seeded_db()
+            .execute(&format!("range of e is emp\n{}", by_salary(1008)))
+            .unwrap();
+        assert_eq!(other.rows(), want.rows());
+    }
+
+    /// A cached template still answers in the terms of each statement
+    /// as written: `explain` and error texts carry its own literals, and
+    /// a literal the parse reads by value keeps its program apart.
+    #[test]
+    fn cached_templates_keep_each_statements_literals() {
+        let engine = Engine::new(seeded_db());
+        let mut s = engine.session();
+        s.execute("range of e is emp").unwrap();
+        let mut db = seeded_db();
+        db.execute("range of e is emp").unwrap();
+        let explain = |k: i64| {
+            format!("explain retrieve (e.name) where e.salary = {k}")
+        };
+        for k in [1003, 1004] {
+            let got = s.execute(&explain(k)).unwrap();
+            assert_eq!(got.rows(), db.execute(&explain(k)).unwrap().rows());
+        }
+        for m in [1i64 << 62, (1 << 62) + 1] {
+            let q = format!("retrieve (x = e.salary * {m})");
+            let err = s.execute(&q).unwrap_err();
+            assert_eq!(err, db.execute(&q).unwrap_err());
+            assert!(err.to_string().contains(&m.to_string()), "{err}");
+        }
+        let modify = |ff: u32| {
+            format!("modify emp to hash on salary where fillfactor = {ff}")
+        };
+        let (h0, m0) = engine.plan_cache_stats();
+        for ff in [50, 100, 100] {
+            s.execute(&modify(ff)).unwrap();
+        }
+        let (h1, m1) = engine.plan_cache_stats();
+        assert_eq!(
+            (h1 - h0, m1 - m0),
+            (1, 2),
+            "a fillfactor is served only to its own literal"
+        );
     }
 
     #[test]

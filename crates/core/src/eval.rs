@@ -49,6 +49,10 @@ pub fn truthy(v: &Value) -> Result<bool> {
 pub fn eval_expr(e: &BExpr, slots: &[Slot]) -> Result<Value> {
     match e {
         BExpr::Const(v) => Ok(v.clone()),
+        BExpr::Param(k) => Err(Error::Internal(format!(
+            "statement parameter {k} evaluated before its literal was \
+             filled in"
+        ))),
         BExpr::Attr { var, attr } => {
             let slot = &slots[*var];
             Ok(slot.codec.get(slot.row()?, *attr))

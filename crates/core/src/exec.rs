@@ -27,6 +27,7 @@ use crate::guard::QueryGuard;
 use tdbms_kernel::{AttrDef, Domain, Error, Result, Schema, Value};
 use tdbms_storage::{Catalog, Pager, PhaseIo, RelFile, RelId, StatScope};
 use tdbms_tquel::ast::BinOp;
+use tdbms_tquel::token::Literal;
 
 /// Page-access accounting for one executed statement.
 ///
@@ -134,9 +135,9 @@ pub fn exec_retrieve_with(
     plan: Option<&tdbms_plan::QueryPlan>,
 ) -> Result<RetrieveResult> {
     if bound.vars.len() < 2 {
-        return exec_retrieve_readonly(pager, catalog, bound, guard);
+        return exec_retrieve_readonly(pager, catalog, bound, &[], guard);
     }
-    let mut p = prepare(catalog, bound, guard);
+    let mut p = prepare(catalog, bound, &[], guard);
     let order = ordered_detachments(&p, plan);
     decompose(pager, catalog, &mut p, &order)?;
     let temps: Vec<RelId> = p.rts.iter().filter_map(|rt| rt.temp).collect();
@@ -152,11 +153,13 @@ pub fn exec_retrieve_with(
 /// Execute a bound **single-variable** retrieve without mutating anything
 /// but the buffer pool: no decomposition, no temporaries, catalog taken by
 /// shared reference. This is the statement shape the concurrent engine
-/// runs under its read lock.
+/// runs under its read lock. `params` fills the bound retrieve's
+/// parameter slots ([`BExpr::Param`]); it is empty when there are none.
 pub fn exec_retrieve_readonly(
     pager: &Pager,
     catalog: &Catalog,
     bound: &BoundRetrieve,
+    params: &[Literal],
     guard: &QueryGuard,
 ) -> Result<RetrieveResult> {
     if bound.vars.len() >= 2 {
@@ -165,7 +168,7 @@ pub fn exec_retrieve_readonly(
                 .into(),
         ));
     }
-    run_joins(pager, prepare(catalog, bound, guard))
+    run_joins(pager, prepare(catalog, bound, params, guard))
 }
 
 /// Execute a bound retrieve against a **snapshot** of the catalog,
@@ -181,12 +184,15 @@ pub fn exec_retrieve_snapshot(
     pager: &Pager,
     catalog: &mut Catalog,
     bound: &BoundRetrieve,
+    params: &[Literal],
     guard: &QueryGuard,
 ) -> Result<RetrieveResult> {
     if bound.vars.len() < 2 {
-        return exec_retrieve_readonly(pager, catalog, bound, guard);
+        return exec_retrieve_readonly(
+            pager, catalog, bound, params, guard,
+        );
     }
-    let mut p = prepare(catalog, bound, guard);
+    let mut p = prepare(catalog, bound, params, guard);
     p.quiet = true;
     let order = detachable_vars(&p);
     let decomposed = decompose(pager, catalog, &mut p, &order);
@@ -225,9 +231,11 @@ pub(crate) struct Prepared {
 pub(crate) fn prepare(
     catalog: &Catalog,
     bound: &BoundRetrieve,
+    params: &[Literal],
     guard: &QueryGuard,
 ) -> Prepared {
     let mut b = bound.clone();
+    b.fill_params(params);
     let nvars = b.vars.len();
 
     let mut slots: Vec<Slot> = Vec::with_capacity(nvars);

@@ -20,7 +20,7 @@ pub(crate) fn plan_bound(
     stats: &StatsCatalog,
     bound: &BoundRetrieve,
 ) -> QueryPlan {
-    let p = prepare(catalog, bound, &QueryGuard::none());
+    let p = prepare(catalog, bound, &[], &QueryGuard::none());
     let detachable = detachable_vars(&p);
     let facts: Vec<VarFacts> = bound
         .vars

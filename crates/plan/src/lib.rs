@@ -15,8 +15,10 @@
 //!   variable (heap scan vs hash/ISAM key probe vs secondary index) by
 //!   estimated page I/O. Pure arithmetic over pre-resolved facts, so it
 //!   unit-tests without a database.
-//! * [`PlanCache`] — a bounded, statement-text-keyed cache with
-//!   hit/miss counters, so a server's hot queries skip parse/bind/plan.
+//! * [`PlanCache`] — a bounded cache keyed by statement shape (the
+//!   token stream with numeric literals lifted into parameter slots),
+//!   with hit/miss counters, so a server's hot queries skip
+//!   parse/bind/plan whatever their literals.
 //!
 //! The planner only *permutes* the detachment set the executor computes
 //! itself and never changes which pages a detachment touches, so paper
@@ -427,7 +429,7 @@ pub fn plan_query(facts: &[VarFacts]) -> QueryPlan {
     }
 }
 
-/// A bounded FIFO cache keyed by statement text, with hit/miss
+/// A bounded FIFO cache keyed by statement shape, with hit/miss
 /// counters. The values are whatever the caller finds expensive to
 /// rebuild (parsed programs, bound plans).
 #[derive(Debug)]
@@ -451,9 +453,14 @@ impl<V: Clone> PlanCache<V> {
         }
     }
 
-    /// Look up a statement, counting a hit or miss.
-    pub fn lookup(&mut self, key: &str) -> Option<V> {
-        match self.map.get(key) {
+    /// Look up a statement shape, counting a hit when an entry exists
+    /// and `usable` accepts it, a miss otherwise.
+    pub fn lookup(
+        &mut self,
+        key: &str,
+        usable: impl FnOnce(&V) -> bool,
+    ) -> Option<V> {
+        match self.map.get(key).filter(|v| usable(v)) {
             Some(v) => {
                 self.hits += 1;
                 Some(v.clone())
@@ -612,15 +619,18 @@ mod tests {
     #[test]
     fn plan_cache_counts_and_evicts_fifo() {
         let mut c: PlanCache<u32> = PlanCache::new(2);
-        assert_eq!(c.lookup("a"), None);
+        let any = |_: &u32| true;
+        assert_eq!(c.lookup("a", any), None);
         c.insert("a".into(), 1);
         c.insert("b".into(), 2);
-        assert_eq!(c.lookup("a"), Some(1));
+        assert_eq!(c.lookup("a", any), Some(1));
         c.insert("c".into(), 3); // evicts "a"
         assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup("a"), None);
-        assert_eq!(c.lookup("c"), Some(3));
-        assert_eq!(c.stats(), (2, 2));
+        assert_eq!(c.lookup("a", any), None);
+        assert_eq!(c.lookup("c", any), Some(3));
+        // An entry the caller cannot use is a miss.
+        assert_eq!(c.lookup("c", |v| *v != 3), None);
+        assert_eq!(c.stats(), (2, 3));
     }
 
     #[test]

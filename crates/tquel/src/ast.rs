@@ -5,6 +5,7 @@
 //! `when`; `create` gains the relation class (static / rollback /
 //! historical / temporal) and kind (interval / event).
 
+use crate::token::Literal;
 use tdbms_kernel::{DatabaseClass, Domain, TemporalKind};
 
 /// One parsed TQuel statement.
@@ -195,6 +196,12 @@ pub enum Expr {
     Float(f64),
     /// String literal.
     Str(String),
+    /// Parameter slot `k` of a statement template: the `k`-th numeric
+    /// literal of the [`Shape`](crate::token::Shape) it was parsed
+    /// from. Only [`parse_tokens`](crate::parse_tokens) over
+    /// [`lex_slots`](crate::token::lex_slots) tokens produces it;
+    /// [`Statement::with_params`] puts the literal back.
+    Param(usize),
     /// `var.attr` — attribute of a tuple variable.
     Attr {
         /// The tuple variable.
@@ -415,6 +422,75 @@ impl Expr {
             }
             _ => {}
         }
+    }
+
+    /// Replace every [`Expr::Param`] with its literal from `lits`.
+    ///
+    /// Panics if a slot has no literal: a template and its literals
+    /// come from one [`Shape`](crate::token::Shape).
+    pub fn fill_params(&mut self, lits: &[Literal]) {
+        match self {
+            Expr::Param(k) => *self = lits[*k].into(),
+            Expr::Bin { lhs, rhs, .. } => {
+                lhs.fill_params(lits);
+                rhs.fill_params(lits);
+            }
+            Expr::Neg(e) | Expr::Not(e) | Expr::Agg { arg: e, .. } => {
+                e.fill_params(lits)
+            }
+            Expr::Int(_)
+            | Expr::Float(_)
+            | Expr::Str(_)
+            | Expr::Attr { .. } => {}
+        }
+    }
+}
+
+impl From<Literal> for Expr {
+    fn from(lit: Literal) -> Expr {
+        match lit {
+            Literal::Int(v) => Expr::Int(v),
+            Literal::Float(v) => Expr::Float(v),
+        }
+    }
+}
+
+impl Statement {
+    /// This statement with every parameter slot filled from `lits`: for
+    /// a template and the literals of its shape, the statement as
+    /// written.
+    pub fn with_params(&self, lits: &[Literal]) -> Statement {
+        let mut s = self.clone();
+        let fill = |e: &mut Expr| e.fill_params(lits);
+        match &mut s {
+            Statement::Retrieve(r) | Statement::Explain(r) => {
+                r.targets.iter_mut().for_each(|t| fill(&mut t.expr));
+                r.where_clause.iter_mut().for_each(fill);
+            }
+            Statement::Append(Append {
+                assignments,
+                where_clause,
+                ..
+            })
+            | Statement::Replace(Replace {
+                assignments,
+                where_clause,
+                ..
+            }) => {
+                assignments.iter_mut().for_each(|a| fill(&mut a.expr));
+                where_clause.iter_mut().for_each(fill);
+            }
+            Statement::Delete(d) => {
+                d.where_clause.iter_mut().for_each(fill)
+            }
+            Statement::Range { .. }
+            | Statement::Create(_)
+            | Statement::Destroy(_)
+            | Statement::Modify(_)
+            | Statement::Copy(_)
+            | Statement::Index(_) => {}
+        }
+        s
     }
 }
 

@@ -6,7 +6,8 @@
 //! declares a relation's class (static / rollback / historical / temporal)
 //! and kind (interval / event).
 //!
-//! This crate is pure syntax: [`token`] (lexer), [`ast`], [`parser`], and
+//! This crate is pure syntax: [`token`] (lexer, including the statement
+//! [`token::Shape`] a cache keys on), [`ast`], [`parser`], and
 //! [`printer`] (round-trippable pretty-printing). Name resolution and
 //! execution live in `tdbms-core`, which knows the catalog.
 //!
@@ -25,7 +26,7 @@ pub mod printer;
 pub mod token;
 
 pub use ast::Statement;
-pub use parser::{parse_program, parse_statement};
+pub use parser::{parse_program, parse_statement, parse_tokens, Template};
 
 #[cfg(test)]
 mod tests {
@@ -475,5 +476,100 @@ mod tests {
         roundtrip(q);
         roundtrip("retrieve (e.id) sort by id asc");
         assert!(parse_statement("retrieve (e.id) sort id").is_err());
+    }
+
+    /// `src` parsed from its shape: the template and its literals.
+    fn template(src: &str) -> (Template, Vec<token::Literal>) {
+        let shape = token::lex_shape(src)
+            .unwrap_or_else(|e| panic!("{src:?}: {e}"));
+        let t = parse_tokens(&token::lex_slots(src).unwrap())
+            .unwrap_or_else(|e| panic!("{src:?}: {e}"));
+        (t, shape.literals)
+    }
+
+    #[test]
+    fn a_template_filled_with_its_literals_is_the_statement() {
+        for src in [
+            "retrieve (h.id, h.seq) where h.id = 500",
+            r#"retrieve (h.id) where h.amount = 69400 when h overlap "now""#,
+            "retrieve (x = -5, y = 2.5 * e.s + 1) where e.v != -0.5",
+            "retrieve (n = count(e.id), m = max(e.v * 2)) where e.v >= 10",
+            r#"append to emp (name = "merrie", salary = 11000)"#,
+            "replace e (salary = e.salary + 1000) where e.id = 7",
+            "delete e where e.salary > 20000",
+            "explain retrieve (e.id) where e.id = 1",
+            "range of e is emp\nretrieve (e.id) where e.id = 2; \
+             retrieve (e.id) where e.id = 3",
+        ] {
+            let (t, lits) = template(src);
+            assert!(!t.pinned, "{src}");
+            let filled: Vec<Statement> =
+                t.stmts.iter().map(|s| s.with_params(&lits)).collect();
+            assert_eq!(filled, parse_program(src).unwrap(), "{src}");
+        }
+        // The parser numbers the slots by the lexer's literal vector,
+        // i.e. in source order.
+        let (t, lits) = template("retrieve (x = e.a + 1) where e.b = 2");
+        assert_eq!(lits, [token::Literal::Int(1), token::Literal::Int(2)]);
+        let Statement::Retrieve(r) = &t.stmts[0] else {
+            unreachable!()
+        };
+        let attr = |a: &str| {
+            Box::new(Expr::Attr {
+                var: "e".into(),
+                attr: a.into(),
+            })
+        };
+        assert_eq!(
+            r.targets[0].expr,
+            Expr::Bin {
+                op: BinOp::Add,
+                lhs: attr("a"),
+                rhs: Box::new(Expr::Param(0)),
+            }
+        );
+        assert_eq!(
+            r.where_clause,
+            Some(Expr::Bin {
+                op: BinOp::Eq,
+                lhs: attr("b"),
+                rhs: Box::new(Expr::Param(1)),
+            })
+        );
+    }
+
+    #[test]
+    fn a_fillfactor_literal_pins_its_template() {
+        let src50 = "modify r to hash on id where fillfactor = 50";
+        let src100 = "modify r to hash on id where fillfactor = 100";
+        assert_eq!(
+            token::lex_shape(src50).unwrap().key,
+            token::lex_shape(src100).unwrap().key
+        );
+        for (src, ff) in [(src50, 50), (src100, 100)] {
+            let (t, _) = template(src);
+            assert!(t.pinned, "{src}");
+            assert_eq!(t.stmts, parse_program(src).unwrap());
+            let Statement::Modify(m) = &t.stmts[0] else {
+                unreachable!()
+            };
+            assert_eq!(m.fillfactor, Some(ff));
+        }
+    }
+
+    #[test]
+    fn template_parse_errors_quote_the_literals_as_written() {
+        for bad in [
+            "modify r to hash where fillfactor = 101",
+            "retrieve (h.id) where h.id = 5 7",
+            "retrieve (h.id) where h.id = (2.5",
+            "append to r (x = 1 2)",
+        ] {
+            assert_eq!(
+                parse_tokens(&token::lex_slots(bad).unwrap()).unwrap_err(),
+                parse_program(bad).unwrap_err(),
+                "{bad}"
+            );
+        }
     }
 }

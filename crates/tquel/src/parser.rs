@@ -12,21 +12,55 @@ use tdbms_kernel::{DatabaseClass, Domain, Error, Result, TemporalKind};
 /// Parse a whole TQuel program (one or more statements, optionally
 /// separated by `;`).
 pub fn parse_program(src: &str) -> Result<Vec<Statement>> {
+    Ok(parse_tokens(&lex(src)?)?.stmts)
+}
+
+/// A parsed program. Parsed from [`lex_slots`] tokens, every numeric
+/// literal inside an expression is an [`Expr::Param`] slot, so one
+/// template serves every statement of its [`Shape`]
+/// ([`Statement::with_params`] puts the literals back).
+///
+/// [`lex_slots`]: crate::token::lex_slots
+/// [`Shape`]: crate::token::Shape
+#[derive(Debug, Clone)]
+pub struct Template {
+    /// The statements.
+    pub stmts: Vec<Statement>,
+    /// A lifted literal was consumed outside an expression (today only
+    /// `modify … where fillfactor = N`): the tree holds its value, so
+    /// the template serves only the literals it was parsed from.
+    pub pinned: bool,
+}
+
+/// Parse a token stream — [`lex`]'s or [`lex_slots`]'s — into a
+/// [`Template`].
+///
+/// [`lex_slots`]: crate::token::lex_slots
+pub fn parse_tokens(toks: &[Token]) -> Result<Template> {
+    if !matches!(toks.last(), Some(Token { kind: T::Eof, .. })) {
+        return Err(Error::Internal(
+            "token stream does not end with end of input".into(),
+        ));
+    }
     let mut p = Parser {
-        toks: lex(src)?,
+        toks,
         pos: 0,
         paren_depth: 0,
         depth: 0,
+        pinned: false,
     };
-    let mut out = Vec::new();
+    let mut stmts = Vec::new();
     loop {
         while p.eat(&T::Semi) {}
         if p.at_eof() {
             break;
         }
-        out.push(p.statement()?);
+        stmts.push(p.statement()?);
     }
-    Ok(out)
+    Ok(Template {
+        stmts,
+        pinned: p.pinned,
+    })
 }
 
 /// Parse exactly one TQuel statement.
@@ -57,8 +91,8 @@ type Clauses = (
 /// under a megabyte while being far deeper than any real query.
 const MAX_EXPR_DEPTH: u32 = 128;
 
-struct Parser {
-    toks: Vec<Token>,
+struct Parser<'a> {
+    toks: &'a [Token],
     pos: usize,
     /// Parenthesis nesting inside a temporal expression (see
     /// [`Parser::overlap_is_predicate`]).
@@ -66,9 +100,11 @@ struct Parser {
     /// Current expression recursion depth, bounded by
     /// [`MAX_EXPR_DEPTH`].
     depth: u32,
+    /// A lifted literal was read by value (see [`Template::pinned`]).
+    pinned: bool,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Token {
         &self.toks[self.pos]
     }
@@ -83,9 +119,15 @@ impl Parser {
     }
 
     fn advance(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
+        let mut t = self.toks[self.pos].clone();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
+        }
+        // Only `primary_expr` turns a lifted literal into a parameter
+        // slot; anywhere else the grammar reads its value.
+        if let T::Param(_, lit) = t.kind {
+            self.pinned = true;
+            t.kind = lit.into();
         }
         t
     }
@@ -667,6 +709,12 @@ impl Parser {
             T::Float(v) => {
                 self.advance();
                 Ok(Expr::Float(v))
+            }
+            T::Param(slot, _) => {
+                // Not `advance`, which would read the literal by value;
+                // a literal token is never the final `Eof`.
+                self.pos += 1;
+                Ok(Expr::Param(slot))
             }
             T::Str(s) => {
                 self.advance();

@@ -220,6 +220,9 @@ impl fmt::Display for Expr {
                 }
             }
             Expr::Str(s) => write!(f, "{}", quote_str(s)),
+            // Only a template holds slots; a statement parsed from text
+            // never prints one.
+            Expr::Param(k) => write!(f, "?{k}"),
             Expr::Attr { var, attr } => write!(f, "{var}.{attr}"),
             Expr::Bin { op, lhs, rhs } => {
                 write!(f, "({lhs} {} {rhs})", op.as_str())

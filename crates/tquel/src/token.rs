@@ -4,9 +4,13 @@
 //! case-insensitive, identifiers are `[a-zA-Z_][a-zA-Z0-9_]*`, string
 //! literals are double-quoted (they double as date/time literals, e.g.
 //! `"08:00 1/1/80"`), and statements may optionally be separated by `;`.
+//!
+//! The same lexer also produces a statement's [`Shape`] ([`lex_shape`]):
+//! the token stream with every numeric literal lifted out into a
+//! parameter slot, which is what a statement cache keys on.
 
 use std::fmt;
-use tdbms_kernel::{Error, Result};
+use tdbms_kernel::{Error, Result, Value};
 
 /// A lexical token with its source position.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +34,9 @@ pub enum TokenKind {
     Int(i64),
     /// Float literal.
     Float(f64),
+    /// A numeric literal as a parameter slot ([`lex_slots`]): slot `.0`
+    /// of its [`Shape`]'s literal vector, which holds `.1`.
+    Param(usize, Literal),
     /// Double-quoted string literal (quotes stripped).
     Str(String),
     /// `=`
@@ -64,6 +71,33 @@ pub enum TokenKind {
     Semi,
     /// End of input.
     Eof,
+}
+
+/// The value of a numeric literal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Literal {
+    /// An integer literal.
+    Int(i64),
+    /// A float literal.
+    Float(f64),
+}
+
+impl From<Literal> for TokenKind {
+    fn from(lit: Literal) -> TokenKind {
+        match lit {
+            Literal::Int(v) => TokenKind::Int(v),
+            Literal::Float(v) => TokenKind::Float(v),
+        }
+    }
+}
+
+impl From<Literal> for Value {
+    fn from(lit: Literal) -> Value {
+        match lit {
+            Literal::Int(v) => Value::Int(v),
+            Literal::Float(v) => Value::Float(v),
+        }
+    }
 }
 
 macro_rules! keywords {
@@ -152,8 +186,13 @@ impl fmt::Display for TokenKind {
         match self {
             TokenKind::Keyword(k) => write!(f, "{}", k.as_str()),
             TokenKind::Ident(s) => write!(f, "{s}"),
-            TokenKind::Int(i) => write!(f, "{i}"),
-            TokenKind::Float(x) => write!(f, "{x}"),
+            TokenKind::Int(i) | TokenKind::Param(_, Literal::Int(i)) => {
+                write!(f, "{i}")
+            }
+            TokenKind::Float(x)
+            | TokenKind::Param(_, Literal::Float(x)) => {
+                write!(f, "{x}")
+            }
             TokenKind::Str(s) => write!(f, "\"{s}\""),
             TokenKind::Eq => write!(f, "="),
             TokenKind::Ne => write!(f, "!="),
@@ -175,26 +214,81 @@ impl fmt::Display for TokenKind {
     }
 }
 
+/// A statement's shape: one [`lex`] pass over it with every numeric
+/// literal lifted out, which is what a statement cache keys on. The
+/// tokens a statement template is parsed from come from [`lex_slots`].
+#[derive(Debug, Clone)]
+pub struct Shape {
+    /// The token stream as text — each token by its source spelling,
+    /// words lower-cased, each lifted literal a typed placeholder
+    /// (`?i`, `?f`) — so `id = 7` and `id = 8` share a key, and `7`
+    /// and `7.0` do not. String literals stay in the key: they double
+    /// as time literals (`"now"`), resolved at bind time.
+    pub key: String,
+    /// The lifted literals in source order: slot `k` of the tokens
+    /// [`lex_slots`] returns is `literals[k]`.
+    pub literals: Vec<Literal>,
+}
+
 /// Tokenize a TQuel source string.
 pub fn lex(src: &str) -> Result<Vec<Token>> {
+    lex_with(src, false, None)
+}
+
+/// Tokenize a TQuel source string with every numeric literal as a
+/// [`TokenKind::Param`] slot, numbered as in its [`Shape`]: the token
+/// stream a statement template is parsed from.
+pub fn lex_slots(src: &str) -> Result<Vec<Token>> {
+    lex_with(src, true, None)
+}
+
+/// A TQuel source string's [`Shape`], without materializing its
+/// tokens. Fails exactly where [`lex`] fails, with the same error.
+pub fn lex_shape(src: &str) -> Result<Shape> {
+    let mut shape = Shape {
+        key: String::with_capacity(2 * src.len()),
+        literals: Vec::new(),
+    };
+    lex_with(src, false, Some(&mut shape))?;
+    Ok(shape)
+}
+
+/// The lexer. With `slots`, numeric literals become [`TokenKind::Param`]
+/// slots. With `shape`, no token is materialized: each is rendered into
+/// the shape's key instead, followed by a space — which only a quoted,
+/// hence delimited, string can contain, so equal keys mean equal token
+/// streams.
+fn lex_with(
+    src: &str,
+    slots: bool,
+    mut shape: Option<&mut Shape>,
+) -> Result<Vec<Token>> {
     let mut out = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0;
     let mut line: u32 = 1;
     let mut col: u32 = 1;
+    let mut nslots = 0;
+    // A token the shape key spells as its source text.
+    let mut spanned = false;
 
     macro_rules! push {
         ($kind:expr, $c:expr) => {
-            out.push(Token {
-                kind: $kind,
-                line,
-                col: $c,
-            })
+            if shape.is_some() {
+                spanned = true;
+            } else {
+                out.push(Token {
+                    kind: $kind,
+                    line,
+                    col: $c,
+                })
+            }
         };
     }
 
     while i < bytes.len() {
         let c = bytes[i] as char;
+        let start = i;
         let start_col = col;
         match c {
             '\n' => {
@@ -267,26 +361,40 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 let is_float = j + 1 < bytes.len()
                     && bytes[j] == b'.'
                     && bytes[j + 1].is_ascii_digit();
-                if is_float {
+                let lit = if is_float {
                     j += 1;
                     while j < bytes.len() && bytes[j].is_ascii_digit() {
                         j += 1;
                     }
                     let text = &src[i..j];
-                    let v: f64 = text.parse().map_err(|_| Error::Lex {
-                        line,
-                        col: start_col,
-                        msg: format!("bad float literal {text:?}"),
-                    })?;
-                    push!(TokenKind::Float(v), start_col);
+                    Literal::Float(text.parse().map_err(|_| {
+                        Error::Lex {
+                            line,
+                            col: start_col,
+                            msg: format!("bad float literal {text:?}"),
+                        }
+                    })?)
                 } else {
                     let text = &src[i..j];
-                    let v: i64 = text.parse().map_err(|_| Error::Lex {
+                    Literal::Int(text.parse().map_err(|_| Error::Lex {
                         line,
                         col: start_col,
                         msg: format!("integer literal {text:?} overflows"),
-                    })?;
-                    push!(TokenKind::Int(v), start_col);
+                    })?)
+                };
+                match shape.as_deref_mut() {
+                    Some(shape) => {
+                        shape.literals.push(lit);
+                        shape.key.push_str(match lit {
+                            Literal::Int(_) => "?i ",
+                            Literal::Float(_) => "?f ",
+                        });
+                    }
+                    None if slots => {
+                        push!(TokenKind::Param(nslots, lit), start_col);
+                        nslots += 1;
+                    }
+                    None => push!(lit.into(), start_col),
                 }
                 col += (j - i) as u32;
                 i = j;
@@ -299,10 +407,27 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 {
                     j += 1;
                 }
-                let word = src[i..j].to_ascii_lowercase();
-                match Keyword::from_str(&word) {
-                    Some(k) => push!(TokenKind::Keyword(k), start_col),
-                    None => push!(TokenKind::Ident(word), start_col),
+                match shape.as_deref_mut() {
+                    // A keyword and an identifier never share a
+                    // spelling, so the lower-cased word renders either.
+                    Some(shape) => {
+                        let word = src[i..j].chars();
+                        shape
+                            .key
+                            .extend(word.map(|c| c.to_ascii_lowercase()));
+                        shape.key.push(' ');
+                    }
+                    None => {
+                        let word = src[i..j].to_ascii_lowercase();
+                        match Keyword::from_str(&word) {
+                            Some(k) => {
+                                push!(TokenKind::Keyword(k), start_col)
+                            }
+                            None => {
+                                push!(TokenKind::Ident(word), start_col)
+                            }
+                        }
+                    }
                 }
                 col += (j - i) as u32;
                 i = j;
@@ -396,12 +521,21 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 })
             }
         }
+        if spanned {
+            if let Some(shape) = shape.as_deref_mut() {
+                shape.key.push_str(&src[start..i]);
+                shape.key.push(' ');
+            }
+            spanned = false;
+        }
     }
-    out.push(Token {
-        kind: TokenKind::Eof,
-        line,
-        col,
-    });
+    if shape.is_none() {
+        out.push(Token {
+            kind: TokenKind::Eof,
+            line,
+            col,
+        });
+    }
     Ok(out)
 }
 
@@ -520,5 +654,94 @@ mod tests {
                 TokenKind::Keyword(Keyword::Of),
             ]
         );
+    }
+
+    fn shape(src: &str) -> Shape {
+        lex_shape(src).unwrap_or_else(|e| panic!("{src:?}: {e}"))
+    }
+
+    #[test]
+    fn statements_differing_in_literals_share_a_shape() {
+        let src = "retrieve (h.id) where h.id = 7 and h.seq > 1.5";
+        let a = shape(src);
+        let b = shape("RETRIEVE (h.id)\n  where h.id = 8 and h.seq > 0.25");
+        assert_eq!(a.key, b.key);
+        assert_eq!(a.literals, [Literal::Int(7), Literal::Float(1.5)]);
+        assert_eq!(b.literals, [Literal::Int(8), Literal::Float(0.25)]);
+        // The template's tokens are `lex`'s, positions included, with
+        // each literal in its slot.
+        let plain = lex(src).unwrap();
+        let slots = lex_slots(src).unwrap();
+        assert_eq!(slots.len(), plain.len());
+        for (s, p) in slots.iter().zip(&plain) {
+            assert_eq!((s.line, s.col), (p.line, p.col));
+            match &s.kind {
+                TokenKind::Param(k, lit) => {
+                    assert_eq!(a.literals[*k], *lit);
+                    assert_eq!(TokenKind::from(*lit), p.kind);
+                }
+                other => assert_eq!(*other, p.kind),
+            }
+        }
+    }
+
+    #[test]
+    fn integer_and_float_literals_are_different_shapes() {
+        let int = shape("retrieve (h.id) where h.id = 7");
+        let float = shape("retrieve (h.id) where h.id = 7.0");
+        assert_ne!(int.key, float.key);
+        assert_eq!(float.literals, [Literal::Float(7.0)]);
+    }
+
+    #[test]
+    fn a_negative_literal_is_minus_and_a_slot() {
+        let s = shape("retrieve (x = -5)");
+        let tokens = lex_slots("retrieve (x = -5)").unwrap();
+        let kinds: Vec<&TokenKind> =
+            tokens.iter().map(|t| &t.kind).collect();
+        assert_eq!(
+            kinds[4..6],
+            [&TokenKind::Minus, &TokenKind::Param(0, Literal::Int(5))]
+        );
+        assert_eq!(s.literals, [Literal::Int(5)]);
+        assert_eq!(s.key, shape("retrieve (x = - 6)").key);
+    }
+
+    #[test]
+    fn strings_stay_in_the_shape() {
+        let now =
+            shape(r#"retrieve (h.id) where h.id = 1 when h overlap "now""#);
+        let then = shape(
+            r#"retrieve (h.id) where h.id = 1 when h overlap "1981""#,
+        );
+        assert_ne!(now.key, then.key);
+        assert!(now.key.contains("\"now\""), "{}", now.key);
+        assert_eq!(now.literals, [Literal::Int(1)]);
+        // A string holding what reads like other tokens stays one token:
+        // two strings `"a" , "b"` vs the one string `a" , "b`.
+        assert_ne!(
+            shape(r#"retrieve (x = "a" , "b")"#).key,
+            shape(r#"retrieve (x = "a\" , \"b")"#).key
+        );
+        assert_ne!(
+            shape("retrieve (x = 1)").key,
+            shape(r#"retrieve (x = "?i")"#).key
+        );
+    }
+
+    #[test]
+    fn shape_errors_are_lex_errors() {
+        for src in [
+            "retrieve\n  @",
+            "retrieve (x = 1)\n\"unterminated",
+            "/* unterminated",
+            "retrieve (x = 99999999999999999999)",
+            "retrieve (x = 2.5) where\n\n   x.y = 1 $",
+        ] {
+            let plain = lex(src).unwrap_err();
+            assert!(matches!(plain, Error::Lex { .. }), "{plain:?}");
+            assert_eq!(lex_shape(src).unwrap_err(), plain, "{src:?}");
+            assert_eq!(lex_slots(src).unwrap_err(), plain, "{src:?}");
+        }
     }
 }

@@ -344,10 +344,11 @@ gate_planner_golden() {
     }
 }
 
-# Plan-cache smoke: a read-only server workload over a handful of hot
-# statement shapes must be served almost entirely from the engine's
-# statement cache — >90% hit rate, reported over the wire through the
-# throughput driver's stats request.
+# Plan-cache smoke: a read-only server workload of 512 keyed reads
+# spread over 1,024 keys — one statement shape, hundreds of distinct
+# texts — must be served almost entirely from the engine's statement
+# cache: >90% hit rate, reported over the wire by the `throughput`
+# binary's stats request.
 gate_plan_cache_smoke() {
     local dbdir srvout addr out rc=0 i
     dbdir=$(mktemp -d)
@@ -369,7 +370,7 @@ gate_plan_cache_smoke() {
         return 1
     fi
     out=$("$bindir/throughput" --server "$addr" --threads 4 --ops 128 \
-        --write-every 0 --join-every 0 --setup-rows 4) || rc=1
+        --write-every 0 --join-every 0 --setup-rows 1024) || rc=1
     echo "$out"
     if [[ "$rc" == 0 ]]; then
         echo "$out" | awk '

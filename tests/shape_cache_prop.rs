@@ -1,0 +1,187 @@
+//! Statement-cache correctness across literals.
+//!
+//! The engine's statement cache keys on a statement's *shape*: its
+//! token stream with every numeric literal lifted into a parameter
+//! slot. One parsed (and, for snapshot retrieves, bound) template then
+//! serves every literal. The property: running literal B right after
+//! the same shape was warmed with literal A answers exactly as running
+//! B uncached — columns, rows, counts and error texts — for random
+//! single- and multi-variable retrieves, aggregates, `explain`, failing
+//! statements and replaces, under both planner modes.
+//!
+//! The uncached side is a second engine over an identically built
+//! database, fed the same statements through
+//! `Session::execute_statement`, which never consults the statement
+//! cache. It is an engine rather than a bare `Database` because a
+//! `Database` ticks its clock on every read while the engine's
+//! snapshot reads do not, so a bare `Database` would stamp the later
+//! replaces at other instants.
+
+use tdbms::tquel::parse_statement;
+use tdbms::{Database, Engine, ExecOutput, PlannerMode, Session, Value};
+use tdbms_prop::{check, Gen};
+
+struct Case {
+    setup: Vec<String>,
+    nrels: usize,
+    /// One statement shape written with two literal sets, `(A, B)`.
+    probes: Vec<(String, String)>,
+}
+
+fn arb_case(g: &mut Gen) -> Case {
+    let nrels = g.range(2usize..4);
+    let mut setup = Vec::new();
+    for r in 0..nrels {
+        setup.push(format!(
+            "create temporal interval r{r} (id = i4, val = i4)"
+        ));
+        for _ in 0..g.range(16u32..40) {
+            setup.push(format!(
+                "append to r{r} (id = {}, val = {})",
+                g.range(0i32..12),
+                g.range(-100i32..100)
+            ));
+        }
+        match g.range(0u8..3) {
+            1 => setup.push(format!(
+                "modify r{r} to hash on id where fillfactor = 100"
+            )),
+            2 => setup.push(format!(
+                "modify r{r} to isam on id where fillfactor = 100"
+            )),
+            _ => {}
+        }
+    }
+    let probes = (0..g.range(4usize..9))
+        .map(|_| arb_probe(g, nrels))
+        .collect();
+    Case {
+        setup,
+        nrels,
+        probes,
+    }
+}
+
+/// One statement shape over `v{a}` (and `v{b}`), rendered with two
+/// random literal sets. The literals are non-negative so that both
+/// renderings lex to one shape: a sign is a token of its own.
+fn arb_probe(g: &mut Gen, nrels: usize) -> (String, String) {
+    let a = g.range(0..nrels);
+    let b = (a + g.range(1..nrels)) % nrels;
+    let kind = g.range(0u8..8);
+    let render = |l: [i64; 3]| {
+        let key = l[0] % 12;
+        match kind {
+            0 => format!(
+                "retrieve (v{a}.id, v{a}.val) where v{a}.id = {key}"
+            ),
+            1 => format!(
+                "retrieve (v{a}.id, x = v{a}.val * {} + {}) \
+                 where v{a}.val > -{}",
+                l[0], l[1], l[2]
+            ),
+            2 => format!(
+                "retrieve (v{a}.id) \
+                 where v{a}.val < {}.5 or v{a}.id = {key}",
+                l[1]
+            ),
+            3 => format!(
+                "retrieve (v{a}.id, v{a}.val, v{b}.val) \
+                 where v{a}.id = v{b}.id and v{b}.id = {key}"
+            ),
+            4 => format!(
+                "replace v{a} (val = v{a}.val + {}) where v{a}.id = {key}",
+                l[1]
+            ),
+            5 => {
+                format!("explain retrieve (v{a}.id) where v{a}.id = {key}")
+            }
+            // Overflows on any |val| > 2; the error quotes the literal.
+            6 => {
+                format!("retrieve (x = v{a}.val * {})", i64::MAX / 2 - l[1])
+            }
+            _ => format!(
+                "retrieve (n = count(v{a}.id), s = sum(v{a}.val)) \
+                 where v{a}.val >= {}",
+                l[1]
+            ),
+        }
+    };
+    let mut lits =
+        || [g.range(0i64..100), g.range(0i64..100), g.range(0i64..100)];
+    let (la, lb) = (lits(), lits());
+    (render(la), render(lb))
+}
+
+fn engine(case: &Case, mode: PlannerMode) -> Engine {
+    let mut db = Database::in_memory();
+    db.set_planner_mode(mode);
+    for stmt in &case.setup {
+        db.execute(stmt)
+            .unwrap_or_else(|e| panic!("setup `{stmt}` failed: {e}"));
+    }
+    Engine::new(db)
+}
+
+/// What a statement answered; an error by its text.
+type Outcome = Result<(Vec<String>, Vec<Vec<Value>>, usize), String>;
+
+fn outcome(r: tdbms::Result<ExecOutput>) -> Outcome {
+    r.map(|o| {
+        let columns = o.columns.iter().map(|(n, _)| n.clone()).collect();
+        (columns, o.rows().to_vec(), o.affected)
+    })
+    .map_err(|e| e.to_string())
+}
+
+/// `text` through the statement cache on `cached`, and parsed on its
+/// own on `fresh`.
+fn both(
+    cached: &mut Session,
+    fresh: &mut Session,
+    text: &str,
+) -> [Outcome; 2] {
+    let uncached =
+        parse_statement(text).and_then(|s| fresh.execute_statement(&s));
+    [outcome(cached.execute(text)), outcome(uncached)]
+}
+
+#[test]
+fn a_warm_shape_answers_a_new_literal_like_an_uncached_run() {
+    check("shape_cache_literals", 16, |g| {
+        let case = arb_case(g);
+        for mode in [PlannerMode::Cost, PlannerMode::Fixed] {
+            let cached_engine = engine(&case, mode);
+            let fresh_engine = engine(&case, mode);
+            let mut cached = cached_engine.session();
+            let mut fresh = fresh_engine.session();
+            for r in 0..case.nrels {
+                let range = format!("range of v{r} is r{r}");
+                let [c, f] = both(&mut cached, &mut fresh, &range);
+                assert_eq!(c, f, "`{range}`");
+            }
+            for (a, b) in &case.probes {
+                // The first run parses and binds the shape; the second
+                // is served from the cached binding, which B reuses.
+                for text in [a, a] {
+                    let [c, f] = both(&mut cached, &mut fresh, text);
+                    assert_eq!(c, f, "{mode:?}: `{text}`");
+                }
+                let (h0, m0) = cached_engine.plan_cache_stats();
+                let [c, f] = both(&mut cached, &mut fresh, b);
+                assert_eq!(c, f, "{mode:?}: `{b}` after `{a}`");
+                let (h1, m1) = cached_engine.plan_cache_stats();
+                assert_eq!(
+                    (h1 - h0, m1 - m0),
+                    (1, 0),
+                    "`{b}` must hit the shape `{a}` warmed"
+                );
+            }
+            for r in 0..case.nrels {
+                let all = format!("retrieve (v{r}.id, v{r}.val)");
+                let [c, f] = both(&mut cached, &mut fresh, &all);
+                assert_eq!(c, f, "{mode:?}: final state of r{r}");
+            }
+        }
+    });
+}
