@@ -122,7 +122,9 @@ fn ablation_disk_backend() {
         let mut db = if backend == "memory" {
             tdbms_core::Database::in_memory()
         } else {
-            tdbms_core::Database::open(&dir).unwrap()
+            tdbms_core::Database::with_pager(tdbms_storage::Pager::new(
+                Box::new(tdbms_storage::FileDisk::open(&dir).unwrap()),
+            ))
         };
         db.set_clock(tdbms_kernel::Clock::new(
             tdbms_kernel::TimeVal::from_ymd(1980, 3, 1).unwrap(),

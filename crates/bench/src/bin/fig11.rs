@@ -1,9 +1,9 @@
 //! Regenerate Figure 11 (extension): buffer sensitivity of Q01–Q12 on
 //! the temporal database with 100 % loading at UC 14, as the
 //! frames-per-relation cap grows 1→8. The paper's 1-buffer methodology
-//! is the leftmost column of a measured curve. `--threads N` (or
-//! `TDBMS_THREADS`) measures the frame caps in parallel, one database
-//! copy per worker; the numbers match the serial sweep exactly.
+//! is the leftmost column of a measured curve. `--threads N` measures
+//! the frame caps in parallel, one database copy per worker; the
+//! numbers match the serial sweep exactly.
 use tdbms_bench::{
     figures, max_uc_from_env, run_buffer_sweep_threaded, threads_from_args,
     BenchConfig,

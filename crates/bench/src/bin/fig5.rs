@@ -1,7 +1,7 @@
 //! Regenerate Figure 5: space requirements for the eight test databases.
-//! `--threads N` (or `TDBMS_THREADS`) sweeps the eight configurations in
-//! parallel; the data is identical at any thread count because each
-//! configuration builds its own deterministic database.
+//! `--threads N` sweeps the eight configurations in parallel; the data
+//! is identical at any thread count because each configuration builds
+//! its own deterministic database.
 //!
 //! `--predict` switches to the planner-prediction report: the cost
 //! model's estimated input pages next to the measured ones for every

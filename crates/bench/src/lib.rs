@@ -43,8 +43,8 @@ pub fn max_uc_from_env(default: u32) -> u32 {
 }
 
 /// Worker-thread count for harness binaries: `--threads N` on the command
-/// line, else the `TDBMS_THREADS` environment variable, else 1 (the
-/// paper-mode serial driver, whose output is the golden reference).
+/// line, else 1 (the paper-mode serial driver, whose output is the golden
+/// reference).
 pub fn threads_from_args() -> usize {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
@@ -58,9 +58,5 @@ pub fn threads_from_args() -> usize {
             return n;
         }
     }
-    std::env::var("TDBMS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
+    1
 }

@@ -9,7 +9,7 @@
 //! incrementing `seq` in every current version (uniform distribution) or
 //! in a single tuple (the §5.4 maximum-variance case).
 
-use tdbms_core::{Database, EvictionPolicy};
+use tdbms_core::{BufferConfig, Database};
 use tdbms_kernel::{
     Clock, DatabaseClass, Prng, TemporalAttr, TimeVal, Value,
 };
@@ -32,11 +32,9 @@ pub struct BenchConfig {
     pub fillfactor: u8,
     /// RNG seed for `amount`/`string`/initial-time generation.
     pub seed: u64,
-    /// Buffer frames per relation (paper: 1). Applied as the pager's
-    /// default, so temporaries and `into` relations get it too.
+    /// LRU buffer frames per relation (paper: 1). Applied as the
+    /// pager's default, so temporaries and `into` relations get it too.
     pub buffer_frames: usize,
-    /// Buffer eviction policy (paper: LRU; moot at 1 frame).
-    pub buffer_policy: EvictionPolicy,
 }
 
 impl BenchConfig {
@@ -47,7 +45,6 @@ impl BenchConfig {
             fillfactor,
             seed: 8_504_033,
             buffer_frames: 1,
-            buffer_policy: EvictionPolicy::Lru,
         }
     }
 
@@ -97,12 +94,9 @@ pub fn build_database_with_hash(
     cfg: &BenchConfig,
     hashfn: tdbms_storage::HashFn,
 ) -> Database {
-    let mut db =
-        Database::in_memory_with_buffers(tdbms_core::BufferConfig {
-            default_frames: cfg.buffer_frames,
-            policy: cfg.buffer_policy,
-            per_file: Vec::new(),
-        });
+    let mut db = Database::in_memory_with_buffers(BufferConfig {
+        default_frames: cfg.buffer_frames,
+    });
     db.set_hash_fn(hashfn);
     // Corruption-defense ablation: `TDBMS_CHECKSUMS=1` turns on page
     // checksumming for the whole run, so CI can assert the golden

@@ -1017,9 +1017,9 @@ pub fn repair_database(
 /// committed WAL tail into the page files, but the log itself is kept
 /// untruncated so its page images remain available as salvage material.
 ///
-/// This deliberately bypasses the normal `Database::open` path, whose
-/// trailing checkpoint would truncate the log and destroy exactly the
-/// images repair needs.
+/// This deliberately bypasses the normal `Database::open_durable` path,
+/// whose trailing checkpoint would truncate the log and destroy exactly
+/// the images repair needs.
 pub struct CheckedDb {
     /// The database directory.
     pub dir: PathBuf,

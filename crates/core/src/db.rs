@@ -4,13 +4,14 @@
 //! Everything that mutates — a statement, `bulk_load_rows`, a
 //! `reorganize` pass — runs as one *write unit* (`write_unit`): a
 //! durable database admits it, arms statement undo, runs the body and
-//! either rolls back or commits through the WAL; a file-backed one
-//! without a WAL checkpoints its catalog. A durable commit always goes
-//! through the database's commit queue ([`tdbms_wal::GroupCommit`]; a
-//! queue of one unless [`Database::enable_group_commit`] configured it)
-//! and waits for its log sync in `commit_durable`, under the caller's
-//! lock — the one exception being an [`crate::Engine`] with group
-//! commit on, which acknowledges after releasing its commit lock.
+//! either rolls back or commits through the WAL; one without a log (in
+//! memory) just runs the body. Every file-backed database is durable. A durable
+//! commit always goes through the database's commit queue
+//! ([`tdbms_wal::GroupCommit`]; a queue of one unless
+//! [`Database::enable_group_commit`] configured it) and waits for its
+//! log sync in `commit_durable`, under the caller's lock — the one
+//! exception being an [`crate::Engine`] with group commit on, which
+//! acknowledges after releasing its commit lock.
 
 use crate::binder::Binder;
 use crate::dml;
@@ -54,12 +55,6 @@ struct WalState {
     wal: Wal,
     policy: CheckpointPolicy,
     commits_since_checkpoint: u32,
-    /// Checkpoint additionally when this many log bytes accumulate
-    /// since the last checkpoint (None: commit-count policy alone).
-    bytes_trigger: Option<u64>,
-    /// `wal.bytes_appended()` as of the last completed checkpoint
-    /// (the counter is monotone across truncations).
-    bytes_at_checkpoint: u64,
     /// The commit queue: every commit registers a ticket here and is
     /// acknowledged once a log sync covers it. A durable database opens
     /// with a queue of one (`max_batch` 1, no linger: one log sync per
@@ -201,8 +196,8 @@ pub struct Database {
     clock: Clock,
     hashfn: HashFn,
     cold_statements: bool,
-    /// Directory of a file-backed database; the catalog is checkpointed
-    /// there after every statement that changes it.
+    /// Directory of a file-backed database; every WAL checkpoint writes
+    /// the catalog, the clock and the checksum sidecar there.
     persist_dir: Option<std::path::PathBuf>,
     /// Write-ahead log, when the database was opened in durable mode.
     wal: Option<WalState>,
@@ -229,42 +224,21 @@ impl Database {
     }
 
     /// An in-memory database with an explicit buffer configuration
-    /// (frames per relation, eviction policy). `BufferConfig::paper()` is
-    /// what [`Database::in_memory`] uses.
+    /// (LRU frames per relation). `BufferConfig::paper()` is what
+    /// [`Database::in_memory`] uses.
     pub fn in_memory_with_buffers(config: BufferConfig) -> Self {
         Database::with_pager(Pager::in_memory_with_config(config))
     }
 
-    /// A file-backed database rooted at `dir`. Both the page files and the
-    /// catalog persist: reopening the directory restores every relation,
-    /// organization, and index (session state — the range table and clock
-    /// position — does not persist; re-declare ranges and, if the workload
-    /// depends on it, advance the clock past the stored history).
-    pub fn open(dir: impl Into<std::path::PathBuf>) -> Result<Self> {
-        let dir = dir.into();
-        let pager = Pager::new(Box::new(FileDisk::open(&dir)?));
-        let catalog =
-            tdbms_storage::load_catalog(&dir, &pager)?.unwrap_or_default();
-        let mut db = Database::with_pager(pager);
-        db.catalog = catalog;
-        // Resume the transaction clock past everything already recorded,
-        // so new statements never travel back in transaction time.
-        if let Ok(text) = std::fs::read_to_string(dir.join("clock.tdbms")) {
-            if let Ok(secs) = text.trim().parse::<u32>() {
-                db.clock.advance_to(TimeVal::from_secs(secs));
-            }
-        }
-        db.persist_dir = Some(dir);
-        db.refresh_stats()?;
-        Ok(db)
-    }
-
-    /// A file-backed database with crash recovery: a write-ahead log
-    /// (`wal.tdbms` beside the page files) makes every statement a
-    /// durable transaction. On open, committed transactions found in the
-    /// log are replayed onto the page files (redo-only recovery), so a
-    /// process killed at any point reopens with every committed tuple
-    /// intact and nothing uncommitted visible.
+    /// A file-backed database rooted at `dir`, with crash recovery: a
+    /// write-ahead log (`wal.tdbms` beside the page files) makes every
+    /// statement a durable transaction. On open, committed transactions
+    /// found in the log are replayed onto the page files (redo-only
+    /// recovery), so a process killed at any point reopens with every
+    /// committed tuple intact and nothing uncommitted visible. A
+    /// directory without a log (or whose log holds no catalog) opens
+    /// from its `catalog.tdbms` and `clock.tdbms`. Session state — the
+    /// range table — does not persist; re-declare ranges.
     pub fn open_durable(
         dir: impl Into<std::path::PathBuf>,
     ) -> Result<Self> {
@@ -326,8 +300,6 @@ impl Database {
             wal,
             policy: CheckpointPolicy::EveryCommit,
             commits_since_checkpoint: 0,
-            bytes_trigger: None,
-            bytes_at_checkpoint: 0,
             gc: Arc::new(GroupCommit::new(GroupCommitConfig {
                 max_batch: 1,
                 max_delay: Duration::ZERO,
@@ -339,31 +311,9 @@ impl Database {
         // Post-recovery checkpoint: the replayed state is on disk and
         // synced, so persist the catalog and truncate the log — the next
         // crash recovers from here instead of replaying history again.
-        db.checkpoint_durable()?;
+        db.checkpoint()?;
         db.refresh_stats()?;
         Ok(db)
-    }
-
-    /// Write the catalog to disk now (done automatically after mutating
-    /// statements on a file-backed database). In durable mode this is a
-    /// full WAL checkpoint.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        if self.wal.is_some() {
-            return self.checkpoint_durable();
-        }
-        self.pager.flush_all()?;
-        if let Some(dir) = &self.persist_dir {
-            // The page files must be durable before the catalog (and its
-            // tuple counts / file lengths) describes them.
-            self.pager.sync_all()?;
-            tdbms_storage::save_catalog(&self.catalog, dir)?;
-            std::fs::write(
-                dir.join("clock.tdbms"),
-                self.clock.now().as_secs().to_string(),
-            )?;
-        }
-        self.persist_checksums()?;
-        Ok(())
     }
 
     /// Save the checksum sidecar beside the page files (no-op unless
@@ -408,20 +358,15 @@ impl Database {
         self.pager.checksums_enabled()
     }
 
-    /// Bound the transient-read retry budget (see
-    /// [`tdbms_storage::Pager::set_read_retries`]).
-    pub fn set_read_retries(&mut self, budget: u32) {
-        self.pager.set_read_retries(budget);
-    }
-
     /// WAL checkpoint: write the staged overlay through to the page
     /// files, fsync them, persist the catalog, and truncate the log to a
     /// fresh header (plus one committed catalog transaction, so a
     /// directory-less database can still recover its schema from the log
-    /// alone).
-    pub fn checkpoint_durable(&mut self) -> Result<()> {
+    /// alone). A database without a log only writes its dirty buffers
+    /// back.
+    pub fn checkpoint(&mut self) -> Result<()> {
         if self.wal.is_none() {
-            return self.checkpoint();
+            return self.pager.flush_all();
         }
         // Finish any physical repairs a rolled-back statement had to
         // defer: the checkpoint snapshots file lengths, so the files
@@ -471,7 +416,6 @@ impl Database {
             ],
         )?;
         ws.commits_since_checkpoint = 0;
-        ws.bytes_at_checkpoint = ws.wal.bytes_appended();
         // The truncation above was atomic and fsynced: every
         // outstanding ticket is durable without a log fsync.
         ws.gc.mark_all_durable();
@@ -536,13 +480,7 @@ impl Database {
         self.append_commit_records().map_err(pre)?;
         let ws = self.wal.as_mut().expect("durable mode");
         ws.commits_since_checkpoint += 1;
-        let due = ws.policy.due(ws.commits_since_checkpoint)
-            || ws.bytes_trigger.is_some_and(|n| {
-                ws.wal
-                    .bytes_appended()
-                    .saturating_sub(ws.bytes_at_checkpoint)
-                    >= n
-            });
+        let due = ws.policy.due(ws.commits_since_checkpoint);
         // Issued in the same critical section as the appends: ticket
         // order = log order.
         let ticket = ws.gc.register();
@@ -564,7 +502,7 @@ impl Database {
         }
         self.pager.clear_staged();
         if due {
-            self.checkpoint_durable()
+            self.checkpoint()
                 .map_err(|err| CommitError { err, durable: true })?;
         }
         let ws = self.wal.as_ref().expect("durable mode");
@@ -631,17 +569,6 @@ impl Database {
         }
     }
 
-    /// Additionally checkpoint whenever this many log bytes accumulate
-    /// since the last checkpoint, whichever of the two triggers fires
-    /// first (durable mode only; `None` or 0 disables the byte
-    /// trigger). Bounds both recovery replay time and log disk usage
-    /// under a commit-count policy like `EveryN`.
-    pub fn set_checkpoint_every_bytes(&mut self, bytes: Option<u64>) {
-        if let Some(ws) = self.wal.as_mut() {
-            ws.bytes_trigger = bytes.filter(|b| *b > 0);
-        }
-    }
-
     // --- Degraded mode ---------------------------------------------------
     //
     // A write-path resource failure (disk full, fsync error) must not
@@ -705,7 +632,7 @@ impl Database {
             reason: format!("{reason}; re-arm failed: {e}"),
         };
         self.pager.retry_deferred().map_err(rearm_err)?;
-        self.checkpoint_durable().map_err(rearm_err)?;
+        self.checkpoint().map_err(rearm_err)?;
         self.degraded = None;
         Ok(())
     }
@@ -747,18 +674,15 @@ impl Database {
     /// database admits the write (re-arming a degraded engine first),
     /// arms statement undo so a body that dies mid-flight (disk full)
     /// rolls back to this boundary instead of poisoning the engine,
-    /// and commits through the WAL; a file-backed one without a WAL
-    /// checkpoints its catalog instead. Either way the maintained
-    /// statistics are refreshed (metadata only) before returning.
+    /// and commits through the WAL; one without a log just runs the
+    /// body. Either way the maintained statistics are refreshed
+    /// (metadata only) before returning.
     fn write_unit<T>(
         &mut self,
         body: impl FnOnce(&mut Self) -> Result<T>,
     ) -> Result<T> {
         if self.wal.is_none() {
             let out = body(self)?;
-            if self.persist_dir.is_some() {
-                self.checkpoint()?;
-            }
             self.refresh_stats()?;
             return Ok(out);
         }

@@ -717,7 +717,7 @@ fn file_backed_database_survives_reopen() {
     let final_clock;
     let second_clock;
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Database::open_durable(&dir).unwrap();
         db.execute(
             "create temporal interval emp (name = c12, salary = i4)",
         )
@@ -736,7 +736,7 @@ fn file_backed_database_survives_reopen() {
     } // drop: "process exits"
 
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Database::open_durable(&dir).unwrap();
         db.clock().advance_to(final_clock);
         let meta = db.relation_meta("emp").unwrap();
         assert_eq!(meta.class, DatabaseClass::Temporal);
@@ -761,7 +761,7 @@ fn file_backed_database_survives_reopen() {
         second_clock = db.clock().now();
     }
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Database::open_durable(&dir).unwrap();
         // Advance past everything the previous session recorded (the
         // clock is session state and does not persist).
         db.clock().advance_to(second_clock);

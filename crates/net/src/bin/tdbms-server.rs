@@ -1,12 +1,15 @@
 //! `tdbms-server` — serve a database over TCP.
 //!
 //! ```text
-//! tdbms-server DIR [--addr 127.0.0.1:4477] [--durable]
+//! tdbms-server DIR [--addr 127.0.0.1:4477]
 //!              [--max-conns N] [--timeout-ms N] [--max-rows N]
 //!              [--max-reply-bytes N] [--allow-copy]
-//!              [--no-remote-shutdown] [--checkpoint-every-bytes N]
+//!              [--no-remote-shutdown]
 //! tdbms-server --shutdown ADDR
 //! ```
+//!
+//! `DIR` opens durably (write-ahead log, crash recovery), like every
+//! file-backed database.
 //!
 //! The server prints `listening on <addr>` once it has bound (an
 //! `--addr` port of 0 picks an ephemeral port — scripts parse this
@@ -45,10 +48,9 @@ fn install_signal_handlers() {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tdbms-server DIR [--addr HOST:PORT] [--durable] \
+        "usage: tdbms-server DIR [--addr HOST:PORT] \
          [--max-conns N] [--timeout-ms N] [--max-rows N] \
-         [--max-reply-bytes N] [--allow-copy] [--no-remote-shutdown] \
-         [--checkpoint-every-bytes N]\n\
+         [--max-reply-bytes N] [--allow-copy] [--no-remote-shutdown]\n\
          \x20      tdbms-server --shutdown HOST:PORT"
     );
     ExitCode::from(2)
@@ -75,8 +77,6 @@ fn main() -> ExitCode {
 
     let mut dir: Option<String> = None;
     let mut addr = String::from("127.0.0.1:4477");
-    let mut durable = false;
-    let mut checkpoint_bytes: Option<u64> = None;
     let mut cfg = ServerConfig::default();
 
     let mut it = args.into_iter();
@@ -93,7 +93,6 @@ fn main() -> ExitCode {
                 Some(a) => addr = a,
                 None => return usage(),
             },
-            "--durable" => durable = true,
             "--allow-copy" => cfg.allow_copy = true,
             "--no-remote-shutdown" => cfg.allow_remote_shutdown = false,
             "--max-conns" => match num("--max-conns", &mut it) {
@@ -114,12 +113,6 @@ fn main() -> ExitCode {
                     Err(()) => return usage(),
                 }
             }
-            "--checkpoint-every-bytes" => {
-                match num("--checkpoint-every-bytes", &mut it) {
-                    Ok(n) => checkpoint_bytes = Some(n),
-                    Err(()) => return usage(),
-                }
-            }
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
@@ -136,28 +129,13 @@ fn main() -> ExitCode {
 
     let Some(dir) = dir else { return usage() };
 
-    let db = if durable {
-        Database::open_durable(&dir)
-    } else {
-        Database::open(&dir)
-    };
-    let mut db = match db {
+    let db = match Database::open_durable(&dir) {
         Ok(db) => db,
         Err(e) => {
             eprintln!("tdbms-server: cannot open {dir}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if checkpoint_bytes.is_some() {
-        if !durable {
-            eprintln!(
-                "tdbms-server: --checkpoint-every-bytes requires \
-                 --durable"
-            );
-            return usage();
-        }
-        db.set_checkpoint_every_bytes(checkpoint_bytes);
-    }
     let engine = Engine::new(db);
 
     let server = match Server::bind(engine, &addr, cfg) {

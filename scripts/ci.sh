@@ -241,17 +241,17 @@ gate_net_protocol() {
     cargo test -q --test net_protocol
 }
 
-# End-to-end server smoke: start `tdbms-server` durable on an ephemeral
-# port, drive it with the throughput bench in --server mode (8 real TCP
-# clients, mixed read/write/join workload), shut it down gracefully
+# End-to-end server smoke: start `tdbms-server` (durable, like every
+# file-backed database) on an ephemeral port, drive it with the
+# throughput bench in --server mode (8 real TCP clients, mixed
+# read/write/join workload), shut it down gracefully
 # over the wire, and require exit 0, zero caught panics, and a
 # `tdbms-check`-clean database directory.
 gate_server_smoke() {
     local dbdir srvout addr rc=0 i
     dbdir=$(mktemp -d)
     srvout=$(mktemp)
-    "$bindir/tdbms-server" "$dbdir" --addr 127.0.0.1:0 --durable \
-        >"$srvout" 2>&1 &
+    "$bindir/tdbms-server" "$dbdir" --addr 127.0.0.1:0 >"$srvout" 2>&1 &
     local srvpid=$!
     addr=""
     for i in $(seq 1 100); do
@@ -409,8 +409,8 @@ gate_check_recovery() {
         echo 'append to emp (name = "merrie", salary = 20000);'
         echo 'append to emp (name = "tom", salary = 18000);'
         echo 'replace e (salary = e.salary + 500) where e.name = "tom";'
-    } | TDBMS_BATCH=1 TDBMS_DURABLE=1 TDBMS_CHECKPOINT=manual \
-        TDBMS_CHECKSUMS=1 "$bindir/tdbms" "$dbdir" >/dev/null
+    } | TDBMS_CHECKPOINT=manual TDBMS_CHECKSUMS=1 \
+        "$bindir/tdbms" "$dbdir" >/dev/null
     if [[ ! -f "$dbdir/wal.tdbms" ]]; then
         echo "check gate: durable session left no write-ahead log"
         rc=1

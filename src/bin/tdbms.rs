@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo run --bin tdbms                # in-memory session
-//! cargo run --bin tdbms -- /path/dir   # file-backed (persists)
+//! cargo run --bin tdbms -- /path/dir   # file-backed (durable)
 //! echo 'create static t (x = i4);' | cargo run --bin tdbms
 //! ```
 //!
@@ -22,13 +22,18 @@
 //! * `\i <file>` — run statements from a file
 //! * `\q` — quit
 //!
-//! Environment knobs for file-backed sessions: `TDBMS_DURABLE=1` opens
-//! through the write-ahead log (`Database::open_durable`),
-//! `TDBMS_CHECKSUMS=1` turns on sidecar page checksums, and
-//! `TDBMS_CHECKPOINT=manual` / `every:<n>` overrides the checkpoint
-//! policy (CI uses `manual` to leave a log tail for `check` to replay).
+//! A directory opens through the write-ahead log
+//! (`Database::open_durable`): every statement is a durable transaction.
+//! Environment knobs for file-backed sessions: `TDBMS_CHECKSUMS=1`
+//! turns on sidecar page checksums, and `TDBMS_CHECKPOINT=manual` /
+//! `every:<n>` overrides the checkpoint policy (CI uses `manual` to
+//! leave a log tail for `check` to replay); any other value is an
+//! error.
+//!
+//! The prompt and banner appear only when stdin is a terminal, so a
+//! piped script's stdout holds results alone.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 use tdbms::{CheckpointPolicy, Database, Granularity, QueryStats, Session};
 
 /// Nested `\i` includes deeper than this abort with an error instead
@@ -261,59 +266,38 @@ fn prompt() {
     std::io::stdout().flush().ok();
 }
 
-fn env_is(name: &str, want: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| v == want)
+fn die(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
+}
+
+/// Open `dir` durably and apply the file-backed environment knobs; any
+/// failure, an unknown knob value included, exits 1.
+fn open_dir(dir: &str) -> Database {
+    let mut db = Database::open_durable(dir)
+        .unwrap_or_else(|e| die(format!("cannot open {dir}: {e}")));
+    eprintln!("opened file-backed database at {dir}");
+    if std::env::var("TDBMS_CHECKSUMS").is_ok_and(|v| v == "1") {
+        if let Err(e) = db.enable_checksums() {
+            die(format!("cannot enable checksums: {e}"));
+        }
+    }
+    if let Ok(v) = std::env::var("TDBMS_CHECKPOINT") {
+        let policy = match v.strip_prefix("every:") {
+            Some(n) => n.parse().ok().map(CheckpointPolicy::EveryN),
+            None => (v == "manual").then_some(CheckpointPolicy::Manual),
+        };
+        match policy {
+            Some(p) => db.set_checkpoint_policy(p),
+            None => die(format!("bad TDBMS_CHECKPOINT value: {v}")),
+        }
+    }
+    db
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let durable = env_is("TDBMS_DURABLE", "1");
-    let db = match args.next() {
-        Some(dir) => {
-            let opened = if durable {
-                Database::open_durable(&dir)
-            } else {
-                Database::open(&dir)
-            };
-            match opened {
-                Ok(mut db) => {
-                    eprintln!(
-                        "opened file-backed database at {dir}{}",
-                        if durable { " (durable)" } else { "" }
-                    );
-                    if env_is("TDBMS_CHECKSUMS", "1") {
-                        if let Err(e) = db.enable_checksums() {
-                            eprintln!("cannot enable checksums: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                    match std::env::var("TDBMS_CHECKPOINT").as_deref() {
-                        Ok("manual") => db.set_checkpoint_policy(
-                            CheckpointPolicy::Manual,
-                        ),
-                        Ok(v) if v.starts_with("every:") => {
-                            match v["every:".len()..].parse() {
-                                Ok(n) => db.set_checkpoint_policy(
-                                    CheckpointPolicy::EveryN(n),
-                                ),
-                                Err(_) => {
-                                    eprintln!(
-                                        "bad TDBMS_CHECKPOINT value: {v}"
-                                    );
-                                    std::process::exit(1);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                    db
-                }
-                Err(e) => {
-                    eprintln!("cannot open {dir}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+    let db = match std::env::args().nth(1) {
+        Some(dir) => open_dir(&dir),
         None => Database::in_memory(),
     };
     // The terminal monitor is one session on a (shareable) engine —
@@ -326,10 +310,9 @@ fn main() {
         include_depth: 0,
     };
 
-    // Suppress the prompt for piped/batch use with TDBMS_BATCH=1 (a crude
-    // TTY check that avoids extra dependencies; the prompt goes to stdout
-    // and is harmless when piped anyway).
-    let interactive = std::env::var("TDBMS_BATCH").is_err();
+    // Prompt only a human at a terminal: piped/batch input gets
+    // results alone on stdout.
+    let interactive = std::io::stdin().is_terminal();
     if interactive {
         eprintln!(
             "tdbms terminal monitor — TQuel statements end with `;` or \

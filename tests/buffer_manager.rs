@@ -13,7 +13,6 @@ use tdbms_bench::{
     build_database, evolve_uniform, queries_for, run_buffer_sweep,
     BenchConfig,
 };
-use tdbms_core::EvictionPolicy;
 use tdbms_kernel::DatabaseClass;
 use tdbms_prop::{check, Gen};
 
@@ -21,7 +20,6 @@ use tdbms_prop::{check, Gen};
 fn measure_all(uc: u32) -> Vec<(String, u64, u64)> {
     let cfg = BenchConfig::new(DatabaseClass::Temporal, 100);
     assert_eq!(cfg.buffer_frames, 1, "paper mode is the default");
-    assert_eq!(cfg.buffer_policy, EvictionPolicy::Lru);
     let mut db = build_database(&cfg);
     for _ in 0..uc {
         evolve_uniform(&mut db, &cfg);
@@ -137,15 +135,10 @@ fn iostats_identity_under_random_schedules() {
     use tdbms_storage::{BufferConfig, PageKind, Pager};
 
     check("iostats_hit_miss_access_identity", 40, |g: &mut Gen| {
-        let policy = if g.bool() {
-            tdbms_storage::EvictionPolicy::Lru
-        } else {
-            tdbms_storage::EvictionPolicy::Clock
-        };
         let frames = g.range(1usize..4);
-        let pager = Pager::in_memory_with_config(BufferConfig::uniform(
-            frames, policy,
-        ));
+        let pager = Pager::in_memory_with_config(BufferConfig {
+            default_frames: frames,
+        });
         let nfiles = g.range(1usize..4);
         let files: Vec<_> =
             (0..nfiles).map(|_| pager.create_file().unwrap()).collect();

@@ -18,15 +18,15 @@ use tdbms_storage::{
 
 const CREATE: &str = "create rollback interval r (id = i4, seq = i4)";
 
-/// Regression: `bulk_load_rows` on a file-backed database without a WAL
-/// used to skip the catalog checkpoint that statements and `reorganize`
-/// take, so a reopen found the loaded pages under a catalog that still
-/// said zero tuples.
+/// Regression: `bulk_load_rows` on a file-backed database used to skip
+/// the catalog checkpoint that statements and `reorganize` take, so a
+/// reopen found the loaded pages under a catalog that still said zero
+/// tuples.
 #[test]
 fn bulk_load_on_a_file_backed_database_survives_reopen() {
     let dir = fresh_dir("bulk-load-reopen");
     {
-        let mut db = Database::open(&dir).expect("open");
+        let mut db = Database::open_durable(&dir).expect("open");
         db.execute(CREATE).expect("create");
         let schema = db.schema_of("r").expect("relation exists");
         let start = TimeVal::from_ymd(1980, 1, 2).expect("valid date");
@@ -44,7 +44,7 @@ fn bulk_load_on_a_file_backed_database_survives_reopen() {
             .collect();
         assert_eq!(db.bulk_load_rows("r", &rows).expect("load"), 500);
     }
-    let db = Database::open(&dir).expect("reopen");
+    let db = Database::open_durable(&dir).expect("reopen");
     assert_eq!(db.relation_meta("r").expect("meta").tuple_count, 500);
     drop(db);
     let report = CheckedDb::open(&dir)

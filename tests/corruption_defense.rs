@@ -27,7 +27,7 @@ use tdbms_bench::workload::{all_rows, populate_database, BenchConfig};
 use tdbms_check::{CheckedDb, Severity};
 use tdbms_kernel::DatabaseClass;
 use tdbms_prop::{check, Gen};
-use tdbms_storage::{FaultDisk, FaultPlan, MemDisk};
+use tdbms_storage::{FaultDisk, FaultPlan, MemDisk, DEFAULT_READ_RETRIES};
 
 // ---------------------------------------------------------------------
 // Corruption repair property test
@@ -129,7 +129,7 @@ fn flip_a_bit_anywhere_and_repair_restores_or_reports() {
             db.execute(&s).unwrap();
         }
         // Persist the sidecar (and everything else) mid-history …
-        db.checkpoint_durable().unwrap();
+        db.checkpoint().unwrap();
         // … then more committed work that lives only in the log.
         let n2 = g.range(2..7usize);
         for s in gen_ops(g, n2) {
@@ -226,7 +226,7 @@ fn transient_failures_within_budget_answer_all_queries_correctly() {
 
     let pairs = (1u64..2_000_000).step_by(199).flat_map(|n| [n, n + 1]);
     let mut db = faulted_db(pairs);
-    db.set_read_retries(2);
+    assert_eq!(DEFAULT_READ_RETRIES, 2, "the schedule assumes two");
     populate_database(&mut db, &cfg);
 
     for q in queries_for(cfg.class) {
@@ -261,7 +261,7 @@ fn transient_failures_beyond_budget_surface_an_error_never_a_wrong_answer()
         .step_by(100)
         .flat_map(|n| [n, n + 1, n + 2]);
     let mut db = faulted_db(runs);
-    db.set_read_retries(2);
+    assert_eq!(DEFAULT_READ_RETRIES, 2, "the schedule assumes two");
     db.execute("create static interval r (id = i4, seq = i4)")
         .unwrap();
     db.execute("range of z is r").unwrap();

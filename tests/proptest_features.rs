@@ -174,7 +174,7 @@ fn persistence_roundtrips_random_workloads() {
             let classes = ["static", "rollback", "historical", "temporal"];
             let mut expected: Vec<(String, u64)> = Vec::new();
             {
-                let mut db = Database::open(&dir).unwrap();
+                let mut db = Database::open_durable(&dir).unwrap();
                 for r in 0..n_rels {
                     let class =
                         classes[(seed as usize + r) % classes.len()];
@@ -204,7 +204,7 @@ fn persistence_roundtrips_random_workloads() {
                 }
             }
             {
-                let db = Database::open(&dir).unwrap();
+                let db = Database::open_durable(&dir).unwrap();
                 for (name, count) in &expected {
                     let meta = db.relation_meta(name).unwrap();
                     assert_eq!(meta.tuple_count, *count, "{name}");

@@ -1,26 +1,37 @@
 //! End-to-end tests of the `tdbms` terminal monitor binary.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::process::{Command, Stdio};
 
 fn run_shell_status(
     args: &[&str],
     input: &str,
 ) -> (String, String, std::process::ExitStatus) {
+    run_shell_env(args, &[], input)
+}
+
+fn run_shell_env(
+    args: &[&str],
+    env: &[(&str, &str)],
+    input: &str,
+) -> (String, String, std::process::ExitStatus) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_tdbms"))
         .args(args)
-        .env("TDBMS_BATCH", "1")
+        .envs(env.iter().copied())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn tdbms");
-    child
+    let written = child
         .stdin
         .as_mut()
         .expect("stdin")
-        .write_all(input.as_bytes())
-        .expect("write input");
+        .write_all(input.as_bytes());
+    // A shell that refuses its environment exits without reading.
+    if let Err(e) = written {
+        assert_eq!(e.kind(), ErrorKind::BrokenPipe, "write input: {e}");
+    }
     let out = child.wait_with_output().expect("wait");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -87,6 +98,34 @@ fn shell_persists_to_a_directory() {
     let (stdout, _) =
         run_shell(&[dir_s], "range of v is r;\nretrieve (v.x);\n");
     assert!(stdout.contains("42"), "stdout: {stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn shell_rejects_an_unknown_checkpoint_policy() {
+    let dir = tdbms_kernel::tmpdir::fresh_dir("shell-checkpoint");
+    let dir_s = dir.to_str().unwrap();
+    for bad in ["Manual", "every-5", "every:x", ""] {
+        let (stdout, stderr, status) = run_shell_env(
+            &[dir_s],
+            &[("TDBMS_CHECKPOINT", bad)],
+            "create static t (a = i4);\n",
+        );
+        assert_eq!(status.code(), Some(1), "{bad:?}: {status}");
+        assert!(
+            stderr.contains("bad TDBMS_CHECKPOINT value"),
+            "{bad:?}: stderr: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{bad:?} ran statements: {stdout}");
+    }
+    for good in ["manual", "every:5"] {
+        let (_, stderr, status) = run_shell_env(
+            &[dir_s],
+            &[("TDBMS_CHECKPOINT", good)],
+            "create static t (a = i4);\ndestroy t;\n",
+        );
+        assert!(status.success(), "{good:?}: {status}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -487,3 +487,51 @@ fn clean_reopen_round_trips_catalog_and_data() {
     assert_eq!(meta.tuple_count, 10);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A directory from before every file-backed database was durable holds
+/// page files, `catalog.tdbms` and `clock.tdbms`, but no `wal.tdbms`.
+/// It must still open: every relation, row and index comes back from
+/// the catalog files, and the transaction clock does not go backwards.
+#[test]
+fn a_directory_without_a_log_opens_from_its_catalog_files() {
+    let dir = tdbms_kernel::tmpdir::fresh_dir("wal-logless-dir");
+    let (expected, clock) = {
+        let mut db = Database::open_durable(&dir).unwrap();
+        for s in script_for("hash") {
+            db.execute(&s).unwrap();
+        }
+        db.execute("index on r is r_seq (seq)").unwrap();
+        db.execute("create static s (k = i4)").unwrap();
+        db.execute("append to s (k = 7)").unwrap();
+        db.checkpoint().unwrap();
+        (snapshot(&mut db), db.clock().now())
+    };
+    std::fs::remove_file(dir.join("wal.tdbms")).unwrap();
+    for kept in ["catalog.tdbms", "clock.tdbms"] {
+        assert!(dir.join(kept).exists(), "{kept} is what remains");
+    }
+
+    let mut db = Database::open_durable(&dir).unwrap();
+    let mut names = db.relation_names();
+    names.sort();
+    assert_eq!(names, ["r", "s"]);
+    assert_eq!(snapshot(&mut db), expected);
+    let meta = db.relation_meta("r").unwrap();
+    assert_eq!(meta.method, tdbms::AccessMethod::Hash);
+    assert_eq!(meta.index_names, ["r_seq"]);
+    // 6 appends + replace (2 new versions) + delete (1 correction
+    // version) + 1 append = 10 stored versions.
+    assert_eq!(meta.tuple_count, 10);
+    assert!(db.clock().now() >= clock, "the clock went backwards");
+
+    db.execute(RANGE).unwrap();
+    let out = db
+        .execute(r#"retrieve (z.id) where z.seq = 9 when z overlap "now""#)
+        .unwrap();
+    assert_eq!(out.rows().len(), 1);
+    assert_eq!(out.rows()[0][0], tdbms::Value::Int(9));
+    db.execute("range of t is s").unwrap();
+    let out = db.execute("retrieve (t.k)").unwrap();
+    assert_eq!(out.rows(), [vec![tdbms::Value::Int(7)]]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
