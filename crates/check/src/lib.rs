@@ -38,9 +38,9 @@ use std::path::PathBuf;
 
 use tdbms_kernel::{Error, Result, TemporalAttr, TimeVal};
 use tdbms_storage::{
-    decode_catalog, encode_catalog, load_catalog, page_capacity,
-    save_catalog, Catalog, ChecksumSet, FileDisk, FileId, KeyKind, KeySpec,
-    Page, PageKind, Pager, RelFile, RelId, StoredRelation, NO_PAGE,
+    decode_catalog, encode_catalog, load_catalog, page_capacity, Catalog,
+    ChecksumSet, FileDisk, FileId, KeyKind, KeySpec, Page, PageKind, Pager,
+    RelFile, RelId, StoredRelation, NO_PAGE,
 };
 use tdbms_wal::{replay, FileLog, Record, RecoveryPlan, Wal};
 
@@ -1026,8 +1026,9 @@ pub struct CheckedDb {
     /// Pager over the replayed page files (checksum sidecar installed
     /// when `sums.tdbms` exists).
     pub pager: Pager,
-    /// The catalog (the WAL-carried copy when one is committed, since it
-    /// supersedes `catalog.tdbms` after a crash).
+    /// The catalog: the log's copy, the only one on disk. A directory
+    /// whose log holds none predates that and is read from its
+    /// `catalog.tdbms`.
     pub catalog: Catalog,
     /// The recovery plan — the salvage source.
     pub plan: RecoveryPlan,
@@ -1085,9 +1086,9 @@ impl CheckedDb {
     }
 
     /// Repair in place, then make the repaired state durable exactly like
-    /// a checkpoint: data files synced first, then catalog + sidecar,
-    /// then the log truncated to a fresh header (with the catalog riding
-    /// along, as every checkpoint truncation does). When nothing needed
+    /// a checkpoint: data files synced first, then the checksum sidecar,
+    /// then the log truncated to a fresh header plus the catalog and the
+    /// clock, as every checkpoint truncation does. When nothing needed
     /// repairing the database is left byte-identical.
     pub fn repair(&mut self) -> Result<CheckReport> {
         let report =
@@ -1097,17 +1098,11 @@ impl CheckedDb {
         });
         if repaired {
             self.pager.sync_all()?;
-            save_catalog(&self.catalog, &self.dir)?;
             if let Some(sums) = self.pager.checksums_snapshot() {
                 sums.save(&self.dir)?;
             }
             let clock = match &self.plan.catalog {
-                Some((clock, _)) => {
-                    // The WAL's clock is the newest; keep the on-disk copy
-                    // in step before the log stops carrying it.
-                    std::fs::write(self.dir.join("clock.tdbms"), clock)?;
-                    clock.clone()
-                }
+                Some((clock, _)) => clock.clone(),
                 None => {
                     std::fs::read_to_string(self.dir.join("clock.tdbms"))
                         .unwrap_or_else(|_| "0".into())

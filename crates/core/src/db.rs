@@ -197,7 +197,8 @@ pub struct Database {
     hashfn: HashFn,
     cold_statements: bool,
     /// Directory of a file-backed database; every WAL checkpoint writes
-    /// the catalog, the clock and the checksum sidecar there.
+    /// the checksum sidecar there (the catalog and the clock live in the
+    /// log).
     persist_dir: Option<std::path::PathBuf>,
     /// Write-ahead log, when the database was opened in durable mode.
     wal: Option<WalState>,
@@ -236,9 +237,10 @@ impl Database {
     /// found in the log are replayed onto the page files (redo-only
     /// recovery), so a process killed at any point reopens with every
     /// committed tuple intact and nothing uncommitted visible. A
-    /// directory without a log (or whose log holds no catalog) opens
-    /// from its `catalog.tdbms` and `clock.tdbms`. Session state — the
-    /// range table — does not persist; re-declare ranges.
+    /// directory without a log (or whose log holds no catalog) was
+    /// written before the log carried the only catalog; it opens from
+    /// its `catalog.tdbms` and `clock.tdbms`. Session state — the range
+    /// table — does not persist; re-declare ranges.
     pub fn open_durable(
         dir: impl Into<std::path::PathBuf>,
     ) -> Result<Self> {
@@ -250,9 +252,9 @@ impl Database {
 
     /// [`Database::open_durable`] over explicit storage backends: the
     /// crash-recovery tests reopen shared in-memory survivors, and fault
-    /// injection wraps both channels here. `persist_dir` is where the
-    /// catalog checkpoints (None keeps the catalog durable in the log
-    /// alone).
+    /// injection wraps both channels here. `persist_dir` is the page
+    /// files' directory: the checksum sidecar lives there, and a log
+    /// without a catalog falls back to its catalog files.
     pub fn open_durable_on(
         mut disk: Box<dyn DiskManager>,
         log: Box<dyn LogStore>,
@@ -266,9 +268,8 @@ impl Database {
         let pager = Pager::new(disk);
         pager.set_staging(true);
         let mut db = Database::with_pager(pager);
-        // The last committed catalog + clock in the log supersede the
-        // files on disk (a crash can strand catalog.tdbms one checkpoint
-        // behind the log).
+        // The log carries the only catalog + clock. A directory whose log
+        // holds none predates that and opens from its catalog files.
         let mut clock_text = None;
         match &plan.catalog {
             Some((clock, catalog)) => {
@@ -309,7 +310,7 @@ impl Database {
             pending: None,
         });
         // Post-recovery checkpoint: the replayed state is on disk and
-        // synced, so persist the catalog and truncate the log — the next
+        // synced, so truncate the log to the catalog alone — the next
         // crash recovers from here instead of replaying history again.
         db.checkpoint()?;
         db.refresh_stats()?;
@@ -359,11 +360,10 @@ impl Database {
     }
 
     /// WAL checkpoint: write the staged overlay through to the page
-    /// files, fsync them, persist the catalog, and truncate the log to a
-    /// fresh header (plus one committed catalog transaction, so a
-    /// directory-less database can still recover its schema from the log
-    /// alone). A database without a log only writes its dirty buffers
-    /// back.
+    /// files, fsync them, and truncate the log to a fresh header plus
+    /// one committed catalog transaction — the only on-disk copy of the
+    /// catalog and the clock. A database without a log only writes its
+    /// dirty buffers back.
     pub fn checkpoint(&mut self) -> Result<()> {
         if self.wal.is_none() {
             return self.pager.flush_all();
@@ -394,13 +394,6 @@ impl Database {
             self.pager.sync_file(f)?;
         }
         self.pager.clear_staged();
-        if let Some(dir) = &self.persist_dir {
-            tdbms_storage::save_catalog(&self.catalog, dir)?;
-            std::fs::write(
-                dir.join("clock.tdbms"),
-                self.clock.now().as_secs().to_string(),
-            )?;
-        }
         let lengths = self.pager.file_lengths()?;
         let clock = self.clock.now().as_secs().to_string();
         let catalog = tdbms_storage::encode_catalog(&self.catalog);

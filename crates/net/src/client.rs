@@ -10,7 +10,7 @@ use std::time::Duration;
 use tdbms_kernel::{Error, Prng, Result};
 
 use crate::wire::{
-    decode_response, encode_request, read_frame, write_frame, Reply,
+    decode_response, encode_request, read_frame, write_frame, Frame, Reply,
     Request, Response, StatsReply, MAX_RESPONSE_FRAME,
 };
 
@@ -45,40 +45,21 @@ impl Client {
         timeout_ms: u32,
         max_rows: u32,
     ) -> Result<Reply> {
-        let resp = self.round_trip(&Request::Query {
+        into_rows(self.round_trip(&Request::Query {
             stmt: stmt.to_string(),
             timeout_ms,
             max_rows,
-        })?;
-        match resp {
-            Response::Rows(reply) => Ok(reply),
-            Response::Error(e) => Err(e),
-            other => Err(Error::Protocol(format!(
-                "unexpected response to query: {other:?}"
-            ))),
-        }
+        })?)
     }
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<()> {
-        match self.round_trip(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            Response::Error(e) => Err(e),
-            other => Err(Error::Protocol(format!(
-                "unexpected response to ping: {other:?}"
-            ))),
-        }
+        into_pong(self.round_trip(&Request::Ping)?)
     }
 
     /// Fetch the engine's lock and plan-cache counters.
     pub fn stats(&mut self) -> Result<StatsReply> {
-        match self.round_trip(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            Response::Error(e) => Err(e),
-            other => Err(Error::Protocol(format!(
-                "unexpected response to stats: {other:?}"
-            ))),
-        }
+        into_stats(self.round_trip(&Request::Stats)?)
     }
 
     /// Ask the server to shut down gracefully. Returns `Ok(())` once
@@ -86,21 +67,54 @@ impl Client {
     pub fn shutdown_server(&mut self) -> Result<()> {
         match self.round_trip(&Request::Shutdown)? {
             Response::Bye => Ok(()),
-            Response::Error(e) => Err(e),
-            other => Err(Error::Protocol(format!(
-                "unexpected response to shutdown: {other:?}"
-            ))),
+            other => Err(unexpected(other, "shutdown")),
         }
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Response> {
         write_frame(&mut self.stream, &encode_request(req))?;
-        match read_frame(&mut self.stream, MAX_RESPONSE_FRAME)? {
-            Some(payload) => decode_response(&payload),
-            None => Err(Error::Protocol(
+        match read_frame(&mut self.stream, MAX_RESPONSE_FRAME, None)? {
+            Frame::Payload(payload) => decode_response(&payload),
+            Frame::Eof => Err(Error::Protocol(
                 "server closed the connection before replying".into(),
             )),
+            Frame::Idle => Err(Error::Io(
+                "no reply within the client's read timeout".into(),
+            )),
         }
+    }
+}
+
+// Unwrap the reply a request expects: the server's typed error passes
+// through, and any other response is a protocol violation.
+
+fn into_rows(resp: Response) -> Result<Reply> {
+    match resp {
+        Response::Rows(reply) => Ok(reply),
+        other => Err(unexpected(other, "query")),
+    }
+}
+
+fn into_pong(resp: Response) -> Result<()> {
+    match resp {
+        Response::Pong => Ok(()),
+        other => Err(unexpected(other, "ping")),
+    }
+}
+
+fn into_stats(resp: Response) -> Result<StatsReply> {
+    match resp {
+        Response::Stats(s) => Ok(s),
+        other => Err(unexpected(other, "stats")),
+    }
+}
+
+fn unexpected(resp: Response, request: &str) -> Error {
+    match resp {
+        Response::Error(e) => e,
+        other => Error::Protocol(format!(
+            "unexpected response to {request}: {other:?}"
+        )),
     }
 }
 
@@ -191,35 +205,17 @@ impl ReconnectClient {
             timeout_ms: 0,
             max_rows: 0,
         };
-        match self.run(&req, idempotent_statement(stmt))? {
-            Response::Rows(reply) => Ok(reply),
-            Response::Error(e) => Err(e),
-            other => Err(Error::Protocol(format!(
-                "unexpected response to query: {other:?}"
-            ))),
-        }
+        into_rows(self.run(&req, idempotent_statement(stmt))?)
     }
 
     /// Liveness check, retried across reconnects.
     pub fn ping(&mut self) -> Result<()> {
-        match self.run(&Request::Ping, true)? {
-            Response::Pong => Ok(()),
-            Response::Error(e) => Err(e),
-            other => Err(Error::Protocol(format!(
-                "unexpected response to ping: {other:?}"
-            ))),
-        }
+        into_pong(self.run(&Request::Ping, true)?)
     }
 
     /// Engine counters, retried across reconnects.
     pub fn stats(&mut self) -> Result<StatsReply> {
-        match self.run(&Request::Stats, true)? {
-            Response::Stats(s) => Ok(s),
-            Response::Error(e) => Err(e),
-            other => Err(Error::Protocol(format!(
-                "unexpected response to stats: {other:?}"
-            ))),
-        }
+        into_stats(self.run(&Request::Stats, true)?)
     }
 
     /// Sleep the capped exponential backoff with full jitter in

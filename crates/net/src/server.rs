@@ -17,7 +17,6 @@
 //!   cancel flags, connection threads are joined, and a clean checkpoint
 //!   is taken so the database audits clean.
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -28,8 +27,8 @@ use tdbms_core::{Engine, SessionLimits};
 use tdbms_kernel::{Error, Result};
 
 use crate::wire::{
-    decode_request, encode_response, write_frame, Reply, Request, Response,
-    StatsReply, MAX_REQUEST_FRAME,
+    decode_request, encode_response, read_frame, write_frame, Frame, Reply,
+    Request, Response, StatsReply, MAX_REQUEST_FRAME,
 };
 
 /// Tuning knobs of one server instance.
@@ -305,107 +304,8 @@ impl Server {
 /// Send `Busy` (best effort, bounded) and drop the connection.
 fn reject_busy(mut stream: TcpStream, cfg: &ServerConfig) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let payload =
-        encode_response(&Response::Error(Error::Busy), cfg.max_reply_bytes);
-    let _ = write_frame(&mut stream, &payload);
+    let _ = send(&mut stream, &Response::Error(Error::Busy), cfg);
     let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-/// What one blocking read attempt produced.
-enum Frame {
-    Payload(Vec<u8>),
-    /// Clean close at a frame boundary.
-    Eof,
-    /// Read timeout while *waiting* for a frame — poll shutdown and
-    /// retry.
-    Idle,
-    /// The peer violated framing; the connection is dropped.
-    Broken(Error),
-}
-
-/// Read one frame with a poll-friendly timeout. The stream has a short
-/// read timeout; between frames a timeout just means "idle". Once the
-/// first header byte arrives the frame must complete within
-/// `frame_deadline`, so a stalled or mid-frame-disconnected peer cannot
-/// wedge the drain.
-fn read_frame_poll(
-    stream: &mut TcpStream,
-    frame_deadline: Duration,
-) -> Frame {
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    let mut started: Option<Instant> = None;
-    loop {
-        if let Some(t0) = started {
-            if t0.elapsed() > frame_deadline {
-                return Frame::Broken(Error::Protocol(
-                    "frame stalled mid-transfer".into(),
-                ));
-            }
-        }
-        match std::io::Read::read(stream, &mut header[got..]) {
-            Ok(0) if got == 0 => return Frame::Eof,
-            Ok(0) => {
-                return Frame::Broken(Error::Protocol(
-                    "connection closed mid-frame header".into(),
-                ))
-            }
-            Ok(n) => {
-                got += n;
-                started.get_or_insert_with(Instant::now);
-                if got == 4 {
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if got == 0 {
-                    return Frame::Idle;
-                }
-                // Mid-header stall: keep waiting up to the deadline.
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Frame::Broken(Error::Io(e.to_string())),
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_REQUEST_FRAME {
-        return Frame::Broken(Error::Protocol(format!(
-            "frame length {len} exceeds limit {MAX_REQUEST_FRAME}"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    let t0 = Instant::now();
-    while got < len {
-        if t0.elapsed() > frame_deadline {
-            return Frame::Broken(Error::Protocol(
-                "frame stalled mid-transfer".into(),
-            ));
-        }
-        match std::io::Read::read(stream, &mut payload[got..]) {
-            Ok(0) => {
-                return Frame::Broken(Error::Protocol(
-                    "connection closed mid-frame".into(),
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Frame::Broken(Error::Io(e.to_string())),
-        }
-    }
-    Frame::Payload(payload)
 }
 
 fn send(
@@ -414,7 +314,7 @@ fn send(
     cfg: &ServerConfig,
 ) -> bool {
     let payload = encode_response(resp, cfg.max_reply_bytes);
-    write_frame(stream, &payload).is_ok() && stream.flush().is_ok()
+    write_frame(stream, &payload).is_ok()
 }
 
 fn serve_connection(
@@ -447,11 +347,18 @@ fn serve_connection(
             );
             break;
         }
-        let payload = match read_frame_poll(&mut stream, cfg.io_deadline) {
-            Frame::Payload(p) => p,
-            Frame::Idle => continue,
-            Frame::Eof => break,
-            Frame::Broken(e) => {
+        // The short read timeout makes an idle connection poll the
+        // shutdown flag; a frame in flight gets `io_deadline`.
+        let frame = read_frame(
+            &mut stream,
+            MAX_REQUEST_FRAME,
+            Some(cfg.io_deadline),
+        );
+        let payload = match frame {
+            Ok(Frame::Payload(p)) => p,
+            Ok(Frame::Idle) => continue,
+            Ok(Frame::Eof) => break,
+            Err(e) => {
                 counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let _ = send(&mut stream, &Response::Error(e), cfg);
                 break;

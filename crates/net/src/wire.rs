@@ -11,6 +11,9 @@
 //! Nothing in this module panics on any input byte sequence — that is
 //! the server's no-panic contract, and the protocol fuzz suite holds it.
 
+use std::io::{ErrorKind, Read, Write};
+use std::time::{Duration, Instant};
+
 use tdbms_core::QueryStats;
 use tdbms_kernel::{Domain, Error, Result, TimeVal, Value};
 
@@ -579,63 +582,95 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
 
 // ---- frame I/O ---------------------------------------------------------
 
-/// Write one frame: length prefix + payload.
+/// Write one frame, length prefix and payload, in a single write: on a
+/// `TCP_NODELAY` socket two writes would cost two syscalls and two
+/// segments.
 pub fn write_frame(
-    w: &mut impl std::io::Write,
+    w: &mut impl Write,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
-/// Read one frame (blocking). Returns `Ok(None)` on a clean EOF at a
-/// frame boundary; mid-frame EOF and oversized lengths are
-/// [`Error::Protocol`].
+/// What one call to [`read_frame`] produced.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Frame {
+    Payload(Vec<u8>),
+    /// Clean close at a frame boundary.
+    Eof,
+    /// The stream's read timeout passed before a frame's first byte.
+    Idle,
+}
+
+/// Read one frame. A read timeout before the first byte is
+/// [`Frame::Idle`]. Once the first byte has arrived, a timeout is
+/// retried while less than `deadline` has passed since that byte (with
+/// no deadline it is an [`Error::Io`]), so a stalled peer cannot hold
+/// the reader. Mid-frame EOF, an oversized length (checked before
+/// anything is allocated) and a passed deadline are [`Error::Protocol`].
 pub fn read_frame(
-    r: &mut impl std::io::Read,
+    r: &mut impl Read,
     max: usize,
-) -> Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(Error::Protocol(
-                    "connection closed mid-frame header".into(),
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                continue
-            }
-            Err(e) => return Err(Error::Io(e.to_string())),
+    deadline: Option<Duration>,
+) -> Result<Frame> {
+    let mut header = [0u8; 4];
+    let first = loop {
+        match r.read(&mut header) {
+            Ok(0) => return Ok(Frame::Eof),
+            Ok(n) => break n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => return Ok(Frame::Idle),
+            Err(e) => return Err(e.into()),
         }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
+    };
+    let started = Instant::now();
+    fill(r, &mut header[first..], started, deadline)?;
+    let len = u32::from_le_bytes(header) as usize;
     if len > max {
         return Err(Error::Protocol(format!(
             "frame length {len} exceeds limit {max}"
         )));
     }
     let mut payload = vec![0u8; len];
+    fill(r, &mut payload, started, deadline)?;
+    Ok(Frame::Payload(payload))
+}
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// Read the rest of a frame whose first byte arrived at `started`.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    started: Instant,
+    deadline: Option<Duration>,
+) -> Result<()> {
     let mut got = 0;
-    while got < len {
-        match r.read(&mut payload[got..]) {
+    while got < buf.len() {
+        if deadline.is_some_and(|d| started.elapsed() >= d) {
+            return Err(Error::Protocol(
+                "frame stalled mid-transfer".into(),
+            ));
+        }
+        match r.read(&mut buf[got..]) {
             Ok(0) => {
                 return Err(Error::Protocol(
                     "connection closed mid-frame".into(),
                 ))
             }
             Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                continue
-            }
-            Err(e) => return Err(Error::Io(e.to_string())),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if deadline.is_some() && is_timeout(&e) => {}
+            Err(e) => return Err(e.into()),
         }
     }
-    Ok(Some(payload))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -809,17 +844,17 @@ mod tests {
         use std::io::Cursor as IoCursor;
         // Clean EOF at the boundary.
         let mut empty = IoCursor::new(Vec::<u8>::new());
-        assert_eq!(read_frame(&mut empty, 1024).unwrap(), None);
+        assert_eq!(read_frame(&mut empty, 1024, None).unwrap(), Frame::Eof);
         // Oversized length prefix.
         let mut big = IoCursor::new((1u32 << 30).to_le_bytes().to_vec());
         assert!(matches!(
-            read_frame(&mut big, 1024),
+            read_frame(&mut big, 1024, None),
             Err(Error::Protocol(_))
         ));
         // Truncated mid-header and mid-payload.
         let mut short = IoCursor::new(vec![1u8, 0]);
         assert!(matches!(
-            read_frame(&mut short, 1024),
+            read_frame(&mut short, 1024, None),
             Err(Error::Protocol(_))
         ));
         let mut body = Vec::new();
@@ -827,7 +862,7 @@ mod tests {
         body.extend_from_slice(&[1, 2, 3]);
         let mut truncated = IoCursor::new(body);
         assert!(matches!(
-            read_frame(&mut truncated, 1024),
+            read_frame(&mut truncated, 1024, None),
             Err(Error::Protocol(_))
         ));
         // A whole frame roundtrips.
@@ -835,8 +870,98 @@ mod tests {
         write_frame(&mut out, b"hello").unwrap();
         let mut rd = IoCursor::new(out);
         assert_eq!(
-            read_frame(&mut rd, 1024).unwrap().as_deref(),
-            Some(&b"hello"[..])
+            read_frame(&mut rd, 1024, None).unwrap(),
+            Frame::Payload(b"hello".to_vec())
+        );
+
+        /// Serves its bytes one `read` at a time, then times out.
+        struct Stalling(Vec<u8>);
+        impl Read for Stalling {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(ErrorKind::WouldBlock.into());
+                }
+                buf[0] = self.0.remove(0);
+                Ok(1)
+            }
+        }
+        let idle = read_frame(&mut Stalling(vec![]), 1024, None);
+        assert_eq!(idle.unwrap(), Frame::Idle);
+        let idle =
+            read_frame(&mut Stalling(vec![]), 1024, Some(Duration::ZERO));
+        assert_eq!(idle.unwrap(), Frame::Idle);
+        // A stall after the first byte, in the header or the payload, is
+        // retried until the deadline has passed and is then a protocol
+        // error; without a deadline the timeout is an I/O error.
+        for prefix in [vec![5u8], vec![5, 0, 0, 0, b'h']] {
+            let late = read_frame(
+                &mut Stalling(prefix.clone()),
+                1024,
+                Some(Duration::from_millis(20)),
+            );
+            assert!(
+                matches!(late, Err(Error::Protocol(m)) if m.contains("stalled"))
+            );
+            let late = read_frame(&mut Stalling(prefix), 1024, None);
+            assert!(matches!(late, Err(Error::Io(_))));
+        }
+        // Byte-at-a-time arrival within the deadline completes.
+        let mut slow = Vec::new();
+        write_frame(&mut slow, b"hello").unwrap();
+        assert_eq!(
+            read_frame(
+                &mut Stalling(slow),
+                1024,
+                Some(Duration::from_secs(60))
+            )
+            .unwrap(),
+            Frame::Payload(b"hello".to_vec())
+        );
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        /// Counts `write` calls and keeps what they wrote.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Counting::default();
+        let payloads = [
+            encode_request(&Request::Ping),
+            encode_response(&Response::Pong, usize::MAX),
+            vec![7u8; 100_000],
+            Vec::new(),
+        ];
+        for (i, p) in payloads.iter().enumerate() {
+            write_frame(&mut sink, p).unwrap();
+            assert_eq!(
+                sink.writes,
+                i + 1,
+                "frame {i} took more than one write"
+            );
+        }
+        let mut rd = std::io::Cursor::new(sink.bytes);
+        for p in &payloads {
+            assert_eq!(
+                read_frame(&mut rd, usize::MAX, None).unwrap(),
+                Frame::Payload(p.clone())
+            );
+        }
+        assert_eq!(
+            read_frame(&mut rd, usize::MAX, None).unwrap(),
+            Frame::Eof
         );
     }
 }

@@ -58,9 +58,7 @@ pub use page::{
 pub use pager::{
     BufferConfig, EvictionPolicy, Pager, DEFAULT_READ_RETRIES,
 };
-pub use persist::{
-    decode_catalog, encode_catalog, load_catalog, save_catalog,
-};
+pub use persist::{decode_catalog, encode_catalog, load_catalog};
 pub use relfile::{AccessMethod, RelFile, RelLookup, RelScan};
 pub use secondary::{i4_attr, IndexStructure, SecondaryIndex};
 pub use tuple::TupleId;

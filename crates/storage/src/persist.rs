@@ -3,9 +3,9 @@
 //! The page files of a [`crate::disk::FileDisk`] survive process restarts,
 //! but the catalog — schemas, organizations, key attributes, index
 //! registrations — lives in memory (the prototype kept it in Ingres'
-//! system relations). This module serializes the catalog to a small text
-//! file (`catalog.tdbms`) beside the page files, in a line-oriented format
-//! with no external dependencies:
+//! system relations). This module serializes the catalog to a small
+//! line-oriented text, with no external dependencies, that every
+//! write-ahead-log commit and checkpoint carries:
 //!
 //! ```text
 //! tdbms-catalog 1
@@ -210,24 +210,9 @@ pub fn encode_catalog(catalog: &Catalog) -> String {
     out
 }
 
-/// Write the catalog beside the page files: serialized to a temporary
-/// file, fsynced, then atomically renamed over `catalog.tdbms` — a crash
-/// leaves either the old catalog or the new one, never a torn mix, and
-/// never a rename pointing at unsynced bytes.
-pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<()> {
-    let out = encode_catalog(catalog);
-    let tmp = dir.join("catalog.tdbms.tmp");
-    {
-        let mut fh = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut fh, out.as_bytes())?;
-        fh.sync_all()?;
-    }
-    std::fs::rename(&tmp, dir.join("catalog.tdbms"))?;
-    Ok(())
-}
-
-/// Load a previously saved catalog; `Ok(None)` when no catalog file
-/// exists (a fresh directory).
+/// Load the `catalog.tdbms` that directories kept beside their page
+/// files before the log carried the only catalog; `Ok(None)` when there
+/// is none (a fresh directory, or any newer one).
 pub fn load_catalog(dir: &Path, pager: &Pager) -> Result<Option<Catalog>> {
     let path = dir.join("catalog.tdbms");
     let text = match std::fs::read_to_string(&path) {
@@ -514,7 +499,8 @@ mod tests {
                 .unwrap();
             }
             pager.flush_all().unwrap();
-            save_catalog(&cat, &dir).unwrap();
+            std::fs::write(dir.join("catalog.tdbms"), encode_catalog(&cat))
+                .unwrap();
             let rel = cat.get(id);
             saved_meta = (
                 rel.fillfactor,

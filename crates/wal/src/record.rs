@@ -48,9 +48,9 @@ pub enum Record {
     /// `file` was dropped; the physical drop is deferred until after the
     /// commit is durable, and replay re-executes it if needed.
     DropFile { file: FileId },
-    /// The committed catalog and clock, verbatim in their on-disk text
-    /// formats. The last committed one wins at recovery and takes
-    /// precedence over `catalog.tdbms` (which may predate the commit).
+    /// The committed catalog and clock, verbatim in their text formats:
+    /// the only on-disk copy of either. The last committed one wins at
+    /// recovery; `catalog.tdbms` is read only when the log holds none.
     Catalog { clock: String, catalog: String },
     /// The transaction is durable once this record is on stable storage.
     Commit,

@@ -399,7 +399,8 @@ gate_plan_cache_smoke() {
 # End-to-end scrubber gate: build a durable database through the shell
 # with a manual checkpoint policy (so the process exit leaves a
 # committed log tail), then `check` must replay the WAL and audit the
-# recovered database clean.
+# recovered database clean. The session must leave no `catalog.tdbms`
+# or `clock.tdbms`: the log carries the only catalog.
 gate_check_recovery() {
     local dbdir rc=0
     dbdir=$(mktemp -d)
@@ -413,6 +414,9 @@ gate_check_recovery() {
         "$bindir/tdbms" "$dbdir" >/dev/null
     if [[ ! -f "$dbdir/wal.tdbms" ]]; then
         echo "check gate: durable session left no write-ahead log"
+        rc=1
+    elif [[ -e "$dbdir/catalog.tdbms" || -e "$dbdir/clock.tdbms" ]]; then
+        echo "check gate: the log's catalog should be the only one"
         rc=1
     elif ! "$bindir/check" "$dbdir" | grep -qx 'clean'; then
         echo "check gate: recovered database did not audit clean"

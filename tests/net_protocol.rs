@@ -163,7 +163,7 @@ fn stats_request_reports_lock_and_plan_cache_counters() {
 #[test]
 fn an_older_version_peer_is_refused_with_a_typed_error() {
     use tdbms_net::wire::{
-        decode_response, encode_request, read_frame, write_frame,
+        decode_response, encode_request, read_frame, write_frame, Frame,
         MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
     };
     use tdbms_net::{Request, Response};
@@ -174,9 +174,11 @@ fn an_older_version_peer_is_refused_with_a_typed_error() {
     old[1] = 2;
     let mut s = TcpStream::connect(srv.addr).expect("connect");
     write_frame(&mut s, &old).expect("send");
-    let frame = read_frame(&mut s, MAX_RESPONSE_FRAME)
-        .expect("read")
-        .expect("the server answers before hanging up");
+    let Frame::Payload(frame) =
+        read_frame(&mut s, MAX_RESPONSE_FRAME, None).expect("read")
+    else {
+        panic!("the server answers before hanging up")
+    };
     match decode_response(&frame).expect("decode") {
         Response::Error(Error::Protocol(msg)) => {
             assert!(msg.contains("version 2"), "message: {msg}")
@@ -343,6 +345,121 @@ fn protocol_fuzz_storm_never_panics_the_server() {
         stats.protocol_errors > 0,
         "the storm should have registered protocol errors"
     );
+}
+
+// ---- slow peers and idle connections -----------------------------------
+
+/// One response frame off a raw socket, read without the crate's own
+/// frame reader so these tests pin the server alone.
+fn read_response(s: &mut TcpStream) -> tdbms_net::Response {
+    let mut header = [0u8; 4];
+    s.read_exact(&mut header).expect("response header");
+    let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
+    s.read_exact(&mut payload).expect("response payload");
+    tdbms_net::wire::decode_response(&payload).expect("decode")
+}
+
+fn ping_frame() -> Vec<u8> {
+    let payload =
+        tdbms_net::wire::encode_request(&tdbms_net::Request::Ping);
+    let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
+    framed.extend_from_slice(&payload);
+    framed
+}
+
+/// A peer that starts a frame and stalls, in the header or in the
+/// payload, gets a typed `Protocol` error and a closed connection once
+/// `io_deadline` passes; the server keeps serving everyone else.
+#[test]
+fn a_frame_stalled_past_the_io_deadline_is_cut_off() {
+    let cfg = ServerConfig {
+        io_deadline: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let srv = TestServer::start(cfg);
+    let query =
+        tdbms_net::wire::encode_request(&tdbms_net::Request::Query {
+            stmt: "retrieve (q.id)".into(),
+            timeout_ms: 0,
+            max_rows: 0,
+        });
+    let mut mid_payload = (query.len() as u32).to_le_bytes().to_vec();
+    mid_payload.extend_from_slice(&query[..query.len() / 2]);
+    let stalls: [&[u8]; 2] = [&ping_frame()[..2], &mid_payload];
+    let t0 = std::time::Instant::now();
+    let mut sockets: Vec<TcpStream> = stalls
+        .iter()
+        .map(|bytes| {
+            let mut s = TcpStream::connect(srv.addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(bytes).expect("partial frame");
+            s
+        })
+        .collect();
+    for s in &mut sockets {
+        match read_response(s) {
+            tdbms_net::Response::Error(Error::Protocol(msg)) => {
+                assert!(msg.contains("stalled"), "message: {msg}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        let mut rest = [0u8; 16];
+        assert_eq!(s.read(&mut rest).expect("closed, not timed out"), 0);
+    }
+    assert!(
+        t0.elapsed() >= Duration::from_millis(300),
+        "cut off before the deadline: {:?}",
+        t0.elapsed()
+    );
+    let mut c = srv.client();
+    c.ping().expect("a third client is still served");
+    let stats = srv.stop();
+    assert!(stats.protocol_errors >= 2, "{stats:?}");
+    assert_eq!(stats.panics_caught, 0);
+}
+
+/// A connection that sends nothing for several of the server's read
+/// polls is idle, not broken: its first frame is answered.
+#[test]
+fn an_idle_connection_is_answered_after_several_polls() {
+    let srv = TestServer::start(ServerConfig::default());
+    let mut c = srv.client();
+    std::thread::sleep(Duration::from_millis(450));
+    c.ping().expect("ping after idling");
+    seed_relation(&mut c);
+    std::thread::sleep(Duration::from_millis(350));
+    let reply = c
+        .query("range of q is t\nretrieve (q.id) where q.id = 7")
+        .expect("retrieve after idling");
+    assert_eq!(reply.rows.len(), 1);
+    assert_eq!(reply.rows[0][0], Value::Int(7));
+    let stats = srv.stop();
+    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(stats.panics_caught, 0);
+}
+
+/// A frame whose header and payload arrive in two writes, with a pause
+/// longer than a read poll but shorter than `io_deadline`, is answered.
+#[test]
+fn a_frame_split_across_two_writes_is_answered() {
+    let cfg = ServerConfig {
+        io_deadline: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    let srv = TestServer::start(cfg);
+    let mut s = TcpStream::connect(srv.addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let frame = ping_frame();
+    for _ in 0..2 {
+        s.write_all(&frame[..4]).expect("header");
+        std::thread::sleep(Duration::from_millis(250));
+        s.write_all(&frame[4..]).expect("payload");
+        assert_eq!(read_response(&mut s), tdbms_net::Response::Pong);
+    }
+    drop(s);
+    let stats = srv.stop();
+    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(stats.panics_caught, 0);
 }
 
 // ---- guardrails --------------------------------------------------------

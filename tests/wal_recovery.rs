@@ -489,7 +489,9 @@ fn clean_reopen_round_trips_catalog_and_data() {
 }
 
 /// A directory from before every file-backed database was durable holds
-/// page files, `catalog.tdbms` and `clock.tdbms`, but no `wal.tdbms`.
+/// page files, `catalog.tdbms` and `clock.tdbms`, but no `wal.tdbms`
+/// (today a checkpoint writes neither file: the log's catalog is the
+/// only one).
 /// It must still open: every relation, row and index comes back from
 /// the catalog files, and the transaction clock does not go backwards.
 #[test]
@@ -506,6 +508,17 @@ fn a_directory_without_a_log_opens_from_its_catalog_files() {
         db.checkpoint().unwrap();
         (snapshot(&mut db), db.clock().now())
     };
+    for file in ["catalog.tdbms", "clock.tdbms"] {
+        assert!(!dir.join(file).exists(), "a checkpoint wrote {file}");
+    }
+    // Such a directory's last checkpoint wrote the catalog and the clock
+    // that the log now carries into these two files.
+    let log = std::fs::read(dir.join("wal.tdbms")).unwrap();
+    let (clock_text, catalog) = tdbms::wal::RecoveryPlan::parse(&log)
+        .catalog
+        .expect("a checkpoint logs the catalog");
+    std::fs::write(dir.join("catalog.tdbms"), catalog).unwrap();
+    std::fs::write(dir.join("clock.tdbms"), clock_text).unwrap();
     std::fs::remove_file(dir.join("wal.tdbms")).unwrap();
     for kept in ["catalog.tdbms", "clock.tdbms"] {
         assert!(dir.join(kept).exists(), "{kept} is what remains");
