@@ -15,7 +15,7 @@
 
 use crate::binder::Binder;
 use crate::dml;
-use crate::exec::{exec_retrieve_with, QueryStats};
+use crate::exec::{exec_retrieve, QueryStats};
 use crate::guard::QueryGuard;
 use crate::interval::TInterval;
 use std::collections::HashMap;
@@ -25,7 +25,7 @@ use tdbms_kernel::{
     Clock, DatabaseClass, Domain, Error, Result, Schema, TemporalKind,
     TimeVal, Value,
 };
-use tdbms_plan::{PlannerMode, RelStats, StatsCatalog};
+use tdbms_plan::{RelStats, StatsCatalog};
 use tdbms_storage::{
     AccessMethod, BufferConfig, Catalog, ChecksumSet, ClusteredHistory,
     DiskManager, FileDisk, FileId, HashFn, IoStats, KeySpec, Pager, RelId,
@@ -212,9 +212,6 @@ pub struct Database {
     stats: StatsCatalog,
     /// Cumulative online-reorganization counters.
     reorg: ReorgStats,
-    /// Which planner drives retrieve execution (env-selected;
-    /// `TDBMS_PLANNER=fixed` restores the historical heuristic).
-    planner: PlannerMode,
 }
 
 impl Database {
@@ -719,7 +716,6 @@ impl Database {
             degraded: None,
             stats: StatsCatalog::default(),
             reorg: ReorgStats::default(),
-            planner: PlannerMode::from_env(),
         }
     }
 
@@ -727,17 +723,6 @@ impl Database {
     /// metadata (no page I/O; distinct-key counters survive).
     fn refresh_stats(&mut self) -> Result<()> {
         self.stats.refresh(&self.pager, &self.catalog)
-    }
-
-    /// Override the planner selection (tests compare the cost-based
-    /// order against the fixed heuristic in-process).
-    pub fn set_planner_mode(&mut self, mode: PlannerMode) {
-        self.planner = mode;
-    }
-
-    /// The active planner selection.
-    pub fn planner_mode(&self) -> PlannerMode {
-        self.planner
     }
 
     /// The maintained statistics of one relation. Counts and page
@@ -1219,23 +1204,13 @@ impl Database {
             Statement::Retrieve(r) => {
                 let bound = Binder::new(&self.catalog, &self.ranges, now)
                     .bind_retrieve(r)?;
-                let plan = if self.planner == PlannerMode::Cost
-                    && bound.vars.len() >= 2
-                {
-                    Some(crate::plan::plan_bound(
-                        &self.catalog,
-                        &self.stats,
-                        &bound,
-                    ))
-                } else {
-                    None
-                };
-                let result = exec_retrieve_with(
+                let result = exec_retrieve(
                     &self.pager,
                     &mut self.catalog,
                     &bound,
+                    &[],
                     guard,
-                    plan.as_ref(),
+                    false,
                 )?;
                 out.affected = result.rows.len();
                 if let Some(into) = &bound.into {
@@ -1259,12 +1234,13 @@ impl Database {
                     &self.stats,
                     &bound,
                 );
-                let result = exec_retrieve_with(
+                let result = exec_retrieve(
                     &self.pager,
                     &mut self.catalog,
                     &bound,
+                    &[],
                     guard,
-                    Some(&plan),
+                    false,
                 )?;
                 let actual = scope.total();
                 out.affected = result.rows.len();

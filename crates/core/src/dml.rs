@@ -383,7 +383,8 @@ pub fn exec_append(
     // DML is guard-checked at admission only, so its inner query runs
     // unlimited (interrupting it would half-apply the append).
     let guard = crate::guard::QueryGuard::none();
-    let rows = exec_retrieve(pager, catalog, &bound, &guard)?.rows;
+    let rows =
+        exec_retrieve(pager, catalog, &bound, &[], &guard, false)?.rows;
     let (inserted, default) =
         (rows.len(), valid_period(&None, kind, now, &[])?);
     for row in rows {

@@ -76,9 +76,7 @@
 use crate::binder::Binder;
 use crate::bound::BoundRetrieve;
 use crate::db::{Database, ExecOutput};
-use crate::exec::{
-    exec_retrieve_readonly, exec_retrieve_snapshot, QueryStats,
-};
+use crate::exec::{exec_retrieve, exec_retrieve_readonly, QueryStats};
 use crate::guard::QueryGuard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -779,9 +777,7 @@ impl Session {
         let scope = pager.stats().scope();
         let executed = if multi {
             let mut local = view.catalog.clone();
-            exec_retrieve_snapshot(
-                pager, &mut local, bound, literals, guard,
-            )
+            exec_retrieve(pager, &mut local, bound, literals, guard, true)
         } else {
             exec_retrieve_readonly(
                 pager,

@@ -106,48 +106,50 @@ pub(crate) struct VarRt {
     history: Option<std::sync::Arc<tdbms_storage::ClusteredHistory>>,
 }
 
-/// Execute a bound retrieve. Returns the result rows; the caller reads the
-/// pager's [`tdbms_storage::IoStats`] for costs and handles `into`.
+/// Execute a bound retrieve by decomposition: detach every variable
+/// [`detachable_vars`] names, in that order, then substitute. Returns
+/// the result rows; the caller reads the pager's
+/// [`tdbms_storage::IoStats`] for costs and handles `into`.
 ///
-/// Single-variable retrieves never decompose, so they take the read-only
-/// path; multi-variable retrieves materialize projection temporaries and
-/// need the catalog mutably.
+/// Single-variable retrieves never decompose and run through
+/// [`exec_retrieve_readonly`]. Multi-variable retrieves materialize
+/// projection temporaries in `catalog` and destroy every one of them
+/// before returning, whether the statement succeeded or failed.
+/// `params` fills the bound retrieve's parameter slots.
+///
+/// `quiet` is the calling path's choice. The serial `Database` passes
+/// `false`: buffers are invalidated after decomposition, so the join
+/// phase starts cold as the figures assume. The engine's snapshot path
+/// passes `true`: `catalog` is the session's private clone of the
+/// published read view, so the shared catalog never sees the
+/// temporaries, and other sessions' warm frames are left alone.
 pub fn exec_retrieve(
     pager: &Pager,
     catalog: &mut Catalog,
     bound: &BoundRetrieve,
+    params: &[Literal],
     guard: &QueryGuard,
-) -> Result<RetrieveResult> {
-    exec_retrieve_with(pager, catalog, bound, guard, None)
-}
-
-/// [`exec_retrieve`] steered by a planner-chosen [`QueryPlan`]: the
-/// plan's detachment order is applied as a *preference* over the
-/// executor's own detachable set (the set itself never changes, so the
-/// pages touched — and paper mode's byte-identical figures — don't
-/// either; each detachment reads only its own relation and writes only
-/// its own temporary).
-pub fn exec_retrieve_with(
-    pager: &Pager,
-    catalog: &mut Catalog,
-    bound: &BoundRetrieve,
-    guard: &QueryGuard,
-    plan: Option<&tdbms_plan::QueryPlan>,
+    quiet: bool,
 ) -> Result<RetrieveResult> {
     if bound.vars.len() < 2 {
-        return exec_retrieve_readonly(pager, catalog, bound, &[], guard);
+        return exec_retrieve_readonly(
+            pager, catalog, bound, params, guard,
+        );
     }
-    let mut p = prepare(catalog, bound, &[], guard);
-    let order = ordered_detachments(&p, plan);
-    decompose(pager, catalog, &mut p, &order)?;
+    let mut p = prepare(catalog, bound, params, guard);
+    let decomposed = decompose(pager, catalog, &mut p, quiet);
     let temps: Vec<RelId> = p.rts.iter().filter_map(|rt| rt.temp).collect();
-    let result = run_joins(pager, p)?;
-    // Drop the decomposition temporaries (CPU-only aggregation and sorting
-    // have already run, so the statement's I/O sequence is unchanged).
+    // Aggregation and sorting are CPU-only, so dropping the
+    // temporaries after them leaves the statement's I/O sequence as
+    // the paper counts it.
+    let result = decomposed.and_then(|()| run_joins(pager, p));
     for id in temps {
-        catalog.destroy(pager, id)?;
+        let destroyed = catalog.destroy(pager, id);
+        if result.is_ok() {
+            destroyed?;
+        }
     }
-    Ok(result)
+    result
 }
 
 /// Execute a bound **single-variable** retrieve without mutating anything
@@ -171,47 +173,6 @@ pub fn exec_retrieve_readonly(
     run_joins(pager, prepare(catalog, bound, params, guard))
 }
 
-/// Execute a bound retrieve against a **snapshot** of the catalog,
-/// entirely off the commit lock.
-///
-/// `catalog` is the session's private clone of the published read view;
-/// decomposition temporaries are created and destroyed in that clone, so
-/// the shared catalog never observes them. Execution is *quiet*: it
-/// never invalidates buffers other sessions are using. The version
-/// filter (`rts[v].visible`, set from the bound watermark visibility)
-/// is what makes the result race-free against concurrent writers.
-pub fn exec_retrieve_snapshot(
-    pager: &Pager,
-    catalog: &mut Catalog,
-    bound: &BoundRetrieve,
-    params: &[Literal],
-    guard: &QueryGuard,
-) -> Result<RetrieveResult> {
-    if bound.vars.len() < 2 {
-        return exec_retrieve_readonly(
-            pager, catalog, bound, params, guard,
-        );
-    }
-    let mut p = prepare(catalog, bound, params, guard);
-    p.quiet = true;
-    let order = detachable_vars(&p);
-    let decomposed = decompose(pager, catalog, &mut p, &order);
-    let temps: Vec<RelId> = p.rts.iter().filter_map(|rt| rt.temp).collect();
-    let result = match decomposed {
-        Ok(()) => run_joins(pager, p),
-        Err(e) => Err(e),
-    };
-    // Destroy the temporaries even when execution failed, so a fallback
-    // to the locked path never leaks their files.
-    for id in temps {
-        let destroyed = catalog.destroy(pager, id);
-        if result.is_ok() {
-            destroyed?;
-        }
-    }
-    result
-}
-
 /// Everything the join phases need, derived from the bound retrieve with
 /// only shared catalog access.
 pub(crate) struct Prepared {
@@ -220,10 +181,6 @@ pub(crate) struct Prepared {
     pub(crate) rts: Vec<VarRt>,
     pub(crate) where_cj: Vec<(BExpr, Vec<usize>)>,
     pub(crate) when_cj: Vec<(BTPred, Vec<usize>)>,
-    /// Snapshot execution: do not invalidate other sessions' buffers.
-    /// Serial execution keeps this `false`, so the join phase of a
-    /// decomposed retrieve starts cold as the figures assume.
-    quiet: bool,
     /// The caller's per-query limits, polled at row granularity.
     guard: QueryGuard,
 }
@@ -287,131 +244,92 @@ pub(crate) fn prepare(
         rts,
         where_cj,
         when_cj,
-        quiet: false,
         guard: guard.clone(),
     }
 }
 
-/// The variables phase 1 will detach, in the fixed heuristic order
-/// (ascending variable position): each needs a one-variable conjunct to
-/// consume, and its projection must not lose transaction time the query
-/// still references. The set is a property of the *bound query alone* —
-/// detaching one variable never changes another's eligibility (own
-/// conjuncts removed by a detachment belong to that variable only, and
-/// remapping rewrites only the detached variable's attributes) — so a
-/// planner may permute this order freely without changing which pages
-/// any detachment touches.
+/// The variables phase 1 will detach, in ascending variable position:
+/// each needs a one-variable conjunct to consume, and its projection
+/// must not lose transaction time the query still references. The set
+/// is a property of the *bound query alone* — detaching one variable
+/// never changes another's eligibility (own conjuncts removed by a
+/// detachment belong to that variable only, and remapping rewrites only
+/// the detached variable's attributes).
 pub(crate) fn detachable_vars(p: &Prepared) -> Vec<usize> {
-    let nvars = p.b.vars.len();
-    let mut out = Vec::new();
-    for v in 0..nvars {
-        let has_own = p.where_cj.iter().any(|(_, vs)| vs == &[v])
-            || p.when_cj.iter().any(|(_, vs)| vs == &[v]);
-        if !has_own {
-            continue;
-        }
-        // Attributes of `v` needed after detachment: from targets and
-        // from conjuncts that are NOT consumed by the detachment.
-        let mut refs: Vec<(usize, usize)> = Vec::new();
-        for t in &p.b.targets {
-            t.expr.collect_attrs(&mut refs);
-        }
-        for (c, vs) in p.where_cj.iter() {
-            if vs != &[v] {
-                c.collect_attrs(&mut refs);
-            }
-        }
-        let schema = &p.slots[v].schema;
-        let explicit_len = schema.explicit_attrs().len();
-        let tx_indices: Vec<usize> = schema
-            .implicit_attrs()
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                matches!(
-                    t,
-                    tdbms_kernel::TemporalAttr::TransactionStart
-                        | tdbms_kernel::TemporalAttr::TransactionStop
-                )
-            })
-            .map(|(i, _)| explicit_len + i)
-            .collect();
-        if refs
-            .iter()
-            .any(|(var, a)| *var == v && tx_indices.contains(a))
-        {
-            // Projection would lose transaction time; keep the
-            // original relation for this variable.
-            continue;
-        }
-        out.push(v);
-    }
-    out
+    use tdbms_kernel::TemporalAttr::{TransactionStart, TransactionStop};
+    (0..p.b.vars.len())
+        .filter(|&v| {
+            let has_own = p.where_cj.iter().any(|(_, vs)| vs == &[v])
+                || p.when_cj.iter().any(|(_, vs)| vs == &[v]);
+            // A projection would lose transaction time; such a variable
+            // keeps its original relation.
+            let schema = &p.slots[v].schema;
+            let tx = [TransactionStart, TransactionStop]
+                .map(|t| schema.temporal_index(t));
+            let needs_tx = still_needed(&p.b, &p.where_cj, v)
+                .iter()
+                .any(|a| tx.contains(&Some(*a)));
+            has_own && !needs_tx
+        })
+        .collect()
 }
 
-/// The detachment order to execute: the executor's own detachable set,
-/// permuted to follow the plan's preference (variables the plan doesn't
-/// mention keep their heuristic relative order, after the planned ones).
-fn ordered_detachments(
-    p: &Prepared,
-    plan: Option<&tdbms_plan::QueryPlan>,
+/// The stored attributes of `v` still referenced once `v` is detached:
+/// from the targets, and from the conjuncts that are not `v`'s own (the
+/// detachment consumes those). Sorted, without duplicates.
+fn still_needed(
+    b: &BoundRetrieve,
+    where_cj: &[(BExpr, Vec<usize>)],
+    v: usize,
 ) -> Vec<usize> {
-    let mut order = detachable_vars(p);
-    if let Some(plan) = plan {
-        let pref = plan.detach_order();
-        let pos = |v: usize| {
-            pref.iter().position(|&x| x == v).unwrap_or(usize::MAX)
-        };
-        order.sort_by_key(|&v| (pos(v), v));
+    let mut refs: Vec<(usize, usize)> = Vec::new();
+    for t in &b.targets {
+        t.expr.collect_attrs(&mut refs);
     }
-    order
+    for (c, vs) in where_cj {
+        if vs != &[v] {
+            c.collect_attrs(&mut refs);
+        }
+    }
+    let mut attrs: Vec<usize> = refs
+        .into_iter()
+        .filter(|(var, _)| *var == v)
+        .map(|(_, a)| a)
+        .collect();
+    attrs.sort_unstable();
+    attrs.dedup();
+    attrs
 }
 
-/// Phase 1: one-variable detachment. Materializes each listed
-/// variable's projection into a temporary (recorded in `rts[v].temp`)
-/// and rewrites the plan in place. `order` must be a permutation of a
-/// subset of [`detachable_vars`].
+/// Phase 1: one-variable detachment. Materializes the projection of
+/// each of [`detachable_vars`] into a temporary (recorded in
+/// `rts[v].temp` as soon as it exists, so the caller can destroy it
+/// even if this fails) and rewrites the plan in place.
 fn decompose(
     pager: &Pager,
     catalog: &mut Catalog,
     p: &mut Prepared,
-    order: &[usize],
+    quiet: bool,
 ) -> Result<()> {
+    let order = detachable_vars(p);
     let Prepared {
         b,
         slots,
         rts,
         where_cj,
         when_cj,
-        quiet,
         guard,
     } = p;
-    let quiet = *quiet;
     let guard = guard.clone();
     {
         pager.begin_phase("decomposition");
-        for &v in order {
-            // Attributes of `v` needed after detachment: from targets and
-            // from conjuncts that are NOT consumed by the detachment.
-            let mut refs: Vec<(usize, usize)> = Vec::new();
-            for t in &b.targets {
-                t.expr.collect_attrs(&mut refs);
-            }
-            for (c, vs) in where_cj.iter() {
-                if vs != &[v] {
-                    c.collect_attrs(&mut refs);
-                }
-            }
+        for v in order {
             let schema = &slots[v].schema;
             let explicit_len = schema.explicit_attrs().len();
-
-            let mut needed: Vec<usize> = refs
-                .iter()
-                .filter(|(var, a)| *var == v && *a < explicit_len)
-                .map(|(_, a)| *a)
+            let mut needed: Vec<usize> = still_needed(b, where_cj, v)
+                .into_iter()
+                .filter(|&a| a < explicit_len)
                 .collect();
-            needed.sort_unstable();
-            needed.dedup();
             if needed.is_empty() {
                 needed.push(0);
             }
@@ -438,6 +356,7 @@ fn decompose(
                 b.vars[v].kind,
             )?;
             let temp_id = catalog.create_temporary(pager, temp_schema)?;
+            rts[v].temp = Some(temp_id);
 
             // Remap table: old stored index -> new stored index, covering
             // projected explicit attrs and the implicit valid attrs.
@@ -508,7 +427,6 @@ fn decompose(
                 rts[v].key_attr = None;
                 rts[v].indexes.clear();
                 rts[v].visible = None;
-                rts[v].temp = Some(temp_id);
                 rts[v].history = None;
             }
 

@@ -1,6 +1,6 @@
 //! # tdbms-plan
 //!
-//! The cost-based query planner underneath the temporal DBMS:
+//! The cost model behind `explain` and `estimate_retrieve`:
 //!
 //! * [`StatsCatalog`] — per-relation statistics (tuple counts, page
 //!   counts, ISAM directory depth, distinct-key estimates) harvested
@@ -10,43 +10,22 @@
 //!   replaces/deletes only lengthen version chains, so tracking inserts
 //!   yields the paper's chain-length growth (fig5–fig10) for free as
 //!   `tuple_count / distinct_keys`.
-//! * [`plan_query`] — a page-I/O cost model over [`VarFacts`]: choose
-//!   the one-variable detachment order and the access path per tuple
-//!   variable (heap scan vs hash/ISAM key probe vs secondary index) by
-//!   estimated page I/O. Pure arithmetic over pre-resolved facts, so it
-//!   unit-tests without a database.
+//! * [`plan_query`] — a page-I/O cost model over [`VarFacts`]: the
+//!   access path per tuple variable (heap scan vs hash/ISAM key probe
+//!   vs secondary index) and the estimated input and output pages of
+//!   the executor's decomposition. Pure arithmetic over pre-resolved
+//!   facts, so it unit-tests without a database.
 //! * [`PlanCache`] — a bounded cache keyed by statement shape (the
 //!   token stream with numeric literals lifted into parameter slots),
 //!   with hit/miss counters, so a server's hot queries skip
 //!   parse/bind/plan whatever their literals.
 //!
-//! The planner only *permutes* the detachment set the executor computes
-//! itself and never changes which pages a detachment touches, so paper
-//! mode stays byte-identical whichever order it picks (each detachment
-//! reads only its own relation and writes only its own temporary).
+//! The planner describes and estimates; it steers nothing. The
+//! executor picks access paths itself and detaches in variable order,
+//! and a [`QueryPlan`] lists its steps in that same order.
 
 use std::collections::{HashMap, VecDeque};
 use tdbms_storage::{AccessMethod, Catalog, Pager};
-
-/// Which planner drives retrieve execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannerMode {
-    /// The historical fixed heuristic: detach in variable order.
-    Fixed,
-    /// Statistics-fed cost-based ordering (the default).
-    Cost,
-}
-
-impl PlannerMode {
-    /// Resolve from the `TDBMS_PLANNER` environment variable
-    /// (`fixed` selects the heuristic; anything else is cost-based).
-    pub fn from_env() -> Self {
-        match std::env::var("TDBMS_PLANNER") {
-            Ok(v) if v.eq_ignore_ascii_case("fixed") => PlannerMode::Fixed,
-            _ => PlannerMode::Cost,
-        }
-    }
-}
 
 /// Maintained statistics of one stored relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,10 +300,11 @@ pub struct PlanStep {
     pub est_rows: u64,
 }
 
-/// The planner's chosen shape for one retrieve.
+/// The estimated shape of one retrieve.
 #[derive(Debug, Clone, Default)]
 pub struct QueryPlan {
-    /// One step per tuple variable, detachments first in chosen order.
+    /// One step per tuple variable: the detachments in variable order,
+    /// then the non-detached accesses in variable order.
     pub steps: Vec<PlanStep>,
     /// Substitution nesting order (outermost first).
     pub join_order: Vec<usize>,
@@ -334,22 +314,11 @@ pub struct QueryPlan {
     pub est_output: u64,
 }
 
-impl QueryPlan {
-    /// The detachment order (variables of detaching steps, in order).
-    pub fn detach_order(&self) -> Vec<usize> {
-        self.steps
-            .iter()
-            .filter(|s| s.detach)
-            .map(|s| s.var)
-            .collect()
-    }
-}
-
 /// Plan one retrieve from pre-resolved per-variable facts: pick each
-/// variable's access path by estimated page I/O, order detachments
-/// cheapest-first, and estimate total input/output pages under the
-/// paper's cold-buffer nested-substitution execution (the inner
-/// relation is re-read once per outer row — one frame per relation).
+/// variable's access path by estimated page I/O and estimate total
+/// input/output pages under the paper's cold-buffer nested-substitution
+/// execution (the inner relation is re-read once per outer row — one
+/// frame per relation).
 pub fn plan_query(facts: &[VarFacts]) -> QueryPlan {
     let single = facts.len() < 2;
     let mut steps: Vec<PlanStep> = Vec::new();
@@ -372,11 +341,9 @@ pub fn plan_query(facts: &[VarFacts]) -> QueryPlan {
             est_rows,
         });
     }
-    // Detachments first, cheapest first (ties by variable position);
-    // non-detached accesses keep variable order after them.
-    steps.sort_by_key(|s| {
-        (!s.detach, if s.detach { s.est_read } else { 0 }, s.var)
-    });
+    // Detachments first, as the executor runs them; non-detached
+    // accesses after them. Both keep variable order.
+    steps.sort_by_key(|s| (!s.detach, s.var));
 
     // Substitution order mirrors the executor: keyed-join variables
     // nest innermost (each probe is a short chain instead of a scan).
@@ -597,13 +564,21 @@ mod tests {
         assert_eq!(cost, 2); // directory page + one-page chain
     }
 
+    fn detached_vars(plan: &QueryPlan) -> Vec<usize> {
+        plan.steps
+            .iter()
+            .filter(|s| s.detach)
+            .map(|s| s.var)
+            .collect()
+    }
+
     #[test]
-    fn detachments_order_cheapest_first() {
+    fn detachments_list_in_variable_order() {
         let cheap = stats(1024, 128, 1024); // keyed probe: 1 page
         let dear = stats(1024, 128, 1024); // scan: 128 pages
         let plan =
             plan_query(&[facts(0, &dear, false), facts(1, &cheap, true)]);
-        assert_eq!(plan.detach_order(), vec![1, 0]);
+        assert_eq!(detached_vars(&plan), vec![0, 1]);
         assert!(plan.est_input >= 129);
     }
 
@@ -611,7 +586,7 @@ mod tests {
     fn single_variable_queries_never_detach() {
         let s = stats(1024, 128, 1024);
         let plan = plan_query(&[facts(0, &s, true)]);
-        assert!(plan.detach_order().is_empty());
+        assert!(detached_vars(&plan).is_empty());
         assert_eq!(plan.est_input, 1);
         assert_eq!(plan.est_output, 0);
     }

@@ -306,30 +306,25 @@ gate_server_smoke() {
     return "$rc"
 }
 
-# Planner golden gate: the cost-based planner is an optimization, never
-# a semantics change — every figure binary must print exactly its
+# Planner golden gate: every figure binary must print exactly its
 # committed golden (tests/golden/<fig>.txt at TDBMS_MAX_UC=2, plus
-# fig10-uc14.txt for Figure 10 at its default depth) with the planner
-# on (default) and forced to the fixed paper heuristic
-# (`TDBMS_PLANNER=fixed`). Then the prediction report itself must pass
-# its growth-ordering check (fig5 --predict exits nonzero on any
-# mis-ranked pair) and leave the BENCH_planner.json artifact.
+# fig10-uc14.txt for Figure 10 at its default depth). Then the
+# prediction report itself must pass its growth-ordering check (fig5
+# --predict exits nonzero on any mis-ranked pair) and leave the
+# BENCH_planner.json artifact.
 gate_planner_golden() {
-    local a f mode rc=0
+    local a f rc=0
     a=$(mktemp)
-    for mode in cost fixed; do
-        for f in fig5 fig6 fig7 fig8 fig9 fig10 fig10-uc14; do
-            if [[ "$f" == fig10-uc14 ]]; then
-                TDBMS_PLANNER=$mode "$bindir/fig10" >"$a"
-            else
-                TDBMS_PLANNER=$mode TDBMS_MAX_UC=2 "$bindir/$f" >"$a"
-            fi
-            if ! diff "tests/golden/$f.txt" "$a"; then
-                echo "$f: output differs from tests/golden/$f.txt" \
-                    "under TDBMS_PLANNER=$mode"
-                rc=1
-            fi
-        done
+    for f in fig5 fig6 fig7 fig8 fig9 fig10 fig10-uc14; do
+        if [[ "$f" == fig10-uc14 ]]; then
+            "$bindir/fig10" >"$a"
+        else
+            TDBMS_MAX_UC=2 "$bindir/$f" >"$a"
+        fi
+        if ! diff "tests/golden/$f.txt" "$a"; then
+            echo "$f: output differs from tests/golden/$f.txt"
+            rc=1
+        fi
     done
     rm -f "$a"
     [[ "$rc" == 0 ]] || return "$rc"

@@ -23,9 +23,9 @@
 
 pub use tdbms_core::{
     AccessMethod, AccessPath, CheckpointPolicy, Database, Engine,
-    ExecOutput, GroupCommitConfig, LockStats, PlanStep, PlannerMode,
-    QueryPlan, QueryStats, RelStats, RelationMeta, Session, TInterval,
-    SCRUB_FILE, WAL_FILE,
+    ExecOutput, GroupCommitConfig, LockStats, PlanStep, QueryPlan,
+    QueryStats, RelStats, RelationMeta, Session, TInterval, SCRUB_FILE,
+    WAL_FILE,
 };
 pub use tdbms_kernel::{
     AttrDef, Clock, DatabaseClass, Domain, Error, Granularity, Result,

@@ -1,24 +1,29 @@
-//! Planner correctness properties.
+//! One decomposition, two callers, and the planner beside them.
 //!
-//! The cost-based planner only chooses *orders* and *access paths*;
-//! it must never change what a query returns. The seeded property
-//! test here drives random schemas, workloads, and multi-variable
-//! retrieves through both planner modes and requires byte-identical
-//! rows. The plan-cache tests drive the engine's statement cache
-//! through concurrent sessions and catalog changes mid-stream — a
-//! cached plan may go stale, but serving stale *results* is a bug.
-//! The accuracy test holds the `explain` estimates to the issue's 2×
-//! acceptance bound on the paper workload's single-variable queries
-//! (join estimates are ordinal — validated by the fig5 `--predict`
-//! ranking gate instead; see DESIGN.md "Query planning").
+//! `exec_retrieve` is the one Ingres decomposition. `Database` runs it
+//! exclusively (buffers invalidated after detachment, as the paper
+//! counts pages); an `Engine` session runs it on a snapshot, quietly.
+//! The seeded property test here drives random schemas, workloads and
+//! multi-variable retrieves through both callers and requires
+//! byte-identical rows. The leak tests hold the decomposition to its
+//! rule that every temporary it creates is destroyed, also when a
+//! guard stops the statement. The plan-cache tests drive the engine's
+//! statement cache through concurrent sessions and catalog changes
+//! mid-stream — a cached plan may go stale, but serving stale *results*
+//! is a bug. The accuracy test holds the `explain` estimates to a 2×
+//! bound on the paper workload's single-variable queries (join
+//! estimates are ordinal — validated by the fig5 `--predict` ranking
+//! gate instead; see DESIGN.md "Query planning").
 
-use tdbms::{Database, Engine, PlannerMode, Value};
+use tdbms::{Database, Engine, Error, ExecOutput, Value};
 use tdbms_bench::{build_database, evolve_uniform, BenchConfig};
+use tdbms_core::{QueryGuard, SessionLimits};
 use tdbms_kernel::DatabaseClass;
 use tdbms_prop::{check, Gen};
 
 /// One generated scenario: setup statements, then query statements.
 struct Scenario {
+    nrels: usize,
     setup: Vec<String>,
     queries: Vec<String>,
 }
@@ -79,50 +84,135 @@ fn arb_scenario(g: &mut Gen) -> Scenario {
             conj.join(" and ")
         ));
     }
-    Scenario { setup, queries }
+    Scenario {
+        nrels,
+        setup,
+        queries,
+    }
 }
 
-/// Replay a scenario under one planner mode, returning each query's
-/// `(columns, rows, affected)`.
-fn replay(
-    s: &Scenario,
-    mode: PlannerMode,
-) -> Vec<(Vec<String>, Vec<Vec<Value>>, usize)> {
+/// A query's `(columns, rows, affected)`.
+type Answer = (Vec<String>, Vec<Vec<Value>>, usize);
+
+fn answer(out: ExecOutput) -> Answer {
+    let columns = out.columns.iter().map(|(n, _)| n.clone()).collect();
+    (columns, out.rows().to_vec(), out.affected)
+}
+
+fn build(s: &Scenario) -> Database {
     let mut db = Database::in_memory();
-    db.set_planner_mode(mode);
     for stmt in &s.setup {
         db.execute(stmt)
             .unwrap_or_else(|e| panic!("setup `{stmt}` failed: {e}"));
     }
-    s.queries
-        .iter()
-        .map(|q| {
-            let out = db
-                .execute(q)
-                .unwrap_or_else(|e| panic!("`{q}` failed: {e}"));
-            (
-                out.columns.iter().map(|(n, _)| n.clone()).collect(),
-                out.rows().to_vec(),
-                out.affected,
-            )
-        })
-        .collect()
+    db
 }
 
 #[test]
-fn planner_order_returns_byte_identical_rows() {
-    check("planner_order_rows", 24, |g| {
+fn exclusive_and_snapshot_retrieves_return_byte_identical_rows() {
+    check("decomposition_callers_rows", 24, |g| {
         let s = arb_scenario(g);
-        let cost = replay(&s, PlannerMode::Cost);
-        let fixed = replay(&s, PlannerMode::Fixed);
-        for (i, (c, f)) in cost.iter().zip(&fixed).enumerate() {
-            assert_eq!(
-                c, f,
-                "query {i} `{}` differs between planner modes",
-                s.queries[i]
-            );
+        let mut db = build(&s);
+        let exclusive: Vec<Answer> = s
+            .queries
+            .iter()
+            .map(|q| {
+                answer(
+                    db.execute(q).unwrap_or_else(|e| panic!("`{q}`: {e}")),
+                )
+            })
+            .collect();
+        let engine = Engine::new(build(&s));
+        let mut sess = engine.session();
+        for r in 0..s.nrels {
+            sess.execute(&format!("range of v{r} is r{r}")).unwrap();
         }
+        for (q, want) in s.queries.iter().zip(&exclusive) {
+            let got =
+                sess.execute(q).unwrap_or_else(|e| panic!("`{q}`: {e}"));
+            assert_eq!(&answer(got), want, "`{q}` differs between callers");
+        }
+        assert_eq!(
+            engine.lock_stats().snapshot_reads,
+            s.queries.len() as u64,
+            "every query must run on the snapshot path"
+        );
     });
+}
+
+/// Two 40-row temporal relations and a join whose 36 result rows
+/// overrun a 5-row guard after both detachments have materialized
+/// their temporaries.
+const LEAK_SETUP: &str = "create temporal interval a (id = i4, v = i4)
+    create temporal interval b (id = i4, v = i4)";
+const LEAK_QUERY: &str = "range of x is a range of y is b
+    retrieve (x.v, y.v) where x.id = y.id and x.v > 3 and y.v > 3";
+
+fn seed_leak_relations(db: &mut Database) {
+    db.execute(LEAK_SETUP).unwrap();
+    for i in 0..40 {
+        for rel in ["a", "b"] {
+            db.execute(&format!("append to {rel} (id = {i}, v = {i})"))
+                .unwrap();
+        }
+    }
+}
+
+/// Temporaries in the catalog, and files on the pager.
+fn residue(db: &mut Database) -> (usize, usize) {
+    let (pager, catalog, _) = db.internals();
+    let temps = catalog.iter().filter(|(_, r)| r.temporary).count();
+    (temps, pager.file_lengths().unwrap().len())
+}
+
+#[test]
+fn a_guarded_in_memory_retrieve_drops_its_temporaries() {
+    let mut db = Database::in_memory();
+    seed_leak_relations(&mut db);
+    let (_, files) = residue(&mut db);
+    let guard = QueryGuard::new().with_max_rows(5);
+    let mut err = None;
+    for stmt in tdbms::tquel::parse_program(LEAK_QUERY).unwrap() {
+        err = db.execute_statement_guarded(&stmt, &guard).err();
+    }
+    assert!(matches!(err, Some(Error::LimitExceeded { .. })), "{err:?}");
+    assert_eq!(residue(&mut db), (0, files));
+}
+
+#[test]
+fn a_guarded_durable_session_retrieve_drops_its_temporaries() {
+    let dir = tempdir();
+    let mut db = Database::open_durable(&dir).unwrap();
+    seed_leak_relations(&mut db);
+    let (_, files) = residue(&mut db);
+    let engine = Engine::new(db);
+    let mut sess = engine.session();
+    sess.set_limits(SessionLimits {
+        max_rows: Some(5),
+        ..SessionLimits::default()
+    });
+    let err = sess.execute(LEAK_QUERY).unwrap_err();
+    assert!(matches!(err, Error::LimitExceeded { .. }), "{err:?}");
+    assert_eq!(engine.with_write(residue).0, 0);
+    // A durable drop waits for the next commit to log it.
+    sess.execute("append to a (id = 40, v = 40)").unwrap();
+    assert_eq!(engine.with_write(residue), (0, files));
+    drop(sess);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn tempdir() -> std::path::PathBuf {
+    let p = std::env::temp_dir().join(format!(
+        "tdbms-decompose-test-{}-{:x}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ));
+    std::fs::create_dir_all(&p).expect("create tempdir");
+    p
 }
 
 fn seeded_engine() -> Engine {

@@ -7,7 +7,7 @@
 //! the same shape was warmed with literal A answers exactly as running
 //! B uncached — columns, rows, counts and error texts — for random
 //! single- and multi-variable retrieves, aggregates, `explain`, failing
-//! statements and replaces, under both planner modes.
+//! statements and replaces.
 //!
 //! The uncached side is a second engine over an identically built
 //! database, fed the same statements through
@@ -18,7 +18,7 @@
 //! replaces at other instants.
 
 use tdbms::tquel::parse_statement;
-use tdbms::{Database, Engine, ExecOutput, PlannerMode, Session, Value};
+use tdbms::{Database, Engine, ExecOutput, Session, Value};
 use tdbms_prop::{check, Gen};
 
 struct Case {
@@ -113,9 +113,8 @@ fn arb_probe(g: &mut Gen, nrels: usize) -> (String, String) {
     (render(la), render(lb))
 }
 
-fn engine(case: &Case, mode: PlannerMode) -> Engine {
+fn engine(case: &Case) -> Engine {
     let mut db = Database::in_memory();
-    db.set_planner_mode(mode);
     for stmt in &case.setup {
         db.execute(stmt)
             .unwrap_or_else(|e| panic!("setup `{stmt}` failed: {e}"));
@@ -150,38 +149,36 @@ fn both(
 fn a_warm_shape_answers_a_new_literal_like_an_uncached_run() {
     check("shape_cache_literals", 16, |g| {
         let case = arb_case(g);
-        for mode in [PlannerMode::Cost, PlannerMode::Fixed] {
-            let cached_engine = engine(&case, mode);
-            let fresh_engine = engine(&case, mode);
-            let mut cached = cached_engine.session();
-            let mut fresh = fresh_engine.session();
-            for r in 0..case.nrels {
-                let range = format!("range of v{r} is r{r}");
-                let [c, f] = both(&mut cached, &mut fresh, &range);
-                assert_eq!(c, f, "`{range}`");
+        let cached_engine = engine(&case);
+        let fresh_engine = engine(&case);
+        let mut cached = cached_engine.session();
+        let mut fresh = fresh_engine.session();
+        for r in 0..case.nrels {
+            let range = format!("range of v{r} is r{r}");
+            let [c, f] = both(&mut cached, &mut fresh, &range);
+            assert_eq!(c, f, "`{range}`");
+        }
+        for (a, b) in &case.probes {
+            // The first run parses and binds the shape; the second
+            // is served from the cached binding, which B reuses.
+            for text in [a, a] {
+                let [c, f] = both(&mut cached, &mut fresh, text);
+                assert_eq!(c, f, "`{text}`");
             }
-            for (a, b) in &case.probes {
-                // The first run parses and binds the shape; the second
-                // is served from the cached binding, which B reuses.
-                for text in [a, a] {
-                    let [c, f] = both(&mut cached, &mut fresh, text);
-                    assert_eq!(c, f, "{mode:?}: `{text}`");
-                }
-                let (h0, m0) = cached_engine.plan_cache_stats();
-                let [c, f] = both(&mut cached, &mut fresh, b);
-                assert_eq!(c, f, "{mode:?}: `{b}` after `{a}`");
-                let (h1, m1) = cached_engine.plan_cache_stats();
-                assert_eq!(
-                    (h1 - h0, m1 - m0),
-                    (1, 0),
-                    "`{b}` must hit the shape `{a}` warmed"
-                );
-            }
-            for r in 0..case.nrels {
-                let all = format!("retrieve (v{r}.id, v{r}.val)");
-                let [c, f] = both(&mut cached, &mut fresh, &all);
-                assert_eq!(c, f, "{mode:?}: final state of r{r}");
-            }
+            let (h0, m0) = cached_engine.plan_cache_stats();
+            let [c, f] = both(&mut cached, &mut fresh, b);
+            assert_eq!(c, f, "`{b}` after `{a}`");
+            let (h1, m1) = cached_engine.plan_cache_stats();
+            assert_eq!(
+                (h1 - h0, m1 - m0),
+                (1, 0),
+                "`{b}` must hit the shape `{a}` warmed"
+            );
+        }
+        for r in 0..case.nrels {
+            let all = format!("retrieve (v{r}.id, v{r}.val)");
+            let [c, f] = both(&mut cached, &mut fresh, &all);
+            assert_eq!(c, f, "final state of r{r}");
         }
     });
 }
