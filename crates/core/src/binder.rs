@@ -12,9 +12,18 @@
 //!   ("coexisted at some moment") when two or more valid-time variables
 //!   participate;
 //! * default `valid`: the intersection of the participating valid spans.
+//!
+//! Temporal clauses are lowered, not kept as a second tree. Every temporal
+//! expression becomes the `(lo, hi)` pair of scalar expressions over the
+//! variables' `valid_from`/`valid_to` (or `valid_at`) attributes, and every
+//! `when` predicate one ordinary conjunct appended after the `where`
+//! conjuncts — so detachment, conjunct levels and access paths treat it
+//! like any other. [`Binder::lower_tpred`] is the one place the
+//! `precede`/`overlap` comparison convention is written down. `as of`
+//! folds to a constant [`Visibility`] window at bind time.
 
 use crate::bound::*;
-use crate::interval::TInterval;
+use crate::eval::eval_time;
 use std::collections::HashMap;
 use tdbms_kernel::{
     Domain, Error, Result, TemporalAttr, TemporalKind, TimeVal, Value,
@@ -147,96 +156,160 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Bind a temporal expression. Variables must carry valid time.
-    pub fn bind_texpr(
+    /// The valid span of range-table entry `vi` as its `(lo, hi)`
+    /// attributes: `valid_from`/`valid_to`, or `valid_at` twice for an
+    /// event relation.
+    fn span_of(&self, vi: usize, vars: &[VarBinding]) -> Result<Span> {
+        let VarBinding {
+            var, rel, class, ..
+        } = &vars[vi];
+        if !class.has_valid_time() {
+            return Err(Error::NotApplicable(format!(
+                "variable {var:?} ranges over a {class} relation, which \
+                 carries no valid time; `when`/`valid` clauses do not \
+                 apply (use `as of` for rollback)"
+            )));
+        }
+        let schema = &self.catalog.get(*rel).schema;
+        let attr = |t: TemporalAttr| -> Result<BExpr> {
+            let attr = schema.temporal_index(t).ok_or_else(|| {
+                Error::Internal(format!("{var:?} has no {t:?} attribute"))
+            })?;
+            Ok(BExpr::Attr { var: vi, attr })
+        };
+        Ok(match schema.kind() {
+            TemporalKind::Interval => (
+                attr(TemporalAttr::ValidFrom)?,
+                attr(TemporalAttr::ValidTo)?,
+            ),
+            TemporalKind::Event => {
+                let at = attr(TemporalAttr::ValidAt)?;
+                (at.clone(), at)
+            }
+        })
+    }
+
+    /// Lower a temporal expression to its `(lo, hi)` endpoints. A
+    /// constant `t` is `(t, t)`; `start of` and `end of` take one
+    /// endpoint; `overlap` and `extend` take the greatest and least of
+    /// their operands' endpoints, and neither tests the result for
+    /// emptiness (`lo > hi`).
+    pub(crate) fn lower_texpr(
         &self,
         e: &ast::TemporalExpr,
         vars: &mut Vec<VarBinding>,
-    ) -> Result<BTExpr> {
+    ) -> Result<Span> {
         Ok(match e {
             ast::TemporalExpr::Var(v) => {
                 let vi = self.resolve_var(v, vars)?;
-                if !vars[vi].class.has_valid_time() {
-                    return Err(Error::NotApplicable(format!(
-                        "variable {v:?} ranges over a {} relation, which \
-                         carries no valid time; `when`/`valid` clauses do \
-                         not apply (use `as of` for rollback)",
-                        vars[vi].class
-                    )));
-                }
-                BTExpr::Span(vi)
+                self.span_of(vi, vars)?
             }
             ast::TemporalExpr::Lit(s) => {
-                BTExpr::Const(TInterval::event(self.resolve_time(s)?))
+                let t = BExpr::Const(Value::Time(self.resolve_time(s)?));
+                (t.clone(), t)
             }
             ast::TemporalExpr::Start(x) => {
-                BTExpr::Start(Box::new(self.bind_texpr(x, vars)?))
+                let (lo, _) = self.lower_texpr(x, vars)?;
+                (lo.clone(), lo)
             }
             ast::TemporalExpr::End(x) => {
-                BTExpr::End(Box::new(self.bind_texpr(x, vars)?))
+                let (_, hi) = self.lower_texpr(x, vars)?;
+                (hi.clone(), hi)
             }
-            ast::TemporalExpr::Overlap(a, b) => BTExpr::Overlap(
-                Box::new(self.bind_texpr(a, vars)?),
-                Box::new(self.bind_texpr(b, vars)?),
-            ),
-            ast::TemporalExpr::Extend(a, b) => BTExpr::Extend(
-                Box::new(self.bind_texpr(a, vars)?),
-                Box::new(self.bind_texpr(b, vars)?),
-            ),
+            ast::TemporalExpr::Overlap(a, b) => intersection(vec![
+                self.lower_texpr(a, vars)?,
+                self.lower_texpr(b, vars)?,
+            ]),
+            ast::TemporalExpr::Extend(a, b) => {
+                let (alo, ahi) = self.lower_texpr(a, vars)?;
+                let (blo, bhi) = self.lower_texpr(b, vars)?;
+                (
+                    BExpr::Least(vec![alo, blo]),
+                    BExpr::Greatest(vec![ahi, bhi]),
+                )
+            }
         })
     }
 
-    /// Bind a temporal predicate.
-    pub fn bind_tpred(
+    /// Lower a temporal predicate to one scalar conjunct. This is where
+    /// TQuel's comparison convention lives: the stored endpoints are
+    /// compared with `<=`, so `a precede b` is `hi(a) <= lo(b)` (meeting
+    /// spans precede) and `a overlap b` is `greatest(lo) <= least(hi)`,
+    /// which is false when either operand is empty.
+    pub(crate) fn lower_tpred(
         &self,
         p: &ast::TemporalPred,
         vars: &mut Vec<VarBinding>,
-    ) -> Result<BTPred> {
+    ) -> Result<BExpr> {
+        use ast::BinOp::{And, Eq, Or};
         Ok(match p {
-            ast::TemporalPred::Precede(a, b) => BTPred::Precede(
-                self.bind_texpr(a, vars)?,
-                self.bind_texpr(b, vars)?,
-            ),
-            ast::TemporalPred::Overlap(a, b) => BTPred::Overlap(
-                self.bind_texpr(a, vars)?,
-                self.bind_texpr(b, vars)?,
-            ),
-            ast::TemporalPred::Equal(a, b) => BTPred::Equal(
-                self.bind_texpr(a, vars)?,
-                self.bind_texpr(b, vars)?,
-            ),
-            ast::TemporalPred::And(a, b) => BTPred::And(
-                Box::new(self.bind_tpred(a, vars)?),
-                Box::new(self.bind_tpred(b, vars)?),
-            ),
-            ast::TemporalPred::Or(a, b) => BTPred::Or(
-                Box::new(self.bind_tpred(a, vars)?),
-                Box::new(self.bind_tpred(b, vars)?),
-            ),
+            ast::TemporalPred::Precede(a, b) => {
+                let (_, a_hi) = self.lower_texpr(a, vars)?;
+                let (b_lo, _) = self.lower_texpr(b, vars)?;
+                bin(ast::BinOp::Le, a_hi, b_lo)
+            }
+            ast::TemporalPred::Overlap(a, b) => {
+                nonempty(intersection(vec![
+                    self.lower_texpr(a, vars)?,
+                    self.lower_texpr(b, vars)?,
+                ]))
+            }
+            ast::TemporalPred::Equal(a, b) => {
+                let (a_lo, a_hi) = self.lower_texpr(a, vars)?;
+                let (b_lo, b_hi) = self.lower_texpr(b, vars)?;
+                bin(And, bin(Eq, a_lo, b_lo), bin(Eq, a_hi, b_hi))
+            }
+            ast::TemporalPred::And(a, b) | ast::TemporalPred::Or(a, b) => {
+                let op = match p {
+                    ast::TemporalPred::And(..) => And,
+                    _ => Or,
+                };
+                bin(
+                    op,
+                    self.lower_tpred(a, vars)?,
+                    self.lower_tpred(b, vars)?,
+                )
+            }
             ast::TemporalPred::Not(x) => {
-                BTPred::Not(Box::new(self.bind_tpred(x, vars)?))
+                BExpr::Not(Box::new(self.lower_tpred(x, vars)?))
             }
         })
     }
 
-    /// Evaluate a variable-free temporal expression to a constant.
-    pub fn const_texpr(&self, e: &BTExpr) -> Result<TInterval> {
-        Ok(match e {
-            BTExpr::Const(iv) => *iv,
-            BTExpr::Span(_) => {
-                return Err(Error::Semantic(
-                    "tuple variables are not allowed in `as of`".into(),
-                ))
+    /// Lower a `when` clause onto `out`, one conjunct per top-level
+    /// `and`ed predicate.
+    pub(crate) fn lower_when(
+        &self,
+        p: &ast::TemporalPred,
+        vars: &mut Vec<VarBinding>,
+        out: &mut Vec<BExpr>,
+    ) -> Result<()> {
+        match p {
+            ast::TemporalPred::And(a, b) => {
+                self.lower_when(a, vars, out)?;
+                self.lower_when(b, vars, out)
             }
-            BTExpr::Start(x) => self.const_texpr(x)?.start(),
-            BTExpr::End(x) => self.const_texpr(x)?.end(),
-            BTExpr::Overlap(a, b) => {
-                self.const_texpr(a)?.intersect(&self.const_texpr(b)?)
+            other => {
+                out.push(self.lower_tpred(other, vars)?);
+                Ok(())
             }
-            BTExpr::Extend(a, b) => {
-                self.const_texpr(a)?.span(&self.const_texpr(b)?)
-            }
-        })
+        }
+    }
+
+    /// Fold a variable-free temporal expression (an `as of` bound) to
+    /// its `(lo, hi)` instants.
+    fn fold_time(
+        &self,
+        e: &ast::TemporalExpr,
+    ) -> Result<(TimeVal, TimeVal)> {
+        let mut vars = Vec::new();
+        let (lo, hi) = self.lower_texpr(e, &mut vars)?;
+        if !vars.is_empty() {
+            return Err(Error::Semantic(
+                "tuple variables are not allowed in `as of`".into(),
+            ));
+        }
+        Ok((eval_time(&lo, &[])?, eval_time(&hi, &[])?))
     }
 
     /// Infer the result domain of a bound expression.
@@ -281,6 +354,7 @@ impl<'a> Binder<'a> {
             }
             BExpr::Neg(x) => self.infer_domain(x, vars)?,
             BExpr::Not(_) => Domain::I1,
+            BExpr::Greatest(_) | BExpr::Least(_) => Domain::Time,
         })
     }
 
@@ -351,49 +425,44 @@ impl<'a> Binder<'a> {
             ));
         }
 
-        // Where clause, split into conjuncts.
-        let mut where_conjuncts = Vec::new();
+        // The qualification: the where clause's conjuncts, then the
+        // lowered when clause's.
+        let mut conjuncts = Vec::new();
         if let Some(w) = &r.where_clause {
             let bound = self.bind_expr(w, &mut vars)?;
-            split_conjuncts(bound, &mut where_conjuncts);
+            split_conjuncts(bound, &mut conjuncts);
         }
-
-        // When clause.
-        let mut when_conjuncts = Vec::new();
         if let Some(w) = &r.when_clause {
-            let bound = self.bind_tpred(w, &mut vars)?;
-            split_tconjuncts(bound, &mut when_conjuncts);
+            self.lower_when(w, &mut vars, &mut conjuncts)?;
         }
 
-        // Valid clause.
+        // Valid clause: the start of `from` and the end of `to`.
         let mut valid = match &r.valid {
             Some(ast::ValidClause::Interval { from, to }) => Some((
-                self.bind_texpr(from, &mut vars)?,
-                self.bind_texpr(to, &mut vars)?,
+                self.lower_texpr(from, &mut vars)?.0,
+                self.lower_texpr(to, &mut vars)?.1,
             )),
             Some(ast::ValidClause::At(e)) => {
-                let ev = self.bind_texpr(e, &mut vars)?;
-                Some((ev.clone(), ev))
+                Some(self.lower_texpr(e, &mut vars)?)
             }
             None => None,
         };
 
-        // As-of clause.
+        // As-of clause, folded to its window.
         let explicit_as_of = match &r.as_of {
             Some(a) => {
-                let at = self.const_texpr(
-                    &self.bind_texpr(&a.at, &mut Vec::new())?,
-                )?;
+                let (at, at_hi) = self.fold_time(&a.at)?;
                 let through = match &a.through {
-                    Some(t) => Some(self.const_texpr(
-                        &self.bind_texpr(t, &mut Vec::new())?,
-                    )?),
-                    None => None,
+                    Some(t) => self.fold_time(t)?.1,
+                    None => at_hi,
                 };
-                Some(Visibility {
-                    at: at.lo,
-                    through: through.map(|t| t.hi).unwrap_or(at.hi),
-                })
+                if through < at {
+                    return Err(Error::Semantic(format!(
+                        "`as of` window ends at {through}, before it \
+                         starts at {at}"
+                    )));
+                }
+                Some(Visibility { at, through })
             }
             None => None,
         };
@@ -429,24 +498,20 @@ impl<'a> Binder<'a> {
         }
 
         if !valid_vars.is_empty() {
-            // Default when: the participating valid spans intersect.
-            if r.when_clause.is_none() && valid_vars.len() >= 2 {
-                when_conjuncts.push(BTPred::Coexist(valid_vars.clone()));
+            let spans = valid_vars
+                .iter()
+                .map(|&v| self.span_of(v, &vars))
+                .collect::<Result<Vec<_>>>()?;
+            // Default when: the participating valid spans share an
+            // instant. One conjunct over all of them, evaluated where the
+            // last of them is bound.
+            if r.when_clause.is_none() && spans.len() >= 2 {
+                conjuncts.push(nonempty(intersection(spans.clone())));
             }
             // Default valid: the intersection of the participating spans
             // (suppressed for aggregates: a group has no single span).
             if valid.is_none() && !has_agg {
-                let mut fold = BTExpr::Span(valid_vars[0]);
-                for v in &valid_vars[1..] {
-                    fold = BTExpr::Overlap(
-                        Box::new(fold),
-                        Box::new(BTExpr::Span(*v)),
-                    );
-                }
-                valid = Some((
-                    BTExpr::Start(Box::new(fold.clone())),
-                    BTExpr::End(Box::new(fold)),
-                ));
+                valid = Some(intersection(spans));
             }
         }
 
@@ -503,8 +568,7 @@ impl<'a> Binder<'a> {
         Ok(BoundRetrieve {
             vars,
             targets,
-            where_conjuncts,
-            when_conjuncts,
+            conjuncts,
             valid: if valid_vars.is_empty() { None } else { valid },
             visibility,
             into: r.into.clone(),
@@ -528,36 +592,29 @@ pub fn split_conjuncts(e: BExpr, out: &mut Vec<BExpr>) {
     }
 }
 
-/// Split a bound temporal predicate on top-level `and`s.
-pub fn split_tconjuncts(p: BTPred, out: &mut Vec<BTPred>) {
-    match p {
-        BTPred::And(a, b) => {
-            split_tconjuncts(*a, out);
-            split_tconjuncts(*b, out);
-        }
-        other => out.push(other),
+/// A lowered temporal expression: its `(lo, hi)` endpoints.
+pub(crate) type Span = (BExpr, BExpr);
+
+/// The common intersection of `spans`: the greatest start and the least
+/// end (possibly empty).
+fn intersection(spans: Vec<Span>) -> Span {
+    if spans.len() == 1 {
+        return spans.into_iter().next().expect("one span");
     }
+    let (los, his) = spans.into_iter().unzip();
+    (BExpr::Greatest(los), BExpr::Least(his))
 }
 
-/// The implicit valid-time span of a stored row, per its schema.
-pub fn row_span(
-    schema: &tdbms_kernel::Schema,
-    codec: &tdbms_kernel::RowCodec,
-    row: &[u8],
-) -> Option<TInterval> {
-    match schema.kind() {
-        TemporalKind::Interval => {
-            let from = schema.temporal_index(TemporalAttr::ValidFrom)?;
-            let to = schema.temporal_index(TemporalAttr::ValidTo)?;
-            Some(TInterval::new(
-                codec.get_time(row, from),
-                codec.get_time(row, to),
-            ))
-        }
-        TemporalKind::Event => {
-            let at = schema.temporal_index(TemporalAttr::ValidAt)?;
-            Some(TInterval::event(codec.get_time(row, at)))
-        }
+/// The conjunct "`span` is not empty": `lo <= hi`.
+fn nonempty((lo, hi): Span) -> BExpr {
+    bin(ast::BinOp::Le, lo, hi)
+}
+
+fn bin(op: ast::BinOp, lhs: BExpr, rhs: BExpr) -> BExpr {
+    BExpr::Bin {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
     }
 }
 

@@ -2,11 +2,12 @@
 //!
 //! The binder turns TQuel syntax into these structures: tuple variables
 //! become indices into the statement's range table, attributes become
-//! column indices, time literals become resolved [`TInterval`]s, and the
-//! TQuel *defaults* (default `when`, `valid`, and `as of` clauses) are made
-//! explicit.
+//! column indices, time literals become resolved instants, and the TQuel
+//! *defaults* (default `when`, `valid`, and `as of` clauses) are made
+//! explicit. There is one predicate language: `when` and `valid` are
+//! lowered to ordinary [`BExpr`]s over each variable's valid-time
+//! attributes, and `as of` folds to a [`Visibility`] window.
 
-use crate::interval::TInterval;
 use tdbms_kernel::{DatabaseClass, TemporalKind, TimeVal, Value};
 use tdbms_storage::RelId;
 use tdbms_tquel::ast::BinOp;
@@ -56,172 +57,96 @@ pub enum BExpr {
     Neg(Box<BExpr>),
     /// Logical negation.
     Not(Box<BExpr>),
+    /// The greatest operand. Internal, like [`BExpr::Least`]: no TQuel
+    /// syntax reaches it, only the binder's lowering of temporal
+    /// expressions (the start of an `overlap`, the end of an `extend`).
+    Greatest(Vec<BExpr>),
+    /// The least operand (the end of an `overlap`, the start of an
+    /// `extend`).
+    Least(Vec<BExpr>),
 }
 
 impl BExpr {
+    /// Visit every attribute reference as `(var, attr)`.
+    fn each_attr(&self, f: &mut dyn FnMut(usize, usize)) {
+        match self {
+            BExpr::Const(_) | BExpr::Param(_) => {}
+            BExpr::Attr { var, attr } => f(*var, *attr),
+            BExpr::Bin { lhs, rhs, .. } => {
+                lhs.each_attr(f);
+                rhs.each_attr(f);
+            }
+            BExpr::Neg(e) | BExpr::Not(e) => e.each_attr(f),
+            BExpr::Greatest(es) | BExpr::Least(es) => {
+                es.iter().for_each(|e| e.each_attr(f))
+            }
+        }
+    }
+
+    /// Visit every leaf (constant, parameter or attribute) mutably.
+    fn each_leaf_mut(&mut self, f: &mut dyn FnMut(&mut BExpr)) {
+        match self {
+            BExpr::Bin { lhs, rhs, .. } => {
+                lhs.each_leaf_mut(f);
+                rhs.each_leaf_mut(f);
+            }
+            BExpr::Neg(e) | BExpr::Not(e) => e.each_leaf_mut(f),
+            BExpr::Greatest(es) | BExpr::Least(es) => {
+                es.iter_mut().for_each(|e| e.each_leaf_mut(f))
+            }
+            leaf => f(leaf),
+        }
+    }
+
     /// Does this expression reference range-table entry `var`?
     pub fn references(&self, var: usize) -> bool {
-        match self {
-            BExpr::Const(_) | BExpr::Param(_) => false,
-            BExpr::Attr { var: v, .. } => *v == var,
-            BExpr::Bin { lhs, rhs, .. } => {
-                lhs.references(var) || rhs.references(var)
-            }
-            BExpr::Neg(e) | BExpr::Not(e) => e.references(var),
-        }
+        let mut hit = false;
+        self.each_attr(&mut |v, _| hit |= v == var);
+        hit
     }
 
     /// Collect the set of referenced range-table entries.
     pub fn collect_vars(&self, out: &mut Vec<usize>) {
-        match self {
-            BExpr::Const(_) | BExpr::Param(_) => {}
-            BExpr::Attr { var, .. } => {
-                if !out.contains(var) {
-                    out.push(*var);
-                }
+        self.each_attr(&mut |v, _| {
+            if !out.contains(&v) {
+                out.push(v);
             }
-            BExpr::Bin { lhs, rhs, .. } => {
-                lhs.collect_vars(out);
-                rhs.collect_vars(out);
-            }
-            BExpr::Neg(e) | BExpr::Not(e) => e.collect_vars(out),
-        }
+        });
     }
 
     /// Collect `(var, attr)` attribute references.
     pub fn collect_attrs(&self, out: &mut Vec<(usize, usize)>) {
-        match self {
-            BExpr::Const(_) | BExpr::Param(_) => {}
-            BExpr::Attr { var, attr } => {
-                if !out.contains(&(*var, *attr)) {
-                    out.push((*var, *attr));
-                }
+        self.each_attr(&mut |v, a| {
+            if !out.contains(&(v, a)) {
+                out.push((v, a));
             }
-            BExpr::Bin { lhs, rhs, .. } => {
-                lhs.collect_attrs(out);
-                rhs.collect_attrs(out);
-            }
-            BExpr::Neg(e) | BExpr::Not(e) => e.collect_attrs(out),
-        }
+        });
     }
 
     /// Rewrite attribute references of `var` through `map` (old stored
     /// index → new stored index), used after detachment projects a
     /// variable into a temporary.
     pub fn remap_attrs(&mut self, var: usize, map: &[(usize, usize)]) {
-        match self {
-            BExpr::Const(_) | BExpr::Param(_) => {}
-            BExpr::Attr { var: v, attr } => {
+        self.each_leaf_mut(&mut |e| {
+            if let BExpr::Attr { var: v, attr } = e {
                 if *v == var {
-                    let new = map
+                    *attr = map
                         .iter()
                         .find(|(old, _)| old == attr)
                         .expect("projection covers referenced attrs")
                         .1;
-                    *attr = new;
                 }
             }
-            BExpr::Bin { lhs, rhs, .. } => {
-                lhs.remap_attrs(var, map);
-                rhs.remap_attrs(var, map);
-            }
-            BExpr::Neg(e) | BExpr::Not(e) => e.remap_attrs(var, map),
-        }
+        });
     }
 
     /// Replace every [`BExpr::Param`] with its literal from `params`.
     pub fn fill_params(&mut self, params: &[Literal]) {
-        match self {
-            BExpr::Param(k) => *self = BExpr::Const(params[*k].into()),
-            BExpr::Bin { lhs, rhs, .. } => {
-                lhs.fill_params(params);
-                rhs.fill_params(params);
+        self.each_leaf_mut(&mut |e| {
+            if let BExpr::Param(k) = e {
+                *e = BExpr::Const(params[*k].into());
             }
-            BExpr::Neg(e) | BExpr::Not(e) => e.fill_params(params),
-            BExpr::Const(_) | BExpr::Attr { .. } => {}
-        }
-    }
-}
-
-/// A bound temporal expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BTExpr {
-    /// The valid-time span of range-table entry `var`.
-    Span(usize),
-    /// A resolved time constant (event or interval).
-    Const(TInterval),
-    /// `start of e`.
-    Start(Box<BTExpr>),
-    /// `end of e`.
-    End(Box<BTExpr>),
-    /// `a overlap b` (intersection constructor).
-    Overlap(Box<BTExpr>, Box<BTExpr>),
-    /// `a extend b` (span constructor).
-    Extend(Box<BTExpr>, Box<BTExpr>),
-}
-
-impl BTExpr {
-    /// Collect referenced range-table entries.
-    pub fn collect_vars(&self, out: &mut Vec<usize>) {
-        match self {
-            BTExpr::Span(v) => {
-                if !out.contains(v) {
-                    out.push(*v);
-                }
-            }
-            BTExpr::Const(_) => {}
-            BTExpr::Start(e) | BTExpr::End(e) => e.collect_vars(out),
-            BTExpr::Overlap(a, b) | BTExpr::Extend(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-        }
-    }
-}
-
-/// A bound temporal predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BTPred {
-    /// `a precede b`.
-    Precede(BTExpr, BTExpr),
-    /// `a overlap b`.
-    Overlap(BTExpr, BTExpr),
-    /// `a equal b`.
-    Equal(BTExpr, BTExpr),
-    /// Conjunction.
-    And(Box<BTPred>, Box<BTPred>),
-    /// Disjunction.
-    Or(Box<BTPred>, Box<BTPred>),
-    /// Negation.
-    Not(Box<BTPred>),
-    /// The default `when` clause: the valid spans of the listed variables
-    /// have a nonempty common intersection ("the tuples coexisted").
-    Coexist(Vec<usize>),
-}
-
-impl BTPred {
-    /// Collect referenced range-table entries.
-    pub fn collect_vars(&self, out: &mut Vec<usize>) {
-        match self {
-            BTPred::Precede(a, b)
-            | BTPred::Overlap(a, b)
-            | BTPred::Equal(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            BTPred::And(a, b) | BTPred::Or(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            BTPred::Not(p) => p.collect_vars(out),
-            BTPred::Coexist(vs) => {
-                for v in vs {
-                    if !out.contains(v) {
-                        out.push(*v);
-                    }
-                }
-            }
-        }
+        });
     }
 }
 
@@ -270,13 +195,15 @@ pub struct BoundRetrieve {
     pub vars: Vec<VarBinding>,
     /// Output columns.
     pub targets: Vec<BoundTarget>,
-    /// Scalar qualification, split into conjuncts.
-    pub where_conjuncts: Vec<BExpr>,
-    /// Temporal qualification, split into conjuncts (defaults included).
-    pub when_conjuncts: Vec<BTPred>,
-    /// Valid-clause events `(from, to)`; `None` when no variable carries
-    /// valid time (a purely static/rollback query).
-    pub valid: Option<(BTExpr, BTExpr)>,
+    /// The qualification as one conjunct list: the `where` clause split
+    /// on its top-level `and`s, then the `when` clause lowered the same
+    /// way (or the default `when`).
+    pub conjuncts: Vec<BExpr>,
+    /// The output valid period `(valid_from, valid_to)`: the `valid`
+    /// clause's, or by default the participating spans' intersection.
+    /// `None` when no variable carries valid time (a purely
+    /// static/rollback query).
+    pub valid: Option<(BExpr, BExpr)>,
     /// Rollback window, `None` when no variable carries transaction time.
     pub visibility: Option<Visibility>,
     /// Materialize into this relation instead of returning rows.
@@ -292,7 +219,7 @@ impl BoundRetrieve {
         for t in &mut self.targets {
             t.expr.fill_params(params);
         }
-        for c in &mut self.where_conjuncts {
+        for c in &mut self.conjuncts {
             c.fill_params(params);
         }
     }

@@ -22,18 +22,21 @@
 //! So a temporal interval replace inserts **two** versions — why the
 //! paper's temporal databases grow at twice the rate of rollback and
 //! historical ones. `retire` implements the delete columns;
-//! `tests::section4_table` enumerates every cell.
+//! `tests::section4_table` enumerates every cell. An interval version
+//! whose valid period starts after `at` has nothing left to keep: a
+//! historical one is removed, a temporal one gets its `transaction_stop`
+//! and no closing version. No write stores a reversed valid period; a
+//! `valid` clause that names one is refused.
 //!
 //! All modifications of versioned relations are *append-only* except the
 //! in-place stop-time stamping — the property that makes write-once
 //! optical storage usable, as the paper notes.
 
-use crate::binder::{split_conjuncts, split_tconjuncts, Binder};
+use crate::binder::{split_conjuncts, Binder, Span};
 use crate::bound::{
-    BExpr, BTExpr, BTPred, BoundRetrieve, BoundTarget, VarBinding,
-    Visibility,
+    BExpr, BoundRetrieve, BoundTarget, VarBinding, Visibility,
 };
-use crate::eval::{eval_expr, eval_texpr, Slot};
+use crate::eval::{eval_expr, eval_time, Slot};
 use crate::exec::{collect_matching, exec_retrieve};
 use crate::interval::TInterval;
 use std::cmp::Reverse;
@@ -201,15 +204,15 @@ pub(crate) fn build_stored_row(
 }
 
 /// Bind the `valid` clause of an append, delete or replace on a relation
-/// of `schema`, once per statement, into the `(from, to)` events of the
-/// period it names (`valid at e` names `(e, e)`). The one place the
-/// clause's applicability is checked.
+/// of `schema`, once per statement, into the `(from, to)` instants of the
+/// period it names (`valid at e` names `e`'s endpoints). The one place
+/// the clause's applicability is checked.
 fn bind_valid(
     binder: &Binder<'_>,
     clause: &Option<ast::ValidClause>,
     schema: &Schema,
     vars: &mut Vec<VarBinding>,
-) -> Result<Option<(BTExpr, BTExpr)>> {
+) -> Result<Option<Span>> {
     let Some(clause) = clause else {
         return Ok(None);
     };
@@ -238,32 +241,40 @@ fn bind_valid(
         }
     };
     Ok(Some((
-        binder.bind_texpr(from, vars)?,
-        binder.bind_texpr(to, vars)?,
+        binder.lower_texpr(from, vars)?.0,
+        binder.lower_texpr(to, vars)?.1,
     )))
 }
 
 /// The valid period a bound `valid` clause names for the rows bound in
 /// `slots` — or, without a clause, `now .. forever` (`at now` for events).
 fn valid_period(
-    valid: &Option<(BTExpr, BTExpr)>,
+    valid: &Option<Span>,
     kind: TemporalKind,
     now: TimeVal,
     slots: &[Slot],
 ) -> Result<TInterval> {
-    Ok(match (valid, kind) {
-        (None, TemporalKind::Interval) => {
-            TInterval::new(now, TimeVal::FOREVER)
+    match (valid, kind) {
+        (None, TemporalKind::Interval) => period(now, TimeVal::FOREVER),
+        (None, TemporalKind::Event) => Ok(TInterval::event(now)),
+        (Some((from, to)), TemporalKind::Interval) => {
+            period(eval_time(from, slots)?, eval_time(to, slots)?)
         }
-        (None, TemporalKind::Event) => TInterval::event(now),
-        (Some((from, to)), TemporalKind::Interval) => TInterval::new(
-            eval_texpr(from, slots)?.lo,
-            eval_texpr(to, slots)?.hi,
-        ),
         (Some((at, _)), TemporalKind::Event) => {
-            TInterval::event(eval_texpr(at, slots)?.lo)
+            Ok(TInterval::event(eval_time(at, slots)?))
         }
-    })
+    }
+}
+
+/// The valid period `[from, to]` a write stores; refused when it ends
+/// before it starts.
+fn period(from: TimeVal, to: TimeVal) -> Result<TInterval> {
+    if from > to {
+        return Err(Error::Semantic(format!(
+            "valid period from {from} to {to} ends before it starts"
+        )));
+    }
+    Ok(TInterval::new(from, to))
 }
 
 /// Bind the assignments of an append or replace into relation `id`: each
@@ -296,22 +307,22 @@ fn bind_assignments(
     Ok(assigns)
 }
 
-/// Bind a `where` and a `when` qualification, each split into conjuncts.
+/// Bind a `where` and a `when` qualification into one conjunct list,
+/// the `where` conjuncts first.
 fn bind_qual(
     binder: &Binder<'_>,
     where_clause: &Option<ast::Expr>,
     when_clause: &Option<ast::TemporalPred>,
     vars: &mut Vec<VarBinding>,
-) -> Result<(Vec<BExpr>, Vec<BTPred>)> {
-    let mut where_conjuncts = Vec::new();
+) -> Result<Vec<BExpr>> {
+    let mut conjuncts = Vec::new();
     if let Some(w) = where_clause {
-        split_conjuncts(binder.bind_expr(w, vars)?, &mut where_conjuncts);
+        split_conjuncts(binder.bind_expr(w, vars)?, &mut conjuncts);
     }
-    let mut when_conjuncts = Vec::new();
     if let Some(w) = when_clause {
-        split_tconjuncts(binder.bind_tpred(w, vars)?, &mut when_conjuncts);
+        binder.lower_when(w, vars, &mut conjuncts)?;
     }
-    Ok((where_conjuncts, when_conjuncts))
+    Ok(conjuncts)
 }
 
 /// Execute `append`. Supports both constant appends and computed appends
@@ -330,7 +341,7 @@ pub fn exec_append(
     let binder = Binder::new(catalog, ranges, now);
     let mut vars: Vec<VarBinding> = Vec::new();
     let assigns = bind_assignments(&binder, id, &a.assignments, &mut vars)?;
-    let (where_conjuncts, when_conjuncts) =
+    let conjuncts =
         bind_qual(&binder, &a.where_clause, &a.when_clause, &mut vars)?;
     let valid = bind_valid(&binder, &a.valid, &schema, &mut vars)?;
     let explicit_defaults = || -> Vec<Value> {
@@ -373,8 +384,7 @@ pub fn exec_append(
     let bound = BoundRetrieve {
         vars,
         targets,
-        where_conjuncts,
-        when_conjuncts,
+        conjuncts,
         valid,
         visibility: has_tx.then(|| Visibility::at(now)),
         into: None,
@@ -391,8 +401,8 @@ pub fn exec_append(
         // With a `valid` clause the period's two ends follow the targets.
         let valid = match (&bound.valid, &row[assigns.len()..]) {
             (None, _) => default,
-            (Some(_), [Value::Time(lo), Value::Time(hi)]) => {
-                TInterval::new(*lo, *hi)
+            (Some(_), [Value::Time(from), Value::Time(to)]) => {
+                period(*from, *to)?
             }
             _ => {
                 let msg = "valid period columns not times".into();
@@ -451,7 +461,7 @@ fn targets(
 ) -> Result<Targets> {
     let mut vars: Vec<VarBinding> = Vec::new();
     binder.resolve_var(var, &mut vars)?;
-    let (mut where_conjuncts, when_conjuncts) =
+    let mut conjuncts =
         bind_qual(binder, where_clause, when_clause, &mut vars)?;
     if vars.len() > 1 {
         return Err(Error::Semantic(format!(
@@ -460,7 +470,7 @@ fn targets(
     }
     let id = vars[0].rel;
     let rel = binder.catalog.get(id);
-    where_conjuncts.extend(current_version_conjuncts(&rel.schema));
+    conjuncts.extend(current_version_conjuncts(&rel.schema));
     let mut slot = Slot {
         schema: rel.schema.clone(),
         codec: rel.codec.clone(),
@@ -473,8 +483,7 @@ fn targets(
         &rel.file,
         rel.key_attr,
         visible.then(|| Visibility::at(binder.now)),
-        &where_conjuncts,
-        &when_conjuncts,
+        &conjuncts,
     )?;
     Ok(Targets {
         id,
@@ -505,7 +514,10 @@ fn removes(schema: &Schema) -> bool {
 }
 
 /// Retire one current version as of valid time `at` and transaction time
-/// `now`: the module doc's table, stamping `row` where it stamps.
+/// `now`: the module doc's table, stamping `row` where it stamps. A
+/// version whose valid period starts after `at` has no part left to
+/// keep: ending it at `at` would store a reversed period, so a
+/// historical one is removed and a temporal one only stamped.
 fn retire(
     schema: &Schema,
     codec: &RowCodec,
@@ -517,13 +529,19 @@ fn retire(
         let idx = schema.temporal_index(attr).expect("stamped attribute");
         codec.put_time(row, idx, t);
     };
+    let starts_after = schema
+        .temporal_index(TemporalAttr::ValidFrom)
+        .is_some_and(|from| codec.get_time(row, from) > at);
     match (schema.class(), schema.kind()) {
         _ if removes(schema) => Retire::Remove,
+        (DatabaseClass::Historical, _) if starts_after => Retire::Remove,
         (DatabaseClass::Historical, _) => {
             stamp(row, TemporalAttr::ValidTo, at);
             Retire::Stamp
         }
-        (DatabaseClass::Temporal, TemporalKind::Interval) => {
+        (DatabaseClass::Temporal, TemporalKind::Interval)
+            if !starts_after =>
+        {
             stamp(row, TemporalAttr::TransactionStop, now);
             let mut closing = row.to_vec();
             stamp(&mut closing, TemporalAttr::ValidTo, at);
@@ -547,8 +565,9 @@ impl Targets {
     /// names the valid time `at` it retires as of, and the new version a
     /// replace inserts after any closing version. A removed version whose
     /// key the new one keeps is overwritten by it in place instead.
-    /// `reindex` marks in-place rewrites of an indexed attribute. Returns
-    /// the count of targets.
+    /// `reindex` marks a replace that assigns an indexed attribute: its
+    /// in-place rewrites need the indexes rebuilt. Returns the count of
+    /// targets.
     fn retire_each(
         mut self,
         pager: &Pager,
@@ -567,7 +586,7 @@ impl Targets {
         }
         let affected = rows.len();
         let rel = catalog.get_mut(self.id);
-        let mut removed = 0;
+        let (mut removed, mut rewrote) = (0, false);
         for (tid, row) in rows {
             self.slot.row = Some(row);
             let (at, new) = step(&self.slot)?;
@@ -576,6 +595,7 @@ impl Targets {
                 Retire::Remove => match new {
                     Some(new) if same_key(rel, &row, &new) => {
                         rel.file.update(pager, tid, &new)?;
+                        rewrote = true;
                         continue;
                     }
                     _ => {
@@ -596,7 +616,8 @@ impl Targets {
         rel.tuple_count -= removed;
         // Removals compact pages, invalidating the tuple addresses
         // secondary indexes hold.
-        if (removed > 0 || reindex) && !rel.indexes.is_empty() {
+        if (removed > 0 || (reindex && rewrote)) && !rel.indexes.is_empty()
+        {
             rel.rebuild_indexes(pager)?;
         }
         pager.flush_all()?;
@@ -660,15 +681,15 @@ pub fn exec_replace(
     let rel = catalog.get(t.id);
     let (explicit_len, kind) =
         (rel.schema.explicit_attrs().len(), rel.schema.kind());
-    // A replace that removes versions and may give one a new key moves
-    // it: like a delete, it then works highest slot first.
+    // A replace that may remove versions (a relation without transaction
+    // time has no other way to retire one) and may give one a new key
+    // moves it: like a delete, it then works highest slot first.
     let rekeys = |k: usize| {
         k >= explicit_len || assigns.iter().any(|(i, _)| *i == k)
     };
-    let moves = removes(&rel.schema) && rel.key_attr.is_some_and(rekeys);
-    let reindex = removes(&rel.schema)
-        && !t.rows.is_empty()
-        && assigns.iter().any(|(i, _)| rel.index_on(*i).is_some());
+    let moves = !rel.schema.class().has_transaction_time()
+        && rel.key_attr.is_some_and(rekeys);
+    let reindex = assigns.iter().any(|(i, _)| rel.index_on(*i).is_some());
     t.retire_each(pager, catalog, now, moves, reindex, |slot| {
         // The new version: the old one's explicit values, then the
         // assignments and the valid clause evaluated against the old one.

@@ -7,11 +7,9 @@
 //! lazily — a predicate over `i4` columns never materializes the 96-byte
 //! string attribute next to them.
 
-use crate::binder::row_span;
-use crate::bound::{BExpr, BTExpr, BTPred};
-use crate::interval::TInterval;
+use crate::bound::BExpr;
 use std::cmp::Ordering;
-use tdbms_kernel::{Error, Result, RowCodec, Schema, Value};
+use tdbms_kernel::{Error, Result, RowCodec, Schema, TimeVal, Value};
 use tdbms_tquel::ast::BinOp;
 
 /// Evaluation-time state of one range-table entry.
@@ -110,6 +108,16 @@ pub fn eval_expr(e: &BExpr, slots: &[Slot]) -> Result<Value> {
         BExpr::Not(x) => {
             Ok(Value::Int(!truthy(&eval_expr(x, slots)?)? as i64))
         }
+        BExpr::Greatest(xs) | BExpr::Least(xs) => {
+            let greatest = matches!(e, BExpr::Greatest(_));
+            // The binder never builds an extremum of fewer than two.
+            let mut best = eval_time(&xs[0], slots)?;
+            for x in &xs[1..] {
+                let t = eval_time(x, slots)?;
+                best = if greatest { best.max(t) } else { best.min(t) };
+            }
+            Ok(Value::Time(best))
+        }
     }
 }
 
@@ -181,59 +189,23 @@ pub fn eval_bool(e: &BExpr, slots: &[Slot]) -> Result<bool> {
     truthy(&eval_expr(e, slots)?)
 }
 
-/// Evaluate a temporal expression to an interval.
-pub fn eval_texpr(e: &BTExpr, slots: &[Slot]) -> Result<TInterval> {
-    match e {
-        BTExpr::Span(v) => {
-            let slot = &slots[*v];
-            row_span(&slot.schema, &slot.codec, slot.row()?).ok_or_else(
-                || {
-                    Error::Internal(
-                        "valid-time span requested of a schema without one"
-                            .into(),
-                    )
-                },
-            )
-        }
-        BTExpr::Const(iv) => Ok(*iv),
-        BTExpr::Start(x) => Ok(eval_texpr(x, slots)?.start()),
-        BTExpr::End(x) => Ok(eval_texpr(x, slots)?.end()),
-        BTExpr::Overlap(a, b) => {
-            Ok(eval_texpr(a, slots)?.intersect(&eval_texpr(b, slots)?))
-        }
-        BTExpr::Extend(a, b) => {
-            Ok(eval_texpr(a, slots)?.span(&eval_texpr(b, slots)?))
-        }
+/// Evaluate an expression that denotes an instant (a lowered temporal
+/// endpoint).
+pub fn eval_time(e: &BExpr, slots: &[Slot]) -> Result<TimeVal> {
+    match eval_expr(e, slots)? {
+        Value::Time(t) => Ok(t),
+        other => Err(Error::Internal(format!("{other} is not an instant"))),
     }
 }
 
-/// Evaluate a temporal predicate.
-pub fn eval_tpred(p: &BTPred, slots: &[Slot]) -> Result<bool> {
-    Ok(match p {
-        BTPred::Precede(a, b) => {
-            eval_texpr(a, slots)?.precedes(&eval_texpr(b, slots)?)
+/// Does the tuple bound in `slots` satisfy every conjunct?
+pub fn qualifies(conjuncts: &[BExpr], slots: &[Slot]) -> Result<bool> {
+    for c in conjuncts {
+        if !eval_bool(c, slots)? {
+            return Ok(false);
         }
-        BTPred::Overlap(a, b) => {
-            eval_texpr(a, slots)?.overlaps(&eval_texpr(b, slots)?)
-        }
-        BTPred::Equal(a, b) => {
-            eval_texpr(a, slots)?.equals(&eval_texpr(b, slots)?)
-        }
-        BTPred::And(a, b) => eval_tpred(a, slots)? && eval_tpred(b, slots)?,
-        BTPred::Or(a, b) => eval_tpred(a, slots)? || eval_tpred(b, slots)?,
-        BTPred::Not(x) => !eval_tpred(x, slots)?,
-        BTPred::Coexist(vs) => {
-            let mut iv: Option<TInterval> = None;
-            for v in vs {
-                let span = eval_texpr(&BTExpr::Span(*v), slots)?;
-                iv = Some(match iv {
-                    None => span,
-                    Some(acc) => acc.intersect(&span),
-                });
-            }
-            iv.map(|i| !i.is_empty()).unwrap_or(true)
-        }
-    })
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -350,46 +322,22 @@ mod tests {
     }
 
     #[test]
-    fn span_and_temporal_predicates() {
+    fn greatest_and_least_pick_extremes() {
         let slots = [hist_slot(1, 10, 20), hist_slot(2, 15, 30)];
-        let overlap = BTPred::Overlap(BTExpr::Span(0), BTExpr::Span(1));
-        assert!(eval_tpred(&overlap, &slots).unwrap());
-        let precede = BTPred::Precede(BTExpr::Span(0), BTExpr::Span(1));
-        assert!(!eval_tpred(&precede, &slots).unwrap());
-        let coexist = BTPred::Coexist(vec![0, 1]);
-        assert!(eval_tpred(&coexist, &slots).unwrap());
-        let apart = [hist_slot(1, 10, 12), hist_slot(2, 20, 30)];
-        assert!(!eval_tpred(&BTPred::Coexist(vec![0, 1]), &apart).unwrap());
-        assert!(eval_tpred(
-            &BTPred::Precede(BTExpr::Span(0), BTExpr::Span(1)),
-            &apart
-        )
-        .unwrap());
-    }
-
-    #[test]
-    fn texpr_constructors_compose() {
-        let slots = [hist_slot(1, 10, 20), hist_slot(2, 15, 30)];
-        // start of (a overlap b) = 15, end of (a extend b) = 30
-        let iv = eval_texpr(
-            &BTExpr::Overlap(
-                Box::new(BTExpr::Span(0)),
-                Box::new(BTExpr::Span(1)),
-            ),
-            &slots,
-        )
-        .unwrap();
-        assert_eq!(iv.lo.as_secs(), 15);
-        assert_eq!(iv.hi.as_secs(), 20);
-        let sp = eval_texpr(
-            &BTExpr::Extend(
-                Box::new(BTExpr::Span(0)),
-                Box::new(BTExpr::Span(1)),
-            ),
-            &slots,
-        )
-        .unwrap();
-        assert_eq!((sp.lo.as_secs(), sp.hi.as_secs()), (10, 30));
+        let attr = |var, attr| BExpr::Attr { var, attr };
+        // The `overlap` constructor's endpoints: [15, 20].
+        let lo = BExpr::Greatest(vec![attr(0, 2), attr(1, 2)]);
+        let hi = BExpr::Least(vec![attr(0, 3), attr(1, 3)]);
+        assert_eq!(eval_time(&lo, &slots).unwrap().as_secs(), 15);
+        assert_eq!(eval_time(&hi, &slots).unwrap().as_secs(), 20);
+        let mixed = BExpr::Greatest(vec![
+            attr(0, 2),
+            BExpr::Const(Value::Str("x".into())),
+        ]);
+        assert!(matches!(
+            eval_expr(&mixed, &slots),
+            Err(Error::Internal(_))
+        ));
     }
 
     #[test]

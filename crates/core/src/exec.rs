@@ -17,12 +17,14 @@
 //!    keyed-accessible once outer tuples are bound (`h.id = i.amount`
 //!    turns into a hashed access on `h` for each `i` tuple).
 //!
-//! Each conjunct of the `where`/`when` qualification is evaluated at the
-//! outermost level where all its variables are bound.
+//! The qualification is one conjunct list: the `where` clause's, then
+//! the `when` clause lowered by the binder to comparisons over the
+//! valid-time attributes. Each conjunct is evaluated at the outermost
+//! level where all its variables are bound.
 
 use crate::binder::row_tx_period;
-use crate::bound::{BExpr, BTPred, BoundRetrieve, Visibility};
-use crate::eval::{eval_bool, eval_expr, eval_texpr, eval_tpred, Slot};
+use crate::bound::{BExpr, BoundRetrieve, Visibility};
+use crate::eval::{eval_expr, qualifies, Slot};
 use crate::guard::QueryGuard;
 use tdbms_kernel::{AttrDef, Domain, Error, Result, Schema, Value};
 use tdbms_storage::{Catalog, Pager, PhaseIo, RelFile, RelId, StatScope};
@@ -179,8 +181,8 @@ pub(crate) struct Prepared {
     pub(crate) b: BoundRetrieve,
     slots: Vec<Slot>,
     pub(crate) rts: Vec<VarRt>,
-    pub(crate) where_cj: Vec<(BExpr, Vec<usize>)>,
-    pub(crate) when_cj: Vec<(BTPred, Vec<usize>)>,
+    /// The qualification's conjuncts, each with its variable set.
+    pub(crate) conjuncts: Vec<(BExpr, Vec<usize>)>,
     /// The caller's per-query limits, polled at row granularity.
     guard: QueryGuard,
 }
@@ -219,17 +221,8 @@ pub(crate) fn prepare(
     }
 
     // Cache each conjunct's variable set.
-    let where_cj: Vec<(BExpr, Vec<usize>)> = b
-        .where_conjuncts
-        .drain(..)
-        .map(|c| {
-            let mut vs = Vec::new();
-            c.collect_vars(&mut vs);
-            (c, vs)
-        })
-        .collect();
-    let when_cj: Vec<(BTPred, Vec<usize>)> = b
-        .when_conjuncts
+    let conjuncts: Vec<(BExpr, Vec<usize>)> = b
+        .conjuncts
         .drain(..)
         .map(|c| {
             let mut vs = Vec::new();
@@ -242,8 +235,7 @@ pub(crate) fn prepare(
         b,
         slots,
         rts,
-        where_cj,
-        when_cj,
+        conjuncts,
         guard: guard.clone(),
     }
 }
@@ -259,14 +251,13 @@ pub(crate) fn detachable_vars(p: &Prepared) -> Vec<usize> {
     use tdbms_kernel::TemporalAttr::{TransactionStart, TransactionStop};
     (0..p.b.vars.len())
         .filter(|&v| {
-            let has_own = p.where_cj.iter().any(|(_, vs)| vs == &[v])
-                || p.when_cj.iter().any(|(_, vs)| vs == &[v]);
+            let has_own = p.conjuncts.iter().any(|(_, vs)| vs == &[v]);
             // A projection would lose transaction time; such a variable
             // keeps its original relation.
             let schema = &p.slots[v].schema;
             let tx = [TransactionStart, TransactionStop]
                 .map(|t| schema.temporal_index(t));
-            let needs_tx = still_needed(&p.b, &p.where_cj, v)
+            let needs_tx = still_needed(&p.b, &p.conjuncts, v)
                 .iter()
                 .any(|a| tx.contains(&Some(*a)));
             has_own && !needs_tx
@@ -279,14 +270,14 @@ pub(crate) fn detachable_vars(p: &Prepared) -> Vec<usize> {
 /// detachment consumes those). Sorted, without duplicates.
 fn still_needed(
     b: &BoundRetrieve,
-    where_cj: &[(BExpr, Vec<usize>)],
+    conjuncts: &[(BExpr, Vec<usize>)],
     v: usize,
 ) -> Vec<usize> {
     let mut refs: Vec<(usize, usize)> = Vec::new();
     for t in &b.targets {
         t.expr.collect_attrs(&mut refs);
     }
-    for (c, vs) in where_cj {
+    for (c, vs) in conjuncts {
         if vs != &[v] {
             c.collect_attrs(&mut refs);
         }
@@ -316,8 +307,7 @@ fn decompose(
         b,
         slots,
         rts,
-        where_cj,
-        when_cj,
+        conjuncts,
         guard,
     } = p;
     let guard = guard.clone();
@@ -326,7 +316,7 @@ fn decompose(
         for v in order {
             let schema = &slots[v].schema;
             let explicit_len = schema.explicit_attrs().len();
-            let mut needed: Vec<usize> = still_needed(b, where_cj, v)
+            let mut needed: Vec<usize> = still_needed(b, conjuncts, v)
                 .into_iter()
                 .filter(|&a| a < explicit_len)
                 .collect();
@@ -378,12 +368,7 @@ fn decompose(
             }
 
             // Run the one-variable query, materializing the projection.
-            let my_where: Vec<BExpr> = where_cj
-                .iter()
-                .filter(|(_, vs)| vs == &[v])
-                .map(|(c, _)| c.clone())
-                .collect();
-            let my_when: Vec<BTPred> = when_cj
+            let own: Vec<BExpr> = conjuncts
                 .iter()
                 .filter(|(_, vs)| vs == &[v])
                 .map(|(c, _)| c.clone())
@@ -399,8 +384,7 @@ fn decompose(
                     slots,
                     &rts[v],
                     v,
-                    &my_where,
-                    &my_when,
+                    &own,
                     &guard,
                     |slots_now, pager_now| {
                         // Project the bound row into the temp layout.
@@ -431,13 +415,16 @@ fn decompose(
             }
 
             // Consume this variable's own conjuncts and remap the rest.
-            where_cj.retain(|(_, vs)| vs != &[v]);
-            when_cj.retain(|(_, vs)| vs != &[v]);
+            conjuncts.retain(|(_, vs)| vs != &[v]);
             for t in &mut b.targets {
                 t.expr.remap_attrs(v, &map);
             }
-            for (c, _) in where_cj.iter_mut() {
+            for (c, _) in conjuncts.iter_mut() {
                 c.remap_attrs(v, &map);
+            }
+            if let Some((from, to)) = &mut b.valid {
+                from.remap_attrs(v, &map);
+                to.remap_attrs(v, &map);
             }
         }
         // Temporaries are fully written; start the join phase with cold
@@ -463,8 +450,7 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
         b,
         mut slots,
         rts,
-        where_cj,
-        when_cj,
+        conjuncts,
         guard,
         ..
     } = p;
@@ -475,7 +461,7 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     // innermost; everything else keeps first-use order.
     let is_keyed_join = |v: usize| -> bool {
         rts[v].key_attr.is_some()
-            && where_cj.iter().any(|(c, vs)| {
+            && conjuncts.iter().any(|(c, vs)| {
                 vs.contains(&v)
                     && key_probe_shape(c, v, rts[v].key_attr).is_some()
             })
@@ -484,21 +470,14 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     order.sort_by_key(|&v| (is_keyed_join(v), v));
 
     // ---- Phase 3: conjunct levels ---------------------------------------
+    // `levels[d]` holds the conjuncts evaluated at join depth `d`, in
+    // qualification order.
     let pos_of = |v: usize| order.iter().position(|&x| x == v).unwrap_or(0);
-    let where_leveled: Vec<(BExpr, Vec<usize>, usize)> = where_cj
-        .into_iter()
-        .map(|(c, vs)| {
-            let lvl = vs.iter().map(|&v| pos_of(v)).max().unwrap_or(0);
-            (c, vs, lvl)
-        })
-        .collect();
-    let when_leveled: Vec<(BTPred, Vec<usize>, usize)> = when_cj
-        .into_iter()
-        .map(|(c, vs)| {
-            let lvl = vs.iter().map(|&v| pos_of(v)).max().unwrap_or(0);
-            (c, vs, lvl)
-        })
-        .collect();
+    let mut levels: Vec<Vec<BExpr>> = vec![Vec::new(); nvars.max(1)];
+    for (c, vs) in conjuncts {
+        let lvl = vs.iter().map(|&v| pos_of(v)).max().unwrap_or(0);
+        levels[lvl].push(c);
+    }
 
     // ---- Phase 4: nested iteration --------------------------------------
     let mut columns: Vec<(String, Domain)> = b
@@ -533,8 +512,7 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
         &rts,
         &order,
         0,
-        &where_leveled,
-        &when_leveled,
+        &levels,
         &guard,
         &mut |slots_now| {
             guard.check_rows(rows.len())?;
@@ -544,10 +522,10 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
             }
             if let Some((from, to)) = &b.valid {
                 if add_from {
-                    row.push(Value::Time(eval_texpr(from, slots_now)?.lo));
+                    row.push(eval_expr(from, slots_now)?);
                 }
                 if add_to {
-                    row.push(Value::Time(eval_texpr(to, slots_now)?.hi));
+                    row.push(eval_expr(to, slots_now)?);
                 }
             }
             rows.push(row);
@@ -811,8 +789,7 @@ fn ovqp(
     slots: &mut [Slot],
     rt: &VarRt,
     v: usize,
-    where_conjuncts: &[BExpr],
-    when_conjuncts: &[BTPred],
+    conjuncts: &[BExpr],
     guard: &QueryGuard,
     mut emit: impl FnMut(&mut [Slot], &Pager) -> Result<()>,
 ) -> Result<()> {
@@ -820,7 +797,7 @@ fn ovqp(
     // `v` enables keyed access.
     let mut probe_key: Option<Vec<u8>> = None;
     if let Some(key) = rt.key_attr {
-        for c in where_conjuncts {
+        for c in conjuncts {
             if let Some(probe) = key_probe_shape(c, v, Some(key)) {
                 let mut pv = Vec::new();
                 probe.collect_vars(&mut pv);
@@ -845,7 +822,7 @@ fn ovqp(
     // secondary-indexing enhancement, live in the query processor).
     let mut index_tids: Option<Vec<tdbms_storage::TupleId>> = None;
     if probe_key.is_none() {
-        'outer: for c in where_conjuncts {
+        'outer: for c in conjuncts {
             for ix in &rt.indexes {
                 if let Some(probe) = key_probe_shape(c, v, Some(ix.attr)) {
                     let mut pv = Vec::new();
@@ -926,22 +903,7 @@ fn ovqp(
             continue;
         }
         slots[v].row = Some(row);
-        let mut ok = true;
-        for c in where_conjuncts {
-            if !eval_bool(c, slots)? {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            for c in when_conjuncts {
-                if !eval_tpred(c, slots)? {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
+        if qualifies(conjuncts, slots)? {
             emit(slots, pager)?;
         }
     }
@@ -965,22 +927,7 @@ fn ovqp(
                     return Ok(());
                 }
                 slots[v].row = Some(row.to_vec());
-                let mut ok = true;
-                for c in where_conjuncts {
-                    if !eval_bool(c, slots)? {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    for c in when_conjuncts {
-                        if !eval_tpred(c, slots)? {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
+                if qualifies(conjuncts, slots)? {
                     emit(slots, pager)?;
                 }
                 Ok(())
@@ -1003,8 +950,7 @@ fn join_level(
     rts: &[VarRt],
     order: &[usize],
     depth: usize,
-    where_leveled: &[(BExpr, Vec<usize>, usize)],
-    when_leveled: &[(BTPred, Vec<usize>, usize)],
+    levels: &[Vec<BExpr>],
     guard: &QueryGuard,
     emit: &mut dyn FnMut(&mut [Slot]) -> Result<()>,
 ) -> Result<()> {
@@ -1012,35 +958,16 @@ fn join_level(
         return emit(slots);
     }
     let v = order[depth];
-    let my_where: Vec<BExpr> = where_leveled
-        .iter()
-        .filter(|(_, _, l)| *l == depth)
-        .map(|(c, _, _)| c.clone())
-        .collect();
-    let my_when: Vec<BTPred> = when_leveled
-        .iter()
-        .filter(|(_, _, l)| *l == depth)
-        .map(|(c, _, _)| c.clone())
-        .collect();
 
     // Collect matching rows at this level, then recurse per row. (The
     // recursion touches other relations, whose buffers are independent, so
     // collecting first vs. streaming does not change I/O; it keeps the
     // cursor borrows simple.)
     let mut matches: Vec<Vec<u8>> = Vec::new();
-    ovqp(
-        pager,
-        slots,
-        &rts[v],
-        v,
-        &my_where,
-        &my_when,
-        guard,
-        |s, _| {
-            matches.push(s[v].row.clone().expect("bound"));
-            Ok(())
-        },
-    )?;
+    ovqp(pager, slots, &rts[v], v, &levels[depth], guard, |s, _| {
+        matches.push(s[v].row.clone().expect("bound"));
+        Ok(())
+    })?;
     for row in matches {
         slots[v].row = Some(row);
         join_level(
@@ -1049,8 +976,7 @@ fn join_level(
             rts,
             order,
             depth + 1,
-            where_leveled,
-            when_leveled,
+            levels,
             guard,
             emit,
         )?;
@@ -1069,13 +995,12 @@ pub(crate) fn collect_matching(
     file: &RelFile,
     key_attr: Option<usize>,
     visible: Option<Visibility>,
-    where_conjuncts: &[BExpr],
-    when_conjuncts: &[BTPred],
+    conjuncts: &[BExpr],
 ) -> Result<Vec<(tdbms_storage::TupleId, Vec<u8>)>> {
     // Access path: a constant key-equality conjunct enables keyed access.
     let mut probe_key: Option<Vec<u8>> = None;
     if let Some(key) = key_attr {
-        for c in where_conjuncts {
+        for c in conjuncts {
             if let Some(probe) = key_probe_shape(c, 0, Some(key)) {
                 let mut pv = Vec::new();
                 probe.collect_vars(&mut pv);
@@ -1116,23 +1041,7 @@ pub(crate) fn collect_matching(
             continue;
         }
         slot.row = Some(row);
-        let slots = std::slice::from_mut(slot);
-        let mut ok = true;
-        for c in where_conjuncts {
-            if !eval_bool(c, slots)? {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            for c in when_conjuncts {
-                if !eval_tpred(c, slots)? {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
+        if qualifies(conjuncts, std::slice::from_ref(slot))? {
             out.push((tid, slot.row.clone().expect("bound")));
         }
     }

@@ -1,21 +1,25 @@
-//! The temporal algebra evaluated by `when` and `valid` clauses.
+//! The temporal algebra of `when` and `valid` clauses, as a value type.
 //!
 //! TQuel's temporal expressions denote *events* and *intervals* built from
-//! the implicit time attributes of participating tuples. We represent both
-//! as a [`TInterval`] — a pair of bounds at one-second resolution — with an
-//! event being the degenerate case `lo == hi`. The predicates compare the
-//! stored attribute values directly with `<=`, following TQuel's tuple
-//! calculus semantics:
+//! the implicit time attributes of participating tuples. A [`TInterval`]
+//! is a pair of bounds at one-second resolution, with an event being the
+//! degenerate case `lo == hi`. The predicates compare the stored attribute
+//! values directly with `<=`, following TQuel's tuple calculus semantics:
 //!
 //! * `a overlap b` — the intervals share an instant: `max(lo) <= min(hi)`.
 //! * `a precede b` — `a` ends no later than `b` begins: `a.hi <= b.lo`
 //!   (meeting intervals precede, as in TQuel).
 //! * `a equal b` — identical bounds.
 //!
+//! Queries do not evaluate this type: the binder lowers the same rules to
+//! comparisons over the valid-time attributes
+//! ([`crate::binder::Binder::lower_tpred`]). It builds stored rows, and it
+//! is the model the lowering is tested against.
+//!
 //! Version *visibility* (whether a stored version exists at a given
 //! transaction time) uses the half-open rule `start <= t < stop` instead —
-//! see [`crate::db`] — so that a rollback to the exact instant of an update
-//! sees exactly one version of each tuple.
+//! see [`crate::bound::Visibility`] — so that a rollback to the exact
+//! instant of an update sees exactly one version of each tuple.
 
 use tdbms_kernel::TimeVal;
 

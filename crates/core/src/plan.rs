@@ -39,13 +39,12 @@ pub(crate) fn plan_bound(
                 .iter()
                 .any(|ix| has_const_probe(&p, v, Some(ix.attr)));
             let join_key_probe = key_attr.is_some()
-                && p.where_cj.iter().any(|(c, vs)| {
+                && p.conjuncts.iter().any(|(c, vs)| {
                     vs.len() >= 2
                         && vs.contains(&v)
                         && key_probe_shape(c, v, key_attr).is_some()
                 });
-            let has_own = p.where_cj.iter().any(|(_, vs)| vs == &[v])
-                || p.when_cj.iter().any(|(_, vs)| vs == &[v]);
+            let has_own = p.conjuncts.iter().any(|(_, vs)| vs == &[v]);
             VarFacts {
                 var: v,
                 relation: name.clone(),
@@ -69,7 +68,7 @@ pub(crate) fn plan_bound(
 /// own conjuncts? (During detachment nothing else is bound, so the
 /// probe expression must reference no variables at all.)
 fn has_const_probe(p: &Prepared, v: usize, attr: Option<usize>) -> bool {
-    p.where_cj.iter().any(|(c, vs)| {
+    p.conjuncts.iter().any(|(c, vs)| {
         vs == &[v]
             && key_probe_shape(c, v, attr).is_some_and(|probe| {
                 let mut pv = Vec::new();

@@ -310,10 +310,11 @@ gate_server_smoke() {
 # committed golden (tests/golden/<fig>.txt at TDBMS_MAX_UC=2, plus
 # fig10-uc14.txt for Figure 10 at its default depth). Then the
 # prediction report itself must pass its growth-ordering check (fig5
-# --predict exits nonzero on any mis-ranked pair) and leave the
-# BENCH_planner.json artifact.
+# --predict exits nonzero on any mis-ranked pair) and rewrite the
+# BENCH_planner.json artifact byte for byte as committed at HEAD: the
+# estimates and page counts are deterministic, so any drift fails.
 gate_planner_golden() {
-    local a f rc=0
+    local a base f rc=0
     a=$(mktemp)
     for f in fig5 fig6 fig7 fig8 fig9 fig10 fig10-uc14; do
         if [[ "$f" == fig10-uc14 ]]; then
@@ -328,15 +329,26 @@ gate_planner_golden() {
     done
     rm -f "$a"
     [[ "$rc" == 0 ]] || return "$rc"
+    base=$(mktemp)
+    git show HEAD:BENCH_planner.json >"$base" 2>/dev/null \
+        || cp BENCH_planner.json "$base"
     TDBMS_MAX_UC=2 "$bindir/fig5" --predict --json BENCH_planner.json \
         >/dev/null || {
         echo "fig5 --predict: estimates mis-ranked measured growth"
+        rm -f "$base"
         return 1
     }
     [[ -s BENCH_planner.json ]] || {
         echo "fig5 --predict: BENCH_planner.json not written"
+        rm -f "$base"
         return 1
     }
+    if ! diff "$base" BENCH_planner.json; then
+        echo "planner-golden: BENCH_planner.json differs from HEAD's"
+        rc=1
+    fi
+    rm -f "$base"
+    return "$rc"
 }
 
 # Plan-cache smoke: a read-only server workload of 512 keyed reads

@@ -1,0 +1,122 @@
+//! No write stores a reversed valid period, and no query reads a
+//! reversed rollback window.
+//!
+//! A delete or replace retires a current version as of a valid instant.
+//! When the version's period starts *after* that instant, ending it there
+//! would store `valid_from > valid_to`; instead a historical version is
+//! removed and a temporal one only gets its `transaction_stop`. A `valid`
+//! clause naming a reversed period, and an `as of … through …` window
+//! whose end precedes its start, are refused with a typed error.
+
+use tdbms::{Database, Error, TimeVal, Value};
+use tdbms_check::CheckedDb;
+use tdbms_kernel::tmpdir::fresh_dir;
+
+fn rows(db: &mut Database, src: &str) -> Vec<Vec<Value>> {
+    db.execute(src)
+        .unwrap_or_else(|e| panic!("{src}: {e}"))
+        .rows()
+        .to_vec()
+}
+
+fn semantic_error(db: &mut Database, src: &str) {
+    match db.execute(src) {
+        Err(Error::Semantic(_)) => {}
+        other => panic!("{src}: expected a semantic error, got {other:?}"),
+    }
+}
+
+fn time(s: &str) -> Value {
+    Value::Time(TimeVal::parse(s).expect(s))
+}
+
+#[test]
+fn retiring_a_version_that_starts_later_stores_no_reversed_period() {
+    let dir = fresh_dir("reversed-periods");
+    {
+        let mut db = Database::open_durable(&dir).expect("open");
+        for src in [
+            "create historical interval h (id = i4, x = i4)",
+            "create temporal interval t (id = i4, x = i4)",
+            "range of v is h",
+            "range of u is t",
+            r#"append to h (id = 1, x = 1) valid from "1/1/90" to "forever""#,
+            r#"append to t (id = 1, x = 1) valid from "1/1/90" to "forever""#,
+        ] {
+            db.execute(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        }
+
+        // The replace takes effect now, before the stored version starts:
+        // that version is superseded whole, and only the new one is left.
+        let before = Value::Time(db.clock().now());
+        db.execute("replace v (x = 2) where v.id = 1")
+            .expect("replace");
+        let after = Value::Time(db.clock().now());
+        let got = rows(&mut db, "retrieve (v.id, v.x)");
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0][..2], [Value::Int(1), Value::Int(2)]);
+        let from = &got[0][2];
+        assert!(
+            from.compare(&before).is_some_and(|o| o.is_ge())
+                && from.compare(&after).is_some_and(|o| o.is_le()),
+            "the new version starts when the replace ran: {got:?}"
+        );
+        assert_eq!(got[0][3], Value::Time(TimeVal::FOREVER));
+        assert_eq!(db.relation_meta("h").expect("h").tuple_count, 1);
+
+        // The temporal delete ends the version in transaction time only:
+        // no closing version, and as of before the delete it is intact.
+        db.execute("delete u where u.id = 1").expect("delete");
+        assert!(rows(&mut db, "retrieve (u.id)").is_empty());
+        let all = rows(
+            &mut db,
+            r#"retrieve (u.id, u.x) as of "beginning" through "forever""#,
+        );
+        assert_eq!(
+            all,
+            [vec![
+                Value::Int(1),
+                Value::Int(1),
+                time("1/1/90"),
+                Value::Time(TimeVal::FOREVER),
+            ]]
+        );
+        assert_eq!(db.relation_meta("t").expect("t").tuple_count, 1);
+
+        // A valid clause naming a reversed period is refused, and the
+        // statement leaves nothing behind.
+        semantic_error(
+            &mut db,
+            r#"append to h (id = 2) valid from "1/1/90" to "1/1/80""#,
+        );
+        semantic_error(
+            &mut db,
+            r#"replace v (x = 3) valid from "1/1/90" to "1/1/80"
+               where v.id = 1"#,
+        );
+        let got = rows(&mut db, "retrieve (v.id, v.x)");
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0][..2], [Value::Int(1), Value::Int(2)]);
+        assert_eq!(db.relation_meta("h").expect("h").tuple_count, 1);
+    }
+    let report = CheckedDb::open(&dir)
+        .expect("open for audit")
+        .check()
+        .expect("audit runs");
+    assert!(report.is_clean(), "audit dirty:\n{}", report.render());
+}
+
+#[test]
+fn a_reversed_as_of_window_is_refused() {
+    let mut db = Database::in_memory();
+    db.execute("create temporal interval t (id = i4)")
+        .expect("create");
+    db.execute("append to t (id = 1)").expect("append");
+    db.execute("range of u is t").expect("range");
+    semantic_error(
+        &mut db,
+        r#"retrieve (u.id) as of "now" through "1/1/70""#,
+    );
+    let src = r#"retrieve (u.id) as of "1/1/70" through "now""#;
+    assert_eq!(rows(&mut db, src).len(), 1);
+}
