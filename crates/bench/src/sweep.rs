@@ -40,7 +40,7 @@ pub struct SweepData {
     pub costs: BTreeMap<&'static str, Vec<Cost>>,
     /// Per query id: planner-estimated `(input, output)` page costs per
     /// update count, from [`Database::estimate_retrieve`] — computed
-    /// without executing, against the maintained statistics.
+    /// without executing, from each relation's `RelationMeta`.
     pub est: BTreeMap<&'static str, Vec<(u64, u64)>>,
     /// ISAM directory levels of the `_i` relation (constant across the
     /// sweep; the directory is static).
@@ -378,12 +378,12 @@ pub fn run_scale_sweep(
                 migrated = db.reorganize(SCALE_REL).expect("reorganize");
             }
         }
-        let rs = db.relation_stats(SCALE_REL).expect("stats");
+        let meta = db.relation_meta(SCALE_REL).expect("meta");
         data.rounds.push(ScaleRound {
             hot_pages: probe(&mut db, cfg.hot_probe()),
             cold_pages: probe(&mut db, cfg.cold_probe()),
-            primary_pages: rs.total_pages,
-            history_rows: rs.history_rows,
+            primary_pages: u64::from(meta.total_pages),
+            history_rows: meta.history_rows,
             migrated,
         });
     }

@@ -25,11 +25,10 @@ use tdbms_kernel::{
     Clock, DatabaseClass, Domain, Error, Result, Schema, TemporalKind,
     TimeVal, Value,
 };
-use tdbms_plan::{RelStats, StatsCatalog};
 use tdbms_storage::{
     AccessMethod, BufferConfig, Catalog, ChecksumSet, ClusteredHistory,
     DiskManager, FileDisk, FileId, HashFn, IoStats, KeySpec, Pager, RelId,
-    StatScope, PAGE_SIZE,
+    StatScope, StoredRelation, PAGE_SIZE,
 };
 use tdbms_tquel::ast::Statement;
 use tdbms_wal::{
@@ -148,7 +147,9 @@ impl ExecOutput {
     }
 }
 
-/// A user-facing description of a stored relation.
+/// A description of a stored relation, read off its catalog entry and
+/// the pager's page counts whenever it is asked for: the shell's `\d`
+/// and `\stats`, the cost model and the scale sweep all read this.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationMeta {
     /// Relation name.
@@ -171,10 +172,71 @@ pub struct RelationMeta {
     pub directory_levels: u32,
     /// Stored row (version) count.
     pub tuple_count: u64,
+    /// Keys appended since the relation was created or the database
+    /// opened (0 = unknown).
+    pub distinct_keys: u64,
+    /// Versions migrated into the clustered history sidecar by online
+    /// reorganization (0 without a sidecar). They are off the primary's
+    /// chains, which is why [`RelationMeta::chain_len`] excludes them.
+    pub history_rows: u64,
     /// Fixed row width in bytes.
     pub row_width: usize,
     /// Names of secondary indexes on this relation.
     pub index_names: Vec<String>,
+}
+
+impl RelationMeta {
+    /// Describe one catalog entry (page counts come from the pager's
+    /// file lengths; no page is read).
+    pub fn of(pager: &Pager, rel: &StoredRelation) -> Result<Self> {
+        Ok(RelationMeta {
+            name: rel.name.clone(),
+            class: rel.schema.class(),
+            kind: rel.schema.kind(),
+            method: rel.file.method(),
+            fillfactor: rel.fillfactor,
+            key: rel
+                .key_attr
+                .and_then(|k| rel.schema.name_of(k).map(str::to_owned)),
+            total_pages: rel.file.total_pages(pager)?,
+            scannable_pages: rel.file.scannable_pages(pager)?,
+            directory_levels: rel.file.directory_levels(),
+            tuple_count: rel.tuple_count,
+            distinct_keys: rel.distinct_keys,
+            history_rows: rel.history.as_ref().map_or(0, |h| h.rows()),
+            row_width: rel.schema.row_width(),
+            index_names: rel
+                .indexes
+                .iter()
+                .map(|ix| ix.name.clone())
+                .collect(),
+        })
+    }
+
+    /// Distinct-key estimate with the unknown (0) case defaulted to
+    /// one version per key.
+    pub fn distinct_estimate(&self) -> u64 {
+        if self.distinct_keys == 0 {
+            self.tuple_count.max(1)
+        } else {
+            self.distinct_keys.min(self.tuple_count.max(1))
+        }
+    }
+
+    /// Mean version/overflow-chain length in pages for a keyed probe:
+    /// every version of a key lands on the same bucket / ISAM chain,
+    /// one page each in the prototype's chain-walking layout — the
+    /// paper's `1 + 2·uc` growth. Migrated history rows are not
+    /// counted: an at-now probe after a reorganization walks only the
+    /// shortened primary chain.
+    pub fn chain_len(&self) -> u64 {
+        self.tuple_count.div_ceil(self.distinct_estimate()).max(1)
+    }
+
+    /// Mean stored rows per scannable page.
+    pub fn rows_per_page(&self) -> u64 {
+        (self.tuple_count / u64::from(self.scannable_pages).max(1)).max(1)
+    }
 }
 
 /// Cumulative counters of the online reorganizer.
@@ -207,9 +269,6 @@ pub struct Database {
     /// writes are refused with [`Error::Degraded`] until a re-arm
     /// (automatic on the next write admission) succeeds.
     degraded: Option<String>,
-    /// Maintained per-relation statistics, refreshed after every
-    /// mutating statement (metadata only — never page I/O).
-    stats: StatsCatalog,
     /// Cumulative online-reorganization counters.
     reorg: ReorgStats,
 }
@@ -310,7 +369,6 @@ impl Database {
         // synced, so truncate the log to the catalog alone — the next
         // crash recovers from here instead of replaying history again.
         db.checkpoint()?;
-        db.refresh_stats()?;
         Ok(db)
     }
 
@@ -651,7 +709,6 @@ impl Database {
         self.pager.end_phase();
         self.pager.rollback_statement();
         self.catalog = snapshot;
-        let _ = self.refresh_stats();
         if matches!(e, Error::Io(_)) || self.pager.has_deferred() {
             self.enter_degraded(&e)
         } else {
@@ -665,16 +722,13 @@ impl Database {
     /// arms statement undo so a body that dies mid-flight (disk full)
     /// rolls back to this boundary instead of poisoning the engine,
     /// and commits through the WAL; one without a log just runs the
-    /// body. Either way the maintained statistics are refreshed
-    /// (metadata only) before returning.
+    /// body.
     fn write_unit<T>(
         &mut self,
         body: impl FnOnce(&mut Self) -> Result<T>,
     ) -> Result<T> {
         if self.wal.is_none() {
-            let out = body(self)?;
-            self.refresh_stats()?;
-            return Ok(out);
+            return body(self);
         }
         self.admit_write()?;
         self.pager.begin_statement_undo();
@@ -698,7 +752,6 @@ impl Database {
                 return Err(self.fail_write_statement(ce.err, snapshot))
             }
         }
-        self.refresh_stats()?;
         Ok(out)
     }
 
@@ -714,45 +767,8 @@ impl Database {
             persist_dir: None,
             wal: None,
             degraded: None,
-            stats: StatsCatalog::default(),
             reorg: ReorgStats::default(),
         }
-    }
-
-    /// Refresh the maintained statistics from the catalog and pager
-    /// metadata (no page I/O; distinct-key counters survive).
-    fn refresh_stats(&mut self) -> Result<()> {
-        self.stats.refresh(&self.pager, &self.catalog)
-    }
-
-    /// The maintained statistics of one relation. Counts and page
-    /// geometry are read fresh from the catalog; the distinct-key
-    /// estimate is the incrementally maintained counter.
-    pub fn relation_stats(&self, name: &str) -> Result<RelStats> {
-        let meta = self.relation_meta(name)?;
-        let distinct =
-            self.stats.get(name).map(|s| s.distinct_keys).unwrap_or(0);
-        let history = self
-            .catalog
-            .iter()
-            .find(|(_, r)| r.name == name)
-            .and_then(|(_, r)| r.history.clone());
-        let (history_rows, history_pages) = match &history {
-            Some(h) => (h.rows(), u64::from(h.total_pages(&self.pager)?)),
-            None => (0, 0),
-        };
-        Ok(RelStats {
-            name: meta.name,
-            method: meta.method,
-            tuple_count: meta.tuple_count,
-            total_pages: u64::from(meta.total_pages),
-            scannable_pages: u64::from(meta.scannable_pages),
-            directory_levels: u64::from(meta.directory_levels),
-            distinct_keys: distinct,
-            row_width: meta.row_width as u64,
-            history_rows,
-            history_pages,
-        })
     }
 
     /// Planner-estimated `(input, output)` pages for a program of
@@ -775,10 +791,10 @@ impl Database {
                     let binder = Binder::new(&self.catalog, &ranges, now);
                     let bound = binder.bind_retrieve(r)?;
                     let plan = crate::plan::plan_bound(
+                        &self.pager,
                         &self.catalog,
-                        &self.stats,
                         &bound,
-                    );
+                    )?;
                     last = Some((plan.est_input, plan.est_output));
                 }
                 _ => {
@@ -858,27 +874,7 @@ impl Database {
     /// Describe a relation.
     pub fn relation_meta(&self, name: &str) -> Result<RelationMeta> {
         let id = self.catalog.require(name)?;
-        let rel = self.catalog.get(id);
-        Ok(RelationMeta {
-            name: rel.name.clone(),
-            class: rel.schema.class(),
-            kind: rel.schema.kind(),
-            method: rel.file.method(),
-            fillfactor: rel.fillfactor,
-            key: rel
-                .key_attr
-                .and_then(|k| rel.schema.name_of(k).map(str::to_owned)),
-            total_pages: rel.file.total_pages(&self.pager)?,
-            scannable_pages: rel.file.scannable_pages(&self.pager)?,
-            directory_levels: rel.file.directory_levels(),
-            tuple_count: rel.tuple_count,
-            row_width: rel.schema.row_width(),
-            index_names: rel
-                .indexes
-                .iter()
-                .map(|ix| ix.name.clone())
-                .collect(),
-        })
+        RelationMeta::of(&self.pager, self.catalog.get(id))
     }
 
     /// The schema of a relation.
@@ -935,7 +931,7 @@ impl Database {
             }
             db.pager.flush_all()
         })?;
-        self.stats.note_inserted(rel, rows.len() as u64);
+        self.note_inserted(rel, rows.len() as u64);
         Ok(rows.len())
     }
 
@@ -1110,14 +1106,25 @@ impl Database {
         // lengthen version chains.
         match stmt {
             Statement::Append(a) => {
-                self.stats.note_inserted(&a.rel, out.affected as u64)
+                self.note_inserted(&a.rel, out.affected as u64)
             }
             Statement::Copy(c) if c.from => {
-                self.stats.note_inserted(&c.rel, out.affected as u64)
+                self.note_inserted(&c.rel, out.affected as u64)
             }
             _ => {}
         }
         Ok(out)
+    }
+
+    /// Count `n` freshly inserted keys on a relation (append / copy /
+    /// bulk load) once its statement has succeeded. Replaces and
+    /// deletes never call this: they add versions, not keys, which is
+    /// exactly what makes chains grow.
+    fn note_inserted(&mut self, rel: &str, n: u64) {
+        if let Some(id) = self.catalog.id_of(rel) {
+            let r = self.catalog.get_mut(id);
+            r.distinct_keys = r.distinct_keys.saturating_add(n);
+        }
     }
 
     /// Apply one bound statement's effects (no durability, no stats —
@@ -1230,10 +1237,10 @@ impl Database {
                 let bound = Binder::new(&self.catalog, &self.ranges, now)
                     .bind_retrieve(r)?;
                 let plan = crate::plan::plan_bound(
+                    &self.pager,
                     &self.catalog,
-                    &self.stats,
                     &bound,
-                );
+                )?;
                 let result = exec_retrieve(
                     &self.pager,
                     &mut self.catalog,
@@ -1312,11 +1319,6 @@ impl Database {
         self.pager.flush_all()?;
         Ok(())
     }
-
-    /// Total pages of a relation (convenience for the harness).
-    pub fn total_pages(&self, rel: &str) -> Result<u32> {
-        Ok(self.relation_meta(rel)?.total_pages)
-    }
 }
 
 /// Render an `explain` report: one text line per planned access, the
@@ -1370,3 +1372,49 @@ fn explain_lines(
 
 /// Re-exported identifier type for advanced integrations.
 pub type RelationId = RelId;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn meta(tuples: u64, pages: u32, distinct: u64) -> RelationMeta {
+        RelationMeta {
+            name: "r".into(),
+            class: DatabaseClass::Temporal,
+            kind: TemporalKind::Interval,
+            method: AccessMethod::Hash,
+            fillfactor: 100,
+            key: Some("id".into()),
+            total_pages: pages,
+            scannable_pages: pages,
+            directory_levels: 0,
+            tuple_count: tuples,
+            distinct_keys: distinct,
+            history_rows: 0,
+            row_width: 16,
+            index_names: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn chain_length_tracks_versions_per_key() {
+        // 1024 keys, evolved twice: 3072 versions → chains of 3.
+        let m = meta(3072, 384, 1024);
+        assert_eq!(m.chain_len(), 3);
+        assert_eq!(m.rows_per_page(), 8);
+        // Unknown distinct count defaults to one version per key.
+        let m = meta(3072, 384, 0);
+        assert_eq!(m.distinct_estimate(), 3072);
+        assert_eq!(m.chain_len(), 1);
+    }
+
+    #[test]
+    fn migrated_history_shortens_the_primary_chain_estimate() {
+        // Before reorganization: 3 versions per key in the primary.
+        assert_eq!(meta(3072, 384, 1024).chain_len(), 3);
+        // After: the superseded versions live in the history sidecar.
+        let mut after = meta(1024, 128, 1024);
+        after.history_rows = 2048;
+        assert_eq!(after.chain_len(), 1);
+    }
+}

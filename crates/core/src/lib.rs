@@ -43,7 +43,7 @@ pub use engine::{Engine, LockStats, ReorgDaemon, Session, SessionLimits};
 pub use exec::QueryStats;
 pub use guard::QueryGuard;
 pub use interval::TInterval;
-pub use tdbms_plan::{AccessPath, PlanStep, QueryPlan, RelStats};
+pub use tdbms_plan::{AccessPath, PlanStep, QueryPlan};
 pub use tdbms_storage::{
     AccessMethod, BufferConfig, EvictionPolicy, PhaseIo,
 };

@@ -774,6 +774,54 @@ fn file_backed_database_survives_reopen() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The appended-key counter behind `RelationMeta::chain_len` lives on
+/// the catalog entry: appends count, rebuilds keep it, a refused append
+/// leaves it alone, and it is not persisted.
+#[test]
+fn appended_key_counter_follows_the_catalog_entry() {
+    let dir = tdbms_kernel::tmpdir::fresh_dir("key-counter");
+    let keys = |db: &Database| db.relation_meta("t").unwrap().distinct_keys;
+    {
+        let mut db = Database::open_durable(&dir).unwrap();
+        db.execute("create temporal interval t (id = i4, x = i4)")
+            .unwrap();
+        for i in 1..=4 {
+            db.execute(&format!("append to t (id = {i}, x = 0)"))
+                .unwrap();
+        }
+        db.execute("range of v is t").unwrap();
+        db.execute("replace v (x = 1) where v.id = 2").unwrap();
+        assert_eq!(keys(&db), 4);
+        assert_eq!(db.relation_meta("t").unwrap().chain_len(), 2);
+
+        db.execute("modify t to hash on id").unwrap();
+        assert_eq!(keys(&db), 4);
+        assert!(db.reorganize("t").unwrap() > 0);
+        let meta = db.relation_meta("t").unwrap();
+        assert!(meta.history_rows > 0);
+        assert_eq!(meta.distinct_keys, 4);
+
+        assert!(db
+            .execute(
+                r#"append to t (id = 9, x = 0) valid from "1/1/90" to "1/1/80""#
+            )
+            .is_err());
+        assert_eq!(keys(&db), 4);
+
+        db.execute("destroy t").unwrap();
+        db.execute("create temporal interval t (id = i4, x = i4)")
+            .unwrap();
+        assert_eq!(keys(&db), 0);
+        db.execute("append to t (id = 1, x = 0)").unwrap();
+        assert_eq!(keys(&db), 1);
+    }
+    let db = Database::open_durable(&dir).unwrap();
+    assert_eq!(db.relation_meta("t").unwrap().tuple_count, 1);
+    assert_eq!(keys(&db), 0);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn three_way_joins_substitute_recursively() {
     let mut db = Database::in_memory();

@@ -2,19 +2,13 @@
 //!
 //! The cost model behind `explain` and `estimate_retrieve`:
 //!
-//! * [`StatsCatalog`] — per-relation statistics (tuple counts, page
-//!   counts, ISAM directory depth, distinct-key estimates) harvested
-//!   from the catalog and pager metadata and refreshed incrementally
-//!   after every commit. The distinct-key counter is the one figure the
-//!   catalog cannot answer directly: appends introduce new keys while
-//!   replaces/deletes only lengthen version chains, so tracking inserts
-//!   yields the paper's chain-length growth (fig5–fig10) for free as
-//!   `tuple_count / distinct_keys`.
 //! * [`plan_query`] — a page-I/O cost model over [`VarFacts`]: the
 //!   access path per tuple variable (heap scan vs hash/ISAM key probe
 //!   vs secondary index) and the estimated input and output pages of
-//!   the executor's decomposition. Pure arithmetic over pre-resolved
-//!   facts, so it unit-tests without a database.
+//!   the executor's decomposition. Pure arithmetic over facts the
+//!   caller reads off the catalog when it makes the plan (tuple and
+//!   page counts, directory depth, versions per key), so it unit-tests
+//!   without a database.
 //! * [`PlanCache`] — a bounded cache keyed by statement shape (the
 //!   token stream with numeric literals lifted into parameter slots),
 //!   with hit/miss counters, so a server's hot queries skip
@@ -25,160 +19,6 @@
 //! and a [`QueryPlan`] lists its steps in that same order.
 
 use std::collections::{HashMap, VecDeque};
-use tdbms_storage::{AccessMethod, Catalog, Pager};
-
-/// Maintained statistics of one stored relation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelStats {
-    /// Relation name.
-    pub name: String,
-    /// Storage organization.
-    pub method: AccessMethod,
-    /// Stored row (version) count, from the catalog.
-    pub tuple_count: u64,
-    /// Total pages including any ISAM directory.
-    pub total_pages: u64,
-    /// Pages a sequential scan reads.
-    pub scannable_pages: u64,
-    /// ISAM directory levels (0 for heap/hash).
-    pub directory_levels: u64,
-    /// Maintained count of *inserted* keys (0 = unknown). Replaces and
-    /// deletes add versions without adding keys, so
-    /// `tuple_count / distinct` is the mean version-chain length.
-    pub distinct_keys: u64,
-    /// Fixed row width in bytes.
-    pub row_width: u64,
-    /// Versions migrated into the clustered history sidecar by online
-    /// reorganization (0 when the relation has no sidecar). These rows
-    /// are *off* the primary's chains, which is why [`chain_len`]
-    /// excludes them.
-    ///
-    /// [`chain_len`]: RelStats::chain_len
-    pub history_rows: u64,
-    /// Pages of the clustered history sidecar.
-    pub history_pages: u64,
-}
-
-impl RelStats {
-    /// Distinct-key estimate with the unknown (0) case defaulted to
-    /// one version per key.
-    pub fn distinct_estimate(&self) -> u64 {
-        if self.distinct_keys == 0 {
-            self.tuple_count.max(1)
-        } else {
-            self.distinct_keys.min(self.tuple_count.max(1))
-        }
-    }
-
-    /// Mean version/overflow-chain length in pages for a keyed probe:
-    /// every version of a key lands on the same bucket / ISAM chain,
-    /// one page each in the prototype's chain-walking layout. Migrated
-    /// history rows are excluded — they are served from the clustered
-    /// sidecar, not the primary's chains, so an at-now probe after a
-    /// reorganization costs only the shortened primary chain.
-    pub fn chain_len(&self) -> u64 {
-        self.tuple_count.div_ceil(self.distinct_estimate()).max(1)
-    }
-
-    /// Pages a *time-travel* keyed probe adds on top of [`chain_len`]:
-    /// the mean per-key cluster size of the history sidecar (clusters
-    /// pack `rows_per_page` versions per page, one key per page).
-    ///
-    /// [`chain_len`]: RelStats::chain_len
-    pub fn history_chain_len(&self) -> u64 {
-        if self.history_rows == 0 {
-            return 0;
-        }
-        // Sidecar pages are single-key, so mean cluster size is simply
-        // pages over keys.
-        self.history_pages.div_ceil(self.distinct_estimate()).max(1)
-    }
-
-    /// Mean stored rows per scannable page.
-    pub fn rows_per_page(&self) -> u64 {
-        (self.tuple_count / self.scannable_pages.max(1)).max(1)
-    }
-}
-
-/// Per-relation statistics, refreshed incrementally on commit. The
-/// epoch counts refreshes so cached plans can detect staleness.
-#[derive(Debug, Default, Clone)]
-pub struct StatsCatalog {
-    epoch: u64,
-    rels: HashMap<String, RelStats>,
-}
-
-impl StatsCatalog {
-    /// Harvest current counts and page geometry from the catalog and
-    /// pager metadata (no page I/O), preserving each relation's
-    /// maintained distinct-key counter. Dropped relations lose their
-    /// entry. Bumps the epoch.
-    pub fn refresh(
-        &mut self,
-        pager: &Pager,
-        catalog: &Catalog,
-    ) -> tdbms_kernel::Result<()> {
-        let mut fresh = HashMap::new();
-        for (_, rel) in catalog.iter() {
-            if rel.temporary {
-                continue;
-            }
-            let distinct = self
-                .rels
-                .get(&rel.name)
-                .map(|s| s.distinct_keys)
-                .unwrap_or(0);
-            fresh.insert(
-                rel.name.clone(),
-                RelStats {
-                    name: rel.name.clone(),
-                    method: rel.file.method(),
-                    tuple_count: rel.tuple_count,
-                    total_pages: u64::from(rel.file.total_pages(pager)?),
-                    scannable_pages: u64::from(
-                        rel.file.scannable_pages(pager)?,
-                    ),
-                    directory_levels: u64::from(
-                        rel.file.directory_levels(),
-                    ),
-                    distinct_keys: distinct,
-                    row_width: rel.schema.row_width() as u64,
-                    history_rows: rel
-                        .history
-                        .as_ref()
-                        .map(|h| h.rows())
-                        .unwrap_or(0),
-                    history_pages: match &rel.history {
-                        Some(h) => u64::from(h.total_pages(pager)?),
-                        None => 0,
-                    },
-                },
-            );
-        }
-        self.rels = fresh;
-        self.epoch += 1;
-        Ok(())
-    }
-
-    /// Record `n` freshly inserted keys on a relation (append / copy /
-    /// bulk load). Replaces and deletes do **not** call this: they add
-    /// versions, not keys, which is exactly what makes chains grow.
-    pub fn note_inserted(&mut self, rel: &str, n: u64) {
-        if let Some(s) = self.rels.get_mut(rel) {
-            s.distinct_keys = s.distinct_keys.saturating_add(n);
-        }
-    }
-
-    /// Statistics of one relation, if maintained.
-    pub fn get(&self, rel: &str) -> Option<&RelStats> {
-        self.rels.get(rel)
-    }
-
-    /// Monotone refresh counter.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
 
 /// Everything the cost model needs to know about one tuple variable,
 /// pre-resolved by the caller so [`plan_query`] is pure arithmetic.
@@ -452,25 +292,9 @@ impl<V: Clone> PlanCache<V> {
         }
     }
 
-    /// Drop every entry (counters survive).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-
     /// Lifetime `(hits, misses)`.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -478,30 +302,23 @@ impl<V: Clone> PlanCache<V> {
 mod tests {
     use super::*;
 
-    fn stats(tuples: u64, pages: u64, distinct: u64) -> RelStats {
-        RelStats {
-            name: "r".into(),
-            method: AccessMethod::Hash,
-            tuple_count: tuples,
-            total_pages: pages,
-            scannable_pages: pages,
-            directory_levels: 0,
-            distinct_keys: distinct,
-            row_width: 16,
-            history_rows: 0,
-            history_pages: 0,
-        }
-    }
-
-    fn facts(var: usize, s: &RelStats, keyed: bool) -> VarFacts {
+    /// Facts for a relation of `tuples` versions on `pages` scannable
+    /// pages whose keyed probes walk `chain_len` pages.
+    fn facts(
+        var: usize,
+        tuples: u64,
+        pages: u64,
+        chain_len: u64,
+        keyed: bool,
+    ) -> VarFacts {
         VarFacts {
             var,
-            relation: s.name.clone(),
-            tuple_count: s.tuple_count,
-            scannable_pages: s.scannable_pages,
-            directory_levels: s.directory_levels,
-            chain_len: s.chain_len(),
-            rows_per_page: s.rows_per_page(),
+            relation: "r".into(),
+            tuple_count: tuples,
+            scannable_pages: pages,
+            directory_levels: 0,
+            chain_len,
+            rows_per_page: (tuples / pages.max(1)).max(1),
             has_own_conjunct: true,
             detach_blocked: false,
             const_key_probe: keyed,
@@ -511,33 +328,8 @@ mod tests {
     }
 
     #[test]
-    fn chain_length_tracks_versions_per_key() {
-        // 1024 keys, evolved twice: 3072 versions → chains of 3.
-        let s = stats(3072, 384, 1024);
-        assert_eq!(s.chain_len(), 3);
-        // Unknown distinct count defaults to one version per key.
-        let s = stats(3072, 384, 0);
-        assert_eq!(s.chain_len(), 1);
-    }
-
-    #[test]
-    fn migrated_history_shortens_the_primary_chain_estimate() {
-        // Before reorganization: 3 versions per key in the primary.
-        let before = stats(3072, 384, 1024);
-        assert_eq!(before.chain_len(), 3);
-        assert_eq!(before.history_chain_len(), 0);
-        // After: superseded versions migrated, one page per key cluster.
-        let mut after = stats(1024, 128, 1024);
-        after.history_rows = 2048;
-        after.history_pages = 1024;
-        assert_eq!(after.chain_len(), 1);
-        assert_eq!(after.history_chain_len(), 1);
-    }
-
-    #[test]
     fn keyed_probe_beats_scan_and_costs_the_chain() {
-        let s = stats(3072, 384, 1024);
-        let f = facts(0, &s, true);
+        let f = facts(0, 3072, 384, 3, true);
         let (path, cost) = f.detach_access();
         assert_eq!(path, AccessPath::KeyLookup);
         assert_eq!(cost, 3); // the paper's 1 + 2·uc growth at uc=1
@@ -545,8 +337,7 @@ mod tests {
 
     #[test]
     fn unkeyed_access_scans_every_page() {
-        let s = stats(1024, 128, 1024);
-        let f = facts(0, &s, false);
+        let f = facts(0, 1024, 128, 1, false);
         let (path, cost) = f.detach_access();
         assert_eq!(path, AccessPath::Scan);
         assert_eq!(cost, 128);
@@ -554,11 +345,8 @@ mod tests {
 
     #[test]
     fn isam_probe_adds_directory_descent() {
-        let mut s = stats(1024, 129, 1024);
-        s.method = AccessMethod::Isam;
-        s.scannable_pages = 128;
-        s.directory_levels = 1;
-        let f = facts(0, &s, true);
+        let mut f = facts(0, 1024, 128, 1, true);
+        f.directory_levels = 1;
         let (path, cost) = f.detach_access();
         assert_eq!(path, AccessPath::KeyLookup);
         assert_eq!(cost, 2); // directory page + one-page chain
@@ -574,18 +362,16 @@ mod tests {
 
     #[test]
     fn detachments_list_in_variable_order() {
-        let cheap = stats(1024, 128, 1024); // keyed probe: 1 page
-        let dear = stats(1024, 128, 1024); // scan: 128 pages
-        let plan =
-            plan_query(&[facts(0, &dear, false), facts(1, &cheap, true)]);
+        let dear = facts(0, 1024, 128, 1, false); // scan: 128 pages
+        let cheap = facts(1, 1024, 128, 1, true); // keyed probe: 1 page
+        let plan = plan_query(&[dear, cheap]);
         assert_eq!(detached_vars(&plan), vec![0, 1]);
         assert!(plan.est_input >= 129);
     }
 
     #[test]
     fn single_variable_queries_never_detach() {
-        let s = stats(1024, 128, 1024);
-        let plan = plan_query(&[facts(0, &s, true)]);
+        let plan = plan_query(&[facts(0, 1024, 128, 1, true)]);
         assert!(detached_vars(&plan).is_empty());
         assert_eq!(plan.est_input, 1);
         assert_eq!(plan.est_output, 0);
@@ -599,23 +385,12 @@ mod tests {
         c.insert("a".into(), 1);
         c.insert("b".into(), 2);
         assert_eq!(c.lookup("a", any), Some(1));
-        c.insert("c".into(), 3); // evicts "a"
-        assert_eq!(c.len(), 2);
+        c.insert("c".into(), 3); // evicts "a", the oldest insertion
         assert_eq!(c.lookup("a", any), None);
+        assert_eq!(c.lookup("b", any), Some(2));
         assert_eq!(c.lookup("c", any), Some(3));
         // An entry the caller cannot use is a miss.
         assert_eq!(c.lookup("c", |v| *v != 3), None);
-        assert_eq!(c.stats(), (2, 3));
-    }
-
-    #[test]
-    fn stats_catalog_epoch_is_monotone() {
-        let mut sc = StatsCatalog::default();
-        assert_eq!(sc.epoch(), 0);
-        let pager = Pager::in_memory();
-        let catalog = Catalog::new();
-        sc.refresh(&pager, &catalog).unwrap();
-        assert_eq!(sc.epoch(), 1);
-        assert!(sc.get("nope").is_none());
+        assert_eq!(c.stats(), (3, 3));
     }
 }

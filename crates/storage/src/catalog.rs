@@ -50,6 +50,11 @@ pub struct StoredRelation {
     pub fillfactor: u8,
     /// Stored row count (all versions, not just current ones).
     pub tuple_count: u64,
+    /// Keys appended since this relation was created or the database
+    /// opened (0 = unknown; not persisted). Appends and loads add keys;
+    /// replaces and deletes only add versions, so
+    /// `tuple_count / distinct_keys` is the mean version-chain length.
+    pub distinct_keys: u64,
     /// True for temporaries created during query processing.
     pub temporary: bool,
     /// Secondary indexes maintained on this relation.
@@ -301,6 +306,7 @@ impl Catalog {
             key_attr: None,
             fillfactor: 100,
             tuple_count: 0,
+            distinct_keys: 0,
             temporary,
             indexes: Vec::new(),
             history: None,

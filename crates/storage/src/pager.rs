@@ -574,11 +574,6 @@ impl Pager {
         self.st().default_cap = cap.max(1);
     }
 
-    /// The default frames-per-file cap.
-    pub fn default_buffer_frames(&self) -> usize {
-        self.st_read().default_cap
-    }
-
     /// Change the buffer frames allotted to one file, evicting (with
     /// write-back accounting) as needed. The cap survives pool
     /// destruction and re-creation.
@@ -666,14 +661,6 @@ impl Pager {
     /// rebuild). Without a guard every chain is walked.
     pub fn bloom_drop(&self, file: FileId) {
         self.bloom_map().remove(&file);
-    }
-
-    /// Does `file` have an overflow-chain guard installed?
-    pub fn bloom_active(&self, file: FileId) -> bool {
-        self.blooms
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(&file)
     }
 
     /// Record that a version of `key_bytes` was placed on an overflow

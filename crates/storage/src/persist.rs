@@ -380,6 +380,7 @@ pub fn decode_catalog(text: &str, pager: &Pager) -> Result<Catalog> {
             key_attr,
             fillfactor,
             tuple_count,
+            distinct_keys: 0,
             temporary: false,
             indexes,
             history,

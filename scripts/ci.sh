@@ -499,7 +499,8 @@ gate_bench_trajectory() {
     scripts/bench_diff "$base" "$fresh_s" \
         --exact scale --exact hot_pages_baseline \
         --exact hot_pages_reorg --exact cold_pages --exact migrated \
-        --exact history_rows --exact primary_pages_reorg || {
+        --exact history_rows --exact primary_pages_reorg \
+        --exact primary_pages_no_reorg --exact hot_pages_no_reorg || {
         echo "bench-trajectory: scale page accounting drifted vs HEAD"
         rc=1
     }

@@ -15,9 +15,9 @@
 //! * `\stats` — the page accesses of this session's last statement,
 //!   the pager's lifetime totals, and the engine's plan-cache hit/miss
 //!   counters
-//! * `\stats <rel>` — the planner's maintained statistics for one
-//!   relation (versions, pages, directory levels, distinct keys,
-//!   average version-chain length)
+//! * `\stats <rel>` — the figures the planner reads for one relation
+//!   (versions, pages, directory levels, distinct keys, average
+//!   version-chain length)
 //! * `\now` — the transaction clock
 //! * `\i <file>` — run statements from a file
 //! * `\q` — quit
@@ -162,11 +162,11 @@ impl Shell {
                 }
             }
             "\\stats" => {
-                let stats = self
+                let meta = self
                     .session
                     .engine()
-                    .with_read(|db| db.relation_stats(arg));
-                match stats {
+                    .with_read(|db| db.relation_meta(arg));
+                match meta {
                     Err(e) => {
                         self.errors += 1;
                         println!("error: {e}");

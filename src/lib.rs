@@ -24,8 +24,7 @@
 pub use tdbms_core::{
     AccessMethod, AccessPath, CheckpointPolicy, Database, Engine,
     ExecOutput, GroupCommitConfig, LockStats, PlanStep, QueryPlan,
-    QueryStats, RelStats, RelationMeta, Session, TInterval, SCRUB_FILE,
-    WAL_FILE,
+    QueryStats, RelationMeta, Session, TInterval, SCRUB_FILE, WAL_FILE,
 };
 pub use tdbms_kernel::{
     AttrDef, Clock, DatabaseClass, Domain, Error, Granularity, Result,

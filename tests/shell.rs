@@ -188,12 +188,16 @@ fn shell_stats_prints_relation_statistics() {
         "create temporal interval emp (name = c12, salary = i4);\n\
          append to emp (name = \"a\", salary = 1);\n\
          append to emp (name = \"b\", salary = 2);\n\
+         range of e is emp;\n\
+         replace e (salary = 3) where e.name = \"a\";\n\
          \\stats emp\n\\stats\n",
     );
     assert!(status.success(), "status: {status}\nstdout: {stdout}");
-    assert!(stdout.contains("2 stored versions"), "stdout: {stdout}");
-    assert!(stdout.contains("distinct key(s)"), "stdout: {stdout}");
-    assert!(stdout.contains("average chain length"), "stdout: {stdout}");
+    assert!(stdout.contains("  4 stored versions,"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("  ~2 distinct key(s), average chain length 2\n"),
+        "stdout: {stdout}"
+    );
     // Bare \stats still reports the counters, plus the plan cache.
     assert!(stdout.contains("page reads"), "stdout: {stdout}");
     assert!(stdout.contains("plan cache:"), "stdout: {stdout}");

@@ -56,7 +56,14 @@ fn run(
     let mut boundaries = vec![plan.ops_charged()];
     let mut states = vec![snapshot(&mut db)];
     for s in stmts {
-        if db.execute(s).is_err() {
+        let result = db.execute(s);
+        if plan.crashed() {
+            // A statement can be durable in the log while its due
+            // checkpoint hits the crash: it returns Ok and degrades.
+            assert!(result.is_err() || db.is_degraded(), "{s}");
+            return None;
+        }
+        if result.is_err() {
             return None;
         }
         boundaries.push(plan.ops_charged());
