@@ -58,8 +58,8 @@ use tdbms_kernel::{DatabaseClass, Error, Prng, Value};
 use tdbms_net::{
     Client, ReconnectClient, RetryConfig, Server, ServerConfig,
 };
-use tdbms_storage::{FaultDisk, FaultPlan, FileDisk, SharedMemDisk};
-use tdbms_wal::{FaultLog, FileLog, SharedMemLog};
+use tdbms_storage::{FaultDisk, FaultPlan, FileDisk, MemDisk};
+use tdbms_wal::{FaultLog, FileLog, MemLog, WAL_NAME};
 
 fn flag(name: &str, default: u64) -> u64 {
     let mut args = std::env::args();
@@ -256,8 +256,8 @@ fn run_embedded_mode(
         // policy is deliberately sparse so there is something left to
         // batch between checkpoints.
         let mut db = Database::open_durable_on(
-            Box::new(SharedMemDisk::new()),
-            Box::new(SharedMemLog::new()),
+            Box::new(MemDisk::new()),
+            Box::new(MemLog::new()),
             None,
         )
         .expect("durable open on fresh in-memory storage");
@@ -589,7 +589,7 @@ fn run_chaos_mode(
         plan.clone(),
     );
     let log = FaultLog::new(
-        Box::new(FileLog::open(dir.join("wal.tdbms")).expect("open wal")),
+        Box::new(FileLog::open(dir.join(WAL_NAME)).expect("open wal")),
         plan.clone(),
     );
     let mut db = Database::open_durable_on(

@@ -8,7 +8,6 @@
 
 use crate::sweep::SweepData;
 use crate::workload::{all_rows, AMOUNT_H, AMOUNT_I, PROBE_ID};
-use std::cmp::Ordering;
 use tdbms_core::Database;
 use tdbms_kernel::{Result, RowCodec, Schema, TemporalAttr, TimeVal};
 use tdbms_storage::{
@@ -360,9 +359,4 @@ pub fn nonuniform_experiment(max_avg_uc: u32) -> Vec<(u32, u64, u64, f64)> {
         out.push((avg, hot, cold, weighted));
     }
     out
-}
-
-/// Sort helper used in reports.
-pub fn by_query(a: &Fig10Row, b: &Fig10Row) -> Ordering {
-    a.query.cmp(b.query)
 }

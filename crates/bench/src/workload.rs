@@ -103,8 +103,7 @@ pub fn build_database_with_hash(
     // figures are identical with scrubbing on and off (the sidecar is
     // out-of-band; page capacity and access paths must not move).
     if std::env::var("TDBMS_CHECKSUMS").is_ok_and(|v| v == "1") {
-        db.enable_checksums()
-            .expect("in-memory checksums cannot fail");
+        db.enable_checksums();
     }
     populate_database(&mut db, cfg);
     db

@@ -38,14 +38,10 @@ use std::path::PathBuf;
 
 use tdbms_kernel::{Error, Result, TemporalAttr, TimeVal};
 use tdbms_storage::{
-    decode_catalog, encode_catalog, load_catalog, page_capacity, Catalog,
-    ChecksumSet, FileDisk, FileId, KeyKind, KeySpec, Page, PageKind, Pager,
-    RelFile, RelId, StoredRelation, NO_PAGE,
+    page_capacity, Catalog, FileId, KeyKind, KeySpec, Page, PageKind,
+    Pager, RelFile, RelId, StoredRelation, NO_PAGE,
 };
-use tdbms_wal::{replay, FileLog, Record, RecoveryPlan, Wal};
-
-/// File name of the write-ahead log inside a database directory.
-pub const WAL_NAME: &str = "wal.tdbms";
+use tdbms_wal::{Recovered, RecoveryPlan, Wal};
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1017,66 +1013,42 @@ pub fn repair_database(
 /// committed WAL tail into the page files, but the log itself is kept
 /// untruncated so its page images remain available as salvage material.
 ///
-/// This deliberately bypasses the normal `Database::open_durable` path,
-/// whose trailing checkpoint would truncate the log and destroy exactly
-/// the images repair needs.
+/// It opens through the same recovery routine as
+/// `Database::open_durable` ([`tdbms_wal::recover_dir`]), minus the
+/// trailing checkpoint, which would truncate the log and destroy
+/// exactly the images repair needs.
 pub struct CheckedDb {
     /// The database directory.
     pub dir: PathBuf,
     /// Pager over the replayed page files (checksum sidecar installed
     /// when `sums.tdbms` exists).
     pub pager: Pager,
-    /// The catalog: the log's copy, the only one on disk. A directory
-    /// whose log holds none predates that and is read from its
-    /// `catalog.tdbms`.
+    /// The catalog: the log's copy, the only one on disk.
     pub catalog: Catalog,
     /// The recovery plan — the salvage source.
     pub plan: RecoveryPlan,
     wal: Wal,
+    clock: TimeVal,
 }
 
 impl CheckedDb {
     /// Open `dir` the way recovery does, minus the log truncation.
     pub fn open(dir: impl Into<PathBuf>) -> Result<CheckedDb> {
         let dir = dir.into();
-        let mut disk = Box::new(FileDisk::open(&dir)?);
-        let log = FileLog::open(dir.join(WAL_NAME))?;
-        let (wal, plan) = Wal::open(Box::new(log))?;
-        replay(&plan, disk.as_mut())?;
-        let pager = Pager::new(disk);
-        if let Some(mut sums) = ChecksumSet::load(&dir)? {
-            // The sidecar was saved at the last checkpoint; replay may
-            // just have written newer committed images over those pages.
-            // Adopt the images' sums in commit order (newest wins — the
-            // same order replay applies them), so the scrub's baseline is
-            // the committed content, not the stale checkpoint.
-            for txn in &plan.txns {
-                for (_, rec) in txn {
-                    match rec {
-                        Record::PageImage {
-                            file,
-                            page_no,
-                            image,
-                        } => {
-                            sums.record(*file, *page_no, image);
-                        }
-                        Record::DropFile { file } => sums.drop_file(*file),
-                        _ => {}
-                    }
-                }
-            }
-            pager.set_checksums(Some(sums));
-        }
-        let catalog = match &plan.catalog {
-            Some((_, text)) => decode_catalog(text, &pager)?,
-            None => load_catalog(&dir, &pager)?.unwrap_or_default(),
-        };
+        let Recovered {
+            wal,
+            plan,
+            pager,
+            catalog,
+            clock,
+        } = tdbms_wal::recover_dir(&dir)?;
         Ok(CheckedDb {
             dir,
             pager,
             catalog,
             plan,
             wal,
+            clock,
         })
     }
 
@@ -1088,8 +1060,8 @@ impl CheckedDb {
     /// Repair in place, then make the repaired state durable exactly like
     /// a checkpoint: data files synced first, then the checksum sidecar,
     /// then the log truncated to a fresh header plus the catalog and the
-    /// clock, as every checkpoint truncation does. When nothing needed
-    /// repairing the database is left byte-identical.
+    /// clock. When nothing needed repairing the database is left
+    /// byte-identical.
     pub fn repair(&mut self) -> Result<CheckReport> {
         let report =
             repair_database(&self.pager, &mut self.catalog, &self.plan)?;
@@ -1101,26 +1073,8 @@ impl CheckedDb {
             if let Some(sums) = self.pager.checksums_snapshot() {
                 sums.save(&self.dir)?;
             }
-            let clock = match &self.plan.catalog {
-                Some((clock, _)) => clock.clone(),
-                None => {
-                    std::fs::read_to_string(self.dir.join("clock.tdbms"))
-                        .unwrap_or_else(|_| "0".into())
-                }
-            };
-            let snapshot = self.pager.file_lengths()?;
-            let catalog_text = encode_catalog(&self.catalog);
-            self.wal.truncate_with(
-                &snapshot,
-                &[
-                    Record::Begin,
-                    Record::Catalog {
-                        clock,
-                        catalog: catalog_text,
-                    },
-                    Record::Commit,
-                ],
-            )?;
+            let lengths = self.pager.file_lengths()?;
+            self.wal.checkpoint(&lengths, self.clock, &self.catalog)?;
         }
         Ok(report)
     }
@@ -1133,7 +1087,10 @@ mod tests {
         AttrDef, DatabaseClass, Domain, RowCodec, Schema, TemporalKind,
         Value,
     };
-    use tdbms_storage::{AccessMethod, DiskManager, HashFn, SharedMemDisk};
+    use tdbms_storage::{
+        AccessMethod, ChecksumSet, DiskManager, HashFn, MemDisk,
+    };
+    use tdbms_wal::Record;
 
     fn schema() -> Schema {
         Schema::new(
@@ -1153,8 +1110,8 @@ mod tests {
     fn fixture(
         method: AccessMethod,
         n: i64,
-    ) -> (SharedMemDisk, Pager, Catalog, RelId) {
-        let shared = SharedMemDisk::new();
+    ) -> (MemDisk, Pager, Catalog, RelId) {
+        let shared = MemDisk::new();
         let pager = Pager::new(Box::new(shared.clone()));
         let mut cat = Catalog::new();
         let id = cat.create_relation(&pager, "r", schema()).unwrap();
@@ -1313,7 +1270,7 @@ mod tests {
     #[test]
     fn cycles_are_clipped_and_orphans_discarded_with_a_loss_report() {
         // All rows share one key, forcing a long chain behind bucket 0.
-        let shared = SharedMemDisk::new();
+        let shared = MemDisk::new();
         let pager = Pager::new(Box::new(shared.clone()));
         let mut cat = Catalog::new();
         let id = cat.create_relation(&pager, "r", schema()).unwrap();
@@ -1381,7 +1338,7 @@ mod tests {
 
     #[test]
     fn temporal_invariants_reversed_interval_is_an_error() {
-        let shared = SharedMemDisk::new();
+        let shared = MemDisk::new();
         let pager = Pager::new(Box::new(shared.clone()));
         let mut cat = Catalog::new();
         let hist = Schema::new(
@@ -1415,7 +1372,7 @@ mod tests {
 
     #[test]
     fn overlapping_live_versions_of_one_key_warn_but_stay_clean() {
-        let shared = SharedMemDisk::new();
+        let shared = MemDisk::new();
         let pager = Pager::new(Box::new(shared.clone()));
         let mut cat = Catalog::new();
         let hist = Schema::new(

@@ -27,13 +27,13 @@ use tdbms_kernel::{
 };
 use tdbms_storage::{
     AccessMethod, BufferConfig, Catalog, ChecksumSet, ClusteredHistory,
-    DiskManager, FileDisk, FileId, HashFn, IoStats, KeySpec, Pager, RelId,
-    StatScope, StoredRelation, PAGE_SIZE,
+    DiskManager, FileId, HashFn, IoStats, KeySpec, Pager, RelId, StatScope,
+    StoredRelation, PAGE_SIZE,
 };
 use tdbms_tquel::ast::Statement;
 use tdbms_wal::{
-    replay, CheckpointPolicy, FileLog, GroupCommit, GroupCommitConfig,
-    LogHandle, LogStore, Record, Wal,
+    CheckpointPolicy, GroupCommit, GroupCommitConfig, LogHandle, LogStore,
+    Record, Recovered, Wal,
 };
 
 /// Pseudo file id under which WAL log traffic is accounted in
@@ -292,65 +292,53 @@ impl Database {
     /// statement a durable transaction. On open, committed transactions
     /// found in the log are replayed onto the page files (redo-only
     /// recovery), so a process killed at any point reopens with every
-    /// committed tuple intact and nothing uncommitted visible. A
-    /// directory without a log (or whose log holds no catalog) was
-    /// written before the log carried the only catalog; it opens from
-    /// its `catalog.tdbms` and `clock.tdbms`. Session state — the range
-    /// table — does not persist; re-declare ranges.
+    /// committed tuple intact and nothing uncommitted visible. The log
+    /// carries the only catalog: a directory with page files but no
+    /// catalog in its log is refused. A directory with a checksum
+    /// sidecar (`sums.tdbms`) always opens with verification on.
+    /// Session state — the range table — does not persist; re-declare
+    /// ranges.
     pub fn open_durable(
         dir: impl Into<std::path::PathBuf>,
     ) -> Result<Self> {
         let dir = dir.into();
-        let disk = FileDisk::open(&dir)?;
-        let log = FileLog::open(dir.join("wal.tdbms"))?;
-        Database::open_durable_on(Box::new(disk), Box::new(log), Some(dir))
+        let recovered = tdbms_wal::recover_dir(&dir)?;
+        Database::from_recovered(recovered, Some(dir))
     }
 
     /// [`Database::open_durable`] over explicit storage backends: the
     /// crash-recovery tests reopen shared in-memory survivors, and fault
     /// injection wraps both channels here. `persist_dir` is the page
-    /// files' directory: the checksum sidecar lives there, and a log
-    /// without a catalog falls back to its catalog files.
+    /// files' directory, where the checksum sidecar lives.
     pub fn open_durable_on(
-        mut disk: Box<dyn DiskManager>,
+        disk: Box<dyn DiskManager>,
         log: Box<dyn LogStore>,
         persist_dir: Option<std::path::PathBuf>,
     ) -> Result<Self> {
-        let (wal, plan) = Wal::open(log)?;
-        replay(&plan, disk.as_mut())?;
-        for f in disk.files() {
-            disk.sync(f)?;
-        }
-        let pager = Pager::new(disk);
+        let recovered =
+            tdbms_wal::recover(disk, log, persist_dir.as_deref())?;
+        Database::from_recovered(recovered, persist_dir)
+    }
+
+    /// Wrap what recovery left in a durable database, then checkpoint:
+    /// the replayed state is on disk and synced, so the log truncates
+    /// to the catalog alone and the next crash recovers from here
+    /// instead of replaying history again.
+    fn from_recovered(
+        recovered: Recovered,
+        persist_dir: Option<std::path::PathBuf>,
+    ) -> Result<Self> {
+        let Recovered {
+            wal,
+            pager,
+            catalog,
+            clock,
+            ..
+        } = recovered;
         pager.set_staging(true);
         let mut db = Database::with_pager(pager);
-        // The log carries the only catalog + clock. A directory whose log
-        // holds none predates that and opens from its catalog files.
-        let mut clock_text = None;
-        match &plan.catalog {
-            Some((clock, catalog)) => {
-                db.catalog =
-                    tdbms_storage::decode_catalog(catalog, &db.pager)?;
-                clock_text = Some(clock.clone());
-            }
-            None => {
-                if let Some(dir) = &persist_dir {
-                    if let Some(cat) =
-                        tdbms_storage::load_catalog(dir, &db.pager)?
-                    {
-                        db.catalog = cat;
-                    }
-                    clock_text =
-                        std::fs::read_to_string(dir.join("clock.tdbms"))
-                            .ok();
-                }
-            }
-        }
-        if let Some(text) = clock_text {
-            if let Ok(secs) = text.trim().parse::<u32>() {
-                db.clock.advance_to(TimeVal::from_secs(secs));
-            }
-        }
+        db.catalog = catalog;
+        db.clock.advance_to(clock);
         db.persist_dir = persist_dir;
         db.wal = Some(WalState {
             log: wal.handle(),
@@ -365,9 +353,6 @@ impl Database {
             defer_ack: false,
             pending: None,
         });
-        // Post-recovery checkpoint: the replayed state is on disk and
-        // synced, so truncate the log to the catalog alone — the next
-        // crash recovers from here instead of replaying history again.
         db.checkpoint()?;
         Ok(db)
     }
@@ -392,21 +377,18 @@ impl Database {
         Ok(())
     }
 
-    /// Turn on sidecar page checksums: every disk read is verified
-    /// against an FNV-1a 64 sum and every disk write refreshes it. A
-    /// file-backed database loads an existing `sums.tdbms` from its
-    /// directory; pages without a recorded sum are adopted on first
-    /// read. The default (checksums off) is the paper configuration.
-    pub fn enable_checksums(&mut self) -> Result<()> {
-        if self.pager.checksums_enabled() {
-            return Ok(());
+    /// Start sidecar page checksums: every disk read is verified
+    /// against an FNV-1a 64 sum and every disk write refreshes it;
+    /// pages without a recorded sum are adopted on first read. A
+    /// file-backed database saves the sidecar (`sums.tdbms`) at every
+    /// checkpoint, and a directory that has one always reopens with
+    /// verification on, so this only matters for in-memory databases
+    /// and directories without a sidecar. The default (checksums off)
+    /// is the paper configuration.
+    pub fn enable_checksums(&mut self) {
+        if !self.pager.checksums_enabled() {
+            self.pager.set_checksums(Some(ChecksumSet::default()));
         }
-        let sums = match &self.persist_dir {
-            Some(dir) => ChecksumSet::load(dir)?.unwrap_or_default(),
-            None => ChecksumSet::default(),
-        };
-        self.pager.set_checksums(Some(sums));
-        Ok(())
     }
 
     /// Whether sidecar checksums are on.
@@ -449,25 +431,18 @@ impl Database {
             self.pager.sync_file(f)?;
         }
         self.pager.clear_staged();
+        // The sidecar goes before the truncation: a crash between the
+        // two leaves the log's images, which recovery records as sums
+        // again, never a truncated log beside sums older than the pages.
+        self.persist_checksums()?;
         let lengths = self.pager.file_lengths()?;
-        let clock = self.clock.now().as_secs().to_string();
-        let catalog = tdbms_storage::encode_catalog(&self.catalog);
         let ws = self.wal.as_mut().expect("durable mode");
-        // One atomic reset: header + a committed catalog transaction, so
-        // the truncated log alone can always recover the schema.
-        ws.wal.truncate_with(
-            &lengths,
-            &[
-                Record::Begin,
-                Record::Catalog { clock, catalog },
-                Record::Commit,
-            ],
-        )?;
+        ws.wal
+            .checkpoint(&lengths, self.clock.now(), &self.catalog)?;
         ws.commits_since_checkpoint = 0;
         // The truncation above was atomic and fsynced: every
         // outstanding ticket is durable without a log fsync.
         ws.gc.mark_all_durable();
-        self.persist_checksums()?;
         Ok(())
     }
 
@@ -477,8 +452,7 @@ impl Database {
     /// fenced by `Begin`/`Commit`. Nothing is synced here.
     fn append_commit_records(&mut self) -> Result<()> {
         let resized = self.pager.take_resized()?;
-        let clock = self.clock.now().as_secs().to_string();
-        let catalog = tdbms_storage::encode_catalog(&self.catalog);
+        let catalog = Record::catalog_of(self.clock.now(), &self.catalog);
         let ws = self.wal.as_mut().expect("durable mode");
         ws.wal.append(&Record::Begin)?;
         for (file, len) in resized {
@@ -496,7 +470,7 @@ impl Database {
         for file in self.pager.pending_drops() {
             ws.wal.append(&Record::DropFile { file })?;
         }
-        ws.wal.append(&Record::Catalog { clock, catalog })?;
+        ws.wal.append(&catalog)?;
         ws.wal.append(&Record::Commit)?;
         Ok(())
     }

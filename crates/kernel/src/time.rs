@@ -229,11 +229,6 @@ impl TimeVal {
         }
     }
 
-    /// Saturating addition of a number of seconds; never reaches `FOREVER`.
-    pub fn saturating_add_secs(self, secs: u32) -> TimeVal {
-        TimeVal(self.0.saturating_add(secs).min(u32::MAX - 1))
-    }
-
     /// Parse a date/time literal. Accepted formats (all the ones the
     /// prototype's examples use, plus ISO dates):
     ///

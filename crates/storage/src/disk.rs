@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tdbms_kernel::{Error, Result};
 
 /// Identifies one storage file (one relation, index, or temporary).
@@ -51,19 +52,22 @@ pub trait DiskManager: Send + Sync {
 }
 
 /// In-memory disk: deterministic, allocation-cheap, and fast enough to run
-/// the paper's full update-count sweep in seconds.
-#[derive(Default)]
+/// the paper's full update-count sweep in seconds. A `MemDisk` is a
+/// handle: its clones share the same pages, so a test can crash one
+/// incarnation of a database and reopen the surviving bytes in the next
+/// without touching the filesystem.
+#[derive(Clone, Default)]
 pub struct MemDisk {
+    inner: Arc<Mutex<MemFiles>>,
+}
+
+#[derive(Default)]
+struct MemFiles {
     files: HashMap<FileId, Vec<[u8; PAGE_SIZE]>>,
     next_id: u32,
 }
 
-impl MemDisk {
-    /// An empty in-memory disk.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl MemFiles {
     fn file(&self, file: FileId) -> Result<&Vec<[u8; PAGE_SIZE]>> {
         self.files.get(&file).ok_or_else(|| {
             Error::Internal(format!("no such file {file:?}"))
@@ -80,27 +84,40 @@ impl MemDisk {
     }
 }
 
+impl MemDisk {
+    /// An empty in-memory disk.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MemFiles> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl DiskManager for MemDisk {
     fn create_file(&mut self) -> Result<FileId> {
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.files.insert(id, Vec::new());
+        let mut m = self.lock();
+        let id = FileId(m.next_id);
+        m.next_id += 1;
+        m.files.insert(id, Vec::new());
         Ok(id)
     }
 
     fn drop_file(&mut self, file: FileId) -> Result<()> {
-        self.files.remove(&file).map(|_| ()).ok_or_else(|| {
+        self.lock().files.remove(&file).map(|_| ()).ok_or_else(|| {
             Error::Internal(format!("no such file {file:?}"))
         })
     }
 
     fn page_count(&self, file: FileId) -> Result<u32> {
-        Ok(self.file(file)?.len() as u32)
+        Ok(self.lock().file(file)?.len() as u32)
     }
 
     fn read_page(&mut self, file: FileId, page_no: u32) -> Result<Page> {
-        let pages = self.file(file)?;
-        let bytes = pages
+        let m = self.lock();
+        let bytes = m
+            .file(file)?
             .get(page_no as usize)
             .ok_or(Error::NoSuchPage(page_no))?;
         Ok(Page::from_bytes(Box::new(*bytes)))
@@ -112,8 +129,9 @@ impl DiskManager for MemDisk {
         page_no: u32,
         page: &Page,
     ) -> Result<()> {
-        let pages = self.file_mut(file)?;
-        let slot = pages
+        let mut m = self.lock();
+        let slot = m
+            .file_mut(file)?
             .get_mut(page_no as usize)
             .ok_or(Error::NoSuchPage(page_no))?;
         slot.copy_from_slice(page.as_bytes());
@@ -121,22 +139,24 @@ impl DiskManager for MemDisk {
     }
 
     fn append_page(&mut self, file: FileId, page: &Page) -> Result<u32> {
-        let pages = self.file_mut(file)?;
+        let mut m = self.lock();
+        let pages = m.file_mut(file)?;
         pages.push(*page.as_bytes());
         Ok(pages.len() as u32 - 1)
     }
 
     fn truncate(&mut self, file: FileId) -> Result<()> {
-        self.file_mut(file)?.clear();
+        self.lock().file_mut(file)?.clear();
         Ok(())
     }
 
     fn sync(&mut self, file: FileId) -> Result<()> {
-        self.file(file).map(|_| ())
+        self.lock().file(file).map(|_| ())
     }
 
     fn files(&self) -> Vec<FileId> {
-        let mut ids: Vec<FileId> = self.files.keys().copied().collect();
+        let mut ids: Vec<FileId> =
+            self.lock().files.keys().copied().collect();
         ids.sort_unstable();
         ids
     }

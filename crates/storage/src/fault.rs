@@ -13,12 +13,12 @@
 //! The plan is shared (`Arc<Mutex<…>>`, so one plan can also span
 //! threads in the crash-under-concurrency matrix) so one budget can span
 //! several channels — the data disk and the write-ahead log — giving a
-//! single global "crash at op N" knob. [`SharedMemDisk`] is a cloneable
-//! handle over a [`MemDisk`] so a test can crash one incarnation of a
-//! database and reopen the *same* surviving bytes in the next, without
-//! touching the filesystem.
+//! single global "crash at op N" knob. Over a
+//! [`MemDisk`](crate::MemDisk), whose clones share their pages, a test
+//! can crash one incarnation of a database and reopen the *same*
+//! surviving bytes in the next, without touching the filesystem.
 
-use crate::disk::{DiskManager, FileId, MemDisk};
+use crate::disk::{DiskManager, FileId};
 use crate::page::{Page, PAGE_SIZE};
 use std::sync::{Arc, Mutex, PoisonError};
 use tdbms_kernel::{Error, Result};
@@ -341,70 +341,10 @@ impl DiskManager for FaultDisk {
     }
 }
 
-/// A cloneable handle over one shared [`MemDisk`]: the surviving bytes of
-/// a crashed in-memory database, reopenable by the next incarnation.
-#[derive(Clone, Default)]
-pub struct SharedMemDisk {
-    inner: Arc<Mutex<MemDisk>>,
-}
-
-impl SharedMemDisk {
-    /// An empty shared disk.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemDisk> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl DiskManager for SharedMemDisk {
-    fn create_file(&mut self) -> Result<FileId> {
-        self.lock().create_file()
-    }
-
-    fn drop_file(&mut self, file: FileId) -> Result<()> {
-        self.lock().drop_file(file)
-    }
-
-    fn page_count(&self, file: FileId) -> Result<u32> {
-        self.lock().page_count(file)
-    }
-
-    fn read_page(&mut self, file: FileId, page_no: u32) -> Result<Page> {
-        self.lock().read_page(file, page_no)
-    }
-
-    fn write_page(
-        &mut self,
-        file: FileId,
-        page_no: u32,
-        page: &Page,
-    ) -> Result<()> {
-        self.lock().write_page(file, page_no, page)
-    }
-
-    fn append_page(&mut self, file: FileId, page: &Page) -> Result<u32> {
-        self.lock().append_page(file, page)
-    }
-
-    fn truncate(&mut self, file: FileId) -> Result<()> {
-        self.lock().truncate(file)
-    }
-
-    fn sync(&mut self, file: FileId) -> Result<()> {
-        self.lock().sync(file)
-    }
-
-    fn files(&self) -> Vec<FileId> {
-        self.lock().files()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::MemDisk;
     use crate::page::PageKind;
 
     fn page_of(byte: u8) -> Page {
@@ -437,7 +377,7 @@ mod tests {
 
     #[test]
     fn dropped_write_leaves_the_old_image() {
-        let shared = SharedMemDisk::new();
+        let shared = MemDisk::new();
         let plan = FaultPlan::new(Some(3));
         let mut disk = FaultDisk::new(Box::new(shared.clone()), plan);
         let f = disk.create_file().unwrap();
@@ -451,7 +391,7 @@ mod tests {
 
     #[test]
     fn torn_write_persists_exactly_the_prefix() {
-        let shared = SharedMemDisk::new();
+        let shared = MemDisk::new();
         let plan = FaultPlan::new(Some(3));
         let mut disk = FaultDisk::with_torn_writes(
             Box::new(shared.clone()),
@@ -565,7 +505,7 @@ mod tests {
     fn shared_mem_disk_satisfies_the_disk_contract() {
         // Same exercise the concrete disks run in disk.rs, via the
         // shared handle.
-        let mut disk = SharedMemDisk::new();
+        let mut disk = MemDisk::new();
         let f = disk.create_file().unwrap();
         disk.append_page(f, &page_of(3)).unwrap();
         let clone = disk.clone();

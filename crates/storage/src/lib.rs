@@ -43,7 +43,7 @@ pub use bloom::Bloom;
 pub use catalog::{Catalog, NamedIndex, RelId, StoredRelation};
 pub use checksum::{fnv64, ChecksumSet, SUMS_FILE};
 pub use disk::{DiskManager, FileDisk, FileId, MemDisk};
-pub use fault::{FaultDisk, FaultPlan, SharedMemDisk};
+pub use fault::{FaultDisk, FaultPlan};
 pub use hash::HashFile;
 pub use heap::HeapFile;
 pub use history::ClusteredHistory;
@@ -58,7 +58,7 @@ pub use page::{
 pub use pager::{
     BufferConfig, EvictionPolicy, Pager, DEFAULT_READ_RETRIES,
 };
-pub use persist::{decode_catalog, encode_catalog, load_catalog};
+pub use persist::{decode_catalog, encode_catalog};
 pub use relfile::{AccessMethod, RelFile, RelLookup, RelScan};
 pub use secondary::{i4_attr, IndexStructure, SecondaryIndex};
 pub use tuple::TupleId;

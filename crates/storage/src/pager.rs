@@ -1658,8 +1658,7 @@ mod tests {
         // Satellite 1: flip a byte under the pager's feet; the verified
         // read path must surface Error::Corruption locating the page —
         // and a clean page on the same file must still read fine.
-        use crate::fault::SharedMemDisk;
-        let shared = SharedMemDisk::new();
+        let shared = MemDisk::new();
         let pager = Pager::new(Box::new(shared.clone()));
         pager.set_checksums(Some(ChecksumSet::default()));
         let f = two_page_file(&pager);
@@ -1735,8 +1734,7 @@ mod tests {
 
     #[test]
     fn raw_write_repairs_a_checksum_failure() {
-        use crate::fault::SharedMemDisk;
-        let shared = SharedMemDisk::new();
+        let shared = MemDisk::new();
         let pager = Pager::new(Box::new(shared.clone()));
         pager.set_checksums(Some(ChecksumSet::default()));
         let f = two_page_file(&pager);
@@ -1877,8 +1875,8 @@ mod tests {
 
     #[test]
     fn rollback_defers_repairs_until_the_disk_recovers() {
-        use crate::fault::{FaultDisk, FaultPlan, SharedMemDisk};
-        let shared = SharedMemDisk::new();
+        use crate::fault::{FaultDisk, FaultPlan};
+        let shared = MemDisk::new();
         let plan = FaultPlan::new(None);
         let pager = Pager::new(Box::new(FaultDisk::new(
             Box::new(shared),
@@ -1932,8 +1930,8 @@ mod tests {
 
     #[test]
     fn failed_materialize_keeps_the_overlay_for_retry() {
-        use crate::fault::{FaultDisk, FaultPlan, SharedMemDisk};
-        let shared = SharedMemDisk::new();
+        use crate::fault::{FaultDisk, FaultPlan};
+        let shared = MemDisk::new();
         let plan = FaultPlan::new(None);
         let pager = Pager::new(Box::new(FaultDisk::new(
             Box::new(shared),

@@ -30,7 +30,6 @@ use crate::pager::Pager;
 use crate::relfile::RelFile;
 use crate::secondary::{IndexStructure, SecondaryIndex};
 use std::fmt::Write as _;
-use std::path::Path;
 use tdbms_kernel::{
     AttrDef, DatabaseClass, Domain, Error, Result, RowCodec, Schema,
     TemporalKind,
@@ -208,21 +207,6 @@ pub fn encode_catalog(catalog: &Catalog) -> String {
         writeln!(out, "end").unwrap();
     }
     out
-}
-
-/// Load the `catalog.tdbms` that directories kept beside their page
-/// files before the log carried the only catalog; `Ok(None)` when there
-/// is none (a fresh directory, or any newer one).
-pub fn load_catalog(dir: &Path, pager: &Pager) -> Result<Option<Catalog>> {
-    let path = dir.join("catalog.tdbms");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(None)
-        }
-        Err(e) => return Err(e.into()),
-    };
-    decode_catalog(&text, pager).map(Some)
 }
 
 /// Parse a serialized catalog, validating every referenced page file
@@ -445,7 +429,7 @@ mod tests {
     #[test]
     fn catalog_roundtrips_through_disk() {
         let dir = tempdir("roundtrip");
-        let (saved_rows, saved_meta);
+        let (saved_rows, saved_meta, text);
         {
             let pager = Pager::new(Box::new(
                 crate::disk::FileDisk::open(&dir).unwrap(),
@@ -500,8 +484,7 @@ mod tests {
                 .unwrap();
             }
             pager.flush_all().unwrap();
-            std::fs::write(dir.join("catalog.tdbms"), encode_catalog(&cat))
-                .unwrap();
+            text = encode_catalog(&cat);
             let rel = cat.get(id);
             saved_meta = (
                 rel.fillfactor,
@@ -517,11 +500,11 @@ mod tests {
             }
             saved_rows = rows;
         }
-        // "Next process": reopen disk + catalog.
+        // "Next process": reopen the disk and decode the catalog text.
         let pager = Pager::new(Box::new(
             crate::disk::FileDisk::open(&dir).unwrap(),
         ));
-        let cat = load_catalog(&dir, &pager).unwrap().expect("catalog");
+        let cat = decode_catalog(&text, &pager).unwrap();
         let id = cat.id_of("t").expect("relation registered");
         let rel = cat.get(id);
         assert_eq!(
@@ -606,21 +589,16 @@ mod tests {
     }
 
     #[test]
-    fn missing_catalog_is_none_and_garbage_errors() {
-        let dir = tempdir("garbage");
-        let pager = Pager::new(Box::new(
-            crate::disk::FileDisk::open(&dir).unwrap(),
-        ));
-        assert!(load_catalog(&dir, &pager).unwrap().is_none());
-        std::fs::write(dir.join("catalog.tdbms"), "not a catalog").unwrap();
-        assert!(load_catalog(&dir, &pager).is_err());
-        std::fs::write(
-            dir.join("catalog.tdbms"),
-            "tdbms-catalog 1\nrelation r static interval 100 0\nattr x i4\nfile heap 99\nend\n",
-        )
-        .unwrap();
+    fn garbage_and_missing_page_files_are_errors() {
+        let pager = Pager::in_memory();
+        assert!(decode_catalog("not a catalog", &pager).is_err());
         // References a page file that does not exist.
-        assert!(load_catalog(&dir, &pager).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+        let missing = "tdbms-catalog 1\nrelation r static interval 100 0\n\
+                       attr x i4\nfile heap 99\nend\n";
+        assert!(decode_catalog(missing, &pager).is_err());
+        // An empty catalog decodes to no relations.
+        let empty =
+            decode_catalog(&encode_catalog(&Catalog::new()), &pager);
+        assert_eq!(empty.unwrap().iter().count(), 0);
     }
 }

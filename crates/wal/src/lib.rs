@@ -13,20 +13,23 @@
 //! eventually reach disk), any deferred file drops, the catalog + clock
 //! text, `Commit` — and fsyncs the log. Only then do deferred drops
 //! execute physically. A checkpoint writes the overlay through to the
-//! data files, fsyncs them, saves the catalog, and truncates the log to
-//! a fresh header carrying the next LSN and a snapshot of every file's
-//! length.
+//! data files, fsyncs them, and truncates the log ([`Wal::checkpoint`])
+//! to a fresh header carrying the next LSN and a snapshot of every
+//! file's length, plus one committed transaction holding the catalog
+//! and clock.
 //!
 //! ## Recovery invariants
 //!
-//! Redo-only suffices because uncommitted page *content* never reaches
-//! the data files — only empty appended pages and length changes do, and
-//! the log records committed lengths so recovery trims uncommitted
-//! tails. On reopen:
+//! Every open of a durable database goes through [`recover`]. Redo-only
+//! suffices because uncommitted page *content* never reaches the data
+//! files — only empty appended pages and length changes do, and the log
+//! records committed lengths so recovery trims uncommitted tails. On
+//! reopen:
 //!
-//! 1. An empty or torn header means the log is the fresh product of a
-//!    checkpoint (which durably materialized everything first): nothing
-//!    to redo.
+//! 1. A log without a catalog (empty, or a torn header) has nothing to
+//!    redo. It opens only a disk without page files; a disk with page
+//!    files is refused, since every checkpoint writes a catalog in the
+//!    same atomic reset as its header.
 //! 2. The header snapshot restores each listed file's checkpointed
 //!    length; then each *committed* transaction replays in order —
 //!    lengths, then page images (skipped when the on-disk page already
@@ -39,20 +42,30 @@
 //!    re-writes an identical image, or re-drops — so recovering twice
 //!    equals recovering once, and a crash *during* recovery is no worse
 //!    than the original crash.
+//! 5. The checksum sidecar, when there is one, follows replay: each
+//!    replayed image's sum is recorded, and the sidecar is saved after
+//!    the data files are synced.
 
 mod group;
 mod log;
 mod record;
 
 pub use crate::group::{GroupCommit, GroupCommitConfig};
-pub use crate::log::{FaultLog, FileLog, LogStore, MemLog, SharedMemLog};
+pub use crate::log::{FaultLog, FileLog, LogStore, MemLog};
 pub use crate::record::{
     encode_header, fnv64, parse_header, parse_records, Record,
 };
 
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use tdbms_kernel::Result;
-use tdbms_storage::{DiskManager, FileId, Page, PageKind};
+use tdbms_kernel::{Error, Result, TimeVal};
+use tdbms_storage::{
+    decode_catalog, Catalog, ChecksumSet, DiskManager, FileDisk, FileId,
+    Page, PageKind, Pager,
+};
+
+/// File name of the write-ahead log inside a database directory.
+pub const WAL_NAME: &str = "wal.tdbms";
 
 /// When the database takes a checkpoint (overlay write-through + log
 /// truncation).
@@ -191,15 +204,21 @@ impl RecoveryPlan {
 /// dropped, and re-appended); growing appends empty data pages — safe
 /// placeholders, because every page appended under staging is installed
 /// dirty and therefore always has a committed image to replay over it.
-/// A missing file is skipped: a later committed `DropFile` removed it.
+/// Sums recorded past the surviving pages are dropped; placeholders get
+/// theirs on first read. A missing file is skipped: a later committed
+/// `DropFile` removed it.
 fn set_len(
     disk: &mut dyn DiskManager,
+    sums: &mut Option<ChecksumSet>,
     file: FileId,
     len: u32,
 ) -> Result<()> {
     let Ok(cur) = disk.page_count(file) else {
         return Ok(());
     };
+    if let Some(sums) = sums {
+        sums.truncate(file, cur.min(len));
+    }
     if cur > len {
         let keep: Vec<Page> = (0..len)
             .map(|p| disk.read_page(file, p))
@@ -217,19 +236,24 @@ fn set_len(
 }
 
 /// Redo a [`RecoveryPlan`] against the raw disk (run *before* any pager
-/// buffers pages). Idempotent: see the module-level invariants.
-pub fn replay(
+/// buffers pages), keeping the checksum sidecar `sums`, when there is
+/// one, in step: every committed page image is recorded as its page's
+/// sum, whether replay wrote it or found the disk already as new, and
+/// length changes and drops forget the sums of pages that no longer
+/// exist. Idempotent: see the module-level invariants.
+fn replay(
     plan: &RecoveryPlan,
     disk: &mut dyn DiskManager,
+    sums: &mut Option<ChecksumSet>,
 ) -> Result<()> {
     for &(file, len) in &plan.snapshot {
-        set_len(disk, file, len)?;
+        set_len(disk, sums, file, len)?;
     }
     for txn in &plan.txns {
         for (lsn, rec) in txn {
             match rec {
                 Record::FileLen { file, len } => {
-                    set_len(disk, *file, *len)?
+                    set_len(disk, sums, *file, *len)?
                 }
                 Record::PageImage {
                     file,
@@ -240,16 +264,22 @@ pub fn replay(
                         continue;
                     };
                     if *page_no >= n {
-                        set_len(disk, *file, page_no + 1)?;
+                        set_len(disk, sums, *file, page_no + 1)?;
                     }
                     let on_disk = disk.read_page(*file, *page_no)?;
                     if on_disk.lsn() < *lsn {
                         disk.write_page(*file, *page_no, image)?;
                     }
+                    if let Some(sums) = sums {
+                        sums.record(*file, *page_no, image);
+                    }
                 }
                 Record::DropFile { file } => {
                     if disk.page_count(*file).is_ok() {
                         disk.drop_file(*file)?;
+                    }
+                    if let Some(sums) = sums {
+                        sums.drop_file(*file);
                     }
                 }
                 Record::Begin | Record::Catalog { .. } | Record::Commit => {
@@ -258,6 +288,92 @@ pub fn replay(
         }
     }
     Ok(())
+}
+
+/// A database as recovery leaves it: the committed log tail replayed
+/// onto synced page files, and the catalog and clock of the last
+/// committed transaction.
+pub struct Recovered {
+    /// The reopened log, its LSN counter past everything ever logged.
+    pub wal: Wal,
+    /// What the log held at open; its page images stay the salvage
+    /// source until the next checkpoint truncates them.
+    pub plan: RecoveryPlan,
+    /// A pager over the recovered files. Checksum verification is on
+    /// exactly when the directory has a sidecar.
+    pub pager: Pager,
+    /// The last committed catalog (empty for a fresh database).
+    pub catalog: Catalog,
+    /// The last committed transaction clock.
+    pub clock: TimeVal,
+}
+
+/// [`recover`] the database directory `dir`: its page files, its log
+/// ([`WAL_NAME`]) and its checksum sidecar.
+pub fn recover_dir(dir: &Path) -> Result<Recovered> {
+    let disk = FileDisk::open(dir)?;
+    let log = FileLog::open(dir.join(WAL_NAME))?;
+    recover(Box::new(disk), Box::new(log), Some(dir))
+}
+
+/// The one recovery routine: open the log, redo its committed
+/// transactions onto `disk`, sync the files, and read back the catalog
+/// and clock the log carries. When `dir` holds a checksum sidecar,
+/// replay keeps it in step and it is saved once the data files are
+/// synced, so a directory with a sidecar always opens verified and
+/// never against sums older than its pages.
+///
+/// A disk with page files but a log without a catalog is refused with
+/// [`Error::Corruption`] before anything is replayed: opening it would
+/// describe those files with an empty catalog.
+pub fn recover(
+    mut disk: Box<dyn DiskManager>,
+    log: Box<dyn LogStore>,
+    dir: Option<&Path>,
+) -> Result<Recovered> {
+    let (wal, plan) = Wal::open(log)?;
+    let files = disk.files();
+    if plan.catalog.is_none() && !files.is_empty() {
+        return Err(Error::Corruption {
+            file: None,
+            page: None,
+            detail: format!(
+                "{} page files but no catalog in the write-ahead log",
+                files.len()
+            ),
+        });
+    }
+    let mut sums = match dir {
+        Some(dir) => ChecksumSet::load(dir)?,
+        None => None,
+    };
+    replay(&plan, disk.as_mut(), &mut sums)?;
+    for f in disk.files() {
+        disk.sync(f)?;
+    }
+    if let (Some(dir), Some(sums)) = (dir, &sums) {
+        sums.save(dir)?;
+    }
+    let pager = Pager::new(disk);
+    pager.set_checksums(sums);
+    let (catalog, clock) = match &plan.catalog {
+        Some((clock, text)) => {
+            let secs = clock.parse().map_err(|_| Error::Corruption {
+                file: None,
+                page: None,
+                detail: format!("bad clock {clock:?} in the log"),
+            })?;
+            (decode_catalog(text, &pager)?, TimeVal::from_secs(secs))
+        }
+        None => (Catalog::new(), TimeVal::BEGINNING),
+    };
+    Ok(Recovered {
+        wal,
+        plan,
+        pager,
+        catalog,
+        clock,
+    })
 }
 
 /// A cloneable handle on a [`Wal`]'s underlying [`LogStore`]. The
@@ -352,29 +468,27 @@ impl Wal {
         self.bytes_appended
     }
 
-    /// Checkpoint truncation: replace the log with a fresh header
-    /// carrying the current LSN frontier and the given file-length
-    /// snapshot, then sync. Call only after the data files and catalog
-    /// the snapshot describes are durably on disk.
-    pub fn truncate(&mut self, snapshot: &[(FileId, u32)]) -> Result<()> {
-        self.truncate_with(snapshot, &[])
-    }
-
-    /// [`Wal::truncate`] with `records` (LSN-assigned here) composed
-    /// into the same atomic reset. The database rides a committed
-    /// catalog transaction along with every truncation, so the log never
-    /// — not even between two operations of a checkpoint — lacks the
-    /// catalog it would need to recover a directory-less database.
-    pub fn truncate_with(
+    /// Checkpoint truncation: replace the log, in one atomic reset,
+    /// with a fresh header carrying the current LSN frontier and the
+    /// file-length snapshot `lengths`, plus one committed transaction
+    /// holding `catalog` and `clock` — so the log never, not even
+    /// between two operations of a checkpoint, lacks the catalog it
+    /// would need to recover — then sync. Call only after the data
+    /// files the snapshot describes are durably on disk.
+    pub fn checkpoint(
         &mut self,
-        snapshot: &[(FileId, u32)],
-        records: &[Record],
+        lengths: &[(FileId, u32)],
+        clock: TimeVal,
+        catalog: &Catalog,
     ) -> Result<()> {
-        let mut buf = encode_header(self.next_lsn, snapshot);
-        for rec in records {
-            let lsn = self.next_lsn;
+        let mut buf = encode_header(self.next_lsn, lengths);
+        for rec in [
+            Record::Begin,
+            Record::catalog_of(clock, catalog),
+            Record::Commit,
+        ] {
+            buf.extend_from_slice(&rec.encode(self.next_lsn));
             self.next_lsn += 1;
-            buf.extend_from_slice(&rec.encode(lsn));
         }
         self.bytes_appended += buf.len() as u64;
         let mut store = self.store();
@@ -447,8 +561,19 @@ mod tests {
         .unwrap();
         wal.append(&Record::Commit).unwrap();
         let plan = RecoveryPlan::parse(&wal.read_back().unwrap());
-        replay(&plan, &mut disk).unwrap();
+        let mut sums = ChecksumSet::new();
+        for p in 0..4 {
+            sums.record(f, p, &image(1, 0));
+        }
+        let mut sidecar = Some(sums);
+        replay(&plan, &mut disk, &mut sidecar).unwrap();
         assert_eq!(disk.page_count(f).unwrap(), 2, "tail trimmed");
+        let sums = sidecar.unwrap();
+        assert_eq!(sums.len(), 2, "the trimmed tail's sums are gone");
+        for p in 0..2 {
+            let page = disk.read_page(f, p).unwrap();
+            sums.verify(f, p, &page).expect("sums follow replay");
+        }
         assert_eq!(
             disk.read_page(f, 1).unwrap().row(4, 0).unwrap(),
             &[7; 4]
@@ -461,7 +586,7 @@ mod tests {
         let before: Vec<Vec<u8>> = (0..2)
             .map(|p| disk.read_page(f, p).unwrap().as_bytes().to_vec())
             .collect();
-        replay(&plan, &mut disk).unwrap();
+        replay(&plan, &mut disk, &mut None).unwrap();
         let after: Vec<Vec<u8>> = (0..2)
             .map(|p| disk.read_page(f, p).unwrap().as_bytes().to_vec())
             .collect();
@@ -487,7 +612,7 @@ mod tests {
             catalog: None,
             next_lsn: 11,
         };
-        replay(&plan, &mut disk).unwrap();
+        replay(&plan, &mut disk, &mut None).unwrap();
         assert_eq!(
             disk.read_page(f, 0).unwrap().row(4, 0).unwrap(),
             &[9; 4],
@@ -516,7 +641,7 @@ mod tests {
             catalog: None,
             next_lsn: 9,
         };
-        replay(&plan, &mut disk).unwrap();
+        replay(&plan, &mut disk, &mut None).unwrap();
         assert_eq!(disk.page_count(f).unwrap(), 3);
         assert_eq!(
             disk.read_page(f, 2).unwrap().row(4, 0).unwrap(),
@@ -551,27 +676,33 @@ mod tests {
             catalog: None,
             next_lsn: 5,
         };
-        replay(&plan, &mut disk).unwrap();
+        replay(&plan, &mut disk, &mut None).unwrap();
         assert!(disk.page_count(f).is_err());
     }
 
     #[test]
-    fn truncation_preserves_the_lsn_frontier_and_snapshot() {
+    fn checkpoint_preserves_the_lsn_frontier_and_snapshot() {
         let mut wal = Wal::open(Box::new(MemLog::new())).unwrap().0;
         wal.append(&Record::Begin).unwrap();
         wal.append(&Record::Commit).unwrap();
         let frontier = wal.peek_lsn();
-        wal.truncate(&[(FileId(0), 7)]).unwrap();
+        wal.checkpoint(
+            &[(FileId(0), 7)],
+            TimeVal::from_secs(60),
+            &Catalog::new(),
+        )
+        .unwrap();
         let bytes = wal.read_back().unwrap();
         let plan = RecoveryPlan::parse(&bytes);
-        assert!(plan.txns.is_empty());
+        assert_eq!(plan.txns.len(), 1, "only the catalog transaction");
+        assert_eq!(plan.catalog.as_ref().unwrap().0, "60");
         assert_eq!(plan.base_lsn, frontier);
         assert_eq!(plan.snapshot, vec![(FileId(0), 7)]);
-        assert_eq!(plan.next_lsn(), frontier);
+        assert_eq!(plan.next_lsn(), frontier + 3);
         // Snapshot replay restores the checkpointed length.
         let (mut disk, f) = disk_with(9, 1);
         assert_eq!(f, FileId(0));
-        replay(&plan, &mut disk).unwrap();
+        replay(&plan, &mut disk, &mut None).unwrap();
         assert_eq!(disk.page_count(f).unwrap(), 7);
     }
 
@@ -662,7 +793,7 @@ mod tests {
         );
         let (mut disk, file) = disk_with(2, 7);
         assert_eq!(file, f);
-        replay(&plan, &mut disk).unwrap();
+        replay(&plan, &mut disk, &mut None).unwrap();
         let committed = disk.read_page(f, 0).unwrap();
         assert_eq!(committed.row(4, 0).unwrap(), &[3; 4]);
         let untouched = disk.read_page(f, 1).unwrap();

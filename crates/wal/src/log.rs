@@ -3,9 +3,9 @@
 //! [`LogStore`] is the byte-level contract the WAL writes against:
 //! append, fsync, read back, and reset (checkpoint truncation). The
 //! backends mirror the disk managers: [`FileLog`] for a real durable log
-//! beside the page files, [`MemLog`] for unit tests, [`SharedMemLog`] so
-//! a crash test can reopen the surviving bytes in the next incarnation,
-//! and [`FaultLog`] to crash the log channel on the same
+//! beside the page files, [`MemLog`] (whose clones share their bytes,
+//! so a crash test can reopen the surviving log in the next
+//! incarnation), and [`FaultLog`] to crash the log channel on the same
 //! [`FaultPlan`] budget as the data disk.
 
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -33,49 +33,16 @@ pub trait LogStore: Send + Sync {
     fn reset(&mut self, bytes: &[u8]) -> Result<()>;
 }
 
-/// In-memory log.
-#[derive(Default)]
+/// In-memory log. A `MemLog` is a handle: its clones share the same
+/// bytes, so a crash test can reopen the surviving log of one
+/// incarnation in the next.
+#[derive(Clone, Default)]
 pub struct MemLog {
-    bytes: Vec<u8>,
+    bytes: Arc<Mutex<Vec<u8>>>,
 }
 
 impl MemLog {
     /// An empty in-memory log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl LogStore for MemLog {
-    fn read_all(&mut self) -> Result<Vec<u8>> {
-        Ok(self.bytes.clone())
-    }
-
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.bytes.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn reset(&mut self, bytes: &[u8]) -> Result<()> {
-        self.bytes.clear();
-        self.bytes.extend_from_slice(bytes);
-        Ok(())
-    }
-}
-
-/// A cloneable handle over one shared in-memory log: the surviving bytes
-/// of a crashed incarnation, reopenable by the next.
-#[derive(Clone, Default)]
-pub struct SharedMemLog {
-    bytes: Arc<Mutex<Vec<u8>>>,
-}
-
-impl SharedMemLog {
-    /// An empty shared log.
     pub fn new() -> Self {
         Self::default()
     }
@@ -85,7 +52,7 @@ impl SharedMemLog {
     }
 }
 
-impl LogStore for SharedMemLog {
+impl LogStore for MemLog {
     fn read_all(&mut self) -> Result<Vec<u8>> {
         Ok(self.lock().clone())
     }
@@ -293,13 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn mem_log_contract() {
-        exercise(&mut MemLog::new());
-    }
-
-    #[test]
-    fn shared_mem_log_contract_and_sharing() {
-        let mut log = SharedMemLog::new();
+    fn mem_log_contract_and_sharing() {
+        let mut log = MemLog::new();
         exercise(&mut log);
         let mut other = log.clone();
         other.append(b"!").unwrap();
@@ -343,7 +305,7 @@ mod tests {
 
     #[test]
     fn fault_log_flips_one_bit_of_the_crashing_append() {
-        let shared = SharedMemLog::new();
+        let shared = MemLog::new();
         let plan = FaultPlan::new(Some(2));
         let mut log = FaultLog::with_bit_flips(
             Box::new(shared.clone()),
@@ -364,7 +326,7 @@ mod tests {
 
     #[test]
     fn fault_log_tears_the_crashing_append() {
-        let shared = SharedMemLog::new();
+        let shared = MemLog::new();
         let plan = FaultPlan::new(Some(2));
         let mut log = FaultLog::with_torn_appends(
             Box::new(shared.clone()),

@@ -15,8 +15,8 @@
 //! their stamps) and a snapshot of every file's committed length at the
 //! checkpoint that wrote it.
 
-use tdbms_kernel::{Error, Result};
-use tdbms_storage::{FileId, Page, PAGE_SIZE};
+use tdbms_kernel::{Error, Result, TimeVal};
+use tdbms_storage::{encode_catalog, Catalog, FileId, Page, PAGE_SIZE};
 
 /// Header magic (8 bytes) + format version.
 const MAGIC: &[u8; 8] = b"TDBMSWAL";
@@ -50,13 +50,22 @@ pub enum Record {
     DropFile { file: FileId },
     /// The committed catalog and clock, verbatim in their text formats:
     /// the only on-disk copy of either. The last committed one wins at
-    /// recovery; `catalog.tdbms` is read only when the log holds none.
+    /// recovery.
     Catalog { clock: String, catalog: String },
     /// The transaction is durable once this record is on stable storage.
     Commit,
 }
 
 impl Record {
+    /// The [`Record::Catalog`] describing `catalog` at `clock`, in the
+    /// text forms recovery decodes.
+    pub fn catalog_of(clock: TimeVal, catalog: &Catalog) -> Record {
+        Record::Catalog {
+            clock: clock.as_secs().to_string(),
+            catalog: encode_catalog(catalog),
+        }
+    }
+
     fn kind(&self) -> u8 {
         match self {
             Record::Begin => 1,

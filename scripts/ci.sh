@@ -404,17 +404,23 @@ gate_plan_cache_smoke() {
 }
 
 # End-to-end scrubber gate: build a durable database through the shell
-# with a manual checkpoint policy (so the process exit leaves a
-# committed log tail), then `check` must replay the WAL and audit the
-# recovered database clean. The session must leave no `catalog.tdbms`
-# or `clock.tdbms`: the log carries the only catalog.
+# — a checksummed first session whose checkpoints save the sidecar,
+# then one with a manual checkpoint policy (so the process exit leaves
+# a committed log tail over page 0) — and `check` must replay the WAL
+# and audit the recovered database clean. The sessions must leave no
+# `catalog.tdbms` or `clock.tdbms`: the log carries the only catalog.
+# Then a checksummed shell reopens the directory, replaying that tail:
+# its retrieve must return both acked rows (tom's as replaced), and
+# `check` must say clean again.
 gate_check_recovery() {
-    local dbdir rc=0
+    local dbdir rows rc=0
     dbdir=$(mktemp -d)
     {
         echo 'create temporal interval emp (name = c16, salary = i4);'
-        echo 'range of e is emp;'
         echo 'append to emp (name = "merrie", salary = 20000);'
+    } | TDBMS_CHECKSUMS=1 "$bindir/tdbms" "$dbdir" >/dev/null
+    {
+        echo 'range of e is emp;'
         echo 'append to emp (name = "tom", salary = 18000);'
         echo 'replace e (salary = e.salary + 500) where e.name = "tom";'
     } | TDBMS_CHECKPOINT=manual TDBMS_CHECKSUMS=1 \
@@ -427,6 +433,15 @@ gate_check_recovery() {
         rc=1
     elif ! "$bindir/check" "$dbdir" | grep -qx 'clean'; then
         echo "check gate: recovered database did not audit clean"
+        rc=1
+    elif ! rows=$(echo 'range of e is emp; retrieve (e.name, e.salary);' |
+        TDBMS_CHECKSUMS=1 "$bindir/tdbms" "$dbdir" 2>/dev/null) ||
+        ! grep -Eq '^merrie +20000 ' <<<"$rows" ||
+        ! grep -Eq '^tom +18500 ' <<<"$rows"; then
+        echo "check gate: the checksummed reopen lost an acked row"
+        rc=1
+    elif ! "$bindir/check" "$dbdir" | grep -qx 'clean'; then
+        echo "check gate: reopened database did not audit clean"
         rc=1
     fi
     rm -rf "$dbdir"

@@ -25,10 +25,11 @@
 //! A directory opens through the write-ahead log
 //! (`Database::open_durable`): every statement is a durable transaction.
 //! Environment knobs for file-backed sessions: `TDBMS_CHECKSUMS=1`
-//! turns on sidecar page checksums, and `TDBMS_CHECKPOINT=manual` /
-//! `every:<n>` overrides the checkpoint policy (CI uses `manual` to
-//! leave a log tail for `check` to replay); any other value is an
-//! error.
+//! starts sidecar page checksums in a directory that has no sidecar yet
+//! (a directory with one is always verified, with or without the
+//! knob), and `TDBMS_CHECKPOINT=manual` / `every:<n>` overrides the
+//! checkpoint policy (CI uses `manual` to leave a log tail for `check`
+//! to replay); any other value is an error.
 //!
 //! The prompt and banner appear only when stdin is a terminal, so a
 //! piped script's stdout holds results alone.
@@ -278,9 +279,7 @@ fn open_dir(dir: &str) -> Database {
         .unwrap_or_else(|e| die(format!("cannot open {dir}: {e}")));
     eprintln!("opened file-backed database at {dir}");
     if std::env::var("TDBMS_CHECKSUMS").is_ok_and(|v| v == "1") {
-        if let Err(e) = db.enable_checksums() {
-            die(format!("cannot enable checksums: {e}"));
-        }
+        db.enable_checksums();
     }
     if let Ok(v) = std::env::var("TDBMS_CHECKPOINT") {
         let policy = match v.strip_prefix("every:") {

@@ -28,7 +28,7 @@
 
 use std::time::Duration;
 
-use tdbms::wal::{FaultLog, FileLog, SharedMemLog};
+use tdbms::wal::{FaultLog, FileLog, MemLog};
 use tdbms::{
     CheckpointPolicy, Database, Engine, Error, GroupCommitConfig, Value,
 };
@@ -36,16 +36,16 @@ use tdbms_kernel::tmpdir::fresh_dir;
 use tdbms_net::{
     Client, ReconnectClient, RetryConfig, Server, ServerConfig,
 };
-use tdbms_storage::{FaultDisk, FaultPlan, FileDisk, SharedMemDisk};
+use tdbms_storage::{FaultDisk, FaultPlan, FileDisk, MemDisk};
 
 const CREATE: &str = "create temporal interval r (id = i4, seq = i4)";
 
 /// A durable database on fault-wrapped shared in-memory storage,
 /// plus the plan that injects faults and the storage handles a
 /// reopen can replay from.
-fn fault_db() -> (Database, FaultPlan, SharedMemDisk, SharedMemLog) {
-    let disk = SharedMemDisk::new();
-    let log = SharedMemLog::new();
+fn fault_db() -> (Database, FaultPlan, MemDisk, MemLog) {
+    let disk = MemDisk::new();
+    let log = MemLog::new();
     let plan = FaultPlan::new(None);
     let db = Database::open_durable_on(
         Box::new(FaultDisk::new(Box::new(disk.clone()), plan.clone())),

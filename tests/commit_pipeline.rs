@@ -5,16 +5,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tdbms::wal::{FaultLog, LogStore, SharedMemLog};
+use tdbms::wal::{FaultLog, LogStore, MemLog};
 use tdbms::{
     CheckpointPolicy, Database, Engine, Error, GroupCommitConfig, Value,
 };
 use tdbms_check::{check_database, CheckedDb};
 use tdbms_kernel::tmpdir::fresh_dir;
 use tdbms_kernel::{TemporalAttr, TimeVal};
-use tdbms_storage::{
-    DiskManager, FaultDisk, FaultPlan, FileId, SharedMemDisk,
-};
+use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, FileId, MemDisk};
 
 const CREATE: &str = "create rollback interval r (id = i4, seq = i4)";
 
@@ -57,15 +55,12 @@ fn bulk_load_on_a_file_backed_database_survives_reopen() {
 /// A group-commit engine over fault-wrapped shared storage, with a
 /// loaded heap relation `r` whose `modify` will build a new file aside
 /// and drop the old one.
-fn modify_fixture() -> (Engine, FaultPlan, SharedMemDisk) {
-    let disk = SharedMemDisk::new();
+fn modify_fixture() -> (Engine, FaultPlan, MemDisk) {
+    let disk = MemDisk::new();
     let plan = FaultPlan::new(None);
     let mut db = Database::open_durable_on(
         Box::new(FaultDisk::new(Box::new(disk.clone()), plan.clone())),
-        Box::new(FaultLog::new(
-            Box::new(SharedMemLog::new()),
-            plan.clone(),
-        )),
+        Box::new(FaultLog::new(Box::new(MemLog::new()), plan.clone())),
         None,
     )
     .expect("durable open");
@@ -93,7 +88,7 @@ fn file_of_r(engine: &Engine) -> FileId {
 
 fn assert_dropped_and_clean(
     engine: &Engine,
-    disk: &SharedMemDisk,
+    disk: &MemDisk,
     old: FileId,
     ctx: &str,
 ) {
@@ -153,7 +148,7 @@ fn a_logged_drop_always_reaches_the_disk() {
 
 /// A log that counts its syncs and truncations.
 struct CountingLog {
-    inner: SharedMemLog,
+    inner: MemLog,
     syncs: Arc<AtomicU64>,
     resets: Arc<AtomicU64>,
 }
@@ -190,9 +185,9 @@ fn a_commit_costs_one_log_sync() {
             let (syncs, resets) =
                 (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
             let mut db = Database::open_durable_on(
-                Box::new(SharedMemDisk::new()),
+                Box::new(MemDisk::new()),
                 Box::new(CountingLog {
-                    inner: SharedMemLog::new(),
+                    inner: MemLog::new(),
                     syncs: syncs.clone(),
                     resets: resets.clone(),
                 }),

@@ -21,11 +21,11 @@
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
-use tdbms::wal::{FaultLog, LogStore, SharedMemLog};
+use tdbms::wal::{FaultLog, LogStore, MemLog};
 use tdbms::{CheckpointPolicy, Database, Engine};
 use tdbms_check::check_database;
 use tdbms_kernel::{Prng, Value};
-use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, SharedMemDisk};
+use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, MemDisk};
 
 /// Seed rows shared by every schedule: ids `1..=BASE_IDS`, `seq = 0`.
 const BASE_IDS: i64 = 24;
@@ -77,8 +77,8 @@ fn audit_clean(engine: &Engine, ctx: &str) {
 fn run_stress_schedule(seed: u64, durable: bool) {
     let mut db = if durable {
         Database::open_durable_on(
-            Box::new(SharedMemDisk::new()),
-            Box::new(SharedMemLog::new()),
+            Box::new(MemDisk::new()),
+            Box::new(MemLog::new()),
             None,
         )
         .expect("durable open on fresh storage")
@@ -182,8 +182,8 @@ fn crash_under_concurrency_loses_no_committed_tuples() {
 
         // Incarnation 1 (no faults): build the baseline and checkpoint
         // it, so `t` always exists when the crash run opens.
-        let disk = SharedMemDisk::new();
-        let log = SharedMemLog::new();
+        let disk = MemDisk::new();
+        let log = MemLog::new();
         let baseline: BTreeSet<i64> = (1..=BASE_IDS).collect();
         {
             let mut db = Database::open_durable_on(

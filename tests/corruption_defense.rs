@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use tdbms::wal::SharedMemLog;
+use tdbms::wal::MemLog;
 use tdbms::{CheckpointPolicy, Database, Value};
 use tdbms_bench::queries::queries_for;
 use tdbms_bench::workload::{all_rows, populate_database, BenchConfig};
@@ -116,7 +116,7 @@ fn flip_a_bit_anywhere_and_repair_restores_or_reports() {
         // A committed workload with checksums on, under a checkpoint
         // policy that leaves page images in the log (the salvage source).
         let mut db = Database::open_durable(&dir).unwrap();
-        db.enable_checksums().unwrap();
+        db.enable_checksums();
         db.set_checkpoint_policy(match g.range(0..3u8) {
             0 => CheckpointPolicy::Manual,
             1 => CheckpointPolicy::EveryN(2),
@@ -189,6 +189,90 @@ fn flip_a_bit_anywhere_and_repair_restores_or_reports() {
 }
 
 // ---------------------------------------------------------------------
+// The checksum sidecar across reopens
+// ---------------------------------------------------------------------
+
+const EMP: &str = "create temporal interval emp (name = c16, salary = i4)";
+const MERRIE: &str = r#"append to emp (name = "merrie", salary = 20000)"#;
+const TOM: &str = r#"append to emp (name = "tom", salary = 18000)"#;
+
+/// Session 1 of both sidecar sequences: a checksummed directory whose
+/// checkpoints saved a sidecar covering page 0 with one row on it.
+fn checksummed_emp(tag: &str) -> PathBuf {
+    let dir = tdbms_kernel::tmpdir::fresh_dir(tag);
+    let mut db = Database::open_durable(&dir).unwrap();
+    db.enable_checksums();
+    db.execute(EMP).unwrap();
+    db.execute(MERRIE).unwrap();
+    assert!(dir.join(tdbms::SUMS_FILE).exists(), "no sidecar saved");
+    dir
+}
+
+/// Both acked rows are retrievable, and once `db` is closed the
+/// directory audits clean and a repair finds nothing to lose.
+fn assert_both_rows_and_clean(mut db: Database, dir: &Path) {
+    db.execute("range of e is emp").unwrap();
+    let out = db.execute("retrieve (e.name, e.salary)").unwrap();
+    let mut rows: Vec<&[Value]> =
+        out.rows().iter().map(|r| &r[..2]).collect();
+    rows.sort_by_key(|r| format!("{r:?}"));
+    assert_eq!(
+        rows,
+        [
+            [Value::Str("merrie".into()), Value::Int(20000)],
+            [Value::Str("tom".into()), Value::Int(18000)],
+        ]
+    );
+    drop(db);
+    let check = CheckedDb::open(dir).unwrap().check().unwrap();
+    assert!(check.is_clean(), "{}", check.render());
+    let repair = CheckedDb::open(dir).unwrap().repair().unwrap();
+    assert!(repair.is_clean(), "{}", repair.render());
+}
+
+/// A clean crash leaves a committed row in the log only; the reopen
+/// replays it over page 0. The sidecar must follow that replay, and a
+/// directory with a sidecar opens verified without being asked.
+#[test]
+fn a_replayed_log_tail_keeps_the_sidecar_in_step() {
+    let dir = checksummed_emp("sums-replayed-tail");
+    {
+        let mut db = Database::open_durable(&dir).unwrap();
+        db.enable_checksums();
+        db.set_checkpoint_policy(CheckpointPolicy::Manual);
+        db.execute(TOM).unwrap();
+        // Dropped without a checkpoint: the row lives in the log only.
+    }
+    let db = Database::open_durable(&dir).unwrap();
+    assert!(
+        db.checksums_enabled(),
+        "a directory with a sidecar opens verified"
+    );
+    assert_both_rows_and_clean(db, &dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A session that never asks for checksums still checkpoints over a
+/// checksummed directory: its page writes must reach the sidecar, or
+/// the next verified session reads page 0 as corrupt.
+#[test]
+fn an_unasked_session_keeps_the_sidecar_in_step() {
+    let dir = checksummed_emp("sums-unasked-session");
+    {
+        let mut db = Database::open_durable(&dir).unwrap();
+        assert!(
+            db.checksums_enabled(),
+            "a directory with a sidecar opens verified"
+        );
+        db.execute(TOM).unwrap();
+    }
+    let mut db = Database::open_durable(&dir).unwrap();
+    db.enable_checksums();
+    assert_both_rows_and_clean(db, &dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
 // Transient-I/O retry
 // ---------------------------------------------------------------------
 
@@ -200,7 +284,7 @@ fn faulted_db(schedule: impl IntoIterator<Item = u64>) -> Database {
     fault.set_transient_reads(schedule);
     Database::open_durable_on(
         Box::new(fault),
-        Box::new(SharedMemLog::new()),
+        Box::new(MemLog::new()),
         None,
     )
     .expect("open over fault disk")
@@ -335,7 +419,7 @@ fn fig5_goldens_are_byte_identical_with_checksums_on() {
     let mut plain = Database::in_memory();
     populate_database(&mut plain, &cfg);
     let mut scrubbed = Database::in_memory();
-    scrubbed.enable_checksums().unwrap();
+    scrubbed.enable_checksums();
     populate_database(&mut scrubbed, &cfg);
     assert!(scrubbed.checksums_enabled());
 

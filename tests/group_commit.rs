@@ -25,11 +25,11 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::Duration;
-use tdbms::wal::{FaultLog, LogStore, SharedMemLog};
+use tdbms::wal::{FaultLog, LogStore, MemLog};
 use tdbms::{CheckpointPolicy, Database, Engine, GroupCommitConfig};
 use tdbms_check::check_database;
 use tdbms_kernel::{Prng, Value};
-use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, SharedMemDisk};
+use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, MemDisk};
 
 /// Seed rows present before every crash run: ids `1..=BASE_IDS`.
 const BASE_IDS: i64 = 16;
@@ -85,8 +85,8 @@ fn group_commit_crash_matrix_never_drops_an_acked_commit() {
 
         // Incarnation 1 (no faults): baseline rows, checkpointed so
         // relation `t` always exists when the crash run opens.
-        let disk = SharedMemDisk::new();
-        let log = SharedMemLog::new();
+        let disk = MemDisk::new();
+        let log = MemLog::new();
         let baseline: BTreeSet<i64> = (1..=BASE_IDS).collect();
         {
             let mut db = Database::open_durable_on(
@@ -220,8 +220,8 @@ fn group_commit_crash_matrix_never_drops_an_acked_commit() {
 /// survive a reopen that replays the log — no checkpoint in between.
 #[test]
 fn inline_group_commit_acks_are_durable_without_checkpoint() {
-    let disk = SharedMemDisk::new();
-    let log = SharedMemLog::new();
+    let disk = MemDisk::new();
+    let log = MemLog::new();
     {
         let mut db = Database::open_durable_on(
             Box::new(disk.clone()),
@@ -270,8 +270,8 @@ fn inline_group_commit_acks_are_durable_without_checkpoint() {
 /// live and across a reopen.
 #[test]
 fn checkpoints_interleave_cleanly_with_group_commit_batches() {
-    let disk = SharedMemDisk::new();
-    let log = SharedMemLog::new();
+    let disk = MemDisk::new();
+    let log = MemLog::new();
     let mut db = Database::open_durable_on(
         Box::new(disk.clone()),
         Box::new(log.clone()),

@@ -14,11 +14,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use tdbms::wal::{FaultLog, LogStore, SharedMemLog};
+use tdbms::wal::{FaultLog, LogStore, MemLog};
 use tdbms::{Database, Engine};
 use tdbms_check::check_database;
 use tdbms_kernel::{Granularity, Prng, TimeVal};
-use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, SharedMemDisk};
+use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, MemDisk};
 
 const KEYS: i64 = 16;
 
@@ -69,8 +69,8 @@ fn audit_clean(engine: &Engine, ctx: &str) {
 fn run_reorg_schedule(seed: u64, durable: bool) {
     let mut db = if durable {
         Database::open_durable_on(
-            Box::new(SharedMemDisk::new()),
-            Box::new(SharedMemLog::new()),
+            Box::new(MemDisk::new()),
+            Box::new(MemLog::new()),
             None,
         )
         .expect("durable open")
@@ -190,8 +190,8 @@ fn crash_mid_reorg_loses_no_committed_versions() {
 
         // Incarnation 1, no faults: keyed relation with a real version
         // history, checkpointed so the crash run always finds it.
-        let disk = SharedMemDisk::new();
-        let log = SharedMemLog::new();
+        let disk = MemDisk::new();
+        let log = MemLog::new();
         let mut base_versions = KEYS as usize;
         {
             let mut db = Database::open_durable_on(

@@ -21,10 +21,10 @@
 
 use std::collections::BTreeMap;
 use std::time::Duration;
-use tdbms::wal::SharedMemLog;
+use tdbms::wal::MemLog;
 use tdbms::{CheckpointPolicy, Database, Engine, GroupCommitConfig};
 use tdbms_kernel::Value;
-use tdbms_storage::SharedMemDisk;
+use tdbms_storage::MemDisk;
 
 const WRITERS: i64 = 2;
 const APPENDS: i64 = 48;
@@ -153,8 +153,8 @@ fn volatile_snapshot_reads_stay_prefix_consistent_and_lock_free() {
 #[test]
 fn durable_group_commit_snapshot_reads_stay_prefix_consistent() {
     let mut db = Database::open_durable_on(
-        Box::new(SharedMemDisk::new()),
-        Box::new(SharedMemLog::new()),
+        Box::new(MemDisk::new()),
+        Box::new(MemLog::new()),
         None,
     )
     .expect("durable open");

@@ -1,10 +1,10 @@
 //! Scratch repro: exhaustive crash sweep with torn data-page writes
 //! whose prefix covers the page LSN (bytes 8..12) but truncates rows.
 
-use tdbms::wal::{FaultLog, LogStore, SharedMemLog};
+use tdbms::wal::{FaultLog, LogStore, MemLog};
 use tdbms::{Database, TimeVal};
 use tdbms_kernel::{RowCodec, TemporalAttr};
-use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, SharedMemDisk};
+use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, MemDisk};
 
 type State = Option<Vec<(i32, i32)>>;
 
@@ -36,8 +36,8 @@ fn snapshot(db: &mut Database) -> State {
 }
 
 fn run(
-    disk: &SharedMemDisk,
-    log: &SharedMemLog,
+    disk: &MemDisk,
+    log: &MemLog,
     plan: &FaultPlan,
     torn: usize,
     stmts: &[String],
@@ -86,8 +86,8 @@ fn torn_checkpoint_write_sweep() {
     ];
     let torn = 64; // covers header+lsn (12 bytes), truncates row data
     let (boundaries, states) = run(
-        &SharedMemDisk::new(),
-        &SharedMemLog::new(),
+        &MemDisk::new(),
+        &MemLog::new(),
         &FaultPlan::new(None),
         torn,
         &stmts,
@@ -96,8 +96,8 @@ fn torn_checkpoint_write_sweep() {
     let (first, last) = (boundaries[0], *boundaries.last().unwrap());
     let mut failures = Vec::new();
     for crash_at in first + 1..=last {
-        let disk = SharedMemDisk::new();
-        let log = SharedMemLog::new();
+        let disk = MemDisk::new();
+        let log = MemLog::new();
         let plan = FaultPlan::new(Some(crash_at));
         let finished = run(&disk, &log, &plan, torn, &stmts);
         assert!(finished.is_none());

@@ -7,19 +7,19 @@
 //! and off, the stored rows must be byte-identical, and a paper-mode
 //! database must show no trace of the log in its accounting.
 
-use tdbms::wal::SharedMemLog;
+use tdbms::wal::MemLog;
 use tdbms::Database;
 use tdbms_bench::workload::{
     all_rows, build_database, evolve_uniform, populate_database,
     BenchConfig,
 };
 use tdbms_kernel::DatabaseClass;
-use tdbms_storage::SharedMemDisk;
+use tdbms_storage::MemDisk;
 
 fn wal_db() -> Database {
     Database::open_durable_on(
-        Box::new(SharedMemDisk::new()),
-        Box::new(SharedMemLog::new()),
+        Box::new(MemDisk::new()),
+        Box::new(MemLog::new()),
         None,
     )
     .expect("open durable in-memory database")

@@ -16,13 +16,11 @@
 //!   access method (heap, hash, ISAM) on real files, driven by
 //!   `scripts/ci.sh`.
 
-use tdbms::wal::{FaultLog, FileLog, LogStore, SharedMemLog};
+use tdbms::wal::{FaultLog, FileLog, LogStore, MemLog};
 use tdbms::{Database, TimeVal};
 use tdbms_kernel::{RowCodec, TemporalAttr};
 use tdbms_prop::{check, Gen};
-use tdbms_storage::{
-    DiskManager, FaultDisk, FaultPlan, FileDisk, SharedMemDisk,
-};
+use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, FileDisk, MemDisk};
 
 /// The observable state of the test relation `r`: the sorted `(id, seq)`
 /// pairs of its *current* versions, or `None` when `r` does not exist.
@@ -103,8 +101,8 @@ fn gen_schedule(g: &mut Gen, ops: usize) -> Vec<String> {
 /// boundaries from a dry run (`plan` budget `None`), or executes until
 /// the injected crash otherwise.
 fn run_mem(
-    disk: &SharedMemDisk,
-    log: &SharedMemLog,
+    disk: &MemDisk,
+    log: &MemLog,
     plan: &FaultPlan,
     torn_disk: Option<usize>,
     torn_log: Option<usize>,
@@ -158,7 +156,7 @@ fn run_mem(
     Some((boundaries, states))
 }
 
-fn reopen_mem(disk: &SharedMemDisk, log: &SharedMemLog) -> Database {
+fn reopen_mem(disk: &MemDisk, log: &MemLog) -> Database {
     Database::open_durable_on(
         Box::new(disk.clone()),
         Box::new(log.clone()),
@@ -175,8 +173,8 @@ fn recovery_is_atomic_at_every_random_crash_point() {
 
         // Dry run: per-statement op boundaries and observable states.
         let (boundaries, states) = run_mem(
-            &SharedMemDisk::new(),
-            &SharedMemLog::new(),
+            &MemDisk::new(),
+            &MemLog::new(),
             &FaultPlan::new(None),
             None,
             None,
@@ -192,8 +190,8 @@ fn recovery_is_atomic_at_every_random_crash_point() {
         let crash_at = g.range(first + 1..=last);
         let torn_disk = g.bool().then(|| g.range(0..1024usize));
         let torn_log = g.bool().then(|| g.range(0..48usize));
-        let disk = SharedMemDisk::new();
-        let log = SharedMemLog::new();
+        let disk = MemDisk::new();
+        let log = MemLog::new();
         let plan = FaultPlan::new(Some(crash_at));
         let finished =
             run_mem(&disk, &log, &plan, torn_disk, torn_log, None, &stmts);
@@ -233,8 +231,8 @@ fn recovery_truncates_a_bit_flipped_log_tail() {
         let ops = g.range(3..9usize);
         let stmts = gen_schedule(g, ops);
         let (boundaries, states) = run_mem(
-            &SharedMemDisk::new(),
-            &SharedMemLog::new(),
+            &MemDisk::new(),
+            &MemLog::new(),
             &FaultPlan::new(None),
             None,
             None,
@@ -246,8 +244,8 @@ fn recovery_truncates_a_bit_flipped_log_tail() {
 
         let crash_at = g.range(first + 1..=last);
         let flip_bit = g.range(0..4096u64);
-        let disk = SharedMemDisk::new();
-        let log = SharedMemLog::new();
+        let disk = MemDisk::new();
+        let log = MemLog::new();
         let plan = FaultPlan::new(Some(crash_at));
         let finished =
             run_mem(&disk, &log, &plan, None, None, Some(flip_bit), &stmts);
@@ -389,8 +387,8 @@ fn disk_full_matrix_preserves_every_acked_statement() {
 
     let stmts = script_for("hash");
     let (boundaries, _) = run_mem(
-        &SharedMemDisk::new(),
-        &SharedMemLog::new(),
+        &MemDisk::new(),
+        &MemLog::new(),
         &FaultPlan::new(None),
         None,
         None,
@@ -407,8 +405,8 @@ fn disk_full_matrix_preserves_every_acked_statement() {
         (first + 1..=last.saturating_sub(12)).step_by(5).collect();
     assert!(points.len() >= 10, "matrix must cover the schedule");
     for at in points {
-        let disk = SharedMemDisk::new();
-        let log = SharedMemLog::new();
+        let disk = MemDisk::new();
+        let log = MemLog::new();
         let plan = FaultPlan::new(None);
         plan.set_enospc_windows([(at, at + 12)]);
         let mut db = Database::open_durable_on(
@@ -485,15 +483,16 @@ fn disk_full_matrix_preserves_every_acked_statement() {
 #[test]
 fn clean_reopen_round_trips_catalog_and_data() {
     let dir = tdbms_kernel::tmpdir::fresh_dir("wal-clean-reopen");
-    let expected = {
+    let (expected, clock) = {
         let mut db = Database::open_durable(&dir).unwrap();
         for s in script_for("isam") {
             db.execute(&s).unwrap();
         }
-        snapshot(&mut db)
+        (snapshot(&mut db), db.clock().now())
     };
     let mut db = Database::open_durable(&dir).unwrap();
     assert_eq!(snapshot(&mut db), expected);
+    assert_eq!(db.clock().now(), clock, "the log carries the clock");
     let meta = db.relation_meta("r").unwrap();
     assert_eq!(meta.method, tdbms::AccessMethod::Isam);
     // 6 appends + replace (2 new versions) + delete (1 correction
@@ -502,26 +501,35 @@ fn clean_reopen_round_trips_catalog_and_data() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A directory from before every file-backed database was durable holds
-/// page files, `catalog.tdbms` and `clock.tdbms`, but no `wal.tdbms`
-/// (today a checkpoint writes neither file: the log's catalog is the
-/// only one).
-/// It must still open: every relation, row and index comes back from
-/// the catalog files, and the transaction clock does not go backwards.
+/// Every file in `dir`, by name, with its bytes.
+fn dir_contents(
+    dir: &std::path::Path,
+) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// A directory from before the log carried the only catalog holds page
+/// files, `catalog.tdbms` and `clock.tdbms`, and a log without a
+/// catalog, or none at all. Both the database and the checker must
+/// refuse it with a typed error, never open it as an empty catalog over
+/// orphaned page files, and leave every file it had untouched.
 #[test]
-fn a_directory_without_a_log_opens_from_its_catalog_files() {
+fn a_directory_without_a_catalog_in_its_log_is_refused() {
     let dir = tdbms_kernel::tmpdir::fresh_dir("wal-logless-dir");
-    let (expected, clock) = {
+    {
         let mut db = Database::open_durable(&dir).unwrap();
         for s in script_for("hash") {
             db.execute(&s).unwrap();
         }
-        db.execute("index on r is r_seq (seq)").unwrap();
-        db.execute("create static s (k = i4)").unwrap();
-        db.execute("append to s (k = 7)").unwrap();
         db.checkpoint().unwrap();
-        (snapshot(&mut db), db.clock().now())
-    };
+    }
     for file in ["catalog.tdbms", "clock.tdbms"] {
         assert!(!dir.join(file).exists(), "a checkpoint wrote {file}");
     }
@@ -534,31 +542,29 @@ fn a_directory_without_a_log_opens_from_its_catalog_files() {
     std::fs::write(dir.join("catalog.tdbms"), catalog).unwrap();
     std::fs::write(dir.join("clock.tdbms"), clock_text).unwrap();
     std::fs::remove_file(dir.join("wal.tdbms")).unwrap();
-    for kept in ["catalog.tdbms", "clock.tdbms"] {
-        assert!(dir.join(kept).exists(), "{kept} is what remains");
+    let before = dir_contents(&dir);
+    assert!(before.keys().any(|n| n.ends_with(".pages")));
+
+    // The second pass meets the header-only log the first one left.
+    for _ in 0..2 {
+        match Database::open_durable(&dir) {
+            Err(tdbms::Error::Corruption { detail, .. }) => {
+                assert!(detail.contains("no catalog"), "{detail}");
+            }
+            Err(e) => panic!("refused with an untyped error: {e}"),
+            Ok(db) => panic!(
+                "opened with relations {:?} over orphaned page files",
+                db.relation_names()
+            ),
+        }
+        assert!(matches!(
+            tdbms_check::CheckedDb::open(&dir),
+            Err(tdbms::Error::Corruption { .. })
+        ));
     }
-
-    let mut db = Database::open_durable(&dir).unwrap();
-    let mut names = db.relation_names();
-    names.sort();
-    assert_eq!(names, ["r", "s"]);
-    assert_eq!(snapshot(&mut db), expected);
-    let meta = db.relation_meta("r").unwrap();
-    assert_eq!(meta.method, tdbms::AccessMethod::Hash);
-    assert_eq!(meta.index_names, ["r_seq"]);
-    // 6 appends + replace (2 new versions) + delete (1 correction
-    // version) + 1 append = 10 stored versions.
-    assert_eq!(meta.tuple_count, 10);
-    assert!(db.clock().now() >= clock, "the clock went backwards");
-
-    db.execute(RANGE).unwrap();
-    let out = db
-        .execute(r#"retrieve (z.id) where z.seq = 9 when z overlap "now""#)
-        .unwrap();
-    assert_eq!(out.rows().len(), 1);
-    assert_eq!(out.rows()[0][0], tdbms::Value::Int(9));
-    db.execute("range of t is s").unwrap();
-    let out = db.execute("retrieve (t.k)").unwrap();
-    assert_eq!(out.rows(), [vec![tdbms::Value::Int(7)]]);
+    let after = dir_contents(&dir);
+    for (name, bytes) in &before {
+        assert_eq!(after.get(name), Some(bytes), "{name} was touched");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
