@@ -1,24 +1,28 @@
 //! # tdbms-check
 //!
-//! An fsck-style integrity checker, scrubber, and salvager for tdbms
-//! databases. Three layers of defense against at-rest corruption:
+//! An fsck-style checker for tdbms databases, built on storage's own
+//! audit: it scrubs every cataloged file, compares what storage finds
+//! against the catalog's ledgers, and salvages what it can. Three layers of defense against at-rest
+//! corruption:
 //!
-//! 1. **Scrub** — every page of every cataloged file is read raw (no
-//!    buffering, so stale frames cannot mask rot) and verified against the
-//!    out-of-band checksum sidecar (`sums.tdbms`), with all traffic
-//!    accounted to a named `"scrub"` I/O phase.
-//! 2. **Structural validation** — page kind tags against the layout each
-//!    access method implies (hash: buckets then overflow; ISAM: data,
-//!    directory levels, overflow; heap: data only), slot counts against
-//!    page capacity, overflow pointers in range and in the overflow
-//!    region, chain acyclicity, orphaned overflow pages, stored tuple
-//!    counts against reachable rows, and per-key temporal invariants
+//! 1. **Scrub** — every page of every base file, index and history
+//!    sidecar goes through storage's own structural audit
+//!    ([`RelFile::audit`]): a raw read (no buffering, so stale frames
+//!    cannot mask rot), the checksum sidecar (`sums.tdbms`), and the
+//!    shape the file's organization writes — page kinds per region, slot
+//!    counts, overflow pointers, chains, orphans. The layout rule lives
+//!    in `tdbms-storage` only; this crate turns the audit's defects into
+//!    findings, in the order found. All traffic is accounted to a named
+//!    `"scrub"` I/O phase.
+//! 2. **Ledgers and temporal invariants** — reachable rows against the
+//!    stored tuple count (base), the relation's row count (index), and
+//!    the migrated-row count (history); per-key temporal invariants
 //!    (interval ordering; live-version overlap).
 //! 3. **Salvage** — a page that fails its checksum or its structural
 //!    checks is restored byte-for-byte from the newest *committed*
 //!    after-image still in the write-ahead log. When no image survives,
 //!    the repair degrades gracefully: the page is quarantined
-//!    (reinitialized empty, in the kind its region requires), corrupt
+//!    (reinitialized empty, in the kind its file requires there), corrupt
 //!    overflow pointers are clipped so damaged chain tails are truncated
 //!    rather than followed, orphaned rows are discarded with a loss
 //!    report, tuple counts are recomputed, and secondary indexes are
@@ -33,12 +37,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use tdbms_kernel::{Error, Result, TemporalAttr, TimeVal};
+use tdbms_kernel::{Result, TemporalAttr, TimeVal};
 use tdbms_storage::{
-    page_capacity, Catalog, FileId, KeyKind, KeySpec, Page, PageKind,
+    Audit, Catalog, ClusteredHistory, FileId, KeyKind, KeySpec, Page,
     Pager, RelFile, RelId, StoredRelation, NO_PAGE,
 };
 use tdbms_wal::{Recovered, RecoveryPlan, Wal};
@@ -148,82 +152,6 @@ impl CheckReport {
     }
 }
 
-/// The page-kind layout an access method imposes on its file.
-#[derive(Debug, Clone)]
-enum Layout {
-    Heap,
-    Hash {
-        nbuckets: u32,
-    },
-    Isam {
-        n_data: u32,
-        levels: Vec<Range<u32>>,
-    },
-}
-
-impl Layout {
-    fn of(file: &RelFile) -> Layout {
-        match file {
-            RelFile::Heap(_) => Layout::Heap,
-            RelFile::Hash(f) => Layout::Hash {
-                nbuckets: f.chain.n_heads,
-            },
-            RelFile::Isam(f) => Layout::Isam {
-                n_data: f.chain.n_heads,
-                levels: f.levels.clone(),
-            },
-        }
-    }
-
-    /// The kind every page in this region must carry.
-    fn expected_kind(&self, page_no: u32) -> PageKind {
-        match self {
-            Layout::Heap => PageKind::Data,
-            Layout::Hash { nbuckets } => {
-                if page_no < *nbuckets {
-                    PageKind::Data
-                } else {
-                    PageKind::Overflow
-                }
-            }
-            Layout::Isam { n_data, levels } => {
-                if page_no < *n_data {
-                    PageKind::Data
-                } else if levels.iter().any(|r| r.contains(&page_no)) {
-                    PageKind::Directory
-                } else {
-                    PageKind::Overflow
-                }
-            }
-        }
-    }
-
-    /// Do pages of this layout chain to overflow pages?
-    fn chains(&self) -> bool {
-        !matches!(self, Layout::Heap)
-    }
-
-    /// The chain heads (primary/data pages) to walk from.
-    fn heads(&self) -> Range<u32> {
-        match self {
-            Layout::Heap => 0..0,
-            Layout::Hash { nbuckets } => 0..*nbuckets,
-            Layout::Isam { n_data, .. } => 0..*n_data,
-        }
-    }
-
-    /// The minimum page count the layout metadata implies.
-    fn min_len(&self) -> u32 {
-        match self {
-            Layout::Heap => 0,
-            Layout::Hash { nbuckets } => *nbuckets,
-            Layout::Isam { n_data, levels } => {
-                levels.iter().map(|r| r.end).max().unwrap_or(0).max(*n_data)
-            }
-        }
-    }
-}
-
 /// What role a checkable file plays for its relation — the role decides
 /// which row-count ledger the audit is compared against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,16 +166,12 @@ enum UnitKind {
 }
 
 /// One checkable file: a relation's base file, one of its indexes, or its
-/// clustered history sidecar.
+/// clustered history sidecar (audited as the heap its pages form).
 struct Unit {
     label: String,
     rel: RelId,
     kind: UnitKind,
-    file: FileId,
-    layout: Layout,
-    row_width: usize,
-    /// Key width for ISAM directory pages (their rows are bare keys).
-    key_len: usize,
+    file: RelFile,
 }
 
 impl Unit {
@@ -260,330 +184,79 @@ impl Unit {
         Finding {
             severity,
             relation: Some(self.label.clone()),
-            file: Some(self.file.0),
+            file: Some(self.file.file_id().0),
             page,
             detail,
         }
     }
-}
 
-fn key_len_of(file: &RelFile) -> usize {
-    match file {
-        RelFile::Isam(f) => f.chain.key.len,
-        _ => 0,
+    /// Storage's audit of the unit's file, its defects reported as
+    /// findings in the order the audit found them.
+    fn audit(&self, pager: &Pager, findings: &mut Vec<Finding>) -> Audit {
+        let audit = self.file.audit(pager);
+        for d in &audit.defects {
+            let severity = if d.is_harmless() {
+                Severity::Warning
+            } else {
+                Severity::Error
+            };
+            findings.push(self.finding(severity, d.page(), d.to_string()));
+        }
+        audit
+    }
+
+    /// Restore page `p` from the newest committed log image (a
+    /// `Repaired` finding: "`what` from the newest committed log
+    /// image"); without one, `fallback` writes a stand-in and returns the
+    /// `Lost` finding's detail.
+    fn restore(
+        &self,
+        pager: &Pager,
+        plan: &RecoveryPlan,
+        p: u32,
+        what: &str,
+        fallback: impl FnOnce() -> Result<String>,
+    ) -> Result<Finding> {
+        let Some(img) = plan.latest_image(self.file.file_id(), p) else {
+            return Ok(self.finding(Severity::Lost, Some(p), fallback()?));
+        };
+        pager.write_page_raw(self.file.file_id(), p, img)?;
+        let detail = format!(
+            "{what} from the newest committed log image (lsn {})",
+            img.lsn()
+        );
+        Ok(self.finding(Severity::Repaired, Some(p), detail))
     }
 }
 
 fn units_of(catalog: &Catalog) -> Vec<Unit> {
     let mut units = Vec::new();
-    for (id, rel) in catalog.iter() {
-        if rel.temporary {
-            continue;
-        }
-        units.push(Unit {
-            label: rel.name.clone(),
+    for (id, rel) in catalog.iter().filter(|(_, r)| !r.temporary) {
+        let unit = |label, kind, file| Unit {
+            label,
             rel: id,
-            kind: UnitKind::Base,
-            file: rel.file.file_id(),
-            layout: Layout::of(&rel.file),
-            row_width: rel.file.row_width(),
-            key_len: key_len_of(&rel.file),
-        });
+            kind,
+            file,
+        };
+        units.push(unit(
+            rel.name.clone(),
+            UnitKind::Base,
+            rel.file.clone(),
+        ));
         for ix in &rel.indexes {
-            let f = ix.index.file();
-            units.push(Unit {
-                label: format!("{}.{}", rel.name, ix.name),
-                rel: id,
-                kind: UnitKind::Index,
-                file: f.file_id(),
-                layout: Layout::of(f),
-                row_width: f.row_width(),
-                key_len: key_len_of(f),
-            });
+            let label = format!("{}.{}", rel.name, ix.name);
+            units.push(unit(
+                label,
+                UnitKind::Index,
+                ix.index.file().clone(),
+            ));
         }
         if let Some(h) = &rel.history {
-            // The sidecar is heap-laid-out (all-Data pages, no chains);
-            // its per-key clustering is an in-memory directory, not an
-            // on-disk structure, so Heap is the right layout to audit.
-            units.push(Unit {
-                label: format!("{}.history", rel.name),
-                rel: id,
-                kind: UnitKind::History,
-                file: h.file_id(),
-                layout: Layout::Heap,
-                row_width: h.row_width(),
-                key_len: 0,
-            });
+            let label = format!("{}.history", rel.name);
+            units.push(unit(label, UnitKind::History, h.as_heap()));
         }
     }
     units
-}
-
-/// What one pass over a file's pages established.
-#[derive(Debug, Default)]
-struct Audit {
-    n_pages: u32,
-    missing: bool,
-    short: bool,
-    /// Pages needing full restoration, with the old slot count when the
-    /// header was still plausible (for the loss report).
-    bad: BTreeMap<u32, Option<usize>>,
-    /// Pages whose rows are intact but whose overflow pointer is corrupt
-    /// (out of range, wrong region, or closing a cycle): repair clips the
-    /// pointer instead of quarantining the rows.
-    clip: BTreeSet<u32>,
-    /// Orphaned overflow pages that still carry rows, with their counts.
-    data_orphans: BTreeMap<u32, usize>,
-    /// Rows on pages a scan can actually reach.
-    reachable_rows: u64,
-}
-
-impl Audit {
-    fn sound(&self) -> bool {
-        !self.missing
-            && !self.short
-            && self.bad.is_empty()
-            && self.clip.is_empty()
-            && self.data_orphans.is_empty()
-    }
-
-    fn needs_page_repair(&self) -> bool {
-        self.short
-            || !self.bad.is_empty()
-            || !self.clip.is_empty()
-            || !self.data_orphans.is_empty()
-    }
-}
-
-fn corruption_detail(e: Error) -> String {
-    match e {
-        Error::Corruption { detail, .. } => detail,
-        other => other.to_string(),
-    }
-}
-
-/// One full structural + checksum pass over a unit's pages. Read-only:
-/// every problem becomes a finding and an entry in the returned [`Audit`];
-/// fixing anything is [`repair_database`]'s job.
-fn audit_unit(
-    pager: &Pager,
-    unit: &Unit,
-    findings: &mut Vec<Finding>,
-) -> Result<Audit> {
-    let mut audit = Audit::default();
-    let n = match pager.page_count(unit.file) {
-        Ok(n) => n,
-        Err(_) => {
-            findings.push(unit.finding(
-                Severity::Error,
-                None,
-                "storage file is missing".into(),
-            ));
-            audit.missing = true;
-            return Ok(audit);
-        }
-    };
-    audit.n_pages = n;
-    let min = unit.layout.min_len();
-    if n < min {
-        findings.push(unit.finding(
-            Severity::Error,
-            None,
-            format!(
-                "file has {n} pages but the layout requires at least {min}"
-            ),
-        ));
-        audit.short = true;
-    }
-
-    let mut ovs = vec![NO_PAGE; n as usize];
-    let mut counts = vec![0usize; n as usize];
-    let sums = pager.checksums_snapshot();
-    for p in 0..n {
-        let page = match pager.read_page_raw(unit.file, p) {
-            Ok(page) => page,
-            Err(e) => {
-                findings.push(unit.finding(
-                    Severity::Error,
-                    Some(p),
-                    format!("unreadable page: {e}"),
-                ));
-                audit.bad.insert(p, None);
-                continue;
-            }
-        };
-        counts[p as usize] = page.count();
-        ovs[p as usize] = page.overflow();
-
-        if let Some(sums) = &sums {
-            if let Err(e) = sums.verify(unit.file, p, &page) {
-                findings.push(unit.finding(
-                    Severity::Error,
-                    Some(p),
-                    corruption_detail(e),
-                ));
-                audit.bad.insert(p, None);
-                continue;
-            }
-        }
-
-        let want = unit.layout.expected_kind(p);
-        let width = if want == PageKind::Directory {
-            unit.key_len
-        } else {
-            unit.row_width
-        };
-        let cap = page_capacity(width);
-        let salvage_count = (page.count() <= cap).then(|| page.count());
-
-        let kind = match page.kind() {
-            Ok(k) => k,
-            Err(e) => {
-                findings.push(unit.finding(
-                    Severity::Error,
-                    Some(p),
-                    corruption_detail(e),
-                ));
-                audit.bad.insert(p, salvage_count);
-                continue;
-            }
-        };
-        if kind != want {
-            findings.push(unit.finding(
-                Severity::Error,
-                Some(p),
-                format!("page kind is {kind:?} where the layout expects {want:?}"),
-            ));
-            audit.bad.insert(p, salvage_count);
-            continue;
-        }
-        if page.count() > cap {
-            findings.push(unit.finding(
-                Severity::Error,
-                Some(p),
-                format!(
-                    "slot count {} exceeds the page capacity of {cap} rows",
-                    page.count()
-                ),
-            ));
-            audit.bad.insert(p, None);
-            continue;
-        }
-        let ov = page.overflow();
-        if ov != NO_PAGE {
-            if !unit.layout.chains() || want == PageKind::Directory {
-                findings.push(unit.finding(
-                    Severity::Error,
-                    Some(p),
-                    format!("unexpected overflow pointer {ov} on a {want:?} page"),
-                ));
-                audit.clip.insert(p);
-            } else if ov >= n {
-                findings.push(unit.finding(
-                    Severity::Error,
-                    Some(p),
-                    format!("overflow pointer {ov} points beyond the {n}-page file"),
-                ));
-                audit.clip.insert(p);
-            } else if unit.layout.expected_kind(ov) != PageKind::Overflow {
-                findings.push(unit.finding(
-                    Severity::Error,
-                    Some(p),
-                    format!("overflow pointer {ov} targets a page outside the overflow region"),
-                ));
-                audit.clip.insert(p);
-            }
-        }
-    }
-
-    // Chains stop at any page slated for repair.
-    for &p in audit.bad.keys() {
-        ovs[p as usize] = NO_PAGE;
-    }
-    for &p in &audit.clip {
-        ovs[p as usize] = NO_PAGE;
-    }
-
-    // Walk every chain once; a revisit is a cycle or a shared tail.
-    let mut visited: BTreeSet<u32> = BTreeSet::new();
-    if unit.layout.chains() {
-        for head in unit.layout.heads() {
-            if head >= n || audit.bad.contains_key(&head) {
-                continue;
-            }
-            let mut prev = head;
-            let mut p = ovs[head as usize];
-            while p != NO_PAGE {
-                if !visited.insert(p) {
-                    findings.push(unit.finding(
-                        Severity::Error,
-                        Some(p),
-                        format!(
-                            "overflow page is reached twice (cycle or \
-                             shared chain tail; second reference from \
-                             page {prev})"
-                        ),
-                    ));
-                    audit.clip.insert(prev);
-                    break;
-                }
-                prev = p;
-                p = ovs[p as usize];
-            }
-        }
-        // Overflow-region pages no chain reaches are orphans: their rows
-        // are invisible to every scan and lookup.
-        for p in 0..n {
-            if unit.layout.expected_kind(p) == PageKind::Overflow
-                && !visited.contains(&p)
-                && !audit.bad.contains_key(&p)
-            {
-                if counts[p as usize] > 0 {
-                    findings.push(unit.finding(
-                        Severity::Error,
-                        Some(p),
-                        format!(
-                            "orphaned overflow page with {} rows is \
-                             unreachable from any chain",
-                            counts[p as usize]
-                        ),
-                    ));
-                    audit.data_orphans.insert(p, counts[p as usize]);
-                } else {
-                    findings.push(unit.finding(
-                        Severity::Warning,
-                        Some(p),
-                        "empty orphaned overflow page".into(),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Rows a scan can reach: all good pages for a heap; heads plus
-    // visited overflow pages for chained layouts.
-    match unit.layout {
-        Layout::Heap => {
-            for p in 0..n {
-                if !audit.bad.contains_key(&p) {
-                    audit.reachable_rows += counts[p as usize] as u64;
-                }
-            }
-        }
-        _ => {
-            for head in unit.layout.heads() {
-                if head < n && !audit.bad.contains_key(&head) {
-                    audit.reachable_rows += counts[head as usize] as u64;
-                }
-            }
-            for &p in &visited {
-                if !audit.bad.contains_key(&p) {
-                    audit.reachable_rows += counts[p as usize] as u64;
-                }
-            }
-        }
-    }
-    Ok(audit)
 }
 
 fn render_key(spec: &KeySpec, bytes: &[u8]) -> String {
@@ -702,55 +375,38 @@ pub fn check_database(
     pager.begin_phase("scrub");
     let outcome: Result<()> = (|| {
         for unit in &units {
-            let audit = audit_unit(pager, unit, &mut report.findings)?;
+            let audit = unit.audit(pager, &mut report.findings);
             report.pages_checked += audit.n_pages as u64;
             if !audit.sound() {
                 continue;
             }
+            // The audit's reachable rows against the unit's ledger.
             let rel = catalog.get(unit.rel);
-            match unit.kind {
-                UnitKind::Index => {
-                    if audit.reachable_rows != rel.tuple_count {
-                        report.findings.push(unit.finding(
-                            Severity::Warning,
-                            None,
-                            format!(
-                                "index holds {} entries for a relation \
-                                 storing {} rows",
-                                audit.reachable_rows, rel.tuple_count
-                            ),
-                        ));
-                    }
+            let (found, stored) = (audit.reachable_rows, rel.tuple_count);
+            let (recorded, what) = match &rel.history {
+                Some(h) if unit.kind == UnitKind::History => {
+                    (h.rows(), "migrated")
                 }
-                UnitKind::History => {
-                    let recorded =
-                        rel.history.as_ref().map(|h| h.rows()).unwrap_or(0);
-                    if audit.reachable_rows != recorded {
-                        report.findings.push(unit.finding(
-                            Severity::Error,
-                            None,
-                            format!(
-                                "catalog records {recorded} migrated rows \
-                                 but {} are reachable",
-                                audit.reachable_rows
-                            ),
-                        ));
-                    }
-                }
-                UnitKind::Base => {
-                    if audit.reachable_rows != rel.tuple_count {
-                        report.findings.push(unit.finding(
-                            Severity::Error,
-                            None,
-                            format!(
-                                "catalog records {} stored rows but {} are \
-                                 reachable",
-                                rel.tuple_count, audit.reachable_rows
-                            ),
-                        ));
-                    }
-                    check_temporal(pager, unit, rel, &mut report.findings)?;
-                }
+                _ => (stored, "stored"),
+            };
+            if found != recorded {
+                let finding = if unit.kind == UnitKind::Index {
+                    let detail = format!(
+                        "index holds {found} entries for a relation \
+                         storing {stored} rows"
+                    );
+                    unit.finding(Severity::Warning, None, detail)
+                } else {
+                    let detail = format!(
+                        "catalog records {recorded} {what} rows but \
+                         {found} are reachable"
+                    );
+                    unit.finding(Severity::Error, None, detail)
+                };
+                report.findings.push(finding);
+            }
+            if unit.kind == UnitKind::Base {
+                check_temporal(pager, unit, rel, &mut report.findings)?;
             }
         }
         // Files on disk the catalog does not know about.
@@ -787,9 +443,9 @@ pub fn check_database(
 /// (the recovery plan of the *untruncated* log) where possible:
 ///
 /// 1. Bad pages are restored from the newest committed WAL image, or
-///    quarantined (reinitialized empty in the region's kind) when no
-///    image survives; corrupt overflow pointers are clipped; files
-///    shorter than their layout are re-extended.
+///    quarantined (reinitialized empty in the kind the file requires
+///    there) when no image survives; corrupt overflow pointers are
+///    clipped; files shorter than their layout are re-extended.
 /// 2. A second audit over the repaired structure discards orphaned
 ///    overflow rows (damaged chain tails) with a precise loss report and
 ///    corrects each relation's stored tuple count.
@@ -810,112 +466,65 @@ pub fn repair_database(
     let outcome: Result<()> = (|| {
         // Pass 1: detect, then restore / quarantine / clip page by page.
         for unit in &units {
-            let audit = audit_unit(pager, unit, &mut report.findings)?;
+            let audit = unit.audit(pager, &mut report.findings);
             report.pages_checked += audit.n_pages as u64;
-            if audit.missing {
+            if audit.missing() {
                 continue;
             }
-            if audit.needs_page_repair() {
+            if !audit.sound() {
                 page_repairs.insert(unit.rel.0);
             }
-            let mut n = audit.n_pages;
-            while n < unit.layout.min_len() {
-                pager
-                    .append_page(unit.file, unit.layout.expected_kind(n))?;
-                if let Some(img) = plan.latest_image(unit.file, n) {
-                    let img = img.clone();
-                    pager.write_page_raw(unit.file, n, &img)?;
-                    report.findings.push(unit.finding(
-                        Severity::Repaired,
-                        Some(n),
-                        format!(
-                            "missing page re-created from the newest \
-                             committed log image (lsn {})",
-                            img.lsn()
-                        ),
-                    ));
-                } else {
-                    report.findings.push(unit.finding(
-                        Severity::Lost,
-                        Some(n),
-                        format!(
-                            "missing page re-created empty as \
-                             {:?} (no surviving log image)",
-                            unit.layout.expected_kind(n)
-                        ),
-                    ));
-                }
-                n += 1;
+            let file = unit.file.file_id();
+            for p in audit.n_pages..unit.file.min_pages() {
+                let kind = unit.file.expected_kind(p);
+                pager.append_page(file, kind)?;
+                let what = "missing page re-created";
+                let empty = || {
+                    Ok(format!(
+                        "{what} empty as {kind:?} (no surviving log image)"
+                    ))
+                };
+                let f = unit.restore(pager, plan, p, what, empty)?;
+                report.findings.push(f);
             }
             for (&p, &old_count) in &audit.bad {
-                if let Some(img) = plan.latest_image(unit.file, p) {
-                    let img = img.clone();
-                    pager.write_page_raw(unit.file, p, &img)?;
-                    report.findings.push(unit.finding(
-                        Severity::Repaired,
-                        Some(p),
-                        format!(
-                            "restored from the newest committed log \
-                             image (lsn {})",
-                            img.lsn()
-                        ),
-                    ));
-                } else {
-                    let kind = unit.layout.expected_kind(p);
-                    pager.write_page_raw(unit.file, p, &Page::new(kind))?;
+                let quarantine = || {
+                    let kind = unit.file.expected_kind(p);
+                    pager.write_page_raw(file, p, &Page::new(kind))?;
                     let loss = match old_count {
                         Some(c) => format!("{c} rows lost"),
                         None => "an unknown number of rows lost".into(),
                     };
-                    report.findings.push(unit.finding(
-                        Severity::Lost,
-                        Some(p),
-                        format!(
-                            "no surviving log image: quarantined and \
-                             reinitialized as an empty {kind:?} page \
-                             ({loss})"
-                        ),
-                    ));
-                }
+                    Ok(format!(
+                        "no surviving log image: quarantined and \
+                         reinitialized as an empty {kind:?} page ({loss})"
+                    ))
+                };
+                let f =
+                    unit.restore(pager, plan, p, "restored", quarantine)?;
+                report.findings.push(f);
             }
             for &p in &audit.clip {
-                if let Some(img) = plan.latest_image(unit.file, p) {
-                    let img = img.clone();
-                    pager.write_page_raw(unit.file, p, &img)?;
-                    report.findings.push(unit.finding(
-                        Severity::Repaired,
-                        Some(p),
-                        format!(
-                            "restored from the newest committed log \
-                             image (lsn {})",
-                            img.lsn()
-                        ),
-                    ));
-                } else {
-                    let mut page = pager.read_page_raw(unit.file, p)?;
+                let clip = || {
+                    let mut page = pager.read_page_raw(file, p)?;
                     page.set_overflow(NO_PAGE);
-                    pager.write_page_raw(unit.file, p, &page)?;
-                    report.findings.push(unit.finding(
-                        Severity::Lost,
-                        Some(p),
-                        "corrupt overflow pointer cleared; the chained \
-                         tail is truncated"
-                            .into(),
-                    ));
-                }
+                    pager.write_page_raw(file, p, &page)?;
+                    Ok("corrupt overflow pointer cleared; the chained tail \
+                        is truncated"
+                        .to_string())
+                };
+                let f = unit.restore(pager, plan, p, "restored", clip)?;
+                report.findings.push(f);
             }
         }
         // Pass 2: audit the repaired structure, discard orphaned rows,
-        // and correct stored tuple counts.
+        // and correct the row-count ledgers.
         for unit in &units {
-            let audit = audit_unit(pager, unit, &mut Vec::new())?;
+            let audit = unit.file.audit(pager);
             for (&p, &rows) in &audit.data_orphans {
                 page_repairs.insert(unit.rel.0);
-                pager.write_page_raw(
-                    unit.file,
-                    p,
-                    &Page::new(PageKind::Overflow),
-                )?;
+                let empty = Page::new(unit.file.expected_kind(p));
+                pager.write_page_raw(unit.file.file_id(), p, &empty)?;
                 report.findings.push(unit.finding(
                     Severity::Lost,
                     Some(p),
@@ -925,57 +534,48 @@ pub fn repair_database(
                     ),
                 ));
             }
-            if unit.kind == UnitKind::Base && !audit.missing {
-                let rel = catalog.get_mut(unit.rel);
-                if rel.tuple_count != audit.reachable_rows {
-                    let old = rel.tuple_count;
-                    rel.tuple_count = audit.reachable_rows;
-                    let severity = if audit.reachable_rows < old {
-                        Severity::Lost
-                    } else {
-                        Severity::Repaired
-                    };
-                    report.findings.push(unit.finding(
-                        severity,
-                        None,
-                        format!(
-                            "stored tuple count corrected from {old} to {}",
-                            audit.reachable_rows
-                        ),
-                    ));
-                }
+            if audit.missing() {
+                continue;
             }
-            if unit.kind == UnitKind::History && !audit.missing {
-                let rel = catalog.get_mut(unit.rel);
-                let Some(h) = &rel.history else { continue };
-                if h.rows() != audit.reachable_rows {
+            let corrected = |what: &str, old: u64, new: u64| {
+                let severity = if new < old {
+                    Severity::Lost
+                } else {
+                    Severity::Repaired
+                };
+                let detail =
+                    format!("{what} corrected from {old} to {new}");
+                unit.finding(severity, None, detail)
+            };
+            let rel = catalog.get_mut(unit.rel);
+            let found = audit.reachable_rows;
+            match (unit.kind, &rel.history) {
+                (UnitKind::Base, _) if rel.tuple_count != found => {
+                    let old = rel.tuple_count;
+                    let what = "stored tuple count";
+                    report.findings.push(corrected(what, old, found));
+                    rel.tuple_count = found;
+                }
+                (UnitKind::History, Some(h)) if h.rows() != found => {
                     // Rebuild the in-memory directory from the repaired
                     // pages; `reopen` recounts the surviving rows and
                     // reassigns pages to clusters, so subsequent keyed
                     // history reads stay exact.
-                    let old = h.rows();
-                    let fresh = tdbms_storage::ClusteredHistory::reopen(
+                    let fresh = ClusteredHistory::reopen(
                         pager,
                         h.file_id(),
                         h.row_width(),
                         h.key(),
                         h.max_stop(),
                     )?;
-                    let severity = if fresh.rows() < old {
-                        Severity::Lost
-                    } else {
-                        Severity::Repaired
-                    };
-                    report.findings.push(unit.finding(
-                        severity,
-                        None,
-                        format!(
-                            "migrated-row count corrected from {old} to {}",
-                            fresh.rows()
-                        ),
+                    report.findings.push(corrected(
+                        "migrated-row count",
+                        h.rows(),
+                        fresh.rows(),
                     ));
-                    rel.history = Some(std::sync::Arc::new(fresh));
+                    rel.history = Some(Arc::new(fresh));
                 }
+                _ => {}
             }
         }
         // Pass 3: rebuild the indexes of every relation whose pages

@@ -18,6 +18,7 @@
 //! | historical | event    |                          | remove                           | new version (in place if the key is kept) |
 //! | temporal   | interval | `transaction_stop = now` | closing version: `valid_to = at`, `transaction_start = now`, `transaction_stop = forever` | new version, after the closing one |
 //! | temporal   | event    | `transaction_stop = now` |                                  | new version  |
+//! | historical, temporal | interval, `valid` period ending before `"forever"` | refused | refused | refused |
 //!
 //! So a temporal interval replace inserts **two** versions — why the
 //! paper's temporal databases grow at twice the rate of rollback and
@@ -27,6 +28,11 @@
 //! historical one is removed, a temporal one gets its `transaction_stop`
 //! and no closing version. No write stores a reversed valid period; a
 //! `valid` clause that names one is refused.
+//!
+//! The last row: §4 retires a version at one valid instant and keeps
+//! nothing after it, so a bounded period's end has nowhere to go. Rather
+//! than drop it silently (or split the version, which §4 never does),
+//! such a delete or replace fails with `NotApplicable`.
 //!
 //! All modifications of versioned relations are *append-only* except the
 //! in-place stop-time stamping — the property that makes write-once
@@ -275,6 +281,25 @@ fn period(from: TimeVal, to: TimeVal) -> Result<TInterval> {
         )));
     }
     Ok(TInterval::new(from, to))
+}
+
+/// The valid instant a `stmt` (delete or replace) retires as of: the
+/// start of its valid period, which on an interval relation must run to
+/// `"forever"` (the last row of the module doc's table).
+fn retire_at(
+    stmt: &str,
+    kind: TemporalKind,
+    valid: TInterval,
+) -> Result<TimeVal> {
+    if kind == TemporalKind::Interval && valid.hi != TimeVal::FOREVER {
+        return Err(Error::NotApplicable(format!(
+            "`{stmt}` with a valid period ending at {}: §4 retires a \
+             version at one valid instant, so the period must run to \
+             \"forever\"",
+            valid.hi
+        )));
+    }
+    Ok(valid.lo)
 }
 
 /// Bind the assignments of an append or replace into relation `id`: each
@@ -653,7 +678,9 @@ pub fn exec_delete(
                 .into(),
         ));
     }
-    let at = valid_period(&valid, t.slot.schema.kind(), now, &[])?.lo;
+    let kind = t.slot.schema.kind();
+    let at =
+        retire_at("delete", kind, valid_period(&valid, kind, now, &[])?)?;
     t.retire_each(pager, catalog, now, true, false, |_| Ok((at, None)))
 }
 
@@ -702,8 +729,9 @@ pub fn exec_replace(
             explicit[*idx] = eval_expr(e, slots)?;
         }
         let valid = valid_period(&valid, kind, now, slots)?;
+        let at = retire_at("replace", kind, valid)?;
         let new = build_stored_row(schema, codec, &explicit, valid, now)?;
-        Ok((valid.lo, Some(new)))
+        Ok((at, Some(new)))
     })
 }
 
@@ -713,15 +741,15 @@ mod tests {
     use tdbms_tquel::{ast::Statement, parse_statement};
 
     /// Run one DDL/DML statement at transaction time `now`; returns the
-    /// affected count.
+    /// affected count or the statement's error.
     fn run(
         pager: &Pager,
         catalog: &mut Catalog,
         ranges: &HashMap<String, String>,
         now: TimeVal,
         src: &str,
-    ) -> usize {
-        let n = match parse_statement(src).expect(src) {
+    ) -> Result<usize> {
+        match parse_statement(src).expect(src) {
             Statement::Create(c) => {
                 exec_create(pager, catalog, &c).map(|_| 0)
             }
@@ -735,8 +763,7 @@ mod tests {
                 exec_replace(pager, catalog, ranges, now, &r)
             }
             other => panic!("not a DDL/DML statement: {other:?}"),
-        };
-        n.unwrap_or_else(|e| panic!("{src}: {e}"))
+        }
     }
 
     /// Stored versions: `x`, then the implicit time attributes.
@@ -748,15 +775,18 @@ mod tests {
     /// statement runs at `d` with a `valid` clause naming `v` where the
     /// class has valid time. Each cell lists every stored version in slot
     /// order — the slot-0 version is the one retired in place — as `x`
-    /// followed by the implicit time attributes in storage order.
+    /// followed by the implicit time attributes in storage order. The
+    /// last row's cells (`delete to e`, `replace to e`) give the interval
+    /// period the end `e` instead of `"forever"`: refused, they leave the
+    /// appended version alone.
     #[test]
     fn section4_table() {
         let time = |s: &str| TimeVal::parse(s).expect(s);
         let (a, d, v) = (time("1/1/80"), time("2/1/80"), time("1/15/80"));
-        let valid = |kind: &str| match kind {
-            "interval" => r#"valid from "1/15/80" to "forever""#,
-            "event" => r#"valid at "1/15/80""#,
-            _ => "",
+        let valid = |kind: &str, to: &str| match kind {
+            "interval" => format!(r#"valid from "1/15/80" to "{to}""#),
+            "event" => r#"valid at "1/15/80""#.to_string(),
+            _ => String::new(),
         };
         let f = TimeVal::FOREVER;
         let (old, new) = (10, 11);
@@ -780,27 +810,40 @@ mod tests {
             ("temporal", "event", "delete", &[(old, &[a, a, d])]),
             ("temporal", "event", "replace",
                 &[(old, &[a, a, d]), (new, &[v, d, f])]),
+            ("historical", "interval", "delete to 1/20/80", &[(old, &[a, f])]),
+            ("historical", "interval", "replace to 1/20/80", &[(old, &[a, f])]),
+            ("temporal", "interval", "delete to 1/20/80",
+                &[(old, &[a, f, a, f])]),
+            ("temporal", "interval", "replace to 1/20/80",
+                &[(old, &[a, f, a, f])]),
         ];
-        for &(class, kind, op, expected) in cells {
-            let cell = format!("{class} {kind} {op}");
+        for &(class, kind, cell_op, expected) in cells {
+            let cell = format!("{class} {kind} {cell_op}");
+            let (op, to) =
+                cell_op.split_once(" to ").unwrap_or((cell_op, "forever"));
             let pager = Pager::in_memory();
             let mut catalog = Catalog::new();
             let ranges = HashMap::from([("v".to_owned(), "r".to_owned())]);
             let mut go = |now, src: &str| {
                 run(&pager, &mut catalog, &ranges, now, src)
             };
-            go(a, &format!("create {class} {kind} r (x = i4)"));
-            go(a, &format!("append to r (x = {old})"));
+            go(a, &format!("create {class} {kind} r (x = i4)")).unwrap();
+            go(a, &format!("append to r (x = {old})")).unwrap();
+            let valid = valid(kind, to);
             let stmt = match op {
-                "delete" => {
-                    format!("delete v {} where v.x = {old}", valid(kind))
-                }
+                "delete" => format!("delete v {valid} where v.x = {old}"),
                 _ => format!(
-                    "replace v (x = {new}) {} where v.x = {old}",
-                    valid(kind)
+                    "replace v (x = {new}) {valid} where v.x = {old}"
                 ),
             };
-            assert_eq!(go(d, &stmt), 1, "{cell}: affected");
+            match go(d, &stmt) {
+                Ok(n) if to == "forever" => {
+                    assert_eq!(n, 1, "{cell}: affected")
+                }
+                Err(Error::NotApplicable(m))
+                    if to != "forever" && m.contains(op) => {}
+                other => panic!("{cell}: {stmt}: {other:?}"),
+            }
 
             let rel = catalog.get(catalog.require("r").unwrap());
             let mut scan = rel.file.scan();

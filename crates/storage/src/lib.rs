@@ -13,6 +13,9 @@
 //! * [`overflow`] — the head-page-plus-chain mechanics hash and ISAM
 //!   share: the behaviour the paper's analysis is built on.
 //! * [`relfile`] — the access methods behind one interface.
+//! * [`audit`] — the structural audit of a file against the shape its
+//!   organization writes: page kinds per region, slot counts, overflow
+//!   pointers, chains, orphans.
 //! * [`catalog`] — the registry of stored relations plus the `modify`
 //!   reorganization.
 //!
@@ -20,6 +23,7 @@
 //! counts, chain-walking inserts, no early termination on keyed lookups —
 //! because those are the behaviours whose cost the paper measures.
 
+pub mod audit;
 pub mod bloom;
 pub mod catalog;
 pub mod checksum;
@@ -39,6 +43,7 @@ pub mod relfile;
 pub mod secondary;
 pub mod tuple;
 
+pub use audit::{Audit, Defect};
 pub use bloom::Bloom;
 pub use catalog::{Catalog, NamedIndex, RelId, StoredRelation};
 pub use checksum::{fnv64, ChecksumSet, SUMS_FILE};

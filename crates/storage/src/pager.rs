@@ -1205,6 +1205,11 @@ impl Pager {
         // warm cache stays.
         let mut polluted: BTreeSet<FileId> = BTreeSet::new();
         polluted.extend(u.touched.keys().map(|(f, _)| *f));
+        // A dirty frame is a write of the dead statement that never
+        // reached the overlay: a commit flushes every frame first.
+        polluted.extend(st.pools.iter().filter_map(|(f, pool)| {
+            pool.frames.iter().any(|fr| fr.dirty).then_some(*f)
+        }));
         polluted.extend(u.resized_added.iter().copied());
         polluted.extend(u.lengths.keys().copied());
         polluted.extend(u.truncated.keys().copied());
@@ -1844,6 +1849,24 @@ mod tests {
         let io = scope.of(f);
         assert_eq!(io.reads, 1, "untouched file's warm cache survives");
         assert_eq!(io.hits, 1);
+    }
+
+    #[test]
+    fn rollback_discards_a_write_still_in_its_frame() {
+        let pager = Pager::in_memory();
+        pager.set_staging(true);
+        let f = committed_staging_file(&pager);
+        pager.begin_statement_undo();
+        pager
+            .write(f, 0, |pg| pg.push_row(4, &[9; 4]).unwrap())
+            .unwrap();
+        pager.rollback_statement();
+        pager
+            .read(f, 0, |pg| {
+                assert_eq!(pg.row(4, 0).unwrap(), &[1; 4]);
+                assert!(pg.row(4, 1).is_err(), "statement row rolled back");
+            })
+            .unwrap();
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::heap::{HeapFile, HeapScan};
 use crate::isam::IsamFile;
 use crate::key::{HashFn, KeySpec};
 use crate::overflow::{ChainFile, ChainLookup, ChainScan};
+use crate::page::PageKind;
 use crate::pager::Pager;
 use crate::tuple::TupleId;
 use tdbms_kernel::{Error, Result};
@@ -128,11 +129,38 @@ impl RelFile {
     }
 
     /// The chained view of a keyed file (`None` for heaps).
-    fn chain(&self) -> Option<&ChainFile> {
+    pub(crate) fn chain(&self) -> Option<&ChainFile> {
         match self {
             RelFile::Heap(_) => None,
             RelFile::Hash(f) => Some(&f.chain),
             RelFile::Isam(f) => Some(&f.chain),
+        }
+    }
+
+    /// The kind the page at `page_no` must carry: heads (every heap page,
+    /// hash buckets, ISAM data pages) are data pages, then come ISAM's
+    /// directory levels and, in a chained file, overflow pages.
+    pub fn expected_kind(&self, page_no: u32) -> PageKind {
+        let dir =
+            |f: &IsamFile| f.levels.iter().any(|r| r.contains(&page_no));
+        match self.chain() {
+            None => PageKind::Data,
+            Some(c) if page_no < c.n_heads => PageKind::Data,
+            _ if matches!(self, RelFile::Isam(f) if dir(f)) => {
+                PageKind::Directory
+            }
+            _ => PageKind::Overflow,
+        }
+    }
+
+    /// The fewest pages the file can have: its head pages and directory.
+    pub fn min_pages(&self) -> u32 {
+        match self {
+            RelFile::Heap(_) => 0,
+            RelFile::Hash(f) => f.chain.n_heads,
+            RelFile::Isam(f) => {
+                f.levels.iter().fold(f.chain.n_heads, |m, r| m.max(r.end))
+            }
         }
     }
 

@@ -90,11 +90,15 @@ gate_transient_retry() {
 
 # The paper's cost mechanism, pinned by name: the overflow-chain unit
 # tests (one chain insert, one keyed cursor, one scan behind hash and
-# ISAM) and the property that random insert streams obey the cost law
-# (hashed lookup = chain pages, ISAM = levels + chain, scan = scannable
-# pages) and agree with a model.
+# ISAM), the structural audit's unit tests (one damaged page per defect
+# class over heap, hash and ISAM), and the property that random insert
+# streams obey the cost law (hashed lookup = chain pages, ISAM = levels +
+# chain, scan = scannable pages), agree with a model, and audit clean.
+# The chain format and its audit are pinned together: a layout change
+# that the audit does not follow fails here.
 gate_storage_chains() {
     cargo test -q -p tdbms-storage --lib overflow::
+    cargo test -q -p tdbms-storage --lib audit::
     cargo test -q --test proptest_storage keyed_files_agree_with_model
 }
 

@@ -1,6 +1,7 @@
 //! Property tests of the storage engine: every access method must agree
 //! with a simple in-memory reference model, regardless of key
-//! distribution, fill factor, or insertion order.
+//! distribution, fill factor, or insertion order, and the files it writes
+//! must pass its own structural audit.
 
 use std::collections::BTreeMap;
 use tdbms::{AttrDef, Domain, Schema, Value};
@@ -200,6 +201,17 @@ fn keyed_files_agree_with_model() {
                     file.method()
                 );
             }
+            // The pages the builder and the inserts wrote have the shape
+            // the audit expects, and every row is reachable once.
+            pager.flush_all().unwrap();
+            let audit = file.audit(&pager);
+            assert!(
+                audit.defects.is_empty(),
+                "{} audit: {:?}",
+                file.method(),
+                audit.defects
+            );
+            assert_eq!(audit.reachable_rows, local.len() as u64);
         }
     });
 }

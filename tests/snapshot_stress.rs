@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 use tdbms::wal::MemLog;
 use tdbms::{CheckpointPolicy, Database, Engine, GroupCommitConfig};
+use tdbms_check::check_database;
 use tdbms_kernel::Value;
 use tdbms_storage::MemDisk;
 
@@ -139,6 +140,20 @@ fn assert_lock_proof(engine: &Engine, writes: u64) {
     });
 }
 
+/// Audit the quiescent database with `tdbms-check`: structure, not only
+/// the rows the readers saw. Runs after the lock proof, whose counters
+/// its exclusive access would disturb. The audit reads pages raw from
+/// disk, where a durable database's commits since its last checkpoint
+/// are not yet; a checkpoint puts them there first.
+fn audit_clean(engine: &Engine) {
+    engine.with_write(|db| {
+        db.checkpoint().expect("checkpoint");
+        let (pager, catalog, _) = db.internals();
+        let report = check_database(pager, catalog).expect("audit runs");
+        assert!(report.is_clean(), "audit dirty:\n{}", report.render());
+    });
+}
+
 #[test]
 fn volatile_snapshot_reads_stay_prefix_consistent_and_lock_free() {
     let mut db = Database::in_memory();
@@ -148,6 +163,7 @@ fn volatile_snapshot_reads_stay_prefix_consistent_and_lock_free() {
     let engine = Engine::new(db);
     run_stress(&engine);
     assert_lock_proof(&engine, (WRITERS * APPENDS) as u64);
+    audit_clean(&engine);
 }
 
 #[test]
@@ -170,4 +186,5 @@ fn durable_group_commit_snapshot_reads_stay_prefix_consistent() {
     let engine = Engine::new(db);
     run_stress(&engine);
     assert_lock_proof(&engine, (WRITERS * APPENDS) as u64);
+    audit_clean(&engine);
 }

@@ -3,6 +3,7 @@
 
 use tdbms::wal::{FaultLog, LogStore, MemLog};
 use tdbms::{Database, TimeVal};
+use tdbms_check::check_database;
 use tdbms_kernel::{RowCodec, TemporalAttr};
 use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, MemDisk};
 
@@ -108,6 +109,14 @@ fn torn_checkpoint_write_sweep() {
             None,
         )
         .expect("recovery");
+        let (pager, catalog, _) = rdb.internals();
+        let report = check_database(pager, catalog).expect("audit runs");
+        if !report.is_clean() {
+            failures.push(format!(
+                "crash at {crash_at}: recovered state audits dirty:\n{}",
+                report.render()
+            ));
+        }
         let got = snapshot(&mut rdb);
         if got != states[k - 1] && got != states[k] {
             failures.push(format!(

@@ -15,9 +15,13 @@
 //! * a deterministic crash matrix over a scripted workload for each
 //!   access method (heap, hash, ISAM) on real files, driven by
 //!   `scripts/ci.sh`.
+//!
+//! Every recovered state of the random crash points, the crash matrix
+//! and the disk-full matrix must also audit clean under `tdbms-check`.
 
 use tdbms::wal::{FaultLog, FileLog, LogStore, MemLog};
 use tdbms::{Database, TimeVal};
+use tdbms_check::check_database;
 use tdbms_kernel::{RowCodec, TemporalAttr};
 use tdbms_prop::{check, Gen};
 use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, FileDisk, MemDisk};
@@ -53,6 +57,16 @@ fn snapshot(db: &mut Database) -> State {
     }
     rows.sort_unstable();
     Some(rows)
+}
+
+/// The state of a recovered database, once `tdbms-check` has found its
+/// structure clean: every page of every file has the shape its
+/// organization writes, and the row-count ledgers match.
+fn audited(db: &mut Database) -> State {
+    let (pager, catalog, _) = db.internals();
+    let report = check_database(pager, catalog).expect("audit runs");
+    assert!(report.is_clean(), "recovered state:\n{}", report.render());
+    snapshot(db)
 }
 
 const CREATE: &str = "create temporal interval r (id = i4, seq = i4)";
@@ -202,7 +216,7 @@ fn recovery_is_atomic_at_every_random_crash_point() {
         // state just before or just after it.
         let k = boundaries.iter().position(|&b| b >= crash_at).unwrap();
         let mut rdb = reopen_mem(&disk, &log);
-        let got = snapshot(&mut rdb);
+        let got = audited(&mut rdb);
         assert!(
             got == states[k - 1] || got == states[k],
             "crash at op {crash_at} (statement {k}: {:?}): recovered \
@@ -215,7 +229,7 @@ fn recovery_is_atomic_at_every_random_crash_point() {
 
         // Recovering twice equals recovering once.
         let mut rdb2 = reopen_mem(&disk, &log);
-        assert_eq!(snapshot(&mut rdb2), got, "recovery must be idempotent");
+        assert_eq!(audited(&mut rdb2), got, "recovery must be idempotent");
     });
 }
 
@@ -356,7 +370,7 @@ fn crash_matrix_over_real_files() {
 
             let k = boundaries.iter().position(|&b| b >= crash_at).unwrap();
             let mut rdb = Database::open_durable(&dir).unwrap();
-            let got = snapshot(&mut rdb);
+            let got = audited(&mut rdb);
             assert!(
                 got == states[k - 1] || got == states[k],
                 "{method}: crash at op {crash_at} (statement {k}): \
@@ -366,7 +380,7 @@ fn crash_matrix_over_real_files() {
             );
             drop(rdb);
             let mut rdb2 = Database::open_durable(&dir).unwrap();
-            assert_eq!(snapshot(&mut rdb2), got);
+            assert_eq!(audited(&mut rdb2), got);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -464,14 +478,14 @@ fn disk_full_matrix_preserves_every_acked_statement() {
 
         let mut rdb = reopen_mem(&disk, &log);
         assert_eq!(
-            snapshot(&mut rdb),
+            audited(&mut rdb),
             acked,
             "window at op {at}: recovered state differs from acked"
         );
         drop(rdb);
         let mut rdb2 = reopen_mem(&disk, &log);
         assert_eq!(
-            snapshot(&mut rdb2),
+            audited(&mut rdb2),
             acked,
             "recovery must be idempotent"
         );
