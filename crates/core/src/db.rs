@@ -514,8 +514,12 @@ impl Database {
             // FIRST durability point — a checkpoint failure maps to
             // `durable: true` and would acknowledge a commit that was
             // never fsynced. The statement's drops are still pending
-            // on failure, so its rollback removes them.
-            ws.gc.wait_durable(ticket, || ws.log.sync()).map_err(pre)?;
+            // on failure, so its rollback removes them. Nobody can
+            // register while the lock is held, so this wait never
+            // lingers for a batch.
+            ws.gc
+                .wait_durable_locked(ticket, || ws.log.sync())
+                .map_err(pre)?;
             self.pager.log_drops(ticket);
             self.pager.execute_drops(ticket);
         } else {
@@ -542,8 +546,9 @@ impl Database {
     }
 
     /// Switch a durable database to **group commit**: replace the
-    /// commit queue's config, so the log fsync may linger for a batch
-    /// of many sessions' commits (see [`tdbms_wal::GroupCommit`]), and
+    /// commit queue's config, so one log fsync may cover a batch of
+    /// many sessions' commits while other writers are still inside the
+    /// commit lock (see [`tdbms_wal::GroupCommit`]), and
     /// let an [`crate::Engine`] over this database acknowledge commits
     /// after it releases the commit lock. Pair with a
     /// [`CheckpointPolicy`] other than `EveryCommit` — a checkpoint

@@ -38,7 +38,11 @@
 //!   under **group commit** (see [`Database::enable_group_commit`])
 //!   only the appends and the ticket happen under the lock — the wait
 //!   moves to `Engine::ack_commit`, after the lock is released, which
-//!   is what lets N sessions share one fsync.
+//!   is what lets N sessions share one fsync. Every exclusive statement
+//!   is counted by the commit queue from before it asks for the lock
+//!   until after it releases it, so the fsync leader waits only while
+//!   some writer is still inside or queued — a lone commit syncs at
+//!   once, and `max_batch` / `max_delay` merely bound the batch.
 //!
 //! [`Engine::with_read`] takes the lock shared, for introspection (the
 //! shell, the server's stats); no statement runs that way.
@@ -266,11 +270,16 @@ impl Engine {
         &self,
         f: impl FnOnce(&mut Database) -> R,
     ) -> Result<R> {
+        // Counted by the commit queue from before the lock is asked for
+        // until after it is released, on every exit (errors and panics
+        // included): a leaked count would make every leader linger.
+        let writer = self.inner.group.as_ref().map(|(gc, _)| gc.enter());
         let mut db = self.write()?;
         let r = f(&mut db);
         self.publish_view(&db);
         let pending = db.take_pending_commit();
         drop(db);
+        drop(writer);
         if let Some(ticket) = pending {
             self.ack_commit(ticket)?;
         }

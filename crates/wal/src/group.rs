@@ -3,26 +3,37 @@
 //!
 //! ## Protocol
 //!
-//! Writers append their transaction's records (ending in `Commit`) under
-//! the engine's exclusive commit lock, then [`GroupCommit::register`] a
-//! *ticket* — a monotone sequence number whose order matches log order,
-//! because both the appends and the registration happen inside the same
-//! critical section. The writer then **releases the commit lock** and
+//! A writer [`GroupCommit::enter`]s the queue just before it asks for
+//! the engine's exclusive commit lock and leaves (drops the returned
+//! [`QueuedWriter`]) just after it releases the lock, whether or not it
+//! committed anything: the queue always knows how many writers are
+//! inside the lock or queued for it — the commits that could still join
+//! a batch. Under the lock a writer appends its transaction's records
+//! (ending in `Commit`), then [`GroupCommit::register`]s a *ticket* — a
+//! monotone sequence number whose order matches log order, because both
+//! the appends and the registration happen inside the same critical
+//! section. The writer then **releases the commit lock**, leaves, and
 //! calls [`GroupCommit::wait_durable`]: the first waiter whose ticket is
-//! not yet durable elects itself *leader*, lingers up to `max_delay` (or
-//! until `max_batch` commits have accumulated) so later commits can join
-//! the batch, issues one fsync, and advances the durable watermark to
-//! the last ticket that was appended before the fsync began. Everyone at
-//! or below the watermark is acknowledged; the rest elect the next
-//! leader.
+//! not yet durable elects itself *leader*, gathers a batch, issues one
+//! fsync, and advances the durable watermark to the last ticket that
+//! was appended before the fsync began. Everyone at or below the
+//! watermark is acknowledged; the rest elect the next leader.
+//!
+//! **The leader closes its batch as soon as no other commit can still
+//! join**: it waits only while another writer is inside (or queued
+//! for) the commit lock, and stops at the first of "nobody is inside",
+//! `max_batch` commits registered, or `max_delay` elapsed. The two
+//! knobs are upper bounds on the batch, never a fixed delay — a lone
+//! commit syncs at once.
 //!
 //! Because the fsync happens *outside* the commit lock, other writers
 //! keep appending while the leader syncs — that overlap is where the
 //! commits-per-fsync ratio above 1 comes from. A database nobody
 //! acknowledges after the lock (a standalone one, or any commit that
-//! makes a checkpoint due) runs the same protocol with the wait still
-//! inside the critical section; at `max_batch` 1 / `max_delay` 0 that
-//! is one fsync per commit with no linger.
+//! makes a checkpoint due) waits with [`GroupCommit::wait_durable_locked`]
+//! instead, inside the critical section. Such a wait never lingers:
+//! every other writer is queued behind the lock it holds and cannot
+//! register, so it also closes the batch of a leader already gathering.
 //!
 //! ## Failure semantics
 //!
@@ -48,10 +59,12 @@ use tdbms_kernel::{Error, Result};
 /// Batching knobs for [`GroupCommit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitConfig {
-    /// Fsync as soon as this many commits are waiting (minimum 1).
+    /// Upper bound on a batch: fsync as soon as this many commits are
+    /// waiting (minimum 1), even if more writers are inside.
     pub max_batch: u32,
-    /// ... or once the leader has lingered this long, whichever comes
-    /// first. Zero means "fsync immediately with whatever has arrived".
+    /// Upper bound on the linger: fsync once the leader has waited this
+    /// long for writers still inside the commit lock. A leader with
+    /// nobody inside syncs at once; zero means "never wait".
     pub max_delay: Duration,
 }
 
@@ -78,6 +91,28 @@ struct GcState {
     /// A batch fsync failed: the durable prefix past `durable` is
     /// unknown, so every ticket above it fails with this error.
     failed: Option<Error>,
+    /// Writers inside the engine's commit lock or queued for it (see
+    /// [`GroupCommit::enter`]): the commits that could still join.
+    writers: u32,
+    /// A commit waits for its ticket while holding the commit lock
+    /// ([`GroupCommit::wait_durable_locked`]): every counted writer is
+    /// queued behind it, so nobody can join a batch.
+    locked_wait: bool,
+}
+
+/// A writer counted by [`GroupCommit::enter`]; dropping it leaves.
+#[must_use = "a writer leaves the queue when this is dropped"]
+pub struct QueuedWriter<'a>(&'a GroupCommit);
+
+impl Drop for QueuedWriter<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.lock();
+        st.writers -= 1;
+        // Wake a gathering leader: nobody may be left to join.
+        if st.writers == 0 && st.leader {
+            self.0.cv.notify_all();
+        }
+    }
 }
 
 /// The group-commit queue: tickets, leader election, and the durable
@@ -119,6 +154,14 @@ impl GroupCommit {
 
     fn lock(&self) -> MutexGuard<'_, GcState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count a writer from just before it asks for the engine's commit
+    /// lock until the returned guard drops, just after it releases the
+    /// lock. While any writer is counted, a leader may linger for it.
+    pub fn enter(&self) -> QueuedWriter<'_> {
+        self.lock().writers += 1;
+        QueuedWriter(self)
     }
 
     /// Issue the ticket for a commit whose records (ending in `Commit`)
@@ -176,9 +219,34 @@ impl GroupCommit {
     pub fn wait_durable(
         &self,
         ticket: u64,
-        mut sync: impl FnMut() -> Result<()>,
+        sync: impl FnMut() -> Result<()>,
+    ) -> Result<()> {
+        self.wait(self.lock(), ticket, sync)
+    }
+
+    /// [`GroupCommit::wait_durable`] for a caller still holding the
+    /// engine's commit lock. Nobody can register until it returns, so
+    /// no batch lingers meanwhile: not its own, and not one another
+    /// leader is gathering.
+    pub fn wait_durable_locked(
+        &self,
+        ticket: u64,
+        sync: impl FnMut() -> Result<()>,
     ) -> Result<()> {
         let mut st = self.lock();
+        st.locked_wait = true;
+        self.cv.notify_all();
+        let r = self.wait(st, ticket, sync);
+        self.lock().locked_wait = false;
+        r
+    }
+
+    fn wait<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, GcState>,
+        ticket: u64,
+        mut sync: impl FnMut() -> Result<()>,
+    ) -> Result<()> {
         loop {
             if st.durable >= ticket {
                 return Ok(());
@@ -197,10 +265,12 @@ impl GroupCommit {
                 continue;
             }
             st.leader = true;
-            // Gather: linger so later commits can join this batch.
+            // Gather: linger only while another commit can still join,
+            // within the `max_batch` / `max_delay` bounds.
             let target = st.durable + u64::from(self.cfg.max_batch.max(1));
             let deadline = Instant::now() + self.cfg.max_delay;
-            while st.appended < target {
+            while st.appended < target && st.writers > 0 && !st.locked_wait
+            {
                 let now = Instant::now();
                 if now >= deadline {
                     break;
@@ -234,7 +304,7 @@ impl GroupCommit {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     fn immediate() -> GroupCommitConfig {
         GroupCommitConfig {
@@ -357,5 +427,111 @@ mod tests {
             "every sync call is accounted"
         );
         assert!(n <= 8, "never more fsyncs than commits");
+    }
+
+    /// A leader that lingers needs seconds here; every test below that
+    /// expects no linger finishes far inside this.
+    const LONG: Duration = Duration::from_secs(10);
+
+    fn long_linger() -> GroupCommit {
+        GroupCommit::new(GroupCommitConfig {
+            max_batch: 64,
+            max_delay: LONG,
+        })
+    }
+
+    #[test]
+    fn a_lone_commit_syncs_at_once_whatever_the_delay() {
+        let gc = long_linger();
+        let t = gc.register();
+        let start = Instant::now();
+        gc.wait_durable(t, || Ok(())).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert_eq!(gc.fsyncs(), 1);
+    }
+
+    #[test]
+    fn a_writer_inside_is_waited_for_and_shares_the_sync() {
+        let gc = long_linger();
+        let syncs = AtomicU32::new(0);
+        let sync = || {
+            syncs.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        };
+        let entered = Barrier::new(2);
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Registered and already out of the lock.
+                let t = gc.register();
+                entered.wait();
+                // The other writer is inside: this leader must hold
+                // its batch open until that writer registers and
+                // leaves.
+                gc.wait_durable(t, sync).unwrap();
+            });
+            scope.spawn(|| {
+                let writer = gc.enter();
+                entered.wait();
+                // Give the leader time to start gathering.
+                std::thread::sleep(Duration::from_millis(50));
+                let t = gc.register();
+                drop(writer);
+                gc.wait_durable(t, sync).unwrap();
+            });
+        });
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(gc.commits(), 2);
+        assert_eq!(syncs.load(Ordering::Relaxed), 1, "one sync for both");
+        assert_eq!(gc.fsyncs(), 1);
+    }
+
+    #[test]
+    fn a_writer_that_leaves_without_committing_releases_the_leader() {
+        let gc = long_linger();
+        let entered = Barrier::new(2);
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let t = gc.register();
+                entered.wait();
+                gc.wait_durable(t, || Ok(())).unwrap();
+            });
+            scope.spawn(|| {
+                // A read on the exclusive path, or a failed statement:
+                // in and out of the lock with no ticket.
+                let writer = gc.enter();
+                entered.wait();
+                std::thread::sleep(Duration::from_millis(50));
+                drop(writer);
+            });
+        });
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(gc.fsyncs(), 1);
+    }
+
+    #[test]
+    fn a_wait_under_the_lock_never_lingers() {
+        let gc = long_linger();
+        // The waiter itself and two writers queued behind its lock.
+        let _me = gc.enter();
+        let _queued = (gc.enter(), gc.enter());
+        let t = gc.register();
+        let start = Instant::now();
+        gc.wait_durable_locked(t, || Ok(())).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(1));
+
+        // It also closes the batch of a leader already gathering for
+        // the writers counted inside.
+        let t1 = gc.register();
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| gc.wait_durable(t1, || Ok(())).unwrap());
+            std::thread::sleep(Duration::from_millis(50));
+            let t2 = gc.register();
+            gc.wait_durable_locked(t2, || Ok(())).unwrap();
+        });
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(gc.fsyncs(), 2);
     }
 }

@@ -50,7 +50,7 @@ mod group;
 mod log;
 mod record;
 
-pub use crate::group::{GroupCommit, GroupCommitConfig};
+pub use crate::group::{GroupCommit, GroupCommitConfig, QueuedWriter};
 pub use crate::log::{FaultLog, FileLog, LogStore, MemLog};
 pub use crate::record::{
     encode_header, fnv64, parse_header, parse_records, Record,

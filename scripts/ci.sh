@@ -120,13 +120,16 @@ gate_concurrency_stress() {
     done
 }
 
-# Commit-pipeline acceptance gate: the crash matrix (kills between the
-# batch fsync and the per-session ack), a standalone database waiting
-# its own ticket, and the checkpoint interplay — zero acked-tuple loss,
+# Commit-pipeline acceptance gate: the queue's unit tests (a batch
+# closes when no other writer can join), the crash matrix (kills
+# between the batch fsync and the per-session ack), a standalone
+# database waiting its own ticket, the checkpoint interplay and the
+# idle-linger regressions — zero acked-tuple loss,
 # no phantom acks; then, by name, the standalone failure contract (one
 # outcome over three queue configs), what the pager-side drop queue and
 # the queue-of-one must still guarantee, and WAL on/off page counts.
 gate_group_commit_crash() {
+    cargo test -q -p tdbms-wal --lib group::
     cargo test -q --test group_commit
     cargo test -q --test chaos \
         commit_fsync_failure_degrades_every_standalone_mode

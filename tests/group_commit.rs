@@ -21,10 +21,16 @@
 //! * **Checkpoint interplay**: a dense `EveryN` checkpoint policy runs
 //!   against batched commits (logged drops, early log sync) and the
 //!   reopened database must still be exact.
+//! * **No idle linger**: a leader waits for a batch only while another
+//!   writer is inside (or queued for) the commit lock. A lone session, a
+//!   session beside a reader, and a session after a failed statement
+//!   each commit far faster than `max_delay` per statement, and every
+//!   acked row survives a reopen.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tdbms::wal::{FaultLog, LogStore, MemLog};
 use tdbms::{CheckpointPolicy, Database, Engine, GroupCommitConfig};
 use tdbms_check::check_database;
@@ -338,4 +344,152 @@ fn checkpoints_interleave_cleanly_with_group_commit_batches() {
         "reopen disagrees with the live database"
     );
     audit_clean(&engine, "reopen after batched workload");
+}
+
+/// A linger long enough that a leader which waits it out even once per
+/// test is caught by the tests below.
+const SLOW_DELAY: Duration = Duration::from_secs(1);
+
+/// An engine with group commit bounded by [`SLOW_DELAY`], over fresh
+/// in-memory devices that [`reopen_exact`] recovers from.
+fn slow_linger_engine() -> (Engine, MemDisk, MemLog) {
+    let disk = MemDisk::new();
+    let log = MemLog::new();
+    let mut db = Database::open_durable_on(
+        Box::new(disk.clone()),
+        Box::new(log.clone()),
+        None,
+    )
+    .expect("open");
+    db.set_checkpoint_policy(CheckpointPolicy::EveryN(10_000));
+    create_and_seed(&mut db);
+    db.execute("create s (id = i4)").expect("create static");
+    db.execute("append to s (id = 1)").expect("static row");
+    db.enable_group_commit(GroupCommitConfig {
+        max_batch: 8,
+        max_delay: SLOW_DELAY,
+    })
+    .expect("durable database");
+    (Engine::new(db), disk, log)
+}
+
+/// Appends of fresh ids from `first` on one session until `more` says
+/// stop (checked after each); returns the acked ids, how long they
+/// took, and the slowest one.
+fn timed_appends(
+    engine: &Engine,
+    first: i64,
+    mut more: impl FnMut(usize) -> bool,
+) -> (BTreeSet<i64>, Duration, Duration) {
+    let mut s = engine.session();
+    let mut acked = BTreeSet::new();
+    let mut slowest = Duration::ZERO;
+    let start = Instant::now();
+    for id in first.. {
+        let t = Instant::now();
+        s.execute(&format!("append to t (id = {id}, seq = 0)"))
+            .expect("append");
+        slowest = slowest.max(t.elapsed());
+        acked.insert(id);
+        if !more(acked.len()) {
+            break;
+        }
+    }
+    (acked, start.elapsed(), slowest)
+}
+
+/// Drop the engine without a checkpoint, recover from the raw
+/// survivors, and require every acked id and a clean audit.
+fn reopen_exact(
+    engine: Engine,
+    disk: &MemDisk,
+    log: &MemLog,
+    acked: &BTreeSet<i64>,
+    ctx: &str,
+) {
+    match engine.try_into_database() {
+        Ok(db) => drop(db),
+        Err(_) => panic!("{ctx}: engine had outstanding handles"),
+    }
+    let rdb = Database::open_durable_on(
+        Box::new(disk.clone()),
+        Box::new(log.clone()),
+        None,
+    )
+    .expect("reopen");
+    let engine = Engine::new(rdb);
+    let recovered = current_ids(&engine);
+    for id in acked {
+        assert!(recovered.contains(id), "{ctx}: acked {id} lost");
+    }
+    audit_clean(&engine, ctx);
+}
+
+#[test]
+fn a_lone_session_never_waits_out_max_delay() {
+    let (engine, disk, log) = slow_linger_engine();
+    let (acked, took, _) = timed_appends(&engine, 3000, |n| n < 10);
+    assert!(
+        took < SLOW_DELAY,
+        "10 lone commits took {took:?}: a leader lingered with nobody \
+         inside the commit lock"
+    );
+    reopen_exact(engine, &disk, &log, &acked, "lone session");
+}
+
+#[test]
+fn a_reading_session_does_not_hold_a_writers_batch_open() {
+    let (engine, disk, log) = slow_linger_engine();
+    let done = AtomicBool::new(false);
+    let reads = AtomicU32::new(0);
+    let (acked, _, slowest) = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut s = engine.session();
+            s.execute("range of z is t\nrange of y is s")
+                .expect("range");
+            while !done.load(Ordering::Relaxed) {
+                // The static relation has no version stamps, so this
+                // read takes the exclusive path and is counted as a
+                // writer; the temporal one is served from the snapshot.
+                s.execute("retrieve (y.id)").expect("exclusive read");
+                s.execute("retrieve (z.id) where z.id = 1")
+                    .expect("snapshot read");
+                reads.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Keep committing until the reader has been busy beside the
+        // writer for a while (bounded, should the reader stall).
+        let r = timed_appends(&engine, 4000, |n| {
+            n < 10 || (reads.load(Ordering::Relaxed) < 50 && n < 2000)
+        });
+        done.store(true, Ordering::Relaxed);
+        r
+    });
+    assert!(reads.into_inner() > 0, "the reader ran beside the writer");
+    assert!(
+        slowest < SLOW_DELAY / 2,
+        "a commit beside a reader took {slowest:?}: the leader waited \
+         for a session that never commits"
+    );
+    reopen_exact(engine, &disk, &log, &acked, "writer beside a reader");
+}
+
+#[test]
+fn a_failed_statement_leaves_no_writer_counted() {
+    let (engine, disk, log) = slow_linger_engine();
+    let mut s = engine.session();
+    for bad in [
+        "append to t (id = \"x\", seq = 0)",
+        "append to nosuch (id = 1)",
+    ] {
+        assert!(s.execute(bad).is_err(), "{bad} must fail");
+    }
+    drop(s);
+    let (acked, took, _) = timed_appends(&engine, 5000, |n| n < 3);
+    assert!(
+        took < SLOW_DELAY,
+        "commits after failed statements took {took:?}: a failed \
+         statement left a writer counted"
+    );
+    reopen_exact(engine, &disk, &log, &acked, "after failed statements");
 }
