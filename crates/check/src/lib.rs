@@ -107,7 +107,7 @@ impl fmt::Display for Finding {
 pub struct CheckReport {
     /// Everything found, in discovery order.
     pub findings: Vec<Finding>,
-    /// Non-temporary relations visited.
+    /// Relations visited.
     pub relations_checked: usize,
     /// Pages read across all visited files (repair passes re-read).
     pub pages_checked: u64,
@@ -231,7 +231,7 @@ impl Unit {
 
 fn units_of(catalog: &Catalog) -> Vec<Unit> {
     let mut units = Vec::new();
-    for (id, rel) in catalog.iter().filter(|(_, r)| !r.temporary) {
+    for (id, rel) in catalog.iter() {
         let unit = |label, kind, file| Unit {
             label,
             rel: id,
@@ -363,9 +363,8 @@ fn check_temporal(
     Ok(())
 }
 
-/// Validate every non-temporary relation (and its indexes) in a live
-/// database. Read-only; all scrub traffic is attributed to the `"scrub"`
-/// I/O phase.
+/// Validate every relation (and its indexes) in a live database.
+/// Read-only; all scrub traffic is attributed to the `"scrub"` I/O phase.
 pub fn check_database(
     pager: &Pager,
     catalog: &Catalog,
@@ -434,8 +433,7 @@ pub fn check_database(
     })();
     pager.end_phase();
     outcome?;
-    report.relations_checked =
-        catalog.iter().filter(|(_, r)| !r.temporary).count();
+    report.relations_checked = catalog.iter().count();
     Ok(report)
 }
 
@@ -604,8 +602,7 @@ pub fn repair_database(
     })();
     pager.end_phase();
     outcome?;
-    report.relations_checked =
-        catalog.iter().filter(|(_, r)| !r.temporary).count();
+    report.relations_checked = catalog.iter().count();
     Ok(report)
 }
 

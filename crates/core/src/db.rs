@@ -540,11 +540,6 @@ impl Database {
         Ok(())
     }
 
-    /// Whether this database was opened in durable (WAL) mode.
-    pub fn wal_enabled(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Switch a durable database to **group commit**: replace the
     /// commit queue's config, so one log fsync may cover a batch of
     /// many sessions' commits while other writers are still inside the
@@ -847,7 +842,7 @@ impl Database {
 
     /// Names of user relations.
     pub fn relation_names(&self) -> Vec<String> {
-        self.catalog.user_relation_names()
+        self.catalog.relation_names()
     }
 
     /// Describe a relation.
@@ -943,7 +938,7 @@ impl Database {
     /// total versions migrated.
     pub fn reorganize_all(&mut self) -> Result<u64> {
         let mut total = 0;
-        for name in self.catalog.user_relation_names() {
+        for name in self.catalog.relation_names() {
             total += self.reorganize(&name)?;
         }
         Ok(total)
@@ -963,7 +958,6 @@ impl Database {
             if !r.schema.class().has_transaction_time()
                 || r.key_attr.is_none()
                 || !r.indexes.is_empty()
-                || r.temporary
             {
                 return Ok(0);
             }
@@ -1192,7 +1186,7 @@ impl Database {
                     .bind_retrieve(r)?;
                 let result = exec_retrieve(
                     &self.pager,
-                    &mut self.catalog,
+                    &self.catalog,
                     &bound,
                     &[],
                     guard,
@@ -1222,7 +1216,7 @@ impl Database {
                 )?;
                 let result = exec_retrieve(
                     &self.pager,
-                    &mut self.catalog,
+                    &self.catalog,
                     &bound,
                     &[],
                     guard,

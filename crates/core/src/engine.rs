@@ -19,12 +19,10 @@
 //!   commit the view predates and is invisible, and a row being
 //!   logically deleted gets a `transaction_stop` past the watermark, so
 //!   it stays visible to the snapshot. Version stamps make reads
-//!   race-free *by construction* — no lock, no retry loop. A
-//!   multi-variable retrieve clones the view's catalog privately, so
-//!   its decomposition temporaries never touch shared metadata (in
-//!   durable mode this shape falls back to the exclusive path: the
-//!   temporaries would be staged into concurrent writers' WAL
-//!   commits).
+//!   race-free *by construction* — no lock, no retry loop. Joins are
+//!   served the same way, durable or not: their decomposition
+//!   temporaries are pager scratch files, which no catalog, staged
+//!   commit or log record ever sees.
 //! * **Exclusive path** (the commit lock, one thread at a time):
 //!   everything else — DML, DDL, `copy`, `retrieve into`, and the rare
 //!   retrieves the snapshot cannot serve: variables without transaction
@@ -80,7 +78,7 @@
 use crate::binder::Binder;
 use crate::bound::BoundRetrieve;
 use crate::db::{Database, ExecOutput};
-use crate::exec::{exec_retrieve, exec_retrieve_readonly, QueryStats};
+use crate::exec::{exec_retrieve, QueryStats};
 use crate::guard::QueryGuard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,7 +175,6 @@ struct EngineInner {
     /// First unrecoverable failure (lock poisoning, failed group-commit
     /// fsync); sticky — every later operation fails with it.
     failed: Mutex<Option<Error>>,
-    durable: bool,
     group: Option<(Arc<GroupCommit>, LogHandle)>,
     locks: LockCounters,
     /// Publication counter feeding [`ReadView::epoch`].
@@ -210,7 +207,6 @@ impl Engine {
             pager,
             view: RwLock::new(Arc::new(view_of(&db, 0))),
             failed: Mutex::new(None),
-            durable: db.wal_enabled(),
             group,
             locks: LockCounters::default(),
             epoch: AtomicU64::new(0),
@@ -515,10 +511,6 @@ impl Engine {
     fn pager(&self) -> &Pager {
         &self.inner.pager
     }
-
-    fn durable(&self) -> bool {
-        self.inner.durable
-    }
 }
 
 /// Handle to a running background reorganization thread (see
@@ -721,11 +713,9 @@ impl Session {
     /// the commit lock. Returns `None` — run it on the exclusive path —
     /// when the statement is not snapshot-eligible: a variable without
     /// transaction time has no version stamps to filter on, an `as of`
-    /// past the watermark needs state the view predates, a
-    /// multi-variable retrieve in durable mode would stage its
-    /// temporaries into neighbors' WAL commits, and any binding or
-    /// execution error is re-derived under the lock against the
-    /// authoritative catalog (a concurrent `destroy`/`modify` can
+    /// past the watermark needs state the view predates, and any
+    /// binding or execution error is re-derived under the lock against
+    /// the authoritative catalog (a concurrent `destroy`/`modify` can
     /// invalidate the snapshot's file pointers mid-read).
     fn try_execute_snapshot(
         &self,
@@ -767,7 +757,6 @@ impl Session {
                 }
             }
         };
-        let multi = bound.vars.len() >= 2;
         if !bound.vars.iter().all(|v| v.class.has_transaction_time()) {
             return Ok(None);
         }
@@ -776,26 +765,19 @@ impl Session {
             _ if bound.vars.is_empty() => {}
             _ => return Ok(None),
         }
-        if multi && self.engine.durable() {
-            return Ok(None);
-        }
         let pager = self.engine.pager();
         if view.cold {
             pager.invalidate_buffers()?;
         }
         let scope = pager.stats().scope();
-        let executed = if multi {
-            let mut local = view.catalog.clone();
-            exec_retrieve(pager, &mut local, bound, literals, guard, true)
-        } else {
-            exec_retrieve_readonly(
-                pager,
-                &view.catalog,
-                bound,
-                literals,
-                guard,
-            )
-        };
+        let executed = exec_retrieve(
+            pager,
+            &view.catalog,
+            bound,
+            literals,
+            guard,
+            true,
+        );
         let result = match executed {
             Ok(res) => res,
             // A guard firing is final — the budget is spent, so
@@ -857,7 +839,22 @@ mod tests {
     use tdbms_kernel::Value;
 
     fn seeded_db() -> Database {
-        let mut db = Database::in_memory();
+        seed(Database::in_memory())
+    }
+
+    /// The same contents in a durable database over in-memory devices.
+    fn seeded_durable_db() -> Database {
+        seed(
+            Database::open_durable_on(
+                Box::new(tdbms_storage::MemDisk::new()),
+                Box::new(tdbms_wal::MemLog::new()),
+                None,
+            )
+            .unwrap(),
+        )
+    }
+
+    fn seed(mut db: Database) -> Database {
         db.set_cold_statements(false);
         db.execute(
             "create temporal interval emp (name = c20, salary = i4)",
@@ -953,29 +950,31 @@ mod tests {
 
     #[test]
     fn temporal_reads_never_touch_the_commit_lock() {
-        let engine = Engine::new(seeded_db());
-        let base = engine.lock_stats();
-        let mut s = engine.session();
-        s.execute("range of e is emp").unwrap();
-        for _ in 0..8 {
-            s.execute("retrieve (e.salary) where e.salary > 1000")
+        for db in [seeded_db(), seeded_durable_db()] {
+            let engine = Engine::new(db);
+            let base = engine.lock_stats();
+            let mut s = engine.session();
+            s.execute("range of e is emp").unwrap();
+            for _ in 0..8 {
+                s.execute("retrieve (e.salary) where e.salary > 1000")
+                    .unwrap();
+            }
+            // A temporal join is snapshot-eligible too.
+            s.execute("range of f is emp").unwrap();
+            let joined = s
+                .execute(
+                    "retrieve (e.name, f.name) \
+                     where e.salary = 1000 and f.salary = 1001",
+                )
                 .unwrap();
+            assert_eq!(joined.affected, 1);
+            let now = engine.lock_stats();
+            assert_eq!(
+                now.exclusive, base.exclusive,
+                "snapshot reads must not take the commit lock"
+            );
+            assert_eq!(now.snapshot_reads - base.snapshot_reads, 9);
         }
-        // A temporal join is snapshot-eligible too (non-durable mode).
-        s.execute("range of f is emp").unwrap();
-        let joined = s
-            .execute(
-                "retrieve (e.name, f.name) \
-                 where e.salary = 1000 and f.salary = 1001",
-            )
-            .unwrap();
-        assert_eq!(joined.affected, 1);
-        let now = engine.lock_stats();
-        assert_eq!(
-            now.exclusive, base.exclusive,
-            "snapshot reads must not take the commit lock"
-        );
-        assert_eq!(now.snapshot_reads - base.snapshot_reads, 9);
     }
 
     /// What the snapshot cannot serve runs on the exclusive path, with

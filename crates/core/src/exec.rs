@@ -9,9 +9,10 @@
 //!    best access path (hashed/ISAM keyed access when a key-equality
 //!    conjunct exists, sequential scan otherwise), rollback visibility is
 //!    applied, and the qualifying versions are projected into a temporary
-//!    relation (a heap). Writing the temporary is the query's *output
-//!    cost*; reading it back during substitution is part of its input
-//!    cost, as in the paper's accounting.
+//!    (a heap on a pager scratch file, private to the statement and
+//!    unknown to the catalog and the log). Writing the temporary is the
+//!    query's *output cost*; reading it back during substitution is part
+//!    of its input cost, as in the paper's accounting.
 //! 2. **Tuple substitution** — the remaining variables are joined by
 //!    nested iteration, innermost the variables whose relations become
 //!    keyed-accessible once outer tuples are bound (`h.id = i.amount`
@@ -26,8 +27,12 @@ use crate::binder::row_tx_period;
 use crate::bound::{BExpr, BoundRetrieve, Visibility};
 use crate::eval::{eval_expr, qualifies, Slot};
 use crate::guard::QueryGuard;
-use tdbms_kernel::{AttrDef, Domain, Error, Result, Schema, Value};
-use tdbms_storage::{Catalog, Pager, PhaseIo, RelFile, RelId, StatScope};
+use tdbms_kernel::{
+    AttrDef, Domain, Error, Result, RowCodec, Schema, Value,
+};
+use tdbms_storage::{
+    Catalog, FileId, HeapFile, Pager, PhaseIo, RelFile, StatScope,
+};
 use tdbms_tquel::ast::BinOp;
 use tdbms_tquel::token::Literal;
 
@@ -100,7 +105,8 @@ pub(crate) struct VarRt {
     pub(crate) key_attr: Option<usize>,
     pub(crate) indexes: Vec<tdbms_storage::catalog::NamedIndex>,
     visible: Option<Visibility>,
-    temp: Option<RelId>,
+    /// The scratch file of this variable's detachment temporary.
+    temp: Option<FileId>,
     /// Clustered history sidecar holding versions online reorganization
     /// migrated out of the primary file. Read only when the query's
     /// visibility reaches behind the sidecar's stop-time high-water mark,
@@ -111,68 +117,47 @@ pub(crate) struct VarRt {
 /// Execute a bound retrieve by decomposition: detach every variable
 /// [`detachable_vars`] names, in that order, then substitute. Returns
 /// the result rows; the caller reads the pager's
-/// [`tdbms_storage::IoStats`] for costs and handles `into`.
+/// [`tdbms_storage::IoStats`] for costs and handles `into`. `params`
+/// fills the bound retrieve's parameter slots ([`BExpr::Param`]).
 ///
-/// Single-variable retrieves never decompose and run through
-/// [`exec_retrieve_readonly`]. Multi-variable retrieves materialize
-/// projection temporaries in `catalog` and destroy every one of them
-/// before returning, whether the statement succeeded or failed.
-/// `params` fills the bound retrieve's parameter slots.
+/// The catalog is only read. A single-variable retrieve never
+/// decomposes. A multi-variable retrieve materializes its projection
+/// temporaries on pager scratch files, which no catalog or log ever
+/// sees, and drops every one of them before returning, whether the
+/// statement succeeded or failed. So every caller — the serial
+/// `Database`, DML's inner queries and the engine's snapshot path —
+/// runs the same code over a shared catalog, durable or not.
 ///
 /// `quiet` is the calling path's choice. The serial `Database` passes
 /// `false`: buffers are invalidated after decomposition, so the join
 /// phase starts cold as the figures assume. The engine's snapshot path
-/// passes `true`: `catalog` is the session's private clone of the
-/// published read view, so the shared catalog never sees the
-/// temporaries, and other sessions' warm frames are left alone.
+/// passes `true`, leaving other sessions' warm frames alone.
 pub fn exec_retrieve(
-    pager: &Pager,
-    catalog: &mut Catalog,
-    bound: &BoundRetrieve,
-    params: &[Literal],
-    guard: &QueryGuard,
-    quiet: bool,
-) -> Result<RetrieveResult> {
-    if bound.vars.len() < 2 {
-        return exec_retrieve_readonly(
-            pager, catalog, bound, params, guard,
-        );
-    }
-    let mut p = prepare(catalog, bound, params, guard);
-    let decomposed = decompose(pager, catalog, &mut p, quiet);
-    let temps: Vec<RelId> = p.rts.iter().filter_map(|rt| rt.temp).collect();
-    // Aggregation and sorting are CPU-only, so dropping the
-    // temporaries after them leaves the statement's I/O sequence as
-    // the paper counts it.
-    let result = decomposed.and_then(|()| run_joins(pager, p));
-    for id in temps {
-        let destroyed = catalog.destroy(pager, id);
-        if result.is_ok() {
-            destroyed?;
-        }
-    }
-    result
-}
-
-/// Execute a bound **single-variable** retrieve without mutating anything
-/// but the buffer pool: no decomposition, no temporaries, catalog taken by
-/// shared reference. This is the statement shape the concurrent engine
-/// runs under its read lock. `params` fills the bound retrieve's
-/// parameter slots ([`BExpr::Param`]); it is empty when there are none.
-pub fn exec_retrieve_readonly(
     pager: &Pager,
     catalog: &Catalog,
     bound: &BoundRetrieve,
     params: &[Literal],
     guard: &QueryGuard,
+    quiet: bool,
 ) -> Result<RetrieveResult> {
-    if bound.vars.len() >= 2 {
-        return Err(Error::Internal(
-            "read-only execution requires a single-variable retrieve"
-                .into(),
-        ));
+    let mut p = prepare(catalog, bound, params, guard);
+    if p.b.vars.len() < 2 {
+        return run_joins(pager, p);
     }
-    run_joins(pager, prepare(catalog, bound, params, guard))
+    let decomposed = decompose(pager, &mut p, quiet);
+    let temps: Vec<FileId> =
+        p.rts.iter().filter_map(|rt| rt.temp).collect();
+    // Aggregation and sorting are CPU-only, so dropping the
+    // temporaries after them leaves the statement's I/O sequence as
+    // the paper counts it.
+    let result = decomposed.and_then(|()| run_joins(pager, p));
+    for file in temps {
+        let dropped = pager.drop_file(file);
+        if result.is_ok() {
+            dropped?;
+        }
+    }
+    result
 }
 
 /// Everything the join phases need, derived from the bound retrieve with
@@ -293,15 +278,10 @@ fn still_needed(
 }
 
 /// Phase 1: one-variable detachment. Materializes the projection of
-/// each of [`detachable_vars`] into a temporary (recorded in
-/// `rts[v].temp` as soon as it exists, so the caller can destroy it
-/// even if this fails) and rewrites the plan in place.
-fn decompose(
-    pager: &Pager,
-    catalog: &mut Catalog,
-    p: &mut Prepared,
-    quiet: bool,
-) -> Result<()> {
+/// each of [`detachable_vars`] into a temporary on a scratch file
+/// (recorded in `rts[v].temp` as soon as it exists, so the caller can
+/// drop it even if this fails) and rewrites the plan in place.
+fn decompose(pager: &Pager, p: &mut Prepared, quiet: bool) -> Result<()> {
     let order = detachable_vars(p);
     let Prepared {
         b,
@@ -345,8 +325,10 @@ fn decompose(
                 temp_class,
                 b.vars[v].kind,
             )?;
-            let temp_id = catalog.create_temporary(pager, temp_schema)?;
-            rts[v].temp = Some(temp_id);
+            let temp_codec = RowCodec::new(&temp_schema);
+            let file = pager.create_scratch_file()?;
+            rts[v].temp = Some(file);
+            let temp_file = HeapFile::attach(file, temp_schema.row_width());
 
             // Remap table: old stored index -> new stored index, covering
             // projected explicit attrs and the implicit valid attrs.
@@ -355,15 +337,12 @@ fn decompose(
                 .enumerate()
                 .map(|(new, old)| (*old, new))
                 .collect();
-            {
-                let temp = catalog.get(temp_id);
-                for t in schema.implicit_attrs() {
-                    if let (Some(old), Some(new)) = (
-                        schema.temporal_index(*t),
-                        temp.schema.temporal_index(*t),
-                    ) {
-                        map.push((old, new));
-                    }
+            for t in schema.implicit_attrs() {
+                if let (Some(old), Some(new)) = (
+                    schema.temporal_index(*t),
+                    temp_schema.temporal_index(*t),
+                ) {
+                    map.push((old, new));
                 }
             }
 
@@ -373,46 +352,37 @@ fn decompose(
                 .filter(|(_, vs)| vs == &[v])
                 .map(|(c, _)| c.clone())
                 .collect();
-            {
-                let temp = catalog.get(temp_id);
-                let temp_codec = temp.codec.clone();
-                let temp_file = temp.file.clone();
-                let out_width = temp_codec.width();
-                let src_arity_map = map.clone();
-                ovqp(
-                    pager,
-                    slots,
-                    &rts[v],
-                    v,
-                    &own,
-                    &guard,
-                    |slots_now, pager_now| {
-                        // Project the bound row into the temp layout.
-                        let src = &slots_now[v];
-                        let row_bytes =
-                            src.row.as_deref().expect("bound in ovqp");
-                        let mut out = vec![0u8; out_width];
-                        for (old, new) in &src_arity_map {
-                            let val = src.codec.get(row_bytes, *old);
-                            temp_codec.put(&mut out, *new, &val)?;
-                        }
-                        temp_file.insert(pager_now, &out)?;
-                        Ok(())
-                    },
-                )?;
-            }
+            let out_width = temp_codec.width();
+            ovqp(
+                pager,
+                slots,
+                &rts[v],
+                v,
+                &own,
+                &guard,
+                |slots_now, pager_now| {
+                    // Project the bound row into the temp layout.
+                    let src = &slots_now[v];
+                    let row_bytes =
+                        src.row.as_deref().expect("bound in ovqp");
+                    let mut out = vec![0u8; out_width];
+                    for (old, new) in &map {
+                        let val = src.codec.get(row_bytes, *old);
+                        temp_codec.put(&mut out, *new, &val)?;
+                    }
+                    temp_file.insert(pager_now, &out)?;
+                    Ok(())
+                },
+            )?;
 
             // Swap the variable to the temporary.
-            {
-                let temp = catalog.get(temp_id);
-                slots[v].schema = temp.schema.clone();
-                slots[v].codec = temp.codec.clone();
-                rts[v].file = temp.file.clone();
-                rts[v].key_attr = None;
-                rts[v].indexes.clear();
-                rts[v].visible = None;
-                rts[v].history = None;
-            }
+            slots[v].schema = temp_schema;
+            slots[v].codec = temp_codec;
+            rts[v].file = RelFile::Heap(temp_file);
+            rts[v].key_attr = None;
+            rts[v].indexes.clear();
+            rts[v].visible = None;
+            rts[v].history = None;
 
             // Consume this variable's own conjuncts and remap the rest.
             conjuncts.retain(|(_, vs)| vs != &[v]);
@@ -432,7 +402,7 @@ fn decompose(
         // attributed to the decomposition phase, which produced them).
         // A quiet (snapshot) execution must not touch other sessions'
         // warm frames, so it keeps its temporaries buffered instead: the
-        // join reads them straight from the pool and the destroy at the
+        // join reads them straight from the pool and the drop at the
         // end discards frames and file together.
         if !quiet {
             pager.invalidate_buffers()?;

@@ -55,8 +55,6 @@ pub struct StoredRelation {
     /// replaces and deletes only add versions, so
     /// `tuple_count / distinct_keys` is the mean version-chain length.
     pub distinct_keys: u64,
-    /// True for temporaries created during query processing.
-    pub temporary: bool,
     /// Secondary indexes maintained on this relation.
     pub indexes: Vec<NamedIndex>,
     /// The clustered history sidecar holding cold versions migrated out
@@ -260,27 +258,6 @@ impl Catalog {
         name: &str,
         schema: Schema,
     ) -> Result<RelId> {
-        self.create_relation_inner(pager, name, schema, false)
-    }
-
-    /// Create an unnamed temporary relation (heap). Temporaries are
-    /// registered under an invented unique name.
-    pub fn create_temporary(
-        &mut self,
-        pager: &Pager,
-        schema: Schema,
-    ) -> Result<RelId> {
-        let name = format!("_temp_{}", self.rels.len());
-        self.create_relation_inner(pager, &name, schema, true)
-    }
-
-    fn create_relation_inner(
-        &mut self,
-        pager: &Pager,
-        name: &str,
-        schema: Schema,
-        temporary: bool,
-    ) -> Result<RelId> {
         let lower = name.to_ascii_lowercase();
         if self.by_name.contains_key(&lower)
             || self.index_owner(&lower).is_some()
@@ -307,7 +284,6 @@ impl Catalog {
             fillfactor: 100,
             tuple_count: 0,
             distinct_keys: 0,
-            temporary,
             indexes: Vec::new(),
             history: None,
         };
@@ -409,13 +385,10 @@ impl Catalog {
             .filter_map(|(i, r)| r.as_ref().map(|r| (RelId(i), r)))
     }
 
-    /// Names of non-temporary relations, sorted.
-    pub fn user_relation_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .iter()
-            .filter(|(_, r)| !r.temporary)
-            .map(|(_, r)| r.name.clone())
-            .collect();
+    /// Names of every relation, sorted.
+    pub fn relation_names(&self) -> Vec<String> {
+        let mut names: Vec<String> =
+            self.iter().map(|(_, r)| r.name.clone()).collect();
         names.sort();
         names
     }
@@ -544,12 +517,11 @@ mod tests {
     }
 
     #[test]
-    fn temporaries_are_hidden_from_user_listing() {
+    fn relation_names_are_sorted() {
         let pager = Pager::in_memory();
         let mut cat = Catalog::new();
         cat.create_relation(&pager, "z", schema()).unwrap();
         cat.create_relation(&pager, "a", schema()).unwrap();
-        cat.create_temporary(&pager, schema()).unwrap();
-        assert_eq!(cat.user_relation_names(), vec!["a", "z"]);
+        assert_eq!(cat.relation_names(), vec!["a", "z"]);
     }
 }

@@ -6,7 +6,7 @@
 //! file on disk for durable use of the library.
 
 use crate::page::{Page, PAGE_SIZE};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -23,6 +23,13 @@ pub struct FileId(pub u32);
 pub trait DiskManager: Send + Sync {
     /// Create a new, empty file and return its id.
     fn create_file(&mut self) -> Result<FileId>;
+    /// Create a new, empty *scratch* file: one statement's private
+    /// working file (a decomposition temporary), never referenced by
+    /// the catalog or the log, which a crash may discard. By default
+    /// it is an ordinary file the pager drops when the statement ends.
+    fn create_scratch_file(&mut self) -> Result<FileId> {
+        self.create_file()
+    }
     /// Delete a file and free its pages.
     fn drop_file(&mut self, file: FileId) -> Result<()>;
     /// Number of pages currently in `file`.
@@ -163,10 +170,14 @@ impl DiskManager for MemDisk {
 }
 
 /// File-backed disk: each [`FileId`] is `<dir>/f<N>.pages`, a flat array of
-/// 1024-byte pages.
+/// 1024-byte pages. A scratch file is unlinked as soon as it is created
+/// and lives on only through its open handle, so a crash leaves nothing
+/// behind to clean up.
 pub struct FileDisk {
     dir: PathBuf,
     handles: HashMap<FileId, File>,
+    /// Open handles whose path is already unlinked.
+    scratch: HashSet<FileId>,
     next_id: u32,
 }
 
@@ -199,6 +210,7 @@ impl FileDisk {
         Ok(FileDisk {
             dir,
             handles,
+            scratch: HashSet::new(),
             next_id,
         })
     }
@@ -227,11 +239,20 @@ impl DiskManager for FileDisk {
         Ok(id)
     }
 
+    fn create_scratch_file(&mut self) -> Result<FileId> {
+        let id = self.create_file()?;
+        std::fs::remove_file(self.path(id))?;
+        self.scratch.insert(id);
+        Ok(id)
+    }
+
     fn drop_file(&mut self, file: FileId) -> Result<()> {
         self.handles.remove(&file).ok_or_else(|| {
             Error::Internal(format!("no such file {file:?}"))
         })?;
-        std::fs::remove_file(self.path(file))?;
+        if !self.scratch.remove(&file) {
+            std::fs::remove_file(self.path(file))?;
+        }
         Ok(())
     }
 
@@ -291,6 +312,7 @@ impl DiskManager for FileDisk {
 
     fn files(&self) -> Vec<FileId> {
         let mut ids: Vec<FileId> = self.handles.keys().copied().collect();
+        ids.retain(|f| !self.scratch.contains(f));
         ids.sort_unstable();
         ids
     }
@@ -345,6 +367,35 @@ mod tests {
     fn file_disk_contract() {
         let dir = tdbms_kernel::tmpdir::fresh_dir("disk-test");
         exercise(&mut FileDisk::open(&dir).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_disk_scratch_files_leave_no_path() {
+        let dir = tdbms_kernel::tmpdir::fresh_dir("disk-scratch");
+        let mut disk = FileDisk::open(&dir).unwrap();
+        let f = disk.create_file().unwrap();
+        let s = disk.create_scratch_file().unwrap();
+        let mut p = Page::new(PageKind::Data);
+        p.push_row(2, &[5, 6]).unwrap();
+        assert_eq!(disk.append_page(s, &p).unwrap(), 0);
+        assert_eq!(
+            disk.read_page(s, 0).unwrap().row(2, 0).unwrap(),
+            &[5, 6]
+        );
+        assert_eq!(disk.files(), vec![f], "scratch files are not listed");
+        let names = || {
+            let mut n: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into())
+                .collect();
+            n.sort();
+            n
+        };
+        assert_eq!(names(), vec![format!("f{}.pages", f.0)]);
+        disk.drop_file(s).unwrap();
+        assert!(disk.read_page(s, 0).is_err());
+        drop(disk);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

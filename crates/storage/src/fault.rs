@@ -272,6 +272,11 @@ impl DiskManager for FaultDisk {
         self.inner.create_file()
     }
 
+    fn create_scratch_file(&mut self) -> Result<FileId> {
+        self.plan.charge()?;
+        self.inner.create_scratch_file()
+    }
+
     fn drop_file(&mut self, file: FileId) -> Result<()> {
         self.plan.charge()?;
         self.inner.drop_file(file)

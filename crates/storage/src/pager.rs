@@ -25,6 +25,10 @@
 //! on eviction or flush (bumping the write counter). [`IoStats`]
 //! additionally classifies every buffered access as hit or miss and
 //! counts capacity evictions, maintaining `hits + misses == accesses`.
+//! A *scratch* file ([`Pager::create_scratch_file`], a decomposition
+//! temporary) is buffered and counted like any other, but its
+//! write-backs always go to the device: it is never staged, logged,
+//! undone, checksummed or listed in [`Pager::file_lengths`].
 //!
 //! The pager is `Send + Sync`: every method takes `&self`, with the frame
 //! tables, overlay, and disk handle behind one pager-wide `RwLock`. Page
@@ -229,6 +233,8 @@ struct PagerState {
     undo: Option<UndoLog>,
     /// Physical rollback steps awaiting a recovered disk.
     deferred: Vec<Deferred>,
+    /// Scratch files ([`Pager::create_scratch_file`]).
+    scratch: BTreeSet<FileId>,
 }
 
 /// Buffer-managing page store over a [`DiskManager`], shareable across
@@ -256,9 +262,25 @@ impl PagerState {
     /// Refresh a recorded checksum after the bytes were written outside
     /// the pager's own write path (no-op when verification is off).
     fn note_written(&mut self, file: FileId, page_no: u32, page: &Page) {
-        if let Some(sums) = &mut self.checksums {
-            sums.record(file, page_no, page);
+        match &mut self.checksums {
+            Some(sums) if !self.scratch.contains(&file) => {
+                sums.record(file, page_no, page)
+            }
+            _ => {}
         }
+    }
+
+    /// Every disk file but the scratch files, sorted.
+    fn live_files(&self) -> Vec<FileId> {
+        let mut files = self.disk.files();
+        files.retain(|f| !self.scratch.contains(f));
+        files
+    }
+
+    /// Does a change to `file` go through staging (overlay, log,
+    /// statement undo)? Never for a scratch file.
+    fn stages(&self, file: FileId) -> bool {
+        self.staging && !self.scratch.contains(&file)
     }
 
     /// Fetch a page from disk with bounded retry (transient I/O and
@@ -270,18 +292,22 @@ impl PagerState {
         file: FileId,
         page_no: u32,
     ) -> Result<Page> {
+        let mut sums = self
+            .checksums
+            .as_mut()
+            .filter(|_| !self.scratch.contains(&file));
         let mut attempt: u32 = 0;
         loop {
             let fetched =
                 self.disk.read_page(file, page_no).and_then(|p| {
-                    if let Some(sums) = &self.checksums {
+                    if let Some(sums) = &sums {
                         sums.verify(file, page_no, &p)?;
                     }
                     Ok(p)
                 });
             match fetched {
                 Ok(page) => {
-                    if let Some(sums) = &mut self.checksums {
+                    if let Some(sums) = &mut sums {
                         if sums.get(file, page_no).is_none() {
                             sums.record(file, page_no, &page);
                         }
@@ -429,16 +455,28 @@ impl PagerState {
 
     fn write_back(&mut self, file: FileId, frame: Frame) -> Result<()> {
         if frame.dirty {
-            if self.staging {
-                self.undo_touch((file, frame.page_no));
-                self.overlay.insert((file, frame.page_no), frame.page);
-                self.staged.insert((file, frame.page_no));
-            } else {
-                self.disk.write_page(file, frame.page_no, &frame.page)?;
-                self.note_written(file, frame.page_no, &frame.page);
-            }
-            self.stats.record(file, Counter::Writes);
+            self.write_dirty(file, frame.page_no, frame.page)?;
         }
+        Ok(())
+    }
+
+    /// Write one dirty page back, counting one write: into the overlay
+    /// when the file stages, else to the device.
+    fn write_dirty(
+        &mut self,
+        file: FileId,
+        page_no: u32,
+        page: Page,
+    ) -> Result<()> {
+        if self.stages(file) {
+            self.undo_touch((file, page_no));
+            self.overlay.insert((file, page_no), page);
+            self.staged.insert((file, page_no));
+        } else {
+            self.disk.write_page(file, page_no, &page)?;
+            self.note_written(file, page_no, &page);
+        }
+        self.stats.record(file, Counter::Writes);
         Ok(())
     }
 
@@ -537,6 +575,7 @@ impl Pager {
                 checksums: None,
                 undo: None,
                 deferred: Vec::new(),
+                scratch: BTreeSet::new(),
             }),
             stats,
             blooms: RwLock::new(std::collections::HashMap::new()),
@@ -797,6 +836,17 @@ impl Pager {
         Ok(id)
     }
 
+    /// Create a new empty scratch file (see the module doc). Only the
+    /// statement that creates it flushes it, and it must drop it;
+    /// [`Pager::drop_file`] then removes it at once.
+    pub fn create_scratch_file(&self) -> Result<FileId> {
+        let st = &mut *self.st();
+        let id = st.disk.create_scratch_file()?;
+        st.pool_mut(id);
+        st.scratch.insert(id);
+        Ok(id)
+    }
+
     /// Delete a file, its pages, its buffers, and its cap override. Like
     /// [`Pager::truncate`], pending (dirty) writes are intentionally
     /// discarded without write-back accounting — the data they would have
@@ -804,7 +854,8 @@ impl Pager {
     pub fn drop_file(&self, file: FileId) -> Result<()> {
         self.bloom_drop(file);
         let st = &mut *self.st();
-        if st.staging && st.undo.is_some() {
+        let staged = st.stages(file);
+        if staged && st.undo.is_some() {
             // Capture before anything is removed: the prior cap
             // override and every overlay/staged entry this drop purges.
             let keys: Vec<(FileId, u32)> = st
@@ -826,7 +877,7 @@ impl Pager {
         if let Some(sums) = &mut st.checksums {
             sums.drop_file(file);
         }
-        if st.staging {
+        if staged {
             // Defer the physical drop until the commit that logs it is
             // durable: a crash in between must not have destroyed pages
             // a committed state still references.
@@ -836,6 +887,7 @@ impl Pager {
             st.pending_drops.push(file);
             return Ok(());
         }
+        st.scratch.remove(&file);
         st.disk.drop_file(file)
     }
 
@@ -952,12 +1004,15 @@ impl Pager {
     pub fn append_page(&self, file: FileId, kind: PageKind) -> Result<u32> {
         let st = &mut *self.st();
         let page = Page::new(kind);
+        let staged = st.stages(file);
         // Capture the pre-append disk length first: rollback trims the
         // placeholder tail back to it.
-        st.undo_resize(file)?;
+        if staged {
+            st.undo_resize(file)?;
+        }
         let page_no = st.disk.append_page(file, &page)?;
         st.note_written(file, page_no, &page);
-        if st.staging {
+        if staged {
             // The file grows on disk immediately, but only with this
             // empty page: the content arrives through the buffer, whose
             // dirty frame (installed below) stages an after-image. The
@@ -989,24 +1044,19 @@ impl Pager {
                 }
             }
             for (page_no, page) in dirty {
-                if st.staging {
-                    st.undo_touch((file, page_no));
-                    st.overlay.insert((file, page_no), page);
-                    st.staged.insert((file, page_no));
-                } else {
-                    st.disk.write_page(file, page_no, &page)?;
-                    st.note_written(file, page_no, &page);
-                }
-                self.stats.record(file, Counter::Writes);
+                st.write_dirty(file, page_no, page)?;
             }
         }
         Ok(())
     }
 
-    /// Write all dirty frames of all files back to disk.
+    /// Write all dirty frames back to disk, except scratch files' (they
+    /// may belong to another thread's running statement).
     pub fn flush_all(&self) -> Result<()> {
-        let files: Vec<FileId> =
-            self.st_read().pools.keys().copied().collect();
+        let st = self.st_read();
+        let mut files: Vec<FileId> = st.pools.keys().copied().collect();
+        files.retain(|f| !st.scratch.contains(f));
+        drop(st);
         for f in files {
             self.flush_file(f)?;
         }
@@ -1206,9 +1256,12 @@ impl Pager {
         let mut polluted: BTreeSet<FileId> = BTreeSet::new();
         polluted.extend(u.touched.keys().map(|(f, _)| *f));
         // A dirty frame is a write of the dead statement that never
-        // reached the overlay: a commit flushes every frame first.
+        // reached the overlay: a commit flushes every frame first. A
+        // scratch file's frames belong to a statement still running.
         polluted.extend(st.pools.iter().filter_map(|(f, pool)| {
-            pool.frames.iter().any(|fr| fr.dirty).then_some(*f)
+            (pool.frames.iter().any(|fr| fr.dirty)
+                && !st.scratch.contains(f))
+            .then_some(*f)
         }));
         polluted.extend(u.resized_added.iter().copied());
         polluted.extend(u.lengths.keys().copied());
@@ -1314,18 +1367,17 @@ impl Pager {
     /// Force every live file's pages to stable storage.
     pub fn sync_all(&self) -> Result<()> {
         let st = &mut *self.st();
-        for f in st.disk.files() {
+        for f in st.live_files() {
             st.disk.sync(f)?;
         }
         Ok(())
     }
 
     /// Current length of every live disk file, sorted (the checkpoint's
-    /// file-length snapshot).
+    /// file-length snapshot). Scratch files are not listed.
     pub fn file_lengths(&self) -> Result<Vec<(FileId, u32)>> {
         let st = self.st_read();
-        st.disk
-            .files()
+        st.live_files()
             .into_iter()
             .map(|f| Ok((f, st.disk.page_count(f)?)))
             .collect()
@@ -1779,6 +1831,45 @@ mod tests {
         pager.clear_staged();
         pager.take_resized().unwrap();
         f
+    }
+
+    /// A scratch file beside a staged statement: its pages bypass
+    /// staging for the device, a commit's flush and a rollback leave it
+    /// alone, checksums skip it, and its drop is immediate.
+    #[test]
+    fn scratch_files_bypass_staging_undo_and_checksums() {
+        let disk = MemDisk::new();
+        let pager = Pager::new(Box::new(disk.clone()));
+        pager.set_staging(true);
+        pager.set_checksums(Some(ChecksumSet::default()));
+        let f = committed_staging_file(&pager);
+        pager.begin_statement_undo();
+        let s = pager.create_scratch_file().unwrap();
+        let p = pager.append_page(s, PageKind::Data).unwrap();
+        pager
+            .write(s, p, |pg| pg.push_row(4, &[7; 4]).unwrap())
+            .unwrap();
+        pager
+            .write(f, 0, |pg| pg.push_row(4, &[3; 4]).unwrap())
+            .unwrap();
+        pager.flush_all().unwrap();
+        assert_eq!(pager.staged_pages(), vec![(f, 0)]);
+        assert!(pager.take_resized().unwrap().is_empty());
+        // The dead writer's rollback keeps the scratch file's frame.
+        pager.rollback_statement();
+        let writes = pager.stats().total().writes;
+        pager.invalidate_buffers().unwrap();
+        assert_eq!(pager.stats().total().writes, writes + 1);
+        let on_disk = disk.clone().read_page(s, 0).unwrap();
+        assert_eq!(on_disk.row(4, 0).unwrap(), &[7; 4]);
+        assert!(pager.staged_pages().is_empty());
+        assert_eq!(pager.read(s, 0, |pg| pg.count()).unwrap(), 1);
+        let sums = pager.checksums_snapshot().unwrap();
+        assert!(sums.get(s, 0).is_none(), "scratch pages are unsummed");
+        assert_eq!(pager.file_lengths().unwrap(), vec![(f, 2)]);
+        pager.drop_file(s).unwrap();
+        assert!(pager.pending_drops().is_empty());
+        assert_eq!(disk.files(), vec![f]);
     }
 
     #[test]

@@ -161,9 +161,6 @@ pub fn encode_catalog(catalog: &Catalog) -> String {
     let mut out = String::new();
     writeln!(out, "{MAGIC}").unwrap();
     for (_, rel) in catalog.iter() {
-        if rel.temporary {
-            continue;
-        }
         writeln!(
             out,
             "relation {} {} {} {} {}",
@@ -365,7 +362,6 @@ pub fn decode_catalog(text: &str, pager: &Pager) -> Result<Catalog> {
             fillfactor,
             tuple_count,
             distinct_keys: 0,
-            temporary: false,
             indexes,
             history,
         })?;

@@ -252,8 +252,9 @@ gate_net_protocol() {
 # file-backed database) on an ephemeral port, drive it with the
 # throughput bench in --server mode (8 real TCP clients, mixed
 # read/write/join workload), shut it down gracefully
-# over the wire, and require exit 0, zero caught panics, and a
-# `tdbms-check`-clean database directory.
+# over the wire, and require exit 0, zero caught panics, every read
+# and join served as a snapshot read, and a `tdbms-check`-clean
+# database directory.
 gate_server_smoke() {
     local dbdir srvout addr rc=0 i
     dbdir=$(mktemp -d)
@@ -282,6 +283,24 @@ gate_server_smoke() {
     if [[ "$rc" == 0 && ! -s BENCH_throughput_server.json ]]; then
         echo "server-smoke: BENCH_throughput_server.json not written"
         rc=1
+    fi
+    # Every read and every join is a versioned retrieve, served from
+    # the snapshot on this durable server.
+    if [[ "$rc" == 0 ]]; then
+        local reads joins snaps
+        field() {
+            sed -n "s/.*\"$1\": *\([0-9]*\).*/\1/p" \
+                BENCH_throughput_server.json | head -n 1
+        }
+        reads=$(field reads)
+        joins=$(field joins)
+        snaps=$(field snapshot_reads)
+        if [[ -z "$reads" || -z "$joins" || -z "$snaps" ]] \
+            || ((snaps != reads + joins)); then
+            echo "server-smoke: snapshot_reads=$snaps but reads=$reads" \
+                "+ joins=$joins retrieves were issued"
+            rc=1
+        fi
     fi
     if [[ "$rc" == 0 ]]; then
         "$bindir/tdbms-server" --shutdown "$addr" || {

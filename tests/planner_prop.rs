@@ -2,24 +2,28 @@
 //!
 //! `exec_retrieve` is the one Ingres decomposition. `Database` runs it
 //! exclusively (buffers invalidated after detachment, as the paper
-//! counts pages); an `Engine` session runs it on a snapshot, quietly.
-//! The seeded property test here drives random schemas, workloads and
-//! multi-variable retrieves through both callers and requires
-//! byte-identical rows. The leak tests hold the decomposition to its
-//! rule that every temporary it creates is destroyed, also when a
-//! guard stops the statement. The plan-cache tests drive the engine's
-//! statement cache through concurrent sessions and catalog changes
-//! mid-stream — a cached plan may go stale, but serving stale *results*
-//! is a bug. The accuracy test holds the `explain` estimates to a 2×
+//! counts pages); an `Engine` session runs it on a snapshot, quietly,
+//! in-memory or durable alike. The seeded property test here drives
+//! random schemas, workloads and multi-variable retrieves through those
+//! callers and requires byte-identical rows. The leak tests hold the
+//! decomposition to its rule that every temporary is a scratch file of
+//! its statement: dropped when the statement ends, also when a guard
+//! stops it, and never seen by the catalog, the log or the directory.
+//! The plan-cache tests drive the engine's statement cache through
+//! concurrent sessions and catalog changes mid-stream — a cached plan
+//! may go stale, but serving stale *results* is a bug. The accuracy test holds the `explain` estimates to a 2×
 //! bound on the paper workload's single-variable queries (join
 //! estimates are ordinal — validated by the fig5 `--predict` ranking
 //! gate instead; see DESIGN.md "Query planning").
 
+use tdbms::wal::{LogStore, MemLog};
 use tdbms::{Database, Engine, Error, ExecOutput, Value};
 use tdbms_bench::{build_database, evolve_uniform, BenchConfig};
+use tdbms_check::check_database;
 use tdbms_core::{QueryGuard, SessionLimits};
 use tdbms_kernel::DatabaseClass;
 use tdbms_prop::{check, Gen};
+use tdbms_storage::{DiskManager, MemDisk, Pager, RelId};
 
 /// One generated scenario: setup statements, then query statements.
 struct Scenario {
@@ -100,7 +104,10 @@ fn answer(out: ExecOutput) -> Answer {
 }
 
 fn build(s: &Scenario) -> Database {
-    let mut db = Database::in_memory();
+    build_on(s, Database::in_memory())
+}
+
+fn build_on(s: &Scenario, mut db: Database) -> Database {
     for stmt in &s.setup {
         db.execute(stmt)
             .unwrap_or_else(|e| panic!("setup `{stmt}` failed: {e}"));
@@ -122,22 +129,41 @@ fn exclusive_and_snapshot_retrieves_return_byte_identical_rows() {
                 )
             })
             .collect();
-        let engine = Engine::new(build(&s));
-        let mut sess = engine.session();
-        for r in 0..s.nrels {
-            sess.execute(&format!("range of v{r} is r{r}")).unwrap();
+        for (mode, db) in [
+            ("in-memory", build(&s)),
+            ("durable", build_on(&s, mem_durable(&MemDisk::new()).0)),
+        ] {
+            let engine = Engine::new(db);
+            let mut sess = engine.session();
+            for r in 0..s.nrels {
+                sess.execute(&format!("range of v{r} is r{r}")).unwrap();
+            }
+            for (q, want) in s.queries.iter().zip(&exclusive) {
+                let got = sess
+                    .execute(q)
+                    .unwrap_or_else(|e| panic!("{mode} `{q}`: {e}"));
+                assert_eq!(&answer(got), want, "{mode} `{q}` differs");
+            }
+            assert_eq!(
+                engine.lock_stats().snapshot_reads,
+                s.queries.len() as u64,
+                "{mode}: every query must run on the snapshot path"
+            );
         }
-        for (q, want) in s.queries.iter().zip(&exclusive) {
-            let got =
-                sess.execute(q).unwrap_or_else(|e| panic!("`{q}`: {e}"));
-            assert_eq!(&answer(got), want, "`{q}` differs between callers");
-        }
-        assert_eq!(
-            engine.lock_stats().snapshot_reads,
-            s.queries.len() as u64,
-            "every query must run on the snapshot path"
-        );
     });
+}
+
+/// A durable database over `disk` and a fresh in-memory log, and a
+/// handle on that log.
+fn mem_durable(disk: &MemDisk) -> (Database, MemLog) {
+    let log = MemLog::new();
+    let db = Database::open_durable_on(
+        Box::new(disk.clone()),
+        Box::new(log.clone()),
+        None,
+    )
+    .unwrap();
+    (db, log)
 }
 
 /// Two 40-row temporal relations and a join whose 36 result rows
@@ -158,33 +184,33 @@ fn seed_leak_relations(db: &mut Database) {
     }
 }
 
-/// Temporaries in the catalog, and files on the pager.
-fn residue(db: &mut Database) -> (usize, usize) {
-    let (pager, catalog, _) = db.internals();
-    let temps = catalog.iter().filter(|(_, r)| r.temporary).count();
-    (temps, pager.file_lengths().unwrap().len())
+/// Files on the device, scratch files included: a `MemDisk` does not
+/// know which of its files are scratch.
+fn residue(disk: &MemDisk) -> usize {
+    disk.files().len()
 }
 
 #[test]
 fn a_guarded_in_memory_retrieve_drops_its_temporaries() {
-    let mut db = Database::in_memory();
+    let disk = MemDisk::new();
+    let mut db = Database::with_pager(Pager::new(Box::new(disk.clone())));
     seed_leak_relations(&mut db);
-    let (_, files) = residue(&mut db);
+    let files = residue(&disk);
     let guard = QueryGuard::new().with_max_rows(5);
     let mut err = None;
     for stmt in tdbms::tquel::parse_program(LEAK_QUERY).unwrap() {
         err = db.execute_statement_guarded(&stmt, &guard).err();
     }
     assert!(matches!(err, Some(Error::LimitExceeded { .. })), "{err:?}");
-    assert_eq!(residue(&mut db), (0, files));
+    assert_eq!(residue(&disk), files);
 }
 
 #[test]
 fn a_guarded_durable_session_retrieve_drops_its_temporaries() {
-    let dir = tempdir();
-    let mut db = Database::open_durable(&dir).unwrap();
+    let disk = MemDisk::new();
+    let (mut db, _log) = mem_durable(&disk);
     seed_leak_relations(&mut db);
-    let (_, files) = residue(&mut db);
+    let files = residue(&disk);
     let engine = Engine::new(db);
     let mut sess = engine.session();
     sess.set_limits(SessionLimits {
@@ -193,13 +219,93 @@ fn a_guarded_durable_session_retrieve_drops_its_temporaries() {
     });
     let err = sess.execute(LEAK_QUERY).unwrap_err();
     assert!(matches!(err, Error::LimitExceeded { .. }), "{err:?}");
-    assert_eq!(engine.with_write(residue).0, 0);
-    // A durable drop waits for the next commit to log it.
-    sess.execute("append to a (id = 40, v = 40)").unwrap();
-    assert_eq!(engine.with_write(residue), (0, files));
+    assert_eq!(residue(&disk), files);
+}
+
+const JOIN: &str = "range of x is a range of y is b
+    retrieve (x.v, y.v) where x.id = y.id and x.v > 3";
+
+/// Joins in a durable session that never writes leave no file behind,
+/// and append nothing to the log.
+#[test]
+fn durable_joins_leave_no_file_and_no_log_record() {
+    let disk = MemDisk::new();
+    let (mut db, mut log) = mem_durable(&disk);
+    seed_leak_relations(&mut db);
+    let files = residue(&disk);
+    let logged = log.read_all().unwrap().len();
+    let engine = Engine::new(db);
+    let mut sess = engine.session();
+    for _ in 0..30 {
+        assert_eq!(sess.execute_all(JOIN).unwrap()[2].affected, 36);
+    }
+    assert_eq!(
+        engine.lock_stats().exclusive,
+        0,
+        "joins are snapshot reads"
+    );
+    assert_eq!(residue(&disk), files);
+    assert_eq!(log.read_all().unwrap().len(), logged, "the log grew");
+    let report = engine.with_write(|db| {
+        let (pager, catalog, _) = db.internals();
+        check_database(pager, catalog).unwrap()
+    });
+    assert!(report.findings.is_empty(), "{}", report.render());
+}
+
+/// The same over a database directory: after reopening, it holds the
+/// catalog's files and the log, nothing else.
+#[test]
+fn durable_joins_leave_only_the_catalogs_files_in_the_directory() {
+    let dir = tempdir();
+    let mut db = Database::open_durable(&dir).unwrap();
+    seed_leak_relations(&mut db);
+    let engine = Engine::new(db);
+    let mut sess = engine.session();
+    for _ in 0..30 {
+        assert_eq!(sess.execute_all(JOIN).unwrap()[2].affected, 36);
+    }
     drop(sess);
     drop(engine);
+    let mut db = Database::open_durable(&dir).unwrap();
+    let (_, catalog, _) = db.internals();
+    let mut want: Vec<String> = catalog
+        .iter()
+        .map(|(_, r)| format!("f{}.pages", r.file.file_id().0))
+        .chain([tdbms::wal::WAL_NAME.to_string()])
+        .collect();
+    want.sort();
+    let mut got: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    got.sort();
+    assert_eq!(got, want);
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Temporaries take no catalog slot: a relation created after 100
+/// joins gets the slot after the two relations before it.
+#[test]
+fn joins_leave_the_catalog_as_they_found_it() {
+    let mut db = Database::in_memory();
+    seed_leak_relations(&mut db);
+    for _ in 0..100 {
+        db.execute_all(JOIN).unwrap();
+    }
+    db.execute("create static c (x = i4)").unwrap();
+    assert_eq!(db.internals().1.id_of("c"), Some(RelId(2)));
+}
+
+/// Temporaries have no name, so none can collide with a relation's.
+#[test]
+fn a_relation_named_like_a_temporary_does_not_stop_a_join() {
+    let mut db = Database::in_memory();
+    seed_leak_relations(&mut db);
+    db.execute("create static _temp_3 (x = i4)").unwrap();
+    let out = db.execute_all(JOIN).unwrap();
+    assert_eq!(out[2].affected, 36);
 }
 
 fn tempdir() -> std::path::PathBuf {

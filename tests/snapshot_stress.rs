@@ -15,6 +15,10 @@
 //! * **Monotone visibility**: a session's successive reads never see a
 //!   writer's prefix shrink — watermarks only advance.
 //!
+//! Every 8th read is a two-variable join, whose decomposition
+//! temporaries are written while the writers commit: it too must be a
+//! snapshot read, and see a prefix.
+//!
 //! Runs the same schedule twice: volatile, and durable with group
 //! commit on (where the watermark must track *published* commits even
 //! though their fsyncs are batched).
@@ -32,11 +36,24 @@ const APPENDS: i64 = 48;
 const READERS: usize = 4;
 const READS: usize = 120;
 
-/// One retrieve through the snapshot path; returns each writer's
-/// observed set of `k`s as a sorted map `writer -> ks`.
-fn observe(session: &mut tdbms::Session) -> BTreeMap<i64, Vec<i64>> {
+/// A self-join of `t` that returns each of its rows once, after both
+/// variables are detached into temporaries.
+const JOIN: &str = "retrieve (q.writer, q.k) where q.writer = p.writer \
+     and q.k = p.k and q.k > 0 and p.k > 0";
+
+/// One retrieve through the snapshot path — the join when `join` is
+/// set; returns each writer's observed set of `k`s as a sorted map
+/// `writer -> ks`.
+fn observe(
+    session: &mut tdbms::Session,
+    join: bool,
+) -> BTreeMap<i64, Vec<i64>> {
     let out = session
-        .execute("retrieve (q.writer, q.k)")
+        .execute(if join {
+            JOIN
+        } else {
+            "retrieve (q.writer, q.k)"
+        })
         .expect("snapshot retrieve");
     let mut seen: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
     for row in out.rows() {
@@ -85,9 +102,10 @@ fn run_stress(engine: &Engine) {
             scope.spawn(move || {
                 let mut s = engine.session();
                 s.execute("range of q is t").expect("range");
+                s.execute("range of p is t").expect("range");
                 let mut floor: BTreeMap<i64, usize> = BTreeMap::new();
                 for i in 0..READS {
-                    let seen = observe(&mut s);
+                    let seen = observe(&mut s, i % 8 == 7);
                     for (w, ks) in &seen {
                         let ctx = format!("reader {r} iteration {i}");
                         assert_prefix(ks, &ctx);
@@ -108,7 +126,9 @@ fn run_stress(engine: &Engine) {
     // Quiescent: the last published watermark covers every commit.
     let mut s = engine.session();
     s.execute("range of q is t").expect("range");
-    let seen = observe(&mut s);
+    s.execute("range of p is t").expect("range");
+    let seen = observe(&mut s, false);
+    assert_eq!(observe(&mut s, true), seen, "the join's rows differ");
     for w in 1..=WRITERS {
         assert_eq!(
             seen.get(&w).map(Vec::len),
@@ -126,7 +146,7 @@ fn assert_lock_proof(engine: &Engine, writes: u64) {
         locks.exclusive, writes,
         "a read fell back to the commit lock"
     );
-    let reads = (READERS * READS + 1) as u64;
+    let reads = (READERS * READS + 2) as u64;
     assert!(
         locks.snapshot_reads >= reads,
         "snapshot counter {} below the {reads} reads issued",

@@ -19,12 +19,15 @@
 //! Every recovered state of the random crash points, the crash matrix
 //! and the disk-full matrix must also audit clean under `tdbms-check`.
 
-use tdbms::wal::{FaultLog, FileLog, LogStore, MemLog};
-use tdbms::{Database, TimeVal};
+use std::collections::BTreeSet;
+use tdbms::wal::{FaultLog, FileLog, LogStore, MemLog, Record};
+use tdbms::{CheckpointPolicy, Database, Engine, TimeVal};
 use tdbms_check::check_database;
 use tdbms_kernel::{RowCodec, TemporalAttr};
 use tdbms_prop::{check, Gen};
-use tdbms_storage::{DiskManager, FaultDisk, FaultPlan, FileDisk, MemDisk};
+use tdbms_storage::{
+    DiskManager, FaultDisk, FaultPlan, FileDisk, FileId, HeapFile, MemDisk,
+};
 
 /// The observable state of the test relation `r`: the sorted `(id, seq)`
 /// pairs of its *current* versions, or `None` when `r` does not exist.
@@ -581,4 +584,132 @@ fn a_directory_without_a_catalog_in_its_log_is_refused() {
         assert_eq!(after.get(name), Some(bytes), "{name} was touched");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every file the catalog of `db` references: base files, secondary
+/// indexes and history sidecars.
+fn catalog_files(db: &mut Database) -> BTreeSet<FileId> {
+    let (_, catalog, _) = db.internals();
+    catalog
+        .iter()
+        .flat_map(|(_, r)| {
+            std::iter::once(r.file.file_id())
+                .chain(r.indexes.iter().map(|ix| ix.index.file_id()))
+                .chain(r.history.iter().map(|h| h.file_id()))
+        })
+        .collect()
+}
+
+/// A process that dies while a join's temporary is on disk leaves
+/// nothing behind: a scratch file has no path, so the reopened
+/// directory holds the catalog's files only, and it audits clean
+/// without an unreferenced-file warning.
+#[test]
+fn a_crash_mid_join_leaves_no_temporary_file() {
+    let dir = tdbms_kernel::tmpdir::fresh_dir("wal-scratch-crash");
+    let mut db = Database::open_durable(&dir).unwrap();
+    for s in script_for("hash") {
+        db.execute(&s).unwrap();
+    }
+    let want = catalog_files(&mut db);
+    {
+        // What decomposition does: a heap on a scratch file, filled,
+        // then flushed to the device as the join phase starts.
+        let (pager, _, _) = db.internals();
+        let file = pager.create_scratch_file().unwrap();
+        let temp = HeapFile::attach(file, 8);
+        for i in 0..400u32 {
+            let mut row = [0u8; 8];
+            row[..4].copy_from_slice(&i.to_le_bytes());
+            temp.insert(pager, &row).unwrap();
+        }
+        pager.invalidate_buffers().unwrap();
+        assert!(pager.page_count(file).unwrap() > 1);
+    }
+    // Die without dropping the temporary or closing anything.
+    std::mem::forget(db);
+    let mut db = Database::open_durable(&dir).unwrap();
+    assert_eq!(catalog_files(&mut db), want);
+    let (pager, catalog, _) = db.internals();
+    let report = check_database(pager, catalog).unwrap();
+    assert!(report.findings.is_empty(), "{}", report.render());
+    drop(db);
+    let files: BTreeSet<FileId> =
+        FileDisk::open(&dir).unwrap().files().into_iter().collect();
+    assert_eq!(files, want);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Joins running beside appends on one durable engine never reach the
+/// log: every page image, file length and file drop it holds names a
+/// file of the catalog.
+#[test]
+fn joins_beside_appends_log_only_catalog_files() {
+    let (disk, log) = (MemDisk::new(), MemLog::new());
+    let mut db = reopen_mem(&disk, &log);
+    db.set_checkpoint_policy(CheckpointPolicy::Manual);
+    db.execute_all(
+        "create temporal interval a (id = i4, v = i4)
+         create temporal interval b (id = i4, v = i4)
+         modify b to hash on id",
+    )
+    .unwrap();
+    // Logged from here on: appends, and joins beside them.
+    db.checkpoint().unwrap();
+    for i in 0..24 {
+        db.execute_all(&format!(
+            "append to a (id = {i}, v = {i}) append to b (id = {i}, v = {i})"
+        ))
+        .unwrap();
+        if i % 6 == 5 {
+            // The serial caller's join, between two commits.
+            db.execute_all(
+                "range of p is a range of q is b
+                 retrieve (p.v) where p.id = q.id and q.v > 2",
+            )
+            .unwrap();
+        }
+    }
+    let engine = Engine::new(db);
+    std::thread::scope(|s| {
+        let mut joiner = engine.session();
+        s.spawn(move || {
+            joiner.execute("range of x is a range of y is b").unwrap();
+            for i in 0..48 {
+                let out = joiner
+                    .execute(&format!(
+                        "retrieve (x.v, y.v) where x.id = y.id and x.v > {}",
+                        i % 8
+                    ))
+                    .unwrap();
+                assert!(out.affected > 0);
+            }
+        });
+        let mut writer = engine.session();
+        for i in 0..48 {
+            writer
+                .execute(&format!("append to a (id = {}, v = 1)", 100 + i))
+                .unwrap();
+        }
+    });
+    let mut db = engine.try_into_database().ok().unwrap();
+    let referenced = catalog_files(&mut db);
+    let bytes = log.clone().read_all().unwrap();
+    let plan = tdbms::wal::RecoveryPlan::parse(&bytes);
+    assert!(plan.txns.len() >= 96, "{} commits logged", plan.txns.len());
+    for (file, _) in &plan.snapshot {
+        assert!(referenced.contains(file), "snapshot names {file:?}");
+    }
+    for (lsn, rec) in plan.txns.iter().flatten() {
+        let file = match rec {
+            Record::PageImage { file, .. }
+            | Record::FileLen { file, .. }
+            | Record::DropFile { file } => file,
+            _ => continue,
+        };
+        assert!(
+            referenced.contains(file),
+            "record {lsn} names {file:?}, not a catalog file {referenced:?}"
+        );
+    }
 }
