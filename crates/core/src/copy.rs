@@ -13,7 +13,7 @@
 //! * **all** stored attributes — a faithful reload of previously copied
 //!   (or externally generated) history.
 
-use crate::dml::build_stored_row;
+use crate::dml::{build_stored_row, insert_rows};
 use crate::interval::TInterval;
 use std::io::{BufRead, Write};
 use tdbms_kernel::{Domain, Error, Granularity, Result, TimeVal, Value};
@@ -76,7 +76,8 @@ fn parse_value(domain: Domain, s: &str) -> Result<Value> {
     }
 }
 
-/// `copy R from "file"` — bulk load.
+/// `copy R from "file"` — bulk load. Every line is parsed before the
+/// first row is inserted, so a bad line loads nothing.
 pub fn copy_from(
     pager: &Pager,
     catalog: &mut Catalog,
@@ -84,16 +85,19 @@ pub fn copy_from(
     path: &str,
     now: TimeVal,
 ) -> Result<usize> {
-    let (schema, codec) = {
-        let rel = catalog.get(rel_id);
-        (rel.schema.clone(), rel.codec.clone())
-    };
+    let rel = catalog.get(rel_id);
+    let (schema, codec) = (&rel.schema, &rel.codec);
     let explicit_len = schema.explicit_attrs().len();
     let arity = schema.arity();
+    let expected = if explicit_len == arity {
+        format!("{arity}")
+    } else {
+        format!("{explicit_len} or {arity}")
+    };
 
     let f = std::fs::File::open(path)?;
     let reader = std::io::BufReader::new(f);
-    let mut n = 0usize;
+    let mut rows = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         if line.trim().is_empty() {
@@ -103,43 +107,32 @@ pub fn copy_from(
         let err = |msg: String| {
             Error::BadValue(format!("copy line {}: {msg}", lineno + 1))
         };
-        let row = if fields.len() == arity {
+        if fields.len() != arity && fields.len() != explicit_len {
+            return Err(err(format!(
+                "expected {expected} fields, found {}",
+                fields.len()
+            )));
+        }
+        let mut vals = Vec::with_capacity(fields.len());
+        for (i, f) in fields.iter().enumerate() {
+            let d = schema.domain_of(i).expect("in range");
+            vals.push(parse_value(d, f).map_err(|e| err(e.to_string()))?);
+        }
+        rows.push(if fields.len() == arity {
             // Full row including time attributes.
-            let mut vals = Vec::with_capacity(arity);
-            for (i, f) in fields.iter().enumerate() {
-                let d = schema.domain_of(i).expect("in range");
-                vals.push(
-                    parse_value(d, f).map_err(|e| err(e.to_string()))?,
-                );
-            }
             codec.encode(&vals)?
-        } else if fields.len() == explicit_len {
+        } else {
             // Explicit attributes only; default the time attributes.
-            let mut vals = Vec::with_capacity(explicit_len);
-            for (i, f) in fields.iter().enumerate() {
-                let d = schema.domain_of(i).expect("in range");
-                vals.push(
-                    parse_value(d, f).map_err(|e| err(e.to_string()))?,
-                );
-            }
             let valid = match schema.kind() {
                 tdbms_kernel::TemporalKind::Interval => {
                     TInterval::new(now, TimeVal::FOREVER)
                 }
                 tdbms_kernel::TemporalKind::Event => TInterval::event(now),
             };
-            build_stored_row(&schema, &codec, &vals, valid, now)?
-        } else {
-            return Err(err(format!(
-                "expected {explicit_len} or {arity} fields, found {}",
-                fields.len()
-            )));
-        };
-        catalog.get_mut(rel_id).insert_row(pager, &row)?;
-        n += 1;
+            build_stored_row(schema, codec, &vals, valid, now)?
+        });
     }
-    pager.flush_all()?;
-    Ok(n)
+    insert_rows(pager, catalog.get_mut(rel_id), &rows)
 }
 
 /// `copy R into "file"` — bulk unload of every stored version.

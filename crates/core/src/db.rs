@@ -5,7 +5,12 @@
 //! `reorganize` pass — runs as one *write unit* (`write_unit`): a
 //! durable database admits it, arms statement undo, runs the body and
 //! either rolls back or commits through the WAL; one without a log (in
-//! memory) just runs the body. Every file-backed database is durable. A durable
+//! memory) just runs the body. DML reads its targets through the one
+//! query processor (`exec::ovqp`) and every write statement computes its
+//! whole effect before its first write, so an evaluation error leaves
+//! nothing behind in either case; only a device error mid-write is not
+//! rolled back without a log, and `MemDisk` cannot raise one. Every
+//! file-backed database is durable. A durable
 //! commit always goes through the database's commit queue
 //! ([`tdbms_wal::GroupCommit`]; a queue of one unless
 //! [`Database::enable_group_commit`] configured it) and waits for its
@@ -22,8 +27,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tdbms_kernel::{
-    Clock, DatabaseClass, Domain, Error, Result, Schema, TemporalKind,
-    TimeVal, Value,
+    Clock, DatabaseClass, Domain, Error, Result, RowCodec, Schema,
+    TemporalKind, TimeVal, Value,
 };
 use tdbms_storage::{
     AccessMethod, BufferConfig, Catalog, ChecksumSet, ClusteredHistory,
@@ -1266,30 +1271,31 @@ impl Database {
             DatabaseClass::Static
         };
         let schema = Schema::new(attrs, class, TemporalKind::Interval)?;
+        // Build every stored row before the target exists, so a value
+        // that does not fit creates nothing.
+        let codec = RowCodec::new(&schema);
+        let stored = rows
+            .iter()
+            .map(|row| {
+                let (explicit, valid) = if has_valid {
+                    let n = row.len();
+                    let lo = row[n - 2].as_time().ok_or_else(|| {
+                        Error::Internal(
+                            "valid_from column not a time".into(),
+                        )
+                    })?;
+                    let hi = row[n - 1].as_time().ok_or_else(|| {
+                        Error::Internal("valid_to column not a time".into())
+                    })?;
+                    (&row[..n - 2], TInterval::new(lo, hi))
+                } else {
+                    (&row[..], TInterval::new(now, TimeVal::FOREVER))
+                };
+                dml::build_stored_row(&schema, &codec, explicit, valid, now)
+            })
+            .collect::<Result<Vec<_>>>()?;
         let id = self.catalog.create_relation(&self.pager, name, schema)?;
-        let (codec, schema) = {
-            let rel = self.catalog.get(id);
-            (rel.codec.clone(), rel.schema.clone())
-        };
-        for row in rows {
-            let (explicit, valid) = if has_valid {
-                let n = row.len();
-                let lo = row[n - 2].as_time().ok_or_else(|| {
-                    Error::Internal("valid_from column not a time".into())
-                })?;
-                let hi = row[n - 1].as_time().ok_or_else(|| {
-                    Error::Internal("valid_to column not a time".into())
-                })?;
-                (&row[..n - 2], TInterval::new(lo, hi))
-            } else {
-                (&row[..], TInterval::new(now, TimeVal::FOREVER))
-            };
-            let stored = dml::build_stored_row(
-                &schema, &codec, explicit, valid, now,
-            )?;
-            self.catalog.get_mut(id).insert_row(&self.pager, &stored)?;
-        }
-        self.pager.flush_all()?;
+        dml::insert_rows(&self.pager, self.catalog.get_mut(id), &stored)?;
         Ok(())
     }
 }

@@ -43,7 +43,8 @@ use crate::bound::{
     BExpr, BoundRetrieve, BoundTarget, VarBinding, Visibility,
 };
 use crate::eval::{eval_expr, eval_time, Slot};
-use crate::exec::{collect_matching, exec_retrieve};
+use crate::exec::{exec_retrieve, ovqp, var_state};
+use crate::guard::QueryGuard;
 use crate::interval::TInterval;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -388,13 +389,11 @@ pub fn exec_append(
         }
         let valid = valid_period(&valid, kind, now, &[])?;
         let row = build_stored_row(&schema, &codec, &explicit, valid, now)?;
-        catalog.get_mut(id).insert_row(pager, &row)?;
-        pager.flush_all()?;
-        return Ok(1);
+        return insert_rows(pager, catalog.get_mut(id), &[row]);
     }
     // Computed append: run the qualification as a retrieve whose targets
-    // are the assignment expressions (plus the valid events), then insert
-    // one tuple per result row.
+    // are the assignment expressions (plus the valid events), build one
+    // tuple per result row, then insert them all.
     let targets = assigns
         .iter()
         .enumerate()
@@ -417,33 +416,49 @@ pub fn exec_append(
     };
     // DML is guard-checked at admission only, so its inner query runs
     // unlimited (interrupting it would half-apply the append).
-    let guard = crate::guard::QueryGuard::none();
+    let guard = QueryGuard::none();
     let rows =
         exec_retrieve(pager, catalog, &bound, &[], &guard, false)?.rows;
-    let (inserted, default) =
-        (rows.len(), valid_period(&None, kind, now, &[])?);
+    let default = valid_period(&None, kind, now, &[])?;
+    let stored = rows
+        .into_iter()
+        .map(|row| {
+            // With a `valid` clause the period's two ends follow the
+            // targets.
+            let valid = match (&bound.valid, &row[assigns.len()..]) {
+                (None, _) => default,
+                (Some(_), [Value::Time(from), Value::Time(to)]) => {
+                    period(*from, *to)?
+                }
+                _ => {
+                    let msg = "valid period columns not times".into();
+                    return Err(Error::Internal(msg));
+                }
+            };
+            let mut explicit = explicit_defaults();
+            for ((idx, _), v) in assigns.iter().zip(row) {
+                explicit[*idx] = v;
+            }
+            build_stored_row(&schema, &codec, &explicit, valid, now)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    insert_rows(pager, catalog.get_mut(id), &stored)
+}
+
+/// Insert `rows`, each already built and checked, into `rel`; returns
+/// their count. Every insert-only write (append, `copy from`, `retrieve
+/// into`) computes its whole effect first and writes it here, so a value
+/// that does not fit leaves the relation as it was.
+pub(crate) fn insert_rows(
+    pager: &Pager,
+    rel: &mut StoredRelation,
+    rows: &[Vec<u8>],
+) -> Result<usize> {
     for row in rows {
-        // With a `valid` clause the period's two ends follow the targets.
-        let valid = match (&bound.valid, &row[assigns.len()..]) {
-            (None, _) => default,
-            (Some(_), [Value::Time(from), Value::Time(to)]) => {
-                period(*from, *to)?
-            }
-            _ => {
-                let msg = "valid period columns not times".into();
-                return Err(Error::Internal(msg));
-            }
-        };
-        let mut explicit = explicit_defaults();
-        for ((idx, _), v) in assigns.iter().zip(row) {
-            explicit[*idx] = v;
-        }
-        let stored =
-            build_stored_row(&schema, &codec, &explicit, valid, now)?;
-        catalog.get_mut(id).insert_row(pager, &stored)?;
+        rel.insert_row(pager, row)?;
     }
     pager.flush_all()?;
-    Ok(inserted)
+    Ok(rows.len())
 }
 
 /// The versions row DML can still touch: those current in both
@@ -496,20 +511,21 @@ fn targets(
     let id = vars[0].rel;
     let rel = binder.catalog.get(id);
     conjuncts.extend(current_version_conjuncts(&rel.schema));
-    let mut slot = Slot {
-        schema: rel.schema.clone(),
-        codec: rel.codec.clone(),
-        row: None,
-    };
     let visible = vars[0].class.has_transaction_time();
-    let rows = collect_matching(
-        pager,
-        &mut slot,
-        &rel.file,
-        rel.key_attr,
-        visible.then(|| Visibility::at(binder.now)),
-        &conjuncts,
-    )?;
+    let (slot, mut rt) =
+        var_state(rel, visible.then(|| Visibility::at(binder.now)));
+    // A migrated version is never current (`current_version_conjuncts`),
+    // so the history sidecar holds nothing to retire.
+    rt.history = None;
+    let mut slots = [slot];
+    let mut rows = Vec::new();
+    let guard = QueryGuard::none();
+    ovqp(pager, &mut slots, &rt, 0, &conjuncts, &guard, |s, tid| {
+        let tid = tid.expect("the primary file holds every target");
+        rows.push((tid, s[0].row.clone().expect("bound in ovqp")));
+        Ok(())
+    })?;
+    let [slot] = slots;
     Ok(Targets {
         id,
         vars,
@@ -584,6 +600,17 @@ fn retire(
     }
 }
 
+/// What one target's retirement writes, computed before anything is.
+struct Effect {
+    tid: TupleId,
+    /// The bytes that overwrite the version in place, or `None` to
+    /// remove it.
+    overwrite: Option<Vec<u8>>,
+    /// The versions inserted after it: a closing version, then the new
+    /// one.
+    inserts: Vec<Vec<u8>>,
+}
+
 impl Targets {
     /// Retire every target at transaction time `now`, highest slot first
     /// if `highest_first`. `step` sees each target bound in the slot and
@@ -593,6 +620,10 @@ impl Targets {
     /// `reindex` marks a replace that assigns an indexed attribute: its
     /// in-place rewrites need the indexes rebuilt. Returns the count of
     /// targets.
+    ///
+    /// Two passes: the first computes every target's [`Effect`] without
+    /// touching a page, so an evaluation error leaves the relation as it
+    /// was; the second writes them in target order.
     fn retire_each(
         mut self,
         pager: &Pager,
@@ -609,33 +640,54 @@ impl Targets {
             // addresses for.
             rows.sort_by_key(|(tid, _)| Reverse(*tid));
         }
-        let affected = rows.len();
-        let rel = catalog.get_mut(self.id);
-        let (mut removed, mut rewrote) = (0, false);
+        let rel = catalog.get(self.id);
+        let mut rewrote = false;
+        let mut effects = Vec::with_capacity(rows.len());
         for (tid, row) in rows {
             self.slot.row = Some(row);
             let (at, new) = step(&self.slot)?;
             let mut row = self.slot.row.take().expect("bound above");
-            match retire(&rel.schema, &rel.codec, &mut row, at, now) {
-                Retire::Remove => match new {
-                    Some(new) if same_key(rel, &row, &new) => {
-                        rel.file.update(pager, tid, &new)?;
-                        rewrote = true;
-                        continue;
-                    }
-                    _ => {
-                        rel.file.delete(pager, tid)?;
-                        removed += 1;
-                    }
-                },
-                Retire::Stamp => rel.file.update(pager, tid, &row)?,
-                Retire::Close(closing) => {
-                    rel.file.update(pager, tid, &row)?;
-                    rel.insert_row(pager, &closing)?;
+            let retired =
+                retire(&rel.schema, &rel.codec, &mut row, at, now);
+            let (overwrite, inserts) = match (retired, new) {
+                (Retire::Remove, Some(new))
+                    if same_key(rel, &row, &new) =>
+                {
+                    rewrote = true;
+                    (Some(new), Vec::new())
+                }
+                (Retire::Remove, new) => (None, Vec::from_iter(new)),
+                (Retire::Stamp, new) => (Some(row), Vec::from_iter(new)),
+                (Retire::Close(closing), new) => (
+                    Some(row),
+                    [Some(closing), new].into_iter().flatten().collect(),
+                ),
+            };
+            effects.push(Effect {
+                tid,
+                overwrite,
+                inserts,
+            });
+        }
+
+        let affected = effects.len();
+        let rel = catalog.get_mut(self.id);
+        let mut removed = 0;
+        for Effect {
+            tid,
+            overwrite,
+            inserts,
+        } in effects
+        {
+            match overwrite {
+                Some(bytes) => rel.file.update(pager, tid, &bytes)?,
+                None => {
+                    rel.file.delete(pager, tid)?;
+                    removed += 1;
                 }
             }
-            if let Some(new) = new {
-                rel.insert_row(pager, &new)?;
+            for row in inserts {
+                rel.insert_row(pager, &row)?;
             }
         }
         rel.tuple_count -= removed;

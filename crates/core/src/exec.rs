@@ -31,7 +31,8 @@ use tdbms_kernel::{
     AttrDef, Domain, Error, Result, RowCodec, Schema, Value,
 };
 use tdbms_storage::{
-    Catalog, FileId, HeapFile, Pager, PhaseIo, RelFile, StatScope,
+    Catalog, ClusteredHistory, FileId, HeapFile, Pager, PhaseIo, RelFile,
+    RelLookup, RelScan, StatScope, StoredRelation, TupleId,
 };
 use tdbms_tquel::ast::BinOp;
 use tdbms_tquel::token::Literal;
@@ -111,7 +112,31 @@ pub(crate) struct VarRt {
     /// migrated out of the primary file. Read only when the query's
     /// visibility reaches behind the sidecar's stop-time high-water mark,
     /// which keeps at-now retrievals at primary-only page cost.
-    history: Option<std::sync::Arc<tdbms_storage::ClusteredHistory>>,
+    pub(crate) history: Option<std::sync::Arc<ClusteredHistory>>,
+}
+
+/// The evaluation slot and runtime state of one variable ranging over
+/// `stored`, seeing the versions `visible` admits (`None`: every one).
+/// Every reader of a relation — a retrieve's variables and DML's
+/// targets — starts from this.
+pub(crate) fn var_state(
+    stored: &StoredRelation,
+    visible: Option<Visibility>,
+) -> (Slot, VarRt) {
+    let slot = Slot {
+        schema: stored.schema.clone(),
+        codec: stored.codec.clone(),
+        row: None,
+    };
+    let rt = VarRt {
+        file: stored.file.clone(),
+        key_attr: stored.key_attr,
+        indexes: stored.indexes.clone(),
+        visible,
+        temp: None,
+        history: stored.history.clone(),
+    };
+    (slot, rt)
 }
 
 /// Execute a bound retrieve by decomposition: detach every variable
@@ -164,7 +189,8 @@ pub fn exec_retrieve(
 /// only shared catalog access.
 pub(crate) struct Prepared {
     pub(crate) b: BoundRetrieve,
-    slots: Vec<Slot>,
+    /// One evaluation slot per variable; none is bound before the joins.
+    pub(crate) slots: Vec<Slot>,
     pub(crate) rts: Vec<VarRt>,
     /// The qualification's conjuncts, each with its variable set.
     pub(crate) conjuncts: Vec<(BExpr, Vec<usize>)>,
@@ -180,30 +206,14 @@ pub(crate) fn prepare(
 ) -> Prepared {
     let mut b = bound.clone();
     b.fill_params(params);
-    let nvars = b.vars.len();
-
-    let mut slots: Vec<Slot> = Vec::with_capacity(nvars);
-    let mut rts: Vec<VarRt> = Vec::with_capacity(nvars);
-    for v in &b.vars {
-        let stored = catalog.get(v.rel);
-        slots.push(Slot {
-            schema: stored.schema.clone(),
-            codec: stored.codec.clone(),
-            row: None,
-        });
-        rts.push(VarRt {
-            file: stored.file.clone(),
-            key_attr: stored.key_attr,
-            indexes: stored.indexes.clone(),
-            visible: if v.class.has_transaction_time() {
-                b.visibility
-            } else {
-                None
-            },
-            temp: None,
-            history: stored.history.clone(),
-        });
-    }
+    let (slots, rts): (Vec<Slot>, Vec<VarRt>) = b
+        .vars
+        .iter()
+        .map(|v| {
+            let visible = v.class.has_transaction_time();
+            var_state(catalog.get(v.rel), b.visibility.filter(|_| visible))
+        })
+        .unzip();
 
     // Cache each conjunct's variable set.
     let conjuncts: Vec<(BExpr, Vec<usize>)> = b
@@ -360,7 +370,7 @@ fn decompose(pager: &Pager, p: &mut Prepared, quiet: bool) -> Result<()> {
                 v,
                 &own,
                 &guard,
-                |slots_now, pager_now| {
+                |slots_now, _| {
                     // Project the bound row into the temp layout.
                     let src = &slots_now[v];
                     let row_bytes =
@@ -370,7 +380,7 @@ fn decompose(pager: &Pager, p: &mut Prepared, quiet: bool) -> Result<()> {
                         let val = src.codec.get(row_bytes, *old);
                         temp_codec.put(&mut out, *new, &val)?;
                     }
-                    temp_file.insert(pager_now, &out)?;
+                    temp_file.insert(pager, &out)?;
                     Ok(())
                 },
             )?;
@@ -749,39 +759,73 @@ fn version_visible(
     }
 }
 
+/// The probe expression conjunct `c` offers attribute `attr` of variable
+/// `v` — the `<expr>` of `v.attr = <expr>` — when every variable it
+/// references is already bound in `slots`. The one test of whether a
+/// keyed or index access is available, for the executor and the planner.
+pub(crate) fn bound_probe<'c>(
+    c: &'c BExpr,
+    v: usize,
+    attr: Option<usize>,
+    slots: &[Slot],
+) -> Option<&'c BExpr> {
+    let probe = key_probe_shape(c, v, attr)?;
+    let mut pv = Vec::new();
+    probe.collect_vars(&mut pv);
+    pv.iter().all(|&x| slots[x].row.is_some()).then_some(probe)
+}
+
+/// The key bytes conjunct `c` probes attribute `attr` of `v` with: its
+/// [`bound_probe`]'s value, if that fits the attribute's domain.
+fn probe_bytes(
+    c: &BExpr,
+    v: usize,
+    attr: usize,
+    slots: &[Slot],
+) -> Result<Option<Vec<u8>>> {
+    let Some(probe) = bound_probe(c, v, Some(attr), slots) else {
+        return Ok(None);
+    };
+    let val = eval_expr(probe, slots)?;
+    let domain = slots[v]
+        .schema
+        .domain_of(attr)
+        .ok_or_else(|| Error::Internal("bad probe attr".into()))?;
+    Ok(encode_key(domain, &val))
+}
+
+/// The cursor [`ovqp`] reads a relation through.
+enum Cursor {
+    /// Keyed access on the primary key.
+    Lookup(RelLookup),
+    /// A full scan.
+    Scan(RelScan),
+    /// The addresses a secondary index returned.
+    Tids(std::vec::IntoIter<TupleId>),
+}
+
 /// The one-variable query processor: iterate variable `v`'s relation
 /// through its best access path, apply visibility and the given
 /// conjuncts, and call `emit` for each qualifying version (bound into
-/// `slots[v]`).
-#[allow(clippy::too_many_arguments)]
-fn ovqp(
+/// `slots[v]`) with its address in the primary file — `None` for a
+/// version read from the history sidecar.
+pub(crate) fn ovqp(
     pager: &Pager,
     slots: &mut [Slot],
     rt: &VarRt,
     v: usize,
     conjuncts: &[BExpr],
     guard: &QueryGuard,
-    mut emit: impl FnMut(&mut [Slot], &Pager) -> Result<()>,
+    mut emit: impl FnMut(&mut [Slot], Option<TupleId>) -> Result<()>,
 ) -> Result<()> {
     // Access-path selection: a key-equality conjunct evaluable without
     // `v` enables keyed access.
     let mut probe_key: Option<Vec<u8>> = None;
     if let Some(key) = rt.key_attr {
         for c in conjuncts {
-            if let Some(probe) = key_probe_shape(c, v, Some(key)) {
-                let mut pv = Vec::new();
-                probe.collect_vars(&mut pv);
-                if pv.iter().all(|&x| slots[x].row.is_some()) {
-                    let val = eval_expr(probe, slots)?;
-                    let domain =
-                        slots[v].schema.domain_of(key).ok_or_else(
-                            || Error::Internal("bad key attr".into()),
-                        )?;
-                    if let Some(bytes) = encode_key(domain, &val) {
-                        probe_key = Some(bytes);
-                        break;
-                    }
-                }
+            probe_key = probe_bytes(c, v, key, slots)?;
+            if probe_key.is_some() {
+                break;
             }
         }
     }
@@ -790,91 +834,44 @@ fn ovqp(
     // conjunct `v.attr = <bound expr>` over an indexed attribute turns the
     // scan into an index lookup plus targeted fetches (the paper's §6
     // secondary-indexing enhancement, live in the query processor).
-    let mut index_tids: Option<Vec<tdbms_storage::TupleId>> = None;
+    let mut index_tids: Option<Vec<TupleId>> = None;
     if probe_key.is_none() {
         'outer: for c in conjuncts {
             for ix in &rt.indexes {
-                if let Some(probe) = key_probe_shape(c, v, Some(ix.attr)) {
-                    let mut pv = Vec::new();
-                    probe.collect_vars(&mut pv);
-                    if pv.iter().all(|&x| slots[x].row.is_some()) {
-                        let val = eval_expr(probe, slots)?;
-                        let domain =
-                            slots[v].schema.domain_of(ix.attr).ok_or_else(
-                                || Error::Internal("bad index attr".into()),
-                            )?;
-                        if let Some(bytes) = encode_key(domain, &val) {
-                            index_tids =
-                                Some(ix.index.lookup_tids(pager, &bytes)?);
-                            break 'outer;
-                        }
-                    }
+                if let Some(bytes) = probe_bytes(c, v, ix.attr, slots)? {
+                    index_tids = Some(ix.index.lookup_tids(pager, &bytes)?);
+                    break 'outer;
                 }
             }
         }
     }
 
-    let file = rt.file.clone();
-    let mut lookup;
-    let mut scan;
-    let mut tids_iter;
-    enum Cur {
-        Lookup,
-        Scan,
-        Tids,
-    }
-    let mode = match (&probe_key, index_tids) {
+    let file = &rt.file;
+    let mut cursor = match (&probe_key, index_tids) {
         (Some(key), _) => match file.lookup_eq(pager, key)? {
-            Some(l) => {
-                lookup = Some(l);
-                scan = None;
-                tids_iter = None;
-                Cur::Lookup
-            }
-            None => {
-                lookup = None;
-                scan = Some(file.scan());
-                tids_iter = None;
-                Cur::Scan
-            }
+            Some(lookup) => Cursor::Lookup(lookup),
+            None => Cursor::Scan(file.scan()),
         },
-        (None, Some(tids)) => {
-            lookup = None;
-            scan = None;
-            tids_iter = Some(tids.into_iter());
-            Cur::Tids
-        }
-        (None, None) => {
-            lookup = None;
-            scan = Some(file.scan());
-            tids_iter = None;
-            Cur::Scan
-        }
+        (None, Some(tids)) => Cursor::Tids(tids.into_iter()),
+        (None, None) => Cursor::Scan(file.scan()),
     };
-
     loop {
         guard.tick()?;
-        let next = match mode {
-            Cur::Lookup => {
-                lookup.as_mut().expect("lookup mode").next(pager, &file)?
-            }
-            Cur::Scan => {
-                scan.as_mut().expect("scan mode").next(pager, &file)?
-            }
-            Cur::Tids => {
-                match tids_iter.as_mut().expect("tids mode").next() {
-                    Some(tid) => Some((tid, file.get(pager, tid)?)),
-                    None => None,
-                }
-            }
+        let next = match &mut cursor {
+            Cursor::Lookup(c) => c.next(pager, file)?,
+            Cursor::Scan(c) => c.next(pager, file)?,
+            Cursor::Tids(tids) => match tids.next() {
+                Some(tid) => Some((tid, file.get(pager, tid)?)),
+                None => None,
+            },
         };
-        let Some((_tid, row)) = next else { break };
+        let Some((tid, row)) = next else { break };
         if !version_visible(&slots[v], rt.visible, &row) {
             continue;
         }
         slots[v].row = Some(row);
         if qualifies(conjuncts, slots)? {
-            emit(slots, pager)?;
+            emit(slots, Some(tid))?;
         }
     }
 
@@ -898,7 +895,7 @@ fn ovqp(
                 }
                 slots[v].row = Some(row.to_vec());
                 if qualifies(conjuncts, slots)? {
-                    emit(slots, pager)?;
+                    emit(slots, None)?;
                 }
                 Ok(())
             };
@@ -953,68 +950,4 @@ fn join_level(
     }
     slots[v].row = None;
     Ok(())
-}
-
-/// Shared by DML: find the versions of a single variable that satisfy a
-/// qualification (used by delete/replace target collection). Uses the same
-/// access-path selection as the query processor, but also reports each
-/// qualifying version's address.
-pub(crate) fn collect_matching(
-    pager: &Pager,
-    slot: &mut Slot,
-    file: &RelFile,
-    key_attr: Option<usize>,
-    visible: Option<Visibility>,
-    conjuncts: &[BExpr],
-) -> Result<Vec<(tdbms_storage::TupleId, Vec<u8>)>> {
-    // Access path: a constant key-equality conjunct enables keyed access.
-    let mut probe_key: Option<Vec<u8>> = None;
-    if let Some(key) = key_attr {
-        for c in conjuncts {
-            if let Some(probe) = key_probe_shape(c, 0, Some(key)) {
-                let mut pv = Vec::new();
-                probe.collect_vars(&mut pv);
-                if pv.is_empty() {
-                    let val = eval_expr(probe, &[])?;
-                    let domain =
-                        slot.schema.domain_of(key).ok_or_else(|| {
-                            Error::Internal("bad key attr".into())
-                        })?;
-                    if let Some(bytes) = encode_key(domain, &val) {
-                        probe_key = Some(bytes);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    let mut lookup = match &probe_key {
-        Some(key) => file.lookup_eq(pager, key)?,
-        None => None,
-    };
-    let mut scan = if lookup.is_none() {
-        Some(file.scan())
-    } else {
-        None
-    };
-
-    let mut out = Vec::new();
-    loop {
-        let next = match (&mut lookup, &mut scan) {
-            (Some(cur), _) => cur.next(pager, file)?,
-            (None, Some(cur)) => cur.next(pager, file)?,
-            (None, None) => unreachable!("one cursor is always set"),
-        };
-        let Some((tid, row)) = next else { break };
-        if !version_visible(slot, visible, &row) {
-            continue;
-        }
-        slot.row = Some(row);
-        if qualifies(conjuncts, std::slice::from_ref(slot))? {
-            out.push((tid, slot.row.clone().expect("bound")));
-        }
-    }
-    slot.row = None;
-    Ok(out)
 }

@@ -6,13 +6,15 @@
 //!
 //! The resolution reuses the executor's own machinery
 //! ([`crate::exec::prepare`], [`crate::exec::detachable_vars`],
-//! [`crate::exec::key_probe_shape`]) so the planner's view of what is
-//! detachable and what is probeable can never drift from what the
-//! executor actually does.
+//! [`crate::exec::key_probe_shape`], [`crate::exec::bound_probe`]) so
+//! the planner's view of what is detachable and what is probeable can
+//! never drift from what the executor actually does.
 
 use crate::bound::BoundRetrieve;
 use crate::db::RelationMeta;
-use crate::exec::{detachable_vars, key_probe_shape, prepare, Prepared};
+use crate::exec::{
+    bound_probe, detachable_vars, key_probe_shape, prepare, Prepared,
+};
 use crate::guard::QueryGuard;
 use tdbms_kernel::Result;
 use tdbms_plan::{plan_query, QueryPlan, VarFacts};
@@ -65,15 +67,10 @@ pub(crate) fn plan_bound(
 }
 
 /// Is a constant equality probe on `attr` available from variable `v`'s
-/// own conjuncts? (During detachment nothing else is bound, so the
-/// probe expression must reference no variables at all.)
+/// own conjuncts? Asked of the executor's own probe test with every
+/// variable unbound, as during detachment.
 fn has_const_probe(p: &Prepared, v: usize, attr: Option<usize>) -> bool {
     p.conjuncts.iter().any(|(c, vs)| {
-        vs == &[v]
-            && key_probe_shape(c, v, attr).is_some_and(|probe| {
-                let mut pv = Vec::new();
-                probe.collect_vars(&mut pv);
-                pv.is_empty()
-            })
+        vs == &[v] && bound_probe(c, v, attr, &p.slots).is_some()
     })
 }

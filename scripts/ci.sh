@@ -595,14 +595,9 @@ fi
 # its body fails the gate (errexit is suppressed inside `if !` in the
 # parent, which would otherwise let mid-gate failures slip through).
 export bindir profile_flag profile
-export -f gate_fmt gate_build gate_clippy gate_test \
-    gate_storage_chains gate_wal_crash_matrix gate_corruption_scrub gate_transient_retry \
-    gate_concurrency_stress gate_group_commit_crash \
-    gate_snapshot_stress gate_fig5_checksums gate_figures_threads \
-    gate_fig11_shape gate_planner_golden gate_plan_cache_smoke \
-    gate_throughput_smoke gate_net_protocol \
-    gate_server_smoke gate_check_recovery gate_chaos \
-    gate_scale_smoke gate_bench_trajectory gate_benchmark_smoke
+# Every `gate_*` function is exported, so a gate is declared once (its
+# function) and listed once (GATES).
+export -f $(compgen -A function gate_)
 
 RAN=() STATUSES=() TOOK=() FAILED=()
 for name in "${GATES[@]}"; do
