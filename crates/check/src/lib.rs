@@ -42,8 +42,8 @@ use std::sync::Arc;
 
 use tdbms_kernel::{Result, TemporalAttr, TimeVal};
 use tdbms_storage::{
-    Audit, Catalog, ClusteredHistory, FileId, KeyKind, KeySpec, Page,
-    Pager, RelFile, RelId, StoredRelation, NO_PAGE,
+    Audit, Catalog, ClusteredHistory, KeyKind, KeySpec, Page, Pager,
+    RelFile, RelId, StoredRelation, NO_PAGE,
 };
 use tdbms_wal::{Recovered, RecoveryPlan, Wal};
 
@@ -158,7 +158,8 @@ impl CheckReport {
 enum UnitKind {
     /// The base file; reachable rows must equal the stored tuple count.
     Base,
-    /// A secondary index; an entry-count mismatch is only a warning.
+    /// A secondary index; its entries must equal the stored tuple
+    /// count, or probes through it answer wrong.
     Index,
     /// A clustered history sidecar; reachable rows must equal the
     /// migrated-row count the catalog's `history` line records.
@@ -389,34 +390,29 @@ pub fn check_database(
                 _ => (stored, "stored"),
             };
             if found != recorded {
-                let finding = if unit.kind == UnitKind::Index {
-                    let detail = format!(
+                let detail = if unit.kind == UnitKind::Index {
+                    format!(
                         "index holds {found} entries for a relation \
                          storing {stored} rows"
-                    );
-                    unit.finding(Severity::Warning, None, detail)
+                    )
                 } else {
-                    let detail = format!(
+                    format!(
                         "catalog records {recorded} {what} rows but \
                          {found} are reachable"
-                    );
-                    unit.finding(Severity::Error, None, detail)
+                    )
                 };
-                report.findings.push(finding);
+                report.findings.push(unit.finding(
+                    Severity::Error,
+                    None,
+                    detail,
+                ));
             }
             if unit.kind == UnitKind::Base {
                 check_temporal(pager, unit, rel, &mut report.findings)?;
             }
         }
         // Files on disk the catalog does not know about.
-        let referenced: BTreeSet<FileId> = catalog
-            .iter()
-            .flat_map(|(_, r)| {
-                std::iter::once(r.file.file_id())
-                    .chain(r.indexes.iter().map(|ix| ix.index.file_id()))
-                    .chain(r.history.iter().map(|h| h.file_id()))
-            })
-            .collect();
+        let referenced = catalog.owned_files();
         for (f, _) in pager.file_lengths()? {
             if !referenced.contains(&f) {
                 report.findings.push(Finding {
@@ -447,8 +443,9 @@ pub fn check_database(
 /// 2. A second audit over the repaired structure discards orphaned
 ///    overflow rows (damaged chain tails) with a precise loss report and
 ///    corrects each relation's stored tuple count.
-/// 3. Relations whose pages changed get their secondary indexes rebuilt
-///    from the surviving base rows.
+/// 3. Relations whose pages changed, or whose index entries disagree
+///    with the corrected tuple count, get their secondary indexes
+///    rebuilt from the surviving base rows.
 ///
 /// The caller persists the result ([`CheckedDb::repair`] syncs files and
 /// saves the catalog and sidecar; in-memory callers need not).
@@ -459,7 +456,7 @@ pub fn repair_database(
 ) -> Result<CheckReport> {
     let mut report = CheckReport::default();
     let units = units_of(catalog);
-    let mut page_repairs: BTreeSet<usize> = BTreeSet::new();
+    let mut reindex: BTreeSet<usize> = BTreeSet::new();
     pager.begin_phase("scrub");
     let outcome: Result<()> = (|| {
         // Pass 1: detect, then restore / quarantine / clip page by page.
@@ -470,7 +467,7 @@ pub fn repair_database(
                 continue;
             }
             if !audit.sound() {
-                page_repairs.insert(unit.rel.0);
+                reindex.insert(unit.rel.0);
             }
             let file = unit.file.file_id();
             for p in audit.n_pages..unit.file.min_pages() {
@@ -520,7 +517,7 @@ pub fn repair_database(
         for unit in &units {
             let audit = unit.file.audit(pager);
             for (&p, &rows) in &audit.data_orphans {
-                page_repairs.insert(unit.rel.0);
+                reindex.insert(unit.rel.0);
                 let empty = Page::new(unit.file.expected_kind(p));
                 pager.write_page_raw(unit.file.file_id(), p, &empty)?;
                 report.findings.push(unit.finding(
@@ -554,6 +551,9 @@ pub fn repair_database(
                     report.findings.push(corrected(what, old, found));
                     rel.tuple_count = found;
                 }
+                (UnitKind::Index, _) if rel.tuple_count != found => {
+                    reindex.insert(unit.rel.0);
+                }
                 (UnitKind::History, Some(h)) if h.rows() != found => {
                     // Rebuild the in-memory directory from the repaired
                     // pages; `reopen` recounts the surviving rows and
@@ -578,11 +578,12 @@ pub fn repair_database(
         }
         // Pass 3: rebuild the indexes of every relation whose pages
         // changed — base-page loss invalidates entry addresses, and an
-        // index page restored empty must be repopulated.
+        // index page restored empty must be repopulated — or whose
+        // index holds the wrong number of entries.
         let rebuild: Vec<RelId> = catalog
             .iter()
             .filter(|(id, r)| {
-                page_repairs.contains(&id.0) && !r.indexes.is_empty()
+                reindex.contains(&id.0) && !r.indexes.is_empty()
             })
             .map(|(id, _)| id)
             .collect();
@@ -1030,6 +1031,55 @@ mod tests {
         repair_database(&pager, &mut cat, &empty_plan()).unwrap();
         assert_eq!(cat.get(id).tuple_count, 12);
         assert!(check_database(&pager, &cat).unwrap().is_clean());
+    }
+
+    /// An index emptied behind the pager's back — every page still there,
+    /// in the kind its layout wants, but no entries — probes to nothing
+    /// while a scan finds the rows. The check must call it dirty, and
+    /// repair must rebuild it until probe and scan agree.
+    #[test]
+    fn an_index_missing_entries_is_an_error_and_repair_rebuilds_it() {
+        use tdbms_storage::IndexStructure;
+        let (shared, pager, mut cat, id) = fixture(AccessMethod::Hash, 40);
+        cat.get_mut(id)
+            .create_index(&pager, "r_id", 0, IndexStructure::Hash)
+            .unwrap();
+        pager.flush_all().unwrap();
+        pager.invalidate_buffers().unwrap();
+        let index = cat.get(id).indexes[0].index.file().clone();
+        let mut raw = shared.clone();
+        let n = raw.page_count(index.file_id()).unwrap();
+        raw.truncate(index.file_id()).unwrap();
+        for p in 0..n {
+            let page = Page::new(index.expected_kind(p));
+            raw.append_page(index.file_id(), &page).unwrap();
+        }
+
+        let probe = |cat: &Catalog, key: i32| {
+            let rel = cat.get(id);
+            let ix = &rel.indexes[0].index;
+            ix.fetch(&pager, &rel.file, &key.to_le_bytes())
+                .unwrap()
+                .len()
+        };
+        assert_eq!(probe(&cat, 7), 0, "the emptied index finds nothing");
+        let report = check_database(&pager, &cat).unwrap();
+        assert!(!report.is_clean(), "{}", report.render());
+        assert!(report.findings.iter().any(|f| f
+            .detail
+            .contains("0 entries for a relation storing 40")));
+
+        let repair =
+            repair_database(&pager, &mut cat, &empty_plan()).unwrap();
+        assert!(repair
+            .findings
+            .iter()
+            .any(|f| f.detail.contains("secondary indexes rebuilt")));
+        let recheck = check_database(&pager, &cat).unwrap();
+        assert!(recheck.is_clean(), "{}", recheck.render());
+        for key in 1..=40 {
+            assert_eq!(probe(&cat, key), 1, "probe of id {key}");
+        }
     }
 
     #[test]

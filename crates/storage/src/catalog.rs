@@ -5,13 +5,14 @@
 //! of this paper"), so the catalog here is a plain in-memory registry —
 //! functionally the system relation, without charging page I/O for it.
 
+use crate::disk::FileId;
 use crate::heap::HeapFile;
 use crate::key::{HashFn, KeySpec};
 use crate::pager::Pager;
 use crate::relfile::{AccessMethod, RelFile};
 use crate::secondary::{IndexStructure, SecondaryIndex};
 use crate::tuple::TupleId;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use tdbms_kernel::{Error, Result, RowCodec, Schema};
 
 /// Stable handle to a cataloged relation.
@@ -383,6 +384,19 @@ impl Catalog {
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().map(|r| (RelId(i), r)))
+    }
+
+    /// Every page file the catalog owns: each relation's base file,
+    /// secondary indexes and history sidecar. Any other page file on
+    /// the device is an orphan.
+    pub fn owned_files(&self) -> BTreeSet<FileId> {
+        self.iter()
+            .flat_map(|(_, r)| {
+                std::iter::once(r.file.file_id())
+                    .chain(r.indexes.iter().map(|ix| ix.index.file_id()))
+                    .chain(r.history.iter().map(|h| h.file_id()))
+            })
+            .collect()
     }
 
     /// Names of every relation, sorted.

@@ -5,7 +5,8 @@
 //! pager counts accesses. [`FileDisk`] stores each relation file as a real
 //! file on disk for durable use of the library.
 
-use crate::page::{Page, PAGE_SIZE};
+use crate::checksum::ChecksumSet;
+use crate::page::{Page, PageKind, PAGE_SIZE};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -169,6 +170,60 @@ impl DiskManager for MemDisk {
     }
 }
 
+/// Force `file` to exactly `len` pages: the one way a staged file's
+/// shape reaches the device, shared by the pager's checkpoint and WAL
+/// replay. Shrinking preserves the first `len` pages (the trait only
+/// truncates to zero, so they are read, dropped, and re-appended);
+/// growing appends empty data pages — safe placeholders, because every
+/// page a staged file gains has a committed image that is written over
+/// it. Sums recorded past the surviving pages are dropped; placeholders
+/// get theirs on first read. A missing file is skipped: a later
+/// committed drop removed it.
+pub fn set_len(
+    disk: &mut dyn DiskManager,
+    sums: &mut Option<ChecksumSet>,
+    file: FileId,
+    len: u32,
+) -> Result<()> {
+    let Ok(cur) = disk.page_count(file) else {
+        return Ok(());
+    };
+    if let Some(sums) = sums {
+        sums.truncate(file, cur.min(len));
+    }
+    if cur > len {
+        let keep: Vec<Page> = (0..len)
+            .map(|p| disk.read_page(file, p))
+            .collect::<Result<_>>()?;
+        disk.truncate(file)?;
+        for p in &keep {
+            disk.append_page(file, p)?;
+        }
+    } else {
+        for _ in cur..len {
+            disk.append_page(file, &Page::new(PageKind::Data))?;
+        }
+    }
+    Ok(())
+}
+
+/// Drop `file` from the device and forget its sums; a file already
+/// gone is not an error (a drop is replayed, or retried after the
+/// device refused it).
+pub fn drop_if_present(
+    disk: &mut dyn DiskManager,
+    sums: &mut Option<ChecksumSet>,
+    file: FileId,
+) -> Result<()> {
+    if disk.page_count(file).is_ok() {
+        disk.drop_file(file)?;
+    }
+    if let Some(sums) = sums {
+        sums.drop_file(file);
+    }
+    Ok(())
+}
+
 /// File-backed disk: each [`FileId`] is `<dir>/f<N>.pages`, a flat array of
 /// 1024-byte pages. A scratch file is unlinked as soon as it is created
 /// and lives on only through its open handle, so a crash leaves nothing
@@ -321,7 +376,6 @@ impl DiskManager for FileDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PageKind;
 
     fn exercise(disk: &mut dyn DiskManager) {
         let f = disk.create_file().unwrap();

@@ -47,7 +47,9 @@ pub use audit::{Audit, Defect};
 pub use bloom::Bloom;
 pub use catalog::{Catalog, NamedIndex, RelId, StoredRelation};
 pub use checksum::{fnv64, ChecksumSet, SUMS_FILE};
-pub use disk::{DiskManager, FileDisk, FileId, MemDisk};
+pub use disk::{
+    drop_if_present, set_len, DiskManager, FileDisk, FileId, MemDisk,
+};
 pub use fault::{FaultDisk, FaultPlan};
 pub use hash::HashFile;
 pub use heap::HeapFile;

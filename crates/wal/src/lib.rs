@@ -21,10 +21,11 @@
 //! ## Recovery invariants
 //!
 //! Every open of a durable database goes through [`recover`]. Redo-only
-//! suffices because uncommitted page *content* never reaches the data
-//! files — only empty appended pages and length changes do, and the log
-//! records committed lengths so recovery trims uncommitted tails. On
-//! reopen:
+//! suffices because nothing uncommitted reaches the data files: page
+//! images and file lengths reach them only at a checkpoint, after the
+//! log holds them committed, and a statement's one device change — a
+//! file it creates, holding a placeholder page — is dropped on reopen
+//! when the recovered catalog does not own it. On reopen:
 //!
 //! 1. A log without a catalog (empty, or a torn header) has nothing to
 //!    redo. It opens only a disk without page files; a disk with page
@@ -60,8 +61,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tdbms_kernel::{Error, Result, TimeVal};
 use tdbms_storage::{
-    decode_catalog, Catalog, ChecksumSet, DiskManager, FileDisk, FileId,
-    Page, PageKind, Pager,
+    decode_catalog, drop_if_present, set_len, Catalog, ChecksumSet,
+    DiskManager, FileDisk, FileId, Page, Pager,
 };
 
 /// File name of the write-ahead log inside a database directory.
@@ -199,42 +200,6 @@ impl RecoveryPlan {
     }
 }
 
-/// Force `file` to exactly `len` pages. Shrinking preserves the first
-/// `len` pages (the trait only truncates to zero, so they are read,
-/// dropped, and re-appended); growing appends empty data pages — safe
-/// placeholders, because every page appended under staging is installed
-/// dirty and therefore always has a committed image to replay over it.
-/// Sums recorded past the surviving pages are dropped; placeholders get
-/// theirs on first read. A missing file is skipped: a later committed
-/// `DropFile` removed it.
-fn set_len(
-    disk: &mut dyn DiskManager,
-    sums: &mut Option<ChecksumSet>,
-    file: FileId,
-    len: u32,
-) -> Result<()> {
-    let Ok(cur) = disk.page_count(file) else {
-        return Ok(());
-    };
-    if let Some(sums) = sums {
-        sums.truncate(file, cur.min(len));
-    }
-    if cur > len {
-        let keep: Vec<Page> = (0..len)
-            .map(|p| disk.read_page(file, p))
-            .collect::<Result<_>>()?;
-        disk.truncate(file)?;
-        for p in &keep {
-            disk.append_page(file, p)?;
-        }
-    } else {
-        for _ in cur..len {
-            disk.append_page(file, &Page::new(PageKind::Data))?;
-        }
-    }
-    Ok(())
-}
-
 /// Redo a [`RecoveryPlan`] against the raw disk (run *before* any pager
 /// buffers pages), keeping the checksum sidecar `sums`, when there is
 /// one, in step: every committed page image is recorded as its page's
@@ -275,12 +240,7 @@ fn replay(
                     }
                 }
                 Record::DropFile { file } => {
-                    if disk.page_count(*file).is_ok() {
-                        disk.drop_file(*file)?;
-                    }
-                    if let Some(sums) = sums {
-                        sums.drop_file(*file);
-                    }
+                    drop_if_present(disk, sums, *file)?
                 }
                 Record::Begin | Record::Catalog { .. } | Record::Commit => {
                 }
@@ -500,7 +460,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdbms_storage::{MemDisk, PAGE_SIZE};
+    use tdbms_storage::{MemDisk, PageKind, PAGE_SIZE};
 
     fn image(byte: u8, lsn: u32) -> Page {
         let mut p = Page::new(PageKind::Data);
