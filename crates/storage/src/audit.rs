@@ -192,7 +192,6 @@ impl RelFile {
 
         let mut ovs = vec![NO_PAGE; n as usize];
         let mut counts = vec![0usize; n as usize];
-        let sums = pager.checksums_snapshot();
         for page in 0..n {
             let mut bad = |defect, salvage| {
                 audit.defects.push(defect);
@@ -209,9 +208,7 @@ impl RelFile {
             let count = img.count();
             counts[page as usize] = count;
             ovs[page as usize] = img.overflow();
-            if let Some(Err(e)) =
-                sums.as_ref().map(|s| s.verify(file, page, &img))
-            {
+            if let Err(e) = pager.verify_raw(file, page, &img) {
                 let detail = corruption_detail(e);
                 bad(Defect::Checksum { page, detail }, None);
                 continue;
