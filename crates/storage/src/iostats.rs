@@ -32,9 +32,8 @@
 //! no recorder is mid-access: always for a scope read on its own thread,
 //! and at quiescent points for the ledger as a whole.
 
-use crate::disk::FileId;
+use crate::disk::{FileId, FileMap};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -83,7 +82,7 @@ pub struct IoStats {
 
 #[derive(Debug, Default)]
 struct Directory {
-    live: HashMap<FileId, Arc<Cells>>,
+    live: FileMap<Arc<Cells>>,
     /// What dropped files had counted when [`IoStats::retire`] folded
     /// them in: totals stay monotone, and the directory stays as small
     /// as the set of live files however many temporaries come and go.
@@ -100,11 +99,21 @@ pub(crate) struct FileLedger {
 
 impl FileLedger {
     pub(crate) fn record(&self, what: Counter) {
-        self.add(what, 1);
+        self.add(&[what], 1);
     }
 
-    fn add(&self, what: Counter, n: u64) {
-        self.cells[what as usize].fetch_add(n, Ordering::Relaxed);
+    /// One buffered access and its classification (`Hits` or `Reads`),
+    /// in one visit to this thread's open scopes.
+    pub(crate) fn record_access(&self, class: Counter) {
+        self.add(&[Counter::Accesses, class], 1);
+    }
+
+    /// Add `n` to each counter in `what`: on the file's row, and in
+    /// every scope of this ledger open on this thread.
+    fn add(&self, what: &[Counter], n: u64) {
+        for &c in what {
+            self.cells[c as usize].fetch_add(n, Ordering::Relaxed);
+        }
         each_open_scope(self.ledger, |scope| {
             let at = scope
                 .files
@@ -114,7 +123,9 @@ impl FileLedger {
                     scope.files.push((self.file, Row::default()));
                     scope.files.len() - 1
                 });
-            scope.files[at].1[what as usize] += n;
+            for &c in what {
+                scope.files[at].1[c as usize] += n;
+            }
         });
     }
 }
@@ -340,7 +351,7 @@ impl IoStats {
     /// the same ledger as data-page I/O, so `QueryStats` phases can show
     /// the durability cost next to the paper's metric.
     pub fn add_writes(&self, file: FileId, n: u64) {
-        self.file(file).add(Counter::Writes, n);
+        self.file(file).add(&[Counter::Writes], n);
     }
 
     /// Forget a dropped file's row, keeping what it counted in the
@@ -433,8 +444,11 @@ mod tests {
     use super::*;
 
     fn access(s: &IoStats, file: FileId, hit: bool) {
-        s.record(file, Counter::Accesses);
-        s.record(file, if hit { Counter::Hits } else { Counter::Reads });
+        s.file(file).record_access(if hit {
+            Counter::Hits
+        } else {
+            Counter::Reads
+        });
     }
 
     #[test]

@@ -25,6 +25,25 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use tdbms_kernel::{Error, Result};
 
+/// The first slot in `from..to` where `holds` turns false, for a
+/// predicate that holds on a prefix of the range.
+fn partition(
+    from: u32,
+    to: u32,
+    mut holds: impl FnMut(u32) -> Result<bool>,
+) -> Result<u32> {
+    let (mut lo, mut hi) = (from, to);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid)? {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(lo)
+}
+
 /// An ISAM file of fixed-width rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IsamFile {
@@ -162,7 +181,8 @@ impl IsamFile {
     /// every benchmark key — the descent reads exactly one directory page
     /// per level, the paper's keyed-ISAM cost; a boundary key may touch a
     /// second page at a level. Each visited page is accessed once and
-    /// searched in place.
+    /// binary-searched in place; the search stops at the first page that
+    /// holds an entry above the key.
     fn descend(
         &self,
         pager: &Pager,
@@ -180,16 +200,25 @@ impl IsamFile {
                 let dir_page = level.start + page;
                 let passed =
                     pager.read(self.chain.file, dir_page, |p| {
-                        for slot in 0..p.count() as u32 {
-                            let idx = page * fanout + slot;
+                        let n = p.count() as u32;
+                        let cmp = |slot: u32| -> Result<Ordering> {
                             let entry = p.row(key.len, slot as u16)?;
-                            match key.compare(entry, key_bytes) {
-                                Ordering::Less => (lo, hi) = (idx, idx),
-                                Ordering::Equal => hi = idx,
-                                Ordering::Greater => return Ok(true),
-                            }
+                            Ok(key.compare(entry, key_bytes))
+                        };
+                        // Entries are sorted: `[0, below)` are less than
+                        // the key, `[below, upto)` equal to it.
+                        let below =
+                            partition(0, n, |s| Ok(cmp(s)?.is_lt()))?;
+                        let upto =
+                            partition(below, n, |s| Ok(cmp(s)?.is_le()))?;
+                        let idx = page * fanout;
+                        if below > 0 {
+                            (lo, hi) = (idx + below - 1, idx + below - 1);
                         }
-                        Ok::<_, Error>(false)
+                        if upto > below {
+                            hi = idx + upto - 1;
+                        }
+                        Ok::<_, Error>(upto < n)
                     })??;
                 if passed {
                     break;
@@ -226,7 +255,7 @@ mod tests {
     use super::*;
     use crate::key::KeyKind;
     use crate::overflow::ChainScan;
-    use tdbms_kernel::{AttrDef, Domain, RowCodec, Schema, Value};
+    use tdbms_kernel::{AttrDef, Domain, Prng, RowCodec, Schema, Value};
 
     fn make_rows(n: i32, width_pad: u16) -> (RowCodec, Vec<Vec<u8>>) {
         let s = Schema::static_relation(vec![
@@ -453,6 +482,104 @@ mod tests {
         assert_eq!(f.n_directory_pages(), 1);
         let mut scan = ChainScan::default();
         assert!(scan.next(&pager, &f.chain).unwrap().is_none());
+    }
+
+    /// The descent as a linear scan of each visited directory page: the
+    /// reference the binary-searching [`IsamFile::descend`] must match.
+    fn descend_linear(
+        f: &IsamFile,
+        pager: &Pager,
+        key_bytes: &[u8],
+    ) -> Result<(u32, u32)> {
+        let key = f.chain.key;
+        let fanout = page_capacity(key.len) as u32;
+        let (mut start, mut end) = (0, 0);
+        for level in f.levels.iter().rev() {
+            let (mut lo, mut hi) = (start * fanout, start * fanout);
+            for page in start..=end {
+                let passed = pager.read(
+                    f.chain.file,
+                    level.start + page,
+                    |p| {
+                        for slot in 0..p.count() as u32 {
+                            let idx = page * fanout + slot;
+                            let entry = p.row(key.len, slot as u16)?;
+                            match key.compare(entry, key_bytes) {
+                                Ordering::Less => (lo, hi) = (idx, idx),
+                                Ordering::Equal => hi = idx,
+                                Ordering::Greater => return Ok(true),
+                            }
+                        }
+                        Ok::<_, Error>(false)
+                    },
+                )??;
+                if passed {
+                    break;
+                }
+            }
+            (start, end) = (lo, hi);
+        }
+        Ok((start, end))
+    }
+
+    /// Random sorted key sets with duplicate runs, over directories of
+    /// fanout 10 so a level spans several pages: for every probe —
+    /// below all entries, above all, equal to a page's first entry, and
+    /// between entries — the binary descent returns the linear scan's
+    /// range after exactly the same page accesses.
+    #[test]
+    fn binary_descent_agrees_with_a_linear_scan() {
+        const W: usize = 100;
+        let key = KeySpec {
+            offset: 0,
+            len: W,
+            kind: KeyKind::Bytes,
+        };
+        assert_eq!(page_capacity(W), 10);
+        // Big-endian in the leading bytes: byte order is numeric order.
+        let enc = |v: u32| {
+            let mut row = vec![0u8; W];
+            row[..4].copy_from_slice(&v.to_be_bytes());
+            row
+        };
+        let (mut wide_levels, mut runs_across_pages) = (0, 0);
+        for case in 0..48u64 {
+            let mut rng = Prng::seed_from_u64(0x15a4_de5c + case);
+            // Stored keys are even, so odd probes fall between entries.
+            let distinct = rng.random_range(1..40u32);
+            let mut rows: Vec<Vec<u8>> = (0..rng.random_range(0..200usize))
+                .map(|_| enc(2 * rng.random_range(0..distinct) + 2))
+                .collect();
+            // One run of equal keys, at its longest spanning more data
+            // pages than a directory page indexes.
+            let run = enc(2 * rng.random_range(0..distinct) + 2);
+            rows.extend(
+                (0..rng.random_range(0..250usize)).map(|_| run.clone()),
+            );
+            let fill = rng.random_range(50..=100u8);
+            let pager = Pager::in_memory();
+            let f = IsamFile::build(&pager, &rows, W, key, fill).unwrap();
+            wide_levels += usize::from(f.levels[0].len() > 1);
+            for probe in 0..=2 * distinct + 3 {
+                let kb = enc(probe);
+                let cost = |descent: &dyn Fn() -> Result<(u32, u32)>| {
+                    pager.invalidate_buffers().unwrap();
+                    let io = pager.stats().scope();
+                    (descent().unwrap(), io.total())
+                };
+                let (got, got_io) = cost(&|| f.descend(&pager, &kb));
+                let want = cost(&|| descend_linear(&f, &pager, &kb));
+                assert_eq!(
+                    (got, got_io),
+                    want,
+                    "case {case} (fill {fill}), probe {probe}"
+                );
+                runs_across_pages +=
+                    usize::from(got_io.accesses > f.n_levels() as u64);
+            }
+        }
+        assert!(wide_levels > 0, "no case had a multi-page level");
+        assert!(runs_across_pages > 0, "no descent crossed a page");
     }
 
     #[test]

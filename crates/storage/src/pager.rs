@@ -22,9 +22,14 @@
 //!
 //! A buffer hit costs nothing, a miss fetches from the [`DiskManager`]
 //! and bumps the file's read counter, and dirty frames are written back
-//! on eviction or flush (bumping the write counter). [`IoStats`]
-//! additionally classifies every buffered access as hit or miss and
-//! counts capacity evictions, maintaining `hits + misses == accesses`.
+//! on eviction or flush (bumping the write counter). A dirty frame
+//! stays in its pool until its write-back succeeds, so a failed write
+//! (a full disk) loses no change. [`IoStats`] additionally classifies
+//! every buffered access as hit or miss and counts capacity evictions,
+//! maintaining `hits + misses == accesses`. The bookkeeping of one
+//! access is one lookup in a [`FileMap`] of pools and one bump through
+//! the pool's own ledger handle; only `write`, `append_page` and the
+//! flushes touch the set of pools that may hold a dirty frame.
 //! A *scratch* file ([`Pager::create_scratch_file`], a decomposition
 //! temporary) is buffered and counted like any other, but its
 //! write-backs always go to the device: it is never staged, logged,
@@ -49,7 +54,10 @@
 
 use crate::bloom::Bloom;
 use crate::checksum::ChecksumSet;
-use crate::disk::{drop_if_present, set_len, DiskManager, FileId, MemDisk};
+use crate::disk::{
+    drop_if_present, set_len, DiskManager, FileId, FileMap, FileSet,
+    MemDisk,
+};
 use crate::iostats::{Counter, FileLedger, IoStats};
 use crate::page::{Page, PageKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -106,30 +114,6 @@ impl BufferConfig {
     }
 }
 
-/// A file's buffer pool vanished while the file is still referenced —
-/// in-memory bookkeeping no longer matches the catalog. Reported as
-/// media corruption (repairable by `tdbms-check --repair`) rather than
-/// panicking the process.
-fn missing_pool(file: FileId) -> Error {
-    Error::Corruption {
-        file: Some(file.0),
-        page: None,
-        detail: "buffer pool missing for a live file \
-                 (catalog references a dropped file?)"
-            .into(),
-    }
-}
-
-/// A just-installed frame is gone from its pool — same corrupt-state
-/// family as [`missing_pool`], located to the page.
-fn missing_frame(file: FileId, page_no: u32) -> Error {
-    Error::Corruption {
-        file: Some(file.0),
-        page: Some(page_no),
-        detail: "buffer frame missing after fault-in".into(),
-    }
-}
-
 struct Frame {
     page_no: u32,
     page: Page,
@@ -143,23 +127,103 @@ struct FilePool {
     /// Frame list, most-recently-used first. Tiny (cap is 1 in the
     /// paper's benchmark), so linear search beats any fancier structure.
     frames: Vec<Frame>,
-    /// The file's row of the pager's [`IoStats`].
+    /// The file's row of the pager's [`IoStats`]: every bump an access
+    /// makes on this file goes through it.
     io: FileLedger,
 }
 
 impl FilePool {
-    fn new(cap: usize, io: FileLedger) -> Self {
-        FilePool {
-            cap: cap.max(1),
-            frames: Vec::new(),
-            io,
-        }
-    }
-
     /// The least-recently-used unpinned frame. `None` only when every
     /// frame is pinned.
     fn evict_index(&self) -> Option<usize> {
         self.frames.iter().rposition(|f| !f.pinned)
+    }
+
+    fn has_dirty(&self) -> bool {
+        self.frames.iter().any(|f| f.dirty)
+    }
+
+    /// Make room if the pool is full, writing a dirty victim back
+    /// first, and install `frame` in the MRU position. A victim whose
+    /// write fails stays in the pool, still dirty, and nothing is
+    /// installed.
+    fn install(
+        &mut self,
+        store: &mut Store,
+        file: FileId,
+        frame: Frame,
+    ) -> Result<()> {
+        if self.frames.len() < self.cap {
+            self.frames.insert(0, frame);
+            return Ok(());
+        }
+        let idx = self.evict_index().ok_or_else(|| {
+            Error::Internal(
+                "buffer pool exhausted: every frame is pinned".into(),
+            )
+        })?;
+        store.write_back(&self.io, file, &mut self.frames[idx])?;
+        self.io.record(Counter::Evictions);
+        self.frames[idx] = frame;
+        self.frames[..=idx].rotate_right(1);
+        Ok(())
+    }
+
+    /// Write every dirty frame back, marking each clean as its write
+    /// lands; the first failure stops the flush with the rest still
+    /// dirty.
+    fn flush(&mut self, store: &mut Store, file: FileId) -> Result<()> {
+        for frame in &mut self.frames {
+            store.write_back(&self.io, file, frame)?;
+        }
+        Ok(())
+    }
+}
+
+/// The frame pools and what configures them: kept apart from the
+/// [`Store`] beneath them, so an access holds its pool while it fetches
+/// a page or writes a victim back.
+struct Pools {
+    map: FileMap<FilePool>,
+    default_cap: usize,
+    /// Per-file caps that outlive the pools they configure (a pool can be
+    /// created lazily long after the cap was requested).
+    overrides: FileMap<usize>,
+    /// Files whose pools may hold a dirty frame. Every dirty frame's
+    /// file is in it, so a flush visits these pools and no others.
+    dirty: FileSet,
+    stats: Arc<IoStats>,
+}
+
+impl Pools {
+    /// The one place pools are created: every path — eager
+    /// [`Pager::create_file`], lazy fault-in or append on a file restored
+    /// from a persisted catalog, a cap request for a not-yet-buffered
+    /// file — resolves the cap the same way (per-file override, else the
+    /// default).
+    fn pool_mut(&mut self, file: FileId) -> &mut FilePool {
+        let Pools {
+            map,
+            default_cap,
+            overrides,
+            stats,
+            ..
+        } = self;
+        map.entry(file).or_insert_with(|| FilePool {
+            cap: overrides.get(&file).copied().unwrap_or(*default_cap),
+            frames: Vec::new(),
+            io: stats.file(file),
+        })
+    }
+
+    /// Flush `file`'s pool, if any; it leaves the dirty set once every
+    /// write landed.
+    fn flush(&mut self, store: &mut Store, file: FileId) -> Result<()> {
+        if let Some(pool) = self.map.get_mut(&file) {
+            pool.flush(store, file)?;
+        }
+        self.dirty.remove(&file);
+        Ok(())
     }
 }
 
@@ -194,18 +258,11 @@ struct UndoLog {
     overrides: BTreeMap<FileId, Option<usize>>,
 }
 
-/// Everything the pager-wide lock guards: the disk handle, the frame
-/// tables, the buffering config, and the WAL staging overlay. The stats
-/// ledger is shared with the [`Pager`] itself (it is internally atomic),
-/// so counter reads never contend with page traffic.
-struct PagerState {
+/// Where pages live beneath the frames: the disk handle, the WAL
+/// staging overlay and shapes, statement undo, the checksum sidecar
+/// and the drop queues.
+struct Store {
     disk: Box<dyn DiskManager>,
-    stats: Arc<IoStats>,
-    pools: std::collections::HashMap<FileId, FilePool>,
-    default_cap: usize,
-    /// Per-file caps that outlive the pools they configure (a pool can be
-    /// created lazily long after the cap was requested).
-    overrides: std::collections::HashMap<FileId, usize>,
     /// WAL staging mode: write-backs land in `overlay`, and appends and
     /// truncations in `shapes`, not on disk.
     staging: bool,
@@ -231,7 +288,16 @@ struct PagerState {
     /// `discard_statement_undo`/`rollback_statement`.
     undo: Option<UndoLog>,
     /// Scratch files ([`Pager::create_scratch_file`]).
-    scratch: BTreeSet<FileId>,
+    scratch: FileSet,
+}
+
+/// Everything the pager-wide lock guards: the frame pools and the store
+/// beneath them. The stats ledger is shared with the [`Pager`] itself
+/// (it is internally atomic), so counter reads never contend with page
+/// traffic.
+struct PagerState {
+    pools: Pools,
+    store: Store,
 }
 
 /// Buffer-managing page store over a [`DiskManager`], shareable across
@@ -246,7 +312,7 @@ pub struct Pager {
     /// overflow pages in. Files without an entry (fresh catalogs
     /// reloaded from disk, heap files) simply have no guard and every
     /// chain is walked — the pre-filter behaviour.
-    blooms: RwLock<std::collections::HashMap<FileId, Arc<Bloom>>>,
+    blooms: RwLock<FileMap<Arc<Bloom>>>,
     /// Bloom-guard master switch. Off by default: a skipped chain walk
     /// changes a query's input-page count, and the paper benchmarks'
     /// golden figures assume every probe walks its chain. The scale
@@ -255,7 +321,7 @@ pub struct Pager {
     bloom_on: AtomicBool,
 }
 
-impl PagerState {
+impl Store {
     /// Refresh a recorded checksum after the bytes were written outside
     /// the pager's own write path (no-op when verification is off).
     fn note_written(&mut self, file: FileId, page_no: u32, page: &Page) {
@@ -286,6 +352,7 @@ impl PagerState {
     /// against the sidecar, adopting the sum when none is recorded.
     fn fetch_from_disk(
         &mut self,
+        io: &FileLedger,
         file: FileId,
         page_no: u32,
     ) -> Result<Page> {
@@ -317,7 +384,7 @@ impl PagerState {
                         return Err(e);
                     }
                     attempt += 1;
-                    self.stats.record(file, Counter::Retries);
+                    io.record(Counter::Retries);
                     // Deterministic backoff: a counted spin, doubling per
                     // attempt. No wall-clock, so fault-injection tests
                     // replay identically.
@@ -329,32 +396,6 @@ impl PagerState {
                 }
             }
         }
-    }
-
-    /// The one place pools are created: every path — eager
-    /// [`Pager::create_file`], lazy fault-in or append on a file restored
-    /// from a persisted catalog, a cap request for a not-yet-buffered
-    /// file — resolves the cap the same way (per-file override, else the
-    /// default).
-    fn pool_mut(&mut self, file: FileId) -> &mut FilePool {
-        let cap = self
-            .overrides
-            .get(&file)
-            .copied()
-            .unwrap_or(self.default_cap);
-        self.pools
-            .entry(file)
-            .or_insert_with(|| FilePool::new(cap, self.stats.file(file)))
-    }
-
-    /// The buffer pool for `file`, or [`Error::Corruption`] when it is
-    /// missing. The pager creates pools on demand, so a vanished pool
-    /// means the in-memory state no longer matches the catalog (e.g. a
-    /// corrupt catalog still references a dropped file); that is a
-    /// repairable condition for `tdbms-check --repair`, not a reason to
-    /// abort the process.
-    fn pool_of(&mut self, file: FileId) -> Result<&mut FilePool> {
-        self.pools.get_mut(&file).ok_or_else(|| missing_pool(file))
     }
 
     /// Record a page key's prior overlay/staged state at first touch
@@ -429,97 +470,72 @@ impl PagerState {
         }
     }
 
-    fn write_back(&mut self, file: FileId, frame: Frame) -> Result<()> {
-        if frame.dirty {
-            self.write_dirty(file, frame.page_no, frame.page)?;
-        }
-        Ok(())
-    }
-
-    /// Write one dirty page back, counting one write: into the overlay
-    /// when the file stages, else to the device.
-    fn write_dirty(
+    /// Write `frame` back if it is dirty, counting one write — into the
+    /// overlay when the file stages, else to the device — and mark it
+    /// clean once the write landed.
+    fn write_back(
         &mut self,
+        io: &FileLedger,
         file: FileId,
-        page_no: u32,
-        page: Page,
+        frame: &mut Frame,
     ) -> Result<()> {
+        if !frame.dirty {
+            return Ok(());
+        }
+        let (page_no, page) = (frame.page_no, &frame.page);
         if self.stages(file) {
             self.undo_touch((file, page_no));
-            self.overlay.insert((file, page_no), page);
+            self.overlay.insert((file, page_no), page.clone());
             self.staged.insert((file, page_no));
         } else {
-            self.disk.write_page(file, page_no, &page)?;
-            self.note_written(file, page_no, &page);
+            self.disk.write_page(file, page_no, page)?;
+            self.note_written(file, page_no, page);
         }
-        self.stats.record(file, Counter::Writes);
+        io.record(Counter::Writes);
+        frame.dirty = false;
         Ok(())
     }
+}
 
-    /// Make room in `file`'s pool (evicting the LRU frame, with
-    /// accounting) and install `frame` in the MRU position.
-    fn install_frame(&mut self, file: FileId, frame: Frame) -> Result<()> {
-        let victim = {
-            let pool = self.pool_mut(file);
-            if pool.frames.len() >= pool.cap {
-                let idx = pool.evict_index().ok_or_else(|| {
-                    Error::Internal(
-                        "buffer pool exhausted: every frame is pinned"
-                            .into(),
-                    )
-                })?;
-                Some(pool.frames.remove(idx))
-            } else {
-                None
-            }
-        };
-        if let Some(old) = victim {
-            self.stats.record(file, Counter::Evictions);
-            self.write_back(file, old)?;
-        }
-        self.pool_of(file)?.frames.insert(0, frame);
-        Ok(())
-    }
-
+impl PagerState {
     /// Bring the frame for (`file`, `page_no`) to the MRU position of
-    /// its pool (index 0), fetching from disk on a miss. Every
+    /// its pool and hand it back, fetching from disk on a miss. Every
     /// *successful* call is one buffered page access — a hit or a miss
     /// — recorded together with its hit/read half so the ledger
     /// identity `hits + reads == accesses` survives a fetch that errors
     /// out (stale snapshot reads against a concurrently reorganized
     /// file do that in normal operation).
-    fn fault_in(&mut self, file: FileId, page_no: u32) -> Result<()> {
-        let pool = self.pool_mut(file);
+    fn fault_in(
+        &mut self,
+        file: FileId,
+        page_no: u32,
+    ) -> Result<&mut Frame> {
+        let PagerState { pools, store } = self;
+        let pool = pools.pool_mut(file);
         if let Some(pos) =
             pool.frames.iter().position(|f| f.page_no == page_no)
         {
-            let frame = pool.frames.remove(pos);
-            pool.frames.insert(0, frame);
-            pool.io.record(Counter::Accesses);
-            pool.io.record(Counter::Hits);
-            return Ok(());
+            pool.frames[..=pos].rotate_right(1);
+            pool.io.record_access(Counter::Hits);
+            return Ok(&mut pool.frames[0]);
         }
         // Miss: fetch (the staging overlay and shapes shadow the disk;
         // disk reads are checksum-verified with bounded retry), then
         // install (evicting as needed). A staged page past the device's
         // shape always has an overlay image or a frame.
-        let page = match self.staged_image(file, page_no) {
+        let page = match store.staged_image(file, page_no) {
             Some(page) => page?,
-            None => self.fetch_from_disk(file, page_no)?,
+            None => store.fetch_from_disk(&pool.io, file, page_no)?,
         };
-        self.install_frame(
-            file,
-            Frame {
-                page_no,
-                page,
-                dirty: false,
-                pinned: false,
-            },
-        )?;
-        let io = &self.pool_of(file)?.io;
-        io.record(Counter::Accesses);
-        io.record(Counter::Reads);
-        Ok(())
+        let frame = Frame {
+            page_no,
+            page,
+            dirty: false,
+            pinned: false,
+        };
+        pool.install(store, file, frame)?;
+        pool.io.record_access(Counter::Reads);
+        Ok(&mut pool.frames[0])
     }
 }
 
@@ -538,24 +554,29 @@ impl Pager {
         let stats = Arc::new(IoStats::new());
         Pager {
             state: RwLock::new(PagerState {
-                disk,
-                stats: Arc::clone(&stats),
-                pools: std::collections::HashMap::new(),
-                default_cap: config.default_frames.max(1),
-                overrides: std::collections::HashMap::new(),
-                staging: false,
-                overlay: BTreeMap::new(),
-                shapes: BTreeMap::new(),
-                staged: BTreeSet::new(),
-                resized: BTreeSet::new(),
-                pending_drops: Vec::new(),
-                logged_drops: Vec::new(),
-                checksums: None,
-                undo: None,
-                scratch: BTreeSet::new(),
+                pools: Pools {
+                    map: FileMap::default(),
+                    default_cap: config.default_frames.max(1),
+                    overrides: FileMap::default(),
+                    dirty: FileSet::default(),
+                    stats: Arc::clone(&stats),
+                },
+                store: Store {
+                    disk,
+                    staging: false,
+                    overlay: BTreeMap::new(),
+                    shapes: BTreeMap::new(),
+                    staged: BTreeSet::new(),
+                    resized: BTreeSet::new(),
+                    pending_drops: Vec::new(),
+                    logged_drops: Vec::new(),
+                    checksums: None,
+                    undo: None,
+                    scratch: FileSet::default(),
+                },
             }),
             stats,
-            blooms: RwLock::new(std::collections::HashMap::new()),
+            blooms: RwLock::new(FileMap::default()),
             bloom_on: AtomicBool::new(false),
         }
     }
@@ -587,7 +608,7 @@ impl Pager {
     /// pools keep their caps (use [`Pager::set_buffer_frames`] to resize
     /// one).
     pub fn set_default_buffer_frames(&self, cap: usize) {
-        self.st().default_cap = cap.max(1);
+        self.st().pools.default_cap = cap.max(1);
     }
 
     /// Change the buffer frames allotted to one file, evicting (with
@@ -599,23 +620,21 @@ impl Pager {
         cap: usize,
     ) -> Result<()> {
         let cap = cap.max(1);
-        let st = &mut *self.st();
-        st.overrides.insert(file, cap);
-        st.pool_mut(file).cap = cap;
-        // Shed overflowing frames through the normal eviction path.
-        loop {
-            let pool = st.pool_of(file)?;
-            if pool.frames.len() <= cap {
-                break;
-            }
+        let PagerState { pools, store } = &mut *self.st();
+        pools.overrides.insert(file, cap);
+        let pool = pools.pool_mut(file);
+        pool.cap = cap;
+        // Shed overflowing frames through the normal eviction path: a
+        // victim leaves the pool once its write-back landed.
+        while pool.frames.len() > cap {
             let idx = pool.evict_index().ok_or_else(|| {
                 Error::Internal(
                     "cannot shrink pool: all frames pinned".into(),
                 )
             })?;
-            let frame = pool.frames.remove(idx);
-            self.stats.record(file, Counter::Evictions);
-            st.write_back(file, frame)?;
+            store.write_back(&pool.io, file, &mut pool.frames[idx])?;
+            pool.frames.remove(idx);
+            pool.io.record(Counter::Evictions);
         }
         Ok(())
     }
@@ -639,10 +658,7 @@ impl Pager {
 
     // --- Overflow-chain Bloom guards ------------------------------------
 
-    fn bloom_map(
-        &self,
-    ) -> RwLockWriteGuard<'_, std::collections::HashMap<FileId, Arc<Bloom>>>
-    {
+    fn bloom_map(&self) -> RwLockWriteGuard<'_, FileMap<Arc<Bloom>>> {
         self.blooms.write().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -730,17 +746,17 @@ impl Pager {
     /// first read, so enabling with an empty [`ChecksumSet`] over an
     /// existing database is safe.
     pub fn set_checksums(&self, sums: Option<ChecksumSet>) {
-        self.st().checksums = sums;
+        self.st().store.checksums = sums;
     }
 
     /// Is checksum verification on?
     pub fn checksums_enabled(&self) -> bool {
-        self.st_read().checksums.is_some()
+        self.st_read().store.checksums.is_some()
     }
 
     /// A snapshot of the live checksum sidecar, if verification is on.
     pub fn checksums_snapshot(&self) -> Option<ChecksumSet> {
-        self.st_read().checksums.clone()
+        self.st_read().store.checksums.clone()
     }
 
     /// Read a page past the buffer: no checksum verification, no retry.
@@ -758,13 +774,12 @@ impl Pager {
     ) -> Result<Page> {
         // Recorded under the state lock, like every access: a
         // concurrent `drop_file` must not retire the row in between.
-        let mut st = self.st();
+        let st = &mut self.st().store;
         let page = match st.staged_image(file, page_no) {
             Some(page) => page?,
             None => st.disk.read_page(file, page_no)?,
         };
-        self.stats.record(file, Counter::Accesses);
-        self.stats.record(file, Counter::Reads);
+        self.stats.file(file).record_access(Counter::Reads);
         Ok(page)
     }
 
@@ -778,7 +793,7 @@ impl Pager {
         page_no: u32,
         page: &Page,
     ) -> Result<()> {
-        let st = self.st_read();
+        let st = &self.st_read().store;
         match &st.checksums {
             Some(sums) if !st.overlay.contains_key(&(file, page_no)) => {
                 sums.verify(file, page_no, page)
@@ -797,13 +812,13 @@ impl Pager {
         page_no: u32,
         page: &Page,
     ) -> Result<()> {
-        let st = &mut *self.st();
+        let PagerState { pools, store: st } = &mut *self.st();
         st.disk.write_page(file, page_no, page)?;
         self.stats.record(file, Counter::Writes);
         st.note_written(file, page_no, page);
         st.overlay.remove(&(file, page_no));
         st.staged.remove(&(file, page_no));
-        if let Some(pool) = st.pools.get_mut(&file) {
+        if let Some(pool) = pools.map.get_mut(&file) {
             pool.frames.retain(|f| f.page_no != page_no);
         }
         Ok(())
@@ -813,17 +828,15 @@ impl Pager {
     /// access of each page is a cold read. The harness calls this between
     /// queries so each query starts with cold buffers, as a fresh query
     /// would in the prototype. Flushes are not evictions: the eviction
-    /// counter is untouched.
+    /// counter is untouched. A pool whose write-back fails keeps its
+    /// frames, the unwritten ones still dirty.
     pub fn invalidate_buffers(&self) -> Result<()> {
-        let st = &mut *self.st();
-        let files: Vec<FileId> = st.pools.keys().copied().collect();
-        for f in files {
-            let pool = st.pool_of(f)?;
-            let frames = std::mem::take(&mut pool.frames);
-            for frame in frames {
-                st.write_back(f, frame)?;
-            }
+        let PagerState { pools, store } = &mut *self.st();
+        for (&f, pool) in pools.map.iter_mut() {
+            pool.flush(store, f)?;
+            pool.frames.clear();
         }
+        pools.dirty.clear();
         Ok(())
     }
 
@@ -834,9 +847,9 @@ impl Pager {
     /// page to find on the device. The commit logs the file's length,
     /// so replay cuts the placeholder away.
     pub fn create_file(&self) -> Result<FileId> {
-        let st = &mut *self.st();
+        let PagerState { pools, store: st } = &mut *self.st();
         let id = st.disk.create_file()?;
-        st.pool_mut(id);
+        pools.pool_mut(id);
         if let Some(u) = st.undo.as_mut() {
             u.created.push(id);
         }
@@ -857,9 +870,9 @@ impl Pager {
     /// statement that creates it flushes it, and it must drop it;
     /// [`Pager::drop_file`] then removes it at once.
     pub fn create_scratch_file(&self) -> Result<FileId> {
-        let st = &mut *self.st();
+        let PagerState { pools, store: st } = &mut *self.st();
         let id = st.disk.create_scratch_file()?;
-        st.pool_mut(id);
+        pools.pool_mut(id);
         st.scratch.insert(id);
         Ok(id)
     }
@@ -870,12 +883,12 @@ impl Pager {
     /// persisted is being destroyed.
     pub fn drop_file(&self, file: FileId) -> Result<()> {
         self.bloom_drop(file);
-        let st = &mut *self.st();
+        let PagerState { pools, store: st } = &mut *self.st();
         let staged = st.stages(file);
         if staged {
             // Capture before anything is removed: the prior cap
             // override, shape and overlay entries.
-            let prior = st.overrides.get(&file).copied();
+            let prior = pools.overrides.get(&file).copied();
             if let Some(u) = st.undo.as_mut() {
                 u.overrides.entry(file).or_insert(prior);
             }
@@ -884,9 +897,10 @@ impl Pager {
             st.shapes.remove(&file);
             st.resized.remove(&file);
         }
-        st.pools.remove(&file);
+        pools.map.remove(&file);
+        pools.dirty.remove(&file);
         self.stats.retire(file);
-        st.overrides.remove(&file);
+        pools.overrides.remove(&file);
         if let Some(sums) = &mut st.checksums {
             sums.drop_file(file);
         }
@@ -908,10 +922,11 @@ impl Pager {
     /// no output. Neither counts evictions.
     pub fn truncate(&self, file: FileId) -> Result<()> {
         self.bloom_drop(file);
-        let st = &mut *self.st();
-        if let Some(pool) = st.pools.get_mut(&file) {
+        let PagerState { pools, store: st } = &mut *self.st();
+        if let Some(pool) = pools.map.get_mut(&file) {
             pool.frames.clear();
         }
+        pools.dirty.remove(&file);
         if st.stages(file) {
             // The device keeps its pages until the checkpoint.
             st.purge_overlay(file);
@@ -932,7 +947,7 @@ impl Pager {
 
     /// Number of pages in `file`.
     pub fn page_count(&self, file: FileId) -> Result<u32> {
-        self.st_read().len_of(file)
+        self.st_read().store.len_of(file)
     }
 
     /// Read access to a page through the buffer. The frame is pinned (and
@@ -944,12 +959,7 @@ impl Pager {
         f: impl FnOnce(&Page) -> R,
     ) -> Result<R> {
         let st = &mut *self.st();
-        st.fault_in(file, page_no)?;
-        let frame = st
-            .pool_of(file)?
-            .frames
-            .first_mut()
-            .ok_or_else(|| missing_frame(file, page_no))?;
+        let frame = st.fault_in(file, page_no)?;
         frame.pinned = true;
         let r = f(&frame.page);
         frame.pinned = false;
@@ -966,12 +976,10 @@ impl Pager {
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R> {
         let st = &mut *self.st();
-        st.fault_in(file, page_no)?;
-        let frame = st
-            .pool_of(file)?
-            .frames
-            .first_mut()
-            .ok_or_else(|| missing_frame(file, page_no))?;
+        // Before the callback, so a dirty frame is never outside the
+        // set.
+        st.pools.dirty.insert(file);
+        let frame = st.fault_in(file, page_no)?;
         frame.dirty = true;
         frame.pinned = true;
         let r = f(&mut frame.page);
@@ -985,7 +993,7 @@ impl Pager {
     /// as the paper's output-cost accounting expects. Materializing a new
     /// page is not a buffered page access (no hit, no miss).
     pub fn append_page(&self, file: FileId, kind: PageKind) -> Result<u32> {
-        let st = &mut *self.st();
+        let PagerState { pools, store: st } = &mut *self.st();
         let page = Page::new(kind);
         let page_no = if st.stages(file) {
             // The file grows in its staged shape only: the dirty frame
@@ -1007,45 +1015,38 @@ impl Pager {
             st.note_written(file, page_no, &page);
             page_no
         };
-        st.install_frame(
-            file,
-            Frame {
-                page_no,
-                page,
-                dirty: true,
-                pinned: false,
-            },
-        )?;
+        let frame = Frame {
+            page_no,
+            page,
+            dirty: true,
+            pinned: false,
+        };
+        pools.pool_mut(file).install(st, file, frame)?;
+        pools.dirty.insert(file);
         Ok(page_no)
     }
 
     /// Write all dirty frames of `file` back to disk.
     pub fn flush_file(&self, file: FileId) -> Result<()> {
-        let st = &mut *self.st();
-        if let Some(pool) = st.pools.get_mut(&file) {
-            let mut dirty = Vec::new();
-            for frame in pool.frames.iter_mut() {
-                if frame.dirty {
-                    frame.dirty = false;
-                    dirty.push((frame.page_no, frame.page.clone()));
-                }
-            }
-            for (page_no, page) in dirty {
-                st.write_dirty(file, page_no, page)?;
-            }
-        }
-        Ok(())
+        let PagerState { pools, store } = &mut *self.st();
+        pools.flush(store, file)
     }
 
     /// Write all dirty frames back to disk, except scratch files' (they
-    /// may belong to another thread's running statement).
+    /// may belong to another thread's running statement). Visits only
+    /// the pools that may hold a dirty frame, in file order, under one
+    /// lock.
     pub fn flush_all(&self) -> Result<()> {
-        let st = self.st_read();
-        let mut files: Vec<FileId> = st.pools.keys().copied().collect();
-        files.retain(|f| !st.scratch.contains(f));
-        drop(st);
+        let PagerState { pools, store } = &mut *self.st();
+        let mut files: Vec<FileId> = pools
+            .dirty
+            .iter()
+            .filter(|f| !store.scratch.contains(f))
+            .copied()
+            .collect();
+        files.sort_unstable();
         for f in files {
-            self.flush_file(f)?;
+            pools.flush(store, f)?;
         }
         Ok(())
     }
@@ -1065,24 +1066,24 @@ impl Pager {
     /// Switch staging mode (see above). Turn it on at open, before any
     /// writes; it is not meant to be toggled mid-transaction.
     pub fn set_staging(&self, on: bool) {
-        self.st().staging = on;
+        self.st().store.staging = on;
     }
 
     /// Is the pager staging write-backs in the overlay?
     pub fn staging(&self) -> bool {
-        self.st_read().staging
+        self.st_read().store.staging
     }
 
     /// The `(file, page)` pairs dirtied since the last
     /// [`Pager::clear_staged`], sorted. After a `flush_all` each has its
     /// after-image in the overlay, ready to be logged.
     pub fn staged_pages(&self) -> Vec<(FileId, u32)> {
-        self.st_read().staged.iter().copied().collect()
+        self.st_read().store.staged.iter().copied().collect()
     }
 
     /// Forget the staged-page set (the commit that logged it is durable).
     pub fn clear_staged(&self) {
-        self.st().staged.clear();
+        self.st().store.staged.clear();
     }
 
     /// Stamp `lsn` into the overlay image of (`file`, `page_no`) — and
@@ -1095,7 +1096,7 @@ impl Pager {
         page_no: u32,
         lsn: u32,
     ) -> Result<Page> {
-        let st = &mut *self.st();
+        let PagerState { pools, store: st } = &mut *self.st();
         let page =
             st.overlay.get_mut(&(file, page_no)).ok_or_else(|| {
                 Error::Internal(format!(
@@ -1104,7 +1105,7 @@ impl Pager {
             })?;
         page.set_lsn(lsn);
         let copy = page.clone();
-        if let Some(pool) = st.pools.get_mut(&file) {
+        if let Some(pool) = pools.map.get_mut(&file) {
             if let Some(f) =
                 pool.frames.iter_mut().find(|f| f.page_no == page_no)
             {
@@ -1117,7 +1118,7 @@ impl Pager {
     /// Drain the files whose length changed since the last call, paired
     /// with their current length (the commit's file-length records).
     pub fn take_resized(&self) -> Result<Vec<(FileId, u32)>> {
-        let st = &mut *self.st();
+        let st = &mut self.st().store;
         let files = std::mem::take(&mut st.resized);
         files.into_iter().map(|f| Ok((f, st.len_of(f)?))).collect()
     }
@@ -1125,7 +1126,7 @@ impl Pager {
     /// The files dropped while staging that no commit has logged yet
     /// (the next commit's `DropFile` records).
     pub fn pending_drops(&self) -> Vec<FileId> {
-        self.st_read().pending_drops.clone()
+        self.st_read().store.pending_drops.clone()
     }
 
     /// The commit holding `ticket` logged every pending drop: queue
@@ -1133,7 +1134,7 @@ impl Pager {
     /// before this keeps its drops out of the queue (its undo trims
     /// `pending_drops`).
     pub fn log_drops(&self, ticket: u64) {
-        let st = &mut *self.st();
+        let st = &mut self.st().store;
         let logged = std::mem::take(&mut st.pending_drops);
         st.logged_drops
             .extend(logged.into_iter().map(|f| (ticket, f)));
@@ -1146,12 +1147,12 @@ impl Pager {
     /// refuses (out of space, device error) only strands space and
     /// stays queued for the next call.
     pub fn execute_drops(&self, ticket: u64) {
-        let PagerState {
+        let Store {
             disk,
             checksums,
             logged_drops,
             ..
-        } = &mut *self.st();
+        } = &mut self.st().store;
         logged_drops.retain(|&(t, file)| {
             t > ticket
                 || drop_if_present(disk.as_mut(), checksums, file).is_err()
@@ -1170,13 +1171,13 @@ impl Pager {
         // yet written. Overlay and shapes are cleared only once every
         // page landed; a retried checkpoint re-truncates what is
         // flagged and re-writes every page, so it ends the same.
-        let PagerState {
+        let Store {
             disk,
             overlay,
             shapes,
             checksums,
             ..
-        } = &mut *self.st();
+        } = &mut self.st().store;
         let disk = disk.as_mut();
         let mut files: BTreeSet<FileId> = shapes.keys().copied().collect();
         files.extend(overlay.keys().map(|(f, _)| *f));
@@ -1225,7 +1226,7 @@ impl Pager {
     /// `rollback_statement`, every overlay/staged/shape/drop mutation
     /// snapshots its prior state at first touch.
     pub fn begin_statement_undo(&self) {
-        let st = &mut *self.st();
+        let st = &mut self.st().store;
         let drops_len = st.pending_drops.len();
         st.undo = Some(UndoLog {
             drops_len,
@@ -1235,7 +1236,7 @@ impl Pager {
 
     /// The statement committed: forget the captured undo state.
     pub fn discard_statement_undo(&self) {
-        self.st().undo = None;
+        self.st().store.undo = None;
     }
 
     /// Put the pager back as it was at `begin_statement_undo` (no-op
@@ -1247,7 +1248,7 @@ impl Pager {
     /// concurrent snapshot readers never observe a half-rolled-back
     /// pager.
     pub fn rollback_statement(&self) {
-        let st = &mut *self.st();
+        let PagerState { pools, store: st } = &mut *self.st();
         let Some(u) = st.undo.take() else { return };
         // Discard the buffered frames of every file the statement
         // touched WITHOUT write-back: dirty frames hold the dead
@@ -1259,17 +1260,17 @@ impl Pager {
         // A dirty frame is a write of the dead statement that never
         // reached the overlay: a commit flushes every frame first. A
         // scratch file's frames belong to a statement still running.
-        polluted.extend(st.pools.iter().filter_map(|(f, pool)| {
-            (pool.frames.iter().any(|fr| fr.dirty)
-                && !st.scratch.contains(f))
-            .then_some(*f)
+        polluted.extend(pools.dirty.iter().copied().filter(|f| {
+            !st.scratch.contains(f)
+                && pools.map.get(f).is_some_and(FilePool::has_dirty)
         }));
         polluted.extend(u.shapes.keys().copied());
         polluted.extend(u.created.iter().copied());
         for f in &polluted {
-            if let Some(pool) = st.pools.get_mut(f) {
+            if let Some(pool) = pools.map.get_mut(f) {
                 pool.frames.clear();
             }
+            pools.dirty.remove(f);
         }
         for (key, (img, was_staged)) in u.touched {
             match img {
@@ -1300,11 +1301,11 @@ impl Pager {
         st.pending_drops.truncate(u.drops_len);
         for (f, prior) in u.overrides {
             match prior {
-                Some(cap) => st.overrides.insert(f, cap),
-                None => st.overrides.remove(&f),
+                Some(cap) => pools.overrides.insert(f, cap),
+                None => pools.overrides.remove(&f),
             };
         }
-        let PagerState {
+        let Store {
             disk,
             checksums,
             logged_drops,
@@ -1319,12 +1320,12 @@ impl Pager {
 
     /// Force one file's pages to stable storage.
     pub fn sync_file(&self, file: FileId) -> Result<()> {
-        self.st().disk.sync(file)
+        self.st().store.disk.sync(file)
     }
 
     /// Force every live file's pages to stable storage.
     pub fn sync_all(&self) -> Result<()> {
-        let st = &mut *self.st();
+        let st = &mut self.st().store;
         for f in st.live_files() {
             st.disk.sync(f)?;
         }
@@ -1334,7 +1335,7 @@ impl Pager {
     /// Current length of every live disk file, sorted (the checkpoint's
     /// file-length snapshot). Scratch files are not listed.
     pub fn file_lengths(&self) -> Result<Vec<(FileId, u32)>> {
-        let st = self.st_read();
+        let st = &self.st_read().store;
         st.live_files()
             .into_iter()
             .map(|f| Ok((f, st.len_of(f)?)))
@@ -1348,6 +1349,7 @@ impl Pager {
         let st = &mut *self.st();
         if let Some(frame) = st
             .pools
+            .map
             .get_mut(&file)
             .and_then(|pool| pool.frames.get_mut(idx))
         {
@@ -1360,13 +1362,27 @@ impl Pager {
     /// no longer covers a file the catalog still references.
     #[cfg(test)]
     fn corrupt_drop_pool(&self, file: FileId) {
-        self.st().pools.remove(&file);
+        self.st().pools.map.remove(&file);
+    }
+
+    /// Test hook: the files that hold a dirty frame but are missing from
+    /// the dirty set, which must be none; and the set's size.
+    #[cfg(test)]
+    fn dirty_tracking(&self) -> (Vec<FileId>, usize) {
+        let Pools { map, dirty, .. } = &self.st_read().pools;
+        let untracked = map
+            .iter()
+            .filter(|(f, pool)| pool.has_dirty() && !dirty.contains(f))
+            .map(|(f, _)| *f)
+            .collect();
+        (untracked, dirty.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iostats::FileIo;
 
     /// The whole point of the interior-locking rewrite.
     #[test]
@@ -1386,24 +1402,15 @@ mod tests {
     }
 
     #[test]
-    fn vanished_pool_is_corruption_not_a_panic() {
+    fn a_vanished_pool_is_recreated_on_demand() {
         let pager = Pager::in_memory();
         let f = two_page_file(&pager);
         pager.read(f, 0, |_| ()).unwrap();
         // Corrupt the in-memory bookkeeping: the pool disappears while
-        // the file (and its buffered frame) is still live.
+        // the file (and its buffered frame) is still live. Public entry
+        // points recreate the pool on demand instead of aborting the
+        // process.
         pager.corrupt_drop_pool(f);
-        let err = match pager.st().pool_of(f) {
-            Err(e) => e,
-            Ok(_) => panic!("pool_of found a pool we just removed"),
-        };
-        assert!(
-            matches!(err, Error::Corruption { file: Some(id), .. }
-                if id == f.0),
-            "want located corruption, got {err}"
-        );
-        // Public entry points recover by recreating the pool on demand
-        // instead of aborting the process.
         pager.read(f, 0, |_| ()).unwrap();
         pager.set_buffer_frames(f, 2).unwrap();
         pager.invalidate_buffers().unwrap();
@@ -2139,5 +2146,253 @@ mod tests {
             assert_eq!(io.hits + io.reads, 50);
         }
         assert!(pager.stats().is_consistent());
+    }
+
+    /// A pager over a [`FaultDisk`] whose plan fails no op until told.
+    fn faulty_pager(frames: usize) -> (Pager, crate::fault::FaultPlan) {
+        use crate::fault::{FaultDisk, FaultPlan};
+        let plan = FaultPlan::new(None);
+        let disk = FaultDisk::new(Box::new(MemDisk::new()), plan.clone());
+        let config = BufferConfig::uniform(frames, EvictionPolicy::Lru);
+        (Pager::with_config(Box::new(disk), config), plan)
+    }
+
+    /// A dirty victim whose write-back fails stays in its pool: the
+    /// change it holds is neither lost nor counted as written.
+    #[test]
+    fn a_failed_eviction_write_back_keeps_the_dirty_page() {
+        let (pager, plan) = faulty_pager(1);
+        let f = two_page_file(&pager);
+        pager.write(f, 0, |p| p.set_overflow(77)).unwrap();
+        let before = pager.stats().of(f);
+        plan.set_enospc(true);
+        assert!(pager.read(f, 1, |_| ()).is_err(), "the write-back failed");
+        plan.set_enospc(false);
+        // A failed access counts nothing: no write, no eviction, and no
+        // access, as page 1 was never installed.
+        assert_eq!(delta(pager.stats().of(f), before), FileIo::default());
+        assert_eq!(pager.read(f, 0, |p| p.overflow()).unwrap(), 77);
+        // The retried eviction writes it back once.
+        pager.read(f, 1, |_| ()).unwrap();
+        assert_eq!(delta(pager.stats().of(f), before).writes, 1);
+        pager.invalidate_buffers().unwrap();
+        assert_eq!(pager.read(f, 0, |p| p.overflow()).unwrap(), 77);
+    }
+
+    /// Flushes, invalidation and shrinking a pool keep a frame dirty
+    /// in its pool until its write lands, and then write it once.
+    #[test]
+    fn failed_flushes_keep_their_dirty_frames() {
+        type Flush = fn(&Pager, FileId) -> Result<()>;
+        let ways: [(&str, Flush); 4] = [
+            ("flush_file", |p, f| p.flush_file(f)),
+            ("flush_all", |p, _| p.flush_all()),
+            ("invalidate_buffers", |p, _| p.invalidate_buffers()),
+            ("set_buffer_frames", |p, f| p.set_buffer_frames(f, 1)),
+        ];
+        for (name, flush) in ways {
+            let (pager, plan) = faulty_pager(2);
+            let f = two_page_file(&pager);
+            let before = pager.stats().of(f).writes;
+            pager.write(f, 0, |p| p.set_overflow(5)).unwrap();
+            pager.write(f, 1, |p| p.set_overflow(6)).unwrap();
+            plan.set_enospc(true);
+            assert!(flush(&pager, f).is_err(), "{name}: the write failed");
+            assert_eq!(pager.dirty_tracking(), (vec![], 1), "{name}");
+            plan.set_enospc(false);
+            assert_eq!(pager.stats().of(f).writes, before, "{name}");
+            flush(&pager, f).unwrap();
+            pager.invalidate_buffers().unwrap();
+            assert_eq!(pager.stats().of(f).writes, before + 2, "{name}");
+            assert_eq!(pager.read(f, 0, |p| p.overflow()).unwrap(), 5);
+            assert_eq!(pager.read(f, 1, |p| p.overflow()).unwrap(), 6);
+        }
+    }
+
+    /// `flush_all` visits the pools that may hold a dirty frame, not
+    /// every pool: among 2,000 files one dirty page is one write.
+    #[test]
+    fn flush_all_writes_only_what_is_dirty() {
+        let pager = Pager::in_memory();
+        let files: Vec<FileId> = (0..2000)
+            .map(|_| {
+                let f = pager.create_file().unwrap();
+                pager.append_page(f, PageKind::Data).unwrap();
+                f
+            })
+            .collect();
+        assert_eq!(pager.dirty_tracking(), (vec![], 2000));
+        pager.flush_all().unwrap();
+        assert_eq!(pager.dirty_tracking(), (vec![], 0));
+        pager.write(files[1234], 0, |p| p.set_overflow(1)).unwrap();
+        assert_eq!(pager.dirty_tracking(), (vec![], 1));
+        let io = pager.stats().scope();
+        pager.flush_all().unwrap();
+        assert_eq!(io.total().writes, 1);
+        assert_eq!(io.of(files[1234]).writes, 1);
+        assert_eq!(pager.dirty_tracking(), (vec![], 0));
+    }
+
+    /// No dirty frame is ever outside the dirty set: after eviction,
+    /// invalidation, truncation, a drop, a raw write and a statement
+    /// rollback.
+    #[test]
+    fn dirty_frames_never_leave_the_dirty_set() {
+        let pager = Pager::in_memory_with_config(BufferConfig::uniform(
+            2,
+            EvictionPolicy::Lru,
+        ));
+        pager.set_staging(true);
+        let tracked = |what: &str| {
+            assert_eq!(pager.dirty_tracking().0, vec![], "after {what}")
+        };
+        let f = committed_staging_file(&pager);
+        let g = committed_staging_file(&pager);
+        pager.materialize_overlay().unwrap();
+        tracked("a commit");
+        pager.write(f, 0, |p| p.set_overflow(1)).unwrap();
+        pager.write(g, 1, |p| p.set_overflow(2)).unwrap();
+        let p2 = pager.append_page(f, PageKind::Data).unwrap();
+        tracked("writes and an append");
+        pager.read(f, 1, |_| ()).unwrap();
+        tracked("an eviction");
+        pager.set_buffer_frames(g, 1).unwrap();
+        tracked("a shrink");
+        pager.invalidate_buffers().unwrap();
+        tracked("invalidation");
+        assert_eq!(pager.dirty_tracking().1, 0);
+        pager.write(f, p2, |p| p.set_overflow(3)).unwrap();
+        pager.truncate(f).unwrap();
+        tracked("a truncation");
+        pager.write(g, 0, |p| p.set_overflow(4)).unwrap();
+        pager
+            .write_page_raw(g, 1, &Page::new(PageKind::Data))
+            .unwrap();
+        tracked("a raw write");
+        pager.begin_statement_undo();
+        let h = pager.create_file().unwrap();
+        pager.append_page(h, PageKind::Data).unwrap();
+        pager.rollback_statement();
+        tracked("a rollback");
+        pager.write(g, 0, |p| p.set_overflow(5)).unwrap();
+        pager.drop_file(g).unwrap();
+        tracked("a drop");
+        assert_eq!(pager.dirty_tracking().1, 0, "nothing left dirty");
+    }
+
+    fn delta(after: FileIo, before: FileIo) -> FileIo {
+        FileIo {
+            reads: after.reads - before.reads,
+            writes: after.writes - before.writes,
+            hits: after.hits - before.hits,
+            evictions: after.evictions - before.evictions,
+            accesses: after.accesses - before.accesses,
+            retries: after.retries - before.retries,
+            bloom_hits: after.bloom_hits - before.bloom_hits,
+            bloom_skips: after.bloom_skips - before.bloom_skips,
+        }
+    }
+
+    fn io(reads: u64, writes: u64, hits: u64, evictions: u64) -> FileIo {
+        FileIo {
+            reads,
+            writes,
+            hits,
+            evictions,
+            accesses: hits + reads,
+            ..FileIo::default()
+        }
+    }
+
+    /// One fixed access sequence over a four-page file: hits at the MRU
+    /// and at a non-MRU frame, misses evicting clean and dirty victims,
+    /// and the eviction order after a hit rotates its frame to the
+    /// front. Returns the whole sequence's ledger delta, which the outer
+    /// scope must equal, and the middle stretch's, which a nested scope
+    /// must equal.
+    fn pinned_sequence(pager: &Pager, f: FileId) -> (FileIo, FileIo) {
+        let before = pager.stats().of(f);
+        let outer = pager.stats().scope();
+        pager.read(f, 0, |_| ()).unwrap();
+        pager.read(f, 0, |_| ()).unwrap();
+        pager.read(f, 1, |_| ()).unwrap();
+        let mid = pager.stats().of(f);
+        let inner = pager.stats().scope();
+        pager.read(f, 0, |_| ()).unwrap();
+        pager.write(f, 1, |p| p.set_overflow(9)).unwrap();
+        pager.read(f, 2, |_| ()).unwrap();
+        pager.read(f, 3, |_| ()).unwrap();
+        pager.read(f, 0, |_| ()).unwrap();
+        assert_eq!(inner.of(f), delta(pager.stats().of(f), mid));
+        assert_eq!(inner.total(), inner.of(f));
+        drop(inner);
+        pager.read(f, 2, |_| ()).unwrap();
+        pager.read(f, 1, |_| ()).unwrap();
+        pager.read(f, 0, |_| ()).unwrap();
+        let whole = delta(pager.stats().of(f), before);
+        assert_eq!(outer.of(f), whole);
+        assert_eq!(outer.total(), whole);
+        assert!(whole.is_consistent());
+        (whole, delta(pager.stats().of(f), mid))
+    }
+
+    fn four_page_file(pager: &Pager) -> FileId {
+        let f = pager.create_file().unwrap();
+        for _ in 0..4 {
+            pager.append_page(f, PageKind::Data).unwrap();
+        }
+        pager.flush_file(f).unwrap();
+        pager.invalidate_buffers().unwrap();
+        f
+    }
+
+    #[test]
+    fn the_ledger_of_a_fixed_sequence_at_one_frame() {
+        let pager = Pager::in_memory();
+        let f = four_page_file(&pager);
+        // Only the second access hits; every later miss evicts, and the
+        // dirty page 1 is written back when page 2 evicts it.
+        let (whole, _) = pinned_sequence(&pager, f);
+        assert_eq!(whole, io(10, 1, 1, 9));
+    }
+
+    #[test]
+    fn the_ledger_of_a_fixed_sequence_at_three_frames() {
+        let pager = Pager::in_memory_with_config(BufferConfig::uniform(
+            3,
+            EvictionPolicy::Lru,
+        ));
+        let f = four_page_file(&pager);
+        // Frames MRU first: [0] hit; [1,0] → read 0 hits a non-MRU
+        // frame: [0,1] → write 1 hits: [1*,0] → [2,1*,0] → read 3
+        // evicts clean 0: [3,2,1*] → read 0 evicts dirty 1 (a write):
+        // [0,3,2] → read 2 hits: [2,0,3] → read 1 evicts 3, the LRU
+        // after the rotate: [1,2,0] → read 0 hits.
+        let (whole, _) = pinned_sequence(&pager, f);
+        assert_eq!(whole, io(6, 1, 5, 3));
+        assert_eq!(pager.read(f, 1, |p| p.overflow()).unwrap(), 9);
+        assert_eq!(pager.stats().of(f).hits, 6);
+    }
+
+    /// A dropped file's row leaves the ledger (its counts stay in the
+    /// totals), and a file created afterwards counts from zero.
+    #[test]
+    fn a_dropped_file_leaves_the_ledger_and_a_new_one_starts_at_zero() {
+        for frames in [1, 3] {
+            let pager = Pager::in_memory_with_config(
+                BufferConfig::uniform(frames, EvictionPolicy::Lru),
+            );
+            let f = four_page_file(&pager);
+            let (first, _) = pinned_sequence(&pager, f);
+            let total = pager.stats().total();
+            pager.drop_file(f).unwrap();
+            assert_eq!(pager.stats().of(f), FileIo::default());
+            assert_eq!(pager.stats().total(), total);
+            let g = four_page_file(&pager);
+            let (again, _) = pinned_sequence(&pager, g);
+            assert_eq!(again, first, "cap {frames}");
+            assert_eq!(pager.stats().of(g).accesses, again.accesses);
+            assert!(pager.stats().is_consistent());
+        }
     }
 }

@@ -95,11 +95,24 @@ gate_transient_retry() {
 # streams obey the cost law (hashed lookup = chain pages, ISAM = levels +
 # chain, scan = scannable pages), agree with a model, and audit clean.
 # The chain format and its audit are pinned together: a layout change
-# that the audit does not follow fails here.
+# that the audit does not follow fails here. Then, by name, the pager
+# ledger pinned over a fixed access sequence at 1 and 3 frames (hits,
+# misses, clean and dirty evictions, nested scopes, a dropped file), the
+# write-back contract (a frame stays dirty in its pool until its write
+# lands), the dirty-pool set behind flush_all, and the ISAM descent's
+# binary search against a linear scan.
 gate_storage_chains() {
     cargo test -q -p tdbms-storage --lib overflow::
     cargo test -q -p tdbms-storage --lib audit::
     cargo test -q --test proptest_storage keyed_files_agree_with_model
+    cargo test -q -p tdbms-storage --lib -- \
+        pager::tests::the_ledger_of_a_fixed_sequence_at_ \
+        pager::tests::a_dropped_file_leaves_the_ledger \
+        pager::tests::a_failed_eviction_write_back_keeps_the_dirty_page \
+        pager::tests::failed_flushes_keep_their_dirty_frames \
+        pager::tests::flush_all_writes_only_what_is_dirty \
+        pager::tests::dirty_frames_never_leave_the_dirty_set \
+        isam::tests::binary_descent_agrees_with_a_linear_scan
 }
 
 # Concurrency acceptance gate: 100 seeded multi-thread schedules (each
