@@ -295,7 +295,8 @@ fn check_temporal(
     let mut live_by_key: BTreeMap<Vec<u8>, Vec<(TimeVal, TimeVal)>> =
         BTreeMap::new();
     let mut cur = rel.file.scan();
-    while let Some((tid, row)) = cur.next(pager, &rel.file)? {
+    let mut row = Vec::new();
+    while let Some(tid) = cur.next(pager, &rel.file, &mut row)? {
         if let (Some(f), Some(t)) = (vf, vt) {
             let a = codec.get_time(&row, f);
             let b = codec.get_time(&row, t);
@@ -815,7 +816,8 @@ mod tests {
         let rel = cat.get(id);
         let mut seen = 0u64;
         let mut cur = rel.file.scan();
-        while cur.next(&pager, &rel.file).unwrap().is_some() {
+        let mut row = Vec::new();
+        while cur.next(&pager, &rel.file, &mut row).unwrap().is_some() {
             seen += 1;
         }
         assert_eq!(seen, rel.tuple_count);
@@ -927,7 +929,8 @@ mod tests {
         let rel = cat.get(id);
         let mut seen = 0u64;
         let mut cur = rel.file.scan();
-        while cur.next(&pager, &rel.file).unwrap().is_some() {
+        let mut row = Vec::new();
+        while cur.next(&pager, &rel.file, &mut row).unwrap().is_some() {
             seen += 1;
         }
         assert_eq!(seen, rel.tuple_count);

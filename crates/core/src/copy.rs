@@ -150,7 +150,8 @@ pub fn copy_into(
     let mut w = std::io::BufWriter::new(out);
     let mut n = 0usize;
     let mut cur = file.scan();
-    while let Some((_, row)) = cur.next(pager, &file)? {
+    let mut row = Vec::new();
+    while cur.next(pager, &file, &mut row)?.is_some() {
         let mut line = String::new();
         for i in 0..schema.arity() {
             if i > 0 {

@@ -972,12 +972,13 @@ impl Database {
         let mut keep: Vec<Vec<u8>> = Vec::new();
         let mut cold: Vec<(Vec<u8>, TimeVal)> = Vec::new();
         let mut cur = file.scan();
-        while let Some((_, row)) = cur.next(&self.pager, &file)? {
+        let mut row = Vec::new();
+        while cur.next(&self.pager, &file, &mut row)?.is_some() {
             match crate::binder::row_tx_period(&schema, &codec, &row) {
                 Some((_, stop)) if stop != TimeVal::FOREVER => {
-                    cold.push((row, stop))
+                    cold.push((row.clone(), stop))
                 }
-                _ => keep.push(row),
+                _ => keep.push(row.clone()),
             }
         }
         if cold.is_empty() {

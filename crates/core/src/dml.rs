@@ -900,7 +900,8 @@ mod tests {
             let rel = catalog.get(catalog.require("r").unwrap());
             let mut scan = rel.file.scan();
             let mut stored = Vec::new();
-            while let Some((_, row)) = scan.next(&pager, &rel.file).unwrap()
+            let mut row = Vec::new();
+            while scan.next(&pager, &rel.file, &mut row).unwrap().is_some()
             {
                 stored.push(rel.codec.decode(&row).unwrap());
             }

@@ -855,17 +855,23 @@ pub(crate) fn ovqp(
         (None, Some(tids)) => Cursor::Tids(tids.into_iter()),
         (None, None) => Cursor::Scan(file.scan()),
     };
+    // Every row is read into the slot's one buffer: a row that fails
+    // visibility or the qualification allocates nothing.
+    let mut row = slots[v].row.take().unwrap_or_default();
     loop {
         guard.tick()?;
         let next = match &mut cursor {
-            Cursor::Lookup(c) => c.next(pager, file)?,
-            Cursor::Scan(c) => c.next(pager, file)?,
+            Cursor::Lookup(c) => c.next(pager, file, &mut row)?,
+            Cursor::Scan(c) => c.next(pager, file, &mut row)?,
             Cursor::Tids(tids) => match tids.next() {
-                Some(tid) => Some((tid, file.get(pager, tid)?)),
+                Some(tid) => {
+                    file.get(pager, tid, &mut row)?;
+                    Some(tid)
+                }
                 None => None,
             },
         };
-        let Some((tid, row)) = next else { break };
+        let Some(tid) = next else { break };
         if !version_visible(&slots[v], rt.visible, &row) {
             continue;
         }
@@ -873,7 +879,9 @@ pub(crate) fn ovqp(
         if qualifies(conjuncts, slots)? {
             emit(slots, Some(tid))?;
         }
+        row = slots[v].row.take().unwrap_or_default();
     }
+    slots[v].row = Some(row);
 
     // Migrated versions: after reorganization the primary holds only the
     // rows the compactor left behind, so a query whose visibility reaches
@@ -893,7 +901,9 @@ pub(crate) fn ovqp(
                 if !version_visible(&slots[v], rt.visible, row) {
                     return Ok(());
                 }
-                slots[v].row = Some(row.to_vec());
+                let buf = slots[v].row.get_or_insert_with(Vec::new);
+                buf.clear();
+                buf.extend_from_slice(row);
                 if qualifies(conjuncts, slots)? {
                     emit(slots, None)?;
                 }

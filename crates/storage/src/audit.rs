@@ -645,8 +645,9 @@ mod tests {
         let (_, pager, files) = files();
         let mut batch = Vec::new();
         let mut cur = files[0].scan();
-        while let Some((_, row)) = cur.next(&pager, &files[0]).unwrap() {
-            batch.push((row, tdbms_kernel::TimeVal::BEGINNING));
+        let mut row = Vec::new();
+        while cur.next(&pager, &files[0], &mut row).unwrap().is_some() {
+            batch.push((row.clone(), tdbms_kernel::TimeVal::BEGINNING));
         }
         let key = files[1].chain().unwrap().key;
         let h = ClusteredHistory::create(&pager, WIDTH, key)

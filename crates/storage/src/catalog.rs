@@ -190,8 +190,9 @@ impl StoredRelation {
     ) -> Result<()> {
         let mut rows = Vec::with_capacity(self.tuple_count as usize);
         let mut cur = self.file.scan();
-        while let Some((_, row)) = cur.next(pager, &self.file)? {
-            rows.push(row);
+        let mut row = Vec::new();
+        while cur.next(pager, &self.file, &mut row)?.is_some() {
+            rows.push(row.clone());
         }
         self.rebuild_file(
             pager, method, key_attr, fillfactor, hashfn, &rows,
@@ -472,8 +473,8 @@ mod tests {
             let mut n = 0;
             let mut sum = 0i64;
             let mut cur = rel.file.scan();
-            while let Some((_, row)) = cur.next(&pager, &rel.file).unwrap()
-            {
+            let mut row = Vec::new();
+            while cur.next(&pager, &rel.file, &mut row).unwrap().is_some() {
                 n += 1;
                 sum += rel.codec.get_i4(&row, 0) as i64;
             }

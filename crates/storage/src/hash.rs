@@ -245,14 +245,18 @@ mod tests {
         let keyb = 7i32.to_le_bytes();
         let mut cur = h.lookup(&keyb);
         let mut n = 0;
-        while let Some((_, row)) = cur.next(&pager, &h.chain).unwrap() {
+        let mut row = Vec::new();
+        while cur.next(&pager, &h.chain, &mut row).unwrap().is_some() {
             assert_eq!(codec.get_i4(&row, 0), 7);
             n += 1;
         }
         assert_eq!(n, 21);
         // A different key in the same bucket is not returned.
         let mut cur = h.lookup(&(999_999i32).to_le_bytes());
-        assert!(cur.next(&pager, &h.chain).unwrap().is_none());
+        assert!(cur
+            .next(&pager, &h.chain, &mut Vec::new())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -283,7 +287,8 @@ mod tests {
         let cost = pager.stats().scope();
         let keyb = 3i32.to_le_bytes();
         let mut cur = h.lookup(&keyb);
-        while cur.next(&pager, &h.chain).unwrap().is_some() {}
+        let mut row = Vec::new();
+        while cur.next(&pager, &h.chain, &mut row).unwrap().is_some() {}
         assert_eq!(cost.of(h.chain.file).reads, 2); // primary + 1 overflow
 
         // An untouched bucket still costs 1.
@@ -291,7 +296,8 @@ mod tests {
         let cost = pager.stats().scope();
         let keyb = 4i32.to_le_bytes();
         let mut cur = h.lookup(&keyb);
-        while cur.next(&pager, &h.chain).unwrap().is_some() {}
+        let mut row = Vec::new();
+        while cur.next(&pager, &h.chain, &mut row).unwrap().is_some() {}
         assert_eq!(cost.of(h.chain.file).reads, 1);
     }
 
@@ -318,7 +324,8 @@ mod tests {
         let cost = pager.stats().scope();
         let mut seen = 0;
         let mut scan = ChainScan::default();
-        while scan.next(&pager, &h.chain).unwrap().is_some() {
+        let mut row = Vec::new();
+        while scan.next(&pager, &h.chain, &mut row).unwrap().is_some() {
             seen += 1;
         }
         assert_eq!(seen, 130);
@@ -343,6 +350,9 @@ mod tests {
         .unwrap();
         assert_eq!(h.chain.n_heads, 1);
         let mut scan = ChainScan::default();
-        assert!(scan.next(&pager, &h.chain).unwrap().is_none());
+        assert!(scan
+            .next(&pager, &h.chain, &mut Vec::new())
+            .unwrap()
+            .is_none());
     }
 }

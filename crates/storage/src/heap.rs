@@ -69,24 +69,29 @@ pub struct HeapScan {
 }
 
 impl HeapScan {
-    /// Advance; `None` at end of file.
+    /// Advance: fill `row` with the next row and return its address;
+    /// `None` at end of file. One buffered access per call, and the
+    /// file's length is asked only on entering a page.
     pub fn next(
         &mut self,
         pager: &Pager,
         heap: &HeapFile,
-    ) -> Result<Option<(TupleId, Vec<u8>)>> {
-        let n = pager.page_count(heap.file)?;
-        while self.page < n {
+        row: &mut Vec<u8>,
+    ) -> Result<Option<TupleId>> {
+        loop {
+            if self.slot == 0 && self.page >= pager.page_count(heap.file)? {
+                return Ok(None);
+            }
             let got = pager.read(heap.file, self.page, |p| {
-                ((self.slot as usize) < p.count()).then(|| {
-                    p.row(heap.row_width, self.slot).map(|r| r.to_vec())
-                })
+                ((self.slot as usize) < p.count())
+                    .then(|| p.copy_row(heap.row_width, self.slot, row))
             })?;
             match got {
-                Some(row) => {
+                Some(copied) => {
+                    copied?;
                     let tid = TupleId::new(self.page, self.slot);
                     self.slot += 1;
-                    return Ok(Some((tid, row?)));
+                    return Ok(Some(tid));
                 }
                 None => {
                     self.page += 1;
@@ -94,7 +99,6 @@ impl HeapScan {
                 }
             }
         }
-        Ok(None)
     }
 }
 
@@ -117,7 +121,8 @@ mod tests {
         assert_eq!(pager.page_count(heap.file).unwrap(), 3);
         let mut scan = heap.scan();
         let mut seen = Vec::new();
-        while let Some((_, r)) = scan.next(&pager, &heap).unwrap() {
+        let mut r = Vec::new();
+        while scan.next(&pager, &heap, &mut r).unwrap().is_some() {
             seen.push(r[0]);
         }
         assert_eq!(seen, (0..25).collect::<Vec<u8>>());
@@ -133,7 +138,8 @@ mod tests {
         pager.invalidate_buffers().unwrap();
         let cost = pager.stats().scope();
         let mut scan = heap.scan();
-        while scan.next(&pager, &heap).unwrap().is_some() {}
+        let mut r = Vec::new();
+        while scan.next(&pager, &heap, &mut r).unwrap().is_some() {}
         assert_eq!(
             cost.of(heap.file).reads as u32,
             pager.page_count(heap.file).unwrap()
@@ -145,7 +151,10 @@ mod tests {
         let pager = Pager::in_memory();
         let heap = HeapFile::create(&pager, 10).unwrap();
         let mut scan = heap.scan();
-        assert!(scan.next(&pager, &heap).unwrap().is_none());
+        assert!(scan
+            .next(&pager, &heap, &mut Vec::new())
+            .unwrap()
+            .is_none());
         assert_eq!(pager.page_count(heap.file).unwrap(), 0);
     }
 }

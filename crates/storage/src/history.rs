@@ -217,18 +217,14 @@ impl ClusteredHistory {
         let Some(pages) = self.clusters.get(key_bytes) else {
             return Ok(());
         };
+        let mut rows = Vec::new();
         for &page_no in pages {
-            let rows: Vec<Vec<u8>> =
-                pager.read(self.file, page_no, |p| {
-                    p.rows(self.row_width)
-                        .map(|(_, r)| r.to_vec())
-                        .collect()
-                })?;
-            for row in rows {
-                if self.key.compare(self.key.extract(&row), key_bytes)
+            self.read_rows(pager, page_no, &mut rows)?;
+            for row in rows.chunks_exact(self.row_width) {
+                if self.key.compare(self.key.extract(row), key_bytes)
                     == std::cmp::Ordering::Equal
                 {
-                    f(&row)?;
+                    f(row)?;
                 }
             }
         }
@@ -242,18 +238,32 @@ impl ClusteredHistory {
         mut f: impl FnMut(&[u8]) -> Result<()>,
     ) -> Result<()> {
         let n = pager.page_count(self.file)?;
+        let mut rows = Vec::new();
         for page_no in 0..n {
-            let rows: Vec<Vec<u8>> =
-                pager.read(self.file, page_no, |p| {
-                    p.rows(self.row_width)
-                        .map(|(_, r)| r.to_vec())
-                        .collect()
-                })?;
-            for row in rows {
-                f(&row)?;
+            self.read_rows(pager, page_no, &mut rows)?;
+            for row in rows.chunks_exact(self.row_width) {
+                f(row)?;
             }
         }
         Ok(())
+    }
+
+    /// Replace `rows` with page `page_no`'s rows, end to end: one
+    /// buffered access, and one copy of each row into a buffer the
+    /// caller reuses from page to page. (The visitor runs after the
+    /// pager is released, since it may touch other pages.)
+    fn read_rows(
+        &self,
+        pager: &Pager,
+        page_no: u32,
+        rows: &mut Vec<u8>,
+    ) -> Result<()> {
+        pager.read(self.file, page_no, |p| {
+            rows.clear();
+            for (_, row) in p.rows(self.row_width) {
+                rows.extend_from_slice(row);
+            }
+        })
     }
 }
 

@@ -8,10 +8,20 @@
 //! bloom-guard verdicts.
 //!
 //! **Monotone.** Counters are relaxed atomics that only ever go up;
-//! nothing resets them. Recorders on any number of threads never lose an
-//! increment, and a handle on a file's counters stays valid for the life
-//! of the ledger, so a buffer pool keeps its file's handle and a bump is
-//! one `fetch_add`.
+//! nothing resets them, and readers on any thread load them without a
+//! lock.
+//!
+//! **One writer per cell.** A file's row holds two sets of cells. The
+//! *owned* cells — accesses, hits, reads, writes, evictions, retries —
+//! are bumped only through the row's one [`FileLedger`], whose bumps
+//! take `&mut self`. The pager keeps that handle in the file's buffer
+//! pool, which lives behind the pager's write guard, so the type system
+//! admits one writer at a time and a bump is a relaxed load and store,
+//! not a locked read-modify-write. The *shared* cells take what is
+//! counted outside that lock — bloom verdicts and [`IoStats::add_writes`]
+//! (the WAL's and the scrubber's pseudo-files) — with `fetch_add`. No
+//! cell is ever written both ways; a file's counters are the sum of the
+//! two sets.
 //!
 //! **A scope prices a unit of work.** "What did this statement cost" is
 //! answered by a [`StatScope`], opened on the executing thread with
@@ -35,7 +45,7 @@
 use crate::disk::{FileId, FileMap};
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// What a recorder can bump; indexes a file's counter row.
@@ -53,14 +63,27 @@ pub(crate) enum Counter {
 
 const COUNTERS: usize = 8;
 
-/// One file's live counters, indexed by [`Counter`].
-type Cells = [AtomicU64; COUNTERS];
+/// One file's live counters (see the module docs).
+#[derive(Debug, Default)]
+struct Cells {
+    /// Written only through the row's [`FileLedger`], by load + store.
+    owned: [AtomicU64; COUNTERS],
+    /// Written only by `fetch_add`, from any thread.
+    shared: [AtomicU64; COUNTERS],
+    /// A [`FileLedger`] on this row exists. Its drop releases the
+    /// claim and the next writer's claim acquires it, so the next
+    /// writer's loads see every store of the last.
+    claimed: AtomicBool,
+}
 
 /// One file's counters at an instant, indexed by [`Counter`].
 type Row = [u64; COUNTERS];
 
 fn load(cells: &Cells) -> Row {
-    std::array::from_fn(|i| cells[i].load(Ordering::Relaxed))
+    std::array::from_fn(|i| {
+        cells.owned[i].load(Ordering::Relaxed)
+            + cells.shared[i].load(Ordering::Relaxed)
+    })
 }
 
 fn add_row(into: &mut Row, row: &Row) {
@@ -89,7 +112,10 @@ struct Directory {
     dropped: Row,
 }
 
-/// One file's row of an [`IoStats`], for recorders that bump it often.
+/// The one writer of a file's owned counters (see the module docs).
+/// Not `Clone`, and every bump takes `&mut self`: whoever holds it
+/// exclusively is the only thread that can bump, so a bump needs no
+/// atomic read-modify-write.
 #[derive(Debug)]
 pub(crate) struct FileLedger {
     ledger: u64,
@@ -98,35 +124,33 @@ pub(crate) struct FileLedger {
 }
 
 impl FileLedger {
-    pub(crate) fn record(&self, what: Counter) {
-        self.add(&[what], 1);
+    pub(crate) fn record(&mut self, what: Counter) {
+        self.add(&[what]);
     }
 
     /// One buffered access and its classification (`Hits` or `Reads`),
     /// in one visit to this thread's open scopes.
-    pub(crate) fn record_access(&self, class: Counter) {
-        self.add(&[Counter::Accesses, class], 1);
+    pub(crate) fn record_access(&mut self, class: Counter) {
+        self.add(&[Counter::Accesses, class]);
     }
 
-    /// Add `n` to each counter in `what`: on the file's row, and in
-    /// every scope of this ledger open on this thread.
-    fn add(&self, what: &[Counter], n: u64) {
+    /// Add one to each counter in `what`: on the file's row, and in
+    /// every scope of this ledger open on this thread. Whatever hands
+    /// `&mut self` from thread to thread (the pager's write guard)
+    /// orders each bump after the last, so the load sees the previous
+    /// store.
+    fn add(&mut self, what: &[Counter]) {
         for &c in what {
-            self.cells[c as usize].fetch_add(n, Ordering::Relaxed);
+            let cell = &self.cells.owned[c as usize];
+            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         }
-        each_open_scope(self.ledger, |scope| {
-            let at = scope
-                .files
-                .iter()
-                .position(|(f, _)| *f == self.file)
-                .unwrap_or_else(|| {
-                    scope.files.push((self.file, Row::default()));
-                    scope.files.len() - 1
-                });
-            for &c in what {
-                scope.files[at].1[c as usize] += n;
-            }
-        });
+        tally(self.ledger, self.file, what, 1);
+    }
+}
+
+impl Drop for FileLedger {
+    fn drop(&mut self) {
+        self.cells.claimed.store(false, Ordering::Release);
     }
 }
 
@@ -251,6 +275,24 @@ fn each_open_scope(ledger: u64, f: impl FnMut(&mut Tally)) {
     });
 }
 
+/// Add `n` to each counter in `what` for `file`, in every scope of
+/// `ledger` open on this thread.
+fn tally(ledger: u64, file: FileId, what: &[Counter], n: u64) {
+    each_open_scope(ledger, |scope| {
+        let at = scope
+            .files
+            .iter()
+            .position(|(f, _)| *f == file)
+            .unwrap_or_else(|| {
+                scope.files.push((file, Row::default()));
+                scope.files.len() - 1
+            });
+        for &c in what {
+            scope.files[at].1[c as usize] += n;
+        }
+    });
+}
+
 /// The I/O one thread recorded on one [`IoStats`] while this guard was
 /// open (see the module docs). Bound to the thread that opened it.
 #[derive(Debug)]
@@ -316,8 +358,8 @@ impl IoStats {
         }
     }
 
-    /// The handle on `file`'s row, creating the row on first touch.
-    pub(crate) fn file(&self, file: FileId) -> FileLedger {
+    /// `file`'s row, created on first touch.
+    fn cells(&self, file: FileId) -> Arc<Cells> {
         let found = self
             .files
             .read()
@@ -325,7 +367,7 @@ impl IoStats {
             .live
             .get(&file)
             .cloned();
-        let cells = found.unwrap_or_else(|| {
+        found.unwrap_or_else(|| {
             Arc::clone(
                 self.files
                     .write()
@@ -334,7 +376,16 @@ impl IoStats {
                     .entry(file)
                     .or_default(),
             )
-        });
+        })
+    }
+
+    /// The writer of `file`'s owned counters, creating the row on first
+    /// touch. A row has at most one writer at a time: asking for a
+    /// second while the first is alive panics.
+    pub(crate) fn writer(&self, file: FileId) -> FileLedger {
+        let cells = self.cells(file);
+        let taken = cells.claimed.swap(true, Ordering::Acquire);
+        assert!(!taken, "{file:?} already has a ledger writer");
         FileLedger {
             ledger: self.id,
             file,
@@ -342,8 +393,12 @@ impl IoStats {
         }
     }
 
-    pub(crate) fn record(&self, file: FileId, what: Counter) {
-        self.file(file).record(what);
+    /// Add `n` to a shared counter of `file`, from any thread: a
+    /// bloom verdict, or [`IoStats::add_writes`].
+    pub(crate) fn bump(&self, file: FileId, what: Counter, n: u64) {
+        self.cells(file).shared[what as usize]
+            .fetch_add(n, Ordering::Relaxed);
+        tally(self.id, file, &[what], n);
     }
 
     /// Charge `n` page writes against `file` from outside the pager. The
@@ -351,7 +406,7 @@ impl IoStats {
     /// the same ledger as data-page I/O, so `QueryStats` phases can show
     /// the durability cost next to the paper's metric.
     pub fn add_writes(&self, file: FileId, n: u64) {
-        self.file(file).add(&[Counter::Writes], n);
+        self.bump(file, Counter::Writes, n);
     }
 
     /// Forget a dropped file's row, keeping what it counted in the
@@ -444,7 +499,7 @@ mod tests {
     use super::*;
 
     fn access(s: &IoStats, file: FileId, hit: bool) {
-        s.file(file).record_access(if hit {
+        s.writer(file).record_access(if hit {
             Counter::Hits
         } else {
             Counter::Reads
@@ -458,7 +513,7 @@ mod tests {
         let b = FileId(2);
         access(&s, a, false);
         access(&s, a, false);
-        s.record(a, Counter::Writes);
+        s.writer(a).record(Counter::Writes);
         access(&s, b, false);
         assert_eq!(s.of(a).reads, 2);
         assert_eq!(s.of(a).writes, 1);
@@ -485,7 +540,7 @@ mod tests {
         for _ in 0..3 {
             access(&s, f, false);
         }
-        s.record(f, Counter::Evictions);
+        s.writer(f).record(Counter::Evictions);
         let io = s.of(f);
         assert_eq!(io.hits, 5);
         assert_eq!(io.misses(), 3);
@@ -494,7 +549,7 @@ mod tests {
         assert!(io.is_consistent());
         assert_eq!(s.total(), io);
         // An access that was never classified breaks the identity.
-        s.record(f, Counter::Accesses);
+        s.writer(f).record(Counter::Accesses);
         assert!(!s.is_consistent());
     }
 
@@ -507,7 +562,7 @@ mod tests {
         let scope = s.scope();
         access(&s, f, true);
         s.add_writes(f, 3);
-        s.record(f, Counter::BloomSkips);
+        s.bump(f, Counter::BloomSkips, 1);
         // Another pager's ledger on this thread, and this ledger on
         // another thread, are somebody else's work.
         access(&other, f, false);
@@ -554,12 +609,12 @@ mod tests {
         let scope = s.scope();
         s.begin_phase("decomposition");
         access(&s, f, false);
-        s.record(f, Counter::Writes);
+        s.writer(f).record(Counter::Writes);
         // begin_phase closes the open phase implicitly.
         s.begin_phase("substitution");
         access(&s, f, true);
         access(&s, f, false);
-        s.record(f, Counter::Evictions);
+        s.writer(f).record(Counter::Evictions);
         s.end_phase();
         // end_phase with nothing open is a no-op.
         s.end_phase();
@@ -574,33 +629,22 @@ mod tests {
         assert!(s.scope().phases().is_empty());
     }
 
-    /// Hammer one ledger from many threads; every increment must land
-    /// and the classification identity must hold at the join point.
+    /// A row has one writer at a time; what it and the shared path
+    /// count add up.
     #[test]
-    fn concurrent_recording_loses_nothing() {
+    fn one_writer_per_row_and_shared_bumps_add_up() {
         let s = IoStats::new();
-        let threads = 8;
-        let per = 500u64;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let s = &s;
-                scope.spawn(move || {
-                    let f = FileId(t % 3);
-                    let mine = s.scope();
-                    for i in 0..per {
-                        access(s, f, i % 2 == 0);
-                        if i % 7 == 0 {
-                            s.record(f, Counter::Writes);
-                        }
-                    }
-                    assert_eq!(mine.total().accesses, per);
-                    assert!(mine.total().is_consistent());
-                });
-            }
-        });
-        let total = s.total();
-        assert_eq!(total.accesses, u64::from(threads) * per);
-        assert_eq!(total.hits + total.reads, u64::from(threads) * per);
-        assert!(s.is_consistent());
+        let f = FileId(4);
+        let mut w = s.writer(f);
+        let second = std::panic::catch_unwind(|| s.writer(f));
+        assert!(second.is_err(), "a second writer on a live row");
+        w.record(Counter::Writes);
+        s.add_writes(f, 2);
+        s.bump(f, Counter::BloomHits, 1);
+        assert_eq!((s.of(f).writes, s.of(f).bloom_hits), (3, 1));
+        // Once the writer is gone, the row can have another.
+        drop(w);
+        s.writer(f).record(Counter::Writes);
+        assert_eq!(s.of(f).writes, 4);
     }
 }

@@ -126,31 +126,35 @@ impl ChainLookup {
     }
 
     /// Advance to the next version with the sought key (all versions —
-    /// the caller applies any version predicate).
+    /// the caller applies any version predicate): fill `row` with it and
+    /// return its address.
     pub fn next(
         &mut self,
         pager: &Pager,
         chain: &ChainFile,
-    ) -> Result<Option<(TupleId, Vec<u8>)>> {
+        row: &mut Vec<u8>,
+    ) -> Result<Option<TupleId>> {
         while self.page != NO_PAGE {
             let page_no = self.page;
             // Search the resident page from the current slot: a hit, or
             // the chain's next page.
             let step = pager.read(chain.file, page_no, |p| {
                 for s in self.slot..p.count() as u16 {
-                    let row = p.row(chain.row_width, s)?;
-                    if chain.key.compare(chain.key.extract(row), &self.key)
+                    let r = p.row(chain.row_width, s)?;
+                    if chain.key.compare(chain.key.extract(r), &self.key)
                         == Ordering::Equal
                     {
-                        return Ok::<_, Error>(Ok((s, row.to_vec())));
+                        row.clear();
+                        row.extend_from_slice(r);
+                        return Ok::<_, Error>(Ok(s));
                     }
                 }
                 Ok(Err(p.overflow()))
             })??;
             let next = match step {
-                Ok((slot, row)) => {
+                Ok(slot) => {
                     self.slot = slot + 1;
-                    return Ok(Some((TupleId::new(page_no, slot), row)));
+                    return Ok(Some(TupleId::new(page_no, slot)));
                 }
                 Err(next) => next,
             };
@@ -186,19 +190,18 @@ pub struct ChainScan {
 }
 
 impl ChainScan {
-    /// Advance; `None` once every chain is exhausted.
+    /// Advance: fill `row` with the next row and return its address;
+    /// `None` once every chain is exhausted.
     pub fn next(
         &mut self,
         pager: &Pager,
         chain: &ChainFile,
-    ) -> Result<Option<(TupleId, Vec<u8>)>> {
+        row: &mut Vec<u8>,
+    ) -> Result<Option<TupleId>> {
         while self.head < chain.n_heads {
             let got = pager.read(chain.file, self.page, |p| {
                 if (self.slot as usize) < p.count() {
-                    Some(
-                        p.row(chain.row_width, self.slot)
-                            .map(|r| r.to_vec()),
-                    )
+                    Some(p.copy_row(chain.row_width, self.slot, row))
                 } else {
                     self.slot = 0;
                     let next = p.overflow();
@@ -211,10 +214,11 @@ impl ChainScan {
                     None
                 }
             })?;
-            if let Some(row) = got {
+            if let Some(copied) = got {
+                copied?;
                 let tid = TupleId::new(self.page, self.slot);
                 self.slot += 1;
-                return Ok(Some((tid, row?)));
+                return Ok(Some(tid));
             }
         }
         Ok(None)
@@ -235,7 +239,8 @@ mod tests {
         let mut cur =
             rel.lookup_eq(pager, &id.to_le_bytes()).unwrap().unwrap();
         let mut n = 0;
-        while cur.next(pager, rel).unwrap().is_some() {
+        let mut row = Vec::new();
+        while cur.next(pager, rel, &mut row).unwrap().is_some() {
             n += 1;
         }
         (cost.of(rel.file_id()).reads, n)

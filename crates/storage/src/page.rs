@@ -232,6 +232,20 @@ impl Page {
         Ok(last as u16)
     }
 
+    /// Replace `buf`'s contents with the row in `slot`: the one copy a
+    /// buffer-filling cursor makes of a row.
+    pub(crate) fn copy_row(
+        &self,
+        row_width: usize,
+        slot: u16,
+        buf: &mut Vec<u8>,
+    ) -> Result<()> {
+        let row = self.row(row_width, slot)?;
+        buf.clear();
+        buf.extend_from_slice(row);
+        Ok(())
+    }
+
     /// Iterate over the occupied slots as `(slot, row_bytes)`.
     pub fn rows(
         &self,

@@ -28,8 +28,10 @@
 //! every buffered access as hit or miss and counts capacity evictions,
 //! maintaining `hits + misses == accesses`. The bookkeeping of one
 //! access is one lookup in a [`FileMap`] of pools and one bump through
-//! the pool's own ledger handle; only `write`, `append_page` and the
-//! flushes touch the set of pools that may hold a dirty frame.
+//! the pool's own ledger handle, the file row's single writer, which is
+//! reachable only under the pager's write guard and so bumps with a
+//! plain load and store; only `write`, `append_page` and the flushes
+//! touch the set of pools that may hold a dirty frame.
 //! A *scratch* file ([`Pager::create_scratch_file`], a decomposition
 //! temporary) is buffered and counted like any other, but its
 //! write-backs always go to the device: it is never staged, logged,
@@ -127,8 +129,10 @@ struct FilePool {
     /// Frame list, most-recently-used first. Tiny (cap is 1 in the
     /// paper's benchmark), so linear search beats any fancier structure.
     frames: Vec<Frame>,
-    /// The file's row of the pager's [`IoStats`]: every bump an access
-    /// makes on this file goes through it.
+    /// The one writer of the file's row of the pager's [`IoStats`]:
+    /// every counter a page access, a write-back or a raw page I/O
+    /// bumps on this file goes through it. Reachable only through
+    /// `&mut FilePool`, that is, under the pager's write guard.
     io: FileLedger,
 }
 
@@ -162,7 +166,7 @@ impl FilePool {
                 "buffer pool exhausted: every frame is pinned".into(),
             )
         })?;
-        store.write_back(&self.io, file, &mut self.frames[idx])?;
+        store.write_back(&mut self.io, file, &mut self.frames[idx])?;
         self.io.record(Counter::Evictions);
         self.frames[idx] = frame;
         self.frames[..=idx].rotate_right(1);
@@ -174,7 +178,7 @@ impl FilePool {
     /// dirty.
     fn flush(&mut self, store: &mut Store, file: FileId) -> Result<()> {
         for frame in &mut self.frames {
-            store.write_back(&self.io, file, frame)?;
+            store.write_back(&mut self.io, file, frame)?;
         }
         Ok(())
     }
@@ -212,7 +216,7 @@ impl Pools {
         map.entry(file).or_insert_with(|| FilePool {
             cap: overrides.get(&file).copied().unwrap_or(*default_cap),
             frames: Vec::new(),
-            io: stats.file(file),
+            io: stats.writer(file),
         })
     }
 
@@ -292,9 +296,10 @@ struct Store {
 }
 
 /// Everything the pager-wide lock guards: the frame pools and the store
-/// beneath them. The stats ledger is shared with the [`Pager`] itself
-/// (it is internally atomic), so counter reads never contend with page
-/// traffic.
+/// beneath them. The stats ledger is shared with the [`Pager`] itself,
+/// so counter reads never contend with page traffic; but every counter
+/// a page access bumps has one writer, the handle in the file's pool,
+/// reachable only under the write guard (see [`crate::iostats`]).
 struct PagerState {
     pools: Pools,
     store: Store,
@@ -352,7 +357,7 @@ impl Store {
     /// against the sidecar, adopting the sum when none is recorded.
     fn fetch_from_disk(
         &mut self,
-        io: &FileLedger,
+        io: &mut FileLedger,
         file: FileId,
         page_no: u32,
     ) -> Result<Page> {
@@ -475,7 +480,7 @@ impl Store {
     /// clean once the write landed.
     fn write_back(
         &mut self,
-        io: &FileLedger,
+        io: &mut FileLedger,
         file: FileId,
         frame: &mut Frame,
     ) -> Result<()> {
@@ -525,7 +530,7 @@ impl PagerState {
         // shape always has an overlay image or a frame.
         let page = match store.staged_image(file, page_no) {
             Some(page) => page?,
-            None => store.fetch_from_disk(&pool.io, file, page_no)?,
+            None => store.fetch_from_disk(&mut pool.io, file, page_no)?,
         };
         let frame = Frame {
             page_no,
@@ -632,7 +637,7 @@ impl Pager {
                     "cannot shrink pool: all frames pinned".into(),
                 )
             })?;
-            store.write_back(&pool.io, file, &mut pool.frames[idx])?;
+            store.write_back(&mut pool.io, file, &mut pool.frames[idx])?;
             pool.frames.remove(idx);
             pool.io.record(Counter::Evictions);
         }
@@ -640,8 +645,9 @@ impl Pager {
     }
 
     /// The access counters: lifetime totals, and [`IoStats::scope`] to
-    /// price one unit of work. Recording and reading are both `&self`;
-    /// the ledger is internally atomic.
+    /// price one unit of work. Reading is `&self` and lock-free; page
+    /// accesses record through their pool's writer, under the pager's
+    /// write guard.
     pub fn stats(&self) -> &IoStats {
         &self.stats
     }
@@ -735,7 +741,7 @@ impl Pager {
         } else {
             Counter::BloomSkips
         };
-        self.stats.record(file, verdict);
+        self.stats.bump(file, verdict, 1);
         Some(maybe)
     }
 
@@ -772,14 +778,13 @@ impl Pager {
         file: FileId,
         page_no: u32,
     ) -> Result<Page> {
-        // Recorded under the state lock, like every access: a
-        // concurrent `drop_file` must not retire the row in between.
-        let st = &mut self.st().store;
+        // Recorded through the file's pool, like every access.
+        let PagerState { pools, store: st } = &mut *self.st();
         let page = match st.staged_image(file, page_no) {
             Some(page) => page?,
             None => st.disk.read_page(file, page_no)?,
         };
-        self.stats.file(file).record_access(Counter::Reads);
+        pools.pool_mut(file).io.record_access(Counter::Reads);
         Ok(page)
     }
 
@@ -814,13 +819,12 @@ impl Pager {
     ) -> Result<()> {
         let PagerState { pools, store: st } = &mut *self.st();
         st.disk.write_page(file, page_no, page)?;
-        self.stats.record(file, Counter::Writes);
         st.note_written(file, page_no, page);
         st.overlay.remove(&(file, page_no));
         st.staged.remove(&(file, page_no));
-        if let Some(pool) = pools.map.get_mut(&file) {
-            pool.frames.retain(|f| f.page_no != page_no);
-        }
+        let pool = pools.pool_mut(file);
+        pool.io.record(Counter::Writes);
+        pool.frames.retain(|f| f.page_no != page_no);
         Ok(())
     }
 
@@ -1171,13 +1175,14 @@ impl Pager {
         // yet written. Overlay and shapes are cleared only once every
         // page landed; a retried checkpoint re-truncates what is
         // flagged and re-writes every page, so it ends the same.
+        let PagerState { pools, store } = &mut *self.st();
         let Store {
             disk,
             overlay,
             shapes,
             checksums,
             ..
-        } = &mut self.st().store;
+        } = store;
         let disk = disk.as_mut();
         let mut files: BTreeSet<FileId> = shapes.keys().copied().collect();
         files.extend(overlay.keys().map(|(f, _)| *f));
@@ -1202,7 +1207,7 @@ impl Pager {
                 if let Some(sums) = checksums {
                     sums.record(file, page_no, page);
                 }
-                self.stats.record(file, Counter::Writes);
+                pools.pool_mut(file).io.record(Counter::Writes);
             }
             if let Some(shape) = shape {
                 set_len(disk, checksums, file, shape.len)?;

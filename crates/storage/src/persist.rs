@@ -490,9 +490,9 @@ mod tests {
             );
             let mut rows = Vec::new();
             let mut cur = rel.file.scan();
-            let pager2 = pager;
-            while let Some((_, r)) = cur.next(&pager2, &rel.file).unwrap() {
-                rows.push(r);
+            let mut r = Vec::new();
+            while cur.next(&pager, &rel.file, &mut r).unwrap().is_some() {
+                rows.push(r.clone());
             }
             saved_rows = rows;
         }
@@ -517,15 +517,16 @@ mod tests {
         // Rows come back identical, through the reconstructed ISAM.
         let mut rows = Vec::new();
         let mut cur = rel.file.scan();
-        while let Some((_, r)) = cur.next(&pager, &rel.file).unwrap() {
-            rows.push(r);
+        let mut r = Vec::new();
+        while cur.next(&pager, &rel.file, &mut r).unwrap().is_some() {
+            rows.push(r.clone());
         }
         assert_eq!(rows, saved_rows);
         // Keyed access works through the reloaded descriptor.
         let kb = 7i32.to_le_bytes();
         let mut cur = rel.file.lookup_eq(&pager, &kb).unwrap().unwrap();
-        let (_, row) = cur.next(&pager, &rel.file).unwrap().unwrap();
-        assert_eq!(rel.codec.get_i4(&row, 0), 7);
+        cur.next(&pager, &rel.file, &mut r).unwrap().unwrap();
+        assert_eq!(rel.codec.get_i4(&r, 0), 7);
         // The reloaded index finds by amount.
         let tids = rel.indexes[0]
             .index

@@ -173,11 +173,16 @@ impl RelFile {
         }
     }
 
-    /// Read the row at `tid`.
-    pub fn get(&self, pager: &Pager, tid: TupleId) -> Result<Vec<u8>> {
+    /// Fill `row` with the row at `tid`.
+    pub fn get(
+        &self,
+        pager: &Pager,
+        tid: TupleId,
+        row: &mut Vec<u8>,
+    ) -> Result<()> {
         let w = self.row_width();
         pager.read(self.file_id(), tid.page, |p| {
-            p.row(w, tid.slot).map(|r| r.to_vec())
+            p.copy_row(w, tid.slot, row)
         })?
     }
 
@@ -268,17 +273,21 @@ pub enum RelScan {
 }
 
 impl RelScan {
-    /// Advance; `None` at end.
+    /// Advance: fill `row` with the next row and return its address;
+    /// `None` at end. A caller that keeps the row copies it.
     pub fn next(
         &mut self,
         pager: &Pager,
         file: &RelFile,
-    ) -> Result<Option<(TupleId, Vec<u8>)>> {
+        row: &mut Vec<u8>,
+    ) -> Result<Option<TupleId>> {
         match (self, file) {
-            (RelScan::Heap(c), RelFile::Heap(f)) => c.next(pager, f),
-            (RelScan::Chain(c), f) => {
-                c.next(pager, f.chain().ok_or_else(|| mismatch("scan"))?)
-            }
+            (RelScan::Heap(c), RelFile::Heap(f)) => c.next(pager, f, row),
+            (RelScan::Chain(c), f) => c.next(
+                pager,
+                f.chain().ok_or_else(|| mismatch("scan"))?,
+                row,
+            ),
             _ => Err(mismatch("scan")),
         }
     }
@@ -289,20 +298,25 @@ impl RelScan {
 pub struct RelLookup(ChainLookup);
 
 impl RelLookup {
-    /// Advance; `None` when no more versions match the key.
+    /// Advance: fill `row` with the next version of the key and return
+    /// its address; `None` when no more versions match.
     pub fn next(
         &mut self,
         pager: &Pager,
         file: &RelFile,
-    ) -> Result<Option<(TupleId, Vec<u8>)>> {
+        row: &mut Vec<u8>,
+    ) -> Result<Option<TupleId>> {
         let chain = file.chain().ok_or_else(|| mismatch("lookup"))?;
-        self.0.next(pager, chain)
+        self.0.next(pager, chain, row)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iostats::FileIo;
+    use crate::page::NO_PAGE;
+    use crate::pager::{BufferConfig, EvictionPolicy};
     use tdbms_kernel::{AttrDef, Domain, RowCodec, Schema, Value};
 
     fn setup() -> (RowCodec, Vec<Vec<u8>>) {
@@ -349,7 +363,8 @@ mod tests {
         for rel in all_organizations(&pager, &rows, key) {
             let mut ids: Vec<i32> = Vec::new();
             let mut cur = rel.scan();
-            while let Some((_, row)) = cur.next(&pager, &rel).unwrap() {
+            let mut row = Vec::new();
+            while cur.next(&pager, &rel, &mut row).unwrap().is_some() {
                 ids.push(codec.get_i4(&row, 0));
             }
             ids.sort_unstable();
@@ -373,9 +388,10 @@ mod tests {
         for rel in &rels[1..] {
             let mut cur =
                 rel.lookup_eq(&pager, &kb).unwrap().expect("keyed");
-            let (_, row) = cur.next(&pager, rel).unwrap().expect("found");
+            let mut row = Vec::new();
+            cur.next(&pager, rel, &mut row).unwrap().expect("found");
             assert_eq!(codec.get_i4(&row, 0), 17);
-            assert!(cur.next(&pager, rel).unwrap().is_none());
+            assert!(cur.next(&pager, rel, &mut row).unwrap().is_none());
         }
     }
 
@@ -386,7 +402,9 @@ mod tests {
         let key = KeySpec::for_attr(&codec, 0);
         let rels = all_organizations(&pager, &rows, key);
         let mut heap_cursor = rels[0].scan();
-        assert!(heap_cursor.next(&pager, &rels[1]).is_err());
+        assert!(heap_cursor
+            .next(&pager, &rels[1], &mut Vec::new())
+            .is_err());
     }
 
     #[test]
@@ -398,7 +416,9 @@ mod tests {
             // Find id 5 and delete it.
             let mut cur = rel.scan();
             let mut target = None;
-            while let Some((tid, row)) = cur.next(&pager, &rel).unwrap() {
+            let mut row = Vec::new();
+            while let Some(tid) = cur.next(&pager, &rel, &mut row).unwrap()
+            {
                 if codec.get_i4(&row, 0) == 5 {
                     target = Some(tid);
                     break;
@@ -407,7 +427,8 @@ mod tests {
             rel.delete(&pager, target.unwrap()).unwrap();
             let mut n = 0;
             let mut cur = rel.scan();
-            while let Some((_, row)) = cur.next(&pager, &rel).unwrap() {
+            let mut row = Vec::new();
+            while cur.next(&pager, &rel, &mut row).unwrap().is_some() {
                 assert_ne!(codec.get_i4(&row, 0), 5);
                 n += 1;
             }
@@ -421,30 +442,214 @@ mod tests {
         let pager = Pager::in_memory();
         let key = KeySpec::for_attr(&codec, 0);
         for rel in all_organizations(&pager, &rows, key) {
+            let get = |tid| {
+                let mut row = Vec::new();
+                rel.get(&pager, tid, &mut row).map(|()| row)
+            };
             let mut cur = rel.scan();
-            let (tid, mut row) = loop {
-                let (tid, row) = cur.next(&pager, &rel).unwrap().unwrap();
+            let mut row = Vec::new();
+            let tid = loop {
+                let tid =
+                    cur.next(&pager, &rel, &mut row).unwrap().unwrap();
                 if codec.get_i4(&row, 0) == 5 {
-                    break (tid, row);
+                    break tid;
                 }
             };
-            assert_eq!(rel.get(&pager, tid).unwrap(), row);
+            assert_eq!(get(tid).unwrap(), row);
             codec
                 .put(&mut row, 1, &Value::Str("updated".into()))
                 .unwrap();
             rel.update(&pager, tid, &row).unwrap();
-            assert_eq!(rel.get(&pager, tid).unwrap(), row);
+            assert_eq!(get(tid).unwrap(), row);
             // Deleting compacts the page: its last row moves into the
             // vacated slot and the page's last slot becomes unreadable.
             let last = (tid.slot..)
                 .map(|s| TupleId::new(tid.page, s))
-                .take_while(|t| rel.get(&pager, *t).is_ok())
+                .take_while(|t| get(*t).is_ok())
                 .last()
                 .unwrap();
-            let moved = rel.get(&pager, last).unwrap();
+            let moved = get(last).unwrap();
             rel.delete(&pager, tid).unwrap();
-            assert_eq!(rel.get(&pager, tid).unwrap(), moved);
-            assert!(rel.get(&pager, last).is_err());
+            assert_eq!(get(tid).unwrap(), moved);
+            assert!(get(last).is_err());
         }
+    }
+
+    /// `(tid, row)` in file order, decoded page by page: a heap's pages
+    /// in order, a chained file's heads each followed by its chain.
+    fn page_decode(
+        pager: &Pager,
+        rel: &RelFile,
+    ) -> Vec<(TupleId, Vec<u8>)> {
+        let (file, w) = (rel.file_id(), rel.row_width());
+        let pages: Vec<u32> = match rel.chain() {
+            None => (0..pager.page_count(file).unwrap()).collect(),
+            Some(c) => (0..c.n_heads)
+                .flat_map(|head| {
+                    std::iter::successors(Some(head), |&p| {
+                        let next = pager.read(file, p, |pg| pg.overflow());
+                        Some(next.unwrap()).filter(|&n| n != NO_PAGE)
+                    })
+                })
+                .collect(),
+        };
+        let mut out = Vec::new();
+        for p in pages {
+            pager
+                .read(file, p, |pg| {
+                    for (slot, row) in pg.rows(w) {
+                        out.push((TupleId::new(p, slot), row.to_vec()));
+                    }
+                })
+                .unwrap();
+        }
+        out
+    }
+
+    /// Run `read` from cold buffers, returning what it yielded and the
+    /// file's counters for it.
+    fn cold(
+        pager: &Pager,
+        rel: &RelFile,
+        read: impl FnOnce() -> Vec<(TupleId, Vec<u8>)>,
+    ) -> (Vec<(TupleId, Vec<u8>)>, FileIo) {
+        pager.invalidate_buffers().unwrap();
+        let scope = pager.stats().scope();
+        let got = read();
+        let io = scope.of(rel.file_id());
+        assert!(io.is_consistent());
+        (got, io)
+    }
+
+    /// The buffer-filling cursors yield exactly the page-by-page decode,
+    /// and a row read is one buffered access: a scan costs one access
+    /// per row plus one per page (the access that finds the page's
+    /// end), a keyed lookup one per version plus one per chain page
+    /// (after its directory descent), a `get` one. A cursor that served
+    /// several rows from one access would read fewer. Heap, hash and
+    /// ISAM (each chained file with an overflow chain) at 1 and 3
+    /// frames, every count pinned.
+    #[test]
+    fn cursors_yield_the_page_decode_at_one_access_per_row() {
+        use AccessMethod::{Hash, Heap, Isam};
+        type Pin = (u64, u64, u64, u64);
+        // 52 rows at 9 a page. The heap has 6 pages; the hash and ISAM
+        // files 7, id 17's chain 3 of them, and ISAM's descent reads
+        // one directory page. `(accesses, hits, reads, evictions)` of
+        // a cold scan, a `get` of every row, and a lookup of id 17.
+        let pins: [(AccessMethod, usize, Pin, Pin, Option<Pin>); 6] = [
+            (Heap, 1, (58, 52, 6, 5), (52, 46, 6, 5), None),
+            (
+                Hash,
+                1,
+                (59, 52, 7, 6),
+                (52, 45, 7, 6),
+                Some((16, 13, 3, 2)),
+            ),
+            (
+                Isam,
+                1,
+                (59, 52, 7, 6),
+                (52, 45, 7, 6),
+                Some((17, 13, 4, 3)),
+            ),
+            (Heap, 3, (58, 52, 6, 3), (52, 46, 6, 3), None),
+            (
+                Hash,
+                3,
+                (59, 52, 7, 4),
+                (52, 45, 7, 4),
+                Some((16, 13, 3, 0)),
+            ),
+            (
+                Isam,
+                3,
+                (59, 52, 7, 4),
+                (52, 45, 7, 4),
+                Some((17, 13, 4, 1)),
+            ),
+        ];
+        let (codec, rows) = setup();
+        let key = KeySpec::for_attr(&codec, 0);
+        let version = codec
+            .encode(&[Value::Int(17), Value::Str("v".into())])
+            .unwrap();
+        let kb = 17i32.to_le_bytes();
+        let pin =
+            |io: FileIo| (io.accesses, io.hits, io.reads, io.evictions);
+        let mut checked = 0;
+        for frames in [1, 3] {
+            let pager = Pager::in_memory_with_config(
+                BufferConfig::uniform(frames, EvictionPolicy::Lru),
+            );
+            for rel in all_organizations(&pager, &rows, key) {
+                let (_, _, scan_pin, get_pin, lookup_pin) = pins
+                    .into_iter()
+                    .find(|p| (p.0, p.1) == (rel.method(), frames))
+                    .unwrap();
+                let what = format!("{:?} at {frames} frames", rel.method());
+                // 12 more versions of id 17: a chained file's chain for
+                // 17 grows overflow pages.
+                for _ in 0..12 {
+                    rel.insert(&pager, &version).unwrap();
+                }
+                pager.flush_all().unwrap();
+                let decoded = page_decode(&pager, &rel);
+                assert_eq!(decoded.len(), 52, "{what}");
+
+                let (scanned, io) = cold(&pager, &rel, || {
+                    let (mut cur, mut row) = (rel.scan(), Vec::new());
+                    let mut out = Vec::new();
+                    while let Some(tid) =
+                        cur.next(&pager, &rel, &mut row).unwrap()
+                    {
+                        out.push((tid, row.clone()));
+                    }
+                    out
+                });
+                assert_eq!(scanned, decoded, "{what}: scan");
+                assert_eq!(pin(io), scan_pin, "{what}: scan");
+
+                let (got, io) = cold(&pager, &rel, || {
+                    let mut row = Vec::new();
+                    decoded
+                        .iter()
+                        .map(|&(tid, _)| {
+                            rel.get(&pager, tid, &mut row).unwrap();
+                            (tid, row.clone())
+                        })
+                        .collect()
+                });
+                assert_eq!(got, decoded, "{what}: get");
+                assert_eq!(pin(io), get_pin, "{what}: get");
+
+                let Some(lookup_pin) = lookup_pin else {
+                    assert!(rel.lookup_eq(&pager, &kb).unwrap().is_none());
+                    checked += 1;
+                    continue;
+                };
+                let versions: Vec<_> = decoded
+                    .iter()
+                    .filter(|(_, r)| codec.get_i4(r, 0) == 17)
+                    .cloned()
+                    .collect();
+                assert_eq!(versions.len(), 13, "{what}");
+                let (found, io) = cold(&pager, &rel, || {
+                    let mut cur =
+                        rel.lookup_eq(&pager, &kb).unwrap().expect("keyed");
+                    let (mut row, mut out) = (Vec::new(), Vec::new());
+                    while let Some(tid) =
+                        cur.next(&pager, &rel, &mut row).unwrap()
+                    {
+                        out.push((tid, row.clone()));
+                    }
+                    out
+                });
+                assert_eq!(found, versions, "{what}: lookup");
+                assert_eq!(pin(io), lookup_pin, "{what}: lookup");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, pins.len());
     }
 }

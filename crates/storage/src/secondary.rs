@@ -89,7 +89,8 @@ impl SecondaryIndex {
         let entry_width = target_attr.len + 6;
         let mut entries: Vec<Vec<u8>> = Vec::new();
         let mut cur = target.scan();
-        while let Some((tid, row)) = cur.next(pager, target)? {
+        let mut row = Vec::new();
+        while let Some(tid) = cur.next(pager, target, &mut row)? {
             entries.push(encode_entry(target_attr.extract(&row), tid));
         }
         let index_key = KeySpec {
@@ -190,10 +191,11 @@ impl SecondaryIndex {
         }
         let mut out = Vec::new();
         let attr_len = self.target_attr.len;
+        let mut e = Vec::new();
         match &self.file {
             RelFile::Heap(_) => {
                 let mut cur = self.file.scan();
-                while let Some((_, e)) = cur.next(pager, &self.file)? {
+                while cur.next(pager, &self.file, &mut e)?.is_some() {
                     if self.target_attr.compare(&e[..attr_len], attr_bytes)
                         == std::cmp::Ordering::Equal
                     {
@@ -206,7 +208,7 @@ impl SecondaryIndex {
                     .file
                     .lookup_eq(pager, attr_bytes)?
                     .ok_or_else(|| Error::Internal("keyed index".into()))?;
-                while let Some((_, e)) = cur.next(pager, &self.file)? {
+                while cur.next(pager, &self.file, &mut e)?.is_some() {
                     out.push(decode_tid(&e, attr_len));
                 }
             }
@@ -224,7 +226,9 @@ impl SecondaryIndex {
         let tids = self.lookup_tids(pager, attr_bytes)?;
         let mut out = Vec::with_capacity(tids.len());
         for tid in tids {
-            out.push((tid, target.get(pager, tid)?));
+            let mut row = Vec::new();
+            target.get(pager, tid, &mut row)?;
+            out.push((tid, row));
         }
         Ok(out)
     }
@@ -315,7 +319,8 @@ mod tests {
         let want = 300i32.to_le_bytes();
         let mut expect: Vec<i32> = Vec::new();
         let mut cur = target.scan();
-        while let Some((_, row)) = cur.next(&pager, &target).unwrap() {
+        let mut row = Vec::new();
+        while cur.next(&pager, &target, &mut row).unwrap().is_some() {
             if codec.get_i4(&row, 1) == 300 {
                 expect.push(codec.get_i4(&row, 0));
             }

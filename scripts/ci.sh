@@ -99,8 +99,12 @@ gate_transient_retry() {
 # ledger pinned over a fixed access sequence at 1 and 3 frames (hits,
 # misses, clean and dirty evictions, nested scopes, a dropped file), the
 # write-back contract (a frame stays dirty in its pool until its write
-# lands), the dirty-pool set behind flush_all, and the ISAM descent's
-# binary search against a linear scan.
+# lands), the dirty-pool set behind flush_all, the ISAM descent's
+# binary search against a linear scan, the buffer-filling cursors
+# against a page-by-page decode with their ledger pinned at 1 and 3
+# frames (one access per row read), one ledger writer per file row, and
+# the pager's counters exact under 8 concurrent readers beside bloom
+# verdicts and pseudo-file writes.
 gate_storage_chains() {
     cargo test -q -p tdbms-storage --lib overflow::
     cargo test -q -p tdbms-storage --lib audit::
@@ -112,13 +116,18 @@ gate_storage_chains() {
         pager::tests::failed_flushes_keep_their_dirty_frames \
         pager::tests::flush_all_writes_only_what_is_dirty \
         pager::tests::dirty_frames_never_leave_the_dirty_set \
-        isam::tests::binary_descent_agrees_with_a_linear_scan
+        isam::tests::binary_descent_agrees_with_a_linear_scan \
+        relfile::tests::cursors_yield_the_page_decode_at_one_access_per_row \
+        iostats::tests::one_writer_per_row_and_shared_bumps_add_up
+    cargo test -q --test concurrency \
+        pager_counters_are_exact_under_concurrent_access
 }
 
 # Concurrency acceptance gate: 100 seeded multi-thread schedules (each
 # audited clean by tdbms-check), the crash-under-concurrency matrix,
-# the concurrent-vs-serial IoStats accounting property and the
-# per-statement isolation property — looped (50x release, 20x debug),
+# the concurrent-vs-serial IoStats accounting property, the pager's
+# counters under concurrent readers and the per-statement isolation
+# property — looped (50x release, 20x debug),
 # because a race that loses one run in three passes a single run by
 # luck two times in three.
 gate_concurrency_stress() {

@@ -1,7 +1,8 @@
 //! Deterministic concurrency stress suite for the session engine.
 //!
-//! Three layers, all seeded through `tdbms_kernel::Prng` so every run —
-//! local, CI, or bisect — replays the same schedules:
+//! Four layers; the engine's three are seeded through
+//! `tdbms_kernel::Prng` so every run — local, CI, or bisect — replays
+//! the same schedules:
 //!
 //! * **100 seeded schedules**: four sessions per engine run a mixed
 //!   read / replace / append / delete / checkpoint workload; after every
@@ -18,6 +19,10 @@
 //!   concurrently, must agree exactly with a serial replay of the same
 //!   seeded schedule — the lock-free accounting never drops or invents
 //!   a page access.
+//! * **Pager counters**: 8 threads reading through one pager, each in
+//!   its own scope, beside bloom verdicts and pseudo-file writes (the
+//!   counts made outside the pager lock): every total and every scope
+//!   exact.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -574,4 +579,110 @@ fn a_readers_statement_costs_ignore_its_neighbours() {
             );
         }
     }
+}
+
+/// The pager's counters under concurrency, below the engine: 8 threads
+/// × 500 `Pager::read`s over 3 one-frame files, each thread in its own
+/// `StatScope`, while every thread also asks a bloom guard for verdicts
+/// and charges writes to a pseudo-file — the two kinds of count made
+/// outside the pager lock. Every count lands exactly once, in the
+/// ledger and in the scope of the thread that made it.
+#[test]
+fn pager_counters_are_exact_under_concurrent_access() {
+    use tdbms_storage::{Bloom, FileId, FileIo, PageKind, Pager};
+    const THREADS: usize = 8;
+    const READS: u64 = 500;
+    let pager = Pager::in_memory();
+    let files: Vec<FileId> = (0..3)
+        .map(|_| {
+            let f = pager.create_file().expect("create");
+            for _ in 0..2 {
+                pager.append_page(f, PageKind::Data).expect("append");
+            }
+            f
+        })
+        .collect();
+    pager.flush_all().expect("flush");
+    pager.invalidate_buffers().expect("cold");
+    pager.set_bloom_guards(true);
+    let guard = Bloom::sized_for(64, 7);
+    for k in 0u32..32 {
+        guard.add(&k.to_le_bytes());
+    }
+    pager.bloom_install(files[0], guard);
+    let pseudo = FileId(u32::MAX);
+    let before: Vec<FileIo> =
+        files.iter().map(|&f| pager.stats().of(f)).collect();
+
+    // Per thread: its file's scope counts, its maybe-verdicts, and its
+    // scope's totals on the guarded file and the pseudo-file.
+    let seen: Vec<(usize, FileIo, u64, FileIo, FileIo)> =
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (pager, files) = (&pager, &files);
+                    s.spawn(move || {
+                        let mine = pager.stats().scope();
+                        let f = files[t % 3];
+                        let mut maybes = 0;
+                        for i in 0..READS {
+                            pager.read(f, (i % 2) as u32, |_| ()).unwrap();
+                            let key =
+                                (i as u32 * 7 + t as u32).to_le_bytes();
+                            let verdict = pager.bloom_check(files[0], &key);
+                            maybes += u64::from(verdict.expect("guarded"));
+                            pager.stats().add_writes(pseudo, 2);
+                        }
+                        let total = mine.total();
+                        assert_eq!(total.accesses, READS, "thread {t}");
+                        assert!(total.is_consistent(), "thread {t}");
+                        let on_guarded = mine.of(files[0]);
+                        assert_eq!(
+                            on_guarded.bloom_hits + on_guarded.bloom_skips,
+                            READS,
+                            "thread {t}"
+                        );
+                        (
+                            t % 3,
+                            mine.of(f),
+                            maybes,
+                            on_guarded,
+                            mine.of(pseudo),
+                        )
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+    let stats = pager.stats();
+    for (i, &f) in files.iter().enumerate() {
+        let now = stats.of(f);
+        let mut scoped = FileIo::default();
+        for (_, io, ..) in seen.iter().filter(|s| s.0 == i) {
+            scoped.accesses += io.accesses;
+            scoped.hits += io.hits;
+            scoped.reads += io.reads;
+            scoped.evictions += io.evictions;
+        }
+        let threads = seen.iter().filter(|s| s.0 == i).count() as u64;
+        assert_eq!(now.accesses - before[i].accesses, threads * READS);
+        assert_eq!(now.accesses - before[i].accesses, scoped.accesses);
+        assert_eq!(now.hits - before[i].hits, scoped.hits);
+        assert_eq!(now.reads - before[i].reads, scoped.reads);
+        assert_eq!(now.evictions - before[i].evictions, scoped.evictions);
+        // One frame, cold at the start: every fetch but the first
+        // evicted the frame before it.
+        assert_eq!(scoped.evictions, scoped.reads - 1, "file {i}");
+    }
+    let maybes: u64 = seen.iter().map(|s| s.2).sum();
+    let guarded = stats.of(files[0]);
+    assert_eq!(guarded.bloom_hits, maybes);
+    assert_eq!(guarded.bloom_skips, THREADS as u64 * READS - maybes);
+    for (_, _, maybes, on_guarded, on_pseudo) in &seen {
+        assert_eq!(on_guarded.bloom_hits, *maybes);
+        assert_eq!(on_pseudo.writes, 2 * READS);
+    }
+    assert_eq!(stats.of(pseudo).writes, 2 * READS * THREADS as u64);
+    assert!(stats.is_consistent());
 }

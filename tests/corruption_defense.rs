@@ -68,8 +68,9 @@ fn stored_rows(db: &mut Database) -> Vec<Vec<u8>> {
     let file = catalog.get(id).file.clone();
     let mut rows = Vec::new();
     let mut cur = file.scan();
-    while let Some((_, row)) = cur.next(pager, &file).unwrap() {
-        rows.push(row);
+    let mut row = Vec::new();
+    while cur.next(pager, &file, &mut row).unwrap().is_some() {
+        rows.push(row.clone());
     }
     rows.sort();
     rows

@@ -287,8 +287,9 @@ fn two_level_store_is_equivalent_to_conventional() {
                 let rel =
                     catalog.get(catalog.require("t").unwrap()).file.clone();
                 let mut cur = rel.scan();
-                while let Some((_, row)) = cur.next(pager, &rel).unwrap() {
-                    conventional.push(row);
+                let mut row = Vec::new();
+                while cur.next(pager, &rel, &mut row).unwrap().is_some() {
+                    conventional.push(row.clone());
                 }
             }
             // ...must equal the union of primary + history in the Figure 10
@@ -304,10 +305,13 @@ fn two_level_store_is_equivalent_to_conventional() {
             .unwrap();
             let mut got: Vec<Vec<u8>> = Vec::new();
             let mut cur = two.primary.scan();
-            while let Some((_, row)) =
-                cur.next(&pager, &two.primary).unwrap()
+            let mut row = Vec::new();
+            while cur
+                .next(&pager, &two.primary, &mut row)
+                .unwrap()
+                .is_some()
             {
-                got.push(row);
+                got.push(row.clone());
             }
             assert_eq!(got.len(), n as usize);
             assert_eq!(two.history.rows(), 2 * rounds as u64 * n as u64);

@@ -51,7 +51,8 @@ fn collect_scan(
     let c = tdbms_kernel::RowCodec::new(schema);
     let mut m: BTreeMap<i32, Vec<i32>> = BTreeMap::new();
     let mut cur = file.scan();
-    while let Some((_, row)) = cur.next(pager, file).unwrap() {
+    let mut row = Vec::new();
+    while cur.next(pager, file, &mut row).unwrap().is_some() {
         m.entry(c.get_i4(&row, 0))
             .or_default()
             .push(c.get_i4(&row, 1));
@@ -72,7 +73,8 @@ fn collect_lookup(
     let mut out = Vec::new();
     let kb = key.to_le_bytes();
     let mut cur = file.lookup_eq(pager, &kb).unwrap().expect("keyed file");
-    while let Some((_, row)) = cur.next(pager, file).unwrap() {
+    let mut row = Vec::new();
+    while cur.next(pager, file, &mut row).unwrap().is_some() {
         assert_eq!(c.get_i4(&row, 0), key, "lookup returned a foreign key");
         out.push(c.get_i4(&row, 1));
     }
@@ -230,7 +232,8 @@ fn heap_preserves_order() {
         let c = tdbms_kernel::RowCodec::new(&schema);
         let mut got = Vec::new();
         let mut cur = heap.scan();
-        while let Some((_, row)) = cur.next(&pager, &heap).unwrap() {
+        let mut row = Vec::new();
+        while cur.next(&pager, &heap, &mut row).unwrap().is_some() {
             got.push((c.get_i4(&row, 0), c.get_i4(&row, 1)));
         }
         assert_eq!(got, rows);
@@ -274,7 +277,8 @@ fn scan_cost_is_page_count() {
             let cost = pager.stats().scope();
             let mut n = 0usize;
             let mut cur = file.scan();
-            while cur.next(&pager, &file).unwrap().is_some() {
+            let mut row = Vec::new();
+            while cur.next(&pager, &file, &mut row).unwrap().is_some() {
                 n += 1;
             }
             assert_eq!(n, rows.len());

@@ -21,7 +21,8 @@ fn snapshot(db: &mut Database) -> State {
     let file = catalog.get(id).file.clone();
     let mut rows = Vec::new();
     let mut cur = file.scan();
-    while let Some((_, row)) = cur.next(pager, &file).unwrap() {
+    let mut row = Vec::new();
+    while cur.next(pager, &file, &mut row).unwrap().is_some() {
         let current = implicit.iter().enumerate().all(|(k, t)| {
             !matches!(
                 t,
