@@ -23,7 +23,7 @@
 //! folds to a constant [`Visibility`] window at bind time.
 
 use crate::bound::*;
-use crate::eval::eval_time;
+use crate::eval::{eval_time, Env};
 use std::collections::HashMap;
 use tdbms_kernel::{
     Domain, Error, Result, TemporalAttr, TemporalKind, TimeVal, Value,
@@ -309,7 +309,11 @@ impl<'a> Binder<'a> {
                 "tuple variables are not allowed in `as of`".into(),
             ));
         }
-        Ok((eval_time(&lo, &[])?, eval_time(&hi, &[])?))
+        let env = Env {
+            slots: Vec::new(),
+            params: self.params,
+        };
+        Ok((eval_time(&lo, &env)?, eval_time(&hi, &env)?))
     }
 
     /// Infer the result domain of a bound expression.

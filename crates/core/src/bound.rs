@@ -11,11 +11,10 @@
 use tdbms_kernel::{DatabaseClass, TemporalKind, TimeVal, Value};
 use tdbms_storage::RelId;
 use tdbms_tquel::ast::BinOp;
-use tdbms_tquel::token::Literal;
 
 /// One entry of a statement's range table: a tuple variable actually used
 /// by the statement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarBinding {
     /// The variable name (for diagnostics).
     pub var: String,
@@ -34,8 +33,9 @@ pub enum BExpr {
     Const(Value),
     /// Parameter slot `k`: the `k`-th numeric literal of the statement
     /// shape a template was bound from. Only the engine's statement
-    /// cache binds these; `exec::prepare` fills them in before anything
-    /// evaluates.
+    /// cache binds these. The template is shared and never filled in:
+    /// evaluation reads the executing statement's `k`-th literal from
+    /// its [`crate::eval::Env`].
     Param(usize),
     /// Attribute `attr` (stored column index) of range-table entry `var`.
     Attr {
@@ -139,15 +139,6 @@ impl BExpr {
             }
         });
     }
-
-    /// Replace every [`BExpr::Param`] with its literal from `params`.
-    pub fn fill_params(&mut self, params: &[Literal]) {
-        self.each_leaf_mut(&mut |e| {
-            if let BExpr::Param(k) = e {
-                *e = BExpr::Const(params[*k].into());
-            }
-        });
-    }
 }
 
 /// Rollback visibility: which transaction-time window a query observes.
@@ -175,7 +166,7 @@ impl Visibility {
 }
 
 /// One bound output column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundTarget {
     /// Result attribute name.
     pub name: String,
@@ -189,7 +180,7 @@ pub struct BoundTarget {
 }
 
 /// A fully bound retrieve.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundRetrieve {
     /// Range-table entries actually referenced, in first-use order.
     pub vars: Vec<VarBinding>,
@@ -210,19 +201,6 @@ pub struct BoundRetrieve {
     pub into: Option<String>,
     /// Sort keys: result-column index + descending flag.
     pub sort: Vec<(usize, bool)>,
-}
-
-impl BoundRetrieve {
-    /// Fill every parameter slot with its literal from `params` (a
-    /// no-op for a retrieve bound from concrete text).
-    pub fn fill_params(&mut self, params: &[Literal]) {
-        for t in &mut self.targets {
-            t.expr.fill_params(params);
-        }
-        for c in &mut self.conjuncts {
-            c.fill_params(params);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use crate::binder::{split_conjuncts, Binder, Span};
 use crate::bound::{
     BExpr, BoundRetrieve, BoundTarget, VarBinding, Visibility,
 };
-use crate::eval::{eval_expr, eval_time, Slot};
+use crate::eval::{eval_expr, eval_time, Env, Slot};
 use crate::exec::{exec_retrieve, ovqp, var_state};
 use crate::guard::QueryGuard;
 use crate::interval::TInterval;
@@ -254,21 +254,21 @@ fn bind_valid(
 }
 
 /// The valid period a bound `valid` clause names for the rows bound in
-/// `slots` — or, without a clause, `now .. forever` (`at now` for events).
+/// `env` — or, without a clause, `now .. forever` (`at now` for events).
 fn valid_period(
     valid: &Option<Span>,
     kind: TemporalKind,
     now: TimeVal,
-    slots: &[Slot],
+    env: &Env,
 ) -> Result<TInterval> {
     match (valid, kind) {
         (None, TemporalKind::Interval) => period(now, TimeVal::FOREVER),
         (None, TemporalKind::Event) => Ok(TInterval::event(now)),
         (Some((from, to)), TemporalKind::Interval) => {
-            period(eval_time(from, slots)?, eval_time(to, slots)?)
+            period(eval_time(from, env)?, eval_time(to, env)?)
         }
         (Some((at, _)), TemporalKind::Event) => {
-            Ok(TInterval::event(eval_time(at, slots)?))
+            Ok(TInterval::event(eval_time(at, env)?))
         }
     }
 }
@@ -384,10 +384,11 @@ pub fn exec_append(
             ));
         }
         let mut explicit = explicit_defaults();
+        let consts = Env::default();
         for (idx, e) in &assigns {
-            explicit[*idx] = eval_expr(e, &[])?;
+            explicit[*idx] = eval_expr(e, &consts)?;
         }
-        let valid = valid_period(&valid, kind, now, &[])?;
+        let valid = valid_period(&valid, kind, now, &consts)?;
         let row = build_stored_row(&schema, &codec, &explicit, valid, now)?;
         return insert_rows(pager, catalog.get_mut(id), &[row]);
     }
@@ -419,7 +420,7 @@ pub fn exec_append(
     let guard = QueryGuard::none();
     let rows =
         exec_retrieve(pager, catalog, &bound, &[], &guard, false)?.rows;
-    let default = valid_period(&None, kind, now, &[])?;
+    let default = valid_period(&None, kind, now, &Env::default())?;
     let stored = rows
         .into_iter()
         .map(|row| {
@@ -484,8 +485,6 @@ struct Targets {
     id: RelId,
     /// Range-table entries; entry 0 is the variable being modified.
     vars: Vec<VarBinding>,
-    /// Evaluation slot of the modified variable (its schema and codec).
-    slot: Slot,
     rows: Vec<(TupleId, Vec<u8>)>,
 }
 
@@ -517,21 +516,20 @@ fn targets(
     // A migrated version is never current (`current_version_conjuncts`),
     // so the history sidecar holds nothing to retire.
     rt.history = None;
-    let mut slots = [slot];
+    let mut env = Env {
+        slots: vec![slot],
+        params: &[],
+    };
+    let conjuncts: Vec<&BExpr> = conjuncts.iter().collect();
     let mut rows = Vec::new();
     let guard = QueryGuard::none();
-    ovqp(pager, &mut slots, &rt, 0, &conjuncts, &guard, |s, tid| {
+    ovqp(pager, &mut env, &rt, 0, &conjuncts, &guard, |env, tid| {
         let tid = tid.expect("the primary file holds every target");
-        rows.push((tid, s[0].row.clone().expect("bound in ovqp")));
+        let row = env.slots[0].row.clone().expect("bound in ovqp");
+        rows.push((tid, row));
         Ok(())
     })?;
-    let [slot] = slots;
-    Ok(Targets {
-        id,
-        vars,
-        slot,
-        rows,
-    })
+    Ok(Targets { id, vars, rows })
 }
 
 /// What retiring one current version does to the stored relation.
@@ -631,7 +629,7 @@ impl Targets {
         now: TimeVal,
         highest_first: bool,
         reindex: bool,
-        mut step: impl FnMut(&Slot) -> Result<(TimeVal, Option<Vec<u8>>)>,
+        mut step: impl FnMut(&Env) -> Result<(TimeVal, Option<Vec<u8>>)>,
     ) -> Result<usize> {
         let mut rows = std::mem::take(&mut self.rows);
         if highest_first {
@@ -641,12 +639,16 @@ impl Targets {
             rows.sort_by_key(|(tid, _)| Reverse(*tid));
         }
         let rel = catalog.get(self.id);
+        let mut env = Env {
+            slots: vec![Slot::of(&rel.schema, &rel.codec)],
+            params: &[],
+        };
         let mut rewrote = false;
         let mut effects = Vec::with_capacity(rows.len());
         for (tid, row) in rows {
-            self.slot.row = Some(row);
-            let (at, new) = step(&self.slot)?;
-            let mut row = self.slot.row.take().expect("bound above");
+            env.slots[0].row = Some(row);
+            let (at, new) = step(&env)?;
+            let mut row = env.slots[0].row.take().expect("bound above");
             let retired =
                 retire(&rel.schema, &rel.codec, &mut row, at, now);
             let (overwrite, inserts) = match (retired, new) {
@@ -722,17 +724,18 @@ pub fn exec_delete(
     let t =
         targets(pager, &binder, &d.var, &d.where_clause, &d.when_clause)?;
     // The deletion takes effect in valid time at this instant.
+    let schema = &binder.catalog.get(t.id).schema;
     let mut tvars = Vec::new();
-    let valid = bind_valid(&binder, &d.valid, &t.slot.schema, &mut tvars)?;
+    let valid = bind_valid(&binder, &d.valid, schema, &mut tvars)?;
     if !tvars.is_empty() {
         return Err(Error::Semantic(
             "the `valid` clause of a delete may not reference tuple variables"
                 .into(),
         ));
     }
-    let kind = t.slot.schema.kind();
-    let at =
-        retire_at("delete", kind, valid_period(&valid, kind, now, &[])?)?;
+    let kind = schema.kind();
+    let valid = valid_period(&valid, kind, now, &Env::default())?;
+    let at = retire_at("delete", kind, valid)?;
     t.retire_each(pager, catalog, now, true, false, |_| Ok((at, None)))
 }
 
@@ -752,7 +755,8 @@ pub fn exec_replace(
     // `replace h (seq = h.seq + 1)` — the benchmark's update round.
     let assigns =
         bind_assignments(&binder, t.id, &r.assignments, &mut t.vars)?;
-    let valid = bind_valid(&binder, &r.valid, &t.slot.schema, &mut t.vars)?;
+    let schema = &binder.catalog.get(t.id).schema;
+    let valid = bind_valid(&binder, &r.valid, schema, &mut t.vars)?;
     if t.vars.len() > 1 {
         let msg = format!("replace may only reference {:?}", r.var);
         return Err(Error::Semantic(msg));
@@ -769,18 +773,17 @@ pub fn exec_replace(
     let moves = !rel.schema.class().has_transaction_time()
         && rel.key_attr.is_some_and(rekeys);
     let reindex = assigns.iter().any(|(i, _)| rel.index_on(*i).is_some());
-    t.retire_each(pager, catalog, now, moves, reindex, |slot| {
+    t.retire_each(pager, catalog, now, moves, reindex, |env| {
         // The new version: the old one's explicit values, then the
         // assignments and the valid clause evaluated against the old one.
-        let Slot { schema, codec, row } = slot;
+        let Slot { schema, codec, row } = &env.slots[0];
         let old = row.as_deref().expect("bound target");
         let mut explicit: Vec<Value> =
             (0..explicit_len).map(|i| codec.get(old, i)).collect();
-        let slots = std::slice::from_ref(slot);
         for (idx, e) in &assigns {
-            explicit[*idx] = eval_expr(e, slots)?;
+            explicit[*idx] = eval_expr(e, env)?;
         }
-        let valid = valid_period(&valid, kind, now, slots)?;
+        let valid = valid_period(&valid, kind, now, env)?;
         let at = retire_at("replace", kind, valid)?;
         let new = build_stored_row(schema, codec, &explicit, valid, now)?;
         Ok((at, Some(new)))

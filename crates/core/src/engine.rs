@@ -115,7 +115,7 @@ fn view_of(db: &Database, epoch: u64) -> ReadView {
 
 /// One cached program: the parse of a statement *shape*
 /// ([`tdbms_tquel::token::Shape`]), whose numeric literals inside
-/// expressions are parameter slots filled per execution (parsing is
+/// expressions are parameter slots each execution supplies (parsing is
 /// pure, so the template is reusable forever), plus, for
 /// single-statement snapshot-served retrieves, the bound template
 /// stamped with the view epoch and range table it was bound under, so
@@ -143,9 +143,22 @@ struct CachedBound {
     epoch: u64,
     /// The exact range table the statement was bound under.
     ranges: HashMap<String, String>,
-    /// Bound with parameter slots, which `exec::prepare` fills into the
-    /// copy it makes anyway.
+    /// Bound with parameter slots. Every execution borrows it as it
+    /// is and evaluates the slots from its own literals; decomposition
+    /// copies the parts it rewrites, so nothing ever writes it.
     bound: BoundRetrieve,
+}
+
+impl CachedBound {
+    /// Was this binding made under publication `epoch` and range table
+    /// `ranges`, so that a statement of its shape may run it?
+    fn current(
+        &self,
+        epoch: u64,
+        ranges: &HashMap<String, String>,
+    ) -> bool {
+        self.epoch == epoch && self.ranges == *ranges
+    }
 }
 
 /// How many distinct statement shapes the engine keeps cached.
@@ -631,9 +644,7 @@ impl Session {
     /// statement.
     pub fn execute(&mut self, src: &str) -> Result<ExecOutput> {
         let mut last = ExecOutput::default();
-        for out in self.execute_all(src)? {
-            last = out;
-        }
+        self.run_program(src, |out| last = out)?;
         Ok(last)
     }
 
@@ -644,18 +655,61 @@ impl Session {
     /// slots — so a repeated program skips the parser whatever its
     /// numbers, and a repeated single-statement snapshot retrieve also
     /// skips the binder while the published view and this session's
-    /// range table are unchanged. Each execution fills its own literals
-    /// into the cached template.
+    /// range table are unchanged. Each execution runs the cached
+    /// template with its own literals.
     pub fn execute_all(&mut self, src: &str) -> Result<Vec<ExecOutput>> {
+        let mut outs = Vec::new();
+        self.run_program(src, |out| outs.push(out))?;
+        Ok(outs)
+    }
+
+    /// Run a program's statements in order through the statement
+    /// cache, handing each output to `each`; stops at the first error.
+    fn run_program(
+        &mut self,
+        src: &str,
+        mut each: impl FnMut(ExecOutput),
+    ) -> Result<()> {
         let (prog, literals) = self.engine.cached_program(src)?;
         // The bound fast-path only applies to a lone statement: in a
         // multi-statement program an earlier statement may change what
         // a later one binds to.
         let cache = (prog.stmts.len() == 1).then_some(&*prog);
-        prog.stmts
-            .iter()
-            .map(|s| self.execute_statement_cached(s, &literals, cache))
-            .collect()
+        for stmt in &prog.stmts {
+            each(self.execute_statement_cached(stmt, &literals, cache)?);
+        }
+        Ok(())
+    }
+
+    /// The bound template this session's next run of `src` would
+    /// borrow from the statement cache: `None` unless `src`'s shape is
+    /// cached with a binding made under the current published view and
+    /// this session's range table. Looking counts neither a cache hit
+    /// nor a miss, and changes nothing.
+    pub fn cached_binding(
+        &self,
+        src: &str,
+    ) -> Result<Option<BoundRetrieve>> {
+        let shape = lex_shape(src)?;
+        let epoch = self.engine.view().epoch;
+        let plans = self
+            .engine
+            .inner
+            .plans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let Some(prog) = plans.peek(&shape.key) else {
+            return Ok(None);
+        };
+        if !prog.serves(&shape.literals) {
+            return Ok(None);
+        }
+        let bound =
+            prog.bound.lock().unwrap_or_else(PoisonError::into_inner);
+        Ok(bound
+            .as_ref()
+            .filter(|cb| cb.current(epoch, &self.ranges))
+            .map(|cb| cb.bound.clone()))
     }
 
     /// Execute one parsed statement, classified onto the snapshot or
@@ -738,9 +792,7 @@ impl Session {
                     .unwrap_or_else(PoisonError::into_inner)
                     .clone()
             })
-            .filter(|cb| {
-                cb.epoch == view.epoch && cb.ranges == self.ranges
-            });
+            .filter(|cb| cb.current(view.epoch, &self.ranges));
         let mut fresh = None;
         let bound = match &cached {
             Some(cb) => &cb.bound,

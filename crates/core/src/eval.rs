@@ -1,35 +1,60 @@
 //! Evaluation of bound expressions over partially bound tuple variables.
 //!
 //! The one-variable query processor and the tuple-substitution join both
-//! evaluate predicates against a set of *slots*, one per range-table
-//! entry; a slot holds the variable's current relation (original or
-//! temporary) and, when bound, the raw row bytes. Attributes are decoded
-//! lazily — a predicate over `i4` columns never materializes the 96-byte
-//! string attribute next to them.
+//! evaluate predicates against an [`Env`]: one *slot* per range-table
+//! entry, and the statement's literals. A slot holds the variable's
+//! current relation (original or temporary) and, when bound, the raw
+//! row bytes. Attributes are decoded lazily — a predicate over `i4`
+//! columns never materializes the 96-byte string attribute next to
+//! them.
 
 use crate::bound::BExpr;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use tdbms_kernel::{Error, Result, RowCodec, Schema, TimeVal, Value};
 use tdbms_tquel::ast::BinOp;
+use tdbms_tquel::token::Literal;
 
 /// Evaluation-time state of one range-table entry.
 #[derive(Debug)]
-pub struct Slot {
-    /// The schema the variable currently ranges over (the original
-    /// relation's, or a temporary's after detachment).
-    pub schema: Schema,
+pub struct Slot<'a> {
+    /// The schema the variable currently ranges over: borrowed from the
+    /// catalog, owned once detachment moves the variable to a
+    /// temporary.
+    pub schema: Cow<'a, Schema>,
     /// Codec for that schema.
-    pub codec: RowCodec,
+    pub codec: Cow<'a, RowCodec>,
     /// The bound row, if this variable is currently bound.
     pub row: Option<Vec<u8>>,
 }
 
-impl Slot {
+impl<'a> Slot<'a> {
+    /// An unbound slot over a stored relation's schema and codec.
+    pub(crate) fn of(schema: &'a Schema, codec: &'a RowCodec) -> Slot<'a> {
+        Slot {
+            schema: Cow::Borrowed(schema),
+            codec: Cow::Borrowed(codec),
+            row: None,
+        }
+    }
+
     fn row(&self) -> Result<&[u8]> {
         self.row
             .as_deref()
             .ok_or_else(|| Error::Internal("unbound tuple variable".into()))
     }
+}
+
+/// What a bound expression is evaluated against: one slot per
+/// range-table entry, and the literals a cached statement's parameter
+/// slots ([`BExpr::Param`]) stand for. The default environment binds no
+/// variable and no parameter: it evaluates constant expressions.
+#[derive(Debug, Default)]
+pub struct Env<'a> {
+    /// One slot per range-table entry.
+    pub slots: Vec<Slot<'a>>,
+    /// The statement's numeric literals, in source order.
+    pub params: &'a [Literal],
 }
 
 /// Truthiness of a Quel value: nonzero numbers are true.
@@ -44,15 +69,16 @@ pub fn truthy(v: &Value) -> Result<bool> {
 }
 
 /// Evaluate a scalar expression.
-pub fn eval_expr(e: &BExpr, slots: &[Slot]) -> Result<Value> {
+pub fn eval_expr(e: &BExpr, env: &Env) -> Result<Value> {
     match e {
         BExpr::Const(v) => Ok(v.clone()),
-        BExpr::Param(k) => Err(Error::Internal(format!(
-            "statement parameter {k} evaluated before its literal was \
-             filled in"
-        ))),
+        BExpr::Param(k) => {
+            env.params.get(*k).map(|&l| l.into()).ok_or_else(|| {
+                Error::Internal(format!("no literal for parameter {k}"))
+            })
+        }
         BExpr::Attr { var, attr } => {
-            let slot = &slots[*var];
+            let slot = &env.slots[*var];
             Ok(slot.codec.get(slot.row()?, *attr))
         }
         BExpr::Bin { op, lhs, rhs } => {
@@ -60,22 +86,22 @@ pub fn eval_expr(e: &BExpr, slots: &[Slot]) -> Result<Value> {
             match op {
                 BinOp::And => {
                     return Ok(Value::Int(
-                        (truthy(&eval_expr(lhs, slots)?)?
-                            && truthy(&eval_expr(rhs, slots)?)?)
+                        (truthy(&eval_expr(lhs, env)?)?
+                            && truthy(&eval_expr(rhs, env)?)?)
                             as i64,
                     ))
                 }
                 BinOp::Or => {
                     return Ok(Value::Int(
-                        (truthy(&eval_expr(lhs, slots)?)?
-                            || truthy(&eval_expr(rhs, slots)?)?)
+                        (truthy(&eval_expr(lhs, env)?)?
+                            || truthy(&eval_expr(rhs, env)?)?)
                             as i64,
                     ))
                 }
                 _ => {}
             }
-            let l = eval_expr(lhs, slots)?;
-            let r = eval_expr(rhs, slots)?;
+            let l = eval_expr(lhs, env)?;
+            let r = eval_expr(rhs, env)?;
             if op.is_comparison() {
                 let ord = l.compare(&r).ok_or_else(|| {
                     Error::BadValue(format!("cannot compare {l} with {r}"))
@@ -93,7 +119,7 @@ pub fn eval_expr(e: &BExpr, slots: &[Slot]) -> Result<Value> {
             }
             arith(*op, &l, &r)
         }
-        BExpr::Neg(x) => match eval_expr(x, slots)? {
+        BExpr::Neg(x) => match eval_expr(x, env)? {
             // i64::MIN has no i64 negation; a bare `-i` would panic.
             Value::Int(i) => {
                 i.checked_neg().map(Value::Int).ok_or_else(|| {
@@ -106,14 +132,14 @@ pub fn eval_expr(e: &BExpr, slots: &[Slot]) -> Result<Value> {
             other => Err(Error::BadValue(format!("cannot negate {other}"))),
         },
         BExpr::Not(x) => {
-            Ok(Value::Int(!truthy(&eval_expr(x, slots)?)? as i64))
+            Ok(Value::Int(!truthy(&eval_expr(x, env)?)? as i64))
         }
         BExpr::Greatest(xs) | BExpr::Least(xs) => {
             let greatest = matches!(e, BExpr::Greatest(_));
             // The binder never builds an extremum of fewer than two.
-            let mut best = eval_time(&xs[0], slots)?;
+            let mut best = eval_time(&xs[0], env)?;
             for x in &xs[1..] {
-                let t = eval_time(x, slots)?;
+                let t = eval_time(x, env)?;
                 best = if greatest { best.max(t) } else { best.min(t) };
             }
             Ok(Value::Time(best))
@@ -185,23 +211,23 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 /// Evaluate a scalar predicate to a boolean.
-pub fn eval_bool(e: &BExpr, slots: &[Slot]) -> Result<bool> {
-    truthy(&eval_expr(e, slots)?)
+pub fn eval_bool(e: &BExpr, env: &Env) -> Result<bool> {
+    truthy(&eval_expr(e, env)?)
 }
 
 /// Evaluate an expression that denotes an instant (a lowered temporal
 /// endpoint).
-pub fn eval_time(e: &BExpr, slots: &[Slot]) -> Result<TimeVal> {
-    match eval_expr(e, slots)? {
+pub fn eval_time(e: &BExpr, env: &Env) -> Result<TimeVal> {
+    match eval_expr(e, env)? {
         Value::Time(t) => Ok(t),
         other => Err(Error::Internal(format!("{other} is not an instant"))),
     }
 }
 
-/// Does the tuple bound in `slots` satisfy every conjunct?
-pub fn qualifies(conjuncts: &[BExpr], slots: &[Slot]) -> Result<bool> {
+/// Does the tuple bound in `env` satisfy every conjunct?
+pub fn qualifies(conjuncts: &[&BExpr], env: &Env) -> Result<bool> {
     for c in conjuncts {
-        if !eval_bool(c, slots)? {
+        if !eval_bool(c, env)? {
             return Ok(false);
         }
     }
@@ -215,7 +241,11 @@ mod tests {
         AttrDef, DatabaseClass, Domain, Schema, TemporalKind, TimeVal,
     };
 
-    fn hist_slot(id: i64, from: u32, to: u32) -> Slot {
+    fn env(slots: Vec<Slot<'static>>) -> Env<'static> {
+        Env { slots, params: &[] }
+    }
+
+    fn hist_slot(id: i64, from: u32, to: u32) -> Slot<'static> {
         let schema = Schema::new(
             vec![
                 AttrDef::new("id", Domain::I4),
@@ -235,15 +265,15 @@ mod tests {
             ])
             .unwrap();
         Slot {
-            schema,
-            codec,
+            schema: Cow::Owned(schema),
+            codec: Cow::Owned(codec),
             row: Some(row),
         }
     }
 
     #[test]
     fn attribute_access_and_comparison() {
-        let slots = [hist_slot(42, 10, 20)];
+        let slots = env(vec![hist_slot(42, 10, 20)]);
         let e = BExpr::Bin {
             op: BinOp::Eq,
             lhs: Box::new(BExpr::Attr { var: 0, attr: 0 }),
@@ -254,7 +284,7 @@ mod tests {
 
     #[test]
     fn arithmetic_with_precedence_results() {
-        let slots = [hist_slot(10, 0, 1)];
+        let slots = env(vec![hist_slot(10, 0, 1)]);
         // id * 2 + 1 = 21
         let e = BExpr::Bin {
             op: BinOp::Add,
@@ -270,7 +300,7 @@ mod tests {
 
     #[test]
     fn division_and_mod_guards() {
-        let slots: [Slot; 0] = [];
+        let slots = Env::default();
         let div0 = BExpr::Bin {
             op: BinOp::Div,
             lhs: Box::new(BExpr::Const(Value::Int(1))),
@@ -289,7 +319,7 @@ mod tests {
     fn extreme_integer_arithmetic_stays_typed() {
         // Both used to panic with a debug overflow / remainder overflow,
         // which a remote client could trigger from a statement string.
-        let slots: [Slot; 0] = [];
+        let slots = Env::default();
         let neg_min =
             BExpr::Neg(Box::new(BExpr::Const(Value::Int(i64::MIN))));
         assert!(matches!(
@@ -312,7 +342,7 @@ mod tests {
 
     #[test]
     fn mixed_numeric_promotes_to_float() {
-        let slots: [Slot; 0] = [];
+        let slots = Env::default();
         let e = BExpr::Bin {
             op: BinOp::Add,
             lhs: Box::new(BExpr::Const(Value::Int(1))),
@@ -323,7 +353,7 @@ mod tests {
 
     #[test]
     fn greatest_and_least_pick_extremes() {
-        let slots = [hist_slot(1, 10, 20), hist_slot(2, 15, 30)];
+        let slots = env(vec![hist_slot(1, 10, 20), hist_slot(2, 15, 30)]);
         let attr = |var, attr| BExpr::Attr { var, attr };
         // The `overlap` constructor's endpoints: [15, 20].
         let lo = BExpr::Greatest(vec![attr(0, 2), attr(1, 2)]);
@@ -345,6 +375,25 @@ mod tests {
         let mut slot = hist_slot(1, 0, 1);
         slot.row = None;
         let e = BExpr::Attr { var: 0, attr: 0 };
-        assert!(eval_expr(&e, &[slot]).is_err());
+        assert!(eval_expr(&e, &env(vec![slot])).is_err());
+    }
+
+    #[test]
+    fn parameters_evaluate_to_the_statements_literals() {
+        let params = [Literal::Int(7), Literal::Float(0.5)];
+        let env = Env {
+            slots: Vec::new(),
+            params: &params,
+        };
+        let e = BExpr::Bin {
+            op: BinOp::Add,
+            lhs: Box::new(BExpr::Param(0)),
+            rhs: Box::new(BExpr::Param(1)),
+        };
+        assert_eq!(eval_expr(&e, &env).unwrap(), Value::Float(7.5));
+        assert!(matches!(
+            eval_expr(&BExpr::Param(2), &env),
+            Err(Error::Internal(_))
+        ));
     }
 }

@@ -24,15 +24,18 @@
 //! level where all its variables are bound.
 
 use crate::binder::row_tx_period;
-use crate::bound::{BExpr, BoundRetrieve, Visibility};
-use crate::eval::{eval_expr, qualifies, Slot};
+use crate::bound::{BExpr, BoundRetrieve, BoundTarget, Visibility};
+use crate::eval::{eval_expr, qualifies, Env, Slot};
 use crate::guard::QueryGuard;
+use std::borrow::Cow;
 use tdbms_kernel::{
     AttrDef, Domain, Error, Result, RowCodec, Schema, Value,
 };
+use tdbms_storage::catalog::NamedIndex;
 use tdbms_storage::{
-    Catalog, ClusteredHistory, FileId, HeapFile, Pager, PhaseIo, RelFile,
-    RelLookup, RelScan, StatScope, StoredRelation, TupleId,
+    Catalog, ClusteredHistory, FileId, HeapAppender, HeapFile, Pager,
+    PhaseIo, RelFile, RelLookup, RelScan, StatScope, StoredRelation,
+    TupleId,
 };
 use tdbms_tquel::ast::BinOp;
 use tdbms_tquel::token::Literal;
@@ -100,11 +103,15 @@ pub struct RetrieveResult {
     pub rows: Vec<Vec<Value>>,
 }
 
-/// Per-variable runtime state during execution.
-pub(crate) struct VarRt {
-    pub(crate) file: RelFile,
+/// Per-variable runtime state during execution. Everything is borrowed
+/// from the catalog until detachment moves the variable to its
+/// temporary.
+pub(crate) struct VarRt<'a> {
+    /// The file the variable ranges over: its relation's, or its
+    /// detachment temporary.
+    pub(crate) file: Cow<'a, RelFile>,
     pub(crate) key_attr: Option<usize>,
-    pub(crate) indexes: Vec<tdbms_storage::catalog::NamedIndex>,
+    pub(crate) indexes: &'a [NamedIndex],
     visible: Option<Visibility>,
     /// The scratch file of this variable's detachment temporary.
     temp: Option<FileId>,
@@ -112,29 +119,25 @@ pub(crate) struct VarRt {
     /// migrated out of the primary file. Read only when the query's
     /// visibility reaches behind the sidecar's stop-time high-water mark,
     /// which keeps at-now retrievals at primary-only page cost.
-    pub(crate) history: Option<std::sync::Arc<ClusteredHistory>>,
+    pub(crate) history: Option<&'a ClusteredHistory>,
 }
 
 /// The evaluation slot and runtime state of one variable ranging over
 /// `stored`, seeing the versions `visible` admits (`None`: every one).
-/// Every reader of a relation — a retrieve's variables and DML's
-/// targets — starts from this.
+/// Both borrow `stored`. Every reader of a relation — a retrieve's
+/// variables and DML's targets — starts from this.
 pub(crate) fn var_state(
     stored: &StoredRelation,
     visible: Option<Visibility>,
-) -> (Slot, VarRt) {
-    let slot = Slot {
-        schema: stored.schema.clone(),
-        codec: stored.codec.clone(),
-        row: None,
-    };
+) -> (Slot<'_>, VarRt<'_>) {
+    let slot = Slot::of(&stored.schema, &stored.codec);
     let rt = VarRt {
-        file: stored.file.clone(),
+        file: Cow::Borrowed(&stored.file),
         key_attr: stored.key_attr,
-        indexes: stored.indexes.clone(),
+        indexes: &stored.indexes,
         visible,
         temp: None,
-        history: stored.history.clone(),
+        history: stored.history.as_deref(),
     };
     (slot, rt)
 }
@@ -143,7 +146,9 @@ pub(crate) fn var_state(
 /// [`detachable_vars`] names, in that order, then substitute. Returns
 /// the result rows; the caller reads the pager's
 /// [`tdbms_storage::IoStats`] for costs and handles `into`. `params`
-/// fills the bound retrieve's parameter slots ([`BExpr::Param`]).
+/// are the literals the bound retrieve's parameter slots
+/// ([`BExpr::Param`]) stand for. `bound` is only read, so one cached
+/// template serves any number of concurrent executions.
 ///
 /// The catalog is only read. A single-variable retrieve never
 /// decomposes. A multi-variable retrieve materializes its projection
@@ -166,7 +171,7 @@ pub fn exec_retrieve(
     quiet: bool,
 ) -> Result<RetrieveResult> {
     let mut p = prepare(catalog, bound, params, guard);
-    if p.b.vars.len() < 2 {
+    if bound.vars.len() < 2 {
         return run_joins(pager, p);
     }
     let decomposed = decompose(pager, &mut p, quiet);
@@ -186,26 +191,32 @@ pub fn exec_retrieve(
 }
 
 /// Everything the join phases need, derived from the bound retrieve with
-/// only shared catalog access.
-pub(crate) struct Prepared {
-    pub(crate) b: BoundRetrieve,
-    /// One evaluation slot per variable; none is bound before the joins.
-    pub(crate) slots: Vec<Slot>,
-    pub(crate) rts: Vec<VarRt>,
+/// only shared catalog access. It borrows the bound retrieve and the
+/// catalog; what decomposition rewrites — a detached variable's schema,
+/// codec and file, and the expressions that reference it — it copies
+/// first, so the shared template is never written.
+pub(crate) struct Prepared<'a> {
+    pub(crate) b: &'a BoundRetrieve,
+    /// The output columns.
+    targets: Cow<'a, [BoundTarget]>,
+    /// The output valid period.
+    valid: Option<(Cow<'a, BExpr>, Cow<'a, BExpr>)>,
+    /// One evaluation slot per variable, none bound before the joins,
+    /// and the statement's literals.
+    pub(crate) env: Env<'a>,
+    pub(crate) rts: Vec<VarRt<'a>>,
     /// The qualification's conjuncts, each with its variable set.
-    pub(crate) conjuncts: Vec<(BExpr, Vec<usize>)>,
+    pub(crate) conjuncts: Vec<(Cow<'a, BExpr>, Vec<usize>)>,
     /// The caller's per-query limits, polled at row granularity.
-    guard: QueryGuard,
+    guard: &'a QueryGuard,
 }
 
-pub(crate) fn prepare(
-    catalog: &Catalog,
-    bound: &BoundRetrieve,
-    params: &[Literal],
-    guard: &QueryGuard,
-) -> Prepared {
-    let mut b = bound.clone();
-    b.fill_params(params);
+pub(crate) fn prepare<'a>(
+    catalog: &'a Catalog,
+    b: &'a BoundRetrieve,
+    params: &'a [Literal],
+    guard: &'a QueryGuard,
+) -> Prepared<'a> {
     let (slots, rts): (Vec<Slot>, Vec<VarRt>) = b
         .vars
         .iter()
@@ -216,22 +227,27 @@ pub(crate) fn prepare(
         .unzip();
 
     // Cache each conjunct's variable set.
-    let conjuncts: Vec<(BExpr, Vec<usize>)> = b
+    let conjuncts = b
         .conjuncts
-        .drain(..)
+        .iter()
         .map(|c| {
             let mut vs = Vec::new();
             c.collect_vars(&mut vs);
-            (c, vs)
+            (Cow::Borrowed(c), vs)
         })
         .collect();
 
     Prepared {
         b,
-        slots,
+        targets: Cow::Borrowed(&b.targets),
+        valid: b
+            .valid
+            .as_ref()
+            .map(|(from, to)| (Cow::Borrowed(from), Cow::Borrowed(to))),
+        env: Env { slots, params },
         rts,
         conjuncts,
-        guard: guard.clone(),
+        guard,
     }
 }
 
@@ -249,10 +265,10 @@ pub(crate) fn detachable_vars(p: &Prepared) -> Vec<usize> {
             let has_own = p.conjuncts.iter().any(|(_, vs)| vs == &[v]);
             // A projection would lose transaction time; such a variable
             // keeps its original relation.
-            let schema = &p.slots[v].schema;
+            let schema = &p.env.slots[v].schema;
             let tx = [TransactionStart, TransactionStop]
                 .map(|t| schema.temporal_index(t));
-            let needs_tx = still_needed(&p.b, &p.conjuncts, v)
+            let needs_tx = still_needed(&p.targets, &p.conjuncts, v)
                 .iter()
                 .any(|a| tx.contains(&Some(*a)));
             has_own && !needs_tx
@@ -264,12 +280,12 @@ pub(crate) fn detachable_vars(p: &Prepared) -> Vec<usize> {
 /// from the targets, and from the conjuncts that are not `v`'s own (the
 /// detachment consumes those). Sorted, without duplicates.
 fn still_needed(
-    b: &BoundRetrieve,
-    conjuncts: &[(BExpr, Vec<usize>)],
+    targets: &[BoundTarget],
+    conjuncts: &[(Cow<BExpr>, Vec<usize>)],
     v: usize,
 ) -> Vec<usize> {
     let mut refs: Vec<(usize, usize)> = Vec::new();
-    for t in &b.targets {
+    for t in targets {
         t.expr.collect_attrs(&mut refs);
     }
     for (c, vs) in conjuncts {
@@ -287,138 +303,140 @@ fn still_needed(
     attrs
 }
 
+/// Rewrite `e`'s attribute references of `v` through `map`, copying a
+/// borrowed expression only when it has one to rewrite.
+fn remap(e: &mut Cow<BExpr>, v: usize, map: &[(usize, usize)]) {
+    if e.references(v) {
+        e.to_mut().remap_attrs(v, map);
+    }
+}
+
 /// Phase 1: one-variable detachment. Materializes the projection of
 /// each of [`detachable_vars`] into a temporary on a scratch file
 /// (recorded in `rts[v].temp` as soon as it exists, so the caller can
-/// drop it even if this fails) and rewrites the plan in place.
+/// drop it even if this fails) and points the variable and the
+/// expressions that reference it at the temporary.
 fn decompose(pager: &Pager, p: &mut Prepared, quiet: bool) -> Result<()> {
     let order = detachable_vars(p);
     let Prepared {
         b,
-        slots,
+        targets,
+        valid,
+        env,
         rts,
         conjuncts,
         guard,
     } = p;
-    let guard = guard.clone();
-    {
-        pager.begin_phase("decomposition");
-        for v in order {
-            let schema = &slots[v].schema;
-            let explicit_len = schema.explicit_attrs().len();
-            let mut needed: Vec<usize> = still_needed(b, conjuncts, v)
-                .into_iter()
-                .filter(|&a| a < explicit_len)
-                .collect();
-            if needed.is_empty() {
-                needed.push(0);
-            }
+    pager.begin_phase("decomposition");
+    for v in order {
+        let schema = &env.slots[v].schema;
+        let explicit_len = schema.explicit_attrs().len();
+        let mut needed: Vec<usize> = still_needed(targets, conjuncts, v)
+            .into_iter()
+            .filter(|&a| a < explicit_len)
+            .collect();
+        if needed.is_empty() {
+            needed.push(0);
+        }
 
-            // Temp schema: projected explicit attributes; valid time comes
-            // along implicitly when the source has it.
-            let src_class = b.vars[v].class;
-            let temp_class = if src_class.has_valid_time() {
-                tdbms_kernel::DatabaseClass::Historical
-            } else {
-                tdbms_kernel::DatabaseClass::Static
-            };
-            let temp_schema = Schema::new(
-                needed
-                    .iter()
-                    .map(|&a| {
-                        AttrDef::new(
-                            schema.name_of(a).expect("in range"),
-                            schema.domain_of(a).expect("in range"),
-                        )
-                    })
-                    .collect(),
-                temp_class,
-                b.vars[v].kind,
-            )?;
-            let temp_codec = RowCodec::new(&temp_schema);
-            let file = pager.create_scratch_file()?;
-            rts[v].temp = Some(file);
-            let temp_file = HeapFile::attach(file, temp_schema.row_width());
-
-            // Remap table: old stored index -> new stored index, covering
-            // projected explicit attrs and the implicit valid attrs.
-            let mut map: Vec<(usize, usize)> = needed
+        // Temp schema: projected explicit attributes; valid time comes
+        // along implicitly when the source has it.
+        let src_class = b.vars[v].class;
+        let temp_class = if src_class.has_valid_time() {
+            tdbms_kernel::DatabaseClass::Historical
+        } else {
+            tdbms_kernel::DatabaseClass::Static
+        };
+        let temp_schema = Schema::new(
+            needed
                 .iter()
-                .enumerate()
-                .map(|(new, old)| (*old, new))
-                .collect();
-            for t in schema.implicit_attrs() {
-                if let (Some(old), Some(new)) = (
-                    schema.temporal_index(*t),
-                    temp_schema.temporal_index(*t),
-                ) {
-                    map.push((old, new));
-                }
+                .map(|&a| {
+                    AttrDef::new(
+                        schema.name_of(a).expect("in range"),
+                        schema.domain_of(a).expect("in range"),
+                    )
+                })
+                .collect(),
+            temp_class,
+            b.vars[v].kind,
+        )?;
+        let temp_codec = RowCodec::new(&temp_schema);
+        let file = pager.create_scratch_file()?;
+        rts[v].temp = Some(file);
+        let temp_file = HeapFile::attach(file, temp_schema.row_width());
+        let mut temp = HeapAppender::new(pager, temp_file)?;
+
+        // Remap table: old stored index -> new stored index, covering
+        // projected explicit attrs and the implicit valid attrs.
+        let mut map: Vec<(usize, usize)> = needed
+            .iter()
+            .enumerate()
+            .map(|(new, old)| (*old, new))
+            .collect();
+        for t in schema.implicit_attrs() {
+            if let (Some(old), Some(new)) =
+                (schema.temporal_index(*t), temp_schema.temporal_index(*t))
+            {
+                map.push((old, new));
             }
+        }
 
-            // Run the one-variable query, materializing the projection.
-            let own: Vec<BExpr> = conjuncts
-                .iter()
-                .filter(|(_, vs)| vs == &[v])
-                .map(|(c, _)| c.clone())
-                .collect();
-            let out_width = temp_codec.width();
-            ovqp(
-                pager,
-                slots,
-                &rts[v],
-                v,
-                &own,
-                &guard,
-                |slots_now, _| {
-                    // Project the bound row into the temp layout.
-                    let src = &slots_now[v];
-                    let row_bytes =
-                        src.row.as_deref().expect("bound in ovqp");
-                    let mut out = vec![0u8; out_width];
-                    for (old, new) in &map {
-                        let val = src.codec.get(row_bytes, *old);
-                        temp_codec.put(&mut out, *new, &val)?;
-                    }
-                    temp_file.insert(pager, &out)?;
-                    Ok(())
-                },
-            )?;
+        // Run the one-variable query, materializing the projection
+        // through one row buffer.
+        let own: Vec<&BExpr> = conjuncts
+            .iter()
+            .filter(|(_, vs)| vs == &[v])
+            .map(|(c, _)| &**c)
+            .collect();
+        let mut out = vec![0u8; temp_codec.width()];
+        ovqp(pager, env, &rts[v], v, &own, guard, |env, _| {
+            // Project the bound row into the temp layout.
+            let src = &env.slots[v];
+            let row_bytes = src.row.as_deref().expect("bound in ovqp");
+            out.fill(0);
+            for (old, new) in &map {
+                let val = src.codec.get(row_bytes, *old);
+                temp_codec.put(&mut out, *new, &val)?;
+            }
+            temp.insert(pager, &out)?;
+            Ok(())
+        })?;
 
-            // Swap the variable to the temporary.
-            slots[v].schema = temp_schema;
-            slots[v].codec = temp_codec;
-            rts[v].file = RelFile::Heap(temp_file);
-            rts[v].key_attr = None;
-            rts[v].indexes.clear();
-            rts[v].visible = None;
-            rts[v].history = None;
+        // Swap the variable to the temporary.
+        env.slots[v].schema = Cow::Owned(temp_schema);
+        env.slots[v].codec = Cow::Owned(temp_codec);
+        rts[v].file = Cow::Owned(RelFile::Heap(temp_file));
+        rts[v].key_attr = None;
+        rts[v].indexes = &[];
+        rts[v].visible = None;
+        rts[v].history = None;
 
-            // Consume this variable's own conjuncts and remap the rest.
-            conjuncts.retain(|(_, vs)| vs != &[v]);
-            for t in &mut b.targets {
+        // Consume this variable's own conjuncts and remap the rest.
+        conjuncts.retain(|(_, vs)| vs != &[v]);
+        if targets.iter().any(|t| t.expr.references(v)) {
+            for t in targets.to_mut() {
                 t.expr.remap_attrs(v, &map);
             }
-            for (c, _) in conjuncts.iter_mut() {
-                c.remap_attrs(v, &map);
-            }
-            if let Some((from, to)) = &mut b.valid {
-                from.remap_attrs(v, &map);
-                to.remap_attrs(v, &map);
-            }
         }
-        // Temporaries are fully written; start the join phase with cold
-        // buffers (also flushes the temps, counting their output pages —
-        // attributed to the decomposition phase, which produced them).
-        // A quiet (snapshot) execution must not touch other sessions'
-        // warm frames, so it keeps its temporaries buffered instead: the
-        // join reads them straight from the pool and the drop at the
-        // end discards frames and file together.
-        if !quiet {
-            pager.invalidate_buffers()?;
+        for (c, _) in conjuncts.iter_mut() {
+            remap(c, v, &map);
         }
-        pager.end_phase();
+        if let Some((from, to)) = valid {
+            remap(from, v, &map);
+            remap(to, v, &map);
+        }
     }
+    // Temporaries are fully written; start the join phase with cold
+    // buffers (also flushes the temps, counting their output pages —
+    // attributed to the decomposition phase, which produced them).
+    // A quiet (snapshot) execution must not touch other sessions'
+    // warm frames, so it keeps its temporaries buffered instead: the
+    // join reads them straight from the pool and the drop at the
+    // end discards frames and file together.
+    if !quiet {
+        pager.invalidate_buffers()?;
+    }
+    pager.end_phase();
     Ok(())
 }
 
@@ -428,11 +446,12 @@ fn decompose(pager: &Pager, p: &mut Prepared, quiet: bool) -> Result<()> {
 fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     let Prepared {
         b,
-        mut slots,
+        targets,
+        valid,
+        mut env,
         rts,
         conjuncts,
         guard,
-        ..
     } = p;
     let nvars = b.vars.len();
 
@@ -453,25 +472,23 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     // `levels[d]` holds the conjuncts evaluated at join depth `d`, in
     // qualification order.
     let pos_of = |v: usize| order.iter().position(|&x| x == v).unwrap_or(0);
-    let mut levels: Vec<Vec<BExpr>> = vec![Vec::new(); nvars.max(1)];
-    for (c, vs) in conjuncts {
+    let mut levels: Vec<Vec<&BExpr>> = vec![Vec::new(); nvars.max(1)];
+    for (c, vs) in &conjuncts {
         let lvl = vs.iter().map(|&v| pos_of(v)).max().unwrap_or(0);
         levels[lvl].push(c);
     }
 
     // ---- Phase 4: nested iteration --------------------------------------
-    let mut columns: Vec<(String, Domain)> = b
-        .targets
-        .iter()
-        .map(|t| (t.name.clone(), t.domain))
-        .collect();
+    let mut columns: Vec<(String, Domain)> =
+        Vec::with_capacity(targets.len() + 2);
+    columns.extend(targets.iter().map(|t| (t.name.clone(), t.domain)));
     // The implicit valid-time output columns; a target that already
     // projects an attribute of the same name supersedes the implicit one
     // (so `retrieve (e.valid_from)` shows the stored attribute rather
     // than erroring).
     let mut add_from = false;
     let mut add_to = false;
-    if b.valid.is_some() {
+    if valid.is_some() {
         add_from = !columns.iter().any(|(n, _)| n == "valid_from");
         add_to = !columns.iter().any(|(n, _)| n == "valid_to");
         if add_from {
@@ -488,24 +505,24 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     }
     join_level(
         pager,
-        &mut slots,
+        &mut env,
         &rts,
         &order,
         0,
         &levels,
-        &guard,
-        &mut |slots_now| {
+        guard,
+        &mut |env| {
             guard.check_rows(rows.len())?;
             let mut row = Vec::with_capacity(columns.len());
-            for t in &b.targets {
-                row.push(eval_expr(&t.expr, slots_now)?);
+            for t in targets.iter() {
+                row.push(eval_expr(&t.expr, env)?);
             }
-            if let Some((from, to)) = &b.valid {
+            if let Some((from, to)) = &valid {
                 if add_from {
-                    row.push(eval_expr(from, slots_now)?);
+                    row.push(eval_expr(from, env)?);
                 }
                 if add_to {
-                    row.push(eval_expr(to, slots_now)?);
+                    row.push(eval_expr(to, env)?);
                 }
             }
             rows.push(row);
@@ -519,8 +536,8 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     // Aggregation pass: group by the non-aggregate targets and fold the
     // aggregate columns (the rows currently hold each aggregate's raw
     // argument value).
-    if b.targets.iter().any(|t| t.agg.is_some()) {
-        rows = aggregate_rows(&b.targets, rows)?;
+    if targets.iter().any(|t| t.agg.is_some()) {
+        rows = aggregate_rows(&targets, rows)?;
     }
 
     // `sort by` over result columns (a stable sort; incomparable values
@@ -547,7 +564,7 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
 /// non-aggregate target positions; rows are sorted by key (Quel-style
 /// deterministic output) and folded in runs.
 fn aggregate_rows(
-    targets: &[crate::bound::BoundTarget],
+    targets: &[BoundTarget],
     mut rows: Vec<Vec<Value>>,
 ) -> Result<Vec<Vec<Value>>> {
     use tdbms_tquel::ast::AggFunc;
@@ -781,13 +798,13 @@ fn probe_bytes(
     c: &BExpr,
     v: usize,
     attr: usize,
-    slots: &[Slot],
+    env: &Env,
 ) -> Result<Option<Vec<u8>>> {
-    let Some(probe) = bound_probe(c, v, Some(attr), slots) else {
+    let Some(probe) = bound_probe(c, v, Some(attr), &env.slots) else {
         return Ok(None);
     };
-    let val = eval_expr(probe, slots)?;
-    let domain = slots[v]
+    let val = eval_expr(probe, env)?;
+    let domain = env.slots[v]
         .schema
         .domain_of(attr)
         .ok_or_else(|| Error::Internal("bad probe attr".into()))?;
@@ -807,23 +824,23 @@ enum Cursor {
 /// The one-variable query processor: iterate variable `v`'s relation
 /// through its best access path, apply visibility and the given
 /// conjuncts, and call `emit` for each qualifying version (bound into
-/// `slots[v]`) with its address in the primary file — `None` for a
+/// `env.slots[v]`) with its address in the primary file — `None` for a
 /// version read from the history sidecar.
-pub(crate) fn ovqp(
+pub(crate) fn ovqp<'a>(
     pager: &Pager,
-    slots: &mut [Slot],
+    env: &mut Env<'a>,
     rt: &VarRt,
     v: usize,
-    conjuncts: &[BExpr],
+    conjuncts: &[&BExpr],
     guard: &QueryGuard,
-    mut emit: impl FnMut(&mut [Slot], Option<TupleId>) -> Result<()>,
+    mut emit: impl FnMut(&mut Env<'a>, Option<TupleId>) -> Result<()>,
 ) -> Result<()> {
     // Access-path selection: a key-equality conjunct evaluable without
     // `v` enables keyed access.
     let mut probe_key: Option<Vec<u8>> = None;
     if let Some(key) = rt.key_attr {
         for c in conjuncts {
-            probe_key = probe_bytes(c, v, key, slots)?;
+            probe_key = probe_bytes(c, v, key, env)?;
             if probe_key.is_some() {
                 break;
             }
@@ -837,8 +854,8 @@ pub(crate) fn ovqp(
     let mut index_tids: Option<Vec<TupleId>> = None;
     if probe_key.is_none() {
         'outer: for c in conjuncts {
-            for ix in &rt.indexes {
-                if let Some(bytes) = probe_bytes(c, v, ix.attr, slots)? {
+            for ix in rt.indexes {
+                if let Some(bytes) = probe_bytes(c, v, ix.attr, env)? {
                     index_tids = Some(ix.index.lookup_tids(pager, &bytes)?);
                     break 'outer;
                 }
@@ -846,7 +863,7 @@ pub(crate) fn ovqp(
         }
     }
 
-    let file = &rt.file;
+    let file = &*rt.file;
     let mut cursor = match (&probe_key, index_tids) {
         (Some(key), _) => match file.lookup_eq(pager, key)? {
             Some(lookup) => Cursor::Lookup(lookup),
@@ -857,7 +874,7 @@ pub(crate) fn ovqp(
     };
     // Every row is read into the slot's one buffer: a row that fails
     // visibility or the qualification allocates nothing.
-    let mut row = slots[v].row.take().unwrap_or_default();
+    let mut row = env.slots[v].row.take().unwrap_or_default();
     loop {
         guard.tick()?;
         let next = match &mut cursor {
@@ -872,16 +889,16 @@ pub(crate) fn ovqp(
             },
         };
         let Some(tid) = next else { break };
-        if !version_visible(&slots[v], rt.visible, &row) {
+        if !version_visible(&env.slots[v], rt.visible, &row) {
             continue;
         }
-        slots[v].row = Some(row);
-        if qualifies(conjuncts, slots)? {
-            emit(slots, Some(tid))?;
+        env.slots[v].row = Some(row);
+        if qualifies(conjuncts, env)? {
+            emit(env, Some(tid))?;
         }
-        row = slots[v].row.take().unwrap_or_default();
+        row = env.slots[v].row.take().unwrap_or_default();
     }
-    slots[v].row = Some(row);
+    env.slots[v].row = Some(row);
 
     // Migrated versions: after reorganization the primary holds only the
     // rows the compactor left behind, so a query whose visibility reaches
@@ -890,7 +907,7 @@ pub(crate) fn ovqp(
     // retrievals skip it entirely — every migrated version has already
     // stopped — which is the bounded-I/O property reorganization exists
     // to provide.
-    if let Some(history) = &rt.history {
+    if let Some(history) = rt.history {
         let wants_history = match rt.visible {
             None => true,
             Some(vis) => vis.at < history.max_stop(),
@@ -898,14 +915,14 @@ pub(crate) fn ovqp(
         if wants_history {
             let mut visit = |row: &[u8]| -> Result<()> {
                 guard.tick()?;
-                if !version_visible(&slots[v], rt.visible, row) {
+                if !version_visible(&env.slots[v], rt.visible, row) {
                     return Ok(());
                 }
-                let buf = slots[v].row.get_or_insert_with(Vec::new);
+                let buf = env.slots[v].row.get_or_insert_with(Vec::new);
                 buf.clear();
                 buf.extend_from_slice(row);
-                if qualifies(conjuncts, slots)? {
-                    emit(slots, None)?;
+                if qualifies(conjuncts, env)? {
+                    emit(env, None)?;
                 }
                 Ok(())
             };
@@ -915,49 +932,48 @@ pub(crate) fn ovqp(
             }
         }
     }
-    slots[v].row = None;
+    env.slots[v].row = None;
     Ok(())
 }
 
 /// One level of the tuple-substitution join.
 #[allow(clippy::too_many_arguments)]
-fn join_level(
+fn join_level<'a>(
     pager: &Pager,
-    slots: &mut [Slot],
+    env: &mut Env<'a>,
     rts: &[VarRt],
     order: &[usize],
     depth: usize,
-    levels: &[Vec<BExpr>],
+    levels: &[Vec<&BExpr>],
     guard: &QueryGuard,
-    emit: &mut dyn FnMut(&mut [Slot]) -> Result<()>,
+    emit: &mut dyn FnMut(&mut Env<'a>) -> Result<()>,
 ) -> Result<()> {
     if depth == order.len() {
-        return emit(slots);
+        return emit(env);
     }
     let v = order[depth];
+    let conjuncts = &levels[depth];
+    if depth + 1 == order.len() {
+        // The innermost level: `emit` touches no relation, so its rows
+        // stream straight out of the cursor.
+        return ovqp(pager, env, &rts[v], v, conjuncts, guard, |env, _| {
+            emit(env)
+        });
+    }
 
     // Collect matching rows at this level, then recurse per row. (The
     // recursion touches other relations, whose buffers are independent, so
     // collecting first vs. streaming does not change I/O; it keeps the
     // cursor borrows simple.)
     let mut matches: Vec<Vec<u8>> = Vec::new();
-    ovqp(pager, slots, &rts[v], v, &levels[depth], guard, |s, _| {
-        matches.push(s[v].row.clone().expect("bound"));
+    ovqp(pager, env, &rts[v], v, conjuncts, guard, |env, _| {
+        matches.push(env.slots[v].row.clone().expect("bound"));
         Ok(())
     })?;
     for row in matches {
-        slots[v].row = Some(row);
-        join_level(
-            pager,
-            slots,
-            rts,
-            order,
-            depth + 1,
-            levels,
-            guard,
-            emit,
-        )?;
+        env.slots[v].row = Some(row);
+        join_level(pager, env, rts, order, depth + 1, levels, guard, emit)?;
     }
-    slots[v].row = None;
+    env.slots[v].row = None;
     Ok(())
 }

@@ -26,7 +26,8 @@ pub(crate) fn plan_bound(
     catalog: &Catalog,
     bound: &BoundRetrieve,
 ) -> Result<QueryPlan> {
-    let p = prepare(catalog, bound, &[], &QueryGuard::none());
+    let guard = QueryGuard::none();
+    let p = prepare(catalog, bound, &[], &guard);
     let detachable = detachable_vars(&p);
     let facts: Vec<VarFacts> = bound
         .vars
@@ -71,6 +72,6 @@ pub(crate) fn plan_bound(
 /// variable unbound, as during detachment.
 fn has_const_probe(p: &Prepared, v: usize, attr: Option<usize>) -> bool {
     p.conjuncts.iter().any(|(c, vs)| {
-        vs == &[v] && bound_probe(c, v, attr, &p.slots).is_some()
+        vs == &[v] && bound_probe(c, v, attr, &p.env.slots).is_some()
     })
 }

@@ -279,6 +279,12 @@ impl<V: Clone> PlanCache<V> {
         }
     }
 
+    /// The entry for a statement shape, counting neither a hit nor a
+    /// miss.
+    pub fn peek(&self, key: &str) -> Option<&V> {
+        self.map.get(key)
+    }
+
     /// Insert (or replace) an entry, evicting the oldest insertion
     /// once full.
     pub fn insert(&mut self, key: String, value: V) {

@@ -52,7 +52,7 @@ pub use disk::{
 };
 pub use fault::{FaultDisk, FaultPlan};
 pub use hash::HashFile;
-pub use heap::HeapFile;
+pub use heap::{HeapAppender, HeapFile};
 pub use history::ClusteredHistory;
 pub use iostats::{FileIo, IoStats, PhaseIo, StatScope};
 pub use isam::IsamFile;

@@ -403,9 +403,14 @@ gate_planner_golden() {
 # spread over 1,024 keys — one statement shape, hundreds of distinct
 # texts — must be served almost entirely from the engine's statement
 # cache: >90% hit rate, reported over the wire by the `throughput`
-# binary's stats request.
+# binary's stats request. First, by name: a cached keyed retrieve stays
+# within its allocation budget (it borrows its bound template), and
+# interleaved sessions never change the template they share.
 gate_plan_cache_smoke() {
     local dbdir srvout addr out rc=0 i
+    cargo test -q --test alloc_budget || return 1
+    cargo test -q --test shape_cache_prop \
+        interleaved_runs_never_change_the_shared_template || return 1
     dbdir=$(mktemp -d)
     srvout=$(mktemp)
     "$bindir/tdbms-server" "$dbdir" --addr 127.0.0.1:0 >"$srvout" 2>&1 &

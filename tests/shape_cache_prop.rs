@@ -9,6 +9,12 @@
 //! single- and multi-variable retrieves, aggregates, `explain`, failing
 //! statements and replaces.
 //!
+//! A second property interleaves two sessions of one engine over
+//! keyed retrieves, decomposing two-variable retrieves and replaces,
+//! and checks besides the answers that a run never changes the cached
+//! binding it borrowed: executions share one template and rewrite only
+//! their own copies of what decomposition remaps.
+//!
 //! The uncached side is a second engine over an identically built
 //! database, fed the same statements through
 //! `Session::execute_statement`, which never consults the statement
@@ -19,6 +25,7 @@
 
 use tdbms::tquel::parse_statement;
 use tdbms::{Database, Engine, ExecOutput, Session, Value};
+use tdbms_core::bound::BoundRetrieve;
 use tdbms_prop::{check, Gen};
 
 struct Case {
@@ -113,9 +120,9 @@ fn arb_probe(g: &mut Gen, nrels: usize) -> (String, String) {
     (render(la), render(lb))
 }
 
-fn engine(case: &Case) -> Engine {
+fn engine(setup: &[String]) -> Engine {
     let mut db = Database::in_memory();
-    for stmt in &case.setup {
+    for stmt in setup {
         db.execute(stmt)
             .unwrap_or_else(|e| panic!("setup `{stmt}` failed: {e}"));
     }
@@ -149,8 +156,8 @@ fn both(
 fn a_warm_shape_answers_a_new_literal_like_an_uncached_run() {
     check("shape_cache_literals", 16, |g| {
         let case = arb_case(g);
-        let cached_engine = engine(&case);
-        let fresh_engine = engine(&case);
+        let cached_engine = engine(&case.setup);
+        let fresh_engine = engine(&case.setup);
         let mut cached = cached_engine.session();
         let mut fresh = fresh_engine.session();
         for r in 0..case.nrels {
@@ -179,6 +186,128 @@ fn a_warm_shape_answers_a_new_literal_like_an_uncached_run() {
             let all = format!("retrieve (v{r}.id, v{r}.val)");
             let [c, f] = both(&mut cached, &mut fresh, &all);
             assert_eq!(c, f, "final state of r{r}");
+        }
+    });
+}
+
+/// Two keyed relations, a hashed `rh` and an ISAM `ri`, with a few
+/// versions per key. No statement reads `tag`, so a detachment
+/// projects it away and every attribute after it moves: remapping
+/// changes the detached variable's expressions.
+fn keyed_setup(g: &mut Gen) -> Vec<String> {
+    let mut setup = Vec::new();
+    for (rel, method) in [("rh", "hash"), ("ri", "isam")] {
+        setup.push(format!(
+            "create temporal interval {rel} (tag = i4, id = i4, val = i4)"
+        ));
+        for _ in 0..g.range(16u32..40) {
+            setup.push(format!(
+                "append to {rel} (tag = {}, id = {}, val = {})",
+                g.range(0i32..100),
+                g.range(0i32..12),
+                g.range(0i32..100)
+            ));
+        }
+        setup.push(format!(
+            "modify {rel} to {method} on id where fillfactor = 100"
+        ));
+    }
+    setup
+}
+
+/// The statement kinds of the interleaving.
+#[derive(Clone, Copy, PartialEq)]
+enum Step {
+    /// A one-variable keyed retrieve.
+    Keyed,
+    /// A two-variable retrieve whose first variable decomposition
+    /// detaches.
+    Decomposing,
+    /// A keyed replace, which republishes the read view.
+    Replace,
+}
+
+/// A rendering of `step` over variables `(v, w)` with fresh literals.
+/// The literals are non-negative so that every rendering of a step
+/// lexes to one shape.
+fn render(g: &mut Gen, step: Step, (v, w): (&str, &str)) -> String {
+    let key = g.range(0i64..12);
+    match step {
+        Step::Keyed => format!(
+            "retrieve ({v}.id, {v}.val) where {v}.id = {key} \
+             when {v} overlap \"now\""
+        ),
+        Step::Decomposing => format!(
+            "retrieve ({v}.id, {v}.val, {w}.val) \
+             where {v}.id = {key} and {w}.id = {v}.id"
+        ),
+        Step::Replace => format!(
+            "replace {v} (val = {v}.val + {}) where {v}.id = {key}",
+            g.range(0i64..100)
+        ),
+    }
+}
+
+#[test]
+fn interleaved_runs_never_change_the_shared_template() {
+    check("shape_cache_interleaved", 16, |g| {
+        let setup = keyed_setup(g);
+        let cached_engine = engine(&setup);
+        let fresh_engine = engine(&setup);
+        let mut cached = [cached_engine.session(), cached_engine.session()];
+        let mut fresh = [fresh_engine.session(), fresh_engine.session()];
+        for s in 0..2 {
+            for range in ["range of h is rh", "range of i is ri"] {
+                let [c, f] = both(&mut cached[s], &mut fresh[s], range);
+                assert_eq!(c, f, "`{range}`");
+            }
+        }
+        // Runs of a decomposing shape served from its cached binding.
+        let mut served = 0;
+        for k in 0..g.range(16usize..32) {
+            let step = match (k, g.range(0u8..3)) {
+                (0, _) | (_, 0) => Step::Decomposing,
+                (_, 1) => Step::Keyed,
+                _ => Step::Replace,
+            };
+            let vars = *g.pick(&[("h", "i"), ("i", "h")]);
+            // A decomposing shape runs twice in a row, so the second
+            // run, on either session, borrows the binding of the first.
+            let runs = if step == Step::Decomposing { 2 } else { 1 };
+            for _ in 0..runs {
+                let s = g.range(0usize..2);
+                let text = render(g, step, vars);
+                let template: Option<BoundRetrieve> =
+                    cached[s].cached_binding(&text).unwrap();
+                let out = cached[s].execute(&text);
+                if let (Step::Decomposing, Ok(out)) = (step, &out) {
+                    let phases = &out.stats.phases;
+                    assert!(
+                        phases.iter().any(|p| p.name == "decomposition"),
+                        "`{text}` must decompose"
+                    );
+                }
+                let uncached = parse_statement(&text)
+                    .and_then(|st| fresh[s].execute_statement(&st));
+                assert_eq!(outcome(out), outcome(uncached), "`{text}`");
+                if let Some(before) = template {
+                    served += usize::from(step == Step::Decomposing);
+                    let after = cached[s].cached_binding(&text).unwrap();
+                    assert_eq!(
+                        Some(before),
+                        after,
+                        "`{text}` changed the template it ran"
+                    );
+                }
+            }
+        }
+        assert!(served > 0, "no decomposing run borrowed a cached binding");
+        for s in 0..2 {
+            for v in ["h", "i"] {
+                let all = format!("retrieve ({v}.id, {v}.val)");
+                let [c, f] = both(&mut cached[s], &mut fresh[s], &all);
+                assert_eq!(c, f, "final state through `{v}`");
+            }
         }
     });
 }
