@@ -12,10 +12,11 @@
 //! reads never touched the lock.
 //!
 //! `--durable 1` rebuilds the same workload on a WAL-backed in-memory
-//! database with **group commit** on (`--gc-max-batch`,
-//! `--gc-max-delay-ms`), and additionally reports `commits / fsyncs` —
-//! the batching win of coalescing many sessions' commits into one log
-//! sync.
+//! database, whose engine **group-commits** like every durable one,
+//! with the batch bounds `--gc-max-batch` and `--gc-max-delay-ms`
+//! (default 8 and 2, as `GroupCommitConfig::default()`), and
+//! additionally reports `commits / fsyncs` — the batching win of
+//! coalescing many sessions' commits into one log sync.
 //!
 //! `--server ADDR` switches the driver to **wire mode**: instead of an
 //! embedded engine it connects `--threads N` real TCP clients to a

@@ -10,13 +10,13 @@
 //! whole effect before its first write, so an evaluation error leaves
 //! nothing behind in either case; only a device error mid-write is not
 //! rolled back without a log, and `MemDisk` cannot raise one. Every
-//! file-backed database is durable. A durable
-//! commit always goes through the database's commit queue
-//! ([`tdbms_wal::GroupCommit`]; a queue of one unless
-//! [`Database::enable_group_commit`] configured it) and waits for its
-//! log sync in `commit_durable`, under the caller's lock — the one
-//! exception being an [`crate::Engine`] with group commit on, which
-//! acknowledges after releasing its commit lock.
+//! file-backed database is durable. A durable commit always goes
+//! through the database's commit queue ([`tdbms_wal::GroupCommit`],
+//! created at open). A standalone database waits for its log sync in
+//! `commit_durable`, under the caller's lock; an [`crate::Engine`]
+//! acknowledges after releasing its commit lock, so one sync can cover
+//! a batch of sessions' commits — except a commit that makes a
+//! checkpoint due, which waits under the lock in either case.
 
 use crate::binder::Binder;
 use crate::dml;
@@ -25,7 +25,6 @@ use crate::guard::QueryGuard;
 use crate::interval::TInterval;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 use tdbms_kernel::{
     Clock, DatabaseClass, Domain, Error, Result, RowCodec, Schema,
     TemporalKind, TimeVal, Value,
@@ -60,14 +59,12 @@ struct WalState {
     policy: CheckpointPolicy,
     commits_since_checkpoint: u32,
     /// The commit queue: every commit registers a ticket here and is
-    /// acknowledged once a log sync covers it. A durable database opens
-    /// with a queue of one (`max_batch` 1, no linger: one log sync per
-    /// commit); [`Database::enable_group_commit`] replaces its config.
+    /// acknowledged once a log sync covers it. Created at open with
+    /// [`GroupCommitConfig::default`] bounds and never replaced (an
+    /// [`crate::Engine`] holds it);
+    /// [`Database::enable_group_commit`] resets its bounds in place.
     gc: Arc<GroupCommit>,
     log: LogHandle,
-    /// `enable_group_commit` was called: an [`crate::Engine`] over this
-    /// database acknowledges commits after releasing the commit lock.
-    batching: bool,
     /// Engine mode: leave a commit's ticket in `pending` for the caller
     /// to acknowledge after the lock, unless a checkpoint is due.
     defer_ack: bool,
@@ -361,11 +358,7 @@ impl Database {
             wal,
             policy: CheckpointPolicy::EveryCommit,
             commits_since_checkpoint: 0,
-            gc: Arc::new(GroupCommit::new(GroupCommitConfig {
-                max_batch: 1,
-                max_delay: Duration::ZERO,
-            })),
-            batching: false,
+            gc: Arc::new(GroupCommit::new(GroupCommitConfig::default())),
             defer_ack: false,
             pending: None,
         });
@@ -550,33 +543,32 @@ impl Database {
         Ok(())
     }
 
-    /// Switch a durable database to **group commit**: replace the
-    /// commit queue's config, so one log fsync may cover a batch of
-    /// many sessions' commits while other writers are still inside the
-    /// commit lock (see [`tdbms_wal::GroupCommit`]), and
-    /// let an [`crate::Engine`] over this database acknowledge commits
-    /// after it releases the commit lock. Pair with a
-    /// [`CheckpointPolicy`] other than `EveryCommit` — a checkpoint
-    /// after every statement syncs everything anyway, which leaves
-    /// nothing to batch.
+    /// Set the batch bounds of the commit queue (default
+    /// [`GroupCommitConfig::default`]), in place: an [`crate::Engine`]
+    /// already built over this database keeps waiting on the same
+    /// queue. Only an engine batches — a standalone commit never
+    /// lingers — and only between checkpoints: a commit that makes one
+    /// due waits under the lock, so pair an engine with a
+    /// [`CheckpointPolicy`] other than `EveryCommit`.
     pub fn enable_group_commit(
         &mut self,
         cfg: GroupCommitConfig,
     ) -> Result<()> {
-        let Some(ws) = self.wal.as_mut() else {
+        let Some(ws) = self.wal.as_ref() else {
             return Err(Error::NotApplicable(
                 "group commit requires a durable (WAL) database".into(),
             ));
         };
-        ws.gc = Arc::new(GroupCommit::new(cfg));
-        ws.batching = true;
+        ws.gc.set_config(cfg);
         Ok(())
     }
 
-    /// The commit queue and log handle, when group commit is on.
-    pub fn group_commit(&self) -> Option<(Arc<GroupCommit>, LogHandle)> {
+    /// The commit queue and log handle of a durable database.
+    pub(crate) fn group_commit(
+        &self,
+    ) -> Option<(Arc<GroupCommit>, LogHandle)> {
         let ws = self.wal.as_ref()?;
-        ws.batching.then(|| (ws.gc.clone(), ws.log.clone()))
+        Some((ws.gc.clone(), ws.log.clone()))
     }
 
     /// Engine mode: leave each commit's ticket pending for the caller

@@ -29,18 +29,21 @@
 //!   time (static/historical relations have no version stamps to filter
 //!   on), `as of` times past the watermark, or a snapshot attempt that
 //!   raced a concurrent DDL. The single-threaded [`Database`] executes
-//!   the statement as it would on its own. In durable mode the
-//!   WAL commit — appends, ticket, and the wait for the covering log
-//!   sync — happens inside the exclusive section, so commits are
-//!   serialized per statement exactly as in single-threaded operation;
-//!   under **group commit** (see [`Database::enable_group_commit`])
-//!   only the appends and the ticket happen under the lock — the wait
-//!   moves to `Engine::ack_commit`, after the lock is released, which
-//!   is what lets N sessions share one fsync. Every exclusive statement
-//!   is counted by the commit queue from before it asks for the lock
-//!   until after it releases it, so the fsync leader waits only while
-//!   some writer is still inside or queued — a lone commit syncs at
-//!   once, and `max_batch` / `max_delay` merely bound the batch.
+//!   the statement as it would on its own. In durable mode every
+//!   engine **group-commits**: the WAL appends and the commit's ticket
+//!   happen inside the exclusive section, so commits are serialized
+//!   per statement exactly as in single-threaded operation, but the
+//!   wait for the covering log sync moves to `Engine::ack_commit`,
+//!   after the lock is released, which is what lets N sessions share
+//!   one fsync. A write is therefore visible to snapshot readers
+//!   before it is acknowledged. The exception is a commit that makes
+//!   a checkpoint due: it waits for its sync under the lock, so under
+//!   `CheckpointPolicy::EveryCommit` nothing batches. Every exclusive
+//!   statement is counted by the commit queue from before it asks for
+//!   the lock until after it releases it, so the fsync leader waits
+//!   only while some writer is still inside or queued — a lone commit
+//!   syncs at once, and the bounds
+//!   ([`Database::enable_group_commit`]) merely cap the batch.
 //!
 //! [`Engine::with_read`] takes the lock shared, for introspection (the
 //! shell, the server's stats); no statement runs that way.
@@ -185,8 +188,9 @@ struct LockCounters {
 struct EngineInner {
     pager: Arc<Pager>,
     view: RwLock<Arc<ReadView>>,
-    /// First unrecoverable failure (lock poisoning, failed group-commit
-    /// fsync); sticky — every later operation fails with it.
+    /// First unrecoverable failure (lock poisoning); sticky — every
+    /// later operation fails with it. A failed commit fsync only
+    /// degrades the database.
     failed: Mutex<Option<Error>>,
     group: Option<(Arc<GroupCommit>, LogHandle)>,
     locks: LockCounters,
@@ -211,11 +215,9 @@ impl Engine {
     pub fn new(mut db: Database) -> Self {
         let pager = db.pager_handle();
         let group = db.group_commit();
-        if group.is_some() {
-            // Sessions acknowledge after releasing the commit lock so
-            // the group-commit leader can batch neighbors' commits.
-            db.set_defer_group_ack(true);
-        }
+        // Sessions acknowledge after releasing the commit lock so the
+        // group-commit leader can batch neighbors' commits.
+        db.set_defer_group_ack(true);
         let inner = Arc::new(EngineInner {
             pager,
             view: RwLock::new(Arc::new(view_of(&db, 0))),
@@ -244,9 +246,8 @@ impl Engine {
     /// Run `f` under the shared lock (concurrent with other readers;
     /// introspection only, so [`LockStats`] does not count it).
     ///
-    /// Panics if the engine is unusable (a writer panicked, or a
-    /// group-commit fsync failed); use [`Engine::try_with_read`] to
-    /// handle that as an error.
+    /// Panics if the engine is unusable (a writer panicked); use
+    /// [`Engine::try_with_read`] to handle that as an error.
     pub fn with_read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         self.try_with_read(f)
             .unwrap_or_else(|e| panic!("engine unusable: {e}"))
@@ -263,11 +264,11 @@ impl Engine {
     }
 
     /// Run `f` under the exclusive lock, then republish the read view
-    /// and (under group commit) acknowledge the commit after the lock
-    /// is released.
+    /// and (durable mode) acknowledge the commit after the lock is
+    /// released.
     ///
-    /// Panics if the engine is unusable (a writer panicked, or a
-    /// group-commit fsync failed); use [`Engine::try_with_write`] to
+    /// Panics if the engine is unusable (a writer panicked) or the
+    /// commit's log fsync failed; use [`Engine::try_with_write`] to
     /// handle that as an error.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         self.try_with_write(f)
@@ -308,8 +309,9 @@ impl Engine {
         }
     }
 
-    /// `(commits, fsyncs)` of the group-commit queue, when group commit
-    /// is on. `commits / fsyncs > 1` is the batching win.
+    /// `(commits, fsyncs)` of the group-commit queue of a durable
+    /// database (`None` in memory). `commits / fsyncs > 1` is the
+    /// batching win.
     pub fn group_commit_stats(&self) -> Option<(u64, u64)> {
         self.inner
             .group
@@ -860,7 +862,7 @@ impl Session {
     /// Execute under the exclusive lock via the single-threaded engine,
     /// with the statement's literals filled back in and this session's
     /// ranges swapped in; [`Engine::try_with_write`] then republishes
-    /// the read view and (under group commit) acknowledges off the lock.
+    /// the read view and (durable mode) acknowledges off the lock.
     fn execute_write(
         &mut self,
         stmt: &Statement,

@@ -9,21 +9,34 @@
 //! ```
 //!
 //! `DIR` opens durably (write-ahead log, crash recovery), like every
-//! file-backed database.
+//! file-backed database. Sessions group-commit: a write is
+//! acknowledged once a log fsync covers it, and one fsync can cover
+//! the commits of several sessions. The server
+//! checkpoints every `CHECKPOINT_EVERY` (64) commits. A checkpoint
+//! materializes and fsyncs the page files under the commit lock, and
+//! the commit that makes one due waits for its log sync there too, so
+//! a checkpoint on every commit (the library's default) would leave
+//! nothing to batch: 8 write-only wire clients ran at under a quarter
+//! of this cadence's rate (EXPERIMENTS.md).
 //!
 //! The server prints `listening on <addr>` once it has bound (an
 //! `--addr` port of 0 picks an ephemeral port — scripts parse this
 //! line). SIGINT/SIGTERM or a wire `Shutdown` request trigger a
 //! graceful drain: in-flight queries are interrupted, connections are
 //! joined, a checkpoint is taken, and the process exits 0 with a
-//! database that audits clean.
+//! database that audits clean. The exit line ends with the commit
+//! queue's `commits=` and `fsyncs=`; more commits than fsyncs means
+//! sessions shared syncs.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use tdbms_core::{Database, Engine};
+use tdbms_core::{CheckpointPolicy, Database, Engine};
 use tdbms_net::{Client, Server, ServerConfig};
+
+/// Commits between two checkpoints (see the module docs).
+const CHECKPOINT_EVERY: u32 = 64;
 
 static SIGNALED: AtomicBool = AtomicBool::new(false);
 
@@ -129,16 +142,17 @@ fn main() -> ExitCode {
 
     let Some(dir) = dir else { return usage() };
 
-    let db = match Database::open_durable(&dir) {
+    let mut db = match Database::open_durable(&dir) {
         Ok(db) => db,
         Err(e) => {
             eprintln!("tdbms-server: cannot open {dir}: {e}");
             return ExitCode::FAILURE;
         }
     };
+    db.set_checkpoint_policy(CheckpointPolicy::EveryN(CHECKPOINT_EVERY));
     let engine = Engine::new(db);
 
-    let server = match Server::bind(engine, &addr, cfg) {
+    let server = match Server::bind(engine.clone(), &addr, cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("tdbms-server: cannot bind {addr}: {e}");
@@ -172,9 +186,12 @@ fn main() -> ExitCode {
 
     let code = match server.run() {
         Ok(stats) => {
+            let (commits, fsyncs) =
+                engine.group_commit_stats().unwrap_or_default();
             println!(
                 "shutdown: connections={} queries={} errors={} \
-                 busy={} protocol_errors={} panics={} accept_errors={}",
+                 busy={} protocol_errors={} panics={} accept_errors={} \
+                 commits={commits} fsyncs={fsyncs}",
                 stats.connections,
                 stats.queries,
                 stats.query_errors,

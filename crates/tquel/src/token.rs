@@ -325,6 +325,8 @@ fn lex_with(
                 i = j + 2;
             }
             '"' => {
+                // Decoded only into a token: a shape spells the source.
+                let decode = shape.is_none();
                 let mut s = String::new();
                 let mut j = i + 1;
                 let mut c2 = col + 1;
@@ -340,14 +342,15 @@ fn lex_with(
                         break;
                     }
                     if bytes[j] == b'\\' && j + 1 < bytes.len() {
-                        s.push(bytes[j + 1] as char);
-                        j += 2;
-                        c2 += 2;
-                    } else {
-                        s.push(bytes[j] as char);
+                        // An escape: the next byte stands for itself.
                         j += 1;
                         c2 += 1;
                     }
+                    if decode {
+                        s.push(bytes[j] as char);
+                    }
+                    j += 1;
+                    c2 += 1;
                 }
                 push!(TokenKind::Str(s), start_col);
                 i = j + 1;
@@ -411,10 +414,9 @@ fn lex_with(
                     // A keyword and an identifier never share a
                     // spelling, so the lower-cased word renders either.
                     Some(shape) => {
-                        let word = src[i..j].chars();
-                        shape
-                            .key
-                            .extend(word.map(|c| c.to_ascii_lowercase()));
+                        let from = shape.key.len();
+                        shape.key.push_str(&src[i..j]);
+                        shape.key[from..].make_ascii_lowercase();
                         shape.key.push(' ');
                     }
                     None => {
@@ -729,6 +731,39 @@ mod tests {
         );
     }
 
+    /// Keys as the lexer spelled them before it stopped decoding
+    /// strings and lower-casing words a `char` at a time in shape mode.
+    #[test]
+    fn shape_keys_are_pinned() {
+        for (src, key) in [
+            (
+                "RETRIEVE (Emp_1.Name, x2 = e.salary) \
+                 WHERE e.ID = 7 AND e.f = 7.0",
+                "retrieve ( emp_1 . name , x2 = e . salary ) \
+                 where e . id = ?i and e . f = ?f ",
+            ),
+            (
+                r#"Retrieve (s = "a \"b\" c", t = "x y\\z") /* a comment */
+                   when e overlap "now""#,
+                r#"retrieve ( s = "a \"b\" c" , t = "x y\\z" ) when e overlap "now" "#,
+            ),
+            (
+                "Append To t_9 (id = 12, v = -3.25);",
+                "append to t_9 ( id = ?i , v = - ?f ) ; ",
+            ),
+            (
+                "retrieve (e.a) where e.a = 7",
+                "retrieve ( e . a ) where e . a = ?i ",
+            ),
+            (
+                "retrieve (e.a) where e.a = 7.0",
+                "retrieve ( e . a ) where e . a = ?f ",
+            ),
+        ] {
+            assert_eq!(shape(src).key, key, "{src:?}");
+        }
+    }
+
     #[test]
     fn shape_errors_are_lex_errors() {
         for src in [
@@ -737,6 +772,9 @@ mod tests {
             "/* unterminated",
             "retrieve (x = 99999999999999999999)",
             "retrieve (x = 2.5) where\n\n   x.y = 1 $",
+            "retrieve (x = \"a\\\")",
+            "retrieve (x = \"ends in a backslash\\",
+            "retrieve (x = \"a\"\"",
         ] {
             let plain = lex(src).unwrap_err();
             assert!(matches!(plain, Error::Lex { .. }), "{plain:?}");

@@ -79,6 +79,8 @@ impl Default for GroupCommitConfig {
 
 #[derive(Default)]
 struct GcState {
+    /// The batch bounds, read by each leader as it starts gathering.
+    cfg: GroupCommitConfig,
     /// Tickets issued; ticket `n` covers the `n`-th registered commit.
     /// Registration order matches log order (both happen under the
     /// engine's commit lock), so "durable through ticket t" is exactly
@@ -116,9 +118,9 @@ impl Drop for QueuedWriter<'_> {
 }
 
 /// The group-commit queue: tickets, leader election, and the durable
-/// watermark. One per durable engine; shared by every session.
+/// watermark. One per durable database, created at open; shared by
+/// every session of its engine.
 pub struct GroupCommit {
-    cfg: GroupCommitConfig,
     state: Mutex<GcState>,
     cv: Condvar,
     commits: AtomicU64,
@@ -129,17 +131,21 @@ impl GroupCommit {
     /// A fresh queue with the given batching knobs.
     pub fn new(cfg: GroupCommitConfig) -> Self {
         GroupCommit {
-            cfg,
-            state: Mutex::new(GcState::default()),
+            state: Mutex::new(GcState {
+                cfg,
+                ..GcState::default()
+            }),
             cv: Condvar::new(),
             commits: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
         }
     }
 
-    /// The configured knobs.
-    pub fn config(&self) -> GroupCommitConfig {
-        self.cfg
+    /// Replace the batching knobs in place: every session already
+    /// waiting on this queue keeps it, and the next leader gathers
+    /// within the new bounds.
+    pub fn set_config(&self, cfg: GroupCommitConfig) {
+        self.lock().cfg = cfg;
     }
 
     /// Commits registered so far.
@@ -267,8 +273,8 @@ impl GroupCommit {
             st.leader = true;
             // Gather: linger only while another commit can still join,
             // within the `max_batch` / `max_delay` bounds.
-            let target = st.durable + u64::from(self.cfg.max_batch.max(1));
-            let deadline = Instant::now() + self.cfg.max_delay;
+            let target = st.durable + u64::from(st.cfg.max_batch.max(1));
+            let deadline = Instant::now() + st.cfg.max_delay;
             while st.appended < target && st.writers > 0 && !st.locked_wait
             {
                 let now = Instant::now();

@@ -34,9 +34,10 @@
 //! 2. The header snapshot restores each listed file's checkpointed
 //!    length; then each *committed* transaction replays in order —
 //!    lengths, then page images (skipped when the on-disk page already
-//!    carries an LSN at least as new), then drops. Records for files
-//!    that no longer exist are skipped: a later committed `DropFile`
-//!    must have removed them.
+//!    carries a newer LSN, or the same LSN and the same bytes: a torn
+//!    write can persist a page's new header over its old body), then
+//!    drops. Records for files that no longer exist are skipped: a
+//!    later committed `DropFile` must have removed them.
 //! 3. Parsing stops at the first torn or corrupt record; a transaction
 //!    without an intact `Commit` contributes nothing.
 //! 4. Replay is idempotent — every step either re-establishes a length,
@@ -232,7 +233,14 @@ fn replay(
                         set_len(disk, sums, *file, page_no + 1)?;
                     }
                     let on_disk = disk.read_page(*file, *page_no)?;
-                    if on_disk.lsn() < *lsn {
+                    // A torn checkpoint write can leave this image's
+                    // header, LSN included, over the page's old body:
+                    // an equal LSN proves the image is on disk only
+                    // if the bytes agree.
+                    if on_disk.lsn() < *lsn
+                        || (on_disk.lsn() == *lsn
+                            && on_disk.as_bytes() != image.as_bytes())
+                    {
                         disk.write_page(*file, *page_no, image)?;
                     }
                     if let Some(sums) = sums {
@@ -577,6 +585,36 @@ mod tests {
             disk.read_page(f, 0).unwrap().row(4, 0).unwrap(),
             &[9; 4],
             "older image must not clobber a newer page"
+        );
+    }
+
+    #[test]
+    fn replay_rewrites_a_torn_page_that_carries_the_images_lsn() {
+        let (mut disk, f) = disk_with(1, 1);
+        // A torn checkpoint write: the image's header (LSN 5 included)
+        // reached the disk, its row did not.
+        let mut torn = image(1, 0);
+        torn.set_lsn(5);
+        disk.write_page(f, 0, &torn).unwrap();
+        let plan = RecoveryPlan {
+            base_lsn: 1,
+            snapshot: vec![],
+            txns: vec![vec![(
+                5,
+                Record::PageImage {
+                    file: f,
+                    page_no: 0,
+                    image: image(2, 5),
+                },
+            )]],
+            catalog: None,
+            next_lsn: 6,
+        };
+        replay(&plan, &mut disk, &mut None).unwrap();
+        assert_eq!(
+            disk.read_page(f, 0).unwrap().row(4, 0).unwrap(),
+            &[2; 4],
+            "an equal LSN over other bytes is a torn write, not the image"
         );
     }
 

@@ -273,10 +273,11 @@ gate_net_protocol() {
 # End-to-end server smoke: start `tdbms-server` (durable, like every
 # file-backed database) on an ephemeral port, drive it with the
 # throughput bench in --server mode (8 real TCP clients, mixed
-# read/write/join workload), shut it down gracefully
-# over the wire, and require exit 0, zero caught panics, every read
-# and join served as a snapshot read, and a `tdbms-check`-clean
-# database directory.
+# read/write/join workload), then a write-only pass, shut it down
+# gracefully over the wire, and require exit 0, zero caught panics,
+# every read and join served as a snapshot read, more commits than log
+# fsyncs on the server's exit line (its sessions group-commit), and a
+# `tdbms-check`-clean database directory.
 gate_server_smoke() {
     local dbdir srvout addr rc=0 i
     dbdir=$(mktemp -d)
@@ -324,6 +325,14 @@ gate_server_smoke() {
             rc=1
         fi
     fi
+    # A write-only pass (no --json: the artifact stays the mixed one)
+    # whose 8 sessions commit concurrently: the server group-commits,
+    # so its exit line must count more commits than fsyncs.
+    if [[ "$rc" == 0 ]] && ! "$bindir/throughput" --server "$addr" \
+        --threads 8 --ops 64 --write-every 1 --join-every 0; then
+        echo "server-smoke: write-only throughput --server failed"
+        rc=1
+    fi
     if [[ "$rc" == 0 ]]; then
         "$bindir/tdbms-server" --shutdown "$addr" || {
             echo "server-smoke: graceful shutdown request failed"
@@ -344,6 +353,20 @@ gate_server_smoke() {
         echo "server-smoke: server caught a panic (or never reported)"
         cat "$srvout"
         rc=1
+    fi
+    if [[ "$rc" == 0 ]]; then
+        local commits fsyncs
+        commits=$(sed -n 's/^shutdown:.* commits=\([0-9]*\).*/\1/p' "$srvout")
+        fsyncs=$(sed -n 's/^shutdown:.* fsyncs=\([0-9]*\).*/\1/p' "$srvout")
+        if [[ -z "$commits" || -z "$fsyncs" ]] \
+            || ((commits <= fsyncs)); then
+            echo "server-smoke: commits=${commits:-?} fsyncs=${fsyncs:-?}:" \
+                "concurrent sessions never shared a log sync"
+            cat "$srvout"
+            rc=1
+        else
+            echo "server-smoke: commits=$commits fsyncs=$fsyncs"
+        fi
     fi
     if [[ "$rc" == 0 ]] \
         && ! "$bindir/check" "$dbdir" | grep -qx 'clean'; then

@@ -54,7 +54,7 @@ static GLOBAL: Counting = Counting;
 
 /// Heap allocations (reallocations included) one warm cached keyed
 /// retrieve may make.
-const BUDGET: u64 = 24;
+const BUDGET: u64 = 23;
 const KEYS: i64 = 256;
 const FRAMES: usize = 128;
 

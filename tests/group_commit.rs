@@ -26,10 +26,13 @@
 //!   session beside a reader, and a session after a failed statement
 //!   each commit far faster than `max_delay` per statement, and every
 //!   acked row survives a reopen.
+//! * **One queue**: every durable engine batches through the queue its
+//!   database opened with; bounds set after the engine exists reach
+//!   that same queue instead of replacing it under the engine.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 use tdbms::wal::{FaultLog, LogStore, MemLog};
 use tdbms::{CheckpointPolicy, Database, Engine, GroupCommitConfig};
@@ -492,4 +495,87 @@ fn a_failed_statement_leaves_no_writer_counted() {
          statement left a writer counted"
     );
     reopen_exact(engine, &disk, &log, &acked, "after failed statements");
+}
+
+/// Bounds set through an engine that already exists apply to the queue
+/// the engine waits on. Were the queue replaced, the database would
+/// register tickets on the new one while every session waited on the
+/// old one forever, so the appends run under a watchdog.
+#[test]
+fn bounds_set_after_the_engine_exists_keep_one_queue() {
+    assert_eq!(
+        Engine::new(Database::in_memory()).group_commit_stats(),
+        None,
+        "an in-memory engine has no commit queue"
+    );
+    let disk = MemDisk::new();
+    let log = MemLog::new();
+    let mut db = Database::open_durable_on(
+        Box::new(disk.clone()),
+        Box::new(log.clone()),
+        None,
+    )
+    .expect("open");
+    db.set_checkpoint_policy(CheckpointPolicy::EveryN(10_000));
+    create_and_seed(&mut db);
+    let engine = Engine::new(db);
+    engine
+        .with_write(|db| {
+            db.enable_group_commit(GroupCommitConfig {
+                max_batch: 4,
+                max_delay: Duration::from_millis(1),
+            })
+        })
+        .expect("durable database");
+    let (before, _) = engine
+        .group_commit_stats()
+        .expect("a durable engine's queue");
+
+    const PER_SESSION: i64 = 24;
+    let (tx, rx) = mpsc::channel();
+    for t in 0..2i64 {
+        let (engine, tx) = (engine.clone(), tx.clone());
+        std::thread::spawn(move || {
+            let mut s = engine.session();
+            let acked: Vec<i64> = (0..PER_SESSION)
+                .map(|k| 6000 + t * 100 + k)
+                .filter(|id| {
+                    s.execute(&format!("append to t (id = {id}, seq = 0)"))
+                        .is_ok()
+                })
+                .collect();
+            // Release the engine before reporting: the reopen below
+            // needs the last handle.
+            drop(s);
+            drop(engine);
+            let _ = tx.send(acked);
+        });
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut acked = BTreeSet::new();
+    for _ in 0..2 {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let ids = rx.recv_timeout(wait).expect(
+            "a session never got its appends acknowledged: the engine \
+             waits on a queue the database no longer registers on",
+        );
+        assert_eq!(ids.len() as i64, PER_SESSION, "every append acked");
+        acked.extend(ids);
+    }
+    let (commits, fsyncs) = engine
+        .group_commit_stats()
+        .expect("a durable engine's queue");
+    assert_eq!(
+        commits - before,
+        acked.len() as u64,
+        "the engine's queue counts every commit"
+    );
+    assert!(fsyncs >= 1 && fsyncs <= commits, "{fsyncs} fsyncs");
+    reopen_exact(
+        engine,
+        &disk,
+        &log,
+        &acked,
+        "bounds set through an engine",
+    );
 }

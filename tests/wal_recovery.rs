@@ -237,6 +237,66 @@ fn recovery_is_atomic_at_every_random_crash_point() {
     });
 }
 
+/// A crash that tears a page write of a checkpoint leaves the page's
+/// new header, its LSN included, over its old body, while the log still
+/// holds every commit since the last checkpoint. Recovery must replay
+/// them: no acknowledged append is lost, whichever checkpoint write the
+/// crash tears and however many of its bytes reach the disk.
+#[test]
+fn a_torn_checkpoint_write_loses_no_acknowledged_commit() {
+    for torn in [12usize, 248] {
+        for budget in 1..=24u64 {
+            let (disk, log) = (MemDisk::new(), MemLog::new());
+            let mut acked: BTreeSet<i32> = (1..=16).collect();
+            {
+                let mut db = reopen_mem(&disk, &log);
+                db.execute(CREATE).unwrap();
+                for id in &acked {
+                    db.execute(&format!(
+                        "append to r (id = {id}, seq = 0)"
+                    ))
+                    .unwrap();
+                }
+                db.checkpoint().unwrap();
+            }
+            // Only the disk is charged, so the crash lands on a page
+            // write, and every page write is a checkpoint's.
+            let plan = FaultPlan::new(Some(budget));
+            let fdisk = FaultDisk::with_torn_writes(
+                Box::new(disk.clone()),
+                plan.clone(),
+                torn,
+            );
+            if let Ok(mut db) = Database::open_durable_on(
+                Box::new(fdisk),
+                Box::new(log.clone()),
+                None,
+            ) {
+                db.set_checkpoint_policy(CheckpointPolicy::EveryN(3));
+                for id in 1000..1040 {
+                    let append =
+                        format!("append to r (id = {id}, seq = 0)");
+                    if db.execute(&append).is_err() {
+                        break;
+                    }
+                    acked.insert(id);
+                }
+            }
+            assert!(plan.crashed(), "budget {budget} never tripped");
+            let got =
+                audited(&mut reopen_mem(&disk, &log)).expect("r survives");
+            let ids: BTreeSet<i32> =
+                got.iter().map(|&(id, _)| id).collect();
+            let lost: Vec<&i32> = acked.difference(&ids).collect();
+            assert!(
+                lost.is_empty(),
+                "torn {torn} bytes at disk op {budget}: acknowledged \
+                 appends {lost:?} lost in recovery"
+            );
+        }
+    }
+}
+
 /// Bit rot on the log tail: the append at the crash point lands on disk
 /// in full but with one bit flipped. The record checksum must catch it,
 /// recovery must truncate at the last *valid* record, and the recovered
