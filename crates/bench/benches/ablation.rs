@@ -52,8 +52,7 @@ fn ablation_buffer_frames() {
     for frames in [1usize, 4, 32] {
         let cfg = BenchConfig::new(DatabaseClass::Temporal, 100);
         let (_, mut db) = run_sweep(cfg, 4);
-        db.set_buffer_frames(&cfg.rel_h(), frames).unwrap();
-        db.set_buffer_frames(&cfg.rel_i(), frames).unwrap();
+        db.set_default_buffer_frames(frames);
         let q09 = measure(&mut db, &query_for("Q09", cfg.class).unwrap());
         let q03 = measure(&mut db, &query_for("Q03", cfg.class).unwrap());
         println!("{:<10} {:>12} {:>12}", frames, q09.input, q03.input);

@@ -277,9 +277,6 @@ fn run_embedded_mode(
     // methodology is for per-query page counts, not sustained load).
     db.set_cold_statements(false);
     db.set_default_buffer_frames(8);
-    for rel in [cfg.rel_h(), cfg.rel_i()] {
-        db.set_buffer_frames(&rel, 8).expect("relation exists");
-    }
     let engine = Engine::new(db);
 
     let rel_h = cfg.rel_h();
@@ -930,6 +927,13 @@ fn print_and_write(
         plan_cache,
         server_health,
     } = report;
+    // A wire reply carries page counts but no hit count, and the
+    // driver's `--durable` says nothing of the server's engine (durable,
+    // group-committing; its commit counts are not fetched): server mode
+    // reports those as unmeasured (`n/a`, JSON `null`), never as 0/false.
+    let measured = mode != "server";
+    let buffer_hits = measured.then_some(totals.buffer_hits);
+    let durable = measured.then_some(durable);
 
     println!(
         "throughput: threads={threads} ops/thread={ops} total={done} \
@@ -938,7 +942,9 @@ fn print_and_write(
     );
     println!(
         "io: input_pages={} output_pages={} buffer_hits={}",
-        totals.input_pages, totals.output_pages, totals.buffer_hits
+        totals.input_pages,
+        totals.output_pages,
+        buffer_hits.map_or("n/a".to_string(), |h| h.to_string())
     );
     totals.phases.sort_by(|a, b| a.name.cmp(&b.name));
     for p in &totals.phases {
@@ -1022,18 +1028,22 @@ fn print_and_write(
         ),
         None => "null".to_string(),
     };
+    let or_null =
+        |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
+    let durable_json = or_null(durable.map(|d| d.to_string()));
+    let hits_json = or_null(buffer_hits.map(|h| h.to_string()));
     let json = format!(
         "{{\n  \"bench\": \"throughput\",\n  \"mode\": \"{mode}\",\n  \
          \"threads\": {threads},\n  \"ops_per_thread\": {ops},\n  \
          \"total_ops\": {done},\n  \"reads\": {},\n  \
          \"writes\": {},\n  \"joins\": {},\n  \"errors\": {},\n  \
-         \"durable\": {durable},\n  \
+         \"durable\": {durable_json},\n  \
          \"locks\": {locks_json},\n  \
          \"plan_cache\": {plan_cache_json},\n  \
          \"group_commit\": {group_json},\n  \
          \"server_health\": {health_json},\n  \
          \"io\": {{\"input_pages\": {}, \"output_pages\": {}, \
-         \"buffer_hits\": {}}},\n  \
+         \"buffer_hits\": {hits_json}}},\n  \
          \"latency_us\": {{\"p50\": {p50}, \"p95\": {p95}, \
          \"p99\": {p99}}},\n  \
          \"elapsed_secs\": {:.6},\n  \"qps\": {:.1}\n}}\n",
@@ -1043,7 +1053,6 @@ fn print_and_write(
         totals.errors,
         totals.input_pages,
         totals.output_pages,
-        totals.buffer_hits,
         elapsed.as_secs_f64(),
         qps,
     );

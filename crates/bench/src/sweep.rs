@@ -164,9 +164,8 @@ impl BufferSweepData {
 
 /// Run the buffer-sensitivity sweep: build the database, evolve it to
 /// `uc`, then measure every applicable query at each cap in `frames`.
-/// Each cap is applied as the pager default (so the temporaries a
-/// decomposed query materializes get it too) *and* explicitly to both
-/// benchmark relations, whose pools already exist.
+/// Each cap applies to every pool: the benchmark relations' existing
+/// ones and the temporaries a decomposed query materializes.
 ///
 /// The paper's reference strings are independent of buffering (cold
 /// buffers per statement, access paths chosen before any page is read),
@@ -194,9 +193,6 @@ pub fn run_buffer_sweep(
     };
     for &f in frames {
         db.set_default_buffer_frames(f);
-        for rel in [cfg.rel_h(), cfg.rel_i()] {
-            db.set_buffer_frames(&rel, f).expect("relation exists");
-        }
         for q in &queries {
             let out = db
                 .execute(&q.tquel)

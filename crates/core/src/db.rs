@@ -3,13 +3,14 @@
 //!
 //! Everything that mutates — a statement, `bulk_load_rows`, a
 //! `reorganize` pass — runs as one *write unit* (`write_unit`): a
-//! durable database admits it, arms statement undo, runs the body and
-//! either rolls back or commits through the WAL; one without a log (in
-//! memory) just runs the body. DML reads its targets through the one
-//! query processor (`exec::ovqp`) and every write statement computes its
-//! whole effect before its first write, so an evaluation error leaves
-//! nothing behind in either case; only a device error mid-write is not
-//! rolled back without a log, and `MemDisk` cannot raise one. Every
+//! durable database admits it, runs the body — its changes collect in
+//! the pager's statement layer — and either rolls back or commits
+//! through the WAL; one without a log (in memory) just runs the body.
+//! DML reads its targets through the one query processor
+//! (`exec::ovqp`) and every write statement computes its whole effect
+//! before its first write, so an evaluation error leaves nothing behind
+//! in either case; only a device error mid-write is not rolled back
+//! without a log, and `MemDisk` cannot raise one. Every
 //! file-backed database is durable. A durable commit always goes
 //! through the database's commit queue ([`tdbms_wal::GroupCommit`],
 //! created at open). A standalone database waits for its log sync in
@@ -348,7 +349,6 @@ impl Database {
                 pager.drop_file(file)?;
             }
         }
-        pager.log_drops(0);
         let mut db = Database::with_pager(pager);
         db.catalog = catalog;
         db.clock.advance_to(clock);
@@ -424,16 +424,18 @@ impl Database {
             // that no longer describes the files it replays onto.
             ws.wal.sync()?;
         }
-        // A checkpoint durably materializes everything the log
-        // describes, so every logged drop can execute now — the
-        // catalog being checkpointed no longer references those files.
-        self.pager.execute_drops(u64::MAX);
+        // Whatever the statement layer holds (nothing between
+        // statements; an open's orphan drops) is folded in first. A
+        // checkpoint durably materializes everything the log describes,
+        // so every logged drop can execute now — the catalog being
+        // checkpointed no longer references those files.
         self.pager.flush_all()?;
+        self.pager.commit_statement(0);
+        self.pager.execute_drops(u64::MAX);
         let touched = self.pager.materialize_overlay()?;
         for f in touched {
             self.pager.sync_file(f)?;
         }
-        self.pager.clear_staged();
         // The sidecar goes before the truncation: a crash between the
         // two leaves the log's images, which recovery records as sums
         // again, never a truncated log beside sums older than the pages.
@@ -449,28 +451,29 @@ impl Database {
         Ok(())
     }
 
-    /// Append the current statement's commit to the write-ahead log:
-    /// new file lengths, every dirtied page's after-image (stamped with
-    /// its LSN), the pending file drops, and the catalog + clock,
-    /// fenced by `Begin`/`Commit`. Nothing is synced here.
+    /// Append the current statement's commit to the write-ahead log,
+    /// read off the pager's statement layer: new file lengths, every
+    /// written page's after-image (stamped with its LSN), the file
+    /// drops, and the catalog + clock, fenced by `Begin`/`Commit`.
+    /// Nothing is synced here.
     fn append_commit_records(&mut self) -> Result<()> {
-        let resized = self.pager.take_resized()?;
+        let changes = self.pager.statement_changes();
         let catalog = Record::catalog_of(self.clock.now(), &self.catalog);
         let ws = self.wal.as_mut().expect("durable mode");
         ws.wal.append(&Record::Begin)?;
-        for (file, len) in resized {
+        for (file, len) in changes.lengths {
             ws.wal.append(&Record::FileLen { file, len })?;
         }
-        for (file, page_no) in self.pager.staged_pages() {
+        for (file, page_no) in changes.pages {
             let lsn = ws.wal.peek_lsn();
-            let image = self.pager.stamp_overlay_lsn(file, page_no, lsn)?;
+            let image = self.pager.stamp_lsn(file, page_no, lsn)?;
             ws.wal.append(&Record::PageImage {
                 file,
                 page_no,
                 image,
             })?;
         }
-        for file in self.pager.pending_drops() {
+        for file in changes.drops {
             ws.wal.append(&Record::DropFile { file })?;
         }
         ws.wal.append(&catalog)?;
@@ -481,8 +484,9 @@ impl Database {
     /// Commit the current statement's staged changes: append its
     /// records, take a ticket on the commit queue and — unless an
     /// [`crate::Engine`] acknowledges after the lock — wait for the log
-    /// sync that covers it. Only after the log is durable do the logged
-    /// file drops execute physically.
+    /// sync that covers it, then merge the pager's statement layer. Only
+    /// after the log is durable do the logged file drops execute
+    /// physically.
     ///
     /// Failures up to and including that wait return `durable: false` —
     /// the statement is safe to roll back (its records, if any landed,
@@ -516,20 +520,19 @@ impl Database {
             // checkpoint's leading log sync must not be this commit's
             // FIRST durability point — a checkpoint failure maps to
             // `durable: true` and would acknowledge a commit that was
-            // never fsynced. The statement's drops are still pending
-            // on failure, so its rollback removes them. Nobody can
-            // register while the lock is held, so this wait never
+            // never fsynced. The statement's layer is still unmerged on
+            // failure, so its rollback drops it, drops and all. Nobody
+            // can register while the lock is held, so this wait never
             // lingers for a batch.
             ws.gc
                 .wait_durable_locked(ticket, || ws.log.sync())
                 .map_err(pre)?;
-            self.pager.log_drops(ticket);
+            self.pager.commit_statement(ticket);
             self.pager.execute_drops(ticket);
         } else {
-            self.pager.log_drops(ticket);
+            self.pager.commit_statement(ticket);
             ws.pending = Some(ticket);
         }
-        self.pager.clear_staged();
         if due {
             self.checkpoint()
                 .map_err(|err| CommitError { err, durable: true })?;
@@ -685,10 +688,10 @@ impl Database {
     /// Run `body` as one write unit — the one place a statement, a bulk
     /// load or a reorganization pass becomes a transaction. A durable
     /// database admits the write (re-arming a degraded engine first),
-    /// arms statement undo so a body that dies mid-flight (disk full)
-    /// rolls back to this boundary instead of poisoning the engine,
-    /// and commits through the WAL; one without a log just runs the
-    /// body.
+    /// runs the body — a body that dies mid-flight (disk full) rolls
+    /// back to this boundary, dropping the pager's statement layer,
+    /// instead of poisoning the engine — and commits through the WAL;
+    /// one without a log just runs the body.
     fn write_unit<T>(
         &mut self,
         body: impl FnOnce(&mut Self) -> Result<T>,
@@ -697,20 +700,18 @@ impl Database {
             return body(self);
         }
         self.admit_write()?;
-        self.pager.begin_statement_undo();
         let snapshot = self.catalog.clone();
         let out = match body(self) {
             Ok(out) => out,
             Err(e) => return Err(self.fail_write_statement(e, snapshot)),
         };
         match self.commit_durable() {
-            Ok(()) => self.pager.discard_statement_undo(),
+            Ok(()) => {}
             Err(ce) if ce.durable => {
                 // The commit reached the log durably; only the due
                 // checkpoint failed. Returning an error for a durable
                 // statement would invite unsafe retries — keep the
                 // effects, surface the failure through degraded mode.
-                self.pager.discard_statement_undo();
                 self.pager.end_phase();
                 self.degraded = Some(ce.err.to_string());
             }
@@ -807,23 +808,17 @@ impl Database {
         self.pager.set_bloom_guards(on);
     }
 
-    /// Give one relation more buffer frames (the paper's configuration is
-    /// one frame per relation; the two-level store experiments use more).
-    pub fn set_buffer_frames(
-        &mut self,
-        rel: &str,
-        frames: usize,
-    ) -> Result<()> {
-        let id = self.catalog.require(rel)?;
-        let file = self.catalog.get(id).file.file_id();
-        self.pager.set_buffer_frames(file, frames)
-    }
-
-    /// Change the default frames-per-file cap for every file without an
-    /// explicit override — including files created later (temporaries,
-    /// `into` relations) and files buffered lazily after a reopen.
+    /// Change the buffer frames of every file (the paper's
+    /// configuration is one): existing pools shrink or grow now, and
+    /// files created or buffered later — temporaries, `into` relations,
+    /// files after a reopen — get the same.
     pub fn set_default_buffer_frames(&mut self, frames: usize) {
-        self.pager.set_default_buffer_frames(frames);
+        // Every statement leaves its frames clean, so between statements
+        // a shrink writes nothing back. A dirty frame left by raw pager
+        // access whose write-back fails stays dirty in its pool, and the
+        // next flush retries it and reports the failure: nothing is lost
+        // by not reporting it here.
+        let _ = self.pager.set_default_buffer_frames(frames);
     }
 
     /// Lifetime page-access counters of this database's pager (a

@@ -63,7 +63,8 @@ pub use page::{
     PAGE_HEADER, PAGE_SIZE,
 };
 pub use pager::{
-    BufferConfig, EvictionPolicy, Pager, DEFAULT_READ_RETRIES,
+    BufferConfig, EvictionPolicy, Pager, StatementChanges,
+    DEFAULT_READ_RETRIES,
 };
 pub use persist::{decode_catalog, encode_catalog};
 pub use relfile::{AccessMethod, RelFile, RelLookup, RelScan};

@@ -8,11 +8,11 @@
 //! as its *default* configuration — one LRU frame per file — and
 //! generalizes it into a buffer manager with more frames:
 //!
-//! * [`BufferConfig`] selects a global frames-per-file default; one
-//!   file's cap changes at runtime through [`Pager::set_buffer_frames`].
+//! * [`BufferConfig`] selects the frames every file's pool gets;
+//!   [`Pager::set_default_buffer_frames`] resizes every pool at runtime.
 //! * Every pool — eagerly created by [`Pager::create_file`] or lazily on
 //!   first access to a file restored from a persisted catalog — is built
-//!   by one helper that honors the configured caps, so a relation buffers
+//!   by one helper with the configured cap, so a relation buffers
 //!   identically however its file came into view.
 //! * Frames are **pinned** for the duration of a `read`/`write` callback:
 //!   the eviction scan skips pinned frames, so a multi-page operation
@@ -35,16 +35,20 @@
 //! A *scratch* file ([`Pager::create_scratch_file`], a decomposition
 //! temporary) is buffered and counted like any other, but its
 //! write-backs always go to the device: it is never staged, logged,
-//! undone, checksummed or listed in [`Pager::file_lengths`].
+//! rolled back, checksummed or listed in [`Pager::file_lengths`].
 //!
 //! Under WAL staging ([`Pager::set_staging`]) a statement changes no page
-//! file on the device: write-backs land in an overlay, appends and
-//! truncations in the file's staged shape (its length, and whether it
-//! was truncated since the last checkpoint), and the only device
-//! operations are creating a file and a logged drop. The checkpoint
-//! ([`Pager::materialize_overlay`]) is the one place shapes and pages
-//! reach the device, through the same [`set_len`] that WAL replay uses,
-//! so statement rollback is an in-memory restore.
+//! file on the device: its write-backs, appends, truncations, creates
+//! and drops land in a *statement layer* over the committed overlay and
+//! shapes (a file's staged length, and whether it was truncated since
+//! the last checkpoint), and the only device operations are creating a
+//! file and a logged drop. The commit logs the layer
+//! ([`Pager::statement_changes`]) and merges it
+//! ([`Pager::commit_statement`]); a rollback drops it
+//! ([`Pager::rollback_statement`]), so it is an in-memory discard. The
+//! checkpoint ([`Pager::materialize_overlay`]) is the one place shapes
+//! and pages reach the device, through the same [`set_len`] that WAL
+//! replay uses.
 //!
 //! The pager is `Send + Sync`: every method takes `&self`, with the frame
 //! tables, overlay, and disk handle behind one pager-wide `RwLock`. Page
@@ -52,7 +56,7 @@
 //! the frame stays pinned and the accounting stays exactly the
 //! single-threaded sequence, so a one-thread run is bit-identical to the
 //! old `&mut` pager — while pure introspection (page counts, config
-//! getters, staged-page listings) shares the read lock.
+//! getters) shares the read lock.
 
 use crate::bloom::Bloom;
 use crate::checksum::ChecksumSet;
@@ -189,10 +193,8 @@ impl FilePool {
 /// a page or writes a victim back.
 struct Pools {
     map: FileMap<FilePool>,
+    /// Every pool's cap.
     default_cap: usize,
-    /// Per-file caps that outlive the pools they configure (a pool can be
-    /// created lazily long after the cap was requested).
-    overrides: FileMap<usize>,
     /// Files whose pools may hold a dirty frame. Every dirty frame's
     /// file is in it, so a flush visits these pools and no others.
     dirty: FileSet,
@@ -202,19 +204,16 @@ struct Pools {
 impl Pools {
     /// The one place pools are created: every path — eager
     /// [`Pager::create_file`], lazy fault-in or append on a file restored
-    /// from a persisted catalog, a cap request for a not-yet-buffered
-    /// file — resolves the cap the same way (per-file override, else the
-    /// default).
+    /// from a persisted catalog — gives the pool the configured cap.
     fn pool_mut(&mut self, file: FileId) -> &mut FilePool {
         let Pools {
             map,
             default_cap,
-            overrides,
             stats,
             ..
         } = self;
         map.entry(file).or_insert_with(|| FilePool {
-            cap: overrides.get(&file).copied().unwrap_or(*default_cap),
+            cap: *default_cap,
             frames: Vec::new(),
             io: stats.writer(file),
         })
@@ -234,53 +233,71 @@ impl Pools {
 /// A staged file's shape where it differs from the device: its current
 /// length, and whether it was truncated since the last checkpoint (its
 /// device pages are then dead, however many there are). Files without
-/// one have the device's shape.
+/// one have the device's shape. In the statement layer, `truncated`
+/// means truncated by the statement: the file's committed pages and
+/// shape are then dead too.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     len: u32,
     truncated: bool,
 }
 
-/// Statement-scoped undo (staging mode only): first-touch snapshots of
-/// everything a statement may disturb, captured lazily as the statement
-/// runs so [`Pager::rollback_statement`] can put the pager back exactly
-/// as it was at [`Pager::begin_statement_undo`]. A staged statement
-/// changes nothing on the device but the files it creates (empty), so
-/// the restore is all in memory.
+impl Shape {
+    /// This statement-layer shape over the file's committed one: a
+    /// truncation since the checkpoint still holds.
+    fn over(self, committed: Option<Shape>) -> Shape {
+        Shape {
+            len: self.len,
+            truncated: self.truncated
+                || committed.is_some_and(|c| c.truncated),
+        }
+    }
+}
+
+/// What the running statement changed (staging mode only), on top of
+/// the committed overlay and shapes. The commit logs it and merges it
+/// into them; a rollback drops it. A staged statement changes nothing
+/// on the device but the files it creates (empty), so that is all a
+/// rollback has to undo there.
 #[derive(Default)]
-struct UndoLog {
-    /// Per page key: `(prior overlay image, was staged)` at first touch.
-    touched: BTreeMap<(FileId, u32), (Option<Page>, bool)>,
-    /// Per file: its shape and `resized` membership at its first
-    /// in-statement shape change.
-    shapes: BTreeMap<FileId, (Option<Shape>, bool)>,
-    /// `pending_drops` length at statement start.
-    drops_len: usize,
-    /// Files created during the statement (dropped on rollback).
+struct Layer {
+    /// After-images written back by the statement.
+    pages: BTreeMap<(FileId, u32), Page>,
+    /// Shapes the statement changed.
+    shapes: BTreeMap<FileId, Shape>,
+    /// Files the statement dropped, in drop order.
+    drops: Vec<FileId>,
+    /// Files the statement created.
     created: Vec<FileId>,
-    /// Per-file cap overrides removed by an in-statement drop.
-    overrides: BTreeMap<FileId, Option<usize>>,
+}
+
+/// What a staged statement changed, in the order its commit logs it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StatementChanges {
+    /// Files whose length changed, with the new length, sorted.
+    pub lengths: Vec<(FileId, u32)>,
+    /// Pages written back, sorted; [`Pager::stamp_lsn`] stamps and
+    /// returns each after-image.
+    pub pages: Vec<(FileId, u32)>,
+    /// Files dropped, in drop order.
+    pub drops: Vec<FileId>,
 }
 
 /// Where pages live beneath the frames: the disk handle, the WAL
-/// staging overlay and shapes, statement undo, the checksum sidecar
-/// and the drop queues.
+/// staging overlay, shapes and statement layer, the checksum sidecar
+/// and the drop queue.
 struct Store {
     disk: Box<dyn DiskManager>,
-    /// WAL staging mode: write-backs land in `overlay`, and appends and
-    /// truncations in `shapes`, not on disk.
+    /// WAL staging mode: write-backs, appends, truncations, creates and
+    /// drops land in `layer`, not on disk.
     staging: bool,
-    /// Staged after-images shadowing the disk (staging mode only).
+    /// Committed after-images shadowing the disk (staging mode only).
     overlay: BTreeMap<(FileId, u32), Page>,
-    /// Staged file shapes shadowing the disk's (staging mode only).
+    /// Committed file shapes shadowing the disk's (staging mode only).
     shapes: BTreeMap<FileId, Shape>,
-    /// Pages dirtied since the last commit (keys into `overlay`).
-    staged: BTreeSet<(FileId, u32)>,
-    /// Files whose length changed since the last commit.
-    resized: BTreeSet<FileId>,
-    /// Files dropped while staging by statements no commit has logged
-    /// yet.
-    pending_drops: Vec<FileId>,
+    /// The running statement's changes, shadowing `overlay` and
+    /// `shapes`.
+    layer: Layer,
     /// Device drops waiting for a ticket to be durable: drops a commit
     /// has logged, tagged with its ticket, and files a rolled-back
     /// statement created that the device refused to drop (ticket 0).
@@ -288,9 +305,6 @@ struct Store {
     /// Sidecar page checksums, verified on fault-in and refreshed on every
     /// real disk write. `None` (the paper default) skips both sides.
     checksums: Option<ChecksumSet>,
-    /// Statement undo, present between `begin_statement_undo` and
-    /// `discard_statement_undo`/`rollback_statement`.
-    undo: Option<UndoLog>,
     /// Scratch files ([`Pager::create_scratch_file`]).
     scratch: FileSet,
 }
@@ -345,8 +359,8 @@ impl Store {
         files
     }
 
-    /// Does a change to `file` go through staging (overlay, log,
-    /// statement undo)? Never for a scratch file.
+    /// Does a change to `file` go through staging (statement layer,
+    /// log, overlay)? Never for a scratch file.
     fn stages(&self, file: FileId) -> bool {
         self.staging && !self.scratch.contains(&file)
     }
@@ -403,81 +417,53 @@ impl Store {
         }
     }
 
-    /// Record a page key's prior overlay/staged state at first touch
-    /// (no-op without an active statement undo).
-    fn undo_touch(&mut self, key: (FileId, u32)) {
-        if self.undo.is_none() {
-            return;
-        }
-        let img = self.overlay.get(&key).cloned();
-        let was = self.staged.contains(&key);
-        let u = self.undo.as_mut().expect("checked above");
-        u.touched.entry(key).or_insert((img, was));
+    /// `file`'s staged shape: the statement's, with the committed
+    /// truncation folded in, else the committed one; `None` when the
+    /// device has its shape.
+    fn shape_of(&self, file: FileId) -> Option<Shape> {
+        let committed = self.shapes.get(&file).copied();
+        self.layer
+            .shapes
+            .get(&file)
+            .map(|s| s.over(committed))
+            .or(committed)
     }
 
     /// The current length of `file`: its staged shape's, else the
     /// device's.
     fn len_of(&self, file: FileId) -> Result<u32> {
-        match self.shapes.get(&file) {
+        match self.shape_of(file) {
             Some(shape) => Ok(shape.len),
             None => self.disk.page_count(file),
         }
     }
 
-    /// A page as staging holds it: its overlay image, `NoSuchPage`
-    /// past its file's staged shape, or `None` when the device holds
-    /// the page.
+    /// A page as staging holds it: the statement's image, else the
+    /// committed one unless the statement truncated the file,
+    /// `NoSuchPage` past the file's staged shape, or `None` when the
+    /// device holds the page.
     fn staged_image(
         &self,
         file: FileId,
         page_no: u32,
     ) -> Option<Result<Page>> {
-        if let Some(page) = self.overlay.get(&(file, page_no)) {
+        let key = (file, page_no);
+        let cut = self.layer.shapes.get(&file).is_some_and(|s| s.truncated);
+        let page =
+            self.layer.pages.get(&key).or_else(|| {
+                (!cut).then(|| self.overlay.get(&key)).flatten()
+            });
+        if let Some(page) = page {
             return Some(Ok(page.clone()));
         }
-        self.shapes
-            .get(&file)
+        self.shape_of(file)
             .filter(|s| s.truncated || page_no >= s.len)
             .map(|_| Err(Error::NoSuchPage(page_no)))
     }
 
-    /// Record a file's shape and `resized` membership before its first
-    /// in-statement shape change (no-op without an active statement
-    /// undo).
-    fn undo_shape(&mut self, file: FileId) {
-        if let Some(u) = self.undo.as_mut() {
-            u.shapes.entry(file).or_insert((
-                self.shapes.get(&file).copied(),
-                self.resized.contains(&file),
-            ));
-        }
-    }
-
-    /// Give a staged file a new shape; the next commit logs its length.
-    fn reshape(&mut self, file: FileId, shape: Shape) {
-        self.undo_shape(file);
-        self.shapes.insert(file, shape);
-        self.resized.insert(file);
-    }
-
-    /// Purge a staged file's overlay entries (recording them for
-    /// statement undo): its pages are being destroyed.
-    fn purge_overlay(&mut self, file: FileId) {
-        let keys: Vec<(FileId, u32)> = self
-            .overlay
-            .range((file, 0)..=(file, u32::MAX))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            self.undo_touch(key);
-            self.overlay.remove(&key);
-            self.staged.remove(&key);
-        }
-    }
-
     /// Write `frame` back if it is dirty, counting one write — into the
-    /// overlay when the file stages, else to the device — and mark it
-    /// clean once the write landed.
+    /// statement layer when the file stages, else to the device — and
+    /// mark it clean once the write landed.
     fn write_back(
         &mut self,
         io: &mut FileLedger,
@@ -489,9 +475,7 @@ impl Store {
         }
         let (page_no, page) = (frame.page_no, &frame.page);
         if self.stages(file) {
-            self.undo_touch((file, page_no));
-            self.overlay.insert((file, page_no), page.clone());
-            self.staged.insert((file, page_no));
+            self.layer.pages.insert((file, page_no), page.clone());
         } else {
             self.disk.write_page(file, page_no, page)?;
             self.note_written(file, page_no, page);
@@ -499,6 +483,18 @@ impl Store {
         io.record(Counter::Writes);
         frame.dirty = false;
         Ok(())
+    }
+}
+
+/// Remove `file`'s pages from a staged page map: they are being
+/// destroyed.
+fn purge(pages: &mut BTreeMap<(FileId, u32), Page>, file: FileId) {
+    let keys: Vec<(FileId, u32)> = pages
+        .range((file, 0)..=(file, u32::MAX))
+        .map(|(k, _)| *k)
+        .collect();
+    for key in keys {
+        pages.remove(&key);
     }
 }
 
@@ -524,10 +520,11 @@ impl PagerState {
             pool.io.record_access(Counter::Hits);
             return Ok(&mut pool.frames[0]);
         }
-        // Miss: fetch (the staging overlay and shapes shadow the disk;
+        // Miss: fetch (the statement layer, then the committed overlay
+        // and shapes, shadow the disk;
         // disk reads are checksum-verified with bounded retry), then
         // install (evicting as needed). A staged page past the device's
-        // shape always has an overlay image or a frame.
+        // shape always has a staged image or a frame.
         let page = match store.staged_image(file, page_no) {
             Some(page) => page?,
             None => store.fetch_from_disk(&mut pool.io, file, page_no)?,
@@ -562,7 +559,6 @@ impl Pager {
                 pools: Pools {
                     map: FileMap::default(),
                     default_cap: config.default_frames.max(1),
-                    overrides: FileMap::default(),
                     dirty: FileSet::default(),
                     stats: Arc::clone(&stats),
                 },
@@ -571,12 +567,9 @@ impl Pager {
                     staging: false,
                     overlay: BTreeMap::new(),
                     shapes: BTreeMap::new(),
-                    staged: BTreeSet::new(),
-                    resized: BTreeSet::new(),
-                    pending_drops: Vec::new(),
+                    layer: Layer::default(),
                     logged_drops: Vec::new(),
                     checksums: None,
-                    undo: None,
                     scratch: FileSet::default(),
                 },
             }),
@@ -608,38 +601,32 @@ impl Pager {
         self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Change the default buffer frames allotted to files without a
-    /// per-file override. Applies to pools created from now on; existing
-    /// pools keep their caps (use [`Pager::set_buffer_frames`] to resize
-    /// one).
-    pub fn set_default_buffer_frames(&self, cap: usize) {
-        self.st().pools.default_cap = cap.max(1);
-    }
-
-    /// Change the buffer frames allotted to one file, evicting (with
-    /// write-back accounting) as needed. The cap survives pool
-    /// destruction and re-creation.
-    pub fn set_buffer_frames(
-        &self,
-        file: FileId,
-        cap: usize,
-    ) -> Result<()> {
+    /// Change the buffer frames of every file: existing pools shrink or
+    /// grow now, and pools created later get the same cap. A shrink
+    /// sheds least-recently-used frames through the eviction path,
+    /// writing dirty ones back (counted); a victim whose write-back
+    /// fails stays in its pool, still dirty, and the error stops the
+    /// resize — calling it again finishes the shrink.
+    pub fn set_default_buffer_frames(&self, cap: usize) -> Result<()> {
         let cap = cap.max(1);
         let PagerState { pools, store } = &mut *self.st();
-        pools.overrides.insert(file, cap);
-        let pool = pools.pool_mut(file);
-        pool.cap = cap;
-        // Shed overflowing frames through the normal eviction path: a
-        // victim leaves the pool once its write-back landed.
-        while pool.frames.len() > cap {
-            let idx = pool.evict_index().ok_or_else(|| {
-                Error::Internal(
-                    "cannot shrink pool: all frames pinned".into(),
-                )
-            })?;
-            store.write_back(&mut pool.io, file, &mut pool.frames[idx])?;
-            pool.frames.remove(idx);
-            pool.io.record(Counter::Evictions);
+        pools.default_cap = cap;
+        for (&file, pool) in pools.map.iter_mut() {
+            pool.cap = cap;
+            while pool.frames.len() > cap {
+                let idx = pool.evict_index().ok_or_else(|| {
+                    Error::Internal(
+                        "cannot shrink pool: all frames pinned".into(),
+                    )
+                })?;
+                store.write_back(
+                    &mut pool.io,
+                    file,
+                    &mut pool.frames[idx],
+                )?;
+                pool.frames.remove(idx);
+                pool.io.record(Counter::Evictions);
+            }
         }
         Ok(())
     }
@@ -799,10 +786,11 @@ impl Pager {
         page: &Page,
     ) -> Result<()> {
         let st = &self.st_read().store;
+        let key = (file, page_no);
+        let staged = st.layer.pages.contains_key(&key)
+            || st.overlay.contains_key(&key);
         match &st.checksums {
-            Some(sums) if !st.overlay.contains_key(&(file, page_no)) => {
-                sums.verify(file, page_no, page)
-            }
+            Some(sums) if !staged => sums.verify(file, page_no, page),
             _ => Ok(()),
         }
     }
@@ -820,8 +808,8 @@ impl Pager {
         let PagerState { pools, store: st } = &mut *self.st();
         st.disk.write_page(file, page_no, page)?;
         st.note_written(file, page_no, page);
+        st.layer.pages.remove(&(file, page_no));
         st.overlay.remove(&(file, page_no));
-        st.staged.remove(&(file, page_no));
         let pool = pools.pool_mut(file);
         pool.io.record(Counter::Writes);
         pool.frames.retain(|f| f.page_no != page_no);
@@ -849,17 +837,15 @@ impl Pager {
     /// checkpoint writes the file's pages, they live in the overlay and
     /// the log, and the placeholder gives a scrub or a fault injector a
     /// page to find on the device. The commit logs the file's length,
-    /// so replay cuts the placeholder away.
+    /// so replay cuts the placeholder away; a rollback drops the file.
     pub fn create_file(&self) -> Result<FileId> {
         let PagerState { pools, store: st } = &mut *self.st();
         let id = st.disk.create_file()?;
         pools.pool_mut(id);
-        if let Some(u) = st.undo.as_mut() {
-            u.created.push(id);
-        }
         if st.staging {
+            st.layer.created.push(id);
             st.disk.append_page(id, &Page::new(PageKind::Data))?;
-            st.reshape(
+            st.layer.shapes.insert(
                 id,
                 Shape {
                     len: 0,
@@ -881,49 +867,38 @@ impl Pager {
         Ok(id)
     }
 
-    /// Delete a file, its pages, its buffers, and its cap override. Like
+    /// Delete a file, its pages and its buffers. Like
     /// [`Pager::truncate`], pending (dirty) writes are intentionally
     /// discarded without write-back accounting — the data they would have
     /// persisted is being destroyed.
     pub fn drop_file(&self, file: FileId) -> Result<()> {
         self.bloom_drop(file);
         let PagerState { pools, store: st } = &mut *self.st();
-        let staged = st.stages(file);
-        if staged {
-            // Capture before anything is removed: the prior cap
-            // override, shape and overlay entries.
-            let prior = pools.overrides.get(&file).copied();
-            if let Some(u) = st.undo.as_mut() {
-                u.overrides.entry(file).or_insert(prior);
-            }
-            st.undo_shape(file);
-            st.purge_overlay(file);
-            st.shapes.remove(&file);
-            st.resized.remove(&file);
-        }
         pools.map.remove(&file);
         pools.dirty.remove(&file);
         self.stats.retire(file);
-        pools.overrides.remove(&file);
         if let Some(sums) = &mut st.checksums {
             sums.drop_file(file);
         }
-        if staged {
-            // Defer the physical drop until the commit that logs it is
+        if st.stages(file) {
+            // The statement's pages and shape go now, the committed ones
+            // at its commit, and the device file once that commit is
             // durable: a crash in between must not have destroyed pages
             // a committed state still references.
-            st.pending_drops.push(file);
+            purge(&mut st.layer.pages, file);
+            st.layer.shapes.remove(&file);
+            st.layer.drops.push(file);
             return Ok(());
         }
         st.scratch.remove(&file);
         st.disk.drop_file(file)
     }
 
-    /// Truncate a file to zero pages. The pool (and any configured cap)
-    /// survives, but its frames are discarded: pending dirty writes are
-    /// intentionally dropped *without* write-back accounting, exactly as
-    /// [`Pager::drop_file`] drops them — pages that no longer exist cost
-    /// no output. Neither counts evictions.
+    /// Truncate a file to zero pages. The pool survives, but its frames
+    /// are discarded: pending dirty writes are intentionally dropped
+    /// *without* write-back accounting, exactly as [`Pager::drop_file`]
+    /// drops them — pages that no longer exist cost no output. Neither
+    /// counts evictions.
     pub fn truncate(&self, file: FileId) -> Result<()> {
         self.bloom_drop(file);
         let PagerState { pools, store: st } = &mut *self.st();
@@ -932,9 +907,10 @@ impl Pager {
         }
         pools.dirty.remove(&file);
         if st.stages(file) {
-            // The device keeps its pages until the checkpoint.
-            st.purge_overlay(file);
-            st.reshape(
+            // The committed pages stay until the commit, the device's
+            // until the checkpoint.
+            purge(&mut st.layer.pages, file);
+            st.layer.shapes.insert(
                 file,
                 Shape {
                     len: 0,
@@ -1005,8 +981,8 @@ impl Pager {
             // logs the new length.
             let len = st.len_of(file)?;
             let truncated =
-                st.shapes.get(&file).is_some_and(|s| s.truncated);
-            st.reshape(
+                st.layer.shapes.get(&file).is_some_and(|s| s.truncated);
+            st.layer.shapes.insert(
                 file,
                 Shape {
                     len: len + 1,
@@ -1059,13 +1035,15 @@ impl Pager {
     //
     // In staging mode a statement changes no file on the device but the
     // empty files it creates: every dirty write-back (eviction or flush)
-    // lands in an in-memory overlay that shadows the disk for subsequent
-    // reads, accumulating the transaction's after-images, and appends
-    // and truncations change the file's staged shape (its length, and a
-    // "truncated since the checkpoint" flag), which `page_count` reads.
-    // The WAL commits by logging the images and each changed length; a
-    // checkpoint (`materialize_overlay`) is the one place the shapes and
-    // the images reach the device.
+    // lands in the statement layer, which shadows the committed overlay
+    // for subsequent reads, and appends and truncations change the
+    // file's shape there (its length, and whether the statement
+    // truncated it), which `page_count` reads. The commit logs the
+    // layer's lengths, images and drops, then merges it into the
+    // committed overlay and shapes; a statement that dies mid-flight
+    // (disk full, fsync failure) drops it. A checkpoint
+    // (`materialize_overlay`) is the one place the shapes and the images
+    // reach the device.
 
     /// Switch staging mode (see above). Turn it on at open, before any
     /// writes; it is not meant to be toggled mid-transaction.
@@ -1073,28 +1051,28 @@ impl Pager {
         self.st().store.staging = on;
     }
 
-    /// Is the pager staging write-backs in the overlay?
-    pub fn staging(&self) -> bool {
-        self.st_read().store.staging
+    /// What the running statement changed: the records its commit logs.
+    /// After a `flush_all` every written page has its after-image in
+    /// the layer.
+    pub fn statement_changes(&self) -> StatementChanges {
+        let Layer {
+            pages,
+            shapes,
+            drops,
+            ..
+        } = &self.st_read().store.layer;
+        StatementChanges {
+            lengths: shapes.iter().map(|(&f, s)| (f, s.len)).collect(),
+            pages: pages.keys().copied().collect(),
+            drops: drops.clone(),
+        }
     }
 
-    /// The `(file, page)` pairs dirtied since the last
-    /// [`Pager::clear_staged`], sorted. After a `flush_all` each has its
-    /// after-image in the overlay, ready to be logged.
-    pub fn staged_pages(&self) -> Vec<(FileId, u32)> {
-        self.st_read().store.staged.iter().copied().collect()
-    }
-
-    /// Forget the staged-page set (the commit that logged it is durable).
-    pub fn clear_staged(&self) {
-        self.st().store.staged.clear();
-    }
-
-    /// Stamp `lsn` into the overlay image of (`file`, `page_no`) — and
-    /// into any resident frame of the same page — returning a copy of the
-    /// stamped image for the log. Errors if the page is not staged
-    /// (commit must flush first).
-    pub fn stamp_overlay_lsn(
+    /// Stamp `lsn` into the statement's image of (`file`, `page_no`) —
+    /// and into any resident frame of the same page — returning a copy
+    /// of the stamped image for the log. Errors if the statement wrote
+    /// no such page (commit must flush first).
+    pub fn stamp_lsn(
         &self,
         file: FileId,
         page_no: u32,
@@ -1102,7 +1080,7 @@ impl Pager {
     ) -> Result<Page> {
         let PagerState { pools, store: st } = &mut *self.st();
         let page =
-            st.overlay.get_mut(&(file, page_no)).ok_or_else(|| {
+            st.layer.pages.get_mut(&(file, page_no)).ok_or_else(|| {
                 Error::Internal(format!(
                     "page {page_no} of {file:?} is not staged"
                 ))
@@ -1119,29 +1097,31 @@ impl Pager {
         Ok(copy)
     }
 
-    /// Drain the files whose length changed since the last call, paired
-    /// with their current length (the commit's file-length records).
-    pub fn take_resized(&self) -> Result<Vec<(FileId, u32)>> {
+    /// The commit holding `ticket` logged the statement: merge its
+    /// layer into the committed overlay and shapes — a file it truncated
+    /// or dropped loses its committed pages first — and queue its drops
+    /// on the ticket for [`Pager::execute_drops`].
+    pub fn commit_statement(&self, ticket: u64) {
         let st = &mut self.st().store;
-        let files = std::mem::take(&mut st.resized);
-        files.into_iter().map(|f| Ok((f, st.len_of(f)?))).collect()
-    }
-
-    /// The files dropped while staging that no commit has logged yet
-    /// (the next commit's `DropFile` records).
-    pub fn pending_drops(&self) -> Vec<FileId> {
-        self.st_read().store.pending_drops.clone()
-    }
-
-    /// The commit holding `ticket` logged every pending drop: queue
-    /// them for [`Pager::execute_drops`]. A statement that rolls back
-    /// before this keeps its drops out of the queue (its undo trims
-    /// `pending_drops`).
-    pub fn log_drops(&self, ticket: u64) {
-        let st = &mut self.st().store;
-        let logged = std::mem::take(&mut st.pending_drops);
-        st.logged_drops
-            .extend(logged.into_iter().map(|f| (ticket, f)));
+        let Layer {
+            pages,
+            shapes,
+            drops,
+            ..
+        } = std::mem::take(&mut st.layer);
+        for (file, shape) in shapes {
+            if shape.truncated {
+                purge(&mut st.overlay, file);
+            }
+            let merged = shape.over(st.shapes.get(&file).copied());
+            st.shapes.insert(file, merged);
+        }
+        st.overlay.extend(pages);
+        for file in drops {
+            purge(&mut st.overlay, file);
+            st.shapes.remove(&file);
+            st.logged_drops.push((ticket, file));
+        }
     }
 
     /// Physically drop every file whose drop waits on a ticket at or
@@ -1163,12 +1143,64 @@ impl Pager {
         });
     }
 
-    /// Checkpoint the staged files onto the device: give each its staged
-    /// shape (a truncated file is cut to zero first, pages past the
-    /// device's length are appended) and write every overlay page in
-    /// place, counting one write per page — attribute it to a phase if
-    /// it should be visible as checkpoint cost. Returns the files
-    /// touched, sorted, so the caller can sync them.
+    /// Drop the running statement's layer. Nothing here can fail: the
+    /// discard is in memory, and a file the statement created that the
+    /// device refuses to drop waits in the drop queue (see
+    /// [`Pager::execute_drops`]).
+    ///
+    /// Runs under the pager-wide lock in one critical section, so
+    /// concurrent snapshot readers never observe a half-rolled-back
+    /// pager.
+    pub fn rollback_statement(&self) {
+        let PagerState { pools, store: st } = &mut *self.st();
+        let Layer {
+            pages,
+            shapes,
+            created,
+            ..
+        } = std::mem::take(&mut st.layer);
+        // Discard the buffered frames of every file the statement
+        // changed WITHOUT write-back: dirty frames hold the dead
+        // statement's content and must not re-pollute the layer. Pools
+        // of untouched files cache only committed pages — the warm
+        // cache stays.
+        let mut polluted: BTreeSet<FileId> =
+            pages.keys().map(|(f, _)| *f).collect();
+        // A dirty frame is a write of the dead statement that never
+        // reached the layer: a commit flushes every frame first. A
+        // scratch file's frames belong to a statement still running.
+        polluted.extend(pools.dirty.iter().copied().filter(|f| {
+            !st.scratch.contains(f)
+                && pools.map.get(f).is_some_and(FilePool::has_dirty)
+        }));
+        polluted.extend(shapes.keys().copied());
+        polluted.extend(created.iter().copied());
+        for f in &polluted {
+            if let Some(pool) = pools.map.get_mut(f) {
+                pool.frames.clear();
+            }
+            pools.dirty.remove(f);
+        }
+        let Store {
+            disk,
+            checksums,
+            logged_drops,
+            ..
+        } = st;
+        for f in created {
+            if drop_if_present(disk.as_mut(), checksums, f).is_err() {
+                logged_drops.push((0, f));
+            }
+        }
+    }
+
+    /// Checkpoint the committed staged files onto the device: give each
+    /// its staged shape (a truncated file is cut to zero first, pages
+    /// past the device's length are appended) and write every overlay
+    /// page in place, counting one write per page — attribute it to a
+    /// phase if it should be visible as checkpoint cost. Returns the
+    /// files touched, sorted, so the caller can sync them. A statement
+    /// layer is not written: merge it first ([`Pager::commit_statement`]).
     pub fn materialize_overlay(&self) -> Result<Vec<FileId>> {
         // Iterate without consuming: a mid-loop failure (disk full
         // during a checkpoint) must not lose the committed images not
@@ -1216,111 +1248,6 @@ impl Pager {
         overlay.clear();
         shapes.clear();
         Ok(files.into_iter().collect())
-    }
-
-    // --- Statement undo -------------------------------------------------
-    //
-    // A staged statement that dies mid-flight (disk full, fsync failure)
-    // has changed only in-memory state — overlay, staged set, shapes,
-    // drop bookkeeping — plus the empty files it created.
-    // `begin_statement_undo` arms lazy first-touch capture of that
-    // state; `rollback_statement` restores it exactly and drops the
-    // created files, queueing a drop the device refuses.
-
-    /// Arm statement undo: from now until `discard_statement_undo` or
-    /// `rollback_statement`, every overlay/staged/shape/drop mutation
-    /// snapshots its prior state at first touch.
-    pub fn begin_statement_undo(&self) {
-        let st = &mut self.st().store;
-        let drops_len = st.pending_drops.len();
-        st.undo = Some(UndoLog {
-            drops_len,
-            ..UndoLog::default()
-        });
-    }
-
-    /// The statement committed: forget the captured undo state.
-    pub fn discard_statement_undo(&self) {
-        self.st().store.undo = None;
-    }
-
-    /// Put the pager back as it was at `begin_statement_undo` (no-op
-    /// without one armed). Nothing here can fail: the restore is in
-    /// memory, and a created file the device refuses to drop waits in
-    /// the drop queue (see [`Pager::execute_drops`]).
-    ///
-    /// Runs under the pager-wide lock in one critical section, so
-    /// concurrent snapshot readers never observe a half-rolled-back
-    /// pager.
-    pub fn rollback_statement(&self) {
-        let PagerState { pools, store: st } = &mut *self.st();
-        let Some(u) = st.undo.take() else { return };
-        // Discard the buffered frames of every file the statement
-        // touched WITHOUT write-back: dirty frames hold the dead
-        // statement's content and must not re-pollute the overlay.
-        // Pools of untouched files cache only committed pages — the
-        // warm cache stays.
-        let mut polluted: BTreeSet<FileId> = BTreeSet::new();
-        polluted.extend(u.touched.keys().map(|(f, _)| *f));
-        // A dirty frame is a write of the dead statement that never
-        // reached the overlay: a commit flushes every frame first. A
-        // scratch file's frames belong to a statement still running.
-        polluted.extend(pools.dirty.iter().copied().filter(|f| {
-            !st.scratch.contains(f)
-                && pools.map.get(f).is_some_and(FilePool::has_dirty)
-        }));
-        polluted.extend(u.shapes.keys().copied());
-        polluted.extend(u.created.iter().copied());
-        for f in &polluted {
-            if let Some(pool) = pools.map.get_mut(f) {
-                pool.frames.clear();
-            }
-            pools.dirty.remove(f);
-        }
-        for (key, (img, was_staged)) in u.touched {
-            match img {
-                Some(p) => {
-                    st.overlay.insert(key, p);
-                }
-                None => {
-                    st.overlay.remove(&key);
-                }
-            }
-            if was_staged {
-                st.staged.insert(key);
-            } else {
-                st.staged.remove(&key);
-            }
-        }
-        for (f, (shape, was_resized)) in u.shapes {
-            match shape {
-                Some(shape) => st.shapes.insert(f, shape),
-                None => st.shapes.remove(&f),
-            };
-            if was_resized {
-                st.resized.insert(f);
-            } else {
-                st.resized.remove(&f);
-            }
-        }
-        st.pending_drops.truncate(u.drops_len);
-        for (f, prior) in u.overrides {
-            match prior {
-                Some(cap) => pools.overrides.insert(f, cap),
-                None => pools.overrides.remove(&f),
-            };
-        }
-        let Store {
-            disk,
-            checksums,
-            logged_drops,
-            ..
-        } = st;
-        for f in u.created {
-            if drop_if_present(disk.as_mut(), checksums, f).is_err() {
-                logged_drops.push((0, f));
-            }
-        }
     }
 
     /// Force one file's pages to stable storage.
@@ -1417,7 +1344,7 @@ mod tests {
         // process.
         pager.corrupt_drop_pool(f);
         pager.read(f, 0, |_| ()).unwrap();
-        pager.set_buffer_frames(f, 2).unwrap();
+        pager.set_default_buffer_frames(2).unwrap();
         pager.invalidate_buffers().unwrap();
     }
 
@@ -1457,7 +1384,7 @@ mod tests {
     fn two_frames_stop_the_thrash() {
         let pager = Pager::in_memory();
         let f = two_page_file(&pager);
-        pager.set_buffer_frames(f, 2).unwrap();
+        pager.set_default_buffer_frames(2).unwrap();
         let io = pager.stats().scope();
         for _ in 0..5 {
             pager.read(f, 0, |_| ()).unwrap();
@@ -1590,7 +1517,7 @@ mod tests {
         let pager = Pager::new(Box::new(
             crate::disk::FileDisk::open(&dir).unwrap(),
         ));
-        pager.set_default_buffer_frames(2);
+        pager.set_default_buffer_frames(2).unwrap();
         for _ in 0..5 {
             pager.read(f, 0, |_| ()).unwrap();
             pager.read(f, 1, |_| ()).unwrap();
@@ -1638,17 +1565,18 @@ mod tests {
             .write(f, p, |pg| pg.push_row(4, &[7; 4]).unwrap())
             .unwrap();
         pager.flush_all().unwrap();
-        assert_eq!(pager.staged_pages(), vec![(f, p)]);
-        // The overlay shadows the (still empty) on-disk page for reads.
+        assert_eq!(pager.statement_changes().pages, vec![(f, p)]);
+        // The layer shadows the (still empty) on-disk page for reads.
         pager.invalidate_buffers().unwrap();
         pager
             .read(f, p, |pg| assert_eq!(pg.row(4, 0).unwrap(), &[7; 4]))
             .unwrap();
-        // Commit stamps the LSN into the image; checkpoint materializes.
-        let img = pager.stamp_overlay_lsn(f, p, 42).unwrap();
+        // Commit stamps the LSN into the image and merges the layer;
+        // checkpoint materializes.
+        let img = pager.stamp_lsn(f, p, 42).unwrap();
         assert_eq!(img.lsn(), 42);
-        pager.clear_staged();
-        assert!(pager.staged_pages().is_empty());
+        pager.commit_statement(1);
+        assert_eq!(pager.statement_changes(), StatementChanges::default());
         assert_eq!(pager.materialize_overlay().unwrap(), vec![f]);
         pager.invalidate_buffers().unwrap();
         pager
@@ -1661,21 +1589,25 @@ mod tests {
 
     #[test]
     fn staging_defers_drops_and_tracks_lengths() {
-        let pager = Pager::in_memory();
+        let disk = MemDisk::new();
+        let pager = Pager::new(Box::new(disk.clone()));
         pager.set_staging(true);
         let f = pager.create_file().unwrap();
         pager.append_page(f, PageKind::Data).unwrap();
         pager.append_page(f, PageKind::Data).unwrap();
-        assert_eq!(pager.take_resized().unwrap(), vec![(f, 2)]);
-        assert!(pager.take_resized().unwrap().is_empty(), "drained");
+        assert_eq!(pager.statement_changes().lengths, vec![(f, 2)]);
+        pager.commit_statement(1);
+        assert!(pager.statement_changes().lengths.is_empty(), "merged");
+        assert_eq!(pager.page_count(f).unwrap(), 2);
         pager.drop_file(f).unwrap();
+        assert_eq!(disk.page_count(f).unwrap(), 1, "the device keeps it");
+        assert_eq!(pager.statement_changes().drops, vec![f]);
+        pager.commit_statement(7);
+        assert!(pager.statement_changes().drops.is_empty(), "queued");
         // Still on disk until the commit that logs the drop is durable:
         // the placeholder page alone, as its staged pages never got
         // there.
         assert_eq!(pager.page_count(f).unwrap(), 1);
-        assert_eq!(pager.pending_drops(), vec![f]);
-        pager.log_drops(7);
-        assert!(pager.pending_drops().is_empty(), "queued on ticket 7");
         pager.execute_drops(6);
         assert_eq!(pager.page_count(f).unwrap(), 1, "7 is not durable yet");
         pager.execute_drops(7);
@@ -1830,8 +1762,8 @@ mod tests {
     }
 
     /// Stage some committed state the way the durable engine does:
-    /// content flushed to the overlay, then the commit drains the
-    /// staged set and the resize records.
+    /// content flushed to the statement layer, then the commit merges
+    /// it.
     fn committed_staging_file(pager: &Pager) -> FileId {
         let f = pager.create_file().unwrap();
         let p0 = pager.append_page(f, PageKind::Data).unwrap();
@@ -1843,8 +1775,7 @@ mod tests {
             .write(f, p1, |pg| pg.push_row(4, &[2; 4]).unwrap())
             .unwrap();
         pager.flush_all().unwrap();
-        pager.clear_staged();
-        pager.take_resized().unwrap();
+        pager.commit_statement(1);
         f
     }
 
@@ -1852,13 +1783,12 @@ mod tests {
     /// staging for the device, a commit's flush and a rollback leave it
     /// alone, checksums skip it, and its drop is immediate.
     #[test]
-    fn scratch_files_bypass_staging_undo_and_checksums() {
+    fn scratch_files_bypass_staging_rollback_and_checksums() {
         let disk = MemDisk::new();
         let pager = Pager::new(Box::new(disk.clone()));
         pager.set_staging(true);
         pager.set_checksums(Some(ChecksumSet::default()));
         let f = committed_staging_file(&pager);
-        pager.begin_statement_undo();
         let s = pager.create_scratch_file().unwrap();
         let p = pager.append_page(s, PageKind::Data).unwrap();
         pager
@@ -1868,8 +1798,8 @@ mod tests {
             .write(f, 0, |pg| pg.push_row(4, &[3; 4]).unwrap())
             .unwrap();
         pager.flush_all().unwrap();
-        assert_eq!(pager.staged_pages(), vec![(f, 0)]);
-        assert!(pager.take_resized().unwrap().is_empty());
+        assert_eq!(pager.statement_changes().pages, vec![(f, 0)]);
+        assert!(pager.statement_changes().lengths.is_empty());
         // The dead writer's rollback keeps the scratch file's frame.
         pager.rollback_statement();
         let writes = pager.stats().total().writes;
@@ -1877,13 +1807,13 @@ mod tests {
         assert_eq!(pager.stats().total().writes, writes + 1);
         let on_disk = disk.clone().read_page(s, 0).unwrap();
         assert_eq!(on_disk.row(4, 0).unwrap(), &[7; 4]);
-        assert!(pager.staged_pages().is_empty());
+        assert!(pager.statement_changes().pages.is_empty());
         assert_eq!(pager.read(s, 0, |pg| pg.count()).unwrap(), 1);
         let sums = pager.checksums_snapshot().unwrap();
         assert!(sums.get(s, 0).is_none(), "scratch pages are unsummed");
         assert_eq!(pager.file_lengths().unwrap(), vec![(f, 2)]);
         pager.drop_file(s).unwrap();
-        assert!(pager.pending_drops().is_empty());
+        assert!(pager.statement_changes().drops.is_empty());
         assert_eq!(disk.files(), vec![f]);
     }
 
@@ -1893,7 +1823,6 @@ mod tests {
         pager.set_staging(true);
         let f = committed_staging_file(&pager);
 
-        pager.begin_statement_undo();
         // The doomed statement: overwrite a committed page, grow the
         // file, and create a whole new file with content.
         pager
@@ -1921,8 +1850,11 @@ mod tests {
             .unwrap();
         assert_eq!(pager.page_count(f).unwrap(), 2, "tail trimmed");
         assert!(pager.page_count(g).is_err(), "created file dropped");
-        assert!(pager.staged_pages().is_empty(), "staged set drained");
-        assert!(pager.take_resized().unwrap().is_empty());
+        assert!(
+            pager.statement_changes().pages.is_empty(),
+            "layer dropped"
+        );
+        assert!(pager.statement_changes().lengths.is_empty());
     }
 
     #[test]
@@ -1941,14 +1873,13 @@ mod tests {
         pager.read(f, 0, |_| ()).unwrap();
         assert_eq!(scope.of(f).reads, 1);
 
-        pager.begin_statement_undo();
         pager
             .write(g, 0, |pg| pg.push_row(4, &[9; 4]).unwrap())
             .unwrap();
         pager.rollback_statement();
 
-        // f never appeared in the undo log, so its frames survive the
-        // rollback: the re-read is a buffer hit, not a disk read. Only
+        // f never appeared in the statement layer, so its frames survive
+        // the rollback: the re-read is a buffer hit, not a disk read. Only
         // the touched file's potentially-polluted frames are discarded.
         pager.read(f, 0, |_| ()).unwrap();
         let io = scope.of(f);
@@ -1961,7 +1892,6 @@ mod tests {
         let pager = Pager::in_memory();
         pager.set_staging(true);
         let f = committed_staging_file(&pager);
-        pager.begin_statement_undo();
         pager
             .write(f, 0, |pg| pg.push_row(4, &[9; 4]).unwrap())
             .unwrap();
@@ -1982,7 +1912,6 @@ mod tests {
         // Checkpoint: the committed content reaches the disk.
         pager.materialize_overlay().unwrap();
 
-        pager.begin_statement_undo();
         pager.truncate(f).unwrap();
         let p = pager.append_page(f, PageKind::Data).unwrap();
         pager
@@ -2019,7 +1948,6 @@ mod tests {
         pager.materialize_overlay().unwrap();
 
         let ops = plan.ops_charged();
-        pager.begin_statement_undo();
         let p2 = pager.append_page(f, PageKind::Data).unwrap();
         pager
             .write(f, p2, |pg| pg.push_row(4, &[9; 4]).unwrap())
@@ -2047,8 +1975,8 @@ mod tests {
         pager
             .read(g, 1, |pg| assert_eq!(pg.row(4, 0).unwrap(), &[2; 4]))
             .unwrap();
-        assert!(pager.staged_pages().is_empty());
-        assert!(pager.take_resized().unwrap().is_empty());
+        assert!(pager.statement_changes().pages.is_empty());
+        assert!(pager.statement_changes().lengths.is_empty());
         // Space returns: nothing was left to repair.
         plan.set_enospc(false);
         assert!(pager.materialize_overlay().unwrap().is_empty());
@@ -2067,7 +1995,6 @@ mod tests {
             plan.clone(),
         )));
         pager.set_staging(true);
-        pager.begin_statement_undo();
         let g = pager.create_file().unwrap();
         pager.append_page(g, PageKind::Data).unwrap();
         pager.append_page(g, PageKind::Data).unwrap();
@@ -2076,7 +2003,10 @@ mod tests {
         plan.set_enospc(true);
         pager.rollback_statement();
         assert_eq!(shared.files(), vec![g], "the device refused");
-        assert!(pager.pending_drops().is_empty(), "nothing to log");
+        assert!(
+            pager.statement_changes().drops.is_empty(),
+            "nothing to log"
+        );
         pager.execute_drops(0);
         assert_eq!(shared.files(), vec![g], "still refused");
         plan.set_enospc(false);
@@ -2085,18 +2015,17 @@ mod tests {
     }
 
     #[test]
-    fn discard_keeps_the_statement_effects() {
+    fn commit_keeps_the_statement_effects() {
         let pager = Pager::in_memory();
         pager.set_staging(true);
         let f = committed_staging_file(&pager);
-        pager.begin_statement_undo();
         let p2 = pager.append_page(f, PageKind::Data).unwrap();
         pager
             .write(f, p2, |pg| pg.push_row(4, &[7; 4]).unwrap())
             .unwrap();
         pager.flush_all().unwrap();
-        pager.discard_statement_undo();
-        pager.rollback_statement(); // no-op: nothing armed
+        pager.commit_statement(2);
+        pager.rollback_statement(); // no-op: the layer is merged
         assert_eq!(pager.page_count(f).unwrap(), 3);
         pager
             .read(f, p2, |pg| assert_eq!(pg.row(4, 0).unwrap(), &[7; 4]))
@@ -2193,7 +2122,9 @@ mod tests {
             ("flush_file", |p, f| p.flush_file(f)),
             ("flush_all", |p, _| p.flush_all()),
             ("invalidate_buffers", |p, _| p.invalidate_buffers()),
-            ("set_buffer_frames", |p, f| p.set_buffer_frames(f, 1)),
+            ("set_default_buffer_frames", |p, _| {
+                p.set_default_buffer_frames(1)
+            }),
         ];
         for (name, flush) in ways {
             let (pager, plan) = faulty_pager(2);
@@ -2261,7 +2192,7 @@ mod tests {
         tracked("writes and an append");
         pager.read(f, 1, |_| ()).unwrap();
         tracked("an eviction");
-        pager.set_buffer_frames(g, 1).unwrap();
+        pager.set_default_buffer_frames(1).unwrap();
         tracked("a shrink");
         pager.invalidate_buffers().unwrap();
         tracked("invalidation");
@@ -2274,7 +2205,6 @@ mod tests {
             .write_page_raw(g, 1, &Page::new(PageKind::Data))
             .unwrap();
         tracked("a raw write");
-        pager.begin_statement_undo();
         let h = pager.create_file().unwrap();
         pager.append_page(h, PageKind::Data).unwrap();
         pager.rollback_statement();

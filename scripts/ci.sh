@@ -95,8 +95,11 @@ gate_transient_retry() {
 # streams obey the cost law (hashed lookup = chain pages, ISAM = levels +
 # chain, scan = scannable pages), agree with a model, and audit clean.
 # The chain format and its audit are pinned together: a layout change
-# that the audit does not follow fails here. Then, by name, the pager
-# ledger pinned over a fixed access sequence at 1 and 3 frames (hits,
+# that the audit does not follow fails here. Then, by name, staged
+# statements against a model (random writes, appends, truncations,
+# creates and drops, each statement committed or rolled back, the
+# device checked after a final checkpoint) and the pager's commit and
+# rollback tests of its statement layer, the pager ledger pinned over a fixed access sequence at 1 and 3 frames (hits,
 # misses, clean and dirty evictions, nested scopes, a dropped file), the
 # write-back contract (a frame stays dirty in its pool until its write
 # lands), the dirty-pool set behind flush_all, the ISAM descent's
@@ -109,7 +112,17 @@ gate_storage_chains() {
     cargo test -q -p tdbms-storage --lib overflow::
     cargo test -q -p tdbms-storage --lib audit::
     cargo test -q --test proptest_storage keyed_files_agree_with_model
+    cargo test -q --test proptest_storage \
+        staged_statements_agree_with_a_model
     cargo test -q -p tdbms-storage --lib -- \
+        pager::tests::staging_ \
+        pager::tests::raw_reads_see_the_staged_shape \
+        pager::tests::scratch_files_bypass_staging_rollback_and_checksums \
+        pager::tests::statement_rollback_restores_ \
+        pager::tests::rollback_ \
+        pager::tests::a_refused_drop_of_a_created_file_waits_in_the_queue \
+        pager::tests::commit_keeps_the_statement_effects \
+        pager::tests::failed_materialize_keeps_the_overlay_for_retry \
         pager::tests::the_ledger_of_a_fixed_sequence_at_ \
         pager::tests::a_dropped_file_leaves_the_ledger \
         pager::tests::a_failed_eviction_write_back_keeps_the_dirty_page \

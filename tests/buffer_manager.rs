@@ -172,7 +172,7 @@ fn iostats_identity_under_random_schedules() {
                 }
                 8 => {
                     let cap = g.range(1usize..5);
-                    pager.set_buffer_frames(f, cap).unwrap();
+                    pager.set_default_buffer_frames(cap).unwrap();
                 }
                 _ => pager.invalidate_buffers().unwrap(),
             }
@@ -220,4 +220,36 @@ fn phase_scoping_surfaces_through_exec_stats() {
     // Single-variable statements don't decompose: no phases.
     let out = db.execute("retrieve (h.seq) where h.id = 500").unwrap();
     assert!(out.stats.phases.is_empty());
+}
+
+/// A database-wide shrink whose write-back fails (a full disk) keeps the
+/// dirty frame: the next flush reports the failure, and once space
+/// returns the change reads back. Statements leave their frames clean,
+/// so the dirty frames come from raw pager access (`internals`, as
+/// harnesses use it).
+#[test]
+fn a_failed_shrink_loses_nothing() {
+    use tdbms::{BufferConfig, Database, EvictionPolicy};
+    use tdbms_storage::{FaultDisk, FaultPlan, MemDisk, PageKind, Pager};
+    let plan = FaultPlan::new(None);
+    let disk = FaultDisk::new(Box::new(MemDisk::new()), plan.clone());
+    let mut db = Database::with_pager(Pager::with_config(
+        Box::new(disk),
+        BufferConfig::uniform(4, EvictionPolicy::Lru),
+    ));
+    let (pager, _, _) = db.internals();
+    let f = pager.create_file().unwrap();
+    for tag in [7, 8] {
+        let p = pager.append_page(f, PageKind::Data).unwrap();
+        pager.write(f, p, |pg| pg.set_overflow(tag)).unwrap();
+    }
+    plan.set_enospc(true);
+    db.set_default_buffer_frames(1);
+    assert!(db.checkpoint().is_err(), "the next flush reports it");
+    plan.set_enospc(false);
+    db.checkpoint().unwrap();
+    let (pager, _, _) = db.internals();
+    pager.invalidate_buffers().unwrap();
+    assert_eq!(pager.read(f, 0, |pg| pg.overflow()).unwrap(), 7);
+    assert_eq!(pager.read(f, 1, |pg| pg.overflow()).unwrap(), 8);
 }

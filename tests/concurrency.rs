@@ -337,12 +337,12 @@ fn crash_under_concurrency_loses_no_committed_tuples() {
 fn build_partitioned() -> Database {
     let mut db = Database::in_memory();
     db.set_cold_statements(false);
+    db.set_default_buffer_frames(2);
     for t in 0..4 {
         db.execute(&format!(
             "create temporal interval t{t} (id = i4, seq = i4)"
         ))
         .expect("create");
-        db.set_buffer_frames(&format!("t{t}"), 2).expect("frames");
         for id in 1..=16 {
             db.execute(&format!("append to t{t} (id = {id}, seq = 0)"))
                 .expect("seed");
@@ -481,8 +481,8 @@ fn reader_costs(neighbours: Neighbours) -> Vec<(u64, u64, u64, u64)> {
             "modify {rel} to hash on id where fillfactor = 100"
         ))
         .expect("modify");
-        db.set_buffer_frames(rel, 2).expect("frames");
     }
+    db.set_default_buffer_frames(2);
     let engine = Engine::new(db);
     let stop = AtomicBool::new(false);
     let (started, ready) = std::sync::mpsc::channel::<()>();

@@ -7,7 +7,9 @@ use std::collections::BTreeMap;
 use tdbms::{AttrDef, Domain, Schema, Value};
 use tdbms_prop::{check, Gen};
 use tdbms_storage::{
-    HashFile, HashFn, HeapFile, IsamFile, KeySpec, Pager, RelFile, NO_PAGE,
+    BufferConfig, DiskManager, EvictionPolicy, FileId, HashFile, HashFn,
+    HeapFile, IsamFile, KeySpec, MemDisk, PageKind, Pager, RelFile,
+    NO_PAGE,
 };
 
 fn codec() -> tdbms::Schema {
@@ -349,6 +351,150 @@ fn interval_algebra_laws() {
         // endpoint.
         if a.precedes(&b) && b.precedes(&a) {
             assert!(a.hi == b.lo && b.hi == a.lo);
+        }
+    });
+}
+
+/// Commit the running staged statement the way `db.rs` does: flush
+/// every frame into the layer, read it, stamp each page's LSN, merge it
+/// on `ticket` and execute the drops that ticket makes durable.
+fn commit_staged(pager: &Pager, ticket: u64, lsn: &mut u32) {
+    pager.flush_all().unwrap();
+    for (file, page_no) in pager.statement_changes().pages {
+        *lsn += 1;
+        let image = pager.stamp_lsn(file, page_no, *lsn).unwrap();
+        assert_eq!(image.lsn(), *lsn);
+    }
+    pager.commit_statement(ticket);
+    pager.execute_drops(ticket);
+}
+
+/// Every live file reads exactly as `model` says: its length, every
+/// page's tag (its overflow word), and nothing one page past the end.
+fn assert_reads(pager: &Pager, model: &BTreeMap<FileId, Vec<u32>>) {
+    for (&f, tags) in model {
+        assert_eq!(pager.page_count(f).unwrap() as usize, tags.len());
+        for (p, &tag) in tags.iter().enumerate() {
+            assert_eq!(
+                pager.read(f, p as u32, |pg| pg.overflow()).unwrap(),
+                tag
+            );
+        }
+        let past = tags.len() as u32;
+        assert!(pager.read(f, past, |_| ()).is_err(), "{f:?} page {past}");
+    }
+}
+
+/// Staged statements — random mixes of page writes, appends,
+/// truncations, creates and drops — against a model updated only on
+/// commit. Each statement commits as `db.rs` commits or rolls back; the
+/// pager must then read as the model, mid-statement reads must see the
+/// statement's own changes, and a final checkpoint must leave the
+/// device equal to the model.
+#[test]
+fn staged_statements_agree_with_a_model() {
+    check("staged_statements_agree_with_a_model", 48, |g| {
+        let frames = *g.pick(&[1usize, 3]);
+        let disk = MemDisk::new();
+        let pager = Pager::with_config(
+            Box::new(disk.clone()),
+            BufferConfig::uniform(frames, EvictionPolicy::Lru),
+        );
+        pager.set_staging(true);
+        let (mut ticket, mut lsn, mut tag) = (0u64, 0u32, 0u32);
+        let mut model: BTreeMap<FileId, Vec<u32>> = BTreeMap::new();
+        for _ in 0..g.range(2usize..5) {
+            let f = pager.create_file().unwrap();
+            let mut tags = Vec::new();
+            for _ in 0..g.range(0u32..4) {
+                let p = pager.append_page(f, PageKind::Data).unwrap();
+                tag += 1;
+                pager.write(f, p, |pg| pg.set_overflow(tag)).unwrap();
+                tags.push(tag);
+            }
+            model.insert(f, tags);
+        }
+        ticket += 1;
+        commit_staged(&pager, ticket, &mut lsn);
+        assert_reads(&pager, &model);
+
+        for _ in 0..g.range(10usize..31) {
+            // What the statement commits, if it does.
+            let mut next = model.clone();
+            for _ in 0..g.range(1usize..9) {
+                let files: Vec<FileId> = next.keys().copied().collect();
+                let op = g.range(0u32..10);
+                if files.is_empty() || op == 9 {
+                    next.insert(pager.create_file().unwrap(), Vec::new());
+                    continue;
+                }
+                let f = *g.pick(&files);
+                let len = next[&f].len() as u32;
+                match op {
+                    0..=3 if len > 0 => {
+                        let p = g.range(0..len);
+                        tag += 1;
+                        pager
+                            .write(f, p, |pg| pg.set_overflow(tag))
+                            .unwrap();
+                        next.get_mut(&f).unwrap()[p as usize] = tag;
+                    }
+                    0..=5 => {
+                        let p =
+                            pager.append_page(f, PageKind::Data).unwrap();
+                        assert_eq!(p, len);
+                        next.get_mut(&f).unwrap().push(NO_PAGE);
+                    }
+                    6 | 7 => {
+                        pager.truncate(f).unwrap();
+                        next.get_mut(&f).unwrap().clear();
+                    }
+                    _ => {
+                        pager.drop_file(f).unwrap();
+                        next.remove(&f);
+                    }
+                }
+                // The statement reads its own changes.
+                if let Some((&f, tags)) =
+                    next.iter().find(|(_, tags)| !tags.is_empty())
+                {
+                    let p = g.range(0..tags.len());
+                    let got = pager.read(f, p as u32, |pg| pg.overflow());
+                    assert_eq!(got.unwrap(), tags[p]);
+                }
+            }
+            if g.bool() {
+                pager.flush_all().unwrap();
+                let changes = pager.statement_changes();
+                for (f, len) in &changes.lengths {
+                    assert_eq!(next[f].len() as u32, *len, "{f:?} logged");
+                }
+                for (f, p) in &changes.pages {
+                    assert!((*p as usize) < next[f].len(), "{f:?} {p}");
+                }
+                assert!(changes
+                    .drops
+                    .iter()
+                    .all(|f| !next.contains_key(f)));
+                ticket += 1;
+                commit_staged(&pager, ticket, &mut lsn);
+                model = next;
+            } else {
+                pager.rollback_statement();
+            }
+            assert_reads(&pager, &model);
+            let live: Vec<FileId> = model.keys().copied().collect();
+            assert_eq!(disk.files(), live, "device files");
+        }
+
+        pager.materialize_overlay().unwrap();
+        let mut disk = disk;
+        for (&f, tags) in &model {
+            assert_eq!(disk.page_count(f).unwrap() as usize, tags.len());
+            for (p, &tag) in tags.iter().enumerate() {
+                let page = disk.read_page(f, p as u32).unwrap();
+                assert_eq!(page.overflow(), tag, "{f:?} page {p} on disk");
+            }
         }
     });
 }
