@@ -452,10 +452,11 @@ impl Database {
     }
 
     /// Append the current statement's commit to the write-ahead log,
-    /// read off the pager's statement layer: new file lengths, every
-    /// written page's after-image (stamped with its LSN), the file
-    /// drops, and the catalog + clock, fenced by `Begin`/`Commit`.
-    /// Nothing is synced here.
+    /// read off the pager's statement layer: new file lengths, the
+    /// after-image (stamped with its LSN) of every page whose bytes the
+    /// statement changed — a page it only walked is counted as written
+    /// but not logged —, the file drops, and the catalog + clock, fenced
+    /// by `Begin`/`Commit`. Nothing is synced here.
     fn append_commit_records(&mut self) -> Result<()> {
         let changes = self.pager.statement_changes();
         let catalog = Record::catalog_of(self.clock.now(), &self.catalog);

@@ -38,12 +38,14 @@
 //! rolled back, checksummed or listed in [`Pager::file_lengths`].
 //!
 //! Under WAL staging ([`Pager::set_staging`]) a statement changes no page
-//! file on the device: its write-backs, appends, truncations, creates
-//! and drops land in a *statement layer* over the committed overlay and
-//! shapes (a file's staged length, and whether it was truncated since
-//! the last checkpoint), and the only device operations are creating a
-//! file and a logged drop. The commit logs the layer
-//! ([`Pager::statement_changes`]) and merges it
+//! file on the device: the write-backs of pages whose bytes it changed,
+//! its appends, truncations, creates and drops land in a *statement
+//! layer* over the committed overlay and shapes (a file's staged length,
+//! and whether it was truncated since the last checkpoint), and the only
+//! device operations are creating a file and a logged drop. A page the
+//! statement only walked (a chain insert writes every page it passes)
+//! still counts its write-back, but stages nothing. The commit logs the
+//! layer ([`Pager::statement_changes`]) and merges it
 //! ([`Pager::commit_statement`]); a rollback drops it
 //! ([`Pager::rollback_statement`]), so it is an in-memory discard. The
 //! checkpoint ([`Pager::materialize_overlay`]) is the one place shapes
@@ -124,6 +126,11 @@ struct Frame {
     page_no: u32,
     page: Page,
     dirty: bool,
+    /// The frame's bytes differ from the image beneath it: the
+    /// statement layer's, else the overlay's, else the device's. A
+    /// frame that is not `changed` holds exactly the bytes of the image
+    /// beneath it, so under staging only a `changed` frame is staged.
+    changed: bool,
     /// Held by an in-flight `read`/`write` callback; never a victim.
     pinned: bool,
 }
@@ -261,7 +268,7 @@ impl Shape {
 /// rollback has to undo there.
 #[derive(Default)]
 struct Layer {
-    /// After-images written back by the statement.
+    /// After-images of the pages whose bytes the statement changed.
     pages: BTreeMap<(FileId, u32), Page>,
     /// Shapes the statement changed.
     shapes: BTreeMap<FileId, Shape>,
@@ -276,8 +283,8 @@ struct Layer {
 pub struct StatementChanges {
     /// Files whose length changed, with the new length, sorted.
     pub lengths: Vec<(FileId, u32)>,
-    /// Pages written back, sorted; [`Pager::stamp_lsn`] stamps and
-    /// returns each after-image.
+    /// Pages whose bytes the statement changed, sorted;
+    /// [`Pager::stamp_lsn`] stamps and returns each after-image.
     pub pages: Vec<(FileId, u32)>,
     /// Files dropped, in drop order.
     pub drops: Vec<FileId>,
@@ -462,8 +469,8 @@ impl Store {
     }
 
     /// Write `frame` back if it is dirty, counting one write — into the
-    /// statement layer when the file stages, else to the device — and
-    /// mark it clean once the write landed.
+    /// statement layer when the file stages and the frame `changed`,
+    /// else to the device — and mark it clean once the write landed.
     fn write_back(
         &mut self,
         io: &mut FileLedger,
@@ -475,7 +482,10 @@ impl Store {
         }
         let (page_no, page) = (frame.page_no, &frame.page);
         if self.stages(file) {
-            self.layer.pages.insert((file, page_no), page.clone());
+            if frame.changed {
+                self.layer.pages.insert((file, page_no), page.clone());
+                frame.changed = false;
+            }
         } else {
             self.disk.write_page(file, page_no, page)?;
             self.note_written(file, page_no, page);
@@ -533,6 +543,7 @@ impl PagerState {
             page_no,
             page,
             dirty: false,
+            changed: false,
             pinned: false,
         };
         pool.install(store, file, frame)?;
@@ -946,9 +957,11 @@ impl Pager {
         Ok(r)
     }
 
-    /// Write access to a page through the buffer; marks the frame dirty.
-    /// The frame is pinned (and the pager lock held) for the duration of
-    /// the callback.
+    /// Write access to a page through the buffer; marks the frame dirty
+    /// (one counted write, whether or not the callback changes a byte).
+    /// Under staging it also notes whether the callback changed the
+    /// page, so an unchanged page is not staged. The frame is pinned
+    /// (and the pager lock held) for the duration of the callback.
     pub fn write<R>(
         &self,
         file: FileId,
@@ -959,10 +972,14 @@ impl Pager {
         // Before the callback, so a dirty frame is never outside the
         // set.
         st.pools.dirty.insert(file);
+        let stages = st.store.stages(file);
         let frame = st.fault_in(file, page_no)?;
         frame.dirty = true;
         frame.pinned = true;
+        let before =
+            (stages && !frame.changed).then(|| *frame.page.as_bytes());
         let r = f(&mut frame.page);
+        frame.changed = before.is_none_or(|b| &b != frame.page.as_bytes());
         frame.pinned = false;
         Ok(r)
     }
@@ -999,6 +1016,7 @@ impl Pager {
             page_no,
             page,
             dirty: true,
+            changed: true,
             pinned: false,
         };
         pools.pool_mut(file).install(st, file, frame)?;
@@ -1034,14 +1052,15 @@ impl Pager {
     // --- WAL staging ----------------------------------------------------
     //
     // In staging mode a statement changes no file on the device but the
-    // empty files it creates: every dirty write-back (eviction or flush)
-    // lands in the statement layer, which shadows the committed overlay
-    // for subsequent reads, and appends and truncations change the
-    // file's shape there (its length, and whether the statement
-    // truncated it), which `page_count` reads. The commit logs the
-    // layer's lengths, images and drops, then merges it into the
-    // committed overlay and shapes; a statement that dies mid-flight
-    // (disk full, fsync failure) drops it. A checkpoint
+    // empty files it creates: every write-back (eviction or flush) of a
+    // changed frame lands in the statement layer, which shadows the
+    // committed overlay for subsequent reads, and appends and
+    // truncations change the file's shape there (its length, and
+    // whether the statement truncated it), which `page_count` reads. A
+    // write that changes no byte stages nothing (`Frame::changed`). The
+    // commit logs the layer's lengths, images and drops, then merges it
+    // into the committed overlay and shapes; a statement that dies
+    // mid-flight (disk full, fsync failure) drops it. A checkpoint
     // (`materialize_overlay`) is the one place the shapes and the images
     // reach the device.
 
@@ -1052,8 +1071,8 @@ impl Pager {
     }
 
     /// What the running statement changed: the records its commit logs.
-    /// After a `flush_all` every written page has its after-image in
-    /// the layer.
+    /// After a `flush_all` every page whose bytes it changed has its
+    /// after-image in the layer.
     pub fn statement_changes(&self) -> StatementChanges {
         let Layer {
             pages,
@@ -1583,6 +1602,33 @@ mod tests {
             .read(f, p, |pg| {
                 assert_eq!(pg.lsn(), 42);
                 assert_eq!(pg.row(4, 0).unwrap(), &[7; 4]);
+            })
+            .unwrap();
+    }
+
+    /// A staged write whose callback only reads counts its write like
+    /// any other, but stages no after-image: only the page whose bytes
+    /// changed is in the statement layer.
+    #[test]
+    fn staging_keeps_only_changed_pages() {
+        let pager = Pager::in_memory();
+        pager.set_staging(true);
+        let f = committed_staging_file(&pager);
+        let io = pager.stats().scope();
+        let walked = pager.write(f, 0, |pg| pg.has_room(4)).unwrap();
+        assert!(walked, "the callback only read the page");
+        pager
+            .write(f, 1, |pg| pg.push_row(4, &[5; 4]).unwrap())
+            .unwrap();
+        pager.flush_all().unwrap();
+        assert_eq!(io.of(f).writes, 2, "each write counts one");
+        assert_eq!(pager.statement_changes().pages, vec![(f, 1)]);
+        // The unchanged page still reads its committed image.
+        pager.invalidate_buffers().unwrap();
+        pager
+            .read(f, 0, |pg| {
+                assert_eq!(pg.count(), 1);
+                assert_eq!(pg.row(4, 0).unwrap(), &[1; 4]);
             })
             .unwrap();
     }

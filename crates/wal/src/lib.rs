@@ -346,8 +346,12 @@ pub fn recover(
 
 /// A cloneable handle on a [`Wal`]'s underlying [`LogStore`]. The
 /// group-commit leader fsyncs through it *outside* the engine's commit
-/// lock — that overlap (appenders keep committing while the leader
-/// syncs) is what lets one fsync cover several commits.
+/// lock, so other sessions run their statements while it syncs and one
+/// fsync can cover several commits. Their appends do not overlap the
+/// sync: [`LogHandle::sync`] holds the store's mutex for the whole
+/// [`LogStore::sync`], and [`Wal::append`] takes the same mutex, so a
+/// commit appending under the commit lock waits for that sync to
+/// return.
 #[derive(Clone)]
 pub struct LogHandle {
     store: Arc<Mutex<Box<dyn LogStore>>>,
@@ -365,7 +369,9 @@ impl LogHandle {
 
 /// The write-ahead log: LSN assignment, record appending, and
 /// checkpoint truncation over a [`LogStore`]. The store sits behind a
-/// mutex so a [`LogHandle`] can fsync it concurrently with appends.
+/// mutex shared with every [`LogHandle`]: a handle's fsync runs outside
+/// the engine's commit lock but holds this mutex throughout, so an
+/// append waits for a sync in flight.
 pub struct Wal {
     store: Arc<Mutex<Box<dyn LogStore>>>,
     next_lsn: u32,

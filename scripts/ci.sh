@@ -70,9 +70,12 @@ gate_test() {
 # The WAL acceptance gate, run by name so a filter change in the suite
 # above can never silently drop it: kill the engine at a matrix of
 # injected crash points (per access method, over real page files and a
-# real log) and require zero committed-tuple loss on reopen.
+# real log) and require zero committed-tuple loss on reopen; and pin
+# the records each commit logs (only the pages whose bytes it changed:
+# a chained append logs the one page its row lands on).
 gate_wal_crash_matrix() {
-    cargo test -q --test wal_recovery crash_matrix_over_real_files
+    cargo test -q --test wal_recovery -- crash_matrix_over_real_files \
+        each_commit_logs_the_lengths_images_and_drops_it_changed
 }
 
 # Corruption-defense acceptance gates, also pinned by name: the scrub /

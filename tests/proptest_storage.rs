@@ -3,7 +3,7 @@
 //! distribution, fill factor, or insertion order, and the files it writes
 //! must pass its own structural audit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use tdbms::{AttrDef, Domain, Schema, Value};
 use tdbms_prop::{check, Gen};
 use tdbms_storage::{
@@ -385,12 +385,13 @@ fn assert_reads(pager: &Pager, model: &BTreeMap<FileId, Vec<u32>>) {
     }
 }
 
-/// Staged statements — random mixes of page writes, appends,
-/// truncations, creates and drops — against a model updated only on
-/// commit. Each statement commits as `db.rs` commits or rolls back; the
-/// pager must then read as the model, mid-statement reads must see the
-/// statement's own changes, and a final checkpoint must leave the
-/// device equal to the model.
+/// Staged statements — random mixes of page writes, writes that change
+/// nothing, appends, truncations, creates and drops — against a model
+/// updated only on commit. Each statement commits as `db.rs` commits or
+/// rolls back; the layer a commit logs must hold exactly the pages
+/// whose bytes the statement changed, the pager must then read as the
+/// model, mid-statement reads must see the statement's own changes, and
+/// a final checkpoint must leave the device equal to the model.
 #[test]
 fn staged_statements_agree_with_a_model() {
     check("staged_statements_agree_with_a_model", 48, |g| {
@@ -419,11 +420,13 @@ fn staged_statements_agree_with_a_model() {
         assert_reads(&pager, &model);
 
         for _ in 0..g.range(10usize..31) {
-            // What the statement commits, if it does.
+            // What the statement commits, if it does, and the pages
+            // whose bytes it changed.
             let mut next = model.clone();
+            let mut changed: BTreeSet<(FileId, u32)> = BTreeSet::new();
             for _ in 0..g.range(1usize..9) {
                 let files: Vec<FileId> = next.keys().copied().collect();
-                let op = g.range(0u32..10);
+                let op = g.range(0u32..11);
                 if files.is_empty() || op == 9 {
                     next.insert(pager.create_file().unwrap(), Vec::new());
                     continue;
@@ -438,20 +441,34 @@ fn staged_statements_agree_with_a_model() {
                             .write(f, p, |pg| pg.set_overflow(tag))
                             .unwrap();
                         next.get_mut(&f).unwrap()[p as usize] = tag;
+                        changed.insert((f, p));
                     }
-                    0..=5 => {
+                    10 if len > 0 => {
+                        // A chain walk's write: it rewrites the word
+                        // it read, so no byte changes.
+                        let p = g.range(0..len);
+                        pager
+                            .write(f, p, |pg| {
+                                pg.set_overflow(pg.overflow())
+                            })
+                            .unwrap();
+                    }
+                    0..=5 | 10 => {
                         let p =
                             pager.append_page(f, PageKind::Data).unwrap();
                         assert_eq!(p, len);
                         next.get_mut(&f).unwrap().push(NO_PAGE);
+                        changed.insert((f, p));
                     }
                     6 | 7 => {
                         pager.truncate(f).unwrap();
                         next.get_mut(&f).unwrap().clear();
+                        changed.retain(|&(h, _)| h != f);
                     }
                     _ => {
                         pager.drop_file(f).unwrap();
                         next.remove(&f);
+                        changed.retain(|&(h, _)| h != f);
                     }
                 }
                 // The statement reads its own changes.
@@ -469,9 +486,9 @@ fn staged_statements_agree_with_a_model() {
                 for (f, len) in &changes.lengths {
                     assert_eq!(next[f].len() as u32, *len, "{f:?} logged");
                 }
-                for (f, p) in &changes.pages {
-                    assert!((*p as usize) < next[f].len(), "{f:?} {p}");
-                }
+                let logged: BTreeSet<(FileId, u32)> =
+                    changes.pages.iter().copied().collect();
+                assert_eq!(logged, changed, "the pages logged");
                 assert!(changes
                     .drops
                     .iter()

@@ -1091,4 +1091,42 @@ fn each_commit_logs_the_lengths_images_and_drops_it_changed() {
             "Commit",
         ])
     );
+    // A chained insert walks every full page of its bucket and counts
+    // each as written, but logs only the page its row lands on. A
+    // 200-byte row fills a page at 5 rows, so 16 rows on one key leave
+    // pages 0–2 full and page 3 with room.
+    db.execute("create static c (id = i4, pad = c196)").unwrap();
+    db.execute("modify c to hash on id").unwrap();
+    for i in 0..16 {
+        db.execute(&format!("append to c (id = 1, pad = \"{i}\")"))
+            .unwrap();
+    }
+    let c = {
+        let (_, catalog, _) = db.internals();
+        catalog.get(catalog.require("c").unwrap()).file.file_id()
+    };
+    let before = db.io_stats().of(c).writes;
+    assert_eq!(
+        last_commit(&mut db, "append to c (id = 1, pad = \"16\")"),
+        want(&[
+            "Begin",
+            &format!("PageImage({}, 3)", c.0),
+            "Catalog",
+            "Commit"
+        ])
+    );
+    let walked = db.io_stats().of(c).writes - before;
+    assert_eq!(walked, 4, "every page walked is counted as written");
+    drop(db);
+    let mut db = reopen_mem(&disk, &log);
+    db.execute("range of v is c").unwrap();
+    let mut pads: Vec<i32> = db
+        .execute("retrieve (v.pad)")
+        .unwrap()
+        .rows()
+        .iter()
+        .map(|r| r[0].as_str().unwrap().parse().unwrap())
+        .collect();
+    pads.sort_unstable();
+    assert_eq!(pads, (0..17).collect::<Vec<i32>>(), "every row reads back");
 }
