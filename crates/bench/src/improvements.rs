@@ -9,10 +9,10 @@
 use crate::sweep::SweepData;
 use crate::workload::{all_rows, AMOUNT_H, AMOUNT_I, PROBE_ID};
 use tdbms_core::Database;
-use tdbms_kernel::{Result, RowCodec, Schema, TemporalAttr, TimeVal};
+use tdbms_kernel::{Result, RowCodec, Schema, TimeVal};
 use tdbms_storage::{
     AccessMethod, ClusteredHistory, HashFn, IndexStructure, KeySpec, Pager,
-    RelFile, SecondaryIndex,
+    RelFile, SecondaryIndex, Stamps,
 };
 
 /// One row of the Figure 10 table. `None` renders as the paper's `-`
@@ -56,18 +56,11 @@ pub struct TwoLevel {
     pub history: ClusteredHistory,
 }
 
-/// Is this stored row a current version (open-ended in both the times its
-/// schema records)?
-fn is_current_row(schema: &Schema, codec: &RowCodec, row: &[u8]) -> bool {
-    [TemporalAttr::TransactionStop, TemporalAttr::ValidTo]
-        .into_iter()
-        .filter_map(|t| schema.temporal_index(t))
-        .all(|i| codec.get_time(row, i).is_forever())
-}
-
 /// Split `rows` (full stored rows of `schema`) into a [`TwoLevel`] store:
-/// the current versions build a `method` primary keyed on attribute 0
-/// (mod hash, fill 100), the rest migrate into a fresh clustered history.
+/// the current versions — open in both the times the schema records, the
+/// reorganization pass's rule at a `FOREVER` cutoff — build a `method`
+/// primary keyed on attribute 0 (mod hash, fill 100), the rest migrate
+/// into a fresh clustered history.
 pub fn build_two_level(
     pager: &Pager,
     schema: &Schema,
@@ -77,10 +70,11 @@ pub fn build_two_level(
     let codec = RowCodec::new(schema);
     let key = KeySpec::for_attr(&codec, 0);
     let width = schema.row_width();
+    let stamps = |row: &[u8]| Stamps::of(schema, &codec, row);
     let (current, past): (Vec<Vec<u8>>, Vec<Vec<u8>>) = rows
         .iter()
         .cloned()
-        .partition(|row| is_current_row(schema, &codec, row));
+        .partition(|row| stamps(row).stays_in_primary(TimeVal::FOREVER));
     let primary = RelFile::build_into(
         pager,
         pager.create_file()?,
@@ -91,14 +85,8 @@ pub fn build_two_level(
         HashFn::Mod,
         100,
     )?;
-    // Figure 10 reads the history by key only and never gates on its
-    // stop-time high-water mark, so every row migrates at BEGINNING.
-    let past: Vec<(Vec<u8>, TimeVal)> = past
-        .into_iter()
-        .map(|row| (row, TimeVal::BEGINNING))
-        .collect();
     let history = ClusteredHistory::create(pager, width, key)?
-        .with_migrated(pager, &past)?;
+        .with_migrated(pager, &past, stamps)?;
     pager.flush_all()?;
     Ok(TwoLevel { primary, history })
 }
@@ -277,7 +265,10 @@ pub fn measure_improvements(
             // Keep only current versions, as Q07's `when` clause demands.
             let n = hits
                 .iter()
-                .filter(|(_, row)| is_current_row(&h.schema, &h.codec, row))
+                .filter(|(_, row)| {
+                    Stamps::of(&h.schema, &h.codec, row)
+                        .stays_in_primary(TimeVal::FOREVER)
+                })
                 .count();
             assert_eq!(n, 1);
         })

@@ -35,7 +35,7 @@
 //! log, because the log's page images are exactly the salvage source
 //! repair needs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -43,7 +43,7 @@ use std::sync::Arc;
 use tdbms_kernel::{Result, TemporalAttr, TimeVal};
 use tdbms_storage::{
     Audit, Catalog, ClusteredHistory, KeyKind, KeySpec, Page, Pager,
-    RelFile, RelId, StoredRelation, NO_PAGE,
+    RelFile, RelId, Stamps, StoredRelation, NO_PAGE,
 };
 use tdbms_wal::{Recovered, RecoveryPlan, Wal};
 
@@ -272,14 +272,21 @@ fn render_key(spec: &KeySpec, bytes: &[u8]) -> String {
     }
 }
 
-/// Temporal invariants over a structurally sound base file: interval
-/// ordering per row (errors — the DML can never produce a reversed
-/// interval) and per-key valid-time overlap among live versions (a
-/// warning — TQuel lets a user append duplicate keys on purpose).
+/// A relation's live versions per key, as `(valid_from, valid_to)`: what
+/// the overlap check compares once every file holding its versions has
+/// been read.
+type LiveVersions = BTreeMap<Vec<u8>, Vec<(TimeVal, TimeVal)>>;
+
+/// Temporal invariants over a structurally sound file of versions — a
+/// relation's base file, or its history sidecar, which holds the
+/// versions reorganization migrated: interval ordering per row (errors —
+/// the DML can never produce a reversed interval). Live versions are
+/// gathered into `live` for [`check_overlaps`].
 fn check_temporal(
     pager: &Pager,
     unit: &Unit,
     rel: &StoredRelation,
+    live: &mut LiveVersions,
     findings: &mut Vec<Finding>,
 ) -> Result<()> {
     let schema = &rel.schema;
@@ -292,36 +299,21 @@ fn check_temporal(
         return Ok(());
     }
     let key = rel.key_attr.map(|a| KeySpec::for_attr(codec, a));
-    let mut live_by_key: BTreeMap<Vec<u8>, Vec<(TimeVal, TimeVal)>> =
-        BTreeMap::new();
-    let mut cur = rel.file.scan();
+    let mut cur = unit.file.scan();
     let mut row = Vec::new();
-    while let Some(tid) = cur.next(pager, &rel.file, &mut row)? {
-        if let (Some(f), Some(t)) = (vf, vt) {
-            let a = codec.get_time(&row, f);
-            let b = codec.get_time(&row, t);
+    while let Some(tid) = cur.next(pager, &unit.file, &mut row)? {
+        for (name, lo, hi) in [("valid", vf, vt), ("transaction", ts, tp)] {
+            let (Some(lo), Some(hi)) = (lo, hi) else {
+                continue;
+            };
+            let (a, b) =
+                (codec.get_time(&row, lo), codec.get_time(&row, hi));
             if a > b {
                 findings.push(unit.finding(
                     Severity::Error,
                     Some(tid.page),
                     format!(
-                        "reversed valid interval [{}, {}) in slot {}",
-                        a.as_secs(),
-                        b.as_secs(),
-                        tid.slot
-                    ),
-                ));
-            }
-        }
-        if let (Some(s), Some(e)) = (ts, tp) {
-            let a = codec.get_time(&row, s);
-            let b = codec.get_time(&row, e);
-            if a > b {
-                findings.push(unit.finding(
-                    Severity::Error,
-                    Some(tid.page),
-                    format!(
-                        "reversed transaction interval [{}, {}) in slot {}",
+                        "reversed {name} interval [{}, {}) in slot {}",
                         a.as_secs(),
                         b.as_secs(),
                         tid.slot
@@ -330,39 +322,47 @@ fn check_temporal(
             }
         }
         if let (Some(k), Some(f), Some(t)) = (key.as_ref(), vf, vt) {
-            let live =
-                tp.is_none_or(|i| codec.get_time(&row, i).is_forever());
-            if live {
-                live_by_key
-                    .entry(k.extract(&row).to_vec())
-                    .or_default()
-                    .push((
-                        codec.get_time(&row, f),
-                        codec.get_time(&row, t),
-                    ));
-            }
-        }
-    }
-    if let Some(spec) = key {
-        for (kb, mut ivs) in live_by_key {
-            if ivs.len() < 2 {
-                continue;
-            }
-            ivs.sort();
-            if ivs.windows(2).any(|w| w[0].1 > w[1].0) {
-                findings.push(unit.finding(
-                    Severity::Warning,
-                    None,
-                    format!(
-                        "key {} has live versions with overlapping valid \
-                         intervals",
-                        render_key(&spec, &kb)
-                    ),
+            if tp.is_none_or(|i| codec.get_time(&row, i).is_forever()) {
+                live.entry(k.extract(&row).to_vec()).or_default().push((
+                    codec.get_time(&row, f),
+                    codec.get_time(&row, t),
                 ));
             }
         }
     }
     Ok(())
+}
+
+/// Per-key valid-time overlap among a relation's live versions, wherever
+/// they are stored (a warning — TQuel lets a user append duplicate keys
+/// on purpose), reported against the relation's base `unit`.
+fn check_overlaps(
+    unit: &Unit,
+    rel: &StoredRelation,
+    live: LiveVersions,
+    findings: &mut Vec<Finding>,
+) {
+    let Some(spec) = rel.key_attr.map(|a| KeySpec::for_attr(&rel.codec, a))
+    else {
+        return;
+    };
+    for (kb, mut ivs) in live {
+        if ivs.len() < 2 {
+            continue;
+        }
+        ivs.sort();
+        if ivs.windows(2).any(|w| w[0].1 > w[1].0) {
+            findings.push(unit.finding(
+                Severity::Warning,
+                None,
+                format!(
+                    "key {} has live versions with overlapping valid \
+                     intervals",
+                    render_key(&spec, &kb)
+                ),
+            ));
+        }
+    }
 }
 
 /// Validate every relation (and its indexes) in a live database.
@@ -375,6 +375,7 @@ pub fn check_database(
     let units = units_of(catalog);
     pager.begin_phase("scrub");
     let outcome: Result<()> = (|| {
+        let mut live: HashMap<RelId, LiveVersions> = HashMap::new();
         for unit in &units {
             let audit = unit.audit(pager, &mut report.findings);
             report.pages_checked += audit.n_pages as u64;
@@ -408,8 +409,21 @@ pub fn check_database(
                     detail,
                 ));
             }
-            if unit.kind == UnitKind::Base {
-                check_temporal(pager, unit, rel, &mut report.findings)?;
+            if unit.kind != UnitKind::Index {
+                let live = live.entry(unit.rel).or_default();
+                check_temporal(
+                    pager,
+                    unit,
+                    rel,
+                    live,
+                    &mut report.findings,
+                )?;
+            }
+        }
+        for unit in units.iter().filter(|u| u.kind == UnitKind::Base) {
+            if let Some(versions) = live.remove(&unit.rel) {
+                let rel = catalog.get(unit.rel);
+                check_overlaps(unit, rel, versions, &mut report.findings);
             }
         }
         // Files on disk the catalog does not know about.
@@ -565,7 +579,7 @@ pub fn repair_database(
                         h.file_id(),
                         h.row_width(),
                         h.key(),
-                        h.max_stop(),
+                        |row| Stamps::of(&rel.schema, &rel.codec, row),
                     )?;
                     report.findings.push(corrected(
                         "migrated-row count",
@@ -971,6 +985,93 @@ mod tests {
             .any(|f| f.detail.contains("reversed valid interval")));
     }
 
+    /// A keyed temporal relation `t` whose primary holds `primary` and
+    /// whose history sidecar holds `migrated`, each row `(id, valid_from,
+    /// valid_to)` and transaction-current — what a reorganization pass
+    /// leaves once valid time has closed.
+    fn reorganized_temporal(
+        primary: &[(i64, u32, u32)],
+        migrated: &[(i64, u32, u32)],
+    ) -> (Pager, Catalog) {
+        let pager = Pager::new(Box::new(MemDisk::new()));
+        let mut cat = Catalog::new();
+        let schema = Schema::new(
+            vec![AttrDef::new("id", Domain::I4)],
+            DatabaseClass::Temporal,
+            TemporalKind::Interval,
+        )
+        .unwrap();
+        let id = cat.create_relation(&pager, "t", schema).unwrap();
+        let rel = cat.get_mut(id);
+        let vf =
+            rel.schema.temporal_index(TemporalAttr::ValidFrom).unwrap();
+        let vt = rel.schema.temporal_index(TemporalAttr::ValidTo).unwrap();
+        let tp = rel
+            .schema
+            .temporal_index(TemporalAttr::TransactionStop)
+            .unwrap();
+        let row = |&(k, from, to): &(i64, u32, u32)| {
+            let mut row = full_row(&rel.codec, &[Value::Int(k)]);
+            rel.codec.put_time(&mut row, vf, TimeVal::from_secs(from));
+            rel.codec.put_time(&mut row, vt, TimeVal::from_secs(to));
+            rel.codec.put_time(&mut row, tp, TimeVal::FOREVER);
+            row
+        };
+        let stored: Vec<Vec<u8>> = primary.iter().map(row).collect();
+        let batch: Vec<Vec<u8>> = migrated.iter().map(row).collect();
+        for r in &stored {
+            rel.insert_row(&pager, r).unwrap();
+        }
+        rel.modify(&pager, AccessMethod::Hash, Some(0), 100, HashFn::Mod)
+            .unwrap();
+        let h = ClusteredHistory::create(
+            &pager,
+            rel.schema.row_width(),
+            KeySpec::for_attr(&rel.codec, 0),
+        )
+        .unwrap()
+        .with_migrated(&pager, &batch, |row| {
+            Stamps::of(&rel.schema, &rel.codec, row)
+        })
+        .unwrap();
+        rel.history = Some(Arc::new(h));
+        pager.flush_all().unwrap();
+        (pager, cat)
+    }
+
+    #[test]
+    fn a_reversed_valid_interval_in_a_migrated_row_is_an_error() {
+        let (pager, cat) =
+            reorganized_temporal(&[(1, 10, u32::MAX)], &[(2, 30, 5)]);
+        let report = check_database(&pager, &cat).unwrap();
+        assert!(!report.is_clean(), "{}", report.render());
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| f.relation.as_deref() == Some("t.history")
+                && f.detail.contains("reversed valid interval [30, 5)")));
+    }
+
+    #[test]
+    fn live_versions_overlap_across_the_primary_and_its_sidecar() {
+        // Key 7's open version in the primary overlaps its closed one in
+        // the sidecar; key 8's two versions meet end to start only.
+        let (pager, cat) = reorganized_temporal(
+            &[(7, 50, u32::MAX), (8, 20, u32::MAX)],
+            &[(7, 10, 60), (8, 10, 20)],
+        );
+        let report = check_database(&pager, &cat).unwrap();
+        assert!(report.is_clean(), "{}", report.render());
+        let overlaps: Vec<&Finding> = report
+            .findings
+            .iter()
+            .filter(|f| f.detail.contains("overlapping valid intervals"))
+            .collect();
+        assert_eq!(overlaps.len(), 1, "{}", report.render());
+        assert!(overlaps[0].detail.contains("key 7"));
+        assert_eq!(overlaps[0].relation.as_deref(), Some("t"));
+    }
+
     #[test]
     fn overlapping_live_versions_of_one_key_warn_but_stay_clean() {
         let shared = MemDisk::new();
@@ -1093,13 +1194,17 @@ mod tests {
         // versions to span several pages.
         {
             let rel = cat.get_mut(id);
-            let batch: Vec<(Vec<u8>, TimeVal)> = (1..=3i64)
+            let stamps = Stamps {
+                stop: TimeVal::from_secs(100),
+                valid_to: TimeVal::FOREVER,
+            };
+            let batch: Vec<Vec<u8>> = (1..=3i64)
                 .flat_map(|k| {
                     let row = rel
                         .codec
                         .encode(&[Value::Int(k), Value::Str("x".into())])
                         .unwrap();
-                    std::iter::repeat_n((row, TimeVal::from_secs(100)), 40)
+                    std::iter::repeat_n(row, 40)
                 })
                 .collect();
             let h = ClusteredHistory::create(
@@ -1108,7 +1213,7 @@ mod tests {
                 KeySpec::for_attr(&rel.codec, 0),
             )
             .unwrap()
-            .with_migrated(&pager, &batch)
+            .with_migrated(&pager, &batch, |_| stamps)
             .unwrap();
             rel.history = Some(std::sync::Arc::new(h));
         }

@@ -276,6 +276,61 @@ impl<'a> Binder<'a> {
         })
     }
 
+    /// Per entry of `vars`: the latest instant some conjunct forces its
+    /// valid end to reach, as one variable-free expression, or `None`.
+    /// This reads back the lowering of `overlap` ([`nonempty`] of an
+    /// [`intersection`]): a top-level `lo <= least(.., v.valid_to, ..)`
+    /// (or `lo <= v.valid_to`) forces `v`'s valid end to reach `lo` —
+    /// each member of `lo = greatest(..)` — wherever that references no
+    /// variable. `precede`, `equal`, `not`, `or` and variable-to-variable
+    /// overlaps force none.
+    pub(crate) fn valid_end_floors(
+        &self,
+        vars: &[VarBinding],
+        conjuncts: &[BExpr],
+    ) -> Vec<Option<BExpr>> {
+        let floor = |v: usize| -> Option<BExpr> {
+            let attr = self
+                .catalog
+                .get(vars[v].rel)
+                .schema
+                .temporal_index(TemporalAttr::ValidTo)?;
+            let end = BExpr::Attr { var: v, attr };
+            let mut los: Vec<BExpr> = conjuncts
+                .iter()
+                .filter_map(|c| match c {
+                    BExpr::Bin {
+                        op: ast::BinOp::Le,
+                        lhs,
+                        rhs,
+                    } => {
+                        let forces = match &**rhs {
+                            BExpr::Least(his) => his.contains(&end),
+                            hi => *hi == end,
+                        };
+                        forces.then_some(&**lhs)
+                    }
+                    _ => None,
+                })
+                .flat_map(|lo| match lo {
+                    BExpr::Greatest(los) => los.as_slice(),
+                    lo => std::slice::from_ref(lo),
+                })
+                .filter(|lo| {
+                    let mut vs = Vec::new();
+                    lo.collect_vars(&mut vs);
+                    vs.is_empty()
+                })
+                .cloned()
+                .collect();
+            match los.len() {
+                0 | 1 => los.pop(),
+                _ => Some(BExpr::Greatest(los)),
+            }
+        };
+        (0..vars.len()).map(floor).collect()
+    }
+
     /// Lower a `when` clause onto `out`, one conjunct per top-level
     /// `and`ed predicate.
     pub(crate) fn lower_when(
@@ -570,6 +625,7 @@ impl<'a> Binder<'a> {
         }
 
         Ok(BoundRetrieve {
+            valid_end_floors: self.valid_end_floors(&vars, &conjuncts),
             vars,
             targets,
             conjuncts,

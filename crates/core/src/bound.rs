@@ -197,6 +197,12 @@ pub struct BoundRetrieve {
     pub valid: Option<(BExpr, BExpr)>,
     /// Rollback window, `None` when no variable carries transaction time.
     pub visibility: Option<Visibility>,
+    /// Per variable: a variable-free expression for the instant the
+    /// conjuncts force its valid end to reach (a lowered `overlap`), or
+    /// `None` ([`crate::binder::Binder::valid_end_floors`]). Execution
+    /// evaluates it once, to skip the history sidecar when no migrated
+    /// transaction-current version ends that late.
+    pub valid_end_floors: Vec<Option<BExpr>>,
     /// Materialize into this relation instead of returning rows.
     pub into: Option<String>,
     /// Sort keys: result-column index + descending flag.

@@ -135,7 +135,9 @@ pub fn copy_from(
     insert_rows(pager, catalog.get_mut(rel_id), &rows)
 }
 
-/// `copy R into "file"` — bulk unload of every stored version.
+/// `copy R into "file"` — bulk unload of every stored version: the
+/// primary file's, then those reorganization migrated into the history
+/// sidecar.
 pub fn copy_into(
     pager: &Pager,
     catalog: &Catalog,
@@ -143,21 +145,17 @@ pub fn copy_into(
     path: &str,
 ) -> Result<usize> {
     let rel = catalog.get(rel_id);
-    let schema = rel.schema.clone();
-    let codec = rel.codec.clone();
-    let file = rel.file.clone();
+    let (schema, codec) = (&rel.schema, &rel.codec);
     let out = std::fs::File::create(path)?;
     let mut w = std::io::BufWriter::new(out);
     let mut n = 0usize;
-    let mut cur = file.scan();
-    let mut row = Vec::new();
-    while cur.next(pager, &file, &mut row)?.is_some() {
+    let mut unload = |row: &[u8]| -> Result<()> {
         let mut line = String::new();
         for i in 0..schema.arity() {
             if i > 0 {
                 line.push(',');
             }
-            let v = codec.get(&row, i);
+            let v = codec.get(row, i);
             let s = match v {
                 Value::Time(t) => t.format(Granularity::Second),
                 other => other.to_string(),
@@ -166,6 +164,15 @@ pub fn copy_into(
         }
         writeln!(w, "{line}")?;
         n += 1;
+        Ok(())
+    };
+    let mut cur = rel.file.scan();
+    let mut row = Vec::new();
+    while cur.next(pager, &rel.file, &mut row)?.is_some() {
+        unload(&row)?;
+    }
+    if let Some(history) = &rel.history {
+        history.for_all(pager, &mut unload)?;
     }
     w.flush()?;
     Ok(n)

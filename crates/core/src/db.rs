@@ -32,8 +32,8 @@ use tdbms_kernel::{
 };
 use tdbms_storage::{
     AccessMethod, BufferConfig, Catalog, ChecksumSet, ClusteredHistory,
-    DiskManager, FileId, HashFn, IoStats, KeySpec, Pager, RelId, StatScope,
-    StoredRelation, PAGE_SIZE,
+    DiskManager, FileId, HashFn, IoStats, KeySpec, Pager, RelId, Stamps,
+    StatScope, StoredRelation, PAGE_SIZE,
 };
 use tdbms_tquel::ast::Statement;
 use tdbms_wal::{
@@ -897,12 +897,16 @@ impl Database {
         Ok(rows.len())
     }
 
-    /// Online reorganization of one relation: migrate every
-    /// transaction-stopped ("cold") version out of the primary file into
-    /// the relation's clustered history sidecar, then rebuild the primary
-    /// around the surviving current versions. Returns the number of
-    /// versions migrated (0 when the relation is ineligible or already
-    /// compact).
+    /// Online reorganization of one relation: migrate every version DML
+    /// can no longer touch and an at-now query cannot see out of the
+    /// primary file into the relation's clustered history sidecar, then
+    /// rebuild the primary around the versions that stay. A version
+    /// stays while it is transaction-current and its valid end is open
+    /// or at or after the pass's instant ([`Stamps::stays_in_primary`]);
+    /// so a rollback relation keeps its current versions, and a temporal
+    /// one only those an at-now query can still reach. Returns the
+    /// number of versions migrated (0 when the relation is ineligible or
+    /// already compact).
     ///
     /// Eligible relations have transaction time (rollback/temporal
     /// class), a primary key to cluster history by, and no secondary
@@ -956,17 +960,19 @@ impl Database {
                 r.file.clone(),
             )
         };
-        // Partition the primary: cold = transaction-stopped versions.
+        // Partition the primary at the pass's instant: cold = every
+        // version that does not stay.
+        let cutoff = self.clock.now();
+        let stamps = |row: &[u8]| Stamps::of(&schema, &codec, row);
         let mut keep: Vec<Vec<u8>> = Vec::new();
-        let mut cold: Vec<(Vec<u8>, TimeVal)> = Vec::new();
+        let mut cold: Vec<Vec<u8>> = Vec::new();
         let mut cur = file.scan();
         let mut row = Vec::new();
         while cur.next(&self.pager, &file, &mut row)?.is_some() {
-            match crate::binder::row_tx_period(&schema, &codec, &row) {
-                Some((_, stop)) if stop != TimeVal::FOREVER => {
-                    cold.push((row.clone(), stop))
-                }
-                _ => keep.push(row.clone()),
+            if stamps(&row).stays_in_primary(cutoff) {
+                keep.push(row.clone());
+            } else {
+                cold.push(row.clone());
             }
         }
         if cold.is_empty() {
@@ -977,13 +983,13 @@ impl Database {
         // catalog holding the old Arc references only immutable pages.
         let key = KeySpec::for_attr(&codec, key_attr);
         let next = match &self.catalog.get(id).history {
-            Some(h) => h.with_migrated(&self.pager, &cold)?,
+            Some(h) => h.with_migrated(&self.pager, &cold, stamps)?,
             None => ClusteredHistory::create(
                 &self.pager,
                 schema.row_width(),
                 key,
             )?
-            .with_migrated(&self.pager, &cold)?,
+            .with_migrated(&self.pager, &cold, stamps)?,
         };
         {
             let r = self.catalog.get_mut(id);

@@ -407,6 +407,7 @@ pub fn exec_append(
         .collect();
     let has_tx = vars.iter().any(|v| v.class.has_transaction_time());
     let bound = BoundRetrieve {
+        valid_end_floors: binder.valid_end_floors(&vars, &conjuncts),
         vars,
         targets,
         conjuncts,
@@ -466,7 +467,10 @@ pub(crate) fn insert_rows(
 /// transaction time and valid time. This is the one definition of
 /// "current" for delete and replace; a version failing it is history no
 /// later statement stamps again, so it may be migrated out of the
-/// primary file.
+/// primary file. [`tdbms_storage::Stamps::stays_in_primary`] is the same
+/// rule over stored rows, at a cutoff instant: with `FOREVER` it keeps
+/// exactly these versions, and a reorganization pass, cutting off at
+/// its own instant, also keeps those an at-now query can still see.
 fn current_version_conjuncts(schema: &Schema) -> Vec<BExpr> {
     [TemporalAttr::TransactionStop, TemporalAttr::ValidTo]
         .into_iter()
@@ -513,8 +517,9 @@ fn targets(
     let visible = vars[0].class.has_transaction_time();
     let (slot, mut rt) =
         var_state(rel, visible.then(|| Visibility::at(binder.now)));
-    // A migrated version is never current (`current_version_conjuncts`),
-    // so the history sidecar holds nothing to retire.
+    // A migrated version is never current (`Stamps::stays_in_primary`
+    // keeps every version these conjuncts admit), so the history sidecar
+    // holds nothing to retire.
     rt.history = None;
     let mut env = Env {
         slots: vec![slot],

@@ -473,8 +473,8 @@ impl Engine {
     /// Start the background reorganization daemon: a thread that
     /// periodically takes the commit lock like any other writer and
     /// compacts every eligible relation ([`Database::reorganize_all`]),
-    /// migrating transaction-stopped versions into clustered history
-    /// sidecars. Snapshot reads are never blocked — they run off the
+    /// migrating the versions DML can no longer touch into clustered
+    /// history sidecars. Snapshot reads are never blocked — they run off the
     /// published view while the daemon holds the lock, exactly as they
     /// do against any other writer. A degraded engine makes the daemon
     /// skip the pass and retry next interval (reorganization is

@@ -29,7 +29,7 @@ use crate::eval::{eval_expr, qualifies, Env, Slot};
 use crate::guard::QueryGuard;
 use std::borrow::Cow;
 use tdbms_kernel::{
-    AttrDef, Domain, Error, Result, RowCodec, Schema, Value,
+    AttrDef, Domain, Error, Result, RowCodec, Schema, TimeVal, Value,
 };
 use tdbms_storage::catalog::NamedIndex;
 use tdbms_storage::{
@@ -116,10 +116,14 @@ pub(crate) struct VarRt<'a> {
     /// The scratch file of this variable's detachment temporary.
     temp: Option<FileId>,
     /// Clustered history sidecar holding versions online reorganization
-    /// migrated out of the primary file. Read only when the query's
-    /// visibility reaches behind the sidecar's stop-time high-water mark,
-    /// which keeps at-now retrievals at primary-only page cost.
+    /// migrated out of the primary file. Read only when the query can
+    /// reach a migrated version (see [`ovqp`]), which keeps at-now
+    /// retrievals at primary-only page cost.
     pub(crate) history: Option<&'a ClusteredHistory>,
+    /// The instant the statement forces this variable's valid end to
+    /// reach, evaluated once per execution (only for a relation with a
+    /// sidecar): [`BoundRetrieve::valid_end_floors`].
+    valid_floor: Option<TimeVal>,
 }
 
 /// The evaluation slot and runtime state of one variable ranging over
@@ -138,6 +142,7 @@ pub(crate) fn var_state(
         visible,
         temp: None,
         history: stored.history.as_deref(),
+        valid_floor: None,
     };
     (slot, rt)
 }
@@ -217,7 +222,7 @@ pub(crate) fn prepare<'a>(
     params: &'a [Literal],
     guard: &'a QueryGuard,
 ) -> Prepared<'a> {
-    let (slots, rts): (Vec<Slot>, Vec<VarRt>) = b
+    let (slots, mut rts): (Vec<Slot>, Vec<VarRt>) = b
         .vars
         .iter()
         .map(|v| {
@@ -225,6 +230,15 @@ pub(crate) fn prepare<'a>(
             var_state(catalog.get(v.rel), b.visibility.filter(|_| visible))
         })
         .unzip();
+    let env = Env { slots, params };
+    for (rt, floor) in rts.iter_mut().zip(&b.valid_end_floors) {
+        rt.valid_floor = rt.history.and(floor.as_ref()).and_then(|e| {
+            match eval_expr(e, &env) {
+                Ok(Value::Time(t)) => Some(t),
+                _ => None,
+            }
+        });
+    }
 
     // Cache each conjunct's variable set.
     let conjuncts = b
@@ -244,7 +258,7 @@ pub(crate) fn prepare<'a>(
             .valid
             .as_ref()
             .map(|(from, to)| (Cow::Borrowed(from), Cow::Borrowed(to))),
-        env: Env { slots, params },
+        env,
         rts,
         conjuncts,
         guard,
@@ -901,16 +915,23 @@ pub(crate) fn ovqp<'a>(
     env.slots[v].row = Some(row);
 
     // Migrated versions: after reorganization the primary holds only the
-    // rows the compactor left behind, so a query whose visibility reaches
-    // behind the sidecar's stop-time high-water mark must also walk the
-    // clustered history (keyed when the primary access was keyed). At-now
-    // retrievals skip it entirely — every migrated version has already
-    // stopped — which is the bounded-I/O property reorganization exists
-    // to provide.
+    // rows the compactor left behind, so a query that can reach a
+    // migrated version must also walk the clustered history (keyed when
+    // the primary access was keyed). It can when its visibility reaches
+    // behind the sidecar's stop-time watermark, or when some migrated
+    // version is transaction-current and the query does not force a
+    // valid end past their watermark. At-now retrievals skip it entirely,
+    // which is the bounded-I/O property reorganization exists to provide.
     if let Some(history) = rt.history {
         let wants_history = match rt.visible {
             None => true,
-            Some(vis) => vis.at < history.max_stop(),
+            Some(vis) => {
+                vis.at < history.max_stop()
+                    || (history.max_valid_to() > TimeVal::BEGINNING
+                        && rt
+                            .valid_floor
+                            .is_none_or(|f| f <= history.max_valid_to()))
+            }
         };
         if wants_history {
             let mut visit = |row: &[u8]| -> Result<()> {

@@ -647,12 +647,16 @@ mod tests {
         let mut cur = files[0].scan();
         let mut row = Vec::new();
         while cur.next(&pager, &files[0], &mut row).unwrap().is_some() {
-            batch.push((row.clone(), tdbms_kernel::TimeVal::BEGINNING));
+            batch.push(row.clone());
         }
         let key = files[1].chain().unwrap().key;
+        let stamps = crate::history::Stamps {
+            stop: tdbms_kernel::TimeVal::BEGINNING,
+            valid_to: tdbms_kernel::TimeVal::FOREVER,
+        };
         let h = ClusteredHistory::create(&pager, WIDTH, key)
             .unwrap()
-            .with_migrated(&pager, &batch)
+            .with_migrated(&pager, &batch, |_| stamps)
             .unwrap();
         pager.flush_all().unwrap();
         let audit = h.audit(&pager);

@@ -179,7 +179,10 @@ impl StoredRelation {
     /// is logged — the old file's physical drop is deferred until the
     /// commit that records the new file is durable. Reorganization I/O is
     /// charged like any other access (the benchmark resets counters
-    /// afterwards).
+    /// afterwards). The versions a history sidecar holds fold back into
+    /// the new file and the sidecar is dropped: it is clustered under the
+    /// old key, and an unkeyed organization has none to cluster by. The
+    /// next reorganization pass migrates them again.
     pub fn modify(
         &mut self,
         pager: &Pager,
@@ -194,9 +197,19 @@ impl StoredRelation {
         while cur.next(pager, &self.file, &mut row)?.is_some() {
             rows.push(row.clone());
         }
+        if let Some(h) = &self.history {
+            h.for_all(pager, |row| {
+                rows.push(row.to_vec());
+                Ok(())
+            })?;
+        }
         self.rebuild_file(
             pager, method, key_attr, fillfactor, hashfn, &rows,
         )?;
+        if let Some(h) = self.history.take() {
+            self.tuple_count += h.rows();
+            pager.drop_file(h.file_id())?;
+        }
         self.key_attr = match method {
             AccessMethod::Heap => None,
             _ => key_attr,

@@ -5,11 +5,17 @@
 //! versions into pages owned by that tuple, so a version scan reads
 //! `ceil(versions / capacity)` pages instead of the whole chain.
 //! [`ClusteredHistory`] is that layout as a catalog-resident sidecar of a
-//! stored relation: the background compactor migrates *cold* versions
-//! (transaction-time stop already stamped — immutable forever under
-//! rollback semantics) out of the primary file's overflow chains and into
-//! this file, then rebuilds the primary `modify`-style with only the
-//! surviving rows.
+//! stored relation: the background compactor migrates every version DML
+//! can no longer touch and an at-now query cannot see out of the
+//! primary file's overflow chains and into this file, then rebuilds the
+//! primary `modify`-style with only the surviving rows.
+//! [`Stamps::stays_in_primary`] is the one rule that splits the two: a
+//! version stays while it is transaction-current and its valid end has
+//! not passed the pass's instant. So the sidecar holds both
+//! transaction-stopped versions (immutable forever under rollback
+//! semantics) and transaction-current ones whose valid time has closed
+//! (DML retires only versions open in valid time, so no statement
+//! stamps them again).
 //!
 //! Two invariants make the migration safe under concurrent snapshot
 //! readers:
@@ -26,21 +32,70 @@
 //!   committing writer swaps the relation's `Arc` while old snapshots
 //!   keep theirs.
 //!
-//! `max_stop` records the newest transaction-stop time ever migrated.
-//! The executor skips the history file entirely when a query's
-//! visibility instant is at or after it — the common "as of now" query —
-//! which is what keeps retrieval page I/O bounded as versions accumulate.
+//! Two watermarks let the executor skip the file entirely. `max_stop` is
+//! the newest transaction stop ever migrated: a query whose visibility
+//! instant is at or after it sees no stopped row here. `max_valid_to` is
+//! the newest valid end among migrated transaction-current rows: a query
+//! whose `when` forces a valid end past it selects none of them. The
+//! common "as of now, when overlap now" query passes both tests, which is
+//! what keeps retrieval page I/O bounded as versions accumulate. Both are
+//! raised from each migrated row's [`Stamps`], so a reopen derives them
+//! from the file's rows.
 
 use crate::disk::FileId;
 use crate::key::KeySpec;
 use crate::page::{page_capacity, PageKind};
 use crate::pager::Pager;
 use std::collections::HashMap;
-use tdbms_kernel::{Error, Result, TimeVal};
+use tdbms_kernel::{
+    Error, Result, RowCodec, Schema, TemporalAttr, TimeVal,
+};
 
-/// A clustered, append-only file of cold (superseded) versions, with an
-/// in-memory directory from key bytes to the pages holding that key's
-/// history.
+/// The two times that decide where a stored version lives in the
+/// two-level store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamps {
+    /// Transaction stop ([`TimeVal::FOREVER`] while current, and for a
+    /// relation without transaction time).
+    pub stop: TimeVal,
+    /// Valid end ([`TimeVal::FOREVER`] while open, and for a relation
+    /// that records none: an event's valid time never closes).
+    pub valid_to: TimeVal,
+}
+
+impl Stamps {
+    /// Read a stored row's stamps.
+    pub fn of(schema: &Schema, codec: &RowCodec, row: &[u8]) -> Stamps {
+        let at = |t| {
+            schema
+                .temporal_index(t)
+                .map_or(TimeVal::FOREVER, |i| codec.get_time(row, i))
+        };
+        Stamps {
+            stop: at(TemporalAttr::TransactionStop),
+            valid_to: at(TemporalAttr::ValidTo),
+        }
+    }
+
+    /// Does a version with these stamps stay in the primary file of a
+    /// pass at `cutoff`? It must be transaction-current, and its valid
+    /// end must be open or at or after `cutoff`. Every other version is
+    /// one DML can no longer touch (delete and replace retire only
+    /// versions open in both times) and an at-now query cannot see.
+    ///
+    /// A reorganization pass cuts off at its own instant: valid
+    /// intervals are closed, so `overlap "now"` at that instant still
+    /// reaches a version closed exactly then, and it stays one more
+    /// pass. With `cutoff = FOREVER` this is "current in both times",
+    /// the primary of Figure 10's two-level store.
+    pub fn stays_in_primary(self, cutoff: TimeVal) -> bool {
+        self.stop.is_forever() && self.valid_to >= cutoff
+    }
+}
+
+/// A clustered, append-only file of the versions reorganization moved
+/// out of a primary file, with an in-memory directory from key bytes to
+/// the pages holding that key's history.
 #[derive(Debug, Clone)]
 pub struct ClusteredHistory {
     file: FileId,
@@ -50,10 +105,14 @@ pub struct ClusteredHistory {
     /// order. Every page belongs to exactly one key.
     clusters: HashMap<Vec<u8>, Vec<u32>>,
     rows: u64,
-    /// Newest transaction-stop time among migrated versions
-    /// ([`TimeVal::BEGINNING`] while empty). Queries whose visibility
-    /// instant is `>= max_stop` cannot see any row here.
+    /// Newest transaction-stop time among migrated stopped versions
+    /// ([`TimeVal::BEGINNING`] while there are none). Queries whose
+    /// visibility instant is `>= max_stop` cannot see any of them.
     max_stop: TimeVal,
+    /// Newest valid end among migrated transaction-current versions
+    /// ([`TimeVal::BEGINNING`] while there are none). Queries that force
+    /// a valid end `> max_valid_to` select none of them.
+    max_valid_to: TimeVal,
 }
 
 impl ClusteredHistory {
@@ -70,48 +129,54 @@ impl ClusteredHistory {
             clusters: HashMap::new(),
             rows: 0,
             max_stop: TimeVal::BEGINNING,
+            max_valid_to: TimeVal::BEGINNING,
         })
     }
 
-    /// Rebuild the in-memory directory of an existing history file by
+    /// Rebuild the in-memory state of an existing history file by
     /// scanning it (the catalog-reload path). Pages are single-key, so
-    /// each non-empty page is assigned to the key of its first row;
-    /// `max_stop` is not derivable here (the stop time's location in the
-    /// row is schema knowledge the caller has), so it is passed through
-    /// from the persisted catalog line.
+    /// each non-empty page is assigned to the key of its first row; both
+    /// watermarks are raised from every row's `stamps`, exactly as
+    /// [`ClusteredHistory::with_migrated`] raised them.
     pub fn reopen(
         pager: &Pager,
         file: FileId,
         row_width: usize,
         key: KeySpec,
-        max_stop: TimeVal,
+        stamps: impl Fn(&[u8]) -> Stamps,
     ) -> Result<ClusteredHistory> {
-        let mut clusters: HashMap<Vec<u8>, Vec<u32>> = HashMap::new();
-        let mut rows = 0u64;
-        let n = pager.page_count(file)?;
-        for page_no in 0..n {
-            let (count, first) = pager.read(file, page_no, |p| {
-                let count = p.count() as u64;
-                let first = if count > 0 {
-                    Some(key.extract(p.row(row_width, 0)?).to_vec())
-                } else {
-                    None
-                };
-                Ok::<_, Error>((count, first))
-            })??;
-            rows += count;
-            if let Some(kb) = first {
-                clusters.entry(kb).or_default().push(page_no);
-            }
-        }
-        Ok(ClusteredHistory {
+        let mut out = ClusteredHistory {
             file,
             row_width,
             key,
-            clusters,
-            rows,
-            max_stop,
-        })
+            clusters: HashMap::new(),
+            rows: 0,
+            max_stop: TimeVal::BEGINNING,
+            max_valid_to: TimeVal::BEGINNING,
+        };
+        let mut rows = Vec::new();
+        for page_no in 0..pager.page_count(file)? {
+            out.read_rows(pager, page_no, &mut rows)?;
+            if let Some(first) = rows.get(..row_width) {
+                let kb = key.extract(first).to_vec();
+                out.clusters.entry(kb).or_default().push(page_no);
+            }
+            for row in rows.chunks_exact(row_width) {
+                out.raise(stamps(row));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Count one more migrated row with `stamps`, raising the watermark
+    /// it bears on.
+    fn raise(&mut self, stamps: Stamps) {
+        self.rows += 1;
+        if stamps.stop.is_forever() {
+            self.max_valid_to = self.max_valid_to.max(stamps.valid_to);
+        } else {
+            self.max_stop = self.max_stop.max(stamps.stop);
+        }
     }
 
     /// The underlying storage file.
@@ -134,9 +199,14 @@ impl ClusteredHistory {
         self.rows
     }
 
-    /// Newest transaction-stop time among migrated versions.
+    /// Newest transaction-stop time among migrated stopped versions.
     pub fn max_stop(&self) -> TimeVal {
         self.max_stop
+    }
+
+    /// Newest valid end among migrated transaction-current versions.
+    pub fn max_valid_to(&self) -> TimeVal {
+        self.max_valid_to
     }
 
     /// Total pages of history.
@@ -157,23 +227,24 @@ impl ClusteredHistory {
         page_capacity(self.row_width)
     }
 
-    /// The only way rows enter a history file: append `rows` (each with
-    /// its transaction-stop time), in order, on **fresh pages only**,
-    /// returning a new
-    /// `ClusteredHistory` with the extended directory. The receiver —
-    /// and any snapshot catalog holding it — is untouched: its directory
-    /// references only pages whose contents never change again.
+    /// The only way rows enter a history file: append `rows`, in order,
+    /// on **fresh pages only**, returning a new `ClusteredHistory` with
+    /// the extended directory and both watermarks raised from each row's
+    /// `stamps`. The receiver — and any snapshot catalog holding it — is
+    /// untouched: its directory references only pages whose contents
+    /// never change again.
     pub fn with_migrated(
         &self,
         pager: &Pager,
-        rows: &[(Vec<u8>, TimeVal)],
+        rows: &[Vec<u8>],
+        stamps: impl Fn(&[u8]) -> Stamps,
     ) -> Result<ClusteredHistory> {
         let mut out = self.clone();
         // Per-key tail page *within this batch* — never a pre-existing
         // page.
         let mut batch_tail: HashMap<Vec<u8>, u32> = HashMap::new();
         let w = out.row_width;
-        for (row, stop) in rows {
+        for row in rows {
             if row.len() != w {
                 return Err(Error::RowSize {
                     expected: w,
@@ -199,10 +270,7 @@ impl ClusteredHistory {
                 pager
                     .write(out.file, page_no, |p| p.push_row(w, row))??;
             }
-            out.rows += 1;
-            if *stop > out.max_stop {
-                out.max_stop = *stop;
-            }
+            out.raise(stamps(row));
         }
         Ok(out)
     }
@@ -280,6 +348,33 @@ mod tests {
         r
     }
 
+    /// The stamps of a version stopped at `t`.
+    fn stopped(t: u32) -> Stamps {
+        Stamps {
+            stop: TimeVal(t),
+            valid_to: TimeVal::FOREVER,
+        }
+    }
+
+    /// A row of key `id` that carries `stamps` in bytes 4..12, and the
+    /// reader of them a reopen is given.
+    fn stamped(id: i32, stamps: Stamps) -> Vec<u8> {
+        let mut r = row(id, 0);
+        r[4..8].copy_from_slice(&stamps.stop.0.to_le_bytes());
+        r[8..12].copy_from_slice(&stamps.valid_to.0.to_le_bytes());
+        r
+    }
+
+    fn stamps_of(row: &[u8]) -> Stamps {
+        let at = |i: usize| {
+            TimeVal(u32::from_le_bytes(row[i..i + 4].try_into().unwrap()))
+        };
+        Stamps {
+            stop: at(4),
+            valid_to: at(8),
+        }
+    }
+
     fn key() -> KeySpec {
         KeySpec {
             offset: 0,
@@ -293,15 +388,13 @@ mod tests {
         let pager = Pager::in_memory();
         // 28 versions each for ids 1..=4, interleaved by round (the order
         // updates actually produce).
-        let batch: Vec<(Vec<u8>, TimeVal)> = (0..28u8)
-            .flat_map(|round| {
-                (1..=4)
-                    .map(move |id| (row(id, round), TimeVal(round.into())))
-            })
+        let batch: Vec<Vec<u8>> = (0..28u8)
+            .flat_map(|round| (1..=4).map(move |id| row(id, round)))
             .collect();
+        // Each version stopped at its round, the tag `row` fills it with.
         let h = ClusteredHistory::create(&pager, W, key())
             .unwrap()
-            .with_migrated(&pager, &batch)
+            .with_migrated(&pager, &batch, |r| stopped(r[4].into()))
             .unwrap();
         assert_eq!(h.rows(), 112);
         assert_eq!(h.max_stop(), TimeVal(27));
@@ -329,19 +422,18 @@ mod tests {
     fn migration_never_touches_pre_existing_pages() {
         let pager = Pager::in_memory();
         // Seed with a partially-filled page for key 1 (3 of 8 slots).
-        let seed: Vec<(Vec<u8>, TimeVal)> =
-            (0..3u8).map(|i| (row(1, i), TimeVal(1))).collect();
+        let seed: Vec<Vec<u8>> = (0..3u8).map(|i| row(1, i)).collect();
         let h = ClusteredHistory::create(&pager, W, key())
             .unwrap()
-            .with_migrated(&pager, &seed)
+            .with_migrated(&pager, &seed, |_| stopped(1))
             .unwrap();
         let before_pages = h.total_pages(&pager).unwrap();
         assert_eq!(before_pages, 1);
         let snapshot = h.clone();
 
-        let batch: Vec<(Vec<u8>, TimeVal)> =
-            (0..4u8).map(|i| (row(1, 100 + i), TimeVal(5))).collect();
-        let h2 = h.with_migrated(&pager, &batch).unwrap();
+        let batch: Vec<Vec<u8>> =
+            (0..4u8).map(|i| row(1, 100 + i)).collect();
+        let h2 = h.with_migrated(&pager, &batch, |_| stopped(5)).unwrap();
         // The batch went to a fresh page even though page 0 had room.
         assert_eq!(h2.total_pages(&pager).unwrap(), 2);
         assert_eq!(h2.rows(), 7);
@@ -370,9 +462,8 @@ mod tests {
         let pager = Pager::in_memory();
         let h = ClusteredHistory::create(&pager, W, key()).unwrap();
         // 20 versions of one key: ceil(20/8) = 3 fresh pages, not 20.
-        let batch: Vec<(Vec<u8>, TimeVal)> =
-            (0..20u8).map(|i| (row(7, i), TimeVal(2))).collect();
-        let h2 = h.with_migrated(&pager, &batch).unwrap();
+        let batch: Vec<Vec<u8>> = (0..20u8).map(|i| row(7, i)).collect();
+        let h2 = h.with_migrated(&pager, &batch, |_| stopped(2)).unwrap();
         assert_eq!(h2.total_pages(&pager).unwrap(), 3);
         assert_eq!(h2.cluster_pages(&7i32.to_le_bytes()), 3);
     }
@@ -380,26 +471,22 @@ mod tests {
     #[test]
     fn reopen_rebuilds_the_directory() {
         let pager = Pager::in_memory();
-        let batch: Vec<(Vec<u8>, TimeVal)> = (0..10u8)
-            .flat_map(|round| {
-                (1..=3).map(move |id| (row(id, round), TimeVal(9)))
-            })
+        let batch: Vec<Vec<u8>> = (0..10u8)
+            .flat_map(|round| (1..=3).map(move |id| row(id, round)))
             .collect();
         let h = ClusteredHistory::create(&pager, W, key())
             .unwrap()
-            .with_migrated(&pager, &batch)
+            .with_migrated(&pager, &batch, |_| stopped(9))
             .unwrap();
         pager.flush_all().unwrap();
-        let re = ClusteredHistory::reopen(
-            &pager,
-            h.file_id(),
-            W,
-            key(),
-            h.max_stop(),
-        )
-        .unwrap();
+        let re =
+            ClusteredHistory::reopen(&pager, h.file_id(), W, key(), |_| {
+                stopped(9)
+            })
+            .unwrap();
         assert_eq!(re.rows(), h.rows());
         assert_eq!(re.max_stop(), TimeVal(9));
+        assert_eq!(re.max_valid_to(), TimeVal::BEGINNING);
         for id in 1..=3i32 {
             assert_eq!(
                 re.cluster_pages(&id.to_le_bytes()),
@@ -419,5 +506,60 @@ mod tests {
             .unwrap();
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn each_watermark_tracks_its_own_rows_and_a_reopen_derives_both() {
+        let pager = Pager::in_memory();
+        let closed = |to: u32| Stamps {
+            stop: TimeVal::FOREVER,
+            valid_to: TimeVal(to),
+        };
+        // Stopped versions raise `max_stop` only; transaction-current
+        // versions closed in valid time raise `max_valid_to` only.
+        let batch: Vec<Vec<u8>> = [
+            (1, stopped(30)),
+            (1, closed(40)),
+            (2, stopped(20)),
+            (2, closed(25)),
+        ]
+        .into_iter()
+        .map(|(id, s)| stamped(id, s))
+        .collect();
+        let h = ClusteredHistory::create(&pager, W, key())
+            .unwrap()
+            .with_migrated(&pager, &batch, stamps_of)
+            .unwrap();
+        assert_eq!(h.max_stop(), TimeVal(30));
+        assert_eq!(h.max_valid_to(), TimeVal(40));
+        pager.flush_all().unwrap();
+        let re = ClusteredHistory::reopen(
+            &pager,
+            h.file_id(),
+            W,
+            key(),
+            stamps_of,
+        )
+        .unwrap();
+        assert_eq!(re.rows(), 4);
+        assert_eq!(re.max_stop(), h.max_stop());
+        assert_eq!(re.max_valid_to(), h.max_valid_to());
+    }
+
+    #[test]
+    fn stays_in_primary_keeps_what_dml_or_an_at_now_query_can_reach() {
+        let s =
+            |stop: TimeVal, valid_to: TimeVal| Stamps { stop, valid_to };
+        let (f, cut) = (TimeVal::FOREVER, TimeVal(50));
+        assert!(s(f, f).stays_in_primary(cut));
+        // Closed at or after the cutoff: an at-now query still sees it.
+        assert!(s(f, TimeVal(50)).stays_in_primary(cut));
+        assert!(s(f, TimeVal(60)).stays_in_primary(cut));
+        assert!(!s(f, TimeVal(49)).stays_in_primary(cut));
+        // Transaction-stopped versions always go.
+        assert!(!s(TimeVal(70), f).stays_in_primary(cut));
+        // A `FOREVER` cutoff keeps exactly the versions open in both.
+        assert!(s(f, f).stays_in_primary(f));
+        assert!(!s(f, TimeVal(60)).stays_in_primary(f));
     }
 }

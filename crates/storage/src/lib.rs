@@ -53,7 +53,7 @@ pub use disk::{
 pub use fault::{FaultDisk, FaultPlan};
 pub use hash::HashFile;
 pub use heap::{HeapAppender, HeapFile};
-pub use history::ClusteredHistory;
+pub use history::{ClusteredHistory, Stamps};
 pub use iostats::{FileIo, IoStats, PhaseIo, StatScope};
 pub use isam::IsamFile;
 pub use key::{HashFn, KeyKind, KeySpec};

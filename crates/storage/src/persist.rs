@@ -23,6 +23,7 @@
 use crate::catalog::{Catalog, NamedIndex, StoredRelation};
 use crate::hash::HashFile;
 use crate::heap::HeapFile;
+use crate::history::Stamps;
 use crate::isam::IsamFile;
 use crate::key::{HashFn, KeySpec};
 use crate::overflow::ChainFile;
@@ -266,10 +267,10 @@ pub fn decode_catalog(text: &str, pager: &Pager) -> Result<Catalog> {
             ))
         })?;
 
-        // Optional clustered-history sidecar. The cluster directory is
-        // rebuilt by scanning the history file; the persisted line keeps
-        // only what the scan cannot recover (the high-water stop time)
-        // plus the row count as a consistency check.
+        // Optional clustered-history sidecar. The cluster directory and
+        // both watermarks are rebuilt by scanning the history file; the
+        // persisted row count and stop-time watermark are checked
+        // against the scan.
         let mut history = None;
         if let Some(l) = lines.peek() {
             if let Some(rest) = l.strip_prefix("history ") {
@@ -290,13 +291,14 @@ pub fn decode_catalog(text: &str, pager: &Pager) -> Result<Catalog> {
                     crate::disk::FileId(fid),
                     width,
                     KeySpec::for_attr(&codec, key_attr),
-                    tdbms_kernel::TimeVal(max_stop),
+                    |row| Stamps::of(&schema, &codec, row),
                 )?;
-                if h.rows() != rows {
+                if h.rows() != rows || h.max_stop().0 != max_stop {
                     return Err(Error::Io(format!(
-                        "history file {fid} holds {} rows, catalog \
-                         recorded {rows}",
-                        h.rows()
+                        "history file {fid} holds {} rows stopped by {}, \
+                         catalog recorded {rows} by {max_stop}",
+                        h.rows(),
+                        h.max_stop().0
                     )));
                 }
                 history = Some(std::sync::Arc::new(h));
@@ -559,19 +561,27 @@ mod tests {
             .unwrap();
             let key = KeySpec::for_attr(&rel.codec, 0);
             let width = rel.schema.row_width();
-            let batch: Vec<(Vec<u8>, tdbms_kernel::TimeVal)> = (1..=5i32)
+            let stop = rel
+                .schema
+                .temporal_index(tdbms_kernel::TemporalAttr::TransactionStop)
+                .unwrap();
+            let batch: Vec<Vec<u8>> = (1..=5i32)
                 .map(|i| {
                     let mut row = vec![0u8; width];
                     row[key.offset..key.offset + 4]
                         .copy_from_slice(&i.to_le_bytes());
-                    (row, tdbms_kernel::TimeVal(40 + i as u32))
+                    let t = tdbms_kernel::TimeVal(40 + i as u32);
+                    rel.codec.put_time(&mut row, stop, t);
+                    row
                 })
                 .collect();
             let h = crate::history::ClusteredHistory::create(
                 &pager, width, key,
             )
             .unwrap()
-            .with_migrated(&pager, &batch)
+            .with_migrated(&pager, &batch, |row| {
+                Stamps::of(&rel.schema, &rel.codec, row)
+            })
             .unwrap();
             rel.history = Some(std::sync::Arc::new(h));
         }

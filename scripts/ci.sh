@@ -177,9 +177,14 @@ gate_group_commit_crash() {
 
 # Lock-free read acceptance gate: readers racing writers stay
 # prefix-consistent and monotone, with the engine's own counters
-# proving zero commit-lock acquisitions on the read path.
+# proving zero commit-lock acquisitions on the read path. The
+# reorganization suites ride along: passes over rollback and temporal
+# relations change no answer (snapshot reads included), survive a
+# crash mid-pass and a reopen, and keep at-now reads off the sidecar.
 gate_snapshot_stress() {
     cargo test -q --test snapshot_stress
+    cargo test -q --test reorg_stress
+    cargo test -q -p tdbms-core --test reorg
 }
 
 # Checksumming is out-of-band by design; the whole Figure 5 output must
