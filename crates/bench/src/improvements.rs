@@ -123,10 +123,9 @@ fn scan_filter(
 ) -> usize {
     let mut n = 0;
     let mut cur = file.scan();
-    let mut row = Vec::new();
-    while cur.next(pager, file, &mut row).expect("scan").is_some() {
+    while let Some((_, row)) = cur.next(pager, file).expect("scan") {
         let got = i32::from_le_bytes(
-            attr.extract(&row).try_into().expect("4-byte attr"),
+            attr.extract(row).try_into().expect("4-byte attr"),
         );
         if got == value {
             n += 1;
@@ -145,10 +144,9 @@ fn current_for_key(
         .lookup_eq(pager, key_bytes)
         .expect("lookup")
         .expect("keyed primary");
-    let mut row = Vec::new();
-    cur.next(pager, primary, &mut row)
+    cur.next(pager, primary)
         .expect("probe")
-        .map(|_| row)
+        .map(|(_, row)| row.to_vec())
 }
 
 /// Scan `outer` and, per row, read every row of the keyed `inner` whose
@@ -160,17 +158,12 @@ fn probe_join(
     inner: &RelFile,
 ) {
     let mut cur = outer.scan();
-    let (mut row, mut found) = (Vec::new(), Vec::new());
-    while cur.next(pager, outer, &mut row).expect("scan").is_some() {
+    while let Some((_, row)) = cur.next(pager, outer).expect("scan") {
         let mut probe = inner
-            .lookup_eq(pager, attr.extract(&row))
+            .lookup_eq(pager, attr.extract(row))
             .expect("lookup")
             .expect("keyed primary");
-        while probe
-            .next(pager, inner, &mut found)
-            .expect("probe")
-            .is_some()
-        {}
+        while probe.next(pager, inner).expect("probe").is_some() {}
     }
 }
 

@@ -379,9 +379,8 @@ pub fn all_rows(db: &mut Database, rel: &str) -> Vec<Vec<u8>> {
     let file = catalog.get(id).file.clone();
     let mut rows = Vec::new();
     let mut cur = file.scan();
-    let mut row = Vec::new();
-    while cur.next(pager, &file, &mut row).expect("scan").is_some() {
-        rows.push(row.clone());
+    while let Some((_, row)) = cur.next(pager, &file).expect("scan") {
+        rows.push(row.to_vec());
     }
     rows
 }

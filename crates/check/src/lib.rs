@@ -300,14 +300,12 @@ fn check_temporal(
     }
     let key = rel.key_attr.map(|a| KeySpec::for_attr(codec, a));
     let mut cur = unit.file.scan();
-    let mut row = Vec::new();
-    while let Some(tid) = cur.next(pager, &unit.file, &mut row)? {
+    while let Some((tid, row)) = cur.next(pager, &unit.file)? {
         for (name, lo, hi) in [("valid", vf, vt), ("transaction", ts, tp)] {
             let (Some(lo), Some(hi)) = (lo, hi) else {
                 continue;
             };
-            let (a, b) =
-                (codec.get_time(&row, lo), codec.get_time(&row, hi));
+            let (a, b) = (codec.get_time(row, lo), codec.get_time(row, hi));
             if a > b {
                 findings.push(unit.finding(
                     Severity::Error,
@@ -322,11 +320,10 @@ fn check_temporal(
             }
         }
         if let (Some(k), Some(f), Some(t)) = (key.as_ref(), vf, vt) {
-            if tp.is_none_or(|i| codec.get_time(&row, i).is_forever()) {
-                live.entry(k.extract(&row).to_vec()).or_default().push((
-                    codec.get_time(&row, f),
-                    codec.get_time(&row, t),
-                ));
+            if tp.is_none_or(|i| codec.get_time(row, i).is_forever()) {
+                live.entry(k.extract(row).to_vec())
+                    .or_default()
+                    .push((codec.get_time(row, f), codec.get_time(row, t)));
             }
         }
     }
@@ -830,8 +827,7 @@ mod tests {
         let rel = cat.get(id);
         let mut seen = 0u64;
         let mut cur = rel.file.scan();
-        let mut row = Vec::new();
-        while cur.next(&pager, &rel.file, &mut row).unwrap().is_some() {
+        while cur.next(&pager, &rel.file).unwrap().is_some() {
             seen += 1;
         }
         assert_eq!(seen, rel.tuple_count);
@@ -943,8 +939,7 @@ mod tests {
         let rel = cat.get(id);
         let mut seen = 0u64;
         let mut cur = rel.file.scan();
-        let mut row = Vec::new();
-        while cur.next(&pager, &rel.file, &mut row).unwrap().is_some() {
+        while cur.next(&pager, &rel.file).unwrap().is_some() {
             seen += 1;
         }
         assert_eq!(seen, rel.tuple_count);

@@ -624,12 +624,14 @@ impl<'a> Binder<'a> {
             sort.push((idx, k.descending));
         }
 
+        let valid = if valid_vars.is_empty() { None } else { valid };
         Ok(BoundRetrieve {
             valid_end_floors: self.valid_end_floors(&vars, &conjuncts),
+            columns: result_columns(&targets, valid.is_some()),
             vars,
             targets,
             conjuncts,
-            valid: if valid_vars.is_empty() { None } else { valid },
+            valid,
             visibility,
             into: r.into.clone(),
             sort,

@@ -8,7 +8,8 @@
 //! lowered to ordinary [`BExpr`]s over each variable's valid-time
 //! attributes, and `as of` folds to a [`Visibility`] window.
 
-use tdbms_kernel::{DatabaseClass, TemporalKind, TimeVal, Value};
+use std::sync::Arc;
+use tdbms_kernel::{DatabaseClass, Domain, TemporalKind, TimeVal, Value};
 use tdbms_storage::RelId;
 use tdbms_tquel::ast::BinOp;
 
@@ -68,7 +69,7 @@ pub enum BExpr {
 
 impl BExpr {
     /// Visit every attribute reference as `(var, attr)`.
-    fn each_attr(&self, f: &mut dyn FnMut(usize, usize)) {
+    pub(crate) fn each_attr(&self, f: &mut dyn FnMut(usize, usize)) {
         match self {
             BExpr::Const(_) | BExpr::Param(_) => {}
             BExpr::Attr { var, attr } => f(*var, *attr),
@@ -103,6 +104,16 @@ impl BExpr {
         let mut hit = false;
         self.each_attr(&mut |v, _| hit |= v == var);
         hit
+    }
+
+    /// Does this expression reference `var` and no other variable?
+    pub fn references_only(&self, var: usize) -> bool {
+        let (mut hit, mut other) = (false, false);
+        self.each_attr(&mut |v, _| match v == var {
+            true => hit = true,
+            false => other = true,
+        });
+        hit && !other
     }
 
     /// Collect the set of referenced range-table entries.
@@ -207,6 +218,41 @@ pub struct BoundRetrieve {
     pub into: Option<String>,
     /// Sort keys: result-column index + descending flag.
     pub sort: Vec<(usize, bool)>,
+    /// The answer's columns ([`result_columns`]), shared by every
+    /// execution's answer.
+    pub columns: Arc<[(String, Domain)]>,
+}
+
+impl BoundRetrieve {
+    /// Does the answer carry the implicit column `name` (`valid_from`
+    /// or `valid_to`) after its targets?
+    pub fn implicit_column(&self, name: &str) -> bool {
+        self.columns[self.targets.len()..]
+            .iter()
+            .any(|(n, _)| n == name)
+    }
+}
+
+/// The columns of a retrieve's answer: its targets' names and domains,
+/// then, when it has an output valid period, the implicit `valid_from`
+/// and `valid_to`. A target that already projects an attribute of the
+/// same name supersedes the implicit one (so `retrieve (e.valid_from)`
+/// shows the stored attribute rather than erroring).
+pub(crate) fn result_columns(
+    targets: &[BoundTarget],
+    valid: bool,
+) -> Arc<[(String, Domain)]> {
+    let implicit = |name: &str| {
+        (valid && !targets.iter().any(|t| t.name == name))
+            .then(|| (name.to_string(), Domain::Time))
+    };
+    // Every part has an exact length, so the `Arc` is allocated once.
+    targets
+        .iter()
+        .map(|t| (t.name.clone(), t.domain))
+        .chain(implicit("valid_from"))
+        .chain(implicit("valid_to"))
+        .collect()
 }
 
 #[cfg(test)]

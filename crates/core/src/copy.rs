@@ -167,9 +167,8 @@ pub fn copy_into(
         Ok(())
     };
     let mut cur = rel.file.scan();
-    let mut row = Vec::new();
-    while cur.next(pager, &rel.file, &mut row)?.is_some() {
-        unload(&row)?;
+    while let Some((_, row)) = cur.next(pager, &rel.file)? {
+        unload(row)?;
     }
     if let Some(history) = &rel.history {
         history.for_all(pager, &mut unload)?;

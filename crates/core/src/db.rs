@@ -88,7 +88,7 @@ struct CommitError {
 #[derive(Debug, Clone, Default)]
 pub struct ExecOutput {
     /// Result columns (retrieve only).
-    pub columns: Vec<(String, Domain)>,
+    pub columns: Arc<[(String, Domain)]>,
     /// Result rows (retrieve only).
     pub(crate) rows: Vec<Vec<Value>>,
     /// Page-access costs of the statement.
@@ -967,12 +967,11 @@ impl Database {
         let mut keep: Vec<Vec<u8>> = Vec::new();
         let mut cold: Vec<Vec<u8>> = Vec::new();
         let mut cur = file.scan();
-        let mut row = Vec::new();
-        while cur.next(&self.pager, &file, &mut row)?.is_some() {
-            if stamps(&row).stays_in_primary(cutoff) {
-                keep.push(row.clone());
+        while let Some((_, row)) = cur.next(&self.pager, &file)? {
+            if stamps(row).stays_in_primary(cutoff) {
+                keep.push(row.to_vec());
             } else {
-                cold.push(row.clone());
+                cold.push(row.to_vec());
             }
         }
         if cold.is_empty() {
@@ -1219,8 +1218,10 @@ impl Database {
                 )?;
                 let actual = scope.total();
                 out.affected = result.rows.len();
-                out.columns =
-                    vec![("query plan".to_string(), Domain::Char(72))];
+                out.columns = Arc::new([(
+                    "query plan".to_string(),
+                    Domain::Char(72),
+                )]);
                 out.rows = explain_lines(
                     &bound,
                     &plan,

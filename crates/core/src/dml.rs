@@ -40,7 +40,8 @@
 
 use crate::binder::{split_conjuncts, Binder, Span};
 use crate::bound::{
-    BExpr, BoundRetrieve, BoundTarget, VarBinding, Visibility,
+    result_columns, BExpr, BoundRetrieve, BoundTarget, VarBinding,
+    Visibility,
 };
 use crate::eval::{eval_expr, eval_time, Env, Slot};
 use crate::exec::{exec_retrieve, ovqp, var_state};
@@ -395,7 +396,7 @@ pub fn exec_append(
     // Computed append: run the qualification as a retrieve whose targets
     // are the assignment expressions (plus the valid events), build one
     // tuple per result row, then insert them all.
-    let targets = assigns
+    let targets: Vec<BoundTarget> = assigns
         .iter()
         .enumerate()
         .map(|(k, (idx, e))| BoundTarget {
@@ -408,6 +409,7 @@ pub fn exec_append(
     let has_tx = vars.iter().any(|v| v.class.has_transaction_time());
     let bound = BoundRetrieve {
         valid_end_floors: binder.valid_end_floors(&vars, &conjuncts),
+        columns: result_columns(&targets, valid.is_some()),
         vars,
         targets,
         conjuncts,
@@ -908,10 +910,9 @@ mod tests {
             let rel = catalog.get(catalog.require("r").unwrap());
             let mut scan = rel.file.scan();
             let mut stored = Vec::new();
-            let mut row = Vec::new();
-            while scan.next(&pager, &rel.file, &mut row).unwrap().is_some()
+            while let Some((_, row)) = scan.next(&pager, &rel.file).unwrap()
             {
-                stored.push(rel.codec.decode(&row).unwrap());
+                stored.push(rel.codec.decode(row).unwrap());
             }
             let expected: Vec<Vec<Value>> = expected
                 .iter()

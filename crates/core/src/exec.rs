@@ -28,6 +28,7 @@ use crate::bound::{BExpr, BoundRetrieve, BoundTarget, Visibility};
 use crate::eval::{eval_expr, qualifies, Env, Slot};
 use crate::guard::QueryGuard;
 use std::borrow::Cow;
+use std::sync::Arc;
 use tdbms_kernel::{
     AttrDef, Domain, Error, Result, RowCodec, Schema, TimeVal, Value,
 };
@@ -98,7 +99,7 @@ impl QueryStats {
 #[derive(Debug, Clone)]
 pub struct RetrieveResult {
     /// Result column names and domains.
-    pub columns: Vec<(String, Domain)>,
+    pub columns: Arc<[(String, Domain)]>,
     /// Result rows.
     pub rows: Vec<Vec<Value>>,
 }
@@ -210,8 +211,8 @@ pub(crate) struct Prepared<'a> {
     /// and the statement's literals.
     pub(crate) env: Env<'a>,
     pub(crate) rts: Vec<VarRt<'a>>,
-    /// The qualification's conjuncts, each with its variable set.
-    pub(crate) conjuncts: Vec<(Cow<'a, BExpr>, Vec<usize>)>,
+    /// The qualification's conjuncts.
+    pub(crate) conjuncts: Vec<Cow<'a, BExpr>>,
     /// The caller's per-query limits, polled at row granularity.
     guard: &'a QueryGuard,
 }
@@ -240,16 +241,7 @@ pub(crate) fn prepare<'a>(
         });
     }
 
-    // Cache each conjunct's variable set.
-    let conjuncts = b
-        .conjuncts
-        .iter()
-        .map(|c| {
-            let mut vs = Vec::new();
-            c.collect_vars(&mut vs);
-            (Cow::Borrowed(c), vs)
-        })
-        .collect();
+    let conjuncts = b.conjuncts.iter().map(Cow::Borrowed).collect();
 
     Prepared {
         b,
@@ -276,7 +268,7 @@ pub(crate) fn detachable_vars(p: &Prepared) -> Vec<usize> {
     use tdbms_kernel::TemporalAttr::{TransactionStart, TransactionStop};
     (0..p.b.vars.len())
         .filter(|&v| {
-            let has_own = p.conjuncts.iter().any(|(_, vs)| vs == &[v]);
+            let has_own = p.conjuncts.iter().any(|c| c.references_only(v));
             // A projection would lose transaction time; such a variable
             // keeps its original relation.
             let schema = &p.env.slots[v].schema;
@@ -295,15 +287,15 @@ pub(crate) fn detachable_vars(p: &Prepared) -> Vec<usize> {
 /// detachment consumes those). Sorted, without duplicates.
 fn still_needed(
     targets: &[BoundTarget],
-    conjuncts: &[(Cow<BExpr>, Vec<usize>)],
+    conjuncts: &[Cow<BExpr>],
     v: usize,
 ) -> Vec<usize> {
     let mut refs: Vec<(usize, usize)> = Vec::new();
     for t in targets {
         t.expr.collect_attrs(&mut refs);
     }
-    for (c, vs) in conjuncts {
-        if vs != &[v] {
+    for c in conjuncts {
+        if !c.references_only(v) {
             c.collect_attrs(&mut refs);
         }
     }
@@ -399,8 +391,8 @@ fn decompose(pager: &Pager, p: &mut Prepared, quiet: bool) -> Result<()> {
         // through one row buffer.
         let own: Vec<&BExpr> = conjuncts
             .iter()
-            .filter(|(_, vs)| vs == &[v])
-            .map(|(c, _)| &**c)
+            .filter(|c| c.references_only(v))
+            .map(|c| &**c)
             .collect();
         let mut out = vec![0u8; temp_codec.width()];
         ovqp(pager, env, &rts[v], v, &own, guard, |env, _| {
@@ -426,13 +418,13 @@ fn decompose(pager: &Pager, p: &mut Prepared, quiet: bool) -> Result<()> {
         rts[v].history = None;
 
         // Consume this variable's own conjuncts and remap the rest.
-        conjuncts.retain(|(_, vs)| vs != &[v]);
+        conjuncts.retain(|c| !c.references_only(v));
         if targets.iter().any(|t| t.expr.references(v)) {
             for t in targets.to_mut() {
                 t.expr.remap_attrs(v, &map);
             }
         }
-        for (c, _) in conjuncts.iter_mut() {
+        for c in conjuncts.iter_mut() {
             remap(c, v, &map);
         }
         if let Some((from, to)) = valid {
@@ -474,8 +466,8 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     // innermost; everything else keeps first-use order.
     let is_keyed_join = |v: usize| -> bool {
         rts[v].key_attr.is_some()
-            && conjuncts.iter().any(|(c, vs)| {
-                vs.contains(&v)
+            && conjuncts.iter().any(|c| {
+                c.references(v)
                     && key_probe_shape(c, v, rts[v].key_attr).is_some()
             })
     };
@@ -487,31 +479,18 @@ fn run_joins(pager: &Pager, p: Prepared) -> Result<RetrieveResult> {
     // qualification order.
     let pos_of = |v: usize| order.iter().position(|&x| x == v).unwrap_or(0);
     let mut levels: Vec<Vec<&BExpr>> = vec![Vec::new(); nvars.max(1)];
-    for (c, vs) in &conjuncts {
-        let lvl = vs.iter().map(|&v| pos_of(v)).max().unwrap_or(0);
+    for c in &conjuncts {
+        let mut lvl = 0;
+        c.each_attr(&mut |v, _| lvl = lvl.max(pos_of(v)));
         levels[lvl].push(c);
     }
 
     // ---- Phase 4: nested iteration --------------------------------------
-    let mut columns: Vec<(String, Domain)> =
-        Vec::with_capacity(targets.len() + 2);
-    columns.extend(targets.iter().map(|t| (t.name.clone(), t.domain)));
-    // The implicit valid-time output columns; a target that already
-    // projects an attribute of the same name supersedes the implicit one
-    // (so `retrieve (e.valid_from)` shows the stored attribute rather
-    // than erroring).
-    let mut add_from = false;
-    let mut add_to = false;
-    if valid.is_some() {
-        add_from = !columns.iter().any(|(n, _)| n == "valid_from");
-        add_to = !columns.iter().any(|(n, _)| n == "valid_to");
-        if add_from {
-            columns.push(("valid_from".to_string(), Domain::Time));
-        }
-        if add_to {
-            columns.push(("valid_to".to_string(), Domain::Time));
-        }
-    }
+    // The answer's columns were fixed at bind time, the implicit
+    // valid-time ones included.
+    let columns = b.columns.clone();
+    let add_from = b.implicit_column("valid_from");
+    let add_to = b.implicit_column("valid_to");
 
     let mut rows: Vec<Vec<Value>> = Vec::new();
     if nvars >= 2 {
@@ -801,9 +780,9 @@ pub(crate) fn bound_probe<'c>(
     slots: &[Slot],
 ) -> Option<&'c BExpr> {
     let probe = key_probe_shape(c, v, attr)?;
-    let mut pv = Vec::new();
-    probe.collect_vars(&mut pv);
-    pv.iter().all(|&x| slots[x].row.is_some()).then_some(probe)
+    let mut bound = true;
+    probe.each_attr(&mut |x, _| bound &= slots[x].row.is_some());
+    bound.then_some(probe)
 }
 
 /// The key bytes conjunct `c` probes attribute `attr` of `v` with: its
@@ -886,33 +865,31 @@ pub(crate) fn ovqp<'a>(
         (None, Some(tids)) => Cursor::Tids(tids.into_iter()),
         (None, None) => Cursor::Scan(file.scan()),
     };
-    // Every row is read into the slot's one buffer: a row that fails
-    // visibility or the qualification allocates nothing.
-    let mut row = env.slots[v].row.take().unwrap_or_default();
+    // Visibility runs on the row the cursor lends; only a visible row is
+    // copied into the slot's one buffer for the qualification.
+    let mut fetched = Vec::new();
     loop {
         guard.tick()?;
         let next = match &mut cursor {
-            Cursor::Lookup(c) => c.next(pager, file, &mut row)?,
-            Cursor::Scan(c) => c.next(pager, file, &mut row)?,
+            Cursor::Lookup(c) => c.next(pager, file)?,
+            Cursor::Scan(c) => c.next(pager, file)?,
             Cursor::Tids(tids) => match tids.next() {
                 Some(tid) => {
-                    file.get(pager, tid, &mut row)?;
-                    Some(tid)
+                    file.get(pager, tid, &mut fetched)?;
+                    Some((tid, &fetched[..]))
                 }
                 None => None,
             },
         };
-        let Some(tid) = next else { break };
-        if !version_visible(&env.slots[v], rt.visible, &row) {
+        let Some((tid, row)) = next else { break };
+        if !version_visible(&env.slots[v], rt.visible, row) {
             continue;
         }
-        env.slots[v].row = Some(row);
+        bind_row(env, v, row);
         if qualifies(conjuncts, env)? {
             emit(env, Some(tid))?;
         }
-        row = env.slots[v].row.take().unwrap_or_default();
     }
-    env.slots[v].row = Some(row);
 
     // Migrated versions: after reorganization the primary holds only the
     // rows the compactor left behind, so a query that can reach a
@@ -939,9 +916,7 @@ pub(crate) fn ovqp<'a>(
                 if !version_visible(&env.slots[v], rt.visible, row) {
                     return Ok(());
                 }
-                let buf = env.slots[v].row.get_or_insert_with(Vec::new);
-                buf.clear();
-                buf.extend_from_slice(row);
+                bind_row(env, v, row);
                 if qualifies(conjuncts, env)? {
                     emit(env, None)?;
                 }
@@ -955,6 +930,13 @@ pub(crate) fn ovqp<'a>(
     }
     env.slots[v].row = None;
     Ok(())
+}
+
+/// Copy `row` into variable `v`'s slot, reusing its buffer.
+fn bind_row(env: &mut Env, v: usize, row: &[u8]) {
+    let buf = env.slots[v].row.get_or_insert_with(Vec::new);
+    buf.clear();
+    buf.extend_from_slice(row);
 }
 
 /// One level of the tuple-substitution join.

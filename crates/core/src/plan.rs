@@ -42,12 +42,12 @@ pub(crate) fn plan_bound(
                 .iter()
                 .any(|ix| has_const_probe(&p, v, Some(ix.attr)));
             let join_key_probe = key_attr.is_some()
-                && p.conjuncts.iter().any(|(c, vs)| {
-                    vs.len() >= 2
-                        && vs.contains(&v)
+                && p.conjuncts.iter().any(|c| {
+                    c.references(v)
+                        && !c.references_only(v)
                         && key_probe_shape(c, v, key_attr).is_some()
                 });
-            let has_own = p.conjuncts.iter().any(|(_, vs)| vs == &[v]);
+            let has_own = p.conjuncts.iter().any(|c| c.references_only(v));
             Ok(VarFacts {
                 var: v,
                 tuple_count: rel.tuple_count,
@@ -71,7 +71,8 @@ pub(crate) fn plan_bound(
 /// own conjuncts? Asked of the executor's own probe test with every
 /// variable unbound, as during detachment.
 fn has_const_probe(p: &Prepared, v: usize, attr: Option<usize>) -> bool {
-    p.conjuncts.iter().any(|(c, vs)| {
-        vs == &[v] && bound_probe(c, v, attr, &p.env.slots).is_some()
+    p.conjuncts.iter().any(|c| {
+        c.references_only(v)
+            && bound_probe(c, v, attr, &p.env.slots).is_some()
     })
 }

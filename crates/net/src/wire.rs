@@ -110,7 +110,7 @@ impl Reply {
         elapsed_us: u64,
     ) -> Self {
         Reply {
-            columns: out.columns.clone(),
+            columns: out.columns.to_vec(),
             rows: out.rows().to_vec(),
             affected: out.affected as u64,
             input_pages: out.stats.input_pages,

@@ -645,9 +645,8 @@ mod tests {
         let (_, pager, files) = files();
         let mut batch = Vec::new();
         let mut cur = files[0].scan();
-        let mut row = Vec::new();
-        while cur.next(&pager, &files[0], &mut row).unwrap().is_some() {
-            batch.push(row.clone());
+        while let Some((_, row)) = cur.next(&pager, &files[0]).unwrap() {
+            batch.push(row.to_vec());
         }
         let key = files[1].chain().unwrap().key;
         let stamps = crate::history::Stamps {

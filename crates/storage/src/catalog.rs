@@ -193,9 +193,8 @@ impl StoredRelation {
     ) -> Result<()> {
         let mut rows = Vec::with_capacity(self.tuple_count as usize);
         let mut cur = self.file.scan();
-        let mut row = Vec::new();
-        while cur.next(pager, &self.file, &mut row)?.is_some() {
-            rows.push(row.clone());
+        while let Some((_, row)) = cur.next(pager, &self.file)? {
+            rows.push(row.to_vec());
         }
         if let Some(h) = &self.history {
             h.for_all(pager, |row| {
@@ -486,10 +485,10 @@ mod tests {
             let mut n = 0;
             let mut sum = 0i64;
             let mut cur = rel.file.scan();
-            let mut row = Vec::new();
-            while cur.next(&pager, &rel.file, &mut row).unwrap().is_some() {
+            while let Some((_, row)) = cur.next(&pager, &rel.file).unwrap()
+            {
                 n += 1;
-                sum += rel.codec.get_i4(&row, 0) as i64;
+                sum += rel.codec.get_i4(row, 0) as i64;
             }
             assert_eq!(n, 100, "after modify to {method:?}");
             assert_eq!(sum, 5050);

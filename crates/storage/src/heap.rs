@@ -6,7 +6,7 @@
 //! `modify`.
 
 use crate::disk::FileId;
-use crate::page::PageKind;
+use crate::page::{PageKind, PageRows};
 use crate::pager::Pager;
 use crate::tuple::TupleId;
 use tdbms_kernel::Result;
@@ -39,7 +39,7 @@ impl HeapFile {
 
     /// Begin a full scan.
     pub fn scan(&self) -> HeapScan {
-        HeapScan { page: 0, slot: 0 }
+        HeapScan::default()
     }
 }
 
@@ -87,42 +87,47 @@ impl HeapAppender {
 ///
 /// Holds no borrow of the pager, so callers can interleave access to other
 /// relations (as tuple substitution does) between `next` calls.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HeapScan {
     page: u32,
     slot: u16,
+    /// The rows of `page`, once entered.
+    rows: PageRows,
+    loaded: bool,
 }
 
 impl HeapScan {
-    /// Advance: fill `row` with the next row and return its address;
-    /// `None` at end of file. One buffered access per call, and the
-    /// file's length is asked only on entering a page.
+    /// Advance: the next row and its address, borrowed from the cursor
+    /// until the next call; `None` at end of file. Entering a page asks
+    /// the file's length and copies the page's rows in one buffered
+    /// access; the rest of the page is served from that copy.
     pub fn next(
         &mut self,
         pager: &Pager,
         heap: &HeapFile,
-        row: &mut Vec<u8>,
-    ) -> Result<Option<TupleId>> {
+    ) -> Result<Option<(TupleId, &[u8])>> {
         loop {
-            if self.slot == 0 && self.page >= pager.page_count(heap.file)? {
-                return Ok(None);
-            }
-            let got = pager.read(heap.file, self.page, |p| {
-                ((self.slot as usize) < p.count())
-                    .then(|| p.copy_row(heap.row_width, self.slot, row))
-            })?;
-            match got {
-                Some(copied) => {
-                    copied?;
-                    let tid = TupleId::new(self.page, self.slot);
-                    self.slot += 1;
-                    return Ok(Some(tid));
+            if !self.loaded {
+                if self.page >= pager.page_count(heap.file)? {
+                    return Ok(None);
                 }
-                None => {
-                    self.page += 1;
-                    self.slot = 0;
-                }
+                self.rows.load(
+                    pager,
+                    heap.file,
+                    self.page,
+                    heap.row_width,
+                )?;
+                self.loaded = true;
+                self.slot = 0;
             }
+            if (self.slot as usize) < self.rows.len() {
+                let slot = self.slot;
+                self.slot += 1;
+                let tid = TupleId::new(self.page, slot);
+                return Ok(Some((tid, self.rows.row(slot))));
+            }
+            self.page += 1;
+            self.loaded = false;
         }
     }
 }
@@ -146,8 +151,7 @@ mod tests {
         assert_eq!(pager.page_count(heap.file).unwrap(), 3);
         let mut scan = heap.scan();
         let mut seen = Vec::new();
-        let mut r = Vec::new();
-        while scan.next(&pager, &heap, &mut r).unwrap().is_some() {
+        while let Some((_, r)) = scan.next(&pager, &heap).unwrap() {
             seen.push(r[0]);
         }
         assert_eq!(seen, (0..25).collect::<Vec<u8>>());
@@ -195,8 +199,7 @@ mod tests {
         pager.invalidate_buffers().unwrap();
         let cost = pager.stats().scope();
         let mut scan = heap.scan();
-        let mut r = Vec::new();
-        while scan.next(&pager, &heap, &mut r).unwrap().is_some() {}
+        while scan.next(&pager, &heap).unwrap().is_some() {}
         assert_eq!(
             cost.of(heap.file).reads as u32,
             pager.page_count(heap.file).unwrap()
@@ -208,10 +211,7 @@ mod tests {
         let pager = Pager::in_memory();
         let heap = HeapFile::create(&pager, 10).unwrap();
         let mut scan = heap.scan();
-        assert!(scan
-            .next(&pager, &heap, &mut Vec::new())
-            .unwrap()
-            .is_none());
+        assert!(scan.next(&pager, &heap).unwrap().is_none());
         assert_eq!(pager.page_count(heap.file).unwrap(), 0);
     }
 }

@@ -44,7 +44,7 @@
 
 use crate::disk::FileId;
 use crate::key::KeySpec;
-use crate::page::{page_capacity, PageKind};
+use crate::page::{page_capacity, PageKind, PageRows};
 use crate::pager::Pager;
 use std::collections::HashMap;
 use tdbms_kernel::{
@@ -154,14 +154,14 @@ impl ClusteredHistory {
             max_stop: TimeVal::BEGINNING,
             max_valid_to: TimeVal::BEGINNING,
         };
-        let mut rows = Vec::new();
+        let mut rows = PageRows::default();
         for page_no in 0..pager.page_count(file)? {
-            out.read_rows(pager, page_no, &mut rows)?;
-            if let Some(first) = rows.get(..row_width) {
-                let kb = key.extract(first).to_vec();
+            rows.load(pager, file, page_no, row_width)?;
+            if !rows.is_empty() {
+                let kb = key.extract(rows.row(0)).to_vec();
                 out.clusters.entry(kb).or_default().push(page_no);
             }
-            for row in rows.chunks_exact(row_width) {
+            for (_, row) in rows.rows() {
                 out.raise(stamps(row));
             }
         }
@@ -276,6 +276,9 @@ impl ClusteredHistory {
     }
 
     /// Visit every history version of `key_bytes`, in migration order.
+    /// Each cluster page costs one buffered access, which copies its
+    /// rows; the visitor runs on that copy with the pager released,
+    /// since it may touch other pages.
     pub fn for_key(
         &self,
         pager: &Pager,
@@ -285,10 +288,10 @@ impl ClusteredHistory {
         let Some(pages) = self.clusters.get(key_bytes) else {
             return Ok(());
         };
-        let mut rows = Vec::new();
+        let mut rows = PageRows::default();
         for &page_no in pages {
-            self.read_rows(pager, page_no, &mut rows)?;
-            for row in rows.chunks_exact(self.row_width) {
+            rows.load(pager, self.file, page_no, self.row_width)?;
+            for (_, row) in rows.rows() {
                 if self.key.compare(self.key.extract(row), key_bytes)
                     == std::cmp::Ordering::Equal
                 {
@@ -299,39 +302,22 @@ impl ClusteredHistory {
         Ok(())
     }
 
-    /// Visit every history version.
+    /// Visit every history version, one buffered access per page as in
+    /// [`ClusteredHistory::for_key`].
     pub fn for_all(
         &self,
         pager: &Pager,
         mut f: impl FnMut(&[u8]) -> Result<()>,
     ) -> Result<()> {
         let n = pager.page_count(self.file)?;
-        let mut rows = Vec::new();
+        let mut rows = PageRows::default();
         for page_no in 0..n {
-            self.read_rows(pager, page_no, &mut rows)?;
-            for row in rows.chunks_exact(self.row_width) {
+            rows.load(pager, self.file, page_no, self.row_width)?;
+            for (_, row) in rows.rows() {
                 f(row)?;
             }
         }
         Ok(())
-    }
-
-    /// Replace `rows` with page `page_no`'s rows, end to end: one
-    /// buffered access, and one copy of each row into a buffer the
-    /// caller reuses from page to page. (The visitor runs after the
-    /// pager is released, since it may touch other pages.)
-    fn read_rows(
-        &self,
-        pager: &Pager,
-        page_no: u32,
-        rows: &mut Vec<u8>,
-    ) -> Result<()> {
-        pager.read(self.file, page_no, |p| {
-            rows.clear();
-            for (_, row) in p.rows(self.row_width) {
-                rows.extend_from_slice(row);
-            }
-        })
     }
 }
 

@@ -318,9 +318,8 @@ mod tests {
         let kb = 500i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         let mut n = 0;
-        let mut row = Vec::new();
-        while cur.next(&pager, &f.chain, &mut row).unwrap().is_some() {
-            assert_eq!(codec.get_i4(&row, 0), 500);
+        while let Some((_, row)) = cur.next(&pager, &f.chain).unwrap() {
+            assert_eq!(codec.get_i4(row, 0), 500);
             n += 1;
         }
         assert_eq!(n, 1);
@@ -334,8 +333,7 @@ mod tests {
         pager.invalidate_buffers().unwrap();
         let cost = pager.stats().scope();
         let mut cur = f50.lookup(&pager, &kb).unwrap();
-        let mut row = Vec::new();
-        while cur.next(&pager, &f50.chain, &mut row).unwrap().is_some() {}
+        while cur.next(&pager, &f50.chain).unwrap().is_some() {}
         assert_eq!(cost.of(f50.chain.file).reads, 3);
     }
 
@@ -349,8 +347,7 @@ mod tests {
         let cost = pager.stats().scope();
         let mut scan = ChainScan::default();
         let mut n = 0;
-        let mut row = Vec::new();
-        while scan.next(&pager, &f.chain, &mut row).unwrap().is_some() {
+        while scan.next(&pager, &f.chain).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 1024);
@@ -365,9 +362,8 @@ mod tests {
             IsamFile::build(&pager, &rows, 108, key(&codec), 100).unwrap();
         let mut scan = ChainScan::default();
         let mut prev = i32::MIN;
-        let mut row = Vec::new();
-        while scan.next(&pager, &f.chain, &mut row).unwrap().is_some() {
-            let id = codec.get_i4(&row, 0);
+        while let Some((_, row)) = scan.next(&pager, &f.chain).unwrap() {
+            let id = codec.get_i4(row, 0);
             assert!(id > prev);
             prev = id;
         }
@@ -391,8 +387,7 @@ mod tests {
         let kb = 12i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         let mut n = 0;
-        let mut row = Vec::new();
-        while cur.next(&pager, &f.chain, &mut row).unwrap().is_some() {
+        while cur.next(&pager, &f.chain).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 13);
@@ -404,8 +399,7 @@ mod tests {
         let cost = pager.stats().scope();
         let kb = 60i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
-        let mut row = Vec::new();
-        while cur.next(&pager, &f.chain, &mut row).unwrap().is_some() {}
+        while cur.next(&pager, &f.chain).unwrap().is_some() {}
         assert_eq!(cost.of(f.chain.file).reads, 2);
     }
 
@@ -456,8 +450,7 @@ mod tests {
         let kb = 5i32.to_le_bytes();
         let mut cur = f.lookup(&pager, &kb).unwrap();
         let mut n = 0;
-        let mut row = Vec::new();
-        while cur.next(&pager, &f.chain, &mut row).unwrap().is_some() {
+        while cur.next(&pager, &f.chain).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 31);
@@ -473,9 +466,7 @@ mod tests {
             let kb = probe.to_le_bytes();
             let mut cur = f.lookup(&pager, &kb).unwrap();
             assert!(
-                cur.next(&pager, &f.chain, &mut Vec::new())
-                    .unwrap()
-                    .is_none(),
+                cur.next(&pager, &f.chain).unwrap().is_none(),
                 "key {probe} should be absent"
             );
         }
@@ -490,10 +481,7 @@ mod tests {
         assert_eq!(f.chain.n_heads, 1);
         assert_eq!(f.n_directory_pages(), 1);
         let mut scan = ChainScan::default();
-        assert!(scan
-            .next(&pager, &f.chain, &mut Vec::new())
-            .unwrap()
-            .is_none());
+        assert!(scan.next(&pager, &f.chain).unwrap().is_none());
     }
 
     /// The descent as a linear scan of each visited directory page: the
@@ -633,9 +621,7 @@ mod tests {
             let kb = f.chain.key.extract(&probe).to_vec();
             let mut cur = f.lookup(&pager, &kb).unwrap();
             assert!(
-                cur.next(&pager, &f.chain, &mut Vec::new())
-                    .unwrap()
-                    .is_some(),
+                cur.next(&pager, &f.chain).unwrap().is_some(),
                 "key{:02} not found",
                 i
             );

@@ -18,7 +18,7 @@
 use crate::bloom::Bloom;
 use crate::disk::FileId;
 use crate::key::KeySpec;
-use crate::page::{PageKind, NO_PAGE};
+use crate::page::{PageKind, PageRows, NO_PAGE, PAGE_SIZE};
 use crate::pager::Pager;
 use crate::tuple::TupleId;
 use std::cmp::Ordering;
@@ -101,14 +101,21 @@ impl ChainFile {
 /// range of head pages.
 #[derive(Debug, Clone)]
 pub struct ChainLookup {
-    key: Vec<u8>,
+    /// The sought key, then the versions found on the page visited
+    /// last, each as its 2-byte slot and its row: one buffer.
+    buf: Vec<u8>,
+    key_len: usize,
+    /// Offset in `buf` of the next version to hand out.
+    at: usize,
+    /// The page those versions came from.
+    found_on: u32,
     /// Current head page.
     head: u32,
     /// Last candidate head page (inclusive).
     last_head: u32,
-    /// Current page in the current head's chain; [`NO_PAGE`] once done.
+    /// Next page to visit in the current head's chain; [`NO_PAGE`] once
+    /// every candidate chain was visited.
     page: u32,
-    slot: u16,
 }
 
 impl ChainLookup {
@@ -116,56 +123,60 @@ impl ChainLookup {
     /// file passes its one bucket twice, ISAM the range its directory
     /// descent returns (an equal-key run may span data pages).
     pub fn new(key_bytes: &[u8], heads: (u32, u32)) -> ChainLookup {
+        // Room behind the key for a page's worth of versions.
+        let mut buf = Vec::with_capacity(key_bytes.len() + PAGE_SIZE);
+        buf.extend_from_slice(key_bytes);
         ChainLookup {
-            key: key_bytes.to_vec(),
+            key_len: key_bytes.len(),
+            at: buf.len(),
+            buf,
+            found_on: NO_PAGE,
             head: heads.0,
             last_head: heads.1,
             page: heads.0,
-            slot: 0,
         }
     }
 
     /// Advance to the next version with the sought key (all versions —
-    /// the caller applies any version predicate): fill `row` with it and
-    /// return its address.
+    /// the caller applies any version predicate): the row and its
+    /// address, borrowed from the cursor until the next call. Each chain
+    /// page visited costs one buffered access, which compares every row's
+    /// key and copies out the versions that match.
     pub fn next(
         &mut self,
         pager: &Pager,
         chain: &ChainFile,
-        row: &mut Vec<u8>,
-    ) -> Result<Option<TupleId>> {
-        while self.page != NO_PAGE {
+    ) -> Result<Option<(TupleId, &[u8])>> {
+        let w = chain.row_width;
+        while self.at == self.buf.len() && self.page != NO_PAGE {
             let page_no = self.page;
-            // Search the resident page from the current slot: a hit, or
-            // the chain's next page.
-            let step = pager.read(chain.file, page_no, |p| {
-                for s in self.slot..p.count() as u16 {
-                    let r = p.row(chain.row_width, s)?;
-                    if chain.key.compare(chain.key.extract(r), &self.key)
+            let next = pager.read(chain.file, page_no, |p| {
+                self.buf.truncate(self.key_len);
+                for (slot, row) in
+                    p.row_bytes(w)?.chunks_exact(w).enumerate()
+                {
+                    let k = chain.key.extract(row);
+                    if chain.key.compare(k, &self.buf[..self.key_len])
                         == Ordering::Equal
                     {
-                        row.clear();
-                        row.extend_from_slice(r);
-                        return Ok::<_, Error>(Ok(s));
+                        self.buf.extend_from_slice(
+                            &(slot as u16).to_le_bytes(),
+                        );
+                        self.buf.extend_from_slice(row);
                     }
                 }
-                Ok(Err(p.overflow()))
+                Ok::<_, Error>(p.overflow())
             })??;
-            let next = match step {
-                Ok(slot) => {
-                    self.slot = slot + 1;
-                    return Ok(Some(TupleId::new(page_no, slot)));
-                }
-                Err(next) => next,
-            };
-            self.slot = 0;
+            self.at = self.key_len;
+            self.found_on = page_no;
             // Leaving a head page for its overflow chain: if the guard
             // says no version of this key was ever placed on overflow,
             // the walk would find nothing. (Overflow rows exist only via
             // inserts and build-time spill, which always note the key.)
             let skip = next != NO_PAGE
                 && page_no == self.head
-                && pager.bloom_check(chain.file, &self.key) == Some(false);
+                && pager.bloom_check(chain.file, &self.buf[..self.key_len])
+                    == Some(false);
             self.page = if next != NO_PAGE && !skip {
                 next
             } else if self.head < self.last_head {
@@ -175,7 +186,14 @@ impl ChainLookup {
                 NO_PAGE
             };
         }
-        Ok(None)
+        if self.at == self.buf.len() {
+            return Ok(None);
+        }
+        let at = self.at;
+        self.at += 2 + w;
+        let slot = u16::from_le_bytes([self.buf[at], self.buf[at + 1]]);
+        let tid = TupleId::new(self.found_on, slot);
+        Ok(Some((tid, &self.buf[at + 2..at + 2 + w])))
     }
 }
 
@@ -187,38 +205,45 @@ pub struct ChainScan {
     head: u32,
     page: u32,
     slot: u16,
+    /// The rows of `page`, once entered.
+    rows: PageRows,
+    loaded: bool,
 }
 
 impl ChainScan {
-    /// Advance: fill `row` with the next row and return its address;
-    /// `None` once every chain is exhausted.
+    /// Advance: the next row and its address, borrowed from the cursor
+    /// until the next call; `None` once every chain is exhausted. Each
+    /// page visited costs one buffered access, which copies its rows and
+    /// its overflow link; the rest of the page is served from that copy.
     pub fn next(
         &mut self,
         pager: &Pager,
         chain: &ChainFile,
-        row: &mut Vec<u8>,
-    ) -> Result<Option<TupleId>> {
+    ) -> Result<Option<(TupleId, &[u8])>> {
         while self.head < chain.n_heads {
-            let got = pager.read(chain.file, self.page, |p| {
-                if (self.slot as usize) < p.count() {
-                    Some(p.copy_row(chain.row_width, self.slot, row))
-                } else {
-                    self.slot = 0;
-                    let next = p.overflow();
-                    if next == NO_PAGE {
-                        self.head += 1;
-                        self.page = self.head;
-                    } else {
-                        self.page = next;
-                    }
-                    None
-                }
-            })?;
-            if let Some(copied) = got {
-                copied?;
-                let tid = TupleId::new(self.page, self.slot);
+            if !self.loaded {
+                self.rows.load(
+                    pager,
+                    chain.file,
+                    self.page,
+                    chain.row_width,
+                )?;
+                self.loaded = true;
+                self.slot = 0;
+            }
+            if (self.slot as usize) < self.rows.len() {
+                let slot = self.slot;
                 self.slot += 1;
-                return Ok(Some(tid));
+                let tid = TupleId::new(self.page, slot);
+                return Ok(Some((tid, self.rows.row(slot))));
+            }
+            self.loaded = false;
+            match self.rows.overflow() {
+                NO_PAGE => {
+                    self.head += 1;
+                    self.page = self.head;
+                }
+                next => self.page = next,
             }
         }
         Ok(None)
@@ -239,8 +264,7 @@ mod tests {
         let mut cur =
             rel.lookup_eq(pager, &id.to_le_bytes()).unwrap().unwrap();
         let mut n = 0;
-        let mut row = Vec::new();
-        while cur.next(pager, rel, &mut row).unwrap().is_some() {
+        while cur.next(pager, rel).unwrap().is_some() {
             n += 1;
         }
         (cost.of(rel.file_id()).reads, n)

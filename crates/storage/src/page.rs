@@ -24,6 +24,8 @@
 //! 116/124-byte rows of the versioned relation classes — matching the
 //! paper's space numbers.
 
+use crate::disk::FileId;
+use crate::pager::Pager;
 use tdbms_kernel::{Error, Result};
 
 /// Page size in bytes (Ingres-compatible).
@@ -232,8 +234,8 @@ impl Page {
         Ok(last as u16)
     }
 
-    /// Replace `buf`'s contents with the row in `slot`: the one copy a
-    /// buffer-filling cursor makes of a row.
+    /// Replace `buf`'s contents with the row in `slot` (what
+    /// [`crate::RelFile::get`] copies out).
     pub(crate) fn copy_row(
         &self,
         row_width: usize,
@@ -246,6 +248,22 @@ impl Page {
         Ok(())
     }
 
+    /// The occupied slots, end to end: `count × row_width` bytes. A slot
+    /// count that overruns the page is corruption.
+    pub(crate) fn row_bytes(&self, row_width: usize) -> Result<&[u8]> {
+        let end = PAGE_HEADER + self.count() * row_width;
+        self.bytes
+            .get(PAGE_HEADER..end)
+            .ok_or_else(|| Error::Corruption {
+                file: None,
+                page: None,
+                detail: format!(
+                    "{} slots of {row_width} bytes overrun the page",
+                    self.count()
+                ),
+            })
+    }
+
     /// Iterate over the occupied slots as `(slot, row_bytes)`.
     pub fn rows(
         &self,
@@ -255,6 +273,68 @@ impl Page {
             let off = PAGE_HEADER + i * row_width;
             (i as u16, &self.bytes[off..off + row_width])
         })
+    }
+}
+
+/// One page's rows, its slot count and its overflow link, copied out of
+/// the buffer pool in one access into a buffer reused from page to page.
+/// A cursor loads each page it visits and serves that page's rows from
+/// here without the pager, so a page visit costs one buffered access
+/// however many rows it yields.
+#[derive(Debug, Clone, Default)]
+pub struct PageRows {
+    /// The loaded page's rows, end to end.
+    buf: Vec<u8>,
+    width: usize,
+    count: u16,
+    overflow: u32,
+}
+
+impl PageRows {
+    /// Replace the rows with those of page `page_no` of `file`, `width`
+    /// bytes each: one buffered access.
+    pub fn load(
+        &mut self,
+        pager: &Pager,
+        file: FileId,
+        page_no: u32,
+        width: usize,
+    ) -> Result<()> {
+        pager.read(file, page_no, |p| {
+            let rows = p.row_bytes(width)?;
+            self.buf.clear();
+            self.buf.extend_from_slice(rows);
+            self.width = width;
+            self.count = p.count() as u16;
+            self.overflow = p.overflow();
+            Ok(())
+        })?
+    }
+
+    /// Rows loaded.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// True when the loaded page holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The row in `slot`, which must be below [`PageRows::len`].
+    pub fn row(&self, slot: u16) -> &[u8] {
+        let off = slot as usize * self.width;
+        &self.buf[off..off + self.width]
+    }
+
+    /// The loaded rows as `(slot, row_bytes)`.
+    pub fn rows(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
+        (0..self.count).map(move |s| (s, self.row(s)))
+    }
+
+    /// The loaded page's overflow link, or [`NO_PAGE`].
+    pub fn overflow(&self) -> u32 {
+        self.overflow
     }
 }
 

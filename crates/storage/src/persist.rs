@@ -492,9 +492,8 @@ mod tests {
             );
             let mut rows = Vec::new();
             let mut cur = rel.file.scan();
-            let mut r = Vec::new();
-            while cur.next(&pager, &rel.file, &mut r).unwrap().is_some() {
-                rows.push(r.clone());
+            while let Some((_, r)) = cur.next(&pager, &rel.file).unwrap() {
+                rows.push(r.to_vec());
             }
             saved_rows = rows;
         }
@@ -519,16 +518,15 @@ mod tests {
         // Rows come back identical, through the reconstructed ISAM.
         let mut rows = Vec::new();
         let mut cur = rel.file.scan();
-        let mut r = Vec::new();
-        while cur.next(&pager, &rel.file, &mut r).unwrap().is_some() {
-            rows.push(r.clone());
+        while let Some((_, r)) = cur.next(&pager, &rel.file).unwrap() {
+            rows.push(r.to_vec());
         }
         assert_eq!(rows, saved_rows);
         // Keyed access works through the reloaded descriptor.
         let kb = 7i32.to_le_bytes();
         let mut cur = rel.file.lookup_eq(&pager, &kb).unwrap().unwrap();
-        cur.next(&pager, &rel.file, &mut r).unwrap().unwrap();
-        assert_eq!(rel.codec.get_i4(&r, 0), 7);
+        let (_, r) = cur.next(&pager, &rel.file).unwrap().unwrap();
+        assert_eq!(rel.codec.get_i4(r, 0), 7);
         // The reloaded index finds by amount.
         let tids = rel.indexes[0]
             .index

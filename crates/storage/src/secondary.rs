@@ -89,9 +89,8 @@ impl SecondaryIndex {
         let entry_width = target_attr.len + 6;
         let mut entries: Vec<Vec<u8>> = Vec::new();
         let mut cur = target.scan();
-        let mut row = Vec::new();
-        while let Some(tid) = cur.next(pager, target, &mut row)? {
-            entries.push(encode_entry(target_attr.extract(&row), tid));
+        while let Some((tid, row)) = cur.next(pager, target)? {
+            entries.push(encode_entry(target_attr.extract(row), tid));
         }
         let index_key = KeySpec {
             offset: 0,
@@ -191,15 +190,14 @@ impl SecondaryIndex {
         }
         let mut out = Vec::new();
         let attr_len = self.target_attr.len;
-        let mut e = Vec::new();
         match &self.file {
             RelFile::Heap(_) => {
                 let mut cur = self.file.scan();
-                while cur.next(pager, &self.file, &mut e)?.is_some() {
+                while let Some((_, e)) = cur.next(pager, &self.file)? {
                     if self.target_attr.compare(&e[..attr_len], attr_bytes)
                         == std::cmp::Ordering::Equal
                     {
-                        out.push(decode_tid(&e, attr_len));
+                        out.push(decode_tid(e, attr_len));
                     }
                 }
             }
@@ -208,8 +206,8 @@ impl SecondaryIndex {
                     .file
                     .lookup_eq(pager, attr_bytes)?
                     .ok_or_else(|| Error::Internal("keyed index".into()))?;
-                while cur.next(pager, &self.file, &mut e)?.is_some() {
-                    out.push(decode_tid(&e, attr_len));
+                while let Some((_, e)) = cur.next(pager, &self.file)? {
+                    out.push(decode_tid(e, attr_len));
                 }
             }
         }
@@ -319,10 +317,9 @@ mod tests {
         let want = 300i32.to_le_bytes();
         let mut expect: Vec<i32> = Vec::new();
         let mut cur = target.scan();
-        let mut row = Vec::new();
-        while cur.next(&pager, &target, &mut row).unwrap().is_some() {
-            if codec.get_i4(&row, 1) == 300 {
-                expect.push(codec.get_i4(&row, 0));
+        while let Some((_, row)) = cur.next(&pager, &target).unwrap() {
+            if codec.get_i4(row, 1) == 300 {
+                expect.push(codec.get_i4(row, 0));
             }
         }
         expect.sort_unstable();

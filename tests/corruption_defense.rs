@@ -68,9 +68,8 @@ fn stored_rows(db: &mut Database) -> Vec<Vec<u8>> {
     let file = catalog.get(id).file.clone();
     let mut rows = Vec::new();
     let mut cur = file.scan();
-    let mut row = Vec::new();
-    while cur.next(pager, &file, &mut row).unwrap().is_some() {
-        rows.push(row.clone());
+    while let Some((_, row)) = cur.next(pager, &file).unwrap() {
+        rows.push(row.to_vec());
     }
     rows.sort();
     rows

@@ -21,9 +21,9 @@ fn stored(db: &mut Database, rel: &str) -> Vec<Vec<Value>> {
     let (pager, catalog, _) = db.internals();
     let r = catalog.get(catalog.require(rel).expect(rel));
     let mut scan = r.file.scan();
-    let (mut out, mut row) = (Vec::new(), Vec::new());
-    while scan.next(pager, &r.file, &mut row).expect("scan").is_some() {
-        out.push(r.codec.decode(&row).expect("decode"));
+    let mut out = Vec::new();
+    while let Some((_, row)) = scan.next(pager, &r.file).expect("scan") {
+        out.push(r.codec.decode(row).expect("decode"));
     }
     out
 }

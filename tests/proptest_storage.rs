@@ -9,7 +9,7 @@ use tdbms_prop::{check, Gen};
 use tdbms_storage::{
     BufferConfig, DiskManager, EvictionPolicy, FileId, HashFile, HashFn,
     HeapFile, IsamFile, KeySpec, MemDisk, PageKind, Pager, RelFile,
-    NO_PAGE,
+    TupleId, NO_PAGE,
 };
 
 fn codec() -> tdbms::Schema {
@@ -53,11 +53,10 @@ fn collect_scan(
     let c = tdbms_kernel::RowCodec::new(schema);
     let mut m: BTreeMap<i32, Vec<i32>> = BTreeMap::new();
     let mut cur = file.scan();
-    let mut row = Vec::new();
-    while cur.next(pager, file, &mut row).unwrap().is_some() {
-        m.entry(c.get_i4(&row, 0))
+    while let Some((_, row)) = cur.next(pager, file).unwrap() {
+        m.entry(c.get_i4(row, 0))
             .or_default()
-            .push(c.get_i4(&row, 1));
+            .push(c.get_i4(row, 1));
     }
     for v in m.values_mut() {
         v.sort_unstable();
@@ -75,10 +74,9 @@ fn collect_lookup(
     let mut out = Vec::new();
     let kb = key.to_le_bytes();
     let mut cur = file.lookup_eq(pager, &kb).unwrap().expect("keyed file");
-    let mut row = Vec::new();
-    while cur.next(pager, file, &mut row).unwrap().is_some() {
-        assert_eq!(c.get_i4(&row, 0), key, "lookup returned a foreign key");
-        out.push(c.get_i4(&row, 1));
+    while let Some((_, row)) = cur.next(pager, file).unwrap() {
+        assert_eq!(c.get_i4(row, 0), key, "lookup returned a foreign key");
+        out.push(c.get_i4(row, 1));
     }
     out.sort_unstable();
     out
@@ -220,6 +218,186 @@ fn keyed_files_agree_with_model() {
     });
 }
 
+/// `(tid, row)` of every stored row, decoded straight from the pages
+/// in file order (a heap's pages in turn, a chained file's heads each
+/// followed by its chain), and the number of pages that took.
+fn page_decode(
+    pager: &Pager,
+    file: &RelFile,
+) -> (Vec<(TupleId, Vec<u8>)>, u64) {
+    let id = file.file_id();
+    let pages: Vec<u32> = match file {
+        RelFile::Heap(_) => (0..pager.page_count(id).unwrap()).collect(),
+        RelFile::Hash(HashFile { chain, .. })
+        | RelFile::Isam(IsamFile { chain, .. }) => (0..chain.n_heads)
+            .flat_map(|head| {
+                std::iter::successors(Some(head), |&p| {
+                    let next = pager.read(id, p, |pg| pg.overflow());
+                    Some(next.unwrap()).filter(|&n| n != NO_PAGE)
+                })
+            })
+            .collect(),
+    };
+    let mut out = Vec::new();
+    for &p in &pages {
+        pager
+            .read(id, p, |pg| {
+                for (slot, row) in pg.rows(WIDTH) {
+                    out.push((TupleId::new(p, slot), row.to_vec()));
+                }
+            })
+            .unwrap();
+    }
+    (out, pages.len() as u64)
+}
+
+/// Heap, hash and ISAM files of random contents, with overflow chains
+/// from inserts and pages compacted by physical deletes: a scan, every
+/// keyed lookup and a `get` of every row yield exactly the raw page
+/// decode, and from cold buffers a cursor makes one buffered access per
+/// page it visits (a scan one per page, a lookup one per page of its
+/// descent and chains, no page accessed twice), at 1 and 3 frames.
+#[test]
+fn cursors_agree_with_a_page_decode_at_one_access_per_page() {
+    check(
+        "cursors_agree_with_a_page_decode_at_one_access_per_page",
+        48,
+        |g: &mut Gen| {
+            let initial =
+                g.vec(0..150, |g| (g.range(-30i32..30), g.any_i32()));
+            let inserts =
+                g.vec(0..80, |g| (g.range(-30i32..30), g.any_i32()));
+            let fill = *g.pick(&[50u8, 100]);
+            let frames = *g.pick(&[1usize, 3]);
+            let delete_one_in = g.range(2u32..8);
+
+            let schema = codec();
+            let pager = Pager::in_memory_with_config(
+                BufferConfig::uniform(frames, EvictionPolicy::Lru),
+            );
+            let rows: Vec<Vec<u8>> = initial
+                .iter()
+                .map(|(k, v)| encode(&schema, *k, *v))
+                .collect();
+            let key = KeySpec {
+                offset: 0,
+                len: 4,
+                kind: tdbms_storage::KeyKind::I4,
+            };
+            let heap = HeapFile::create(&pager, WIDTH).unwrap();
+            for r in &rows {
+                heap.insert(&pager, r).unwrap();
+            }
+            let files = [
+                RelFile::Heap(heap),
+                RelFile::Hash(
+                    HashFile::build(
+                        &pager,
+                        &rows,
+                        WIDTH,
+                        key,
+                        HashFn::Mod,
+                        fill,
+                    )
+                    .unwrap(),
+                ),
+                RelFile::Isam(
+                    IsamFile::build(&pager, &rows, WIDTH, key, fill)
+                        .unwrap(),
+                ),
+            ];
+            for file in files {
+                let what = file.method();
+                for (k, v) in &inserts {
+                    file.insert(&pager, &encode(&schema, *k, *v)).unwrap();
+                }
+                // Physical deletes, each page's slots highest first: a
+                // deleted slot takes its page's last row.
+                let (stored, _) = page_decode(&pager, &file);
+                let mut doomed: Vec<TupleId> = stored
+                    .iter()
+                    .map(|(tid, _)| *tid)
+                    .filter(|_| g.range(0..delete_one_in) == 0)
+                    .collect();
+                doomed.sort_unstable();
+                for tid in doomed.into_iter().rev() {
+                    file.delete(&pager, tid).unwrap();
+                }
+                pager.flush_all().unwrap();
+                let (decoded, pages) = page_decode(&pager, &file);
+
+                // A scan: the decode, one access and one read per page.
+                pager.invalidate_buffers().unwrap();
+                let cost = pager.stats().scope();
+                let mut scanned = Vec::new();
+                let mut cur = file.scan();
+                while let Some((tid, row)) =
+                    cur.next(&pager, &file).unwrap()
+                {
+                    scanned.push((tid, row.to_vec()));
+                }
+                assert_eq!(scanned, decoded, "{what} scan");
+                let io = cost.of(file.file_id());
+                assert_eq!(
+                    (io.accesses, io.hits, io.reads),
+                    (pages, 0, pages),
+                    "{what} scan: one access per page"
+                );
+
+                // A `get` of every row: one access each.
+                pager.invalidate_buffers().unwrap();
+                let cost = pager.stats().scope();
+                let mut row = Vec::new();
+                for (tid, want) in &decoded {
+                    file.get(&pager, *tid, &mut row).unwrap();
+                    assert_eq!(&row, want, "{what} get {tid}");
+                }
+                let accesses = cost.of(file.file_id()).accesses;
+                assert_eq!(accesses, decoded.len() as u64, "{what} get");
+
+                if matches!(file, RelFile::Heap(_)) {
+                    continue;
+                }
+                // Every key, present or not: the decode's rows of that
+                // key in file order, each page of the walk accessed once.
+                for probe in -32i32..32 {
+                    let kb = probe.to_le_bytes();
+                    pager.invalidate_buffers().unwrap();
+                    let cost = pager.stats().scope();
+                    let mut cur =
+                        file.lookup_eq(&pager, &kb).unwrap().unwrap();
+                    let mut found = Vec::new();
+                    while let Some((tid, row)) =
+                        cur.next(&pager, &file).unwrap()
+                    {
+                        found.push((tid, row.to_vec()));
+                    }
+                    let want: Vec<_> = decoded
+                        .iter()
+                        .filter(|(_, r)| r[..4] == kb)
+                        .cloned()
+                        .collect();
+                    assert_eq!(found, want, "{what} lookup {probe}");
+                    let io = cost.of(file.file_id());
+                    assert_eq!(
+                        (io.accesses, io.hits),
+                        (io.reads, 0),
+                        "{what} lookup {probe}: each page accessed once"
+                    );
+                    if let RelFile::Hash(h) = &file {
+                        let chain =
+                            chain_pages(&pager, &file, h.bucket_of(&kb));
+                        assert_eq!(
+                            io.reads, chain,
+                            "{what} lookup {probe}"
+                        );
+                    }
+                }
+            }
+        },
+    );
+}
+
 /// A heap preserves insertion order exactly.
 #[test]
 fn heap_preserves_order() {
@@ -234,9 +412,8 @@ fn heap_preserves_order() {
         let c = tdbms_kernel::RowCodec::new(&schema);
         let mut got = Vec::new();
         let mut cur = heap.scan();
-        let mut row = Vec::new();
-        while cur.next(&pager, &heap, &mut row).unwrap().is_some() {
-            got.push((c.get_i4(&row, 0), c.get_i4(&row, 1)));
+        while let Some((_, row)) = cur.next(&pager, &heap).unwrap() {
+            got.push((c.get_i4(row, 0), c.get_i4(row, 1)));
         }
         assert_eq!(got, rows);
     });
@@ -279,8 +456,7 @@ fn scan_cost_is_page_count() {
             let cost = pager.stats().scope();
             let mut n = 0usize;
             let mut cur = file.scan();
-            let mut row = Vec::new();
-            while cur.next(&pager, &file, &mut row).unwrap().is_some() {
+            while cur.next(&pager, &file).unwrap().is_some() {
                 n += 1;
             }
             assert_eq!(n, rows.len());

@@ -132,13 +132,8 @@ fn stored(db: &mut Database) -> Vec<Vec<u8>> {
     let rel = catalog.get(catalog.require("t").expect("t"));
     let mut rows = Vec::new();
     let mut cur = rel.file.scan();
-    let mut row = Vec::new();
-    while cur
-        .next(pager, &rel.file, &mut row)
-        .expect("scan")
-        .is_some()
-    {
-        rows.push(row.clone());
+    while let Some((_, row)) = cur.next(pager, &rel.file).expect("scan") {
+        rows.push(row.to_vec());
     }
     rows
 }

@@ -21,16 +21,15 @@ fn snapshot(db: &mut Database) -> State {
     let file = catalog.get(id).file.clone();
     let mut rows = Vec::new();
     let mut cur = file.scan();
-    let mut row = Vec::new();
-    while cur.next(pager, &file, &mut row).unwrap().is_some() {
+    while let Some((_, row)) = cur.next(pager, &file).unwrap() {
         let current = implicit.iter().enumerate().all(|(k, t)| {
             !matches!(
                 t,
                 TemporalAttr::ValidTo | TemporalAttr::TransactionStop
-            ) || codec.get_time(&row, 2 + k) == TimeVal::FOREVER
+            ) || codec.get_time(row, 2 + k) == TimeVal::FOREVER
         });
         if current {
-            rows.push((codec.get_i4(&row, 0), codec.get_i4(&row, 1)));
+            rows.push((codec.get_i4(row, 0), codec.get_i4(row, 1)));
         }
     }
     rows.sort_unstable();
