@@ -1,10 +1,13 @@
 //! Name resolution and semantic checking.
 //!
 //! The binder resolves tuple variables through the session's range table
-//! (built by `range of v is R` statements), attributes through the catalog,
-//! and time literals against the statement's transaction time. It enforces
-//! the taxonomy's applicability rules — `when`/`valid` need valid time,
-//! `as of` needs transaction time — and makes TQuel's defaults explicit:
+//! (built by `range of v is R` statements) and attributes through the
+//! catalog. It reads nothing else: `"now"` stays [`BExpr::Now`], which
+//! each execution evaluates at its own transaction time, so a binding
+//! holds until a name it resolved changes (the catalog's generation).
+//! It enforces the taxonomy's applicability rules — `when`/`valid` need
+//! valid time, `as of` needs transaction time — and makes TQuel's
+//! defaults explicit:
 //!
 //! * default `as of "now"` for any query touching a rollback or temporal
 //!   relation (you see the current database state unless you roll back);
@@ -20,10 +23,10 @@
 //! conjuncts — so detachment, conjunct levels and access paths treat it
 //! like any other. [`Binder::lower_tpred`] is the one place the
 //! `precede`/`overlap` comparison convention is written down. `as of`
-//! folds to a constant [`Visibility`] window at bind time.
+//! lowers to the two variable-free endpoints of an [`AsOf`], which each
+//! execution evaluates to its [`Visibility`] window.
 
 use crate::bound::*;
-use crate::eval::{eval_time, Env};
 use std::collections::HashMap;
 use tdbms_kernel::{
     Domain, Error, Result, TemporalAttr, TemporalKind, TimeVal, Value,
@@ -38,24 +41,20 @@ pub struct Binder<'a> {
     pub catalog: &'a Catalog,
     /// The session range table: variable → relation name.
     pub ranges: &'a HashMap<String, String>,
-    /// The statement's transaction time (resolves `"now"`).
-    pub now: TimeVal,
     /// Literals of the statement a template was parsed from, which
     /// [`ast::Expr::Param`] slots refer to (empty for concrete text).
     pub params: &'a [Literal],
 }
 
 impl<'a> Binder<'a> {
-    /// A binder for one statement at transaction time `now`.
+    /// A binder for one statement.
     pub fn new(
         catalog: &'a Catalog,
         ranges: &'a HashMap<String, String>,
-        now: TimeVal,
     ) -> Self {
         Binder {
             catalog,
             ranges,
-            now,
             params: &[],
         }
     }
@@ -148,12 +147,13 @@ impl<'a> Binder<'a> {
         })
     }
 
-    /// Resolve a time literal (`"now"`, `"forever"`, or a date/time).
-    pub fn resolve_time(&self, s: &str) -> Result<TimeVal> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "now" => Ok(self.now),
-            _ => TimeVal::parse(s),
-        }
+    /// Bind a time literal: `"now"` to [`BExpr::Now`], anything else
+    /// (`"forever"`, a date/time) to its instant.
+    fn bind_time(s: &str) -> Result<BExpr> {
+        Ok(match s.trim().eq_ignore_ascii_case("now") {
+            true => BExpr::Now,
+            false => BExpr::Const(Value::Time(TimeVal::parse(s)?)),
+        })
     }
 
     /// The valid span of range-table entry `vi` as its `(lo, hi)`
@@ -205,7 +205,7 @@ impl<'a> Binder<'a> {
                 self.span_of(vi, vars)?
             }
             ast::TemporalExpr::Lit(s) => {
-                let t = BExpr::Const(Value::Time(self.resolve_time(s)?));
+                let t = Self::bind_time(s)?;
                 (t.clone(), t)
             }
             ast::TemporalExpr::Start(x) => {
@@ -351,24 +351,17 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Fold a variable-free temporal expression (an `as of` bound) to
-    /// its `(lo, hi)` instants.
-    fn fold_time(
-        &self,
-        e: &ast::TemporalExpr,
-    ) -> Result<(TimeVal, TimeVal)> {
+    /// Lower a variable-free temporal expression (an `as of` bound) to
+    /// its `(lo, hi)` endpoints.
+    fn lower_instant(&self, e: &ast::TemporalExpr) -> Result<Span> {
         let mut vars = Vec::new();
-        let (lo, hi) = self.lower_texpr(e, &mut vars)?;
+        let span = self.lower_texpr(e, &mut vars)?;
         if !vars.is_empty() {
             return Err(Error::Semantic(
                 "tuple variables are not allowed in `as of`".into(),
             ));
         }
-        let env = Env {
-            slots: Vec::new(),
-            params: self.params,
-        };
-        Ok((eval_time(&lo, &env)?, eval_time(&hi, &env)?))
+        Ok(span)
     }
 
     /// Infer the result domain of a bound expression.
@@ -383,7 +376,7 @@ impl<'a> Binder<'a> {
             BExpr::Const(Value::Str(s)) => {
                 Domain::Char(s.len().clamp(1, 1000) as u16)
             }
-            BExpr::Const(Value::Time(_)) => Domain::Time,
+            BExpr::Const(Value::Time(_)) | BExpr::Now => Domain::Time,
             BExpr::Param(k) => self.infer_domain(
                 &BExpr::Const(self.param(*k)?.into()),
                 vars,
@@ -507,21 +500,16 @@ impl<'a> Binder<'a> {
             None => None,
         };
 
-        // As-of clause, folded to its window.
+        // As-of clause: its window's endpoints, evaluated per execution
+        // (which also refuses a window that ends before it starts).
         let explicit_as_of = match &r.as_of {
             Some(a) => {
-                let (at, at_hi) = self.fold_time(&a.at)?;
+                let (at, at_hi) = self.lower_instant(&a.at)?;
                 let through = match &a.through {
-                    Some(t) => self.fold_time(t)?.1,
+                    Some(t) => self.lower_instant(t)?.1,
                     None => at_hi,
                 };
-                if through < at {
-                    return Err(Error::Semantic(format!(
-                        "`as of` window ends at {through}, before it \
-                         starts at {at}"
-                    )));
-                }
-                Some(Visibility { at, through })
+                Some(AsOf { at, through })
             }
             None => None,
         };
@@ -537,11 +525,8 @@ impl<'a> Binder<'a> {
                 "`as of` requires a rollback or temporal relation".into(),
             ));
         }
-        let visibility = if has_tx {
-            Some(explicit_as_of.unwrap_or(Visibility::at(self.now)))
-        } else {
-            None
-        };
+        let as_of =
+            has_tx.then(|| explicit_as_of.unwrap_or_else(AsOf::now));
 
         if valid.is_some() && valid_vars.is_empty() {
             // A valid clause over constants only is permitted (it just
@@ -632,7 +617,7 @@ impl<'a> Binder<'a> {
             targets,
             conjuncts,
             valid,
-            visibility,
+            as_of,
             into: r.into.clone(),
             sort,
         })

@@ -2,16 +2,23 @@
 //!
 //! The binder turns TQuel syntax into these structures: tuple variables
 //! become indices into the statement's range table, attributes become
-//! column indices, time literals become resolved instants, and the TQuel
-//! *defaults* (default `when`, `valid`, and `as of` clauses) are made
-//! explicit. There is one predicate language: `when` and `valid` are
-//! lowered to ordinary [`BExpr`]s over each variable's valid-time
-//! attributes, and `as of` folds to a [`Visibility`] window.
+//! column indices, time literals become instants — `"now"` becomes
+//! [`BExpr::Now`], which each execution evaluates at its own instant —
+//! and the TQuel *defaults* (default `when`, `valid`, and `as of`
+//! clauses) are made explicit. There is one predicate language: `when`
+//! and `valid` are lowered to ordinary [`BExpr`]s over each variable's
+//! valid-time attributes, and `as of` to a pair of variable-free
+//! [`BExpr`]s ([`AsOf`]) that each execution evaluates to its
+//! [`Visibility`] window. So nothing bound depends on when it was bound.
 
+use crate::eval::{eval_time, Env};
 use std::sync::Arc;
-use tdbms_kernel::{DatabaseClass, Domain, TemporalKind, TimeVal, Value};
+use tdbms_kernel::{
+    DatabaseClass, Domain, Error, Result, TemporalKind, TimeVal, Value,
+};
 use tdbms_storage::RelId;
 use tdbms_tquel::ast::BinOp;
+use tdbms_tquel::token::Literal;
 
 /// One entry of a statement's range table: a tuple variable actually used
 /// by the statement.
@@ -38,6 +45,10 @@ pub enum BExpr {
     /// evaluation reads the executing statement's `k`-th literal from
     /// its [`crate::eval::Env`].
     Param(usize),
+    /// The statement's transaction time, the literal `"now"`: evaluation
+    /// reads the executing statement's instant from its
+    /// [`crate::eval::Env`], so a cached binding outlives any commit.
+    Now,
     /// Attribute `attr` (stored column index) of range-table entry `var`.
     Attr {
         /// Range-table index.
@@ -71,7 +82,7 @@ impl BExpr {
     /// Visit every attribute reference as `(var, attr)`.
     pub(crate) fn each_attr(&self, f: &mut dyn FnMut(usize, usize)) {
         match self {
-            BExpr::Const(_) | BExpr::Param(_) => {}
+            BExpr::Const(_) | BExpr::Param(_) | BExpr::Now => {}
             BExpr::Attr { var, attr } => f(*var, *attr),
             BExpr::Bin { lhs, rhs, .. } => {
                 lhs.each_attr(f);
@@ -84,7 +95,8 @@ impl BExpr {
         }
     }
 
-    /// Visit every leaf (constant, parameter or attribute) mutably.
+    /// Visit every leaf (constant, parameter, `now` or attribute)
+    /// mutably.
     fn each_leaf_mut(&mut self, f: &mut dyn FnMut(&mut BExpr)) {
         match self {
             BExpr::Bin { lhs, rhs, .. } => {
@@ -176,6 +188,29 @@ impl Visibility {
     }
 }
 
+/// A bound `as of` clause: the rollback window's start and end as
+/// variable-free instant expressions. Either may be `"now"`, so the
+/// window is evaluated per execution ([`BoundRetrieve::window`]), not
+/// at bind time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AsOf {
+    /// The rollback instant.
+    pub at: BExpr,
+    /// The end of the rollback span; `at`'s own end for a point
+    /// rollback.
+    pub through: BExpr,
+}
+
+impl AsOf {
+    /// The default `as of "now"`.
+    pub fn now() -> Self {
+        AsOf {
+            at: BExpr::Now,
+            through: BExpr::Now,
+        }
+    }
+}
+
 /// One bound output column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundTarget {
@@ -207,7 +242,7 @@ pub struct BoundRetrieve {
     /// static/rollback query).
     pub valid: Option<(BExpr, BExpr)>,
     /// Rollback window, `None` when no variable carries transaction time.
-    pub visibility: Option<Visibility>,
+    pub as_of: Option<AsOf>,
     /// Per variable: a variable-free expression for the instant the
     /// conjuncts force its valid end to reach (a lowered `overlap`), or
     /// `None` ([`crate::binder::Binder::valid_end_floors`]). Execution
@@ -224,6 +259,32 @@ pub struct BoundRetrieve {
 }
 
 impl BoundRetrieve {
+    /// The rollback window of a run with literals `params` at instant
+    /// `now` (`None` when no variable carries transaction time); an
+    /// error when it ends before it starts.
+    pub fn window(
+        &self,
+        params: &[Literal],
+        now: TimeVal,
+    ) -> Result<Option<Visibility>> {
+        let Some(AsOf { at, through }) = &self.as_of else {
+            return Ok(None);
+        };
+        let env = Env {
+            slots: Vec::new(),
+            params,
+            now,
+        };
+        let (at, through) =
+            (eval_time(at, &env)?, eval_time(through, &env)?);
+        if through < at {
+            return Err(Error::Semantic(format!(
+                "`as of` window ends at {through}, before it starts at {at}"
+            )));
+        }
+        Ok(Some(Visibility { at, through }))
+    }
+
     /// Does the answer carry the implicit column `name` (`valid_from`
     /// or `valid_to`) after its targets?
     pub fn implicit_column(&self, name: &str) -> bool {

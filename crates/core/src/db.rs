@@ -756,12 +756,13 @@ impl Database {
                     ranges.insert(var.clone(), rel.clone());
                 }
                 Statement::Retrieve(r) | Statement::Explain(r) => {
-                    let binder = Binder::new(&self.catalog, &ranges, now);
+                    let binder = Binder::new(&self.catalog, &ranges);
                     let bound = binder.bind_retrieve(r)?;
                     let plan = crate::plan::plan_bound(
                         &self.pager,
                         &self.catalog,
                         &bound,
+                        now,
                     )?;
                     last = Some((plan.est_input, plan.est_output));
                 }
@@ -1176,13 +1177,14 @@ impl Database {
                 )?;
             }
             Statement::Retrieve(r) => {
-                let bound = Binder::new(&self.catalog, &self.ranges, now)
+                let bound = Binder::new(&self.catalog, &self.ranges)
                     .bind_retrieve(r)?;
                 let result = exec_retrieve(
                     &self.pager,
                     &self.catalog,
                     &bound,
                     &[],
+                    now,
                     guard,
                     false,
                 )?;
@@ -1201,18 +1203,20 @@ impl Database {
                 }
             }
             Statement::Explain(r) => {
-                let bound = Binder::new(&self.catalog, &self.ranges, now)
+                let bound = Binder::new(&self.catalog, &self.ranges)
                     .bind_retrieve(r)?;
                 let plan = crate::plan::plan_bound(
                     &self.pager,
                     &self.catalog,
                     &bound,
+                    now,
                 )?;
                 let result = exec_retrieve(
                     &self.pager,
                     &self.catalog,
                     &bound,
                     &[],
+                    now,
                     guard,
                     false,
                 )?;

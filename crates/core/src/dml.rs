@@ -40,7 +40,7 @@
 
 use crate::binder::{split_conjuncts, Binder, Span};
 use crate::bound::{
-    result_columns, BExpr, BoundRetrieve, BoundTarget, VarBinding,
+    result_columns, AsOf, BExpr, BoundRetrieve, BoundTarget, VarBinding,
     Visibility,
 };
 use crate::eval::{eval_expr, eval_time, Env, Slot};
@@ -255,13 +255,14 @@ fn bind_valid(
 }
 
 /// The valid period a bound `valid` clause names for the rows bound in
-/// `env` — or, without a clause, `now .. forever` (`at now` for events).
+/// `env` — or, without a clause, `now .. forever` (`at now` for events),
+/// `now` being `env`'s instant.
 fn valid_period(
     valid: &Option<Span>,
     kind: TemporalKind,
-    now: TimeVal,
     env: &Env,
 ) -> Result<TInterval> {
+    let now = env.now;
     match (valid, kind) {
         (None, TemporalKind::Interval) => period(now, TimeVal::FOREVER),
         (None, TemporalKind::Event) => Ok(TInterval::event(now)),
@@ -365,7 +366,7 @@ pub fn exec_append(
     let rel = catalog.get(id);
     let (schema, codec) = (rel.schema.clone(), rel.codec.clone());
     let kind = schema.kind();
-    let binder = Binder::new(catalog, ranges, now);
+    let binder = Binder::new(catalog, ranges);
     let mut vars: Vec<VarBinding> = Vec::new();
     let assigns = bind_assignments(&binder, id, &a.assignments, &mut vars)?;
     let conjuncts =
@@ -385,11 +386,11 @@ pub fn exec_append(
             ));
         }
         let mut explicit = explicit_defaults();
-        let consts = Env::default();
+        let consts = Env::at(now);
         for (idx, e) in &assigns {
             explicit[*idx] = eval_expr(e, &consts)?;
         }
-        let valid = valid_period(&valid, kind, now, &consts)?;
+        let valid = valid_period(&valid, kind, &consts)?;
         let row = build_stored_row(&schema, &codec, &explicit, valid, now)?;
         return insert_rows(pager, catalog.get_mut(id), &[row]);
     }
@@ -414,7 +415,7 @@ pub fn exec_append(
         targets,
         conjuncts,
         valid,
-        visibility: has_tx.then(|| Visibility::at(now)),
+        as_of: has_tx.then(AsOf::now),
         into: None,
         sort: Vec::new(),
     };
@@ -422,8 +423,9 @@ pub fn exec_append(
     // unlimited (interrupting it would half-apply the append).
     let guard = QueryGuard::none();
     let rows =
-        exec_retrieve(pager, catalog, &bound, &[], &guard, false)?.rows;
-    let default = valid_period(&None, kind, now, &Env::default())?;
+        exec_retrieve(pager, catalog, &bound, &[], now, &guard, false)?
+            .rows;
+    let default = valid_period(&None, kind, &Env::at(now))?;
     let stored = rows
         .into_iter()
         .map(|row| {
@@ -500,6 +502,7 @@ struct Targets {
 fn targets(
     pager: &Pager,
     binder: &Binder<'_>,
+    now: TimeVal,
     var: &str,
     where_clause: &Option<ast::Expr>,
     when_clause: &Option<ast::TemporalPred>,
@@ -518,7 +521,7 @@ fn targets(
     conjuncts.extend(current_version_conjuncts(&rel.schema));
     let visible = vars[0].class.has_transaction_time();
     let (slot, mut rt) =
-        var_state(rel, visible.then(|| Visibility::at(binder.now)));
+        var_state(rel, visible.then(|| Visibility::at(now)));
     // A migrated version is never current (`Stamps::stays_in_primary`
     // keeps every version these conjuncts admit), so the history sidecar
     // holds nothing to retire.
@@ -526,6 +529,7 @@ fn targets(
     let mut env = Env {
         slots: vec![slot],
         params: &[],
+        now,
     };
     let conjuncts: Vec<&BExpr> = conjuncts.iter().collect();
     let mut rows = Vec::new();
@@ -649,6 +653,7 @@ impl Targets {
         let mut env = Env {
             slots: vec![Slot::of(&rel.schema, &rel.codec)],
             params: &[],
+            now,
         };
         let mut rewrote = false;
         let mut effects = Vec::with_capacity(rows.len());
@@ -727,9 +732,15 @@ pub fn exec_delete(
     now: TimeVal,
     d: &ast::Delete,
 ) -> Result<usize> {
-    let binder = Binder::new(catalog, ranges, now);
-    let t =
-        targets(pager, &binder, &d.var, &d.where_clause, &d.when_clause)?;
+    let binder = Binder::new(catalog, ranges);
+    let t = targets(
+        pager,
+        &binder,
+        now,
+        &d.var,
+        &d.where_clause,
+        &d.when_clause,
+    )?;
     // The deletion takes effect in valid time at this instant.
     let schema = &binder.catalog.get(t.id).schema;
     let mut tvars = Vec::new();
@@ -741,7 +752,7 @@ pub fn exec_delete(
         ));
     }
     let kind = schema.kind();
-    let valid = valid_period(&valid, kind, now, &Env::default())?;
+    let valid = valid_period(&valid, kind, &Env::at(now))?;
     let at = retire_at("delete", kind, valid)?;
     t.retire_each(pager, catalog, now, true, false, |_| Ok((at, None)))
 }
@@ -755,9 +766,15 @@ pub fn exec_replace(
     now: TimeVal,
     r: &ast::Replace,
 ) -> Result<usize> {
-    let binder = Binder::new(catalog, ranges, now);
-    let mut t =
-        targets(pager, &binder, &r.var, &r.where_clause, &r.when_clause)?;
+    let binder = Binder::new(catalog, ranges);
+    let mut t = targets(
+        pager,
+        &binder,
+        now,
+        &r.var,
+        &r.where_clause,
+        &r.when_clause,
+    )?;
     // Assignments may reference the variable being replaced, e.g.
     // `replace h (seq = h.seq + 1)` — the benchmark's update round.
     let assigns =
@@ -790,7 +807,7 @@ pub fn exec_replace(
         for (idx, e) in &assigns {
             explicit[*idx] = eval_expr(e, env)?;
         }
-        let valid = valid_period(&valid, kind, now, env)?;
+        let valid = valid_period(&valid, kind, env)?;
         let at = retire_at("replace", kind, valid)?;
         let new = build_stored_row(schema, codec, &explicit, valid, now)?;
         Ok((at, Some(new)))

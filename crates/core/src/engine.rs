@@ -96,23 +96,18 @@ use tdbms_wal::{GroupCommit, LogHandle};
 
 /// The published snapshot lock-free reads run against: the catalog as
 /// of the last committed statement, and the committed watermark that
-/// version-filters every row.
+/// version-filters every row and is the snapshot read's `"now"`.
 struct ReadView {
     catalog: Catalog,
     watermark: TimeVal,
     cold: bool,
-    /// Publication counter: bumped on every republish, carried inside
-    /// the view so a cached binding and the snapshot it was bound
-    /// against can never be observed out of step.
-    epoch: u64,
 }
 
-fn view_of(db: &Database, epoch: u64) -> ReadView {
+fn view_of(db: &Database) -> ReadView {
     ReadView {
         catalog: db.catalog().clone(),
         watermark: db.clock().now(),
         cold: db.cold_statements(),
-        epoch,
     }
 }
 
@@ -121,8 +116,10 @@ fn view_of(db: &Database, epoch: u64) -> ReadView {
 /// expressions are parameter slots each execution supplies (parsing is
 /// pure, so the template is reusable forever), plus, for
 /// single-statement snapshot-served retrieves, the bound template
-/// stamped with the view epoch and range table it was bound under, so
-/// hot server queries skip parse *and* bind whatever their literals.
+/// stamped with the catalog generation and range table it was bound
+/// under, so hot server queries skip parse *and* bind whatever their
+/// literals, and across every commit that creates or drops no
+/// relation.
 struct CachedProgram {
     stmts: Vec<Statement>,
     /// `Some(literals)` when the parse read a literal's value (`modify
@@ -141,9 +138,13 @@ impl CachedProgram {
 }
 
 struct CachedBound {
-    /// View publication the binding is valid for; any commit republishes
-    /// the view with a new epoch, invalidating this entry.
-    epoch: u64,
+    /// [`Catalog::generation`] of the catalog the binding was made
+    /// against. A binding reads only names, schemas' classes and kinds
+    /// and attribute indices, none of which a commit changes without
+    /// changing the generation; and it holds `"now"` and `as of` as
+    /// expressions each run evaluates at its own watermark. So only DDL
+    /// that creates or drops a relation invalidates this entry.
+    generation: u64,
     /// The exact range table the statement was bound under.
     ranges: HashMap<String, String>,
     /// Bound with parameter slots. Every execution borrows it as it
@@ -153,14 +154,15 @@ struct CachedBound {
 }
 
 impl CachedBound {
-    /// Was this binding made under publication `epoch` and range table
-    /// `ranges`, so that a statement of its shape may run it?
+    /// Was this binding made under catalog generation `generation` and
+    /// range table `ranges`, so that a statement of its shape may run
+    /// it?
     fn current(
         &self,
-        epoch: u64,
+        generation: u64,
         ranges: &HashMap<String, String>,
     ) -> bool {
-        self.epoch == epoch && self.ranges == *ranges
+        self.generation == generation && self.ranges == *ranges
     }
 }
 
@@ -194,8 +196,6 @@ struct EngineInner {
     failed: Mutex<Option<Error>>,
     group: Option<(Arc<GroupCommit>, LogHandle)>,
     locks: LockCounters,
-    /// Publication counter feeding [`ReadView::epoch`].
-    epoch: AtomicU64,
     /// Shape-keyed cache of parsed (and, when hot, bound) program
     /// templates, shared by every session of this engine: statements
     /// that differ only in numeric literals share one entry.
@@ -220,11 +220,10 @@ impl Engine {
         db.set_defer_group_ack(true);
         let inner = Arc::new(EngineInner {
             pager,
-            view: RwLock::new(Arc::new(view_of(&db, 0))),
+            view: RwLock::new(Arc::new(view_of(&db))),
             failed: Mutex::new(None),
             group,
             locks: LockCounters::default(),
-            epoch: AtomicU64::new(0),
             plans: Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
         });
         Engine {
@@ -388,11 +387,7 @@ impl Engine {
     }
 
     fn publish_view(&self, db: &Database) {
-        // fetch_add returns the previous value; +1 gives this
-        // publication a number no earlier view ever carried, so any
-        // binding cached under an older epoch is dead on arrival.
-        let epoch = self.inner.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let v = Arc::new(view_of(db, epoch));
+        let v = Arc::new(view_of(db));
         *self
             .inner
             .view
@@ -656,9 +651,9 @@ impl Session {
     /// the token stream with numeric literals lifted into parameter
     /// slots — so a repeated program skips the parser whatever its
     /// numbers, and a repeated single-statement snapshot retrieve also
-    /// skips the binder while the published view and this session's
-    /// range table are unchanged. Each execution runs the cached
-    /// template with its own literals.
+    /// skips the binder while no relation has been created or dropped
+    /// and this session's range table is unchanged. Each execution runs
+    /// the cached template with its own literals at its own watermark.
     pub fn execute_all(&mut self, src: &str) -> Result<Vec<ExecOutput>> {
         let mut outs = Vec::new();
         self.run_program(src, |out| outs.push(out))?;
@@ -685,15 +680,15 @@ impl Session {
 
     /// The bound template this session's next run of `src` would
     /// borrow from the statement cache: `None` unless `src`'s shape is
-    /// cached with a binding made under the current published view and
-    /// this session's range table. Looking counts neither a cache hit
-    /// nor a miss, and changes nothing.
+    /// cached with a binding made under the published catalog's
+    /// generation and this session's range table. Looking counts
+    /// neither a cache hit nor a miss, and changes nothing.
     pub fn cached_binding(
         &self,
         src: &str,
     ) -> Result<Option<BoundRetrieve>> {
         let shape = lex_shape(src)?;
-        let epoch = self.engine.view().epoch;
+        let generation = self.engine.view().catalog.generation();
         let plans = self
             .engine
             .inner
@@ -710,7 +705,7 @@ impl Session {
             prog.bound.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(bound
             .as_ref()
-            .filter(|cb| cb.current(epoch, &self.ranges))
+            .filter(|cb| cb.current(generation, &self.ranges))
             .map(|cb| cb.bound.clone()))
     }
 
@@ -782,11 +777,14 @@ impl Session {
     ) -> Result<Option<ExecOutput>> {
         self.engine.check_usable()?;
         let view = self.engine.view();
-        // Binder output is a pure function of (catalog, watermark,
-        // ranges) and the literals' types, which the shape fixes. The
-        // epoch stands in for the first two — it travels inside the
-        // view, so it can't be observed out of step with them — and the
-        // range table is compared in place.
+        // Binder output is a pure function of the catalog's names and
+        // schemas, the range table and the literals' types, which the
+        // shape fixes: `"now"` is bound as an expression this run
+        // evaluates at the view's watermark. The catalog generation
+        // stands in for the first (it travels inside the view's
+        // catalog, so it can't be observed out of step with it), and
+        // the range table is compared in place.
+        let generation = view.catalog.generation();
         let cached = cache
             .and_then(|prog| {
                 prog.bound
@@ -794,17 +792,13 @@ impl Session {
                     .unwrap_or_else(PoisonError::into_inner)
                     .clone()
             })
-            .filter(|cb| cb.current(view.epoch, &self.ranges));
+            .filter(|cb| cb.current(generation, &self.ranges));
         let mut fresh = None;
         let bound = match &cached {
             Some(cb) => &cb.bound,
             None => {
-                let binder = Binder::new(
-                    &view.catalog,
-                    &self.ranges,
-                    view.watermark,
-                )
-                .with_params(literals);
+                let binder = Binder::new(&view.catalog, &self.ranges)
+                    .with_params(literals);
                 match binder.bind_retrieve(r) {
                     Ok(b) => &*fresh.insert(b),
                     Err(_) => return Ok(None),
@@ -814,8 +808,8 @@ impl Session {
         if !bound.vars.iter().all(|v| v.class.has_transaction_time()) {
             return Ok(None);
         }
-        match &bound.visibility {
-            Some(vis) if vis.through <= view.watermark => {}
+        match bound.window(literals, view.watermark) {
+            Ok(Some(vis)) if vis.through <= view.watermark => {}
             _ if bound.vars.is_empty() => {}
             _ => return Ok(None),
         }
@@ -829,6 +823,7 @@ impl Session {
             &view.catalog,
             bound,
             literals,
+            view.watermark,
             guard,
             true,
         );
@@ -845,7 +840,7 @@ impl Session {
         if let (Some(prog), Some(bound)) = (cache, fresh) {
             *prog.bound.lock().unwrap_or_else(PoisonError::into_inner) =
                 Some(Arc::new(CachedBound {
-                    epoch: view.epoch,
+                    generation,
                     ranges: self.ranges.clone(),
                     bound,
                 }));
@@ -1140,23 +1135,94 @@ mod tests {
         );
     }
 
+    /// A cached binding survives every commit that creates or drops
+    /// no relation, and each run reads at its own watermark: it sees
+    /// what the commits wrote, in current reads, temporal `when`
+    /// clauses and `as of` windows that reach `"now"`. Only a name
+    /// that changes what it resolves to drops it.
     #[test]
-    fn cached_bindings_die_with_the_published_view() {
+    fn cached_bindings_outlive_commits_and_see_them() {
         let engine = Engine::new(seeded_db());
         let mut s = engine.session();
         s.execute("range of e is emp").unwrap();
         let q = "retrieve (e.name) where e.salary = 5555";
         assert_eq!(s.execute(q).unwrap().affected, 0);
-        // Warm the cached binding, then commit a write that the stale
-        // binding's watermark would filter out if it were replayed.
-        assert_eq!(s.execute(q).unwrap().affected, 0);
+        let warm = s.cached_binding(q).unwrap();
+        assert!(warm.is_some(), "a snapshot read caches its binding");
         s.execute(r#"append to emp (name = "late", salary = 5555)"#)
             .unwrap();
         assert_eq!(
-            s.execute(q).unwrap().affected,
-            1,
-            "a commit must invalidate cached bindings"
+            s.cached_binding(q).unwrap(),
+            warm,
+            "an append must not drop the cached binding"
         );
+        let after = s.execute(q).unwrap();
+        assert_eq!(after.affected, 1);
+        assert_eq!(after.rows()[0][0], Value::Str("late".into()));
+
+        // A temporal read after a replace reads at the replace's own
+        // instant, as an uncached run does: there the closing version,
+        // whose valid time ends at that instant, still overlaps it.
+        let now = "retrieve (e.name, e.salary) \
+                   where e.name = \"e3\" when e overlap \"now\"";
+        s.execute(now).unwrap();
+        assert!(s.cached_binding(now).unwrap().is_some());
+        s.execute(r#"replace e (salary = 9) where e.name = "e3""#)
+            .unwrap();
+        assert!(s.cached_binding(now).unwrap().is_some());
+        let uncached = |s: &mut Session| {
+            s.execute_statement(&tdbms_tquel::parse_statement(now).unwrap())
+                .unwrap()
+        };
+        let got = s.execute(now).unwrap();
+        assert_eq!(got.rows(), uncached(&mut s).rows());
+        let salaries: Vec<_> = got.rows().iter().map(|r| &r[1]).collect();
+        assert_eq!(salaries, [&Value::Int(1003), &Value::Int(9)]);
+        // Once a later commit moves "now" past it, only the new version
+        // is current, as in a run on the database itself.
+        s.execute(r#"append to emp (name = "next", salary = 1)"#)
+            .unwrap();
+        let got = s.execute(now).unwrap();
+        assert_eq!(got.rows(), uncached(&mut s).rows());
+        assert_eq!(got.rows().len(), 1);
+        assert_eq!(got.rows()[0][1], Value::Int(9));
+        let want = engine.with_write(|db| {
+            db.execute(&format!("range of e is emp\n{now}")).unwrap()
+        });
+        assert_eq!(got.rows(), want.rows());
+        assert_eq!(got.columns, want.columns);
+
+        // A window from the past through "now" reaches every commit.
+        let span = "retrieve (e.name) where e.salary = 4444 \
+                    as of \"1970-01-01\" through \"now\"";
+        assert_eq!(s.execute(span).unwrap().affected, 0);
+        assert!(s.cached_binding(span).unwrap().is_some());
+        for i in 0..3 {
+            s.execute(&format!(
+                r#"append to emp (name = "s{i}", salary = 4444)"#
+            ))
+            .unwrap();
+            assert_eq!(s.execute(span).unwrap().affected, i + 1);
+        }
+        assert!(s.cached_binding(span).unwrap().is_some());
+
+        // Destroy and re-create under the same name with another
+        // schema: the name resolves anew, so the binding is dropped and
+        // the next run reads the new relation.
+        let by_name = "retrieve (e.name)";
+        // The 32 seeded rows, 5 appended, and e3's closing version.
+        assert_eq!(s.execute(by_name).unwrap().affected, 32 + 5 + 1);
+        assert!(s.cached_binding(by_name).unwrap().is_some());
+        s.execute("destroy emp").unwrap();
+        s.execute("create temporal interval emp (id = i4, name = c8)")
+            .unwrap();
+        s.execute(r#"append to emp (id = 1, name = "fresh")"#)
+            .unwrap();
+        s.execute("range of e is emp").unwrap();
+        assert_eq!(s.cached_binding(by_name).unwrap(), None);
+        let fresh = s.execute(by_name).unwrap();
+        assert_eq!(fresh.affected, 1);
+        assert_eq!(fresh.rows()[0][0], Value::Str("fresh".into()));
     }
 
     #[test]

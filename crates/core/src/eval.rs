@@ -2,7 +2,7 @@
 //!
 //! The one-variable query processor and the tuple-substitution join both
 //! evaluate predicates against an [`Env`]: one *slot* per range-table
-//! entry, and the statement's literals. A slot holds the variable's
+//! entry, the statement's literals and its instant. A slot holds the variable's
 //! current relation (original or temporary) and, when bound, the raw
 //! row bytes. Attributes are decoded lazily — a predicate over `i4`
 //! columns never materializes the 96-byte string attribute next to
@@ -46,15 +46,29 @@ impl<'a> Slot<'a> {
 }
 
 /// What a bound expression is evaluated against: one slot per
-/// range-table entry, and the literals a cached statement's parameter
-/// slots ([`BExpr::Param`]) stand for. The default environment binds no
-/// variable and no parameter: it evaluates constant expressions.
-#[derive(Debug, Default)]
+/// range-table entry, the literals a cached statement's parameter slots
+/// ([`BExpr::Param`]) stand for, and the instant [`BExpr::Now`] stands
+/// for.
+#[derive(Debug)]
 pub struct Env<'a> {
     /// One slot per range-table entry.
     pub slots: Vec<Slot<'a>>,
     /// The statement's numeric literals, in source order.
     pub params: &'a [Literal],
+    /// The statement's transaction time.
+    pub now: TimeVal,
+}
+
+impl Env<'_> {
+    /// An environment that binds no variable and no parameter: it
+    /// evaluates constant expressions, `"now"` as `now`.
+    pub fn at(now: TimeVal) -> Self {
+        Env {
+            slots: Vec::new(),
+            params: &[],
+            now,
+        }
+    }
 }
 
 /// Truthiness of a Quel value: nonzero numbers are true.
@@ -77,6 +91,7 @@ pub fn eval_expr(e: &BExpr, env: &Env) -> Result<Value> {
                 Error::Internal(format!("no literal for parameter {k}"))
             })
         }
+        BExpr::Now => Ok(Value::Time(env.now)),
         BExpr::Attr { var, attr } => {
             let slot = &env.slots[*var];
             Ok(slot.codec.get(slot.row()?, *attr))
@@ -216,11 +231,19 @@ pub fn eval_bool(e: &BExpr, env: &Env) -> Result<bool> {
 }
 
 /// Evaluate an expression that denotes an instant (a lowered temporal
-/// endpoint).
+/// endpoint). `"now"` and a constant instant, the operands of every
+/// `as of` window and of each row's `overlap "now"` test, are read
+/// without building a [`Value`].
 pub fn eval_time(e: &BExpr, env: &Env) -> Result<TimeVal> {
-    match eval_expr(e, env)? {
-        Value::Time(t) => Ok(t),
-        other => Err(Error::Internal(format!("{other} is not an instant"))),
+    match e {
+        BExpr::Now => Ok(env.now),
+        BExpr::Const(Value::Time(t)) => Ok(*t),
+        e => match eval_expr(e, env)? {
+            Value::Time(t) => Ok(t),
+            other => {
+                Err(Error::Internal(format!("{other} is not an instant")))
+            }
+        },
     }
 }
 
@@ -242,7 +265,11 @@ mod tests {
     };
 
     fn env(slots: Vec<Slot<'static>>) -> Env<'static> {
-        Env { slots, params: &[] }
+        Env {
+            slots,
+            params: &[],
+            now: TimeVal::BEGINNING,
+        }
     }
 
     fn hist_slot(id: i64, from: u32, to: u32) -> Slot<'static> {
@@ -300,7 +327,7 @@ mod tests {
 
     #[test]
     fn division_and_mod_guards() {
-        let slots = Env::default();
+        let slots = Env::at(TimeVal::BEGINNING);
         let div0 = BExpr::Bin {
             op: BinOp::Div,
             lhs: Box::new(BExpr::Const(Value::Int(1))),
@@ -319,7 +346,7 @@ mod tests {
     fn extreme_integer_arithmetic_stays_typed() {
         // Both used to panic with a debug overflow / remainder overflow,
         // which a remote client could trigger from a statement string.
-        let slots = Env::default();
+        let slots = Env::at(TimeVal::BEGINNING);
         let neg_min =
             BExpr::Neg(Box::new(BExpr::Const(Value::Int(i64::MIN))));
         assert!(matches!(
@@ -342,7 +369,7 @@ mod tests {
 
     #[test]
     fn mixed_numeric_promotes_to_float() {
-        let slots = Env::default();
+        let slots = Env::at(TimeVal::BEGINNING);
         let e = BExpr::Bin {
             op: BinOp::Add,
             lhs: Box::new(BExpr::Const(Value::Int(1))),
@@ -384,6 +411,7 @@ mod tests {
         let env = Env {
             slots: Vec::new(),
             params: &params,
+            now: TimeVal::BEGINNING,
         };
         let e = BExpr::Bin {
             op: BinOp::Add,
@@ -395,5 +423,16 @@ mod tests {
             eval_expr(&BExpr::Param(2), &env),
             Err(Error::Internal(_))
         ));
+    }
+
+    #[test]
+    fn now_evaluates_to_the_statements_instant() {
+        let at = |secs| Env::at(TimeVal::from_secs(secs));
+        let e = BExpr::Least(vec![
+            BExpr::Now,
+            BExpr::Const(Value::Time(TimeVal::from_secs(50))),
+        ]);
+        assert_eq!(eval_time(&e, &at(40)).unwrap().as_secs(), 40);
+        assert_eq!(eval_time(&e, &at(60)).unwrap().as_secs(), 50);
     }
 }

@@ -153,8 +153,10 @@ pub(crate) fn var_state(
 /// the result rows; the caller reads the pager's
 /// [`tdbms_storage::IoStats`] for costs and handles `into`. `params`
 /// are the literals the bound retrieve's parameter slots
-/// ([`BExpr::Param`]) stand for. `bound` is only read, so one cached
-/// template serves any number of concurrent executions.
+/// ([`BExpr::Param`]) stand for, and `now` the instant [`BExpr::Now`]
+/// does (the default `as of` reads at it). `bound` is only read, so one
+/// cached template serves any number of concurrent executions at any
+/// instants.
 ///
 /// The catalog is only read. A single-variable retrieve never
 /// decomposes. A multi-variable retrieve materializes its projection
@@ -173,10 +175,11 @@ pub fn exec_retrieve(
     catalog: &Catalog,
     bound: &BoundRetrieve,
     params: &[Literal],
+    now: TimeVal,
     guard: &QueryGuard,
     quiet: bool,
 ) -> Result<RetrieveResult> {
-    let mut p = prepare(catalog, bound, params, guard);
+    let mut p = prepare(catalog, bound, params, now, guard)?;
     if bound.vars.len() < 2 {
         return run_joins(pager, p);
     }
@@ -208,7 +211,7 @@ pub(crate) struct Prepared<'a> {
     /// The output valid period.
     valid: Option<(Cow<'a, BExpr>, Cow<'a, BExpr>)>,
     /// One evaluation slot per variable, none bound before the joins,
-    /// and the statement's literals.
+    /// and the statement's literals and instant.
     pub(crate) env: Env<'a>,
     pub(crate) rts: Vec<VarRt<'a>>,
     /// The qualification's conjuncts.
@@ -217,21 +220,26 @@ pub(crate) struct Prepared<'a> {
     guard: &'a QueryGuard,
 }
 
+/// The per-execution state of `b` at instant `now`: its `as of`
+/// window and valid-end floors evaluated, every variable unbound. Fails
+/// only on a window that ends before it starts.
 pub(crate) fn prepare<'a>(
     catalog: &'a Catalog,
     b: &'a BoundRetrieve,
     params: &'a [Literal],
+    now: TimeVal,
     guard: &'a QueryGuard,
-) -> Prepared<'a> {
+) -> Result<Prepared<'a>> {
+    let window = b.window(params, now)?;
     let (slots, mut rts): (Vec<Slot>, Vec<VarRt>) = b
         .vars
         .iter()
         .map(|v| {
             let visible = v.class.has_transaction_time();
-            var_state(catalog.get(v.rel), b.visibility.filter(|_| visible))
+            var_state(catalog.get(v.rel), window.filter(|_| visible))
         })
         .unzip();
-    let env = Env { slots, params };
+    let env = Env { slots, params, now };
     for (rt, floor) in rts.iter_mut().zip(&b.valid_end_floors) {
         rt.valid_floor = rt.history.and(floor.as_ref()).and_then(|e| {
             match eval_expr(e, &env) {
@@ -243,7 +251,7 @@ pub(crate) fn prepare<'a>(
 
     let conjuncts = b.conjuncts.iter().map(Cow::Borrowed).collect();
 
-    Prepared {
+    Ok(Prepared {
         b,
         targets: Cow::Borrowed(&b.targets),
         valid: b
@@ -254,7 +262,7 @@ pub(crate) fn prepare<'a>(
         rts,
         conjuncts,
         guard,
-    }
+    })
 }
 
 /// The variables phase 1 will detach, in ascending variable position:

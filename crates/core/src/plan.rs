@@ -16,18 +16,20 @@ use crate::exec::{
     bound_probe, detachable_vars, key_probe_shape, prepare, Prepared,
 };
 use crate::guard::QueryGuard;
-use tdbms_kernel::Result;
+use tdbms_kernel::{Result, TimeVal};
 use tdbms_plan::{plan_query, QueryPlan, VarFacts};
 use tdbms_storage::{Catalog, Pager};
 
-/// Plan one bound retrieve against the relations as they stand.
+/// Plan one bound retrieve at instant `now` against the relations as
+/// they stand.
 pub(crate) fn plan_bound(
     pager: &Pager,
     catalog: &Catalog,
     bound: &BoundRetrieve,
+    now: TimeVal,
 ) -> Result<QueryPlan> {
     let guard = QueryGuard::none();
-    let p = prepare(catalog, bound, &[], &guard);
+    let p = prepare(catalog, bound, &[], now, &guard)?;
     let detachable = detachable_vars(&p);
     let facts: Vec<VarFacts> = bound
         .vars

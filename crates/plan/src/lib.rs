@@ -18,7 +18,7 @@
 //! executor picks access paths itself and detaches in variable order,
 //! and a [`QueryPlan`] lists its steps in that same order.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Everything the cost model needs to know about one tuple variable,
 /// pre-resolved by the caller so [`plan_query`] is pure arithmetic.
@@ -236,14 +236,18 @@ pub fn plan_query(facts: &[VarFacts]) -> QueryPlan {
     }
 }
 
-/// A bounded FIFO cache keyed by statement shape, with hit/miss
-/// counters. The values are whatever the caller finds expensive to
-/// rebuild (parsed programs, bound plans).
+/// A bounded least-recently-used cache keyed by statement shape, with
+/// hit/miss counters. The values are whatever the caller finds
+/// expensive to rebuild (parsed programs, bound plans). Each entry
+/// carries the tick of its last use; a hit only restamps it, and an
+/// insert into a full cache scans for the oldest stamp, so the O(cap)
+/// work falls on misses alone.
 #[derive(Debug)]
 pub struct PlanCache<V> {
     cap: usize,
-    map: HashMap<String, V>,
-    order: VecDeque<String>,
+    /// Each entry with the tick of its last insert or usable lookup.
+    map: HashMap<String, (V, u64)>,
+    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -254,21 +258,23 @@ impl<V: Clone> PlanCache<V> {
         PlanCache {
             cap: cap.max(1),
             map: HashMap::new(),
-            order: VecDeque::new(),
+            tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Look up a statement shape, counting a hit when an entry exists
-    /// and `usable` accepts it, a miss otherwise.
+    /// Look up a statement shape, counting a hit (and a use) when an
+    /// entry exists and `usable` accepts it, a miss otherwise.
     pub fn lookup(
         &mut self,
         key: &str,
         usable: impl FnOnce(&V) -> bool,
     ) -> Option<V> {
-        match self.map.get(key).filter(|v| usable(v)) {
-            Some(v) => {
+        match self.map.get_mut(key).filter(|(v, _)| usable(v)) {
+            Some((v, used)) => {
+                self.tick += 1;
+                *used = self.tick;
                 self.hits += 1;
                 Some(v.clone())
             }
@@ -279,22 +285,26 @@ impl<V: Clone> PlanCache<V> {
         }
     }
 
-    /// The entry for a statement shape, counting neither a hit nor a
-    /// miss.
+    /// The entry for a statement shape, counting neither a hit, a miss
+    /// nor a use.
     pub fn peek(&self, key: &str) -> Option<&V> {
-        self.map.get(key)
+        self.map.get(key).map(|(v, _)| v)
     }
 
-    /// Insert (or replace) an entry, evicting the oldest insertion
-    /// once full.
+    /// Insert (or replace) an entry as just used, evicting the least
+    /// recently used one once full.
     pub fn insert(&mut self, key: String, value: V) {
-        if self.map.insert(key.clone(), value).is_none() {
-            self.order.push_back(key);
-            while self.map.len() > self.cap {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
-                }
-            }
+        self.tick += 1;
+        if self.map.insert(key, (value, self.tick)).is_none()
+            && self.map.len() > self.cap
+        {
+            let lru = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| k.clone())
+                .expect("a full cache has entries");
+            self.map.remove(&lru);
         }
     }
 
@@ -384,19 +394,39 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_counts_and_evicts_fifo() {
+    fn plan_cache_counts_and_evicts_the_least_recently_used() {
         let mut c: PlanCache<u32> = PlanCache::new(2);
         let any = |_: &u32| true;
         assert_eq!(c.lookup("a", any), None);
         c.insert("a".into(), 1);
         c.insert("b".into(), 2);
         assert_eq!(c.lookup("a", any), Some(1));
-        c.insert("c".into(), 3); // evicts "a", the oldest insertion
-        assert_eq!(c.lookup("a", any), None);
-        assert_eq!(c.lookup("b", any), Some(2));
+        c.insert("c".into(), 3); // evicts "b": "a" was used since
+        assert_eq!(c.lookup("b", any), None);
+        assert_eq!(c.lookup("a", any), Some(1));
         assert_eq!(c.lookup("c", any), Some(3));
-        // An entry the caller cannot use is a miss.
-        assert_eq!(c.lookup("c", |v| *v != 3), None);
+        // An entry the caller cannot use is a miss, and no use.
+        assert_eq!(c.lookup("a", |v| *v != 1), None);
+        c.insert("d".into(), 4); // evicts "a", last used before "c"
+        assert_eq!(c.peek("a"), None);
+        assert_eq!(c.peek("c"), Some(&3));
         assert_eq!(c.stats(), (3, 3));
+    }
+
+    /// A hot shape touched between one-off inserts outlives any number
+    /// of them: a first-in-first-out cache would evict it once `cap`
+    /// one-offs had passed.
+    #[test]
+    fn a_key_used_between_one_off_inserts_survives() {
+        let mut c: PlanCache<u32> = PlanCache::new(4);
+        c.insert("hot".into(), 0);
+        for i in 0..64 {
+            assert_eq!(c.lookup("hot", |_| true), Some(0), "after {i}");
+            c.insert(format!("once{i}"), i);
+        }
+        assert_eq!(c.stats(), (64, 0));
+        // The one-offs evicted one another: only the last three remain.
+        assert_eq!(c.peek("once60"), None);
+        assert_eq!(c.peek("once61"), Some(&61));
     }
 }

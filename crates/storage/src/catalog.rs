@@ -257,6 +257,9 @@ impl StoredRelation {
 pub struct Catalog {
     rels: Vec<Option<StoredRelation>>,
     by_name: HashMap<String, usize>,
+    /// Bumped whenever a name starts or stops resolving
+    /// ([`Catalog::generation`]). In memory only.
+    generation: u64,
 }
 
 impl Catalog {
@@ -304,6 +307,7 @@ impl Catalog {
         let idx = self.rels.len();
         self.rels.push(Some(rel));
         self.by_name.insert(lower, idx);
+        self.generation += 1;
         Ok(RelId(idx))
     }
 
@@ -314,6 +318,7 @@ impl Catalog {
                 || Error::Internal(format!("stale RelId {id:?}")),
             )?;
         self.by_name.remove(&rel.name);
+        self.generation += 1;
         for ix in &rel.indexes {
             pager.drop_file(ix.index.file_id())?;
         }
@@ -333,7 +338,18 @@ impl Catalog {
         let idx = self.rels.len();
         self.by_name.insert(rel.name.clone(), idx);
         self.rels.push(Some(rel));
+        self.generation += 1;
         Ok(RelId(idx))
+    }
+
+    /// The name generation: it changes exactly when a name starts or
+    /// stops resolving (`create_relation`, `destroy`, `adopt`). Nothing
+    /// else a binder reads can change — `RelId`s are never reused and no
+    /// operation replaces a stored relation's schema — so a statement
+    /// bound against one generation binds the same way against any
+    /// catalog of that generation descended from it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Find the relation owning an index of this name, if any.
@@ -455,6 +471,32 @@ mod tests {
         ));
         cat.destroy(&pager, id).unwrap();
         assert!(cat.id_of("emp").is_none());
+    }
+
+    /// The generation moves when a name starts or stops resolving and
+    /// at no other write; a re-created name gets a new `RelId`.
+    #[test]
+    fn generation_moves_only_with_names() {
+        let pager = Pager::in_memory();
+        let mut cat = Catalog::new();
+        let g0 = cat.generation();
+        let id = cat.create_relation(&pager, "r", schema()).unwrap();
+        let g1 = cat.generation();
+        assert!(g1 > g0);
+        let rel = cat.get_mut(id);
+        rel.modify(&pager, AccessMethod::Hash, Some(0), 100, HashFn::Mod)
+            .unwrap();
+        rel.create_index(&pager, "r_pad", 1, IndexStructure::Hash)
+            .unwrap();
+        assert_eq!(cat.generation(), g1, "modify and index keep names");
+        let snapshot = cat.clone();
+        cat.destroy(&pager, id).unwrap();
+        let g2 = cat.generation();
+        assert!(g2 > g1);
+        let again = cat.create_relation(&pager, "r", schema()).unwrap();
+        assert_ne!(again, id, "a RelId is never reused");
+        assert!(cat.generation() > g2);
+        assert_eq!(snapshot.generation(), g1, "a clone keeps its own");
     }
 
     #[test]

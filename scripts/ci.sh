@@ -452,13 +452,21 @@ gate_planner_golden() {
 # texts — must be served almost entirely from the engine's statement
 # cache: >90% hit rate, reported over the wire by the `throughput`
 # binary's stats request. First, by name: a cached keyed retrieve stays
-# within its allocation budget (it borrows its bound template), and
-# interleaved sessions never change the template they share.
+# within its allocation budget (it borrows its bound template), also
+# right after a commit; interleaved sessions never change the template
+# they share, and some binding serves a read across a commit; a cached
+# binding outlives commits and sees them, and only a re-created name
+# drops it; the statement cache evicts the least recently used shape.
 gate_plan_cache_smoke() {
     local dbdir srvout addr out rc=0 i
     cargo test -q --test alloc_budget || return 1
     cargo test -q --test shape_cache_prop \
         interleaved_runs_never_change_the_shared_template || return 1
+    cargo test -q -p tdbms-core --lib \
+        engine::tests::cached_bindings_outlive_commits_and_see_them \
+        || return 1
+    cargo test -q -p tdbms-plan --lib \
+        tests::a_key_used_between_one_off_inserts_survives || return 1
     dbdir=$(mktemp -d)
     srvout=$(mktemp)
     "$bindir/tdbms-server" "$dbdir" --addr 127.0.0.1:0 >"$srvout" 2>&1 &

@@ -10,10 +10,15 @@
 //! statements and replaces.
 //!
 //! A second property interleaves two sessions of one engine over
-//! keyed retrieves, decomposing two-variable retrieves and replaces,
-//! and checks besides the answers that a run never changes the cached
-//! binding it borrowed: executions share one template and rewrite only
-//! their own copies of what decomposition remaps.
+//! keyed retrieves, decomposing two-variable retrieves, temporal
+//! retrieves at `"now"` (`when … overlap "now"`, `as of "now"`, `as of
+//! <instant> through "now"`) and replaces, and checks besides the
+//! answers that a run never changes the cached binding it borrowed:
+//! executions share one template and rewrite only their own copies of
+//! what decomposition remaps. A replace commits, and a binding outlives
+//! the commit (it holds `"now"` as an expression each run evaluates at
+//! its own watermark), so the property also checks that some binding
+//! served a read across a commit.
 //!
 //! The uncached side is a second engine over an identically built
 //! database, fed the same statements through
@@ -23,6 +28,7 @@
 //! snapshot reads do not, so a bare `Database` would stamp the later
 //! replaces at other instants.
 
+use std::collections::HashMap;
 use tdbms::tquel::parse_statement;
 use tdbms::{Database, Engine, ExecOutput, Session, Value};
 use tdbms_core::bound::BoundRetrieve;
@@ -216,26 +222,45 @@ fn keyed_setup(g: &mut Gen) -> Vec<String> {
 }
 
 /// The statement kinds of the interleaving.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Step {
-    /// A one-variable keyed retrieve.
+    /// A one-variable keyed retrieve of the versions valid at `"now"`.
     Keyed,
     /// A two-variable retrieve whose first variable decomposition
     /// detaches.
     Decomposing,
-    /// A keyed replace, which republishes the read view.
+    /// A one-variable scan `as of "now"`.
+    AsOfNow,
+    /// A keyed retrieve over a rollback window from a fixed instant
+    /// through `"now"`.
+    Through,
+    /// A keyed replace, which commits and republishes the read view.
     Replace,
 }
 
-/// A rendering of `step` over variables `(v, w)` with fresh literals.
-/// The literals are non-negative so that every rendering of a step
-/// lexes to one shape.
-fn render(g: &mut Gen, step: Step, (v, w): (&str, &str)) -> String {
+/// A rendering of `step` over variables `(v, w)` with fresh literals;
+/// `since` starts a [`Step::Through`] window. The literals are
+/// non-negative so that every rendering of a step lexes to one shape.
+fn render(
+    g: &mut Gen,
+    step: Step,
+    (v, w): (&str, &str),
+    since: &str,
+) -> String {
     let key = g.range(0i64..12);
     match step {
         Step::Keyed => format!(
             "retrieve ({v}.id, {v}.val) where {v}.id = {key} \
              when {v} overlap \"now\""
+        ),
+        Step::AsOfNow => format!(
+            "retrieve ({v}.id, {v}.val) where {v}.val >= {} \
+             as of \"now\"",
+            g.range(0i64..100)
+        ),
+        Step::Through => format!(
+            "retrieve ({v}.id, {v}.val) where {v}.id = {key} \
+             as of \"{since}\" through \"now\""
         ),
         Step::Decomposing => format!(
             "retrieve ({v}.id, {v}.val, {w}.val) \
@@ -262,21 +287,40 @@ fn interleaved_runs_never_change_the_shared_template() {
                 assert_eq!(c, f, "`{range}`");
             }
         }
-        // Runs of a decomposing shape served from its cached binding.
-        let mut served = 0;
+        // The clock starts at 1980-03-01 00:00 and ticks a minute a
+        // statement: the first instant falls inside the setup, the
+        // second mostly inside the interleaving.
+        let since = *g.pick(&[
+            "1970-01-01",
+            "1980-03-01 00:40",
+            "1980-03-01 02:00",
+        ]);
+        let pairs = [("h", "i"), ("i", "h")];
+        let first = *g.pick(&pairs);
+        // Runs of a decomposing shape served from its cached binding,
+        // and runs of any shape served from a binding made before a
+        // commit, with the statement counts they were made at.
+        let (mut served, mut across) = (0, 0);
+        let (mut clock, mut last_commit) = (0usize, None);
+        let mut last_run = HashMap::new();
         for k in 0..g.range(16usize..32) {
-            let step = match (k, g.range(0u8..3)) {
-                (0, _) | (_, 0) => Step::Decomposing,
-                (_, 1) => Step::Keyed,
-                _ => Step::Replace,
+            // The first three steps run a decomposing shape, commit,
+            // and run the shape again.
+            let (step, vars) = match (k, g.range(0u8..5)) {
+                (0 | 2, _) => (Step::Decomposing, first),
+                (1, _) | (_, 4) => (Step::Replace, *g.pick(&pairs)),
+                (_, 0) => (Step::Decomposing, *g.pick(&pairs)),
+                (_, 1) => (Step::Keyed, *g.pick(&pairs)),
+                (_, 2) => (Step::AsOfNow, *g.pick(&pairs)),
+                _ => (Step::Through, *g.pick(&pairs)),
             };
-            let vars = *g.pick(&[("h", "i"), ("i", "h")]);
             // A decomposing shape runs twice in a row, so the second
             // run, on either session, borrows the binding of the first.
             let runs = if step == Step::Decomposing { 2 } else { 1 };
             for _ in 0..runs {
+                clock += 1;
                 let s = g.range(0usize..2);
-                let text = render(g, step, vars);
+                let text = render(g, step, vars, since);
                 let template: Option<BoundRetrieve> =
                     cached[s].cached_binding(&text).unwrap();
                 let out = cached[s].execute(&text);
@@ -290,8 +334,15 @@ fn interleaved_runs_never_change_the_shared_template() {
                 let uncached = parse_statement(&text)
                     .and_then(|st| fresh[s].execute_statement(&st));
                 assert_eq!(outcome(out), outcome(uncached), "`{text}`");
+                if step == Step::Replace {
+                    last_commit = Some(clock);
+                }
+                let ran_before = last_run.insert((step, vars), clock);
                 if let Some(before) = template {
                     served += usize::from(step == Step::Decomposing);
+                    across += usize::from(
+                        ran_before.is_some_and(|r| Some(r) < last_commit),
+                    );
                     let after = cached[s].cached_binding(&text).unwrap();
                     assert_eq!(
                         Some(before),
@@ -302,6 +353,7 @@ fn interleaved_runs_never_change_the_shared_template() {
             }
         }
         assert!(served > 0, "no decomposing run borrowed a cached binding");
+        assert!(across > 0, "no binding served a read across a commit");
         for s in 0..2 {
             for v in ["h", "i"] {
                 let all = format!("retrieve ({v}.id, {v}.val)");
